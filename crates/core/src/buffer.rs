@@ -6,4 +6,4 @@
 //! [`Payload`] references instead of memcpy'ing `Vec<u8>`s between layers.
 //! This module re-exports it under the historical `dcgn::buffer` path.
 
-pub use dcgn_netsim::buffer::{pool_stats, Payload, PayloadBuf, PoolStats, PAYLOAD_HEADROOM};
+pub use dcgn_netsim::buffer::{pool_stats, Payload, PayloadBuf, PoolStats};

@@ -1182,8 +1182,8 @@ impl CommThread {
             };
             self.route_incoming(msg);
         } else {
-            // Inter-node: frame the DCGN envelope in the payload's reserved
-            // headroom (no body copy) and hand the pooled frame to MPI.  The
+            // Inter-node: append the DCGN envelope in the staged buffer's
+            // spare capacity (no body copy) and hand that frame to MPI.  The
             // MPI tag is the destination DCGN rank, which keeps messages for
             // different local ranks separable on the receiving node.
             let wire = frame_p2p(src, dst, tag, data);

@@ -232,10 +232,15 @@ impl CpuCtx {
                 self.cost.charge_queue_hop();
                 Ok(reply)
             }
-            Err(_) => Err(DcgnError::Internal(format!(
-                "rank {} timed out waiting for {what} completion",
-                self.rank
-            ))),
+            Err(_) => Err(self.timeout(what)),
+        }
+    }
+
+    fn timeout(&self, op: &'static str) -> DcgnError {
+        DcgnError::Timeout {
+            rank: self.rank,
+            op,
+            waited: self.request_timeout,
         }
     }
 
@@ -253,16 +258,6 @@ impl CpuCtx {
     // they occur.
     // ------------------------------------------------------------------
 
-    /// Stage user bytes for a send: remote destinations get framing headroom
-    /// so the wire header is written in place instead of copying the body.
-    fn stage_send(&self, dst: usize, data: &[u8]) -> Payload {
-        if self.rank_map.node_of(dst) == Some(self.node()) {
-            Payload::copy_from_slice(data)
-        } else {
-            Payload::copy_with_headroom(data)
-        }
-    }
-
     /// Start a nonblocking send of `data` to DCGN rank `dst` (untagged).
     /// The payload is staged immediately, so `data` may be reused as soon as
     /// this returns; the returned handle must eventually be completed with
@@ -278,7 +273,7 @@ impl CpuCtx {
         let rx = self.post(RequestKind::Send {
             dst,
             tag,
-            data: self.stage_send(dst, data),
+            data: Payload::copy_from_slice(data),
         })?;
         Ok(self
             .requests
@@ -422,11 +417,7 @@ impl CpuCtx {
             }
             let now = Instant::now();
             if now >= deadline {
-                return Err(DcgnError::Internal(format!(
-                    "rank {} timed out in waitany over {} requests",
-                    self.rank,
-                    handles.len()
-                )));
+                return Err(self.timeout("waitany"));
             }
             // No completion yet: sleep until the comm thread signals one
             // (bounded so a missed edge degrades to a periodic re-sweep).

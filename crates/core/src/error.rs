@@ -34,6 +34,18 @@ pub enum DcgnError {
         /// Collective requested by the late rank.
         requested: &'static str,
     },
+    /// A request was not completed within the runtime's request timeout —
+    /// typically a receive nobody sent to, or a collective a peer never
+    /// joined.  Not a runtime fault: the operation may still be matched
+    /// later, but this rank stopped waiting for it.
+    Timeout {
+        /// DCGN rank that gave up waiting.
+        rank: usize,
+        /// The operation it was waiting on (`"irecv"`, `"barrier"`, …).
+        op: &'static str,
+        /// How long it waited.
+        waited: std::time::Duration,
+    },
     /// The runtime is shutting down and can no longer service requests.
     ShuttingDown,
     /// The underlying MPI substrate failed.
@@ -63,6 +75,10 @@ impl fmt::Display for DcgnError {
             } => write!(
                 f,
                 "collective mismatch: node is executing {in_progress} but a rank requested {requested}"
+            ),
+            DcgnError::Timeout { rank, op, waited } => write!(
+                f,
+                "rank {rank} timed out after {waited:?} waiting for {op} completion"
             ),
             DcgnError::ShuttingDown => write!(f, "DCGN runtime is shutting down"),
             DcgnError::Mpi(msg) => write!(f, "MPI substrate error: {msg}"),
@@ -116,6 +132,11 @@ mod tests {
             DcgnError::CollectiveMismatch {
                 in_progress: "barrier",
                 requested: "broadcast",
+            },
+            DcgnError::Timeout {
+                rank: 4,
+                op: "irecv",
+                waited: std::time::Duration::from_secs(2),
             },
             DcgnError::ShuttingDown,
             DcgnError::Mpi("x".into()),

@@ -55,7 +55,6 @@ use crate::buffer::{Payload, PayloadBuf};
 use crate::error::{DcgnError, Result};
 use crate::group::CommId;
 use crate::message::{CollectiveResult, CommCommand, CommStatus, Reply, Request, RequestKind};
-use crate::rank::RankMap;
 
 // ---------------------------------------------------------------------------
 // Mailbox layout (struct-of-arrays)
@@ -1383,9 +1382,6 @@ pub(crate) struct GpuKernelThread {
     pub layout: GpuLayout,
     pub work_tx: Sender<CommCommand>,
     pub cost: CostModel,
-    /// Used to decide whether a device-sourced send needs framing headroom
-    /// (inter-node destinations) when staging its payload.
-    pub rank_map: Arc<RankMap>,
     pub metrics: GpuThreadMetrics,
 }
 
@@ -1498,23 +1494,13 @@ impl GpuKernelThread {
         ))
     }
 
-    /// Pull `len` device bytes into a pooled payload.  Payloads bound for a
-    /// remote node are staged with framing headroom, so the comm thread's
-    /// wire framing reuses the buffer instead of copying the body again.
-    fn pull_payload(&self, ptr: DevicePtr, len: usize, remote: bool) -> Result<Payload> {
-        let mut buf = if remote {
-            PayloadBuf::with_headroom(len)
-        } else {
-            PayloadBuf::with_capacity(len)
-        };
+    /// Pull `len` device bytes into a pooled payload.  The pool's classes
+    /// leave room for the wire envelope, so the comm thread frames a remote
+    /// send in this same buffer instead of copying the body again.
+    fn pull_payload(&self, ptr: DevicePtr, len: usize) -> Result<Payload> {
+        let mut buf = PayloadBuf::with_capacity(len);
         self.device.memcpy_dtoh(buf.body_mut(len), ptr)?;
         Ok(buf.freeze())
-    }
-
-    /// True when `dst` lives on another node (its payload will be framed for
-    /// the wire).
-    fn is_remote(&self, dst: usize) -> bool {
-        self.rank_map.node_of(dst) != Some(self.layout.node)
     }
 
     /// Decode a slot body that is in `REQUESTED` state and stage its
@@ -1567,11 +1553,10 @@ impl GpuKernelThread {
             opcode::SEND => {
                 // The payload must be pulled from device memory over PCI-e
                 // before it can be handed to the communication thread; it
-                // lands in a pooled buffer (with wire headroom when the
-                // destination is remote) and is never copied again on the
+                // lands in a pooled buffer and is never copied again on the
                 // host.
                 let dst = peer as usize;
-                let data = self.pull_payload(data_ptr, len, self.is_remote(dst))?;
+                let data = self.pull_payload(data_ptr, len)?;
                 reply_rxs.push(self.stage_request(
                     slot,
                     RequestKind::Send {
@@ -1605,7 +1590,7 @@ impl GpuKernelThread {
                     // The root's device buffer already holds the payload, so
                     // the completion does not need to copy it back down.
                     skip_writeback = true;
-                    Some(self.pull_payload(data_ptr, len, false)?)
+                    Some(self.pull_payload(data_ptr, len)?)
                 } else {
                     None
                 };
@@ -1618,7 +1603,7 @@ impl GpuKernelThread {
             opcode::GATHER => {
                 // In-place convention: this slot's contribution sits at its
                 // sub-rank's offset inside a `group_size × len` buffer.
-                let data = self.pull_payload(data_ptr.add(sub * len), len, false)?;
+                let data = self.pull_payload(data_ptr.add(sub * len), len)?;
                 unit_len = len;
                 max_len = len * group_size;
                 reply_rxs.push(self.stage_request(
@@ -1636,7 +1621,7 @@ impl GpuKernelThread {
                 let chunks = if sub == root {
                     // The root stages one `len`-byte chunk per member; the
                     // chunks are zero-copy views of one pulled buffer.
-                    let staged = self.pull_payload(data_ptr, len * group_size, false)?;
+                    let staged = self.pull_payload(data_ptr, len * group_size)?;
                     Some(
                         (0..group_size)
                             .map(|r| staged.slice(r * len..(r + 1) * len))
@@ -1652,7 +1637,7 @@ impl GpuKernelThread {
                 ));
             }
             opcode::ALLGATHER => {
-                let data = self.pull_payload(data_ptr.add(sub * len), len, false)?;
+                let data = self.pull_payload(data_ptr.add(sub * len), len)?;
                 unit_len = len;
                 max_len = len * group_size;
                 reply_rxs.push(self.stage_request(
@@ -1667,7 +1652,7 @@ impl GpuKernelThread {
                         "unknown reduce op/dtype word {reduce_op:#x} on slot {slot}"
                     ))
                 })?;
-                let data = self.pull_payload(data_ptr, len, false)?;
+                let data = self.pull_payload(data_ptr, len)?;
                 let kind = if op == opcode::REDUCE {
                     RequestKind::Reduce {
                         comm,
@@ -1709,7 +1694,7 @@ impl GpuKernelThread {
                 // transfer is in flight.
                 async_req = Some((check_req_index()?, reduce_op));
                 let dst = peer as usize;
-                let data = self.pull_payload(data_ptr, len, self.is_remote(dst))?;
+                let data = self.pull_payload(data_ptr, len)?;
                 reply_rxs.push(self.stage_request(
                     slot,
                     RequestKind::Send {
@@ -1741,7 +1726,7 @@ impl GpuKernelThread {
                 // Two requests relayed together: the outbound copy of the
                 // buffer and the inbound replacement.
                 let dst = peer as usize;
-                let data = self.pull_payload(data_ptr, len, self.is_remote(dst))?;
+                let data = self.pull_payload(data_ptr, len)?;
                 reply_rxs.push(self.stage_request(
                     slot,
                     RequestKind::Send {
@@ -2115,7 +2100,6 @@ fn next_poll_interval(cost: &CostModel, current: Duration, did_work: bool) -> Du
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DcgnConfig;
 
     #[test]
     #[allow(clippy::assertions_on_constants)] // compile-time layout guard
@@ -2250,7 +2234,6 @@ mod tests {
         let device = Device::new_default(0);
         let mailbox_base =
             GpuKernelThread::allocate_mailboxes(&device, slots, MAILBOX_REQS_PER_SLOT).unwrap();
-        let rank_map = Arc::new(RankMap::new(&DcgnConfig::homogeneous(1, 0, 1, slots)));
         let (work_tx, work_rx) = crossbeam::channel::unbounded();
         (
             GpuKernelThread {
@@ -2266,7 +2249,6 @@ mod tests {
                 },
                 work_tx,
                 cost: CostModel::zero(),
-                rank_map,
                 metrics: GpuThreadMetrics::new(&MetricsHandle::new(), 0, 0),
             },
             work_rx,

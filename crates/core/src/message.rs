@@ -4,14 +4,16 @@
 //!
 //! All variable-size bodies travel as pooled [`Payload`]s: layer hops move a
 //! reference instead of memcpy'ing a fresh `Vec`, and the point-to-point
-//! framing ([`frame_p2p`]/[`decode_p2p`]) reuses the payload's reserved
-//! headroom so the body bytes are written once and never copied again on
-//! their way to the wire.
+//! framing ([`frame_p2p`]/[`decode_p2p`]) appends its envelope *behind* the
+//! body, so the body bytes are written once, never move on their way to the
+//! wire, and sit at offset 0 of the allocation the receiver hands out.
 
 use crossbeam::channel::Sender;
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
 
-use crate::buffer::{Payload, PAYLOAD_HEADROOM};
+use dcgn_netsim::buffer::ENVELOPE_BYTES;
+
+use crate::buffer::Payload;
 use crate::error::DcgnError;
 use crate::group::CommId;
 
@@ -240,42 +242,40 @@ impl CompletionEvent {
 // Wire format of inter-node DCGN point-to-point messages.
 // ---------------------------------------------------------------------------
 
-/// Header prepended to every inter-node point-to-point payload:
-/// `[src u32][dst u32][tag u32][reserved u32]`.
-pub(crate) const P2P_HEADER_BYTES: usize = 16;
-
-// The pooled-buffer headroom is sized for exactly this header, so framing a
-// send writes the header in place instead of copying the body.
-const _: () = assert!(P2P_HEADER_BYTES == PAYLOAD_HEADROOM);
+// Envelope appended to every inter-node point-to-point payload:
+// `[body][src u32][dst u32][tag u32][reserved u32]`.  The pool sizes its
+// classes for exactly this trailer, so framing a send appends in place
+// instead of copying the body.
+const _: () = assert!(ENVELOPE_BYTES == 4 * std::mem::size_of::<u32>());
 
 /// Frame a DCGN point-to-point payload for transport through the node-level
-/// MPI substrate.  Consumes the payload; when it was staged with headroom
-/// (the normal case for inter-node sends) the body is not copied, and the
-/// returned frame shares the same pooled allocation.
+/// MPI substrate.  Consumes the payload; a pooled stage (the normal case)
+/// is not copied, and the returned frame is the same allocation with the
+/// body still at its start.
 pub(crate) fn frame_p2p(src: usize, dst: usize, tag: u32, payload: Payload) -> Payload {
-    let mut header = [0u8; P2P_HEADER_BYTES];
-    header[0..4].copy_from_slice(&(src as u32).to_le_bytes());
-    header[4..8].copy_from_slice(&(dst as u32).to_le_bytes());
-    header[8..12].copy_from_slice(&tag.to_le_bytes());
-    payload.into_framed(&header)
+    let mut envelope = [0u8; ENVELOPE_BYTES];
+    envelope[0..4].copy_from_slice(&(src as u32).to_le_bytes());
+    envelope[4..8].copy_from_slice(&(dst as u32).to_le_bytes());
+    envelope[8..12].copy_from_slice(&tag.to_le_bytes());
+    payload.into_framed(&envelope)
 }
 
 /// Decode an inter-node DCGN point-to-point frame.  The returned body is a
-/// zero-copy view into the wire buffer, which itself arrived as a pooled
-/// payload from the substrate — the receive path never clones the bytes.
+/// zero-copy view of the wire buffer's first bytes, and the only reference
+/// to it once `wire` is consumed here — so a CPU receiver's
+/// [`Payload::into_vec`] takes the allocation instead of copying out of it.
 pub(crate) fn decode_p2p(wire: Payload) -> Result<(usize, usize, u32, Payload), DcgnError> {
-    if wire.len() < P2P_HEADER_BYTES {
+    let Some(body_len) = wire.len().checked_sub(ENVELOPE_BYTES) else {
         return Err(DcgnError::Internal(format!(
             "short point-to-point frame: {} bytes",
             wire.len()
         )));
-    }
-    let bytes = wire.as_slice();
-    let src = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-    let dst = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-    let tag = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let body = wire.slice(P2P_HEADER_BYTES..wire.len());
-    Ok((src, dst, tag, body))
+    };
+    let envelope = &wire.as_slice()[body_len..];
+    let src = u32::from_le_bytes(envelope[0..4].try_into().expect("4 bytes")) as usize;
+    let dst = u32::from_le_bytes(envelope[4..8].try_into().expect("4 bytes")) as usize;
+    let tag = u32::from_le_bytes(envelope[8..12].try_into().expect("4 bytes"));
+    Ok((src, dst, tag, wire.slice(0..body_len)))
 }
 
 #[cfg(test)]
@@ -285,26 +285,30 @@ mod tests {
     #[test]
     fn p2p_roundtrip() {
         let payload: Vec<u8> = (0..100u8).collect();
-        let wire = frame_p2p(3, 11, 42, Payload::copy_with_headroom(&payload));
-        assert_eq!(wire.len(), P2P_HEADER_BYTES + 100);
+        let wire = frame_p2p(3, 11, 42, Payload::copy_from_slice(&payload));
+        assert_eq!(wire.len(), 100 + ENVELOPE_BYTES);
+        // The envelope trails the body on the wire.
+        assert_eq!(&wire.as_slice()[..100], &payload[..]);
+        assert_eq!(&wire.as_slice()[100..104], &3u32.to_le_bytes());
         let (src, dst, tag, data) = decode_p2p(wire).unwrap();
         assert_eq!((src, dst, tag), (3, 11, 42));
         assert_eq!(data, payload);
     }
 
     #[test]
-    fn framing_with_headroom_does_not_move_the_body() {
-        let payload = Payload::copy_with_headroom(&[0xCD; 64]);
-        let body_addr = payload.as_slice().as_ptr() as usize;
+    fn framing_and_decoding_never_move_the_body() {
+        let payload = Payload::copy_from_slice(&[0xCD; 64]);
+        let staged = payload.as_slice().as_ptr();
         let wire = frame_p2p(1, 2, 3, payload);
-        assert_eq!(
-            wire.as_slice()[P2P_HEADER_BYTES..].as_ptr() as usize,
-            body_addr
-        );
-        // Decoding hands back a view of the same allocation — the body
-        // bytes never move on the receive side either.
+        assert_eq!(wire.as_slice().as_ptr(), staged);
+        // Decoding hands back a view of the same allocation, and — being
+        // its only reference, at offset 0 — the receiver's `Vec` *is* the
+        // sender's staged buffer.
         let (_, _, _, body) = decode_p2p(wire).unwrap();
-        assert_eq!(body.as_slice().as_ptr() as usize, body_addr);
+        assert_eq!(body.as_slice().as_ptr(), staged);
+        let delivered = body.into_vec();
+        assert_eq!(delivered.as_ptr(), staged);
+        assert_eq!(delivered, vec![0xCD; 64]);
     }
 
     #[test]

@@ -258,7 +258,6 @@ impl Runtime {
                     layout: layout.clone(),
                     work_tx: work_txs[node].clone(),
                     cost,
-                    rank_map: Arc::clone(&rank_map),
                     metrics: crate::gpu::GpuThreadMetrics::new(&metrics, node, gpu_index),
                 };
                 let setup = Arc::clone(&gpu_setup);

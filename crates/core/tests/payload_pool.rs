@@ -7,12 +7,55 @@
 use std::sync::Arc;
 
 use dcgn::{DcgnConfig, Payload, Runtime};
+// The point-to-point envelope; every pool class is a power of two plus it.
+use dcgn_netsim::buffer::ENVELOPE_BYTES as ENVELOPE;
 use proptest::prelude::*;
 
 /// The byte every cell of a payload created at step `step` by actor `actor`
 /// is filled with.
 fn fill_byte(step: usize, actor: usize) -> u8 {
     (step.wrapping_mul(31) ^ actor.wrapping_mul(7)) as u8
+}
+
+/// Buffers within an envelope of a class boundary — bodies of
+/// `2^k − 16 ..= 2^k + 16` bytes — must recycle like any other and never
+/// alias while live; framing them appends in place exactly when the body
+/// fits its class's power of two, and falls back to a pooled copy in the
+/// next class when it does not.  The classes used (16 KB – 128 KB) are ones
+/// the churn tests below never reach, so slab order is deterministic here.
+#[test]
+fn class_boundary_buffers_recycle_and_never_alias() {
+    for shift in 14..=17u32 {
+        for len in (1usize << shift) - ENVELOPE..=(1 << shift) + ENVELOPE {
+            let a = Payload::copy_from_slice(&vec![0xA1; len]);
+            let b = Payload::copy_from_slice(&vec![0xB2; len]);
+            let a_ptr = a.as_slice().as_ptr();
+            assert_ne!(a_ptr, b.as_slice().as_ptr(), "{len}: live buffers alias");
+            // Dropping `a` recycles it; the next buffer of the class is that
+            // allocation again, and the still-live `b` is untouched.
+            drop(a);
+            let c = Payload::copy_from_slice(&vec![0xC3; len]);
+            assert_eq!(c.as_slice().as_ptr(), a_ptr, "{len}: not recycled");
+            assert!(
+                b.as_slice().iter().all(|&x| x == 0xB2),
+                "{len}: b clobbered"
+            );
+            // Framing: in place up to the power of two, a copy past it.
+            let frame = c.into_framed(&[0xE4; ENVELOPE]);
+            assert_eq!(
+                frame.as_slice().as_ptr() == a_ptr,
+                len <= 1 << shift,
+                "{len}: wrong framing path"
+            );
+            assert_eq!(frame.len(), len + ENVELOPE);
+            assert!(frame.as_slice()[..len].iter().all(|&x| x == 0xC3));
+            assert!(frame.as_slice()[len..].iter().all(|&x| x == 0xE4));
+            assert!(
+                b.as_slice().iter().all(|&x| x == 0xB2),
+                "{len}: b clobbered"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -27,11 +70,23 @@ proptest! {
         // (payload, expected fill, expected length)
         let mut held: Vec<(Payload, u8, usize)> = Vec::new();
         for (step, op) in ops.iter().enumerate() {
-            let len = 1 + (op >> 8) as usize % 2500;
+            // Half the sizes are arbitrary, half sit within an envelope of a
+            // class boundary (2^k ± 16 for 256 B – 4 KB).
+            let len = if op & 4 == 0 {
+                1 + (op >> 8) as usize % 2500
+            } else {
+                (256usize << ((op >> 8) % 5)) - ENVELOPE + (op >> 16) as usize % (2 * ENVELOPE + 1)
+            };
             let fill = fill_byte(step, 0);
             match op % 4 {
                 0 => held.push((Payload::copy_from_slice(&vec![fill; len]), fill, len)),
-                1 => held.push((Payload::copy_with_headroom(&vec![fill; len]), fill, len)),
+                // A framed stage: the envelope (here more fill) is appended
+                // in the buffer's spare capacity, or copied at a boundary.
+                1 => held.push((
+                    Payload::copy_from_slice(&vec![fill; len]).into_framed(&[fill; ENVELOPE]),
+                    fill,
+                    len + ENVELOPE,
+                )),
                 2 if !held.is_empty() => {
                     // Dropping may recycle the buffer into the pool; live
                     // views of the same buffer must pin it.

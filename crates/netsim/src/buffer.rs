@@ -12,10 +12,13 @@
 //!   copying bytes;
 //! * **slicing is free** — [`Payload::slice`] returns a view into the same
 //!   allocation, so decoding a wire frame into its body costs nothing;
-//! * **framing is (usually) free** — buffers built with headroom reserve
-//!   space for the point-to-point wire header in front of the body, so
-//!   [`Payload::into_framed`] writes the header in place instead of copying
-//!   the body into a fresh frame;
+//! * **framing is (usually) free** — every pool class is a power of two plus
+//!   one point-to-point envelope, so [`Payload::into_framed`] appends the
+//!   envelope in the buffer's spare capacity instead of copying the body
+//!   into a fresh frame, and the body stays at offset 0 of its allocation;
+//! * **delivery is free** — a body at offset 0 of a buffer nobody else
+//!   references leaves through [`Payload::into_vec`] as the allocation
+//!   itself, not as a copy of it;
 //! * **allocations are recycled** — when the last reference drops, the
 //!   backing buffer returns to a size-classed slab pool and is handed out
 //!   again.  A buffer can only re-enter the pool once *no* payload
@@ -27,21 +30,22 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use dcgn_metrics::{Counter, Gauge};
 
-/// Bytes of headroom reserved in front of the body by
-/// [`PayloadBuf::with_headroom`] — exactly one point-to-point wire header.
-pub const PAYLOAD_HEADROOM: usize = 16;
+/// Size of the point-to-point envelope [`Payload::into_framed`] appends
+/// behind a body.  Every pool class is a power of two plus this, so a
+/// power-of-two body and its envelope share one pooled allocation.
+pub const ENVELOPE_BYTES: usize = 16;
 
 // ---------------------------------------------------------------------------
 // The slab pool
 // ---------------------------------------------------------------------------
 
 /// Smallest pooled capacity class (everything below rounds up to this).
-const MIN_CLASS_SHIFT: u32 = 8; // 256 B
+const MIN_CLASS_SHIFT: u32 = 8; // 256 B + envelope
 /// Largest pooled capacity class; bigger buffers are not recycled.  Sized to
 /// cover the rendezvous pipeline's multi-megabyte assembly buffers so huge
 /// transfers recycle their destination allocation instead of re-allocating
 /// it per message.
-const MAX_CLASS_SHIFT: u32 = 22; // 4 MB
+const MAX_CLASS_SHIFT: u32 = 22; // 4 MB + envelope
 const NUM_CLASSES: usize = (MAX_CLASS_SHIFT - MIN_CLASS_SHIFT + 1) as usize;
 /// Retained buffers per class for the small classes, bounding idle pool
 /// memory.  Large classes retain fewer (see [`max_retained`]).
@@ -83,8 +87,15 @@ pub struct PoolStats {
     pub recycled: u64,
 }
 
+/// Capacity of every buffer in `class`: its power of two plus one envelope.
+fn class_capacity(class: usize) -> usize {
+    (1 << (class as u32 + MIN_CLASS_SHIFT)) + ENVELOPE_BYTES
+}
+
+/// The smallest class whose buffers hold `capacity` bytes.
 fn class_of(capacity: usize) -> Option<usize> {
     let shift = capacity
+        .saturating_sub(ENVELOPE_BYTES)
         .next_power_of_two()
         .trailing_zeros()
         .max(MIN_CLASS_SHIFT);
@@ -115,7 +126,7 @@ impl Pool {
                 return buf;
             }
             self.allocated.inc();
-            return Vec::with_capacity(1 << (class as u32 + MIN_CLASS_SHIFT));
+            return Vec::with_capacity(class_capacity(class));
         }
         self.allocated.inc();
         Vec::with_capacity(capacity)
@@ -125,7 +136,7 @@ impl Pool {
         // Only exact class-sized capacities are retained, so acquire() can
         // trust that a pooled buffer fits its class.
         if let Some(class) = class_of(buf.capacity()) {
-            if buf.capacity() == 1 << (class as u32 + MIN_CLASS_SHIFT) {
+            if buf.capacity() == class_capacity(class) {
                 let mut slab = self.classes[class].lock().expect("pool lock");
                 if slab.len() < max_retained(class) {
                     slab.push(buf);
@@ -163,28 +174,13 @@ pub fn pool_capacity() -> u64 {
 #[derive(Debug)]
 pub struct PayloadBuf {
     data: Vec<u8>,
-    headroom: usize,
 }
 
 impl PayloadBuf {
-    /// An empty buffer with no reserved headroom, sized for `capacity` body
-    /// bytes.
+    /// An empty buffer sized for `capacity` bytes.
     pub fn with_capacity(capacity: usize) -> Self {
         PayloadBuf {
             data: Pool::global().acquire(capacity),
-            headroom: 0,
-        }
-    }
-
-    /// An empty buffer with [`PAYLOAD_HEADROOM`] bytes reserved in front of
-    /// the body, so the wire framing of an inter-node send can later be
-    /// written in place ([`Payload::into_framed`]).
-    pub fn with_headroom(capacity: usize) -> Self {
-        let mut data = Pool::global().acquire(PAYLOAD_HEADROOM + capacity);
-        data.resize(PAYLOAD_HEADROOM, 0);
-        PayloadBuf {
-            data,
-            headroom: PAYLOAD_HEADROOM,
         }
     }
 
@@ -199,37 +195,30 @@ impl PayloadBuf {
     pub fn body_mut(&mut self, len: usize) -> &mut [u8] {
         // Zero-extend in memcpy-sized blocks rather than `Vec::resize`:
         // resize's per-element extend loop only becomes a memset under
-        // optimization, which made megabyte assembly buffers cost
+        // optimization, which made megabyte staging buffers cost
         // milliseconds in debug builds.
         const ZEROS: [u8; 4096] = [0; 4096];
-        let target = self.headroom + len;
-        while self.data.len() < target {
-            let step = (target - self.data.len()).min(ZEROS.len());
+        while self.data.len() < len {
+            let step = (len - self.data.len()).min(ZEROS.len());
             self.data.extend_from_slice(&ZEROS[..step]);
         }
-        self.data.truncate(target);
-        &mut self.data[self.headroom..]
+        self.data.truncate(len);
+        &mut self.data
     }
 
     /// Body length so far.
     pub fn len(&self) -> usize {
-        self.data.len() - self.headroom
+        self.data.len()
     }
 
     /// True when no body bytes have been written.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.data.is_empty()
     }
 
     /// Seal the buffer into an immutable, cheaply-cloneable [`Payload`].
     pub fn freeze(mut self) -> Payload {
-        let data = std::mem::take(&mut self.data);
-        let len = data.len() - self.headroom;
-        Payload {
-            inner: Arc::new(Inner { data }),
-            off: self.headroom,
-            len,
-        }
+        Payload::from_vec(std::mem::take(&mut self.data))
     }
 }
 
@@ -289,23 +278,16 @@ impl Payload {
             .clone()
     }
 
-    /// Copy `bytes` into a pooled buffer (no headroom).
+    /// Copy `bytes` into a pooled buffer.
     pub fn copy_from_slice(bytes: &[u8]) -> Payload {
         let mut buf = PayloadBuf::with_capacity(bytes.len());
         buf.extend_from_slice(bytes);
         buf.freeze()
     }
 
-    /// Copy `bytes` into a pooled buffer with framing headroom reserved.
-    pub fn copy_with_headroom(bytes: &[u8]) -> Payload {
-        let mut buf = PayloadBuf::with_headroom(bytes.len());
-        buf.extend_from_slice(bytes);
-        buf.freeze()
-    }
-
-    /// Adopt an existing vector without copying (no headroom; the vector is
-    /// recycled through the pool when the payload is released, if its
-    /// capacity matches a pool class).
+    /// Adopt an existing vector without copying (the vector is recycled
+    /// through the pool when the payload is released, if its capacity
+    /// matches a pool class).
     pub fn from_vec(data: Vec<u8>) -> Payload {
         let len = data.len();
         Payload {
@@ -366,38 +348,29 @@ impl Payload {
         }
     }
 
-    /// Consume the payload into a wire frame of `header ++ body`.
+    /// Consume the payload into a wire frame of `body ++ envelope`.
     ///
-    /// When this is the sole reference to a buffer built with headroom, the
-    /// header is written into the reserved space and the existing allocation
-    /// is returned as-is — the body is **not** copied.  Shared or
-    /// headroom-less payloads fall back to building a fresh frame.
-    pub fn into_framed(self, header: &[u8; PAYLOAD_HEADROOM]) -> Payload {
-        Payload::from_vec(self.into_framed_vec(header))
+    /// When this is the sole reference to a buffer whose body starts at
+    /// offset 0 and leaves an envelope's worth of spare capacity — any
+    /// pooled stage of a body up to its class's power of two — the envelope
+    /// is appended in place and the existing allocation is returned: the
+    /// body is **not** copied.  Shared, sliced or brim-full payloads are
+    /// copied into a pooled frame instead.
+    pub fn into_framed(self, envelope: &[u8; ENVELOPE_BYTES]) -> Payload {
+        // Sole owner (no clone can appear while `self` is held by value).
+        let in_place = self.off == 0
+            && Arc::strong_count(&self.inner) == 1
+            && self.inner.data.capacity() - self.len >= ENVELOPE_BYTES;
+        let mut data = if in_place {
+            self.into_vec()
+        } else {
+            let mut copy = Pool::global().acquire(self.len + ENVELOPE_BYTES);
+            copy.extend_from_slice(self.as_slice());
+            copy
+        };
+        data.extend_from_slice(envelope);
+        Payload::from_vec(data)
     }
-
-    fn into_framed_vec(self, header: &[u8; PAYLOAD_HEADROOM]) -> Vec<u8> {
-        let off = self.off;
-        let len = self.len;
-        match Arc::try_unwrap(self.inner) {
-            Ok(mut inner)
-                if off == PAYLOAD_HEADROOM && inner.data.len() == PAYLOAD_HEADROOM + len =>
-            {
-                let mut data = std::mem::take(&mut inner.data);
-                data[..PAYLOAD_HEADROOM].copy_from_slice(header);
-                data
-            }
-            Ok(inner) => framed_copy(header, &inner.data[off..off + len]),
-            Err(shared) => framed_copy(header, &shared.data[off..off + len]),
-        }
-    }
-}
-
-fn framed_copy(header: &[u8; PAYLOAD_HEADROOM], body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(PAYLOAD_HEADROOM + body.len());
-    out.extend_from_slice(header);
-    out.extend_from_slice(body);
-    out
 }
 
 impl std::fmt::Debug for Payload {
@@ -474,41 +447,51 @@ mod tests {
     }
 
     #[test]
-    fn into_framed_reuses_headroom_without_copying_body() {
-        let p = Payload::copy_with_headroom(&[9u8; 100]);
-        let body_ptr = p.as_slice().as_ptr() as usize;
-        let header = [7u8; PAYLOAD_HEADROOM];
-        let frame = p.into_framed(&header);
-        assert_eq!(&frame.as_slice()[..PAYLOAD_HEADROOM], &header);
-        assert_eq!(&frame.as_slice()[PAYLOAD_HEADROOM..], &[9u8; 100]);
-        // The body bytes did not move: the frame's body address equals the
-        // payload's old body address.
-        assert_eq!(
-            frame.as_slice()[PAYLOAD_HEADROOM..].as_ptr() as usize,
-            body_ptr,
-            "framing must reuse the headroom in place"
-        );
+    fn into_framed_appends_the_envelope_without_moving_the_body() {
+        let p = Payload::copy_from_slice(&[9u8; 256]);
+        let body_ptr = p.as_slice().as_ptr();
+        let envelope = [7u8; ENVELOPE_BYTES];
+        let frame = p.into_framed(&envelope);
+        assert_eq!(&frame.as_slice()[..256], &[9u8; 256]);
+        assert_eq!(&frame.as_slice()[256..], &envelope);
+        // A power-of-two body and its envelope fit one class: the frame is
+        // the staged allocation, body still at offset 0.
+        assert_eq!(frame.as_slice().as_ptr(), body_ptr);
+        // So the receiver's body view, once the frame view is gone, leaves
+        // as that same allocation — no copy-out.
+        let body = frame.slice(0..256);
+        drop(frame);
+        let out = body.into_vec();
+        assert_eq!(out.as_ptr(), body_ptr);
+        assert_eq!(out, vec![9u8; 256]);
     }
 
     #[test]
-    fn into_framed_falls_back_when_shared_or_headroomless() {
-        let header = [1u8; PAYLOAD_HEADROOM];
+    fn into_framed_copies_when_shared_sliced_or_full() {
+        let envelope = [1u8; ENVELOPE_BYTES];
         // Shared: a clone exists, so the frame must copy.
-        let p = Payload::copy_with_headroom(&[5u8; 10]);
+        let p = Payload::copy_from_slice(&[5u8; 10]);
         let keep = p.clone();
-        let frame = p.into_framed(&header);
-        assert_eq!(&frame.as_slice()[PAYLOAD_HEADROOM..], keep.as_slice());
+        let frame = p.into_framed(&envelope);
+        assert_eq!(&frame.as_slice()[..10], keep.as_slice());
+        assert_ne!(frame.as_slice().as_ptr(), keep.as_slice().as_ptr());
         assert_eq!(keep.as_slice(), &[5u8; 10], "clone must be untouched");
-        // No headroom.
-        let frame = Payload::copy_from_slice(&[6u8; 3]).into_framed(&header);
-        assert_eq!(&frame.as_slice()[..PAYLOAD_HEADROOM], &header);
-        assert_eq!(&frame.as_slice()[PAYLOAD_HEADROOM..], &[6u8; 3]);
-        // A slice of a framed buffer (off != headroom) also copies.
-        let p = Payload::copy_with_headroom(&[8u8; 10]).slice(2..8);
-        assert_eq!(
-            &p.into_framed(&header).as_slice()[PAYLOAD_HEADROOM..],
-            &[8u8; 6]
-        );
+        // A view that does not start the buffer.
+        let p = Payload::copy_from_slice(&[8u8; 10]).slice(2..8);
+        let frame = p.into_framed(&envelope);
+        assert_eq!(&frame.as_slice()[..6], &[8u8; 6]);
+        assert_eq!(&frame.as_slice()[6..], &envelope);
+        // No spare capacity: an adopted exact-size vector, and a pooled
+        // body just past its class's power of two.
+        for staged in [
+            Payload::from_vec(vec![6u8; 3]),
+            Payload::copy_from_slice(&[6u8; 257]),
+        ] {
+            let len = staged.len();
+            let frame = staged.into_framed(&envelope);
+            assert_eq!(&frame.as_slice()[..len], &vec![6u8; len][..]);
+            assert_eq!(&frame.as_slice()[len..], &envelope);
+        }
     }
 
     #[test]
@@ -552,7 +535,7 @@ mod tests {
 
     #[test]
     fn oversized_buffers_are_not_pooled() {
-        let huge = vec![1u8; (1 << 22) + 1];
+        let huge = vec![1u8; (1 << 22) + ENVELOPE_BYTES + 1];
         let before = pool_stats().recycled;
         drop(Payload::from_vec(huge));
         assert_eq!(pool_stats().recycled, before);
@@ -562,27 +545,33 @@ mod tests {
     fn class_rounding() {
         assert_eq!(class_of(0), Some(0));
         assert_eq!(class_of(1), Some(0));
-        assert_eq!(class_of(256), Some(0));
-        assert_eq!(class_of(257), Some(1));
+        assert_eq!(class_of(256 + ENVELOPE_BYTES), Some(0));
+        assert_eq!(class_of(256 + ENVELOPE_BYTES + 1), Some(1));
+        assert_eq!(class_capacity(0), 256 + ENVELOPE_BYTES);
+        // A 4 MB body plus its envelope is the largest class, not a miss.
+        let top = (1 << 22) + ENVELOPE_BYTES;
         assert_eq!(class_of(1 << 22), Some(NUM_CLASSES - 1));
-        assert_eq!(class_of((1 << 22) + 1), None);
+        assert_eq!(class_of(top), Some(NUM_CLASSES - 1));
+        assert_eq!(class_capacity(NUM_CLASSES - 1), top);
+        assert_eq!(class_of(top + 1), None);
     }
 
     #[test]
     fn retention_caps_shrink_with_class_size() {
         // ≤256 KB classes keep the full complement; bigger classes halve per
-        // doubling so no class idles more than 16 MB.
-        assert_eq!(max_retained(class_of(1 << 16).unwrap()), 64);
-        assert_eq!(max_retained(class_of(1 << 18).unwrap()), 64);
-        assert_eq!(max_retained(class_of(1 << 20).unwrap()), 16);
-        assert_eq!(max_retained(class_of(1 << 22).unwrap()), 4);
+        // doubling so no class idles more than 16 MB (plus envelopes).
+        let class = |shift: u32| class_of((1 << shift) + ENVELOPE_BYTES).unwrap();
+        assert_eq!(max_retained(class(16)), 64);
+        assert_eq!(max_retained(class(18)), 64);
+        assert_eq!(max_retained(class(20)), 16);
+        assert_eq!(max_retained(class(22)), 4);
         // 11 classes (256 B – 256 KB) × 64, then 32 + 16 + 8 + 4.
         assert_eq!(pool_capacity(), 11 * 64 + 60);
     }
 
     #[test]
     fn payload_buf_body_staging() {
-        let mut buf = PayloadBuf::with_headroom(64);
+        let mut buf = PayloadBuf::with_capacity(64);
         assert!(buf.is_empty());
         buf.body_mut(8).copy_from_slice(&[7u8; 8]);
         assert_eq!(buf.len(), 8);

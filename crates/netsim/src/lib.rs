@@ -18,6 +18,6 @@ pub mod buffer;
 pub mod cluster;
 pub mod fabric;
 
-pub use buffer::{pool_capacity, pool_stats, Payload, PayloadBuf, PoolStats, PAYLOAD_HEADROOM};
+pub use buffer::{pool_capacity, pool_stats, Payload, PayloadBuf, PoolStats};
 pub use cluster::{Cluster, NodeHandle};
 pub use fabric::{Delivery, Endpoint, EndpointId, Fabric, RecvError, TrafficStats, WakeNotifier};

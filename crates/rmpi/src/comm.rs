@@ -7,13 +7,15 @@
 //! then ships as a single zero-copy `RdvData` frame.  Larger payloads
 //! *stream*: the sender cuts the staged buffer into fixed-size [`Packet::RdvChunk`]
 //! frames — each a pooled view into the same allocation, no per-chunk copy —
-//! and keeps at most `window` of them in flight.  The receiver assembles
-//! chunks into one pooled destination buffer at their carried offsets and
-//! returns [`Packet::RdvCredit`] frames, each coalescing half a window's
-//! worth of drained chunks ([`RdvConfig::credit_batch`]); every credited
-//! chunk opens one window slot, so a slow receiver bounds the sender's
-//! in-flight frame memory instead of the fabric queue absorbing the whole
-//! message.
+//! and keeps at most `window` of them in flight.  The receiver *appends*
+//! chunks to one pooled destination buffer: the fabric delivers one sender's
+//! frames in order, so each chunk's carried offset must equal the bytes
+//! assembled so far, and a duplicate, a gap or an overrun poisons the
+//! transfer instead of corrupting the buffer.  It returns
+//! [`Packet::RdvCredit`] frames, each coalescing half a window's worth of
+//! drained chunks ([`RdvConfig::credit_batch`]); every credited chunk opens
+//! one window slot, so a slow receiver bounds the sender's in-flight frame
+//! memory instead of the fabric queue absorbing the whole message.
 //!
 //! ```text
 //! sender                          receiver
@@ -108,15 +110,14 @@ enum RecvState {
         src: usize,
         tag: u32,
     },
-    /// Streamed rendezvous: chunks land in a single pooled assembly buffer
-    /// at their carried offsets.
+    /// Streamed rendezvous: chunks are appended, in offset order, to a
+    /// single pooled assembly buffer (`buf.len()` is the bytes received).
     Assembling {
         send_id: u64,
         src: usize,
         tag: u32,
         buf: PayloadBuf,
         total: usize,
-        received: usize,
         /// Drained chunks not yet credited back — flushed as one
         /// `RdvCredit` every [`RdvConfig::credit_batch`] chunks.
         pending_credits: usize,
@@ -278,8 +279,8 @@ impl Communicator {
 
     /// Start a nonblocking send of `data` to `dst` with `tag`.  The payload
     /// is a pooled, shared buffer: handing it to the substrate moves a
-    /// reference (the caller typically built it in place with framing
-    /// headroom), and the receiver gets views of the same allocation.
+    /// reference (the caller typically framed it in place), and the
+    /// receiver gets views of the same allocation.
     pub fn isend(&mut self, dst: usize, tag: u32, data: impl Into<Payload>) -> Result<Request> {
         let data = data.into();
         if dst >= self.size() {
@@ -655,16 +656,13 @@ impl Communicator {
     /// stand up receiver-side state, and release the sender with a CTS.
     fn accept_rts(&mut self, id: u64, src: usize, tag: u32, send_id: u64, len: usize) {
         let state = if self.rdv.streams(len) {
-            // Streamed: allocate the one assembly buffer chunks land in.
-            let mut buf = PayloadBuf::with_capacity(len);
-            buf.body_mut(len);
+            // Streamed: allocate the one assembly buffer chunks append to.
             RecvState::Assembling {
                 send_id,
                 src,
                 tag,
-                buf,
+                buf: PayloadBuf::with_capacity(len),
                 total: len,
-                received: 0,
                 pending_credits: 0,
                 progress: self.progress.register(len),
                 started: Instant::now(),
@@ -856,7 +854,7 @@ impl Communicator {
         self.pump_chunks(id);
     }
 
-    /// One streamed chunk landed: assemble it at its offset and, every
+    /// One streamed chunk landed: append it to the assembly buffer and, every
     /// [`RdvConfig::credit_batch`] drained chunks, return one coalesced
     /// credit.  Chunks for unknown transfers (tombstoned receives) are
     /// dropped — their pooled buffer frees on return.
@@ -871,24 +869,23 @@ impl Communicator {
                     RecvState::Assembling {
                         buf,
                         total,
-                        received,
                         pending_credits,
                         progress,
                         ..
                     },
                 ..
             })) => {
-                let total = *total;
-                if offset + data.len() > total {
-                    // A malformed chunk cannot be assembled; poison the
-                    // transfer rather than corrupt the buffer.
+                // Append-only: the fabric's per-sender FIFO means the next
+                // chunk starts exactly where the buffer ends.  A duplicate
+                // (offset behind), a gap (offset ahead) or an overrun
+                // cannot be assembled; poison the transfer rather than
+                // deliver a corrupt buffer.
+                if offset != buf.len() || data.len() > *total - offset {
                     None
                 } else {
-                    buf.body_mut(total)[offset..offset + data.len()]
-                        .copy_from_slice(data.as_slice());
-                    *received += data.len();
+                    buf.extend_from_slice(data.as_slice());
                     progress.add(data.len());
-                    let finished = *received >= total;
+                    let finished = buf.len() == *total;
                     let credits = if finished {
                         // The sender completes (and may exit) as soon as
                         // its last chunk leaves, so nothing is owed for the
@@ -912,7 +909,8 @@ impl Communicator {
             self.fail_recv(
                 id,
                 RmpiError::InvalidArgument(format!(
-                    "chunk at offset {offset} overruns {send_id} from rank {src}"
+                    "chunk at offset {offset} is a duplicate, gap or overrun in \
+                     transfer {send_id} from rank {src}"
                 )),
             );
             return;
@@ -1107,6 +1105,88 @@ mod tests {
         assert_eq!(data.as_slice(), b"for-selective");
         let (data, _) = receiver.wait_recv(wildcard).unwrap();
         assert_eq!(data.as_slice(), b"for-wildcard");
+    }
+
+    /// Chunk size of the hand-fed streams below; three chunks make a message
+    /// whose assembly buffer sits in a pool class (512 KB) no other unit
+    /// test of this crate touches.
+    const CHUNK: usize = 1 << 17;
+    const TOTAL: usize = 3 * CHUNK;
+
+    /// Post a receive on rank 1, hand-feed its engine an RTS for a
+    /// `TOTAL`-byte transfer from rank 0 and then `chunks` as
+    /// `(offset, len)` frames, and wait on the receive.  Chunk bytes are the
+    /// low byte of their position in the message.
+    fn feed_stream(chunks: &[(usize, usize)]) -> Result<Payload> {
+        let rdv = RdvConfig::new(64).with_chunk_bytes(CHUNK).with_window(4);
+        let mut world =
+            MpiWorld::create_with(&RankPlacement::block(2, 1), CostModel::zero(), rdv).unwrap();
+        let mut receiver = world.pop().expect("rank 1");
+        // Rank 0 stays alive so the CTS and credits have somewhere to go.
+        let _sender = world.pop().expect("rank 0");
+        let rank0 = receiver.ep_of(0);
+        let from_rank0 = |msg| Delivery {
+            src: rank0,
+            wire_bytes: 0,
+            msg,
+        };
+        let req = receiver.irecv(Some(0), Some(7)).unwrap();
+        receiver.classify(from_rank0(Packet::Rts {
+            tag: 7,
+            len: TOTAL,
+            send_id: 0,
+        }));
+        receiver.match_recvs();
+        for &(offset, len) in chunks {
+            let bytes: Vec<u8> = (offset..offset + len).map(|i| i as u8).collect();
+            receiver.classify(from_rank0(Packet::RdvChunk {
+                send_id: 0,
+                offset,
+                data: Payload::from_vec(bytes),
+            }));
+        }
+        assert!(
+            receiver.recv_streams.is_empty(),
+            "a finished or poisoned transfer leaves no stream index entry"
+        );
+        receiver.wait_recv(req).map(|(data, status)| {
+            assert_eq!((status.source, status.tag, status.len), (0, 7, TOTAL));
+            data
+        })
+    }
+
+    #[test]
+    fn in_order_chunks_assemble_by_appending() {
+        let data = feed_stream(&[(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, CHUNK)]).unwrap();
+        let expected: Vec<u8> = (0..TOTAL).map(|i| i as u8).collect();
+        assert_eq!(data, expected);
+    }
+
+    /// A chunk that is not the next one cannot be appended: counting a
+    /// duplicate would complete the transfer with a hole in it, a gap would
+    /// shift every later byte.  Each malformed sequence must tombstone the
+    /// receive and hand the half-built assembly buffer back to the pool.
+    #[test]
+    fn duplicate_gap_and_overrun_chunks_poison_the_transfer() {
+        let malformed: [(&str, &[(usize, usize)]); 3] = [
+            ("duplicate", &[(0, CHUNK), (0, CHUNK), (CHUNK, CHUNK)]),
+            ("gap", &[(0, CHUNK), (2 * CHUNK, CHUNK)]),
+            (
+                "overrun",
+                &[(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, CHUNK + 1)],
+            ),
+        ];
+        for (what, chunks) in malformed {
+            let recycled = dcgn_netsim::pool_stats().recycled;
+            match feed_stream(chunks) {
+                Err(RmpiError::InvalidArgument(_)) => {}
+                other => panic!("{what}: expected InvalidArgument, got {other:?}"),
+            }
+            assert!(
+                dcgn_netsim::pool_stats().recycled > recycled,
+                "{what}: the assembly buffer must return to the pool"
+            );
+        }
     }
 
     #[test]

@@ -57,9 +57,11 @@ pub enum Packet {
         data: Payload,
     },
     /// One chunk of a streamed rendezvous transfer.  The data is a zero-copy
-    /// view into the sender's staged payload; `offset` places it in the
-    /// receiver's assembly buffer, so chunks are self-describing and the
-    /// stream needs no in-order delivery guarantee beyond the fabric's.
+    /// view into the sender's staged payload.  Chunks must arrive in offset
+    /// order (the fabric's per-sender FIFO): the receiver appends them, and
+    /// `offset` is the check that nothing was duplicated, lost or reordered
+    /// — a chunk whose offset is not the bytes received so far fails the
+    /// transfer.
     RdvChunk {
         /// Identifier from the matching [`Packet::Rts`].
         send_id: u64,

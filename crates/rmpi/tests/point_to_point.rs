@@ -315,7 +315,7 @@ fn eager_delivery_is_zero_copy_end_to_end() {
     let mut comms = two_ranks();
     let mut r1 = comms.remove(1);
     let mut r0 = comms.remove(0);
-    let sent = dcgn_netsim::Payload::copy_with_headroom(&[0xEE; 512]);
+    let sent = dcgn_netsim::Payload::copy_from_slice(&[0xEE; 512]);
     let sent_ptr = sent.as_slice().as_ptr() as usize;
     let req = r0.isend(1, 4, sent).unwrap();
     let (got, status) = r1.recv(Some(0), Some(4)).unwrap();
@@ -337,7 +337,7 @@ fn rendezvous_delivery_is_zero_copy_end_to_end() {
     let mut r1 = comms.remove(1);
     let mut r0 = comms.remove(0);
     let size = r0.eager_threshold() + 1;
-    let sent = dcgn_netsim::Payload::copy_with_headroom(&vec![0xDD; size]);
+    let sent = dcgn_netsim::Payload::copy_from_slice(&vec![0xDD; size]);
     let sent_ptr = sent.as_slice().as_ptr() as usize;
     let send_req = r0.isend(1, 4, sent).unwrap();
     let recv_req = r1.irecv(Some(0), Some(4)).unwrap();

@@ -506,7 +506,7 @@ fn receive_that_never_matches_times_out() {
         let err = ctx.recv_any().unwrap_err();
         assert!(matches!(
             err,
-            DcgnError::Internal(_) | DcgnError::ShuttingDown
+            DcgnError::Timeout { rank: 0, .. } | DcgnError::ShuttingDown
         ));
     });
     // The kernel handled the error itself, so the launch succeeds.

@@ -161,8 +161,9 @@ fn wait_on_never_matched_irecv_surfaces_a_clean_timeout_error() {
             if ctx.rank() == 0 {
                 let orphan = ctx.irecv(1).unwrap();
                 match ctx.wait(orphan) {
-                    Err(DcgnError::Internal(msg)) => {
-                        assert!(msg.contains("timed out"), "unexpected error: {msg}");
+                    Err(DcgnError::Timeout { rank, op, waited }) => {
+                        assert_eq!((rank, op), (0, "irecv"));
+                        assert_eq!(waited, Duration::from_millis(200));
                         t.fetch_add(1, Ordering::SeqCst);
                     }
                     other => panic!("expected a timeout error, got {other:?}"),

@@ -3,79 +3,137 @@
 //! The pooled [`dcgn::Payload`] is threaded from kernel staging through the
 //! comm thread's wire framing, the `dcgn_rmpi` substrate's eager/rendezvous
 //! packets and the `dcgn_netsim` fabric, back up to delivery: one message
-//! acquires exactly **one** pooled buffer (the send-side staging), and the
-//! receive side only ever re-slices it.  This test lives in its own file —
-//! its own test process — because the slab pool's counters are global and
-//! concurrently running tests would pollute them.
+//! acquires exactly **one** pooled buffer (the send-side staging), the
+//! receive side only ever re-slices it, and `ctx.recv` hands that very
+//! allocation to the caller.  A streamed message acquires one more — the
+//! receiver's assembly buffer — which likewise leaves with the caller.
+//! These tests live in their own file — their own test process — because
+//! the slab pool's counters are global and concurrently running tests would
+//! pollute them; within the file they take turns on [`POOL_COUNTERS`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dcgn::buffer::pool_stats;
 use dcgn::{DcgnConfig, Runtime};
+// The envelope the runtime appends to a cross-node body; every pool class
+// is a power of two plus this.
+use dcgn_netsim::buffer::ENVELOPE_BYTES as ENVELOPE;
 
-/// Total pooled-buffer acquisitions so far (fresh allocations + slab
-/// reuses).  Recycling does not count: returning a buffer is not a copy.
-fn acquisitions() -> u64 {
-    let stats = pool_stats();
-    stats.allocated + stats.reused
+/// Serialises the tests of this file: each one deltas the global counters.
+static POOL_COUNTERS: Mutex<()> = Mutex::new(());
+
+/// Pool traffic of one round, as seen from rank 0 between two barriers, and
+/// the capacity of the `Vec` rank 1's `ctx.recv` returned.
+#[derive(Debug, Clone, Copy, Default)]
+struct Round {
+    /// Pooled-buffer acquisitions (fresh allocations + slab reuses).
+    /// Recycling does not count: returning a buffer is not a copy.
+    acquisitions: u64,
+    /// Acquisitions the slab could not serve (`pool.acquire_miss`).
+    misses: u64,
+    recv_capacity: usize,
 }
 
-#[test]
-fn cross_node_message_acquires_exactly_one_pooled_buffer() {
-    const ROUNDS: u64 = 8;
-    const SIZE: usize = 100 * 1024;
-
+/// Send one `size`-byte message per round from rank 0 (node 0) to rank 1
+/// (node 1), quiescing both ranks around every round.  Collective exchange
+/// frames adopt their existing allocations (`Payload::from_vec`), so the
+/// barriers cost zero acquisitions and each delta isolates one message.
+fn cross_node_rounds(size: usize, rounds: usize) -> Vec<Round> {
     let runtime = Runtime::new(DcgnConfig::homogeneous(2, 1, 0, 0)).unwrap();
-    let measured = Arc::new(AtomicU64::new(u64::MAX));
-    let m = Arc::clone(&measured);
+    let log = Arc::new(Mutex::new(vec![Round::default(); rounds]));
+    let shared = Arc::clone(&log);
     runtime
         .launch_cpu_only(move |ctx| {
-            // Quiesce both ranks, snapshot, run the traffic, re-quiesce,
-            // snapshot again.  Collective exchange frames adopt their
-            // existing allocations (`Payload::from_vec`), so the barriers
-            // cost zero acquisitions and the delta isolates the sends.
-            ctx.barrier().unwrap();
-            let before = acquisitions();
-            if ctx.rank() == 0 {
-                for round in 0..ROUNDS {
-                    ctx.send(1, &vec![round as u8; SIZE]).unwrap();
-                }
-            } else {
-                for round in 0..ROUNDS {
+            for round in 0..rounds {
+                ctx.barrier().unwrap();
+                let before = pool_stats();
+                if ctx.rank() == 0 {
+                    ctx.send(1, &vec![round as u8; size]).unwrap();
+                } else {
                     let (data, status) = ctx.recv(0).unwrap();
-                    assert_eq!(status.len, SIZE);
-                    assert_eq!(data, vec![round as u8; SIZE]);
+                    assert_eq!(status.len, size);
+                    assert_eq!(data, vec![round as u8; size]);
+                    shared.lock().unwrap()[round].recv_capacity = data.capacity();
                 }
-            }
-            ctx.barrier().unwrap();
-            if ctx.rank() == 0 {
-                m.store(acquisitions() - before, Ordering::SeqCst);
+                ctx.barrier().unwrap();
+                if ctx.rank() == 0 {
+                    let after = pool_stats();
+                    let misses = after.allocated - before.allocated;
+                    let entry = &mut shared.lock().unwrap()[round];
+                    entry.acquisitions = misses + (after.reused - before.reused);
+                    entry.misses = misses;
+                }
             }
             ctx.barrier().unwrap();
         })
         .unwrap();
+    let log = log.lock().unwrap().clone();
+    log
+}
 
-    // One acquisition per message: the sender's staging buffer (built with
-    // wire headroom).  Framing reuses it in place, the fabric moves it, the
-    // substrate hands it back out as the received frame, and the delivered
-    // body is a slice of it.  A recv-side `Vec<u8>` copy-out would show up
-    // here as a second acquisition (or a pool-bypassing allocation caught
-    // by the pointer-identity tests in `dcgn_rmpi`).
-    //
-    // Exception: when the suite runs with a DCGN_RDV_CHUNK small enough to
-    // stream these sends, the receiver legitimately acquires one assembly
-    // buffer per message (chunks are still zero-copy views of the staging
-    // buffer), so the budget is two acquisitions per message.
-    let streamed = std::env::var("DCGN_RDV_CHUNK")
+/// True when the suite runs with a `DCGN_RDV_CHUNK` small enough to stream
+/// a `size`-byte message (CI's tiny-chunk pass).
+fn env_streams(size: usize) -> bool {
+    std::env::var("DCGN_RDV_CHUNK")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
-        .is_some_and(|chunk| chunk > 0 && chunk < SIZE);
-    let per_message = if streamed { 2 } else { 1 };
-    assert_eq!(
-        measured.load(Ordering::SeqCst),
-        ROUNDS * per_message,
-        "the receive path must not acquire pooled buffers beyond the \
-         streamed-rendezvous assembly buffer"
-    );
+        .is_some_and(|chunk| chunk > 0 && chunk < size + ENVELOPE)
+}
+
+#[test]
+fn cross_node_message_acquires_exactly_one_pooled_buffer() {
+    let _turn = POOL_COUNTERS.lock().unwrap();
+    // Power-of-two bodies either side of the eager threshold: 1 KiB travels
+    // eager, 128 KiB as a single-frame rendezvous.
+    for size in [1 << 10, 1 << 17] {
+        // One acquisition per message: the sender's staging buffer.  Framing
+        // appends the envelope in place, the fabric moves the frame, the
+        // substrate hands it back out as the received frame, the delivered
+        // body is a slice of it, and `ctx.recv` takes the allocation.  A
+        // recv-side copy-out would show up below as a `Vec` of exactly
+        // `size` capacity instead of the staged buffer's pool class.
+        //
+        // Exception: when the suite streams these sends, the receiver
+        // legitimately acquires one assembly buffer per message (chunks are
+        // still zero-copy views of the staging buffer).
+        let per_message = if env_streams(size) { 2 } else { 1 };
+        for (round, got) in cross_node_rounds(size, 8).into_iter().enumerate() {
+            assert_eq!(
+                got.acquisitions, per_message,
+                "{size} B, round {round}: the receive path must not acquire \
+                 pooled buffers beyond the streamed-rendezvous assembly buffer"
+            );
+            assert_eq!(
+                got.recv_capacity,
+                size + ENVELOPE,
+                "{size} B, round {round}: ctx.recv must hand out the pooled \
+                 allocation itself, not a copy of its body"
+            );
+        }
+    }
+}
+
+#[test]
+fn streamed_message_costs_one_assembly_buffer_and_no_copy_out() {
+    let _turn = POOL_COUNTERS.lock().unwrap();
+    // 4 MiB streams under the default 256 KiB chunk (and under any smaller
+    // one): body + envelope is exactly the pool's largest class.
+    const SIZE: usize = 4 << 20;
+    let rounds = cross_node_rounds(SIZE, 4);
+    for (round, got) in rounds.iter().enumerate() {
+        // The `Vec` from `ctx.recv` is the assembly allocation: a copy-out
+        // would have exactly `SIZE` capacity.
+        assert_eq!(got.recv_capacity, SIZE + ENVELOPE, "round {round}");
+    }
+    // After the first round the sender's staging buffer is a slab reuse
+    // (the previous round's stage was recycled once its last chunk view
+    // drained), so the only fresh allocation per message is the assembly
+    // buffer that leaves with the caller.
+    for (round, got) in rounds.iter().enumerate().skip(1) {
+        assert!(
+            got.acquisitions <= 2 && got.misses <= 1,
+            "round {round}: {got:?} — at most a stage and an assembly buffer, \
+             at most one of them freshly allocated"
+        );
+    }
 }
