@@ -732,6 +732,11 @@ pub fn format_duration(d: Duration) -> String {
 mod tests {
     use super::*;
 
+    /// The four wall-clock ratio tests below each compare two timed runs; on
+    /// a 2-vCPU host they perturb each other when `cargo test` runs them on
+    /// parallel threads, so each holds this lock for its whole body.
+    static WALL_CLOCK: Mutex<()> = Mutex::new(());
+
     #[test]
     fn size_and_duration_formatting() {
         assert_eq!(format_size(0), "0 B");
@@ -754,6 +759,7 @@ mod tests {
 
     #[test]
     fn nonblocking_overlap_beats_blocking_under_cost_model() {
+        let _serial = WALL_CLOCK.lock();
         // The acceptance property of the nonblocking subsystem: with the
         // default hardware cost model, isend/irecv + compute completes
         // measurably faster than blocking send/recv-then-compute, because
@@ -784,6 +790,7 @@ mod tests {
 
     #[test]
     fn blocked_waitany_wakes_faster_than_the_old_poll_sleep_floor() {
+        let _serial = WALL_CLOCK.lock();
         // Before the condvar wake, a blocked `waitany` polled with a fixed
         // 20 µs sleep, so every round trip that actually blocked paid at
         // least one full sleep period on top of its cross-thread hops
@@ -810,6 +817,7 @@ mod tests {
 
     #[test]
     fn chunked_rendezvous_beats_single_frame_for_large_sends() {
+        let _serial = WALL_CLOCK.lock();
         // The acceptance property of the streamed rendezvous pipeline:
         // under the unscaled g92 cost model a 1 MB send finishes faster
         // when streamed as credit-windowed 256 kB chunks (the shipped
@@ -834,6 +842,7 @@ mod tests {
 
     #[test]
     fn gpu_endpoints_are_slower_than_cpu_endpoints_under_cost_model() {
+        let _serial = WALL_CLOCK.lock();
         // The core qualitative claim of Figure 6: with the hardware cost
         // model active, GPU-sourced sends cost more than CPU-sourced ones.
         // Each side takes the better of two runs so scheduler noise from

@@ -51,7 +51,7 @@ impl NodeConfig {
 /// Which schedule the comm-thread exchange engine uses for a collective.
 ///
 /// Normally the engine picks per `(op, payload size, node count)` — see the
-/// selection table in `comm_thread.rs` — but tests and benchmarks can force a
+/// selection table in `exchange/mod.rs` — but tests and benchmarks can force a
 /// plan via [`DcgnConfig::with_exchange_plan`] or the `DCGN_FORCE_PLAN`
 /// environment variable (`star`, `tree`, `rd`, `ring`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +82,22 @@ impl ExchangePlan {
             _ => None,
         }
     }
+}
+
+const ENV_FORCE_PLAN: &str = "DCGN_FORCE_PLAN";
+
+/// Interpret the value of `DCGN_FORCE_PLAN` (`None` = unset): an
+/// unrecognised spelling is an [`DcgnError::InvalidConfig`] naming the value.
+fn parse_forced_plan(value: Option<&str>) -> Result<Option<ExchangePlan>> {
+    value
+        .map(|v| {
+            ExchangePlan::parse(v).ok_or_else(|| {
+                DcgnError::InvalidConfig(format!(
+                    "{ENV_FORCE_PLAN}={v:?} is not an exchange plan (star, tree, rd, ring)"
+                ))
+            })
+        })
+        .transpose()
 }
 
 /// Complete description of a DCGN job.
@@ -132,18 +148,7 @@ impl DcgnConfig {
     /// A homogeneous cluster: `num_nodes` nodes, each with `cpus` CPU-kernel
     /// threads and `gpus` GPUs virtualised into `slots` slots.
     pub fn homogeneous(num_nodes: usize, cpus: usize, gpus: usize, slots: usize) -> Self {
-        DcgnConfig {
-            nodes: vec![NodeConfig::new(cpus, gpus, slots); num_nodes],
-            cost: CostModel::zero(),
-            gpu_grid_blocks: None,
-            gpu_block_threads: 32,
-            mailbox_reqs_per_slot: crate::gpu::MAILBOX_REQS_PER_SLOT,
-            exchange_plan: None,
-            eager_threshold: None,
-            rdv_chunk: None,
-            rdv_window: None,
-            metrics: dcgn_metrics::global().clone(),
-        }
+        Self::heterogeneous(vec![NodeConfig::new(cpus, gpus, slots); num_nodes])
     }
 
     /// An explicitly heterogeneous cluster.
@@ -210,11 +215,8 @@ impl DcgnConfig {
     /// [`DcgnConfig::exchange_plan`] wins over the `DCGN_FORCE_PLAN`
     /// environment variable.
     pub fn forced_exchange_plan(&self) -> Option<ExchangePlan> {
-        self.exchange_plan.or_else(|| {
-            std::env::var("DCGN_FORCE_PLAN")
-                .ok()
-                .and_then(|s| ExchangePlan::parse(&s))
-        })
+        self.exchange_plan
+            .or_else(|| parse_forced_plan(std::env::var(ENV_FORCE_PLAN).ok().as_deref()).ok()?)
     }
 
     /// Builder-style override of the MPI substrate's eager/rendezvous
@@ -245,7 +247,11 @@ impl DcgnConfig {
     /// explicit [`DcgnConfig`] fields winning over both (same precedence as
     /// [`DcgnConfig::forced_exchange_plan`]).
     pub fn resolved_rdv_config(&self) -> dcgn_rmpi::RdvConfig {
-        let mut rdv = dcgn_rmpi::RdvConfig::from_env(self.cost.eager_threshold);
+        // An unparsable variable is reported by `validate`; here it only
+        // means "no environment overrides".
+        let eager = self.cost.eager_threshold;
+        let mut rdv = dcgn_rmpi::RdvConfig::from_env(eager)
+            .unwrap_or_else(|_| dcgn_rmpi::RdvConfig::new(eager));
         if let Some(bytes) = self.eager_threshold {
             rdv.eager_threshold = bytes;
         }
@@ -299,7 +305,14 @@ impl DcgnConfig {
                 "mailbox_reqs_per_slot must be at least 1".into(),
             ));
         }
-        if let Err(e) = self.resolved_rdv_config().validate() {
+        // A misspelt environment override fails the job instead of silently
+        // running (and soak-testing) the defaults.
+        if self.exchange_plan.is_none() {
+            parse_forced_plan(std::env::var(ENV_FORCE_PLAN).ok().as_deref())?;
+        }
+        if let Err(e) = dcgn_rmpi::RdvConfig::from_env(self.cost.eager_threshold)
+            .and_then(|_| self.resolved_rdv_config().validate())
+        {
             return Err(DcgnError::InvalidConfig(e.to_string()));
         }
         for (i, node) in self.nodes.iter().enumerate() {
@@ -429,6 +442,19 @@ mod tests {
         );
         assert_eq!(ExchangePlan::parse(" ring "), Some(ExchangePlan::Ring));
         assert_eq!(ExchangePlan::parse("bogus"), None);
+        // A misspelt DCGN_FORCE_PLAN is a configuration error naming the
+        // variable and the value; unset or well-spelt values pass through.
+        assert_eq!(parse_forced_plan(None).unwrap(), None);
+        assert_eq!(
+            parse_forced_plan(Some("ring")).unwrap(),
+            Some(ExchangePlan::Ring)
+        );
+        match parse_forced_plan(Some("treee")) {
+            Err(DcgnError::InvalidConfig(msg)) => {
+                assert!(msg.contains("DCGN_FORCE_PLAN") && msg.contains("\"treee\""));
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
         let cfg = DcgnConfig::homogeneous(2, 1, 0, 0);
         assert_eq!(cfg.exchange_plan, None);
         let cfg = cfg.with_exchange_plan(ExchangePlan::Tree);

@@ -16,7 +16,7 @@
 //! issues **one** batched PCI-e read of the status column (instead of one
 //! small read per slot), one scattered fetch of every `REQUESTED` body, one
 //! scattered write acknowledging every harvested slot, and relays the whole
-//! harvest to the communication thread as a single [`CommCommand::Batch`]
+//! harvest to the communication thread as a single `CommCommand::Batch`
 //! paying one queue hop.
 //!
 //! ## The split publish/poll protocol (nonblocking point-to-point)

@@ -150,16 +150,47 @@ pub(crate) fn binomial_children(v: usize, n: usize) -> Vec<usize> {
     kids
 }
 
-/// Every position in the subtree rooted at `v` (including `v` itself), in
-/// BFS order.  Used to split per-node down traffic among a node's children.
-pub(crate) fn binomial_subtree(v: usize, n: usize) -> Vec<usize> {
-    let mut out = vec![v];
-    let mut i = 0;
-    while i < out.len() {
-        out.extend(binomial_children(out[i], n));
-        i += 1;
+/// Shape of a rooted gather→scatter exchange over the `n` positions of a
+/// group's node list, rooted at position 0.  The flat shape is the star plan
+/// (every position a child of the root); the binomial shape is the tree plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Topology {
+    /// Depth one: positions `1..n` are all leaves under the root.
+    Flat,
+    /// The binomial tree of [`binomial_parent`] / [`binomial_children`].
+    Binomial,
+}
+
+impl Topology {
+    /// Parent of position `v`; `None` for the root.
+    pub(crate) fn parent(self, v: usize) -> Option<usize> {
+        match self {
+            Topology::Flat => (v != 0).then_some(0),
+            Topology::Binomial => binomial_parent(v),
+        }
     }
-    out
+
+    /// Children of position `v` among `n` positions, ascending.
+    pub(crate) fn children(self, v: usize, n: usize) -> Vec<usize> {
+        match self {
+            Topology::Flat if v == 0 => (1..n).collect(),
+            Topology::Flat => Vec::new(),
+            Topology::Binomial => binomial_children(v, n),
+        }
+    }
+
+    /// Every position in the subtree rooted at `v` (including `v` itself), in
+    /// BFS order.  Used to split per-node down traffic among a node's
+    /// children.
+    pub(crate) fn subtree(self, v: usize, n: usize) -> Vec<usize> {
+        let mut out = vec![v];
+        let mut i = 0;
+        while i < out.len() {
+            out.extend(self.children(out[i], n));
+            i += 1;
+        }
+        out
+    }
 }
 
 /// Largest power of two ≤ `n` (the "core" size of a recursive-doubling
@@ -167,6 +198,86 @@ pub(crate) fn binomial_subtree(v: usize, n: usize) -> Vec<usize> {
 pub(crate) fn prev_power_of_two(n: usize) -> usize {
     debug_assert!(n > 0);
     1usize << (usize::BITS - 1 - n.leading_zeros())
+}
+
+// ---------------------------------------------------------------------------
+// The comm thread's view of a group.
+// ---------------------------------------------------------------------------
+
+/// One communicator group as known to a node's comm thread.
+#[derive(Debug, Clone)]
+pub(crate) struct CommGroup {
+    /// Global DCGN ranks in sub-rank order.
+    pub(crate) members: Vec<usize>,
+    /// Node hosting each member, in sub-rank order.
+    pub(crate) member_nodes: Vec<usize>,
+    /// Nodes hosting at least one member, ascending.  `nodes[0]` leads the
+    /// group's exchanges.
+    pub(crate) nodes: Vec<usize>,
+    /// Members resident on this node — the assembly-completeness threshold.
+    pub(crate) local_members: usize,
+    /// Registration epoch, part of every exchange frame's identity.  Every
+    /// member node derives the same epoch deterministically (the world is 0;
+    /// split products chain a hash of the parent's epoch, split sequence and
+    /// color), so a recycled or colliding communicator id can never match a
+    /// stale exchange frame.
+    pub(crate) epoch: u32,
+    /// Collectives executed on this communicator so far; the sequence number
+    /// inside every exchange frame, so consecutive collectives on one group
+    /// can never cross-talk.
+    pub(crate) seq: u64,
+    /// Splits executed on this communicator (salts child communicator ids).
+    pub(crate) splits: u64,
+    /// Local members that have called `comm_free`; the group is evicted from
+    /// the registry when every local member has released its handle.
+    pub(crate) freed: std::collections::HashSet<usize>,
+}
+
+impl CommGroup {
+    /// A fresh group of `members` (hosted on `member_nodes`, index-aligned)
+    /// as seen from `this_node`.
+    pub(crate) fn new(
+        members: Vec<usize>,
+        member_nodes: Vec<usize>,
+        this_node: usize,
+        epoch: u32,
+    ) -> Self {
+        debug_assert_eq!(members.len(), member_nodes.len());
+        let mut nodes = member_nodes.clone();
+        nodes.sort_unstable();
+        nodes.dedup();
+        CommGroup {
+            local_members: member_nodes.iter().filter(|&&n| n == this_node).count(),
+            members,
+            member_nodes,
+            nodes,
+            epoch,
+            seq: 0,
+            splits: 0,
+            freed: std::collections::HashSet::new(),
+        }
+    }
+
+    /// Sub-rank of global rank `global`, if it is a member.
+    pub(crate) fn sub_of(&self, global: usize) -> Option<usize> {
+        self.members.iter().position(|&m| m == global)
+    }
+}
+
+/// Deterministic epoch of a split product, chained from the parent's epoch
+/// (FNV-1a, truncated).  Identical on every node computing the same split.
+pub(crate) fn child_epoch(parent_epoch: u32, split_seq: u64, color: u32) -> u32 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in parent_epoch
+        .to_le_bytes()
+        .into_iter()
+        .chain(split_seq.to_le_bytes())
+        .chain(color.to_le_bytes())
+    {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h as u32
 }
 
 // ---------------------------------------------------------------------------
@@ -326,20 +437,58 @@ mod tests {
     #[test]
     fn binomial_subtrees_partition_positions() {
         for n in 1..40usize {
-            let mut all: Vec<usize> = binomial_subtree(0, n);
+            let mut all: Vec<usize> = Topology::Binomial.subtree(0, n);
             all.sort_unstable();
             assert_eq!(all, (0..n).collect::<Vec<_>>());
             // Children's subtrees are disjoint and cover everything but root.
             let mut covered = vec![false; n];
             covered[0] = true;
             for c in binomial_children(0, n) {
-                for p in binomial_subtree(c, n) {
+                for p in Topology::Binomial.subtree(c, n) {
                     assert!(!covered[p], "n={n} position {p} covered twice");
                     covered[p] = true;
                 }
             }
             assert!(covered.iter().all(|&b| b));
         }
+    }
+
+    #[test]
+    fn flat_topology_is_a_depth_one_tree() {
+        for n in 1..10usize {
+            assert_eq!(Topology::Flat.children(0, n), (1..n).collect::<Vec<_>>());
+            assert_eq!(Topology::Flat.subtree(0, n), (0..n).collect::<Vec<_>>());
+            assert_eq!(Topology::Flat.parent(0), None);
+            for v in 1..n {
+                assert_eq!(Topology::Flat.parent(v), Some(0));
+                assert!(Topology::Flat.children(v, n).is_empty());
+                assert_eq!(Topology::Flat.subtree(v, n), vec![v]);
+            }
+        }
+        // The binomial shape defers to the helpers above.
+        assert_eq!(Topology::Binomial.children(1, 8), vec![3, 5]);
+        assert_eq!(Topology::Binomial.parent(6), Some(2));
+        assert_eq!(Topology::Binomial.subtree(1, 8), vec![1, 3, 5, 7]);
+    }
+
+    #[test]
+    fn comm_group_derives_nodes_and_local_members() {
+        // Members 4, 9, 17, 2 hosted on nodes 3, 1, 3, 0, seen from node 3.
+        let g = CommGroup::new(vec![4, 9, 17, 2], vec![3, 1, 3, 0], 3, 7);
+        assert_eq!(g.nodes, vec![0, 1, 3]);
+        assert_eq!(g.local_members, 2);
+        assert_eq!((g.epoch, g.seq, g.splits), (7, 0, 0));
+        assert_eq!(g.sub_of(17), Some(2));
+        assert_eq!(g.sub_of(5), None);
+    }
+
+    #[test]
+    fn child_epochs_are_deterministic_and_chained() {
+        assert_eq!(child_epoch(0, 1, 0), child_epoch(0, 1, 0));
+        assert_ne!(child_epoch(0, 1, 0), child_epoch(0, 2, 0));
+        assert_ne!(child_epoch(0, 1, 0), child_epoch(0, 1, 1));
+        let child = child_epoch(0, 1, 0);
+        assert_ne!(child_epoch(child, 1, 0), child_epoch(0, 1, 0));
     }
 
     #[test]

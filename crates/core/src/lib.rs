@@ -25,17 +25,19 @@
 //!   `broadcast`, `gather`, `scatter`, `allgather`, `reduce` and `allreduce`
 //!   (with [`ReduceOp`] operators) — and every one of them, over the world
 //!   or any subgroup, runs through the comm thread's single asynchronous
-//!   exchange engine: local ranks *join*, contributions are *locally
-//!   combined*, status-framed contribution frames flow between nodes
-//!   under one of several *exchange plans* — a leader-centred star, a
-//!   binomial tree, or (for allreduce) recursive doubling / a ring —
-//!   selected per `(op, payload size, node count)` from a table in the
-//!   comm thread and overridable via
-//!   [`config::DcgnConfig::with_exchange_plan`] or the `DCGN_FORCE_PLAN`
-//!   environment variable.  Per-rank results are *scattered back* as
-//!   zero-copy payload views, and under every plan an erroneous
-//!   collective fails every participating node cleanly instead of
-//!   hanging peers.
+//!   exchange engine (the private `exchange` module): local ranks *join*,
+//!   contributions are *locally combined*, and a *plan* — a state machine
+//!   fed frames and returning actions, which never touches the substrate —
+//!   moves them between nodes.  Two machines implement the four
+//!   [`ExchangePlan`]s: a **rooted** gather → combine → scatter machine
+//!   over a flat (star) or binomial (tree) topology, and an **allreduce**
+//!   step driver under which recursive doubling and ring are two step
+//!   tables.  The plan is selected per `(op, payload size, node count)` and
+//!   overridable via [`config::DcgnConfig::with_exchange_plan`] or the
+//!   `DCGN_FORCE_PLAN` environment variable.  Per-rank results are
+//!   *scattered back* as zero-copy payload views, and under every plan an
+//!   erroneous collective fails every participating node cleanly instead
+//!   of hanging peers.
 //! * **Nonblocking point-to-point** ([`cpu::RequestHandle`] /
 //!   [`gpu::GpuRequest`]): `isend`/`irecv` return a request handle
 //!   immediately so kernels overlap compute with communication; completion
@@ -145,6 +147,8 @@ pub mod rank;
 pub mod runtime;
 
 mod comm_thread;
+mod exchange;
+mod matcher;
 
 pub use buffer::{Payload, PayloadBuf};
 pub use config::{DcgnConfig, ExchangePlan, NodeConfig};

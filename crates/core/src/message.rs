@@ -4,7 +4,7 @@
 //!
 //! All variable-size bodies travel as pooled [`Payload`]s: layer hops move a
 //! reference instead of memcpy'ing a fresh `Vec`, and the point-to-point
-//! framing ([`frame_p2p`]/[`decode_p2p`]) appends its envelope *behind* the
+//! framing (`frame_p2p`/`decode_p2p`) appends its envelope *behind* the
 //! body, so the body bytes are written once, never move on their way to the
 //! wire, and sit at offset 0 of the allocation the receiver hands out.
 

@@ -32,7 +32,7 @@
 //! several between the same rank pair — interleave without cross-talk, and
 //! credits arriving late or out of order for a finished transfer are
 //! ignored.  A failed mid-stream send tombstones the operation
-//! ([`SendState::Failed`]/[`RecvState::Failed`]): the error surfaces from
+//! (`SendState::Failed`/`RecvState::Failed`): the error surfaces from
 //! the wait call, in-flight accounting is released, and no window slots or
 //! pooled frames leak.
 

@@ -61,19 +61,22 @@ impl RdvConfig {
 
     /// The defaults for `eager_threshold`, with any `DCGN_EAGER_THRESHOLD`,
     /// `DCGN_RDV_CHUNK` and `DCGN_RDV_WINDOW` environment overrides applied.
-    /// Unparsable values are ignored (same policy as `DCGN_FORCE_PLAN`).
-    pub fn from_env(eager_threshold: usize) -> Self {
+    /// A set-but-unparsable variable is an [`RmpiError::InvalidArgument`]
+    /// naming the variable and its value, so a misspelt override fails the
+    /// job instead of silently testing nothing.
+    pub fn from_env(eager_threshold: usize) -> crate::Result<Self> {
+        let var = |name: &str| parse_env_usize(name, std::env::var(name).ok().as_deref());
         let mut cfg = Self::new(eager_threshold);
-        if let Some(v) = env_usize(ENV_EAGER_THRESHOLD) {
+        if let Some(v) = var(ENV_EAGER_THRESHOLD)? {
             cfg.eager_threshold = v;
         }
-        if let Some(v) = env_usize(ENV_RDV_CHUNK) {
+        if let Some(v) = var(ENV_RDV_CHUNK)? {
             cfg.chunk_bytes = v;
         }
-        if let Some(v) = env_usize(ENV_RDV_WINDOW) {
+        if let Some(v) = var(ENV_RDV_WINDOW)? {
             cfg.window = v;
         }
-        cfg
+        Ok(cfg)
     }
 
     /// Replace the eager threshold (builder-style helper).
@@ -138,8 +141,16 @@ impl RdvConfig {
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
+/// Interpret the value of environment variable `name` (`None` = unset) as a
+/// count.
+fn parse_env_usize(name: &str, value: Option<&str>) -> crate::Result<Option<usize>> {
+    value
+        .map(|v| {
+            v.trim().parse().map_err(|_| {
+                RmpiError::InvalidArgument(format!("{name}={v:?} is not an unsigned integer"))
+            })
+        })
+        .transpose()
 }
 
 // ---------------------------------------------------------------------------
@@ -297,6 +308,23 @@ mod tests {
             (cfg.eager_threshold, cfg.chunk_bytes, cfg.window),
             (128, 4096, 2)
         );
+    }
+
+    #[test]
+    fn unparsable_env_values_are_errors_naming_variable_and_value() {
+        assert_eq!(parse_env_usize(ENV_RDV_CHUNK, None).unwrap(), None);
+        assert_eq!(
+            parse_env_usize(ENV_RDV_CHUNK, Some(" 4096 ")).unwrap(),
+            Some(4096)
+        );
+        for bad in ["4k", "-1", ""] {
+            let err = parse_env_usize(ENV_RDV_WINDOW, Some(bad)).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains(ENV_RDV_WINDOW) && msg.contains(&format!("{bad:?}")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl MpiWorld {
     /// The transfer protocol runs with the default [`RdvConfig`] for the
     /// cost model's eager threshold, adjusted by any `DCGN_EAGER_THRESHOLD`,
     /// `DCGN_RDV_CHUNK` and `DCGN_RDV_WINDOW` environment overrides; an
-    /// invalid override combination panics with its validation message.
+    /// unparsable or invalid override panics with its validation message.
     /// Use [`MpiWorld::create_with`] to pass an explicit configuration.
     pub fn create(placement: &RankPlacement, cost: CostModel) -> Vec<Communicator> {
         let cluster: Cluster<Packet> = Cluster::new(placement.num_nodes(), cost);
@@ -111,8 +111,8 @@ impl MpiWorld {
     /// Resolves the transfer-protocol configuration from the cost model and
     /// the environment, like [`MpiWorld::create`].
     pub fn create_on(cluster: &Cluster<Packet>, placement: &RankPlacement) -> Vec<Communicator> {
-        let rdv = RdvConfig::from_env(cluster.cost().eager_threshold);
-        Self::create_on_with(cluster, placement, rdv)
+        RdvConfig::from_env(cluster.cost().eager_threshold)
+            .and_then(|rdv| Self::create_on_with(cluster, placement, rdv))
             .expect("invalid rendezvous configuration from environment")
     }
 

@@ -5,7 +5,7 @@
 //! connected with Infiniband.  This reproduction replaces the physical
 //! hardware with software simulators; the [`CostModel`] in this crate is the
 //! single place where the latency and bandwidth characteristics of those
-//! simulated components are described, and [`charge`](CostModel::charge) /
+//! simulated components are described, and [`charge`](LinkCost::charge) /
 //! [`precise_sleep`] are how those characteristics are injected into the
 //! running system as real wall-clock delays.
 //!
