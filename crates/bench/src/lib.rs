@@ -763,11 +763,15 @@ mod tests {
         // The acceptance property of the nonblocking subsystem: with the
         // default hardware cost model, isend/irecv + compute completes
         // measurably faster than blocking send/recv-then-compute, because
-        // the compute hides the wire round trip.  Each shape takes the
-        // better of two runs so scheduler noise cannot invert the
+        // the compute hides the wire round trip.  The model runs unscaled:
+        // scaled down, its costs sink below this host's thread wake-up
+        // time and the ratio measures the scheduler, not the overlap.  The
+        // compute is sized to the blocking round trip it should hide
+        // (~225 µs between CPU endpoints on two nodes).  Each shape takes
+        // the better of two runs so scheduler noise cannot invert the
         // comparison.
-        let cost = CostModel::g92_scaled(20.0);
-        let compute = Duration::from_micros(400);
+        let cost = CostModel::g92_cluster();
+        let compute = Duration::from_micros(225);
         let best = |nonblocking: bool| {
             (0..2)
                 .map(|_| dcgn_isend_overlap_time(4096, compute, nonblocking, cost, 5))
@@ -846,8 +850,10 @@ mod tests {
         // The core qualitative claim of Figure 6: with the hardware cost
         // model active, GPU-sourced sends cost more than CPU-sourced ones.
         // Each side takes the better of two runs so scheduler noise from
-        // concurrently running tests cannot invert the comparison.
-        let cost = CostModel::g92_scaled(10.0);
+        // concurrently running tests cannot invert the comparison.  The
+        // model runs unscaled, so its costs stay above the host's thread
+        // wake-up time.
+        let cost = CostModel::g92_cluster();
         let best = |kind: EndpointKind| {
             (0..2)
                 .map(|_| dcgn_send_time(1024, kind, kind, cost, 3))

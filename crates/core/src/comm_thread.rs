@@ -23,10 +23,10 @@ use std::time::Duration;
 
 use crossbeam::channel::{Receiver, Sender};
 use dcgn_metrics::{Counter, Gauge, MetricsHandle};
+use dcgn_netsim::Payload;
 use dcgn_rmpi::{Communicator, Request as MpiRequest, TAG_EXCHANGE};
 use dcgn_simtime::CostModel;
 
-use crate::buffer::Payload;
 use crate::config::ExchangePlan;
 use crate::error::{DcgnError, Result};
 use crate::exchange::{classify_collective, CollectiveAssembly, Contribution, Engine};

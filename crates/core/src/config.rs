@@ -113,8 +113,9 @@ pub struct DcgnConfig {
     pub gpu_grid_blocks: Option<usize>,
     /// Number of logical threads per GPU block.
     pub gpu_block_threads: usize,
-    /// Completion records per GPU mailbox slot — how many nonblocking
-    /// (`isend`/`irecv`) requests one slot can have outstanding at once.
+    /// Nonblocking completion records per GPU mailbox slot — how many
+    /// `isend`/`irecv` requests one slot can have outstanding at once (each
+    /// slot carries one more record, reserved for its blocking calls).
     /// Defaults to [`crate::gpu::MAILBOX_REQS_PER_SLOT`]; a kernel
     /// publishing past this depth without harvesting faults cleanly instead
     /// of deadlocking.
@@ -196,7 +197,8 @@ impl DcgnConfig {
     }
 
     /// Builder-style override of the per-slot nonblocking-request depth (the
-    /// number of completion records each GPU mailbox slot carries).  Depth 1
+    /// number of completion records each GPU mailbox slot carries next to
+    /// the one reserved for blocking calls).  Depth 1
     /// still works — a kernel that publishes a second `isend`/`irecv`
     /// without harvesting the first faults cleanly instead of deadlocking.
     pub fn with_mailbox_depth(mut self, reqs_per_slot: usize) -> Self {

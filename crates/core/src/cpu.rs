@@ -16,10 +16,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
+use dcgn_netsim::Payload;
 use dcgn_rmpi::{ReduceElement, ReduceOp};
 use dcgn_simtime::CostModel;
 
-use crate::buffer::Payload;
 use crate::error::{DcgnError, Result};
 use crate::group::{self, Comm, CommId};
 use crate::message::{

@@ -20,6 +20,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
+use dcgn_netsim::Payload;
 use dcgn_rmpi::{
     parse_reduce_frame, ReduceDtype, ReduceOp, PHASE_RD_FOLD_IN, PHASE_RD_FOLD_OUT,
     PHASE_RD_ROUND_BASE, PHASE_RING_BASE,
@@ -30,7 +31,6 @@ use super::wire::{
     ST_ERR, ST_OK,
 };
 use super::{Action, Machine};
-use crate::buffer::Payload;
 use crate::group::prev_power_of_two;
 
 /// One step of a node's allreduce schedule.  `chunk` names which of the

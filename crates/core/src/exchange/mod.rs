@@ -74,13 +74,13 @@ use dcgn_simtime::CostModel;
 use self::allreduce::{rd_steps, ring_steps, Allreduce};
 use self::rooted::Rooted;
 use self::wire::{frame_to_error, ExFrame, COLLECTIVE_ID_BYTES, ST_MISMATCH};
-use crate::buffer::Payload;
 use crate::comm_thread::Substrate;
 use crate::config::ExchangePlan;
 use crate::error::{DcgnError, Result};
 use crate::group::{CommGroup, CommId, Topology};
 use crate::message::Reply;
 use crate::rank::RankMap;
+use dcgn_netsim::Payload;
 
 pub(crate) use self::ops::{classify_collective, CollectiveAssembly, Contribution};
 pub(crate) use self::wire::{CollectiveId, CollectiveKind};

@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use crossbeam::channel::Sender;
+use dcgn_netsim::Payload;
 use dcgn_rmpi::{frame_reduce, parse_reduce_frame, ReduceDtype, ReduceOp};
 
 use super::wire::{
@@ -16,7 +17,6 @@ use super::wire::{
     encode_rank_frames, CollectiveId, CollectiveKind, ST_BUNDLE, ST_OK,
 };
 use super::Engine;
-use crate::buffer::Payload;
 use crate::error::{DcgnError, Result};
 use crate::group::{self, child_epoch, CommGroup, CommId};
 use crate::message::{CollectiveResult, Reply, RequestKind};

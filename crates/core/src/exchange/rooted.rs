@@ -18,6 +18,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use dcgn_netsim::Payload;
 use dcgn_rmpi::{PHASE_DOWN, PHASE_UP};
 
 use super::ops::combine;
@@ -26,7 +27,6 @@ use super::wire::{
     ExFrame, COLLECTIVE_ID_BYTES, ST_BUNDLE, ST_ERR, ST_OK,
 };
 use super::{Action, Machine};
-use crate::buffer::Payload;
 use crate::group::{CommGroup, Topology};
 
 /// Progress state of one node in a rooted exchange.

@@ -7,9 +7,9 @@
 //! ([`check_id`]), the bundle and rank-frame codecs of the rooted plans, and
 //! the reduce bodies of the allreduce schedules.
 
+use dcgn_netsim::Payload;
 use dcgn_rmpi::{frame_reduce, parse_reduce_frame, u32s_to_bytes, ReduceDtype, ReduceOp};
 
-use crate::buffer::Payload;
 use crate::error::DcgnError;
 
 /// Wire status byte of an exchange frame: the payload is a valid

@@ -1,0 +1,754 @@
+//! The device-side kernel API (`dcgn::gpu::*` in the paper): every call
+//! publishes one request through [`GpuCtx::publish`] and collects its
+//! completion through [`GpuCtx::poll`]; a blocking call is the two back to
+//! back.
+
+use std::time::Duration;
+
+use dcgn_dpm::{BlockCtx, DevicePtr};
+use dcgn_rmpi::{ReduceDtype, ReduceOp};
+
+use super::mailbox::{
+    encode_reduce_word, mailbox_error, next_claim, opcode, record_fields_ptr, req_state, req_word,
+    status, Body, GpuLayout, Record, PEER_ANY, RECORD_FIELDS_BYTES, RESERVED_RECORD,
+};
+use crate::group::CommId;
+use crate::message::CommStatus;
+
+/// The device-side communication context handed to DCGN GPU kernels
+/// (the `dcgn::gpu::*` API of the paper).
+///
+/// All payloads live in device global memory — "for communication, we have to
+/// use global memory; this is a byproduct of the memory system on the GPU" —
+/// so sends and receives take [`DevicePtr`] arguments.
+pub struct GpuCtx<'a> {
+    block: &'a BlockCtx,
+    layout: &'a GpuLayout,
+}
+
+/// Spin until `poll` yields, the way a device block busy-waits on a flag:
+/// yield the OS thread first (near-instant wakeups while the flag flips
+/// quickly) and decay to sleeping — escalating up to the nap interval —
+/// when nothing changes, so long waits leave the simulation host responsive.
+fn spin_until<T>(mut poll: impl FnMut() -> Option<T>) -> T {
+    const SPIN_YIELDS: u32 = 128;
+    let mut polls = 0u32;
+    let mut sleep = Duration::from_micros(2);
+    loop {
+        if let Some(done) = poll() {
+            return done;
+        }
+        polls += 1;
+        if polls <= SPIN_YIELDS {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(sleep);
+            sleep = (sleep * 2).min(Duration::from_micros(50));
+        }
+    }
+}
+
+impl<'a> GpuCtx<'a> {
+    pub(crate) fn new(block: &'a BlockCtx, layout: &'a GpuLayout) -> Self {
+        GpuCtx { block, layout }
+    }
+
+    /// The underlying block execution context (geometry, device memory
+    /// access, shared memory).
+    pub fn block(&self) -> &BlockCtx {
+        self.block
+    }
+
+    /// Number of slots configured for this GPU.
+    pub fn slots(&self) -> usize {
+        self.layout.slots
+    }
+
+    /// Total number of DCGN ranks in the job.
+    pub fn size(&self) -> usize {
+        self.layout.total_ranks
+    }
+
+    /// Node hosting this GPU.
+    pub fn node(&self) -> usize {
+        self.layout.node
+    }
+
+    /// Index of this GPU within its node.
+    pub fn gpu_index(&self) -> usize {
+        self.layout.gpu_index
+    }
+
+    /// The DCGN rank of `slot` on this GPU (the paper's
+    /// `dcgn::gpu::getRank(slotIdx)`).
+    pub fn rank(&self, slot: usize) -> usize {
+        self.layout.slot_rank(slot)
+    }
+
+    /// The slot whose rank equals this block's id, when the launch uses the
+    /// default one-block-per-slot geometry.
+    pub fn slot_for_block(&self) -> usize {
+        self.block.block_id() % self.layout.slots
+    }
+
+    /// This slot's handle onto the world communicator.
+    pub fn world_comm(&self, slot: usize) -> GpuComm {
+        GpuComm {
+            id: CommId::WORLD.raw(),
+            rank: self.rank(slot),
+            size: self.layout.total_ranks,
+            table: DevicePtr::NULL,
+        }
+    }
+
+    /// Publish `body` on `slot`: claim a completion record, claim the
+    /// slot's body, write the request naming the record and its claim
+    /// generation, and flip the status to `REQUESTED`.  Returns without
+    /// waiting for the host, which acknowledges the slot back to `EMPTY` at
+    /// harvest — a follow-up publish only ever waits one sweep, not a full
+    /// transfer.
+    ///
+    /// A `blocking` call claims the slot's reserved record and waits for it
+    /// as long as it takes: blocks sharing a slot serialise their blocking
+    /// calls there (one rank never has two collectives in flight), and
+    /// never compete with outstanding nonblocking requests.  A nonblocking
+    /// call claims any record of the `reqs_per_slot` column.
+    fn publish(&self, slot: usize, blocking: bool, body: Body) -> GpuRequest {
+        // Bound on fruitless nonblocking claim passes (~50 µs nap each, so
+        // ~5 s — in line with the host's abandoned-request grace, so a slot
+        // whose records are legitimately held by slow concurrent blocks is
+        // not faulted prematurely).  All records staying unclaimable this
+        // long means their owners never harvest — typically this very
+        // kernel publishing past the configured per-slot depth of
+        // outstanding requests, which no host progress can ever unblock:
+        // fault, don't deadlock.
+        const CLAIM_NAP_LIMIT: u32 = 100_000;
+
+        let b = self.block;
+        let status_ptr = self.layout.status_ptr(slot);
+        let depth = self.layout.reqs_per_slot;
+        let records = if blocking {
+            RESERVED_RECORD..RESERVED_RECORD + 1
+        } else {
+            RESERVED_RECORD + 1..self.layout.records_per_slot()
+        };
+        // Each claim bumps the record's generation, so handles from earlier
+        // claims go stale.
+        let mut naps = 0u32;
+        let (index, gen) = 'claim: loop {
+            for index in records.clone() {
+                let ptr = self.layout.record_ptr(slot, index);
+                let word = b.read_u32(ptr);
+                if let Some(gen) = next_claim(word) {
+                    if b.atomic_cas_u32(ptr, word, req_word(gen, req_state::PENDING)) == word {
+                        break 'claim (index, gen);
+                    }
+                }
+            }
+            naps += 1;
+            assert!(
+                blocking || naps <= CLAIM_NAP_LIMIT,
+                "slot {slot} on device {}: all {depth} completion record(s) stayed in \
+                 flight — did this kernel publish more than the configured mailbox \
+                 depth ({depth}) of requests without test()/wait()ing any?",
+                b.device_id()
+            );
+            b.nap();
+        };
+        while b.atomic_cas_u32(status_ptr, status::EMPTY, status::CLAIMED) != status::EMPTY {
+            b.nap();
+        }
+        // One device-memory write (device-side, so no PCI-e cost).
+        let body = Body {
+            record: index as u32,
+            gen,
+            ..body
+        };
+        b.write(self.layout.body_ptr(slot), &body.encode());
+        b.write_u32(status_ptr, status::REQUESTED);
+        GpuRequest { slot, index, gen }
+    }
+
+    /// Read `req`'s completion word once: `None` while the request is in
+    /// flight; once the host has flipped it to `DONE`, read the result
+    /// fields and release the record (keeping its generation, so the next
+    /// claim bumps it).
+    ///
+    /// # Panics
+    /// Panics — faulting the kernel — when the request completed with a
+    /// mailbox error (naming the call as `what`) and on a *stale* handle,
+    /// whose record was released and possibly reclaimed.
+    fn poll(&self, req: GpuRequest, what: &str) -> Option<CommStatus> {
+        let b = self.block;
+        let ptr = self.layout.record_ptr(req.slot, req.index);
+        let word = b.read_u32(ptr);
+        if word == req_word(req.gen, req_state::PENDING) {
+            return None;
+        }
+        if word != req_word(req.gen, req_state::DONE) {
+            panic!(
+                "stale GpuRequest {}.{}.{} on device {} block {}: its completion record \
+                 was already harvested (word is now {word:#x}) — was the request waited \
+                 on twice?",
+                req.slot,
+                req.index,
+                req.gen,
+                b.device_id(),
+                b.block_id()
+            );
+        }
+        let mut fields = [0u8; RECORD_FIELDS_BYTES];
+        b.read(record_fields_ptr(ptr), &mut fields);
+        let record = Record::decode(&fields);
+        b.write_u32(ptr, req_word(req.gen, req_state::FREE));
+        if record.error != mailbox_error::OK {
+            panic!(
+                "dcgn::gpu::{what} failed on device {} block {}: mailbox error {}",
+                b.device_id(),
+                b.block_id(),
+                record.error
+            );
+        }
+        Some(CommStatus {
+            source: record.source as usize,
+            tag: record.tag,
+            len: record.len as usize,
+        })
+    }
+
+    /// A blocking call: publish on the reserved record, then wait for it.
+    /// No [`GpuRequest`] escapes, so the reserved record's handle cannot be
+    /// waited on twice or kept.
+    fn blocking(&self, slot: usize, what: &str, body: Body) -> CommStatus {
+        let req = self.publish(slot, true, body);
+        spin_until(|| self.poll(req, what))
+    }
+
+    /// A blocking collective over `comm`: the body additionally carries the
+    /// caller's sub-rank and the group's size and id.  Returns the result
+    /// size in bytes.
+    fn collective(&self, slot: usize, what: &str, comm: &GpuComm, body: Body) -> usize {
+        let body = Body {
+            peer2: comm.rank as u32,
+            aux: comm.size as u32,
+            comm: comm.id,
+            ..body
+        };
+        self.blocking(slot, what, body).len
+    }
+
+    /// A point-to-point body: `opcode` towards `peer` carrying `tag`.
+    fn p2p(opcode: u32, peer: usize, tag: u32, data: DevicePtr, len: usize) -> Body {
+        Body {
+            aux: tag,
+            ..Body::new(opcode, peer as u32, data, len)
+        }
+    }
+
+    /// Send `len` bytes starting at device pointer `data` to DCGN rank `dst`
+    /// using `slot` (the paper's `dcgn::gpu::send`; untagged = tag 0).
+    pub fn send(&self, slot: usize, dst: usize, data: DevicePtr, len: usize) {
+        self.send_tagged(slot, dst, 0, data, len)
+    }
+
+    /// Send with an explicit message tag: the tag rides in the request
+    /// body's `aux` word and matches against the receiver's tag filter
+    /// (CPU `recv_tagged` / GPU [`GpuCtx::recv_tagged`] /
+    /// [`ANY_TAG`](super::ANY_TAG)).
+    pub fn send_tagged(&self, slot: usize, dst: usize, tag: u32, data: DevicePtr, len: usize) {
+        self.blocking(slot, "send", Self::p2p(opcode::SEND, dst, tag, data, len));
+    }
+
+    /// Receive into `len` bytes of device memory at `data` from DCGN rank
+    /// `src` using `slot` (the paper's `dcgn::gpu::recv`; untagged = tag 0).
+    /// Returns the completion status.
+    pub fn recv(&self, slot: usize, src: usize, data: DevicePtr, len: usize) -> CommStatus {
+        self.recv_tagged(slot, src, 0, data, len)
+    }
+
+    /// Receive a message carrying `tag` (or any tag, for
+    /// [`ANY_TAG`](super::ANY_TAG)) from DCGN rank `src`.  The returned
+    /// status always reports the tag the message actually carried: the
+    /// matched tag is round-tripped through the completion record, so an
+    /// `ANY_TAG` receive learns the sender's tag instead of seeing 0.
+    pub fn recv_tagged(
+        &self,
+        slot: usize,
+        src: usize,
+        tag: u32,
+        data: DevicePtr,
+        len: usize,
+    ) -> CommStatus {
+        self.blocking(slot, "recv", Self::p2p(opcode::RECV, src, tag, data, len))
+    }
+
+    /// Receive from any rank (untagged = tag 0).
+    pub fn recv_any(&self, slot: usize, data: DevicePtr, len: usize) -> CommStatus {
+        self.recv_any_tagged(slot, 0, data, len)
+    }
+
+    /// Receive a message carrying `tag` (or any tag, for
+    /// [`ANY_TAG`](super::ANY_TAG)) from any rank (tag reporting as in
+    /// [`GpuCtx::recv_tagged`]).
+    pub fn recv_any_tagged(
+        &self,
+        slot: usize,
+        tag: u32,
+        data: DevicePtr,
+        len: usize,
+    ) -> CommStatus {
+        self.recv_tagged(slot, PEER_ANY as usize, tag, data, len)
+    }
+
+    /// Send the `len` bytes at `data` to `dst` and replace them with the
+    /// message received from `src` (device-side `MPI_Sendrecv_replace`).
+    /// Both halves are relayed together, so symmetric exchanges (ring
+    /// rotations, Cannon's algorithm) cannot deadlock.
+    pub fn sendrecv_replace(
+        &self,
+        slot: usize,
+        dst: usize,
+        src: usize,
+        data: DevicePtr,
+        len: usize,
+    ) -> CommStatus {
+        let body = Body {
+            peer2: src as u32,
+            ..Self::p2p(opcode::SENDRECV_REPLACE, dst, 0, data, len)
+        };
+        self.blocking(slot, "sendrecv_replace", body)
+    }
+
+    // ------------------------------------------------------------------
+    // Nonblocking point-to-point: `isend`/`irecv` return as soon as the
+    // request is published; the kernel keeps computing and collects the
+    // completion later with `test`/`wait`, which read the request's
+    // completion word in device memory — no further host round trip.
+    // Compute issued between publish and wait overlaps the entire host
+    // relay and wire time.
+    // ------------------------------------------------------------------
+
+    /// Start a nonblocking send of `len` device bytes at `data` to DCGN rank
+    /// `dst` (untagged = tag 0).  Returns immediately; the buffer must stay
+    /// unmodified until the returned request completes
+    /// ([`GpuCtx::wait`]/[`GpuCtx::test`]).
+    pub fn isend(&self, slot: usize, dst: usize, data: DevicePtr, len: usize) -> GpuRequest {
+        self.isend_tagged(slot, dst, 0, data, len)
+    }
+
+    /// Start a nonblocking tagged send.
+    pub fn isend_tagged(
+        &self,
+        slot: usize,
+        dst: usize,
+        tag: u32,
+        data: DevicePtr,
+        len: usize,
+    ) -> GpuRequest {
+        self.publish(slot, false, Self::p2p(opcode::SEND, dst, tag, data, len))
+    }
+
+    /// Post a nonblocking receive from DCGN rank `src` into `len` bytes of
+    /// device memory at `data` (untagged = tag 0).  The buffer must not be
+    /// read until the request completes.
+    pub fn irecv(&self, slot: usize, src: usize, data: DevicePtr, len: usize) -> GpuRequest {
+        self.irecv_tagged(slot, src, 0, data, len)
+    }
+
+    /// Post a nonblocking receive matching `tag` (or any tag, for
+    /// [`ANY_TAG`](super::ANY_TAG)) from DCGN rank `src`.
+    pub fn irecv_tagged(
+        &self,
+        slot: usize,
+        src: usize,
+        tag: u32,
+        data: DevicePtr,
+        len: usize,
+    ) -> GpuRequest {
+        self.publish(slot, false, Self::p2p(opcode::RECV, src, tag, data, len))
+    }
+
+    /// Post a nonblocking receive from any rank (untagged = tag 0).
+    pub fn irecv_any(&self, slot: usize, data: DevicePtr, len: usize) -> GpuRequest {
+        self.irecv_any_tagged(slot, 0, data, len)
+    }
+
+    /// Post a nonblocking receive matching `tag` (or
+    /// [`ANY_TAG`](super::ANY_TAG)) from any rank.
+    pub fn irecv_any_tagged(
+        &self,
+        slot: usize,
+        tag: u32,
+        data: DevicePtr,
+        len: usize,
+    ) -> GpuRequest {
+        self.irecv_tagged(slot, PEER_ANY as usize, tag, data, len)
+    }
+
+    /// Nonblocking completion check: returns the completion status once the
+    /// host has flipped the request's completion word to `DONE`, releasing
+    /// the record; returns `None` while the request is still in flight.
+    ///
+    /// # Panics
+    /// Panics (like the blocking calls) when the request completed with a
+    /// mailbox error, and on a *stale* handle — one already harvested (the
+    /// record's generation moved on), which on the CPU side is the clean
+    /// `InvalidArgument` error.
+    pub fn test(&self, req: GpuRequest) -> Option<CommStatus> {
+        self.poll(req, "wait")
+    }
+
+    /// Spin on the request's completion word (pure device-side wait — the
+    /// host writes the word via its regular sweep) and return the
+    /// completion status.
+    ///
+    /// # Panics
+    /// Panics on a mailbox error or a stale handle (see [`GpuCtx::test`]).
+    pub fn wait(&self, req: GpuRequest) -> CommStatus {
+        spin_until(|| self.poll(req, "wait"))
+    }
+
+    /// Wait for every request, returning the completions in argument order —
+    /// the device-side mirror of `CpuCtx::waitall`.  Each handle is
+    /// consumed; a stale handle faults like [`GpuCtx::wait`].
+    pub fn waitall(&self, reqs: &[GpuRequest]) -> Vec<CommStatus> {
+        reqs.iter().map(|&req| self.wait(req)).collect()
+    }
+
+    /// Wait until *one* of the requests completes; returns its index within
+    /// `reqs` and its completion status (the other handles stay valid) —
+    /// the device-side mirror of `CpuCtx::waitany`.  Polls every request's
+    /// completion word device-side with the same yield-then-sleep
+    /// escalation as [`GpuCtx::wait`].
+    ///
+    /// # Panics
+    /// Panics on an empty request list, a mailbox error, or a stale handle.
+    pub fn waitany(&self, reqs: &[GpuRequest]) -> (usize, CommStatus) {
+        assert!(
+            !reqs.is_empty(),
+            "dcgn::gpu::waitany needs at least one request handle"
+        );
+        spin_until(|| {
+            reqs.iter()
+                .enumerate()
+                .find_map(|(i, &req)| Some((i, self.poll(req, "wait")?)))
+        })
+    }
+
+    /// Barrier across every DCGN rank, entered by this slot.
+    pub fn barrier(&self, slot: usize) {
+        self.barrier_in(slot, &self.world_comm(slot));
+    }
+
+    /// Barrier across the members of `comm`, entered by this slot.
+    pub fn barrier_in(&self, slot: usize, comm: &GpuComm) {
+        let body = Body::new(opcode::BARRIER, 0, DevicePtr::NULL, 0);
+        self.collective(slot, "barrier", comm, body);
+    }
+
+    /// Broadcast from DCGN rank `root`.  The slot whose rank is `root`
+    /// supplies `len` bytes at `data`; every other participant receives the
+    /// root's bytes into `data` (at most `len` bytes).  Returns the number of
+    /// bytes broadcast.
+    pub fn broadcast(&self, slot: usize, root: usize, data: DevicePtr, len: usize) -> usize {
+        self.broadcast_in(slot, &self.world_comm(slot), root, data, len)
+    }
+
+    /// Broadcast within `comm` from sub-rank `root`.
+    pub fn broadcast_in(
+        &self,
+        slot: usize,
+        comm: &GpuComm,
+        root: usize,
+        data: DevicePtr,
+        len: usize,
+    ) -> usize {
+        let body = Body::new(opcode::BROADCAST, root as u32, data, len);
+        self.collective(slot, "broadcast", comm, body)
+    }
+
+    /// Gather every rank's block at DCGN rank `root` (in-place, like
+    /// `MPI_Gather` with `MPI_IN_PLACE`): `data` addresses a buffer of
+    /// `size() × len` bytes in which this slot has written its own `len`-byte
+    /// contribution at offset `rank × len`.  On return the root's buffer
+    /// holds every rank's block at that rank's offset; other participants'
+    /// buffers are untouched.  Returns the total bytes gathered at the root
+    /// and `0` elsewhere.
+    pub fn gather(&self, slot: usize, root: usize, data: DevicePtr, len: usize) -> usize {
+        self.gather_in(slot, &self.world_comm(slot), root, data, len)
+    }
+
+    /// Gather within `comm` at sub-rank `root` (in-place over a
+    /// `comm.size × len` buffer indexed by sub-rank).
+    pub fn gather_in(
+        &self,
+        slot: usize,
+        comm: &GpuComm,
+        root: usize,
+        data: DevicePtr,
+        len: usize,
+    ) -> usize {
+        let body = Body::new(opcode::GATHER, root as u32, data, len);
+        self.collective(slot, "gather", comm, body)
+    }
+
+    /// Scatter per-rank chunks of `len` bytes from DCGN rank `root`
+    /// (in-place): the root's `data` buffer stages `size() × len` bytes with
+    /// rank `r`'s chunk at offset `r × len`; on return every participant's
+    /// `data` holds its own chunk in the first `len` bytes (the root's own
+    /// chunk is copied down to its buffer start as well).  Returns the chunk
+    /// size received.
+    pub fn scatter(&self, slot: usize, root: usize, data: DevicePtr, len: usize) -> usize {
+        self.scatter_in(slot, &self.world_comm(slot), root, data, len)
+    }
+
+    /// Scatter within `comm` from sub-rank `root` (in-place over a
+    /// `comm.size × len` buffer indexed by sub-rank).
+    pub fn scatter_in(
+        &self,
+        slot: usize,
+        comm: &GpuComm,
+        root: usize,
+        data: DevicePtr,
+        len: usize,
+    ) -> usize {
+        let body = Body::new(opcode::SCATTER, root as u32, data, len);
+        self.collective(slot, "scatter", comm, body)
+    }
+
+    /// Allgather every rank's block (in-place, like `MPI_Allgather` with
+    /// `MPI_IN_PLACE`): same buffer convention as [`GpuCtx::gather`], but on
+    /// return *every* participant's buffer holds all `size() × len` bytes.
+    /// Returns the total bytes gathered.
+    pub fn allgather(&self, slot: usize, data: DevicePtr, len: usize) -> usize {
+        self.allgather_in(slot, &self.world_comm(slot), data, len)
+    }
+
+    /// Allgather within `comm` (in-place over a `comm.size × len` buffer
+    /// indexed by sub-rank).
+    pub fn allgather_in(&self, slot: usize, comm: &GpuComm, data: DevicePtr, len: usize) -> usize {
+        let body = Body::new(opcode::ALLGATHER, 0, data, len);
+        self.collective(slot, "allgather", comm, body)
+    }
+
+    /// Element-wise reduction of `count` `f64`s at `data` to DCGN rank
+    /// `root`.  On return the root's buffer holds the reduced vector; other
+    /// participants' buffers are untouched.  Returns the result size in
+    /// bytes at the root and `0` elsewhere.
+    pub fn reduce(
+        &self,
+        slot: usize,
+        root: usize,
+        op: ReduceOp,
+        data: DevicePtr,
+        count: usize,
+    ) -> usize {
+        self.reduce_in(slot, &self.world_comm(slot), root, op, data, count)
+    }
+
+    /// Element-wise reduction within `comm` to sub-rank `root`.
+    pub fn reduce_in(
+        &self,
+        slot: usize,
+        comm: &GpuComm,
+        root: usize,
+        op: ReduceOp,
+        data: DevicePtr,
+        count: usize,
+    ) -> usize {
+        self.reduce_dtype_in(slot, comm, root, op, ReduceDtype::F64, data, count)
+    }
+
+    /// Typed element-wise reduction of `count` elements of `dtype` at `data`
+    /// to DCGN rank `root` (`f64`, `f32`, `u32` or `i64`; the element type is
+    /// carried in the body's `reduce` word next to the operator).
+    pub fn reduce_dtype(
+        &self,
+        slot: usize,
+        root: usize,
+        op: ReduceOp,
+        dtype: ReduceDtype,
+        data: DevicePtr,
+        count: usize,
+    ) -> usize {
+        self.reduce_dtype_in(slot, &self.world_comm(slot), root, op, dtype, data, count)
+    }
+
+    /// Typed element-wise reduction within `comm` to sub-rank `root`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn reduce_dtype_in(
+        &self,
+        slot: usize,
+        comm: &GpuComm,
+        root: usize,
+        op: ReduceOp,
+        dtype: ReduceDtype,
+        data: DevicePtr,
+        count: usize,
+    ) -> usize {
+        let body = Body {
+            reduce: encode_reduce_word(op, dtype),
+            ..Body::new(
+                opcode::REDUCE,
+                root as u32,
+                data,
+                count * dtype.element_bytes(),
+            )
+        };
+        self.collective(slot, "reduce", comm, body)
+    }
+
+    /// Element-wise reduction of `count` `f64`s at `data`, with every rank
+    /// receiving the reduced vector in place.  Returns the result size in
+    /// bytes.
+    pub fn allreduce(&self, slot: usize, op: ReduceOp, data: DevicePtr, count: usize) -> usize {
+        self.allreduce_in(slot, &self.world_comm(slot), op, data, count)
+    }
+
+    /// Element-wise reduction within `comm` delivered to every member.
+    pub fn allreduce_in(
+        &self,
+        slot: usize,
+        comm: &GpuComm,
+        op: ReduceOp,
+        data: DevicePtr,
+        count: usize,
+    ) -> usize {
+        self.allreduce_dtype_in(slot, comm, op, ReduceDtype::F64, data, count)
+    }
+
+    /// Typed element-wise reduction with every rank receiving the result.
+    pub fn allreduce_dtype(
+        &self,
+        slot: usize,
+        op: ReduceOp,
+        dtype: ReduceDtype,
+        data: DevicePtr,
+        count: usize,
+    ) -> usize {
+        self.allreduce_dtype_in(slot, &self.world_comm(slot), op, dtype, data, count)
+    }
+
+    /// Typed element-wise reduction within `comm` delivered to every member.
+    pub fn allreduce_dtype_in(
+        &self,
+        slot: usize,
+        comm: &GpuComm,
+        op: ReduceOp,
+        dtype: ReduceDtype,
+        data: DevicePtr,
+        count: usize,
+    ) -> usize {
+        let body = Body {
+            reduce: encode_reduce_word(op, dtype),
+            ..Body::new(opcode::ALLREDUCE, 0, data, count * dtype.element_bytes())
+        };
+        self.collective(slot, "allreduce", comm, body)
+    }
+
+    /// Collectively split the world into subgroups (`MPI_Comm_split`): slots
+    /// supplying the same `color` form a new communicator ordered by
+    /// `(key, rank)`.  The host writes the encoded membership —
+    /// `[id u64][sub-rank u32][size u32][member u32 × size]` — into `table`
+    /// (at most `table_len` bytes), which must stay allocated for as long as
+    /// the returned handle's member lookups are used.
+    pub fn split(
+        &self,
+        slot: usize,
+        color: u32,
+        key: u32,
+        table: DevicePtr,
+        table_len: usize,
+    ) -> GpuComm {
+        self.split_in(slot, &self.world_comm(slot), color, key, table, table_len)
+    }
+
+    /// Split an existing communicator further; every member must call it.
+    pub fn split_in(
+        &self,
+        slot: usize,
+        comm: &GpuComm,
+        color: u32,
+        key: u32,
+        table: DevicePtr,
+        table_len: usize,
+    ) -> GpuComm {
+        let body = Body {
+            peer2: key,
+            comm: comm.id,
+            ..Body::new(opcode::SPLIT, color, table, table_len)
+        };
+        self.blocking(slot, "comm_split", body);
+        let b = self.block;
+        GpuComm {
+            id: b.read_u64(table),
+            rank: b.read_u32(table.add(8)) as usize,
+            size: b.read_u32(table.add(12)) as usize,
+            table,
+        }
+    }
+
+    /// Release this slot's handle on a communicator created with
+    /// [`GpuCtx::split`] (`MPI_Comm_free` analogue).  Every local member
+    /// must free the group before the host evicts it from its registry; the
+    /// handle (and its device-side member table) must not be used
+    /// afterwards.  The world communicator cannot be freed.
+    pub fn comm_free(&self, slot: usize, comm: &GpuComm) {
+        let body = Body {
+            comm: comm.id,
+            ..Body::new(opcode::FREE, 0, DevicePtr::NULL, 0)
+        };
+        self.blocking(slot, "comm_free", body);
+    }
+
+    /// Global DCGN rank of `sub_rank` within `comm` (read from the member
+    /// table the split left in device memory).  World handles have no table
+    /// in device memory; their mapping is the identity.
+    pub fn comm_member(&self, comm: &GpuComm, sub_rank: usize) -> usize {
+        assert!(
+            sub_rank < comm.size,
+            "sub-rank {sub_rank} out of range ({} members)",
+            comm.size
+        );
+        if comm.id == CommId::WORLD.raw() {
+            return sub_rank;
+        }
+        self.block.read_u32(comm.table.add(16 + 4 * sub_rank)) as usize
+    }
+}
+
+/// Handle to an outstanding nonblocking device-side operation started with
+/// [`GpuCtx::isend`]/[`GpuCtx::irecv`]: the slot it was published through
+/// and the index of its completion record within that slot's column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GpuRequest {
+    slot: usize,
+    index: usize,
+    /// The completion record's claim generation at publish time; completion
+    /// words are generation-stamped, so a handle outliving its record's
+    /// release is detected as stale.
+    gen: u32,
+}
+
+impl GpuRequest {
+    /// The slot this request was published through.
+    pub fn slot(&self) -> usize {
+        self.slot
+    }
+}
+
+/// A GPU slot's handle onto a communicator created with [`GpuCtx::split`]:
+/// the group id, this slot's sub-rank, the group size, and the device
+/// address of the member table (sub-rank → global rank, readable with
+/// [`GpuCtx::comm_member`]).
+#[derive(Debug, Clone, Copy)]
+pub struct GpuComm {
+    /// Raw communicator id ([`CommId::raw`]).
+    pub id: u64,
+    /// This slot's position within the group.
+    pub rank: usize,
+    /// Number of ranks in the group.
+    pub size: usize,
+    /// Device address of the encoded membership (the split's `table`).
+    pub table: DevicePtr,
+}

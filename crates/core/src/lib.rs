@@ -42,11 +42,11 @@
 //!   [`gpu::GpuRequest`]): `isend`/`irecv` return a request handle
 //!   immediately so kernels overlap compute with communication; completion
 //!   is collected with `wait`/`test` (CPU adds `waitall`/`waitany`).  On the
-//!   GPU the mailbox transaction is split into a *publish* phase (the kernel
-//!   writes the request record and keeps computing) and a *poll/complete*
-//!   phase (spinning on a per-request completion word the host writes), so
-//!   one slot can have several transfers in flight.  Blocking `send`/`recv`
-//!   are `i* + wait` wrappers — one data path.
+//!   GPU every request runs the one mailbox protocol of [`gpu`]: *publish*
+//!   (the kernel writes the request and keeps computing) and *complete*
+//!   (the host writes a per-request completion record the kernel reads), so
+//!   one slot can have several transfers in flight.  Blocking calls are
+//!   publish + wait — one data path.
 //! * **Typed collectives** ([`ReduceDtype`] / [`ReduceElement`]):
 //!   `reduce`/`allreduce` run over `f64`, `f32`, `u32` or `i64` vectors
 //!   (`reduce_t`/`allreduce_t` on CPU ranks, `reduce_dtype`/
@@ -136,7 +136,6 @@
 
 #![warn(missing_docs)]
 
-pub mod buffer;
 pub mod config;
 pub mod cpu;
 pub mod error;
@@ -150,9 +149,9 @@ mod comm_thread;
 mod exchange;
 mod matcher;
 
-pub use buffer::{Payload, PayloadBuf};
 pub use config::{DcgnConfig, ExchangePlan, NodeConfig};
 pub use cpu::{Completion, CpuCtx, RequestHandle};
+pub use dcgn_netsim::{Payload, PayloadBuf};
 pub use error::{DcgnError, Result};
 pub use gpu::{GpuComm, GpuCtx, GpuPollStats, GpuRequest, GpuSetupCtx};
 pub use group::{Comm, CommId};

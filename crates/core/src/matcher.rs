@@ -8,8 +8,8 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use crossbeam::channel::Sender;
 use dcgn_metrics::Histogram;
+use dcgn_netsim::Payload;
 
-use crate::buffer::Payload;
 use crate::message::Reply;
 
 /// A DCGN point-to-point message that arrived from another node (or was

@@ -12,8 +12,8 @@ use crossbeam::channel::Sender;
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
 
 use dcgn_netsim::buffer::ENVELOPE_BYTES;
+use dcgn_netsim::Payload;
 
-use crate::buffer::Payload;
 use crate::error::DcgnError;
 use crate::group::CommId;
 

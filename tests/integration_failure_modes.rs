@@ -617,3 +617,40 @@ fn extreme_polling_intervals_still_complete() {
         )
         .unwrap();
 }
+
+/// Launch a one-GPU-slot job whose kernel runs `publish` with a device
+/// buffer outside device memory, and expect the usual mailbox-error fault.
+fn expect_mailbox_error_for_a_buffer_outside_device_memory(
+    publish: fn(&dcgn::GpuCtx<'_>, DevicePtr),
+) {
+    // The host cannot pull the payload, so it cannot relay the request.  It
+    // used to abandon its polling loop with the kernel still spinning on a
+    // completion nobody would write, and the launch never returned; now the
+    // request completes into its record with an error code.
+    let result = with_timeout(Duration::from_secs(20), move || {
+        let runtime = Runtime::new(DcgnConfig::homogeneous(1, 1, 1, 1)).unwrap();
+        runtime.launch(
+            |_ctx| {},
+            move |ctx| publish(ctx, DevicePtr::NULL.add(1 << 30)),
+        )
+    });
+    match result {
+        Err(DcgnError::Device(msg)) => {
+            assert!(msg.contains("mailbox error"), "unexpected: {msg}");
+        }
+        other => panic!("expected a mailbox-error fault, got {other:?}"),
+    }
+}
+
+#[test]
+fn blocking_send_of_an_unreadable_buffer_faults_instead_of_hanging() {
+    expect_mailbox_error_for_a_buffer_outside_device_memory(|ctx, bad| ctx.send(0, 0, bad, 8));
+}
+
+#[test]
+fn isend_of_an_unreadable_buffer_faults_at_wait_instead_of_hanging() {
+    expect_mailbox_error_for_a_buffer_outside_device_memory(|ctx, bad| {
+        let req = ctx.isend(0, 0, bad, 8);
+        ctx.wait(req);
+    });
+}

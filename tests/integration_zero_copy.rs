@@ -13,8 +13,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use dcgn::buffer::pool_stats;
 use dcgn::{DcgnConfig, Runtime};
+use dcgn_netsim::pool_stats;
 // The envelope the runtime appends to a cross-node body; every pool class
 // is a power of two plus this.
 use dcgn_netsim::buffer::ENVELOPE_BYTES as ENVELOPE;
