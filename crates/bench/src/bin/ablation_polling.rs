@@ -1,7 +1,5 @@
 //! Ablation A1: the latency / host-CPU-load trade-off of the sleep-based
-//! polling interval (§3.2.3 of the paper discusses exactly this tension),
-//! plus the adaptive-backoff extension that relaxes the trade-off while a
-//! GPU is compute-bound.
+//! polling interval (§3.2.3 of the paper discusses exactly this tension).
 //!
 //! `cargo run -p dcgn-bench --bin ablation_polling --release`
 
@@ -9,10 +7,9 @@ use std::time::Duration;
 
 use dcgn::{CostModel, DcgnConfig, DevicePtr, GpuCtx, LaunchReport, Runtime};
 
-/// Ping-pong `iters` round trips between two single-slot GPUs, with an
-/// optional device-side "compute" pause before the exchange, returning the
+/// Ping-pong `iters` round trips between two single-slot GPUs, returning the
 /// average one-way latency and the launch report.
-fn gpu_pingpong(cost: CostModel, iters: u32, compute: Duration) -> (Duration, LaunchReport) {
+fn gpu_pingpong(cost: CostModel, iters: u32) -> (Duration, LaunchReport) {
     let config = DcgnConfig::homogeneous(2, 0, 1, 1).with_cost(cost);
     let runtime = Runtime::new(config).expect("config");
     let measured = std::sync::Arc::new(parking_lot::Mutex::new(Duration::ZERO));
@@ -27,11 +24,6 @@ fn gpu_pingpong(cost: CostModel, iters: u32, compute: Duration) -> (Duration, La
             let buf = DevicePtr::NULL.add(32 * 1024);
             ctx.block().write(buf, &[1u8; 64]);
             ctx.barrier(SLOT);
-            // A communication-free phase: with backoff enabled the host's
-            // polling loop stretches its sleeps while nothing happens.
-            if !compute.is_zero() {
-                std::thread::sleep(compute);
-            }
             let start = std::time::Instant::now();
             for _ in 0..iters {
                 if me == 0 {
@@ -69,7 +61,7 @@ fn main() {
     );
     for poll_us in [25u64, 50, 100, 200, 400, 800] {
         let cost = CostModel::g92_scaled(4.0).with_poll_interval(Duration::from_micros(poll_us));
-        let (latency, report) = gpu_pingpong(cost, 10, Duration::ZERO);
+        let (latency, report) = gpu_pingpong(cost, 10);
         let polls: u64 = report.gpu_poll_stats.iter().map(|s| s.polls).sum();
         let status_reads: u64 = report
             .gpu_poll_stats
@@ -90,32 +82,4 @@ fn main() {
     println!("# polling load (more sweeps, higher busy fraction) — the trade-off the paper");
     println!("# identifies as inherent to CPU-mediated GPU communication.  Each sweep is");
     println!("# one batched status read regardless of slot count (status reads ≈ polls).");
-    println!();
-
-    println!("# Adaptive backoff: 5 ms compute phase before the exchange, 50 µs base poll");
-    println!(
-        "{:>22}{:>18}{:>12}{:>16}{:>16}",
-        "backoff (mult, cap)", "GPU:GPU latency", "polls", "backoff sleeps", "busy fraction"
-    );
-    for (mult, cap_us) in [(1.0, 0u64), (2.0, 400), (2.0, 1600)] {
-        let cost = CostModel::g92_scaled(4.0)
-            .with_poll_interval(Duration::from_micros(50))
-            .with_poll_backoff(mult, Duration::from_micros(cap_us));
-        let (latency, report) = gpu_pingpong(cost, 10, Duration::from_millis(5));
-        let polls: u64 = report.gpu_poll_stats.iter().map(|s| s.polls).sum();
-        let backoffs: u64 = report.gpu_poll_stats.iter().map(|s| s.backoff_sleeps).sum();
-        println!(
-            "{:>14.1}x {:>4} µs{:>15.0} µs{:>12}{:>16}{:>15.1}%",
-            mult,
-            cap_us,
-            latency.as_secs_f64() * 1e6,
-            polls,
-            backoffs,
-            mean_busy(&report) * 100.0
-        );
-    }
-    println!();
-    println!("# Backoff cuts idle-phase polling (fewer polls, most at a stretched interval)");
-    println!("# at the price of a slower reaction to the first message after the idle gap;");
-    println!("# the base interval still governs steady-state latency.");
 }

@@ -333,7 +333,7 @@ pub fn dcgn_waitany_time(size: usize, cost: CostModel, iters: usize) -> Duration
 
 /// The same round trip, but rank 0 completes the receive by polling
 /// `test()` with a fixed sleep between probes — the shape `waitany` had
-/// before the condvar wake.  Measured next to [`dcgn_waitany_time`] under
+/// before the event wake.  Measured next to [`dcgn_waitany_time`] under
 /// identical load it isolates what the blocked wake-up is worth, without
 /// depending on absolute timings of the host machine.
 pub fn dcgn_polled_wait_time(
@@ -795,7 +795,7 @@ mod tests {
     #[test]
     fn blocked_waitany_wakes_faster_than_the_old_poll_sleep_floor() {
         let _serial = WALL_CLOCK.lock();
-        // Before the condvar wake, a blocked `waitany` polled with a fixed
+        // Before the event wake, a blocked `waitany` polled with a fixed
         // 20 µs sleep, so every round trip that actually blocked paid at
         // least one full sleep period on top of its cross-thread hops
         // (measured ~56 µs per round trip with the sleep restored, vs

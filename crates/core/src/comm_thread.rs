@@ -33,8 +33,8 @@ use crate::exchange::{classify_collective, CollectiveAssembly, Contribution, Eng
 use crate::group::{CommGroup, CommId};
 use crate::matcher::{IncomingMsg, Matcher, PendingRecv};
 use crate::message::{
-    decode_p2p, frame_p2p, CollectiveResult, CommCommand, CommStatus, CompletionEvent, Reply,
-    Request, RequestKind,
+    decode_p2p, frame_p2p, CollectiveResult, CommCommand, CommStatus, Reply, ReplyTo, Request,
+    RequestKind,
 };
 use crate::rank::RankMap;
 
@@ -136,9 +136,6 @@ pub(crate) struct CommThread {
     active: HashMap<CommId, CollectiveAssembly>,
     /// The communicator registry and every exchange in flight across nodes.
     engine: Engine,
-    /// Completion event local kernel threads block on in `waitany`; bumped
-    /// whenever this thread did any work (every reply precedes a bump).
-    completion: Arc<CompletionEvent>,
     local_done: bool,
     metrics: CommThreadMetrics,
 }
@@ -153,7 +150,6 @@ impl CommThread {
         work_tx: Sender<CommCommand>,
         cost: CostModel,
         forced_plan: Option<ExchangePlan>,
-        completion: Arc<CompletionEvent>,
         metrics: &MetricsHandle,
     ) -> Self {
         // Ring our own work queue whenever the fabric queues a delivery for
@@ -180,7 +176,6 @@ impl CommThread {
             exchange_recv: None,
             matcher,
             active: HashMap::new(),
-            completion,
             local_done: false,
             metrics: CommThreadMetrics {
                 requests: counter("comm.requests"),
@@ -246,10 +241,7 @@ impl CommThread {
             //    safety net.
             if !did_work {
                 match self.work_rx.recv_timeout(IDLE_FALLBACK) {
-                    Ok(cmd) => {
-                        self.handle_command(cmd)?;
-                        did_work = true;
-                    }
+                    Ok(cmd) => self.handle_command(cmd)?,
                     Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                     Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
                         // The runtime dropped its handles; treat it as a
@@ -257,14 +249,6 @@ impl CommThread {
                         self.local_done = true;
                     }
                 }
-            }
-
-            // Ring the completion event after any productive iteration:
-            // every kernel-visible reply sent above happens before this
-            // bump, so a kernel blocked in `waitany` that read the tick
-            // before its reply landed is guaranteed a wake.
-            if did_work {
-                self.completion.bump();
             }
         }
     }
@@ -276,16 +260,11 @@ impl CommThread {
                 self.local_done = true;
                 // Every local kernel thread has returned, so nobody is left
                 // to join a half-assembled collective or to consume an
-                // unmatched receive; fail them now so shutdown cannot hang.
-                for (_, assembly) in self.active.drain() {
-                    for (_, _, reply_tx) in assembly.joined {
-                        let _ = reply_tx.send(Reply::Error(DcgnError::ShuttingDown));
-                    }
-                }
+                // unmatched receive; drop them now — every dropped request is
+                // answered `ShuttingDown` — so shutdown cannot hang.
+                self.active.clear();
                 self.engine.shutdown();
-                for recv in self.matcher.drain_recvs() {
-                    let _ = recv.reply_tx.send(Reply::Error(DcgnError::ShuttingDown));
-                }
+                drop(self.matcher.drain_recvs());
                 Ok(())
             }
             // Receiving a command costs one hop through the thread-safe
@@ -311,14 +290,14 @@ impl CommThread {
         }
         match req.kind {
             RequestKind::Send { dst, tag, data } => {
-                self.handle_send(req.src_rank, dst, tag, data, req.reply_tx)
+                self.handle_send(req.src_rank, dst, tag, data, req.reply_to)
             }
             RequestKind::Recv { src, tag } => {
                 let recv = PendingRecv {
                     dst_rank: req.src_rank,
                     src,
                     tag,
-                    reply_tx: req.reply_tx,
+                    reply_to: req.reply_to,
                     seq: self.matcher.stamp(),
                 };
                 match self.matcher.take_msg_for(&recv) {
@@ -332,7 +311,7 @@ impl CommThread {
                     Ok(()) => Reply::CollectiveDone(CollectiveResult::Unit),
                     Err(e) => Reply::Error(e),
                 };
-                let _ = req.reply_tx.send(reply);
+                req.reply_to.complete(reply);
                 Ok(())
             }
             _ => unreachable!("collectives handled above"),
@@ -345,17 +324,17 @@ impl CommThread {
         dst: usize,
         tag: u32,
         data: Payload,
-        reply_tx: Sender<Reply>,
+        reply_to: ReplyTo,
     ) -> Result<()> {
         let Some(dst_node) = self.rank_map.node_of(dst) else {
-            let _ = reply_tx.send(Reply::Error(DcgnError::InvalidRank(dst)));
+            reply_to.complete(Reply::Error(DcgnError::InvalidRank(dst)));
             return Ok(());
         };
         if dst_node == self.node {
             // Intra-node: no MPI involvement.  The message is held until a
             // local receive matches it; the sender's completion is deferred
             // until then (globally-synchronised intra-node semantics, §6.2).
-            self.route_incoming(src, dst, tag, data, Some(reply_tx));
+            self.route_incoming(src, dst, tag, data, Some(reply_to));
         } else {
             // Inter-node: append the DCGN envelope in the staged buffer's
             // spare capacity (no body copy) and hand that frame to MPI.  The
@@ -365,7 +344,7 @@ impl CommThread {
             self.net.isend(dst_node, dst as u32, wire)?;
             // Remote sends complete once the data is handed to the MPI layer
             // (buffered-send semantics).
-            let _ = reply_tx.send(Reply::SendDone);
+            reply_to.complete(Reply::SendDone);
         }
         Ok(())
     }
@@ -378,7 +357,7 @@ impl CommThread {
         dst: usize,
         tag: u32,
         data: Payload,
-        local_sender: Option<Sender<Reply>>,
+        local_sender: Option<ReplyTo>,
     ) {
         let msg = IncomingMsg {
             src,
@@ -406,12 +385,12 @@ impl CommThread {
             tag: msg.tag,
             len: msg.data.len(),
         };
-        let _ = recv.reply_tx.send(Reply::RecvDone {
+        recv.reply_to.complete(Reply::RecvDone {
             data: msg.data,
             status,
         });
         if let Some(sender) = msg.local_sender {
-            let _ = sender.send(Reply::SendDone);
+            sender.complete(Reply::SendDone);
         }
     }
 
@@ -517,7 +496,7 @@ impl CommThread {
         let (comm, id, contribution, awaited) = match classified {
             Ok(parts) => parts,
             Err(e) => {
-                let _ = req.reply_tx.send(Reply::Error(e));
+                req.reply_to.complete(Reply::Error(e));
                 return Ok(());
             }
         };
@@ -534,10 +513,10 @@ impl CommThread {
                     in_progress: aborted.id.kind.name(),
                     requested: id.kind.name(),
                 };
-                let _ = req.reply_tx.send(Reply::Error(err.clone()));
+                req.reply_to.complete(Reply::Error(err.clone()));
                 let codes = vec![aborted.id.kind.wire_code(), id.kind.wire_code()];
-                for (_, _, reply_tx) in aborted.joined {
-                    let _ = reply_tx.send(Reply::Error(err.clone()));
+                for (_, _, reply_to) in aborted.joined {
+                    reply_to.complete(Reply::Error(err.clone()));
                 }
                 return self.engine.abort_unstarted(&mut self.net, comm, codes);
             }
@@ -547,7 +526,7 @@ impl CommThread {
                 joined: Vec::with_capacity(awaited),
             }),
         };
-        assembly.joined.push((src_rank, contribution, req.reply_tx));
+        assembly.joined.push((src_rank, contribution, req.reply_to));
         if assembly.joined.len() == awaited {
             if let Some(assembly) = self.active.remove(&comm) {
                 self.engine.start(&mut self.net, comm, assembly)?;

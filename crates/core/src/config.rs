@@ -180,15 +180,6 @@ impl DcgnConfig {
         self
     }
 
-    /// Builder-style enabling of adaptive polling backoff: after an empty
-    /// sweep the GPU-kernel thread stretches its sleep by `backoff` (values
-    /// above `1.0`) up to `max_interval`, snapping back to the base interval
-    /// as soon as a sweep finds work.
-    pub fn with_poll_backoff(mut self, backoff: f64, max_interval: Duration) -> Self {
-        self.cost = self.cost.with_poll_backoff(backoff, max_interval);
-        self
-    }
-
     /// Builder-style override of GPU kernel launch geometry.
     pub fn with_gpu_geometry(mut self, grid_blocks: usize, block_threads: usize) -> Self {
         self.gpu_grid_blocks = Some(grid_blocks);
@@ -387,11 +378,8 @@ mod tests {
         let cfg = DcgnConfig::homogeneous(1, 1, 1, 1)
             .with_cost(CostModel::g92_cluster())
             .with_poll_interval(Duration::from_micros(50))
-            .with_poll_backoff(2.0, Duration::from_micros(800))
             .with_gpu_geometry(4, 64);
         assert_eq!(cfg.cost.poll_interval, Duration::from_micros(50));
-        assert_eq!(cfg.cost.poll_backoff, 2.0);
-        assert_eq!(cfg.cost.poll_max_interval, Duration::from_micros(800));
         assert_eq!(cfg.gpu_grid_blocks, Some(4));
         assert_eq!(cfg.gpu_block_threads, 64);
     }

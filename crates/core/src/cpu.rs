@@ -10,12 +10,14 @@
 //! counter so stale handles fail cleanly instead of aliasing a recycled
 //! slot).  Completion is collected with [`CpuCtx::wait`], [`CpuCtx::test`],
 //! [`CpuCtx::waitall`] or [`CpuCtx::waitany`].  The blocking `send`/`recv`
-//! calls are thin `i* + wait` wrappers, so there is exactly one data path.
+//! calls are thin `i* + wait` wrappers, so there is exactly one data path —
+//! and one reply path: every request (collectives included) is filed in the
+//! table, and its reply arrives in the rank's one completion inbox.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::Sender;
 use dcgn_netsim::Payload;
 use dcgn_rmpi::{ReduceElement, ReduceOp};
 use dcgn_simtime::CostModel;
@@ -23,7 +25,7 @@ use dcgn_simtime::CostModel;
 use crate::error::{DcgnError, Result};
 use crate::group::{self, Comm, CommId};
 use crate::message::{
-    CollectiveResult, CommCommand, CommStatus, CompletionEvent, Reply, Request, RequestKind,
+    CollectiveResult, CommCommand, CommStatus, Inbox, Reply, ReplyTo, Request, RequestKind, Token,
 };
 use crate::rank::RankMap;
 
@@ -39,6 +41,13 @@ use crate::rank::RankMap;
 pub struct RequestHandle {
     index: u32,
     gen: u32,
+}
+
+impl RequestHandle {
+    /// What the request's reply comes back under.
+    fn token(self) -> Token {
+        (self.index, self.gen)
+    }
 }
 
 /// What a completed nonblocking operation produced.
@@ -72,27 +81,33 @@ impl Completion {
     }
 }
 
-/// One outstanding request: the reply channel the communication thread will
-/// complete through, plus bookkeeping for diagnostics.
+/// One outstanding request: its reply once the inbox has delivered it, plus
+/// bookkeeping for diagnostics.
 struct PendingReq {
     gen: u32,
     what: &'static str,
-    rx: Receiver<Reply>,
+    reply: Option<Reply>,
 }
 
-/// The slot-local outstanding-request table behind [`RequestHandle`]s.
-#[derive(Default)]
+/// The slot-local outstanding-request table behind [`RequestHandle`]s, and
+/// the completion inbox whose replies it files.
 struct RequestTable {
     slots: Vec<Option<PendingReq>>,
     free: Vec<u32>,
     next_gen: u32,
+    inbox: Inbox,
 }
 
 impl RequestTable {
-    fn insert(&mut self, what: &'static str, rx: Receiver<Reply>) -> RequestHandle {
+    /// File a new request; its reply comes back under the handle's token.
+    fn insert(&mut self, what: &'static str) -> (RequestHandle, ReplyTo) {
         self.next_gen = self.next_gen.wrapping_add(1);
         let gen = self.next_gen;
-        let entry = PendingReq { gen, what, rx };
+        let entry = PendingReq {
+            gen,
+            what,
+            reply: None,
+        };
         let index = match self.free.pop() {
             Some(index) => {
                 self.slots[index as usize] = Some(entry);
@@ -103,25 +118,22 @@ impl RequestTable {
                 (self.slots.len() - 1) as u32
             }
         };
-        RequestHandle { index, gen }
+        let handle = RequestHandle { index, gen };
+        (handle, self.inbox.reply_to(handle.token()))
     }
 
-    /// Remove and return the entry behind a live handle (frees its slot).
-    fn take(&mut self, handle: RequestHandle) -> Option<PendingReq> {
-        let slot = self.slots.get_mut(handle.index as usize)?;
-        if slot.as_ref().is_some_and(|e| e.gen == handle.gen) {
-            self.free.push(handle.index);
-            slot.take()
-        } else {
-            None
-        }
+    /// The outstanding request filed under `token`, if there still is one.
+    fn live_mut(&mut self, (index, gen): Token) -> Option<&mut PendingReq> {
+        let entry = self.slots.get_mut(index as usize)?.as_mut()?;
+        (entry.gen == gen).then_some(entry)
     }
 
-    fn is_live(&self, handle: RequestHandle) -> bool {
-        self.slots
-            .get(handle.index as usize)
-            .and_then(Option::as_ref)
-            .is_some_and(|e| e.gen == handle.gen)
+    /// Free the slot behind a live handle; returns the operation's name.
+    fn remove(&mut self, handle: RequestHandle) -> Option<&'static str> {
+        let what = self.live_mut(handle.token())?.what;
+        self.slots[handle.index as usize] = None;
+        self.free.push(handle.index);
+        Some(what)
     }
 }
 
@@ -132,17 +144,15 @@ pub struct CpuCtx {
     work_tx: Sender<CommCommand>,
     cost: CostModel,
     request_timeout: Duration,
-    /// This node's comm-thread completion counter: `waitany` sleeps on it
-    /// between handle sweeps instead of polling on a fixed interval.
-    completion: Arc<CompletionEvent>,
     /// Built once so the world-collective wrappers don't allocate a member
     /// table per call.
     world: Comm,
     /// The runtime's metrics registry, for point-in-time snapshots.
     metrics: dcgn_metrics::MetricsHandle,
-    /// Outstanding nonblocking requests.  A mutex only because `CpuCtx` is
-    /// handed out by shared reference; a kernel drives its context from one
-    /// thread, so the lock is never contended.
+    /// Outstanding requests and the inbox their replies arrive in.  A mutex
+    /// only because `CpuCtx` is handed out by shared reference; a kernel
+    /// drives its context from one thread, so the lock is never contended —
+    /// and is held across the blocking inbox receive.
     requests: Mutex<RequestTable>,
 }
 
@@ -153,7 +163,6 @@ impl CpuCtx {
         work_tx: Sender<CommCommand>,
         cost: CostModel,
         request_timeout: Duration,
-        completion: Arc<CompletionEvent>,
         metrics: dcgn_metrics::MetricsHandle,
     ) -> Self {
         let world = Comm::world(rank, rank_map.total_ranks());
@@ -163,10 +172,14 @@ impl CpuCtx {
             work_tx,
             cost,
             request_timeout,
-            completion,
             metrics,
             world,
-            requests: Mutex::new(RequestTable::default()),
+            requests: Mutex::new(RequestTable {
+                slots: Vec::new(),
+                free: Vec::new(),
+                next_gen: 0,
+                inbox: Inbox::new(),
+            }),
         }
     }
 
@@ -208,31 +221,71 @@ impl CpuCtx {
         }
     }
 
-    /// Relay a request to the communication thread and return the reply
-    /// channel without waiting.
-    fn post(&self, kind: RequestKind) -> Result<Receiver<Reply>> {
-        let (reply_tx, reply_rx) = bounded(1);
+    /// File a request in the table and relay it to the communication thread
+    /// without waiting.
+    fn post(&self, kind: RequestKind, what: &'static str) -> Result<RequestHandle> {
+        let mut table = self.requests.lock().expect("request table");
+        let (handle, reply_to) = table.insert(what);
         // Crossing the thread-safe work queue is one of the overheads the
         // paper measures; charge it explicitly.
         self.cost.charge_queue_hop();
-        self.work_tx
-            .send(CommCommand::Request(Request {
-                src_rank: self.rank,
-                kind,
-                reply_tx,
-            }))
-            .map_err(|_| DcgnError::ShuttingDown)?;
-        Ok(reply_rx)
+        let request = Request {
+            src_rank: self.rank,
+            kind,
+            reply_to,
+        };
+        if self.work_tx.send(CommCommand::Request(request)).is_err() {
+            // The returned request's `ShuttingDown` reply finds no entry.
+            table.remove(handle);
+            return Err(DcgnError::ShuttingDown);
+        }
+        Ok(handle)
     }
 
-    fn wait_reply(&self, reply_rx: &Receiver<Reply>, what: &'static str) -> Result<Reply> {
-        // The reply crosses the work queue in the other direction.
-        match reply_rx.recv_timeout(self.request_timeout) {
-            Ok(reply) => {
+    /// The one place this rank receives from its inbox: file each reply under
+    /// its token until one of `wanted` is answered, then free that entry and
+    /// return its position, operation name and reply.  A reply to a request
+    /// no longer outstanding (its wait timed out) is dropped on receipt.
+    /// `None` when `wait` runs out with nothing in `wanted` answered (zero:
+    /// once the inbox is empty).
+    fn receive(
+        &self,
+        table: &mut RequestTable,
+        wanted: &[RequestHandle],
+        wait: Duration,
+    ) -> Result<Option<(usize, &'static str, Reply)>> {
+        if let Some(&dead) = wanted.iter().find(|h| table.live_mut(h.token()).is_none()) {
+            return Err(stale_handle_error(self.rank, dead));
+        }
+        let deadline = Instant::now() + wait;
+        loop {
+            let answered = wanted.iter().enumerate().find_map(|(i, handle)| {
+                let entry = table.live_mut(handle.token())?;
+                Some((i, entry.what, entry.reply.take()?))
+            });
+            if let Some((i, what, reply)) = answered {
+                // The reply crossed the work queue in the other direction.
                 self.cost.charge_queue_hop();
-                Ok(reply)
+                table.remove(wanted[i]);
+                return Ok(Some((i, what, reply)));
             }
-            Err(_) => Err(self.timeout(what)),
+            let left = deadline.saturating_duration_since(Instant::now());
+            let Some((token, reply)) = table.inbox.recv_timeout(left) else {
+                return Ok(None);
+            };
+            if let Some(entry) = table.live_mut(token) {
+                entry.reply = Some(reply);
+            }
+        }
+    }
+
+    /// Block until the request behind `handle` is answered, consuming the
+    /// handle — also when the wait times out.
+    fn wait_reply(&self, handle: RequestHandle) -> Result<(&'static str, Reply)> {
+        let mut table = self.requests.lock().expect("request table");
+        match self.receive(&mut table, &[handle], self.request_timeout)? {
+            Some((_, what, reply)) => Ok((what, reply)),
+            None => Err(self.timeout(table.remove(handle).unwrap_or("wait"))),
         }
     }
 
@@ -244,18 +297,12 @@ impl CpuCtx {
         }
     }
 
-    fn post_and_wait(&self, kind: RequestKind, what: &'static str) -> Result<Reply> {
-        let rx = self.post(kind)?;
-        self.wait_reply(&rx, what)
-    }
-
     // ------------------------------------------------------------------
     // Nonblocking point-to-point — the primary data path.  Each i* call
-    // relays one request to the communication thread and files the reply
-    // channel in the outstanding-request table; completion APIs poll or
-    // block on that channel.  The comm thread never blocks the requester:
-    // it writes completions into the (buffered) reply channel whenever
-    // they occur.
+    // files one request in the outstanding-request table and relays it to
+    // the communication thread; completion APIs poll or block on the inbox.
+    // The comm thread never blocks on the requester: it completes into the
+    // (unbounded) inbox whenever a request is done.
     // ------------------------------------------------------------------
 
     /// Start a nonblocking send of `data` to DCGN rank `dst` (untagged).
@@ -270,16 +317,8 @@ impl CpuCtx {
     /// Start a nonblocking tagged send.
     pub fn isend_tagged(&self, dst: usize, tag: u32, data: &[u8]) -> Result<RequestHandle> {
         self.check_rank(dst)?;
-        let rx = self.post(RequestKind::Send {
-            dst,
-            tag,
-            data: Payload::copy_from_slice(data),
-        })?;
-        Ok(self
-            .requests
-            .lock()
-            .expect("request table")
-            .insert("isend", rx))
+        let data = Payload::copy_from_slice(data);
+        self.post(RequestKind::Send { dst, tag, data }, "isend")
     }
 
     /// Start a nonblocking send to sub-rank `dst` of `comm`.
@@ -317,12 +356,7 @@ impl CpuCtx {
         if let Some(s) = src {
             self.check_rank(s)?;
         }
-        let rx = self.post(RequestKind::Recv { src, tag })?;
-        Ok(self
-            .requests
-            .lock()
-            .expect("request table")
-            .insert("irecv", rx))
+        self.post(RequestKind::Recv { src, tag }, "irecv")
     }
 
     /// Post a nonblocking receive from sub-rank `src` of `comm` (or any of
@@ -336,22 +370,12 @@ impl CpuCtx {
         self.irecv_tagged(global, tag)
     }
 
-    /// Remove a live table entry, or explain why the handle is dead.
-    fn take_request(&self, handle: RequestHandle) -> Result<PendingReq> {
-        self.requests
-            .lock()
-            .expect("request table")
-            .take(handle)
-            .ok_or_else(|| stale_handle_error(self.rank, handle))
-    }
-
     /// Block until the operation behind `handle` completes, consuming the
     /// handle.  Completing a request frees its table slot; waiting on the
     /// same handle twice fails with a clean invalid-argument error.
     pub fn wait(&self, handle: RequestHandle) -> Result<Completion> {
-        let entry = self.take_request(handle)?;
-        let reply = self.wait_reply(&entry.rx, entry.what)?;
-        completion_from_reply(reply, entry.what)
+        let (what, reply) = self.wait_reply(handle)?;
+        completion_from_reply(reply, what)
     }
 
     /// Nonblocking completion check.  Returns `Ok(None)` while the operation
@@ -359,27 +383,9 @@ impl CpuCtx {
     /// consuming the handle — once it is done.
     pub fn test(&self, handle: RequestHandle) -> Result<Option<Completion>> {
         let mut table = self.requests.lock().expect("request table");
-        let entry = match table
-            .slots
-            .get(handle.index as usize)
-            .and_then(Option::as_ref)
-        {
-            Some(e) if e.gen == handle.gen => e,
-            _ => return Err(stale_handle_error(self.rank, handle)),
-        };
-        match entry.rx.try_recv() {
-            Ok(reply) => {
-                self.cost.charge_queue_hop();
-                let what = entry.what;
-                table.take(handle);
-                drop(table);
-                completion_from_reply(reply, what).map(Some)
-            }
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => {
-                table.take(handle);
-                Err(DcgnError::ShuttingDown)
-            }
+        match self.receive(&mut table, &[handle], Duration::ZERO)? {
+            Some((_, what, reply)) => completion_from_reply(reply, what).map(Some),
+            None => Ok(None),
         }
     }
 
@@ -396,34 +402,10 @@ impl CpuCtx {
                 "waitany needs at least one request handle".into(),
             ));
         }
-        {
-            let table = self.requests.lock().expect("request table");
-            for &h in handles {
-                if !table.is_live(h) {
-                    return Err(stale_handle_error(self.rank, h));
-                }
-            }
-        }
-        let deadline = Instant::now() + self.request_timeout;
-        loop {
-            // Read the completion counter *before* sweeping: a completion
-            // that lands mid-sweep bumps the counter past `seen`, so the
-            // wait below returns immediately instead of losing the wakeup.
-            let seen = self.completion.tick();
-            for (i, &h) in handles.iter().enumerate() {
-                if let Some(done) = self.test(h)? {
-                    return Ok((i, done));
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(self.timeout("waitany"));
-            }
-            // No completion yet: sleep until the comm thread signals one
-            // (bounded so a missed edge degrades to a periodic re-sweep).
-            let remaining = deadline - now;
-            self.completion
-                .wait_past(seen, remaining.min(Duration::from_millis(1)));
+        let mut table = self.requests.lock().expect("request table");
+        match self.receive(&mut table, handles, self.request_timeout)? {
+            Some((i, what, reply)) => Ok((i, completion_from_reply(reply, what)?)),
+            None => Err(self.timeout("waitany")),
         }
     }
 
@@ -499,7 +481,8 @@ impl CpuCtx {
 
     /// Relay a collective request and return this rank's share of the result.
     fn collective(&self, kind: RequestKind, what: &'static str) -> Result<CollectiveResult> {
-        match self.post_and_wait(kind, what)? {
+        let handle = self.post(kind, what)?;
+        match self.wait_reply(handle)?.1 {
             Reply::CollectiveDone(result) => Ok(result),
             Reply::Error(e) => Err(e),
             other => Err(DcgnError::Internal(format!(
@@ -830,5 +813,96 @@ impl std::fmt::Debug for CpuCtx {
             .field("rank", &self.rank)
             .field("size", &self.rank_map.total_ranks())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::DcgnConfig;
+    use crossbeam::channel::{unbounded, Receiver};
+
+    /// Rank 0's context wired to a plain channel standing in for the comm
+    /// thread.
+    fn test_ctx(request_timeout: Duration) -> (CpuCtx, Receiver<CommCommand>) {
+        let rank_map = Arc::new(RankMap::new(&DcgnConfig::homogeneous(1, 2, 0, 0)));
+        let (work_tx, work_rx) = unbounded();
+        let metrics = dcgn_metrics::MetricsHandle::new();
+        let cost = CostModel::zero();
+        let ctx = CpuCtx::new(0, rank_map, work_tx, cost, request_timeout, metrics);
+        (ctx, work_rx)
+    }
+
+    fn next_request(work_rx: &Receiver<CommCommand>) -> Request {
+        match work_rx.try_recv() {
+            Ok(CommCommand::Request(request)) => request,
+            other => panic!("expected one Request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_request_whose_comm_thread_is_gone_is_answered_shutting_down_at_once() {
+        let request_timeout = Duration::from_secs(60);
+        let (ctx, work_rx) = test_ctx(request_timeout);
+        let started = Instant::now();
+        // The comm thread exits with the request in hand ...
+        let held = ctx.irecv(1).unwrap();
+        drop(next_request(&work_rx));
+        assert!(matches!(ctx.wait(held), Err(DcgnError::ShuttingDown)));
+        // ... or with it still queued (`wait` and `test` agree) ...
+        let queued = [ctx.irecv(1).unwrap(), ctx.isend(1, &[7]).unwrap()];
+        drop(work_rx);
+        assert!(matches!(ctx.wait(queued[0]), Err(DcgnError::ShuttingDown)));
+        assert!(matches!(ctx.test(queued[1]), Err(DcgnError::ShuttingDown)));
+        // ... or is gone before the request is posted.
+        assert!(matches!(ctx.irecv(1), Err(DcgnError::ShuttingDown)));
+        assert!(matches!(ctx.barrier(), Err(DcgnError::ShuttingDown)));
+        assert!(started.elapsed() < request_timeout / 2);
+    }
+
+    #[test]
+    fn a_late_reply_to_a_timed_out_wait_is_discarded_by_generation() {
+        let (ctx, work_rx) = test_ctx(Duration::from_millis(20));
+        let timed_out = ctx.irecv(1).unwrap();
+        let late = next_request(&work_rx);
+        assert!(matches!(
+            ctx.wait(timed_out),
+            Err(DcgnError::Timeout { op: "irecv", .. })
+        ));
+        // The timed-out wait freed its table slot; the next request reuses it
+        // under a new generation.
+        let reused = ctx.isend(1, &[1]).unwrap();
+        assert_eq!(reused.index, timed_out.index);
+        assert_ne!(reused.gen, timed_out.gen);
+        late.reply_to.complete(Reply::RecvDone {
+            data: Payload::copy_from_slice(&[9]),
+            status: CommStatus {
+                source: 1,
+                tag: 0,
+                len: 1,
+            },
+        });
+        assert!(matches!(ctx.test(reused), Ok(None)));
+        assert!(ctx.wait(timed_out).is_err(), "the old handle stays dead");
+        next_request(&work_rx).reply_to.complete(Reply::SendDone);
+        assert!(ctx.wait(reused).unwrap().is_send());
+    }
+
+    #[test]
+    fn waitany_returns_the_answered_handle_and_leaves_the_others_outstanding() {
+        let (ctx, work_rx) = test_ctx(Duration::from_secs(60));
+        let handles = [ctx.irecv(1).unwrap(), ctx.isend(1, &[2]).unwrap()];
+        let (_unanswered, send) = (next_request(&work_rx), next_request(&work_rx));
+        send.reply_to.complete(Reply::SendDone);
+        let (index, done) = ctx.waitany(&handles).unwrap();
+        assert!(index == 1 && done.is_send());
+        assert!(matches!(ctx.test(handles[0]), Ok(None)));
+        assert!(ctx.waitany(&handles).is_err(), "handle 1 is consumed");
+    }
+
+    #[test]
+    fn cpu_ctx_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<CpuCtx>();
     }
 }

@@ -23,7 +23,7 @@
 //! * [`ops`] — what each collective means: build, combine, deliver.
 //!
 //! A plan is a state machine that never sees the substrate, the metrics or a
-//! reply channel: it is fed `(source node, phase, frame)` and returns
+//! reply address: it is fed `(source node, phase, frame)` and returns
 //! [`Action`]s.  That makes every plan a pure function of its frames —
 //! testable by hand-feeding frames, with no runtime and no threads.
 //!
@@ -63,7 +63,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
 use dcgn_metrics::{Counter, Gauge, Histogram, MetricsHandle};
 use dcgn_rmpi::{
     frame_exchange, parse_exchange_header, ExchangeId, EXCHANGE_HEADER_BYTES, PHASE_ABORT,
@@ -78,7 +77,7 @@ use crate::comm_thread::Substrate;
 use crate::config::ExchangePlan;
 use crate::error::{DcgnError, Result};
 use crate::group::{CommGroup, CommId, Topology};
-use crate::message::Reply;
+use crate::message::{Reply, ReplyTo};
 use crate::rank::RankMap;
 use dcgn_netsim::Payload;
 
@@ -178,8 +177,8 @@ impl Machine {
 /// communicators (and the world) overlap.
 struct Exchange {
     id: CollectiveId,
-    /// `(rank, reply channel)` of every joined local member.
-    joined: Vec<(usize, Sender<Reply>)>,
+    /// `(rank, reply address)` of every joined local member.
+    joined: Vec<(usize, ReplyTo)>,
     /// The schedule this node derived for the collective.  Every correct
     /// node derives the same plan from the same `(kind, size, node count)`;
     /// a divergence surfaces as an unexpected-phase abort.
@@ -191,9 +190,9 @@ struct Exchange {
 }
 
 /// Fail every joined rank of an abandoned or erroneous collective.
-fn fail_joined(joined: Vec<(usize, Sender<Reply>)>, err: DcgnError) {
-    for (_, reply_tx) in joined {
-        let _ = reply_tx.send(Reply::Error(err.clone()));
+fn fail_joined(joined: Vec<(usize, ReplyTo)>, err: DcgnError) {
+    for (_, reply_to) in joined {
+        reply_to.complete(Reply::Error(err.clone()));
     }
 }
 
@@ -356,11 +355,10 @@ impl Engine {
         self.early_frames.retain(|key, _| key.comm != comm);
     }
 
-    /// Shutdown: nobody is left to complete an exchange, so fail them all.
+    /// Shutdown: nobody is left to complete an exchange, so drop them all —
+    /// which answers every joined rank [`DcgnError::ShuttingDown`].
     pub(crate) fn shutdown(&mut self) {
-        for (_, ex) in self.exchanges.drain() {
-            fail_joined(ex.joined, DcgnError::ShuttingDown);
-        }
+        self.exchanges.clear();
         self.early_frames.clear();
         self.aborted.clear();
     }
@@ -428,10 +426,10 @@ impl Engine {
     ) -> Result<()> {
         let up = ops::build_up(&assembly, self.group(comm)?);
         let id = assembly.id;
-        let joined: Vec<(usize, Sender<Reply>)> = assembly
+        let joined: Vec<(usize, ReplyTo)> = assembly
             .joined
             .into_iter()
-            .map(|(rank, _, reply_tx)| (rank, reply_tx))
+            .map(|(rank, _, reply_to)| (rank, reply_to))
             .collect();
         let (key, aborted) = self.enter(comm)?;
         if let Some(err) = aborted {
@@ -730,5 +728,42 @@ mod sim {
             }
             self
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::message::Inbox;
+
+    #[test]
+    fn a_dropped_assembly_or_exchange_answers_every_joined_rank_shutting_down() {
+        let inbox = Inbox::new();
+        let id = CollectiveId {
+            kind: CollectiveKind::Barrier,
+            root: None,
+            reduction: None,
+        };
+        drop(CollectiveAssembly {
+            id,
+            joined: (0..2)
+                .map(|rank| (rank, Contribution::None, inbox.reply_to((rank as u32, 1))))
+                .collect(),
+        });
+        let group = sim::group_for(0, 2);
+        let (machine, _) = Rooted::start(id, Topology::Flat, "star", &group, 0, Ok(Vec::new()));
+        drop(Exchange {
+            id,
+            joined: vec![(2, inbox.reply_to((2, 1)))],
+            plan: ExchangePlan::Star,
+            machine,
+            started: Instant::now(),
+        });
+        let replies = inbox.drain();
+        for (rank, (token, reply)) in replies.iter().enumerate() {
+            assert_eq!(*token, (rank as u32, 1));
+            assert!(matches!(reply, Reply::Error(DcgnError::ShuttingDown)));
+        }
+        assert_eq!(replies.len(), 3);
     }
 }

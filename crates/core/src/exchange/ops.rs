@@ -8,7 +8,6 @@
 
 use std::collections::HashMap;
 
-use crossbeam::channel::Sender;
 use dcgn_netsim::Payload;
 use dcgn_rmpi::{frame_reduce, parse_reduce_frame, ReduceDtype, ReduceOp};
 
@@ -19,7 +18,7 @@ use super::wire::{
 use super::Engine;
 use crate::error::{DcgnError, Result};
 use crate::group::{self, child_epoch, CommGroup, CommId};
-use crate::message::{CollectiveResult, Reply, RequestKind};
+use crate::message::{CollectiveResult, Reply, ReplyTo, RequestKind};
 
 /// What one joining rank contributes to the collective.
 #[derive(Debug)]
@@ -46,8 +45,8 @@ impl Contribution {
 /// generic join → local-combine → exchange → scatter-back engine's state.
 pub(crate) struct CollectiveAssembly {
     pub(crate) id: CollectiveId,
-    /// `(rank, contribution, reply channel)` for every joined local member.
-    pub(crate) joined: Vec<(usize, Contribution, Sender<Reply>)>,
+    /// `(rank, contribution, reply address)` for every joined local member.
+    pub(crate) joined: Vec<(usize, Contribution, ReplyTo)>,
 }
 
 /// Map a collective request onto its communicator, identity and this rank's
@@ -274,7 +273,7 @@ impl Engine {
         &mut self,
         comm: CommId,
         id: CollectiveId,
-        joined: Vec<(usize, Sender<Reply>)>,
+        joined: Vec<(usize, ReplyTo)>,
         payload: Payload,
     ) -> Result<()> {
         let size = self.group(comm)?.members.len();
@@ -309,7 +308,7 @@ impl Engine {
             CollectiveKind::Broadcast | CollectiveKind::Scatter => root_global,
             _ => None,
         };
-        for (rank, reply_tx) in joined {
+        for (rank, reply_to) in joined {
             let result = match id.kind {
                 CollectiveKind::Barrier => CollectiveResult::Unit,
                 CollectiveKind::Broadcast | CollectiveKind::Allreduce => {
@@ -336,7 +335,7 @@ impl Engine {
             if !matches!(result, CollectiveResult::Unit) && Some(rank) != source {
                 self.cost.intra_node.charge(result_payload_len(&result));
             }
-            let _ = reply_tx.send(Reply::CollectiveDone(result));
+            reply_to.complete(Reply::CollectiveDone(result));
         }
         Ok(())
     }

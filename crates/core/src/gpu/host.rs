@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::Sender;
 use dcgn_dpm::{Device, DevicePtr, KernelHandle};
 use dcgn_metrics::{Counter, MetricsHandle};
 use dcgn_netsim::{Payload, PayloadBuf};
@@ -20,7 +20,7 @@ use super::mailbox::{
 };
 use crate::error::{DcgnError, Result};
 use crate::group::CommId;
-use crate::message::{CollectiveResult, CommCommand, Reply, Request, RequestKind};
+use crate::message::{CollectiveResult, CommCommand, Inbox, Reply, Request, RequestKind};
 
 /// Host-side context handed to the GPU setup and teardown hooks of
 /// [`crate::Runtime::launch_with_gpu_setup`].
@@ -93,10 +93,6 @@ pub struct GpuPollStats {
     /// one covers every slot harvested in the sweep, mirroring the batched
     /// reads.
     pub batched_status_writes: u64,
-    /// Sweeps whose preceding sleep ran at a backed-off (longer than base)
-    /// interval — nonzero only when [`dcgn_simtime::CostModel::poll_backoff`]
-    /// is enabled and the GPU went idle.
-    pub backoff_sleeps: u64,
     /// Wall-clock time spent actively polling/copying (not sleeping).
     pub busy: Duration,
     /// Total wall-clock lifetime of the polling loop.
@@ -117,10 +113,10 @@ impl GpuPollStats {
 /// One harvested request between its relay to the comm thread and its
 /// completion into the record it named.
 struct PendingOp {
-    /// Outstanding reply channels (two for `SENDRECV_REPLACE`, none for a
-    /// request that failed to stage, one otherwise) and the replies already
-    /// collected.
-    reply_rxs: Vec<Receiver<Reply>>,
+    /// Replies the comm thread still owes (two for `SENDRECV_REPLACE`, none
+    /// for a request that failed to stage, one otherwise) and the replies
+    /// already collected.
+    awaiting: usize,
     replies: Vec<Reply>,
     /// The record's claim generation, echoed in its `DONE` word.
     gen: u32,
@@ -137,23 +133,6 @@ struct PendingOp {
 /// record within that slot's column.
 type PendingKey = (usize, usize);
 
-impl PendingOp {
-    /// Collect the replies that have arrived, blocking for the outstanding
-    /// ones until `deadline` at most — a real block (condition-variable
-    /// wait, no CPU burn), and a plain poll when the deadline has passed.
-    /// Returns true once every reply is in.
-    fn collect(&mut self, deadline: Instant) -> bool {
-        let replies = &mut self.replies;
-        self.reply_rxs.retain(|rx| {
-            let left = deadline.saturating_duration_since(Instant::now());
-            rx.recv_timeout(left)
-                .map(|reply| replies.push(reply))
-                .is_err()
-        });
-        self.reply_rxs.is_empty()
-    }
-}
-
 /// The host-side driver of one GPU: launches the kernel, polls the mailbox
 /// region on a sleep-based interval, relays requests to the communication
 /// thread and writes completions back into device memory.
@@ -163,6 +142,9 @@ pub(crate) struct GpuKernelThread {
     pub work_tx: Sender<CommCommand>,
     pub cost: CostModel,
     pub metrics: GpuThreadMetrics,
+    /// Where every reply to a relayed request lands, tagged with the
+    /// `(slot, record)` the request completes into.
+    pub inbox: Inbox,
 }
 
 /// The polling loop's counters, registered in the unified metrics registry
@@ -179,11 +161,10 @@ pub(crate) struct GpuThreadMetrics {
     batched_status_reads: Counter,
     batched_entry_reads: Counter,
     batched_status_writes: Counter,
-    backoff_sleeps: Counter,
 }
 
 impl GpuThreadMetrics {
-    /// Resolve the six polling counters for GPU `gpu_index` on `node` in
+    /// Resolve the five polling counters for GPU `gpu_index` on `node` in
     /// `metrics`.  A disabled handle falls back to a private registry so the
     /// per-launch [`GpuPollStats`] stay meaningful even when the user opted
     /// out of stack-wide metrics.
@@ -203,7 +184,6 @@ impl GpuThreadMetrics {
             batched_status_reads: counter("batched_status_reads"),
             batched_entry_reads: counter("batched_entry_reads"),
             batched_status_writes: counter("batched_status_writes"),
-            backoff_sleeps: counter("backoff_sleeps"),
         }
     }
 
@@ -218,7 +198,6 @@ impl GpuThreadMetrics {
             batched_status_reads: self.batched_status_reads.get(),
             batched_entry_reads: self.batched_entry_reads.get(),
             batched_status_writes: self.batched_status_writes.get(),
-            backoff_sleeps: self.backoff_sleeps.get(),
             busy,
             wall,
         }
@@ -275,7 +254,7 @@ impl GpuKernelThread {
     /// faults instead of waiting forever.
     fn stage(&self, slot: usize, body: &Body, batch: &mut Vec<Request>) -> PendingOp {
         let mut op = PendingOp {
-            reply_rxs: Vec::with_capacity(2),
+            awaiting: 0,
             replies: Vec::new(),
             gen: body.gen,
             buffer: Some((body.data, body.len)),
@@ -284,13 +263,12 @@ impl GpuKernelThread {
         match self.requests(body, &mut op) {
             Ok(kinds) => {
                 for kind in kinds.into_iter().flatten() {
-                    let (reply_tx, reply_rx) = bounded(1);
                     batch.push(Request {
                         src_rank: self.layout.slot_rank(slot),
                         kind,
-                        reply_tx,
+                        reply_to: self.inbox.reply_to((slot as u32, body.record)),
                     });
-                    op.reply_rxs.push(reply_rx);
+                    op.awaiting += 1;
                 }
             }
             Err(e) => op.replies.push(Reply::Error(e)),
@@ -464,6 +442,19 @@ impl GpuKernelThread {
         Ok(())
     }
 
+    /// The one place this thread receives from its inbox: wait up to `wait`
+    /// for a reply — whichever request's lands first — then file it, and
+    /// whatever else has arrived, under the pending op its token names.
+    fn collect(&self, pending: &mut HashMap<PendingKey, PendingOp>, mut wait: Duration) {
+        while let Some(((slot, record), reply)) = self.inbox.recv_timeout(wait) {
+            if let Some(op) = pending.get_mut(&(slot as usize, record as usize)) {
+                op.replies.push(reply);
+                op.awaiting -= 1;
+            }
+            wait = Duration::ZERO;
+        }
+    }
+
     /// One polling sweep: complete finished requests, then harvest every
     /// newly `REQUESTED` slot with one batched status-column read, one
     /// scattered body fetch and one scattered write acknowledging them back
@@ -474,10 +465,10 @@ impl GpuKernelThread {
 
         // Completions: requests whose replies have all arrived from the
         // comm thread get written back to device memory.
-        let now = Instant::now();
+        self.collect(pending, Duration::ZERO);
         let done: Vec<PendingKey> = pending
-            .iter_mut()
-            .filter_map(|(&key, op)| op.collect(now).then_some(key))
+            .iter()
+            .filter_map(|(&key, op)| (op.awaiting == 0).then_some(key))
             .collect();
         for key in done {
             self.cost.charge_queue_hop();
@@ -535,11 +526,11 @@ impl GpuKernelThread {
         self.device.write_u32s_scattered(&acks)?;
         self.metrics.batched_status_writes.inc();
         if !batch.is_empty() {
-            // The whole harvest crosses the work queue as one command.
+            // The whole harvest crosses the work queue as one command.  A
+            // comm thread that is gone hands it back: dropping it answers
+            // every request in it `ShuttingDown`.
             self.cost.charge_queue_hop();
-            self.work_tx
-                .send(CommCommand::Batch(batch))
-                .map_err(|_| DcgnError::ShuttingDown)?;
+            let _ = self.work_tx.send(CommCommand::Batch(batch));
         }
         Ok(true)
     }
@@ -562,44 +553,27 @@ impl GpuKernelThread {
             .metrics
             .stats(&self.layout, Duration::ZERO, Duration::ZERO);
         let mut pending: HashMap<PendingKey, PendingOp> = HashMap::new();
-        let base = self.cost.poll_interval;
-        let mut interval = base;
         let mut retired_at: Option<Instant> = None;
 
         loop {
             if pending.is_empty() {
                 // Sleep-based polling: the CPU deliberately yields between
                 // sweeps, trading request-discovery latency for host CPU
-                // load (§3.2.3).  With backoff enabled, empty sweeps stretch
-                // the sleep toward the configured cap; any work snaps it
-                // back to the base interval.
-                if interval > base {
-                    self.metrics.backoff_sleeps.inc();
-                }
-                dcgn_simtime::precise_sleep(interval);
+                // load (§3.2.3).
+                dcgn_simtime::precise_sleep(self.cost.poll_interval);
             } else {
-                // Requests are in flight with the comm thread: block on a
-                // reply channel (a true wait, not a spin) so completions are
-                // written back as soon as replies land — the real GPU-kernel
-                // thread handles a picked-up request synchronously — while
-                // still sweeping for newly published requests at least once
-                // per base interval.
-                let deadline = Instant::now() + base;
-                if let Some(op) = pending.values_mut().next() {
-                    op.collect(deadline);
-                }
+                // Requests are in flight with the comm thread: block on the
+                // inbox (a true wait, not a spin) so completions are written
+                // back as soon as a reply lands — the real GPU-kernel thread
+                // handles a picked-up request synchronously — while still
+                // sweeping for newly published requests at least once per
+                // interval.
+                self.collect(&mut pending, self.cost.poll_interval);
             }
             let sweep_start = Instant::now();
             self.metrics.polls.inc();
             let did_work = self.sweep(&mut pending)?;
             busy += sweep_start.elapsed();
-            // Backoff applies only to the idle discovery sleep; while
-            // requests are in flight the cadence stays at the base interval.
-            interval = if pending.is_empty() {
-                next_poll_interval(&self.cost, interval, did_work)
-            } else {
-                base
-            };
 
             if handle.is_done() {
                 if pending.is_empty() {
@@ -631,22 +605,9 @@ impl GpuKernelThread {
             batched_status_reads: now.batched_status_reads - before.batched_status_reads,
             batched_entry_reads: now.batched_entry_reads - before.batched_entry_reads,
             batched_status_writes: now.batched_status_writes - before.batched_status_writes,
-            backoff_sleeps: now.backoff_sleeps - before.backoff_sleeps,
             ..now
         })
     }
-}
-
-/// Next sleep interval of the polling loop: reset to the base after a sweep
-/// that did work, otherwise multiply by the configured backoff (when above
-/// 1.0) up to the configured cap.
-fn next_poll_interval(cost: &CostModel, current: Duration, did_work: bool) -> Duration {
-    let base = cost.poll_interval;
-    if did_work || cost.poll_backoff <= 1.0 {
-        return base;
-    }
-    let cap = cost.poll_max_interval.max(base);
-    current.mul_f64(cost.poll_backoff).min(cap)
 }
 
 #[cfg(test)]
@@ -664,7 +625,6 @@ mod tests {
             batched_status_reads: 10,
             batched_entry_reads: 2,
             batched_status_writes: 2,
-            backoff_sleeps: 0,
             busy: Duration::from_millis(25),
             wall: Duration::from_millis(100),
         };
@@ -686,23 +646,11 @@ mod tests {
         assert!(bytes.iter().all(|&b| b == 0));
     }
 
-    #[test]
-    fn poll_interval_backs_off_and_snaps_back() {
-        let base = Duration::from_micros(100);
-        let mut cost = CostModel::zero().with_poll_interval(base);
-        // Disabled backoff: interval never moves.
-        assert_eq!(next_poll_interval(&cost, base, false), base);
-        cost = cost.with_poll_backoff(2.0, Duration::from_micros(350));
-        let i1 = next_poll_interval(&cost, base, false);
-        assert_eq!(i1, Duration::from_micros(200));
-        let i2 = next_poll_interval(&cost, i1, false);
-        assert_eq!(i2, Duration::from_micros(350), "capped at the max");
-        assert_eq!(next_poll_interval(&cost, i2, true), base, "work resets");
-    }
-
     /// Build a host-side GPU-kernel thread wired to a plain channel, with
     /// every mailbox zeroed.
-    fn test_gpu_thread(slots: usize) -> (GpuKernelThread, Receiver<CommCommand>) {
+    fn test_gpu_thread(
+        slots: usize,
+    ) -> (GpuKernelThread, crossbeam::channel::Receiver<CommCommand>) {
         let device = Device::new_default(0);
         let mailbox_base =
             GpuKernelThread::allocate_mailboxes(&device, slots, MAILBOX_REQS_PER_SLOT).unwrap();
@@ -722,6 +670,7 @@ mod tests {
                 work_tx,
                 cost: CostModel::zero(),
                 metrics: GpuThreadMetrics::new(&MetricsHandle::new(), 0, 0),
+                inbox: Inbox::new(),
             },
             work_rx,
         )
@@ -824,9 +773,8 @@ mod tests {
         // Completing the replies flips every record to DONE on the next
         // sweep: two device writes per completion (fields, then the word).
         for req in reqs {
-            req.reply_tx
-                .send(Reply::CollectiveDone(CollectiveResult::Unit))
-                .unwrap();
+            req.reply_to
+                .complete(Reply::CollectiveDone(CollectiveResult::Unit));
         }
         let reads_before = gpu.device.dtoh_transfer_count();
         let writes_before = gpu.device.htod_transfer_count();
@@ -925,17 +873,73 @@ mod tests {
         };
         let mut data = PayloadBuf::with_capacity(8);
         data.body_mut(8).fill(7);
-        reqs.pop()
-            .unwrap()
-            .reply_tx
-            .send(Reply::RecvDone {
-                data: data.freeze(),
-                status,
-            })
-            .unwrap();
+        reqs.pop().unwrap().reply_to.complete(Reply::RecvDone {
+            data: data.freeze(),
+            status,
+        });
         gpu.sweep(&mut pending).unwrap();
         assert_eq!(record_word(&gpu, 0, 1), req_word(1, req_state::DONE));
         assert_eq!(record_fields(&gpu, 0, 1).error, mailbox_error::OTHER);
+    }
+
+    #[test]
+    fn a_request_the_comm_thread_drops_completes_with_the_shutdown_code() {
+        let (gpu, work_rx) = test_gpu_thread(1);
+        let buf = DevicePtr::NULL.add(4096);
+        publish(&gpu, 0, RESERVED_RECORD, Body::new(opcode::RECV, 0, buf, 8));
+        let mut pending = HashMap::new();
+        gpu.sweep(&mut pending).unwrap();
+        assert_eq!(pending.len(), 1);
+        // The comm thread goes away with the batch in hand.
+        drop(work_rx.try_recv().unwrap());
+        gpu.sweep(&mut pending).unwrap();
+        assert!(pending.is_empty());
+        assert_eq!(
+            record_word(&gpu, 0, RESERVED_RECORD),
+            req_word(1, req_state::DONE)
+        );
+        let fields = record_fields(&gpu, 0, RESERVED_RECORD);
+        assert_eq!(fields.error, mailbox_error::SHUTDOWN);
+
+        // ... or is already gone when the next harvest is relayed.
+        drop(work_rx);
+        publish(&gpu, 0, 1, barrier_body(&gpu, 0));
+        gpu.sweep(&mut pending).unwrap();
+        gpu.sweep(&mut pending).unwrap();
+        assert!(pending.is_empty());
+        assert_eq!(record_fields(&gpu, 0, 1).error, mailbox_error::SHUTDOWN);
+    }
+
+    #[test]
+    fn the_inbox_wait_wakes_on_whichever_reply_lands_first() {
+        let (gpu, work_rx) = test_gpu_thread(1);
+        let mut pending = HashMap::new();
+        let mut reqs = Vec::new();
+        for record in [1, 2] {
+            publish(&gpu, 0, record, barrier_body(&gpu, 0));
+            gpu.sweep(&mut pending).unwrap();
+            let CommCommand::Batch(batch) = work_rx.try_recv().unwrap() else {
+                panic!("expected a Batch");
+            };
+            reqs.extend(batch);
+        }
+        assert_eq!(pending.len(), 2);
+        // Only the second record's request is answered.
+        let second = reqs.pop().unwrap();
+        second
+            .reply_to
+            .complete(Reply::CollectiveDone(CollectiveResult::Unit));
+        let deadline = Duration::from_secs(30);
+        let waited = Instant::now();
+        gpu.collect(&mut pending, deadline);
+        assert!(
+            waited.elapsed() < deadline / 2,
+            "the wait ran to its deadline"
+        );
+        gpu.sweep(&mut pending).unwrap();
+        assert_eq!(record_word(&gpu, 0, 2), req_word(1, req_state::DONE));
+        assert_eq!(record_word(&gpu, 0, 1), req_word(1, req_state::PENDING));
+        assert_eq!(pending.len(), 1);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use crossbeam::channel::Sender;
 use dcgn_metrics::Histogram;
 use dcgn_netsim::Payload;
 
-use crate::message::Reply;
+use crate::message::ReplyTo;
 
 /// A DCGN point-to-point message that arrived from another node (or was
 /// sourced locally) and has not yet been matched by a local receive.
@@ -19,10 +18,10 @@ pub(crate) struct IncomingMsg {
     pub(crate) dst: usize,
     pub(crate) tag: u32,
     pub(crate) data: Payload,
-    /// Reply channel of the local sender, for intra-node sends whose
+    /// Reply address of the local sender, for intra-node sends whose
     /// completion is tied to the matching receive (paper §6.2: "Local sends
     /// finish upon matching with a local receive").
-    pub(crate) local_sender: Option<Sender<Reply>>,
+    pub(crate) local_sender: Option<ReplyTo>,
     /// Arrival stamp, for FIFO matching across buckets.
     pub(crate) seq: u64,
 }
@@ -33,7 +32,7 @@ pub(crate) struct PendingRecv {
     pub(crate) dst_rank: usize,
     pub(crate) src: Option<usize>,
     pub(crate) tag: Option<u32>,
-    pub(crate) reply_tx: Sender<Reply>,
+    pub(crate) reply_to: ReplyTo,
     /// Posting stamp, for FIFO matching across buckets.
     pub(crate) seq: u64,
 }
@@ -202,24 +201,26 @@ impl Matcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::Receiver;
+    use crate::error::DcgnError;
+    use crate::message::{Inbox, Reply};
 
+    /// A receive replying into an inbox of its own, under token `(dst, seq)`.
     fn test_recv(
         dst: usize,
         src: Option<usize>,
         tag: Option<u32>,
         seq: u64,
-    ) -> (PendingRecv, Receiver<Reply>) {
-        let (reply_tx, reply_rx) = crossbeam::channel::bounded(1);
+    ) -> (PendingRecv, Inbox) {
+        let inbox = Inbox::new();
         (
             PendingRecv {
                 dst_rank: dst,
                 src,
                 tag,
-                reply_tx,
+                reply_to: inbox.reply_to((dst as u32, seq as u32)),
                 seq,
             },
-            reply_rx,
+            inbox,
         )
     }
 
@@ -367,5 +368,32 @@ mod tests {
         assert_eq!(m.drain_recvs().len(), 3);
         assert_eq!(m.pending_recvs(), 0);
         drop(rxs);
+    }
+
+    #[test]
+    fn a_dropped_matcher_answers_everything_it_held_shutting_down() {
+        let mut m = Matcher::default();
+        let mut inboxes = Vec::new();
+        for dst in 0..2 {
+            let (recv, inbox) = test_recv(dst, Some(7), None, m.stamp());
+            m.push_recv(recv);
+            inboxes.push(inbox);
+        }
+        // A queued intra-node send: its sender waits for the match.
+        let sender = Inbox::new();
+        let seq = m.stamp();
+        m.push_msg(IncomingMsg {
+            local_sender: Some(sender.reply_to((4, 4))),
+            ..test_msg(3, 4, 0, seq, 0xA)
+        });
+        inboxes.push(sender);
+        drop(m);
+        for inbox in inboxes {
+            let replies = inbox.drain();
+            assert!(matches!(
+                replies[..],
+                [(_, Reply::Error(DcgnError::ShuttingDown))]
+            ));
+        }
     }
 }

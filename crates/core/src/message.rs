@@ -8,7 +8,9 @@
 //! body, so the body bytes are written once, never move on their way to the
 //! wire, and sit at offset 0 of the allocation the receiver hands out.
 
-use crossbeam::channel::Sender;
+use std::time::Duration;
+
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
 
 use dcgn_netsim::buffer::ENVELOPE_BYTES;
@@ -169,7 +171,7 @@ pub(crate) struct Request {
     /// What is being requested.
     pub kind: RequestKind,
     /// Where to deliver the completion.
-    pub reply_tx: Sender<Reply>,
+    pub reply_to: ReplyTo,
 }
 
 /// Commands accepted by the communication thread's work queue.
@@ -187,53 +189,70 @@ pub(crate) enum CommCommand {
     LocalKernelsDone,
 }
 
-/// A monotone completion counter kernel threads can sleep on.
-///
-/// The comm thread bumps the counter after every loop iteration that did
-/// work (every iteration that can have sent a reply).  A kernel thread
-/// waiting for *any* of several requests reads the counter, tests its
-/// handles, and — finding none complete — sleeps until the counter moves
-/// past the value it read.  Because every reply strictly precedes the bump
-/// that advertises it, a completion that races the test is caught either by
-/// the test itself or by the immediately-satisfied wait: no lost wakeups,
-/// and no fixed polling interval on the wait path.
-pub(crate) struct CompletionEvent {
-    tick: std::sync::Mutex<u64>,
-    cond: std::sync::Condvar,
+/// What a requester files a request under: the CPU request table's
+/// `(index, generation)`, the GPU mailbox's `(slot, record)`.
+pub(crate) type Token = (u32, u32);
+
+/// A kernel thread's completion inbox — one per requester ([`crate::CpuCtx`],
+/// the GPU-kernel thread) for its lifetime.  Every reply to every request it
+/// issues lands here, tagged with the token the request was filed under.
+pub(crate) struct Inbox {
+    tx: Sender<(Token, Reply)>,
+    rx: Receiver<(Token, Reply)>,
 }
 
-impl CompletionEvent {
+impl Inbox {
     pub(crate) fn new() -> Self {
-        CompletionEvent {
-            tick: std::sync::Mutex::new(0),
-            cond: std::sync::Condvar::new(),
+        let (tx, rx) = unbounded();
+        Inbox { tx, rx }
+    }
+
+    /// The reply address of a request filed under `token`.
+    pub(crate) fn reply_to(&self, token: Token) -> ReplyTo {
+        ReplyTo {
+            inbox: Some(self.tx.clone()),
+            token,
         }
     }
 
-    /// Current counter value; pass it to [`CompletionEvent::wait_past`].
-    pub(crate) fn tick(&self) -> u64 {
-        *self.tick.lock().expect("completion tick poisoned")
+    /// The next reply, waiting up to `timeout` for it (zero: only what has
+    /// already arrived).
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<(Token, Reply)> {
+        self.rx.recv_timeout(timeout).ok()
     }
+}
 
-    /// Advance the counter and wake every waiter.
-    pub(crate) fn bump(&self) {
-        let mut t = self.tick.lock().expect("completion tick poisoned");
-        *t += 1;
-        self.cond.notify_all();
+/// Where a request's reply goes, and the obligation to send one: every
+/// request is answered exactly once.  [`ReplyTo::complete`] consumes the
+/// address; one dropped un-completed — a request still queued, pending in the
+/// matcher or joined to a collective when its comm thread goes away — answers
+/// [`DcgnError::ShuttingDown`], so the requester is never left waiting.
+#[derive(Debug)]
+pub(crate) struct ReplyTo {
+    /// `None` once the reply has been sent.
+    inbox: Option<Sender<(Token, Reply)>>,
+    token: Token,
+}
+
+impl ReplyTo {
+    /// Hand `reply` to the requesting kernel thread — the only function that
+    /// does.  Never blocks (inboxes are unbounded); a requester that is
+    /// already gone is not an error.
+    pub(crate) fn complete(mut self, reply: Reply) {
+        if let Some(inbox) = self.inbox.take() {
+            let _ = inbox.send((self.token, reply));
+        }
     }
+}
 
-    /// Block until the counter moves past `seen` or `timeout` elapses.
-    pub(crate) fn wait_past(&self, seen: u64, timeout: std::time::Duration) {
-        let mut t = self.tick.lock().expect("completion tick poisoned");
-        while *t <= seen {
-            let (guard, result) = self
-                .cond
-                .wait_timeout(t, timeout)
-                .expect("completion tick poisoned");
-            t = guard;
-            if result.timed_out() {
-                break;
-            }
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        if let Some(inbox) = self.inbox.take() {
+            let unanswered = ReplyTo {
+                inbox: Some(inbox),
+                token: self.token,
+            };
+            unanswered.complete(Reply::Error(DcgnError::ShuttingDown));
         }
     }
 }
@@ -279,8 +298,56 @@ pub(crate) fn decode_p2p(wire: Payload) -> Result<(usize, usize, u32, Payload), 
 }
 
 #[cfg(test)]
+impl Inbox {
+    /// Every reply that has arrived, for tests counting them.
+    pub(crate) fn drain(&self) -> Vec<(Token, Reply)> {
+        std::iter::from_fn(|| self.recv_timeout(Duration::ZERO)).collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_completed_reply_to_delivers_exactly_its_reply() {
+        let inbox = Inbox::new();
+        inbox.reply_to((3, 9)).complete(Reply::SendDone);
+        let replies = inbox.drain();
+        assert!(matches!(replies[..], [((3, 9), Reply::SendDone)]));
+    }
+
+    #[test]
+    fn a_dropped_reply_to_answers_shutting_down_exactly_once() {
+        let inbox = Inbox::new();
+        drop(inbox.reply_to((1, 2)));
+        // Also from inside a command nobody reads.
+        drop(CommCommand::Batch(vec![Request {
+            src_rank: 0,
+            kind: RequestKind::Recv {
+                src: None,
+                tag: None,
+            },
+            reply_to: inbox.reply_to((5, 6)),
+        }]));
+        let replies = inbox.drain();
+        assert!(matches!(
+            replies[..],
+            [
+                ((1, 2), Reply::Error(DcgnError::ShuttingDown)),
+                ((5, 6), Reply::Error(DcgnError::ShuttingDown))
+            ]
+        ));
+    }
+
+    #[test]
+    fn completing_into_an_inbox_whose_owner_is_gone_neither_panics_nor_blocks() {
+        let inbox = Inbox::new();
+        let (completed, dropped) = (inbox.reply_to((0, 1)), inbox.reply_to((0, 2)));
+        drop(inbox);
+        completed.complete(Reply::SendDone);
+        drop(dropped);
+    }
 
     #[test]
     fn p2p_roundtrip() {

@@ -20,7 +20,7 @@ use crate::config::DcgnConfig;
 use crate::cpu::CpuCtx;
 use crate::error::{DcgnError, Result};
 use crate::gpu::{GpuCtx, GpuKernelThread, GpuLayout, GpuPollStats, GpuSetupCtx, GpuThreadMetrics};
-use crate::message::{CommCommand, CompletionEvent};
+use crate::message::{CommCommand, Inbox};
 use crate::rank::RankMap;
 
 /// Default time a kernel thread will wait for a single communication request
@@ -156,36 +156,21 @@ impl Runtime {
             MpiWorld::create_on_with(&cluster, &placement, self.config.resolved_rdv_config())
                 .map_err(|e| crate::error::DcgnError::InvalidConfig(e.to_string()))?;
 
-        // Per-node work queues, plus a per-node completion event the comm
-        // thread bumps so kernel threads can sleep in `waitany` instead of
-        // polling on a fixed interval.
+        // Per-node work queues.
         let forced_plan = self.config.forced_exchange_plan();
         let mut work_txs: Vec<Sender<CommCommand>> = Vec::with_capacity(num_nodes);
-        let mut completions: Vec<Arc<CompletionEvent>> = Vec::with_capacity(num_nodes);
         let mut comm_threads = Vec::with_capacity(num_nodes);
         for (node, comm) in node_comms.into_iter().enumerate() {
             let (tx, rx) = unbounded();
             work_txs.push(tx.clone());
-            let completion = Arc::new(CompletionEvent::new());
-            completions.push(Arc::clone(&completion));
             let rank_map = Arc::clone(&rank_map);
             let metrics = metrics.clone();
             comm_threads.push(
                 std::thread::Builder::new()
                     .name(format!("dcgn-comm-node{node}"))
                     .spawn(move || {
-                        CommThread::new(
-                            node,
-                            rank_map,
-                            comm,
-                            rx,
-                            tx,
-                            cost,
-                            forced_plan,
-                            completion,
-                            &metrics,
-                        )
-                        .run()
+                        CommThread::new(node, rank_map, comm, rx, tx, cost, forced_plan, &metrics)
+                            .run()
                     })
                     .map_err(|e| DcgnError::Internal(format!("spawn comm thread: {e}")))?,
             );
@@ -206,7 +191,6 @@ impl Runtime {
                     work_txs[node].clone(),
                     cost,
                     self.request_timeout,
-                    Arc::clone(&completions[node]),
                     metrics.clone(),
                 );
                 let kernel = Arc::clone(&cpu_kernel);
@@ -259,6 +243,7 @@ impl Runtime {
                     work_tx: work_txs[node].clone(),
                     cost,
                     metrics: GpuThreadMetrics::new(&metrics, node, gpu_index),
+                    inbox: Inbox::new(),
                 };
                 let setup = Arc::clone(&gpu_setup);
                 let kernel = Arc::clone(&gpu_kernel);

@@ -94,13 +94,6 @@ pub struct CostModel {
     pub queue_hop: Duration,
     /// Sleep interval of the GPU-kernel thread's polling loop.
     pub poll_interval: Duration,
-    /// Multiplier applied to the polling interval after a sweep that found
-    /// no work (adaptive backoff).  Values at or below `1.0` disable the
-    /// backoff, preserving the paper's fixed-interval behaviour.
-    pub poll_backoff: f64,
-    /// Upper bound the backed-off polling interval may grow to.  Ignored
-    /// when smaller than `poll_interval`.
-    pub poll_max_interval: Duration,
     /// Eager/rendezvous protocol threshold used by the MPI substrate, in
     /// bytes.  Messages at or below this size are sent eagerly.
     pub eager_threshold: usize,
@@ -117,8 +110,6 @@ impl CostModel {
             kernel_launch: Duration::ZERO,
             queue_hop: Duration::ZERO,
             poll_interval: Duration::from_micros(20),
-            poll_backoff: 1.0,
-            poll_max_interval: Duration::ZERO,
             eager_threshold: 64 * 1024,
         }
     }
@@ -139,8 +130,6 @@ impl CostModel {
             kernel_launch: Duration::from_micros(12),
             queue_hop: Duration::from_micros(6),
             poll_interval: Duration::from_micros(200),
-            poll_backoff: 1.0,
-            poll_max_interval: Duration::ZERO,
             eager_threshold: 64 * 1024,
         }
     }
@@ -161,8 +150,6 @@ impl CostModel {
             kernel_launch: base.kernel_launch.div_f64(factor),
             queue_hop: base.queue_hop.div_f64(factor),
             poll_interval: base.poll_interval.div_f64(factor),
-            poll_backoff: base.poll_backoff,
-            poll_max_interval: base.poll_max_interval.div_f64(factor),
             eager_threshold: base.eager_threshold,
         }
     }
@@ -182,16 +169,6 @@ impl CostModel {
     /// Replace the eager/rendezvous threshold (builder-style helper).
     pub fn with_eager_threshold(mut self, bytes: usize) -> Self {
         self.eager_threshold = bytes;
-        self
-    }
-
-    /// Enable adaptive polling backoff: after a sweep that found no work the
-    /// interval is multiplied by `backoff` (values above `1.0`) up to
-    /// `max_interval`, and snaps back to [`CostModel::poll_interval`] as soon
-    /// as a sweep finds work.
-    pub fn with_poll_backoff(mut self, backoff: f64, max_interval: Duration) -> Self {
-        self.poll_backoff = backoff;
-        self.poll_max_interval = max_interval;
         self
     }
 
@@ -277,19 +254,8 @@ mod tests {
     fn builder_helpers_override_fields() {
         let m = CostModel::zero()
             .with_poll_interval(Duration::from_micros(5))
-            .with_eager_threshold(128)
-            .with_poll_backoff(2.0, Duration::from_millis(1));
+            .with_eager_threshold(128);
         assert_eq!(m.poll_interval, Duration::from_micros(5));
         assert_eq!(m.eager_threshold, 128);
-        assert_eq!(m.poll_backoff, 2.0);
-        assert_eq!(m.poll_max_interval, Duration::from_millis(1));
-    }
-
-    #[test]
-    fn backoff_defaults_to_disabled() {
-        // The paper's behaviour is a fixed sleep interval; the presets must
-        // not silently change it.
-        assert_eq!(CostModel::zero().poll_backoff, 1.0);
-        assert_eq!(CostModel::g92_cluster().poll_backoff, 1.0);
     }
 }
