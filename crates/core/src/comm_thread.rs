@@ -264,7 +264,7 @@ impl CommThread {
                 // answered `ShuttingDown` — so shutdown cannot hang.
                 self.active.clear();
                 self.engine.shutdown();
-                drop(self.matcher.drain_recvs());
+                self.matcher.drain_recvs();
                 Ok(())
             }
             // Receiving a command costs one hop through the thread-safe

@@ -188,13 +188,11 @@ impl Matcher {
         Some(recv)
     }
 
-    /// Drain every queued receive (shutdown path).
-    pub(crate) fn drain_recvs(&mut self) -> Vec<PendingRecv> {
+    /// Drop every queued receive (shutdown path); each one's `ReplyTo`
+    /// answers its kernel thread `ShuttingDown`.
+    pub(crate) fn drain_recvs(&mut self) {
         self.recv_count = 0;
-        self.recvs
-            .drain()
-            .flat_map(|(_, bucket)| bucket.into_iter())
-            .collect()
+        self.recvs.clear();
     }
 }
 
@@ -358,16 +356,20 @@ mod tests {
     #[test]
     fn matcher_drain_empties_everything() {
         let mut m = Matcher::default();
-        let rxs: Vec<_> = (0..3)
+        let inboxes: Vec<_> = (0..3)
             .map(|i| {
-                let (recv, rx) = test_recv(i, None, None, m.stamp());
+                let (recv, inbox) = test_recv(i, None, None, m.stamp());
                 m.push_recv(recv);
-                rx
+                inbox
             })
             .collect();
-        assert_eq!(m.drain_recvs().len(), 3);
+        assert_eq!(m.pending_recvs(), 3);
+        m.drain_recvs();
         assert_eq!(m.pending_recvs(), 0);
-        drop(rxs);
+        // Dropped, not parked somewhere: every one of them was answered.
+        for inbox in inboxes {
+            assert_eq!(inbox.drain().len(), 1);
+        }
     }
 
     #[test]

@@ -117,6 +117,31 @@ proptest! {
         }
     }
 
+    /// Cut one buffer at random points (repeats give empty pieces) and
+    /// `append` the pieces back in order: the result is the original view —
+    /// same pointer, same bytes — however it was cut, and once the pieces'
+    /// source is dropped it leaves through `into_vec` as the allocation.
+    #[test]
+    fn random_cuts_of_one_buffer_rejoin_by_pointer(
+        len in 1usize..5000,
+        cuts in proptest::collection::vec(any::<usize>(), 0..12),
+    ) {
+        let whole = Payload::copy_from_slice(&(0..len).map(|i| i as u8).collect::<Vec<_>>());
+        let base = whole.as_slice().as_ptr();
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (len + 1)).collect();
+        bounds.extend([0, len]);
+        bounds.sort_unstable();
+        let mut joined = Payload::empty();
+        for pair in bounds.windows(2) {
+            joined.append(whole.slice(pair[0]..pair[1]));
+        }
+        prop_assert_eq!(joined.as_slice().as_ptr(), base);
+        prop_assert_eq!(&joined, &whole);
+        drop(whole);
+        let out = joined.into_vec();
+        prop_assert_eq!(out.as_ptr(), base);
+    }
+
     /// End-to-end churn: four CPU ranks over two nodes run rounds of ring
     /// point-to-point traffic interleaved with allgathers and broadcasts,
     /// with every payload carrying a per-(round, sender) fill pattern.  A

@@ -12,6 +12,9 @@
 //!   copying bytes;
 //! * **slicing is free** — [`Payload::slice`] returns a view into the same
 //!   allocation, so decoding a wire frame into its body costs nothing;
+//! * **re-joining is free** — [`Payload::append`] grows a view over the
+//!   slice that directly follows it, so a receiver puts a streamed
+//!   transfer's chunks back together without an assembly buffer;
 //! * **framing is (usually) free** — every pool class is a power of two plus
 //!   one point-to-point envelope, so [`Payload::into_framed`] appends the
 //!   envelope in the buffer's spare capacity instead of copying the body
@@ -42,9 +45,9 @@ pub const ENVELOPE_BYTES: usize = 16;
 /// Smallest pooled capacity class (everything below rounds up to this).
 const MIN_CLASS_SHIFT: u32 = 8; // 256 B + envelope
 /// Largest pooled capacity class; bigger buffers are not recycled.  Sized to
-/// cover the rendezvous pipeline's multi-megabyte assembly buffers so huge
-/// transfers recycle their destination allocation instead of re-allocating
-/// it per message.
+/// cover the rendezvous pipeline's multi-megabyte staging buffers so huge
+/// transfers recycle their allocation instead of re-allocating it per
+/// message.
 const MAX_CLASS_SHIFT: u32 = 22; // 4 MB + envelope
 const NUM_CLASSES: usize = (MAX_CLASS_SHIFT - MIN_CLASS_SHIFT + 1) as usize;
 /// Retained buffers per class for the small classes, bounding idle pool
@@ -224,8 +227,8 @@ impl PayloadBuf {
 
 impl Drop for PayloadBuf {
     /// A stage abandoned before [`freeze`](PayloadBuf::freeze) — e.g. a
-    /// rendezvous assembly buffer whose sender died mid-stream — still
-    /// returns its allocation to the slab.  (`freeze` takes the Vec out,
+    /// device read that faulted half-way — still returns its allocation to
+    /// the slab.  (`freeze` takes the Vec out,
     /// leaving a zero-capacity husk that `release` ignores.)
     fn drop(&mut self) {
         let data = std::mem::take(&mut self.data);
@@ -371,6 +374,28 @@ impl Payload {
         data.extend_from_slice(envelope);
         Payload::from_vec(data)
     }
+
+    /// Append `next` to this payload.
+    ///
+    /// When `next` is the view that directly follows this one in the same
+    /// allocation — consecutive [`slice`](Payload::slice)s of one staged
+    /// buffer, which is what a streamed transfer's chunks are — the view
+    /// just grows over it: nothing is copied and nothing is acquired.  An
+    /// empty payload takes `next` over as it is, and an empty `next` changes
+    /// nothing.  Anything else (a gap, an overlap, another allocation) is
+    /// joined by one pooled copy.
+    pub fn append(&mut self, next: Payload) {
+        if self.is_empty() {
+            *self = next;
+        } else if Arc::ptr_eq(&self.inner, &next.inner) && self.off + self.len == next.off {
+            self.len += next.len;
+        } else if !next.is_empty() {
+            let mut joined = PayloadBuf::with_capacity(self.len + next.len);
+            joined.extend_from_slice(self.as_slice());
+            joined.extend_from_slice(next.as_slice());
+            *self = joined.freeze();
+        }
+    }
 }
 
 impl std::fmt::Debug for Payload {
@@ -491,6 +516,55 @@ mod tests {
             let frame = staged.into_framed(&envelope);
             assert_eq!(&frame.as_slice()[..len], &vec![6u8; len][..]);
             assert_eq!(&frame.as_slice()[len..], &envelope);
+        }
+    }
+
+    #[test]
+    fn append_grows_over_the_adjacent_view_without_copying() {
+        // (That this moves no pool counter is asserted where the counters
+        // are quiet: `tests/integration_zero_copy.rs`.)
+        let whole = Payload::copy_from_slice(&[7u8; 5000]);
+        let base = whole.as_slice().as_ptr();
+        let cuts = [0, 10, 10, 4096, whole.len()];
+        let mut joined = Payload::empty();
+        for pair in cuts.windows(2) {
+            joined.append(whole.slice(pair[0]..pair[1]));
+        }
+        assert_eq!(joined.len(), whole.len());
+        assert_eq!(joined.as_slice().as_ptr(), base);
+        // Once the other handles are gone the coalesced view is the buffer.
+        drop(whole);
+        let out = joined.into_vec();
+        assert_eq!(out.as_ptr(), base);
+        // A run that starts past the buffer's beginning coalesces too; it is
+        // `into_vec` that copies such a view out.
+        let whole = Payload::from_vec((0..100).collect());
+        let mut mid = whole.slice(20..50);
+        mid.append(whole.slice(50..90));
+        assert_eq!(mid.as_slice().as_ptr(), whole.as_slice()[20..].as_ptr());
+        assert_eq!(mid, whole.as_slice()[20..90]);
+    }
+
+    #[test]
+    fn append_copies_what_it_cannot_coalesce() {
+        let whole = Payload::from_vec((0..100).collect());
+        let other = Payload::from_vec((50..80).collect());
+        let cases = [
+            ("gap", whole.slice(0..40), whole.slice(50..80)),
+            ("overlap", whole.slice(0..60), whole.slice(50..80)),
+            ("another allocation", whole.slice(0..50), other),
+        ];
+        // Nothing to join: no copy either.
+        let mut same = whole.slice(0..50);
+        same.append(Payload::empty());
+        assert_eq!(same.as_slice().as_ptr(), whole.as_slice().as_ptr());
+        assert_eq!(same.len(), 50);
+        for (what, mut first, next) in cases {
+            let want = [first.as_slice(), next.as_slice()].concat();
+            first.append(next);
+            assert_eq!(first, want, "{what}");
+            assert_ne!(first.as_slice().as_ptr(), whole.as_slice().as_ptr());
+            assert_eq!(whole, (0..100).collect::<Vec<u8>>(), "{what}: source");
         }
     }
 

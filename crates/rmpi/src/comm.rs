@@ -3,15 +3,21 @@
 //! # Large-message pipeline
 //!
 //! Messages above the eager threshold rendezvous with an RTS→CTS handshake.
-//! A payload of at most one chunk (or any payload when chunking is disabled)
-//! then ships as a single zero-copy `RdvData` frame.  Larger payloads
-//! *stream*: the sender cuts the staged buffer into fixed-size [`Packet::RdvChunk`]
-//! frames — each a pooled view into the same allocation, no per-chunk copy —
-//! and keeps at most `window` of them in flight.  The receiver *appends*
-//! chunks to one pooled destination buffer: the fabric delivers one sender's
-//! frames in order, so each chunk's carried offset must equal the bytes
-//! assembled so far, and a duplicate, a gap or an overrun poisons the
-//! transfer instead of corrupting the buffer.  It returns
+//! A payload of at most one chunk and an envelope (or any payload when
+//! chunking is disabled) then ships as a single zero-copy `RdvData` frame.
+//! Larger payloads *stream*: the sender cuts the staged buffer into
+//! fixed-size [`Packet::RdvChunk`] frames — each a pooled view into the same
+//! allocation, no per-chunk copy, the last one absorbing a tail of at most
+//! an envelope — and keeps at most `window` of them in flight.  The
+//! receiver owns no buffer of its own: it *coalesces* the chunk views back
+//! into one ([`Payload::append`] grows a view over the slice that directly
+//! follows it), so the payload it completes with is the sender's staged
+//! allocation.  The fabric delivers one sender's frames in order, so each
+//! chunk's carried offset must equal the bytes assembled so far, and a
+//! duplicate, a gap or an overrun poisons the transfer instead of
+//! delivering a corrupt message.  The sender lets go of the staged buffer
+//! before its last chunk leaves, so the receiver ends up its only owner.
+//! It returns
 //! [`Packet::RdvCredit`] frames, each coalescing half a window's worth of
 //! drained chunks ([`RdvConfig::credit_batch`]); every credited chunk opens
 //! one window slot, so a slow receiver bounds the sender's in-flight frame
@@ -19,8 +25,8 @@
 //!
 //! ```text
 //! sender                          receiver
-//!   | -- Rts{len, send_id} ------->  |   (posted recv matches, allocates
-//!   | <------------- Cts{send_id} -- |    the assembly buffer)
+//!   | -- Rts{len, send_id} ------->  |   (posted recv matches,
+//!   | <------------- Cts{send_id} -- |    allocates nothing)
 //!   | -- RdvChunk{off=0}  --------->  |   ┐ up to `window`
 //!   | -- RdvChunk{off=C}  --------->  |   ┘ chunks in flight
 //!   | <-- RdvCredit{window/2} ------ |   (per half window drained)
@@ -40,7 +46,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dcgn_netsim::{Delivery, Endpoint, EndpointId, Payload, PayloadBuf};
+use dcgn_netsim::buffer::ENVELOPE_BYTES;
+use dcgn_netsim::{Delivery, Endpoint, EndpointId, Payload};
 
 use crate::packet::{Packet, RmpiError, Status};
 use crate::rdv::{ProgressHandle, RdvConfig, TransferProgress};
@@ -77,7 +84,8 @@ enum SendState {
     /// Credit-windowed chunk stream in progress (payload > one chunk).
     Streaming {
         send_id: u64,
-        /// The staged payload; chunks are zero-copy views into it.
+        /// The staged payload; chunks are zero-copy views into it.  Emptied
+        /// before the last chunk leaves.
         data: Payload,
         /// Next byte offset to cut a chunk at.
         next_offset: usize,
@@ -110,19 +118,19 @@ enum RecvState {
         src: usize,
         tag: u32,
     },
-    /// Streamed rendezvous: chunks are appended, in offset order, to a
-    /// single pooled assembly buffer (`buf.len()` is the bytes received).
+    /// Streamed rendezvous: chunk views are coalesced, in offset order,
+    /// into one growing view of the sender's staged allocation
+    /// (`assembled.len()` is the bytes received).
     Assembling {
         send_id: u64,
         src: usize,
         tag: u32,
-        buf: PayloadBuf,
-        total: usize,
+        assembled: Payload,
         /// Drained chunks not yet credited back — flushed as one
         /// `RdvCredit` every [`RdvConfig::credit_batch`] chunks.
         pending_credits: usize,
+        /// The transfer's length, start time and published byte count.
         progress: ProgressHandle,
-        started: Instant,
     },
     Complete {
         data: Payload,
@@ -656,16 +664,13 @@ impl Communicator {
     /// stand up receiver-side state, and release the sender with a CTS.
     fn accept_rts(&mut self, id: u64, src: usize, tag: u32, send_id: u64, len: usize) {
         let state = if self.rdv.streams(len) {
-            // Streamed: allocate the one assembly buffer chunks append to.
             RecvState::Assembling {
                 send_id,
                 src,
                 tag,
-                buf: PayloadBuf::with_capacity(len),
-                total: len,
+                assembled: Payload::empty(),
                 pending_credits: 0,
                 progress: self.progress.register(len),
-                started: Instant::now(),
             }
         } else {
             RecvState::WaitingData { send_id, src, tag }
@@ -794,12 +799,21 @@ impl Communicator {
                         return;
                     }
                     let offset = *next_offset;
-                    let end = (offset + self.rdv.chunk_bytes).min(data.len());
+                    // The last chunk absorbs a tail of at most an envelope.
+                    let full = offset + self.rdv.chunk_bytes;
+                    let done = full + ENVELOPE_BYTES >= data.len();
+                    let end = if done { data.len() } else { full };
                     let chunk = data.slice(offset..end);
+                    if done {
+                        // Let go of the staged buffer before the receiver
+                        // can see the last chunk: it then finishes as the
+                        // allocation's only owner, every time.
+                        *data = Payload::empty();
+                    }
                     *next_offset = end;
                     *credits -= 1;
                     *sent += 1;
-                    (*dst, *send_id, chunk, offset, end >= data.len())
+                    (*dst, *send_id, chunk, offset, done)
                 }
                 _ => return,
             };
@@ -854,58 +868,33 @@ impl Communicator {
         self.pump_chunks(id);
     }
 
-    /// One streamed chunk landed: append it to the assembly buffer and, every
-    /// [`RdvConfig::credit_batch`] drained chunks, return one coalesced
+    /// One streamed chunk landed: coalesce it into the assembled view and,
+    /// every [`RdvConfig::credit_batch`] drained chunks, return one coalesced
     /// credit.  Chunks for unknown transfers (tombstoned receives) are
-    /// dropped — their pooled buffer frees on return.
+    /// dropped — their hold on the staged buffer goes on return.
     fn handle_chunk(&mut self, src: usize, send_id: u64, offset: usize, data: Payload) {
         let Some(&id) = self.recv_streams.get(&(src, send_id)) else {
             return;
         };
-        let batch = self.rdv.credit_batch();
-        let outcome = match self.ops.get_mut(&id) {
-            Some(Op::Recv(RecvOp {
-                state:
-                    RecvState::Assembling {
-                        buf,
-                        total,
-                        pending_credits,
-                        progress,
-                        ..
-                    },
-                ..
-            })) => {
-                // Append-only: the fabric's per-sender FIFO means the next
-                // chunk starts exactly where the buffer ends.  A duplicate
-                // (offset behind), a gap (offset ahead) or an overrun
-                // cannot be assembled; poison the transfer rather than
-                // deliver a corrupt buffer.
-                if offset != buf.len() || data.len() > *total - offset {
-                    None
-                } else {
-                    buf.extend_from_slice(data.as_slice());
-                    progress.add(data.len());
-                    let finished = buf.len() == *total;
-                    let credits = if finished {
-                        // The sender completes (and may exit) as soon as
-                        // its last chunk leaves, so nothing is owed for the
-                        // finishing chunk — or for any batch still pending
-                        // when it lands.
-                        0
-                    } else {
-                        *pending_credits += 1;
-                        if *pending_credits >= batch {
-                            std::mem::take(pending_credits)
-                        } else {
-                            0
-                        }
-                    };
-                    Some((finished, credits))
-                }
-            }
-            _ => return,
+        let Some(Op::Recv(r)) = self.ops.get_mut(&id) else {
+            return;
         };
-        let Some((finished, credits)) = outcome else {
+        let RecvState::Assembling {
+            tag,
+            assembled,
+            pending_credits,
+            progress,
+            ..
+        } = &mut r.state
+        else {
+            return;
+        };
+        let total = progress.total();
+        // Append-only: the fabric's per-sender FIFO means the next chunk
+        // starts exactly where the assembled view ends.  A duplicate (offset
+        // behind), a gap (offset ahead) or an overrun cannot be assembled;
+        // poison the transfer rather than deliver a corrupt message.
+        if offset != assembled.len() || data.len() > total - offset {
             self.fail_recv(
                 id,
                 RmpiError::InvalidArgument(format!(
@@ -914,47 +903,36 @@ impl Communicator {
                 )),
             );
             return;
-        };
-        if credits > 0 {
-            // Open `credits` window slots.  A failed credit send is not
+        }
+        progress.add(data.len());
+        assembled.append(data);
+        if assembled.len() == total {
+            // The sender completed (and may have exited) when its last chunk
+            // left, so nothing is owed for the finishing chunk — or for any
+            // batch still pending when it lands.
+            self.rdv_rate.record(progress.bytes_per_sec() as u64);
+            let status = Status {
+                source: src,
+                tag: *tag,
+                len: total,
+            };
+            let data = std::mem::replace(assembled, Payload::empty());
+            r.state = RecvState::Complete { data, status };
+            self.recv_streams.remove(&(src, send_id));
+            return;
+        }
+        *pending_credits += 1;
+        if *pending_credits >= self.rdv.credit_batch() {
+            // Open a batch of window slots.  A failed credit send is not
             // itself fatal: chunks already in flight still drain, and a
             // sender that truly died mid-stream surfaces as a stall on
             // this receive.
-            let src_ep = self.ep_of(src);
             let pkt = Packet::RdvCredit {
                 send_id,
-                chunks: credits,
+                chunks: std::mem::take(pending_credits),
             };
             let wire = pkt.wire_bytes();
-            let _ = self.endpoint.send(src_ep, pkt, wire);
-        }
-        if finished {
-            self.recv_streams.remove(&(src, send_id));
-            if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
-                let state = std::mem::replace(&mut r.state, RecvState::Posted);
-                if let RecvState::Assembling {
-                    src,
-                    tag,
-                    buf,
-                    total,
-                    started,
-                    ..
-                } = state
-                {
-                    let elapsed = started.elapsed().max(Duration::from_nanos(1));
-                    self.rdv_rate
-                        .record((total as f64 / elapsed.as_secs_f64()) as u64);
-                    let status = Status {
-                        source: src,
-                        tag,
-                        len: total,
-                    };
-                    r.state = RecvState::Complete {
-                        data: buf.freeze(),
-                        status,
-                    };
-                }
-            }
+            let _ = self.endpoint.send(self.ep_of(src), pkt, wire);
         }
     }
 
@@ -1002,7 +980,7 @@ impl Communicator {
         }
     }
 
-    /// Tombstone a receive, dropping its assembly buffer back to the pool.
+    /// Tombstone a receive, dropping its hold on the sender's staged buffer.
     fn fail_recv(&mut self, id: u64, err: RmpiError) {
         if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
             match &r.state {
@@ -1108,22 +1086,28 @@ mod tests {
     }
 
     /// Chunk size of the hand-fed streams below; three chunks make a message
-    /// whose assembly buffer sits in a pool class (512 KB) no other unit
-    /// test of this crate touches.
+    /// whose staged buffer sits in a pool class (512 KB) no other unit test
+    /// of this crate touches.
     const CHUNK: usize = 1 << 17;
     const TOTAL: usize = 3 * CHUNK;
 
+    /// Message bytes: the low byte of their position.
+    fn pattern(range: std::ops::Range<usize>) -> Vec<u8> {
+        range.map(|i| i as u8).collect()
+    }
+
     /// Post a receive on rank 1, hand-feed its engine an RTS for a
     /// `TOTAL`-byte transfer from rank 0 and then `chunks` as
-    /// `(offset, len)` frames, and wait on the receive.  Chunk bytes are the
-    /// low byte of their position in the message.
-    fn feed_stream(chunks: &[(usize, usize)]) -> Result<Payload> {
+    /// `(offset, data)` frames, and wait on the receive.  The receiver comes
+    /// back too, so a caller can tell what the engine let go of from what
+    /// dropping the communicator would have.
+    fn feed_stream(chunks: Vec<(usize, Payload)>) -> (Communicator, Result<Payload>) {
         let rdv = RdvConfig::new(64).with_chunk_bytes(CHUNK).with_window(4);
         let mut world =
             MpiWorld::create_with(&RankPlacement::block(2, 1), CostModel::zero(), rdv).unwrap();
         let mut receiver = world.pop().expect("rank 1");
-        // Rank 0 stays alive so the CTS and credits have somewhere to go.
-        let _sender = world.pop().expect("rank 0");
+        // Rank 0 stays alive in `world`, so the CTS and credits have
+        // somewhere to go.
         let rank0 = receiver.ep_of(0);
         let from_rank0 = |msg| Delivery {
             src: rank0,
@@ -1137,35 +1121,66 @@ mod tests {
             send_id: 0,
         }));
         receiver.match_recvs();
-        for &(offset, len) in chunks {
-            let bytes: Vec<u8> = (offset..offset + len).map(|i| i as u8).collect();
+        for (offset, data) in chunks {
             receiver.classify(from_rank0(Packet::RdvChunk {
                 send_id: 0,
                 offset,
-                data: Payload::from_vec(bytes),
+                data,
             }));
         }
         assert!(
             receiver.recv_streams.is_empty(),
             "a finished or poisoned transfer leaves no stream index entry"
         );
-        receiver.wait_recv(req).map(|(data, status)| {
+        let outcome = receiver.wait_recv(req).map(|(data, status)| {
             assert_eq!((status.source, status.tag, status.len), (0, 7, TOTAL));
             data
-        })
+        });
+        (receiver, outcome)
     }
+
+    /// `cuts` as views of `staged`, the way a sender's `pump_chunks` cuts
+    /// them.
+    fn views(staged: &Payload, cuts: &[(usize, usize)]) -> Vec<(usize, Payload)> {
+        cuts.iter()
+            .map(|&(offset, len)| (offset, staged.slice(offset..offset + len)))
+            .collect()
+    }
+
+    const IN_ORDER: [(usize, usize); 3] = [(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, CHUNK)];
 
     #[test]
     fn in_order_chunks_assemble_by_appending() {
-        let data = feed_stream(&[(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, CHUNK)]).unwrap();
-        let expected: Vec<u8> = (0..TOTAL).map(|i| i as u8).collect();
-        assert_eq!(data, expected);
+        let staged = Payload::from_vec(pattern(0..TOTAL));
+        let base = staged.as_slice().as_ptr();
+        let chunks = views(&staged, &IN_ORDER);
+        drop(staged);
+        let (_receiver, data) = feed_stream(chunks);
+        let data = data.unwrap();
+        assert_eq!(data, pattern(0..TOTAL));
+        // Not a copy of the staged buffer: the buffer.
+        assert_eq!(data.as_slice().as_ptr(), base);
+        let out = data.into_vec();
+        assert_eq!(out.as_ptr(), base);
+    }
+
+    /// Chunks that are not views of one allocation — nothing a sender of
+    /// this crate produces — still assemble, through `append`'s copy.
+    #[test]
+    fn chunks_of_separate_allocations_assemble_by_copy() {
+        let chunks = IN_ORDER
+            .iter()
+            .map(|&(offset, len)| (offset, Payload::from_vec(pattern(offset..offset + len))))
+            .collect();
+        let (_receiver, data) = feed_stream(chunks);
+        assert_eq!(data.unwrap(), pattern(0..TOTAL));
     }
 
     /// A chunk that is not the next one cannot be appended: counting a
     /// duplicate would complete the transfer with a hole in it, a gap would
     /// shift every later byte.  Each malformed sequence must tombstone the
-    /// receive and hand the half-built assembly buffer back to the pool.
+    /// receive and let go of the sender's staged buffer, which is recycled
+    /// once the sender has let go of it too.
     #[test]
     fn duplicate_gap_and_overrun_chunks_poison_the_transfer() {
         let malformed: [(&str, &[(usize, usize)]); 3] = [
@@ -1176,15 +1191,22 @@ mod tests {
                 &[(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, CHUNK + 1)],
             ),
         ];
-        for (what, chunks) in malformed {
-            let recycled = dcgn_netsim::pool_stats().recycled;
-            match feed_stream(chunks) {
+        for (what, cuts) in malformed {
+            // One byte longer than the message, for the overrun to cut.
+            let staged = Payload::copy_from_slice(&pattern(0..TOTAL + 1));
+            let (_receiver, outcome) = feed_stream(views(&staged, cuts));
+            match outcome {
                 Err(RmpiError::InvalidArgument(_)) => {}
                 other => panic!("{what}: expected InvalidArgument, got {other:?}"),
             }
+            // The receiver is still alive: it is the tombstone, not the
+            // communicator's drop, that released the assembled view.
+            let recycled = dcgn_netsim::pool_stats().recycled;
+            drop(staged);
             assert!(
                 dcgn_netsim::pool_stats().recycled > recycled,
-                "{what}: the assembly buffer must return to the pool"
+                "{what}: the staged buffer must return to the pool once both \
+                 sides have let go of it"
             );
         }
     }

@@ -15,6 +15,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use dcgn_netsim::buffer::ENVELOPE_BYTES;
+
 use crate::packet::RmpiError;
 
 /// Environment variable overriding [`RdvConfig::eager_threshold`] (bytes).
@@ -42,8 +44,8 @@ pub struct RdvConfig {
     /// envelope); larger messages rendezvous.
     pub eager_threshold: usize,
     /// Streaming chunk size in bytes.  A rendezvous payload larger than one
-    /// chunk streams as `RdvChunk` frames; payloads of at most one chunk —
-    /// or any payload when this is `0` — ship as a single `RdvData` frame.
+    /// chunk and an envelope streams as `RdvChunk` frames; smaller payloads
+    /// — or any payload when this is `0` — ship as a single `RdvData` frame.
     pub chunk_bytes: usize,
     /// Credit window: the maximum number of chunks in flight per transfer.
     pub window: usize,
@@ -116,17 +118,20 @@ impl RdvConfig {
         Ok(())
     }
 
-    /// Number of chunks a `len`-byte streamed transfer splits into.
+    /// Number of chunks a `len`-byte streamed transfer splits into: the
+    /// last chunk absorbs a tail of at most [`ENVELOPE_BYTES`], so a framed
+    /// power-of-two body does not trail a 16-byte runt frame.
     /// Meaningful only when [`RdvConfig::streams`] holds for `len`.
     pub fn chunks_for(&self, len: usize) -> usize {
-        debug_assert!(self.chunk_bytes > 0);
-        len.div_ceil(self.chunk_bytes)
+        debug_assert!(self.streams(len));
+        (len - ENVELOPE_BYTES).div_ceil(self.chunk_bytes)
     }
 
     /// True when a rendezvous payload of `len` bytes takes the streamed
-    /// chunk path rather than the single-frame path.
+    /// chunk path rather than the single-frame path: it is more than one
+    /// chunk plus the tail a chunk absorbs.
     pub fn streams(&self, len: usize) -> bool {
-        self.chunk_bytes > 0 && len > self.chunk_bytes
+        self.chunk_bytes > 0 && len.saturating_sub(ENVELOPE_BYTES) > self.chunk_bytes
     }
 
     /// Chunks a receiver coalesces into one `RdvCredit` frame: half the
@@ -182,6 +187,14 @@ struct Instance {
     total: usize,
 }
 
+impl Instance {
+    /// Still in flight: bytes outstanding and its [`ProgressHandle`] (the
+    /// counter's other owner) not yet dropped by a failed receive.
+    fn live(&self) -> bool {
+        self.done.load(Ordering::Relaxed) < self.total && Arc::strong_count(&self.done) > 1
+    }
+}
+
 #[derive(Debug, Default)]
 struct RollingWindow {
     samples: std::collections::VecDeque<(Instant, usize)>,
@@ -198,15 +211,16 @@ pub struct TransferSnapshot {
 
 impl TransferProgress {
     /// Register a new transfer of `total` bytes and return its handle.
+    /// Finished and abandoned transfers are swept out on the way, so the
+    /// registry holds the transfers in flight, not every one there ever was.
     pub fn register(self: &Arc<Self>, total: usize) -> ProgressHandle {
         let done = Arc::new(AtomicUsize::new(0));
-        self.instances
-            .lock()
-            .expect("progress lock")
-            .push(Instance {
-                done: Arc::clone(&done),
-                total,
-            });
+        let mut instances = self.instances.lock().expect("progress lock");
+        instances.retain(Instance::live);
+        instances.push(Instance {
+            done: Arc::clone(&done),
+            total,
+        });
         ProgressHandle {
             done,
             total,
@@ -224,7 +238,7 @@ impl TransferProgress {
     /// Completed transfers are swept out on the way.
     pub fn fractions(&self) -> Vec<TransferSnapshot> {
         let mut instances = self.instances.lock().expect("progress lock");
-        instances.retain(|i| i.done.load(Ordering::Relaxed) < i.total);
+        instances.retain(Instance::live);
         instances
             .iter()
             .map(|i| TransferSnapshot {
@@ -348,10 +362,35 @@ mod tests {
     fn streaming_decision_and_chunk_count() {
         let cfg = RdvConfig::new(64).with_chunk_bytes(1000);
         assert!(!cfg.streams(1000), "exactly one chunk ships single-frame");
-        assert!(cfg.streams(1001));
-        assert_eq!(cfg.chunks_for(1001), 2);
+        // A chunk absorbs an envelope-sized tail: a framed one-chunk body is
+        // still one frame, not a full chunk and a 16-byte runt.
+        assert!(!cfg.streams(1000 + ENVELOPE_BYTES));
+        assert!(cfg.streams(1000 + ENVELOPE_BYTES + 1));
+        assert_eq!(cfg.chunks_for(1000 + ENVELOPE_BYTES + 1), 2);
         assert_eq!(cfg.chunks_for(3000), 3);
+        assert_eq!(cfg.chunks_for(3000 + ENVELOPE_BYTES), 3);
+        assert_eq!(cfg.chunks_for(3000 + ENVELOPE_BYTES + 1), 4);
         assert!(!cfg.with_chunk_bytes(0).streams(usize::MAX));
+    }
+
+    /// A long-lived communicator registers one transfer per streamed
+    /// receive; the registry must hold the ones in flight, not all of them.
+    #[test]
+    fn finished_and_abandoned_transfers_leave_the_registry() {
+        let progress = Arc::new(TransferProgress::default());
+        for _ in 0..10_000 {
+            progress.register(8).add(8);
+        }
+        assert!(progress.instances.lock().unwrap().len() <= 1);
+        // A tombstoned receive drops its handle short of the total.
+        let in_flight = progress.register(8);
+        drop(progress.register(8));
+        drop(progress.register(8));
+        in_flight.add(4);
+        assert_eq!(
+            progress.fractions(),
+            vec![TransferSnapshot { done: 4, total: 8 }]
+        );
     }
 
     #[test]

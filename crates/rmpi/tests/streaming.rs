@@ -100,6 +100,49 @@ fn transfers_len(per_rank: &[Vec<(usize, Vec<u8>)>]) -> usize {
         .unwrap_or(0)
 }
 
+/// A real streamed send (sixteen 4 KiB chunks through a two-chunk window,
+/// nothing hand-fed) delivers the sender's staged buffer itself: the
+/// received payload points at it, and — because the sender lets go of it
+/// before the last chunk leaves — the receiver is its only owner the moment
+/// the receive completes, so `into_vec` takes the allocation instead of
+/// copying out of it.  Under a zero cost model the two ranks race as hard as
+/// they can; the hand-off must hold in every round, not in most.
+#[test]
+fn streamed_send_hands_the_staged_buffer_to_the_receiver_every_time() {
+    const LEN: usize = 64 * 1024;
+    const ROUNDS: usize = 200;
+    let rdv = RdvConfig::new(512).with_chunk_bytes(4096).with_window(2);
+    let fallbacks = MpiWorld::run_with(
+        &RankPlacement::block(2, 1),
+        CostModel::zero(),
+        rdv,
+        |mut comm| {
+            let mut fallbacks = 0;
+            for round in 0..ROUNDS {
+                if comm.rank() == 0 {
+                    let staged = vec![round as u8; LEN];
+                    let address = staged.as_ptr() as usize;
+                    comm.send(1, 1, &address.to_le_bytes()).unwrap();
+                    let req = comm.isend(1, 2, staged).unwrap();
+                    comm.wait_send(req).unwrap();
+                } else {
+                    let (address, _) = comm.recv(Some(0), Some(1)).unwrap();
+                    let address = usize::from_le_bytes(address.as_slice().try_into().unwrap());
+                    let (data, status) = comm.recv(Some(0), Some(2)).unwrap();
+                    assert_eq!(status.len, LEN);
+                    assert_eq!(data.as_slice().as_ptr() as usize, address, "round {round}");
+                    let out = data.into_vec();
+                    assert_eq!(out, vec![round as u8; LEN]);
+                    fallbacks += usize::from(out.as_ptr() as usize != address);
+                }
+            }
+            fallbacks
+        },
+    )
+    .expect("valid rendezvous config");
+    assert_eq!(fallbacks, [0, 0], "copy fall-backs per rank");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 8,

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use dcgn_netsim::pool_stats;
+use dcgn_netsim::{pool_stats, Payload};
 use dcgn_rmpi::{MpiWorld, RankPlacement, RdvConfig, RmpiError};
 use dcgn_simtime::CostModel;
 
@@ -17,21 +17,24 @@ fn acquisitions() -> u64 {
     stats.allocated + stats.reused
 }
 
-/// Rank 1 accepts a streamed transfer (CTS sent, assembly buffer
-/// allocated, a credit window of chunks in flight) and then drops its
-/// communicator without draining the stream.  Rank 0, blocked on credits
-/// mid-stream, must surface an error — Disconnected or Stalled — instead
-/// of hanging, and once both communicators are gone every pooled frame
-/// the broken transfer touched (the sender's staging buffer, the
-/// receiver's half-filled assembly buffer, chunks stranded on the wire)
-/// must have been recycled back to the slab.
+/// Rank 1 accepts a streamed transfer (CTS sent, the first chunks coalesced
+/// into its view of the sender's staged buffer, a credit window of chunks in
+/// flight) and then drops its communicator without draining the stream.
+/// Rank 0, blocked on credits mid-stream, must surface an error —
+/// Disconnected or Stalled — instead of hanging, and once both sides have
+/// let go every pooled frame the broken transfer touched (the staged buffer
+/// that the sender, the receiver's half-grown view and the chunks stranded
+/// on the wire all referenced) must have been recycled back to the slab,
+/// leaving `pool.retained` at its baseline.
 #[test]
 fn peer_death_mid_stream_errors_out_and_leaks_no_frames() {
     const BIG: usize = 200 * 1024;
     const SMALL: usize = 64;
 
+    let retained = dcgn_metrics::global().gauge("pool.retained");
     let before_acquired = acquisitions();
-    let before_recycled = pool_stats().recycled;
+    let before = pool_stats();
+    let before_retained = retained.get();
 
     // Small chunks and a narrow window: the sender cannot finish the
     // stream without credits the dying receiver will never send.
@@ -45,7 +48,9 @@ fn peer_death_mid_stream_errors_out_and_leaks_no_frames() {
         move |mut comm| {
             comm.set_progress_timeout(Duration::from_millis(200));
             if comm.rank() == 0 {
-                let big = comm.isend(1, 1, vec![0xABu8; BIG]).unwrap();
+                // Staged through the pool, as the DCGN layers above stage.
+                let staged = Payload::copy_from_slice(&[0xABu8; BIG]);
+                let big = comm.isend(1, 1, staged).unwrap();
                 let small = comm.isend(1, 2, vec![0xCDu8; SMALL]).unwrap();
                 comm.wait_send(small).unwrap();
                 // The streamed send must fail, not hang.
@@ -76,7 +81,7 @@ fn peer_death_mid_stream_errors_out_and_leaks_no_frames() {
     // per-class retention caps are far above this test's traffic, so a
     // leaked payload would show up as acquired > recycled.
     let acquired = acquisitions() - before_acquired;
-    let recycled = pool_stats().recycled - before_recycled;
+    let recycled = pool_stats().recycled - before.recycled;
     assert!(
         acquired > 0,
         "the streamed transfer must have used the pool"
@@ -84,5 +89,12 @@ fn peer_death_mid_stream_errors_out_and_leaks_no_frames() {
     assert_eq!(
         acquired, recycled,
         "every pooled frame touched by the broken stream must be recycled"
+    );
+    // The same in the gauge: the slab holds what it held before, plus the
+    // buffers this run had to allocate afresh — none is still out.
+    assert_eq!(
+        retained.get(),
+        before_retained + (pool_stats().allocated - before.allocated),
+        "pool.retained must be back at its baseline"
     );
 }

@@ -1,0 +1,107 @@
+#!/bin/sh
+# Alternating parent/change pairs of the repository benchmark — the
+# measurement the ROADMAP house rule asks every PR to record.
+#
+#   scripts/ab_pairs.sh <parent-rev> <workload|all> [pairs] [first-seed]
+#
+# The parent is <parent-rev> exported into a temporary directory (with
+# `git archive`, so nothing is left behind in .git); the change is this
+# working tree, committed or not.  Both sides are built once, each into its
+# own CARGO_TARGET_DIR, by the command BENCHMARK.json names, and then run
+# with it for BENCHMARK.json's run_seconds: pair i uses seed first-seed+i-1
+# (default 1) on both sides, odd pairs run the parent first, even pairs the
+# change.  Printed: per pair and per end-to-end metric both values, then per
+# metric both medians with their quartiles and how many pairs the change
+# won (ties count for neither side).  It reads benchmark/ and
+# BENCHMARK.json and changes neither; set TMPDIR to choose where the export
+# and the two target directories (~250 MB) go.
+set -eu
+
+[ $# -ge 2 ] || { sed -n '2,18s/^# \{0,1\}//p' "$0"; exit 2; }
+rev=$1 which=$2 pairs=${3:-10} seed0=${4:-1}
+root=$(cd "$(dirname "$0")/.." && pwd)
+spec=$root/BENCHMARK.json
+
+cmd=$(sed -n 's/.*"command": *\[\(.*\)\].*/\1/p' "$spec" | tr -d '",')
+secs=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$spec")
+metrics=$(sed -n 's/.*{"name": "\([^"]*\)".*"better": "\([a-z]*\)", "bound".*/\1:\2/p' "$spec")
+if [ "$which" = all ]; then
+    which=$(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' "$spec")
+fi
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+trap 'exit 130' INT TERM
+mkdir "$tmp/parent"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/parent"
+
+# run <side> <args...>: the benchmark command in that side's tree; the
+# result object is the last line of its output.
+run() {
+    side=$1
+    shift
+    case $side in parent) dir=$tmp/parent ;; *) dir=$root ;; esac
+    (cd "$dir" && CARGO_TARGET_DIR="$tmp/target-$side" $cmd "$@") | tail -n 1
+}
+value() { # value <result object> <metric>
+    printf '%s\n' "$1" | sed -n 's/.*"'"$2"'": {"value": \([-0-9.e+]*\).*/\1/p'
+}
+
+echo "parent $(git -C "$root" rev-parse --short "$rev"), change $(git -C "$root" describe --always --dirty), $pairs pairs, ${secs}s runs, nproc $(nproc)"
+echo "building both sides"
+for side in parent change; do
+    run "$side" check >/dev/null
+done
+
+for w in $which; do
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        seed=$((seed0 + i - 1))
+        if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            run "$side" --workload "$w" --seed "$seed" --seconds "$secs" --trace 0 >"$tmp/$side.out"
+            grep -q '"failed": 0,' "$tmp/$side.out" ||
+                echo "$w pair $i: $side run did not verify: $(cat "$tmp/$side.out")"
+        done
+        parent=$(cat "$tmp/parent.out") change=$(cat "$tmp/change.out")
+        for m in $metrics; do
+            name=${m%:*}
+            p=$(value "$parent" "$name") c=$(value "$change" "$name")
+            printf '%-18s pair %2d seed %3d  %-12s parent %14.4f  change %14.4f\n' \
+                "$w" "$i" "$seed" "$name" "$p" "$c"
+            echo "$w $m $p $c" >>"$tmp/values"
+        done
+        i=$((i + 1))
+    done
+done
+
+# Quartiles by linear interpolation between order statistics.
+echo
+printf '%-18s %-12s %32s  %32s  %s\n' workload metric \
+    "parent median [q1 .. q3]" "change median [q1 .. q3]" "change wins"
+for w in $which; do
+    for m in $metrics; do
+        for col in 3 4; do
+            awk -v w="$w" -v m="$m" -v col="$col" '$1 == w && $2 == m { print $col }' \
+                "$tmp/values" | sort -n >"$tmp/col$col"
+        done
+        awk -v w="$w" -v m="$m" '
+            function q(v, n, f,    pos, lo) {
+                pos = 1 + (n - 1) * f; lo = int(pos)
+                return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+            }
+            FILENAME ~ /col3$/ { a[++na] = $1; next }
+            FILENAME ~ /col4$/ { b[++nb] = $1; next }
+            $1 == w && $2 == m {
+                n++
+                if (m ~ /:lower$/ ? $4 < $3 : $4 > $3) wins++
+                else if ($4 != $3) losses++
+            }
+            END {
+                sub(/:.*/, "", m)
+                printf "%-18s %-12s %12.4f [%8.4f .. %8.4f]  %12.4f [%8.4f .. %8.4f]  %d of %d (%d lost)\n",
+                    w, m, q(a, na, .5), q(a, na, .25), q(a, na, .75),
+                    q(b, nb, .5), q(b, nb, .25), q(b, nb, .75), wins, n, losses
+            }' "$tmp/col3" "$tmp/col4" "$tmp/values"
+    done
+done

@@ -5,15 +5,16 @@
 //! packets and the `dcgn_netsim` fabric, back up to delivery: one message
 //! acquires exactly **one** pooled buffer (the send-side staging), the
 //! receive side only ever re-slices it, and `ctx.recv` hands that very
-//! allocation to the caller.  A streamed message acquires one more — the
-//! receiver's assembly buffer — which likewise leaves with the caller.
+//! allocation to the caller.  A streamed message is no exception: its chunks
+//! are views of the staged buffer, the receiver coalesces them back into one
+//! view of it, and the sender lets go before the last chunk leaves.
 //! These tests live in their own file — their own test process — because
 //! the slab pool's counters are global and concurrently running tests would
 //! pollute them; within the file they take turns on [`POOL_COUNTERS`].
 
 use std::sync::{Arc, Mutex};
 
-use dcgn::{DcgnConfig, Runtime};
+use dcgn::{DcgnConfig, Payload, Runtime};
 use dcgn_netsim::pool_stats;
 // The envelope the runtime appends to a cross-node body; every pool class
 // is a power of two plus this.
@@ -71,20 +72,12 @@ fn cross_node_rounds(size: usize, rounds: usize) -> Vec<Round> {
     log
 }
 
-/// True when the suite runs with a `DCGN_RDV_CHUNK` small enough to stream
-/// a `size`-byte message (CI's tiny-chunk pass).
-fn env_streams(size: usize) -> bool {
-    std::env::var("DCGN_RDV_CHUNK")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .is_some_and(|chunk| chunk > 0 && chunk < size + ENVELOPE)
-}
-
 #[test]
 fn cross_node_message_acquires_exactly_one_pooled_buffer() {
     let _turn = POOL_COUNTERS.lock().unwrap();
     // Power-of-two bodies either side of the eager threshold: 1 KiB travels
-    // eager, 128 KiB as a single-frame rendezvous.
+    // eager, 128 KiB as a single-frame rendezvous — or, under CI's tiny-chunk
+    // pass, streamed, which must cost no more.
     for size in [1 << 10, 1 << 17] {
         // One acquisition per message: the sender's staging buffer.  Framing
         // appends the envelope in place, the fabric moves the frame, the
@@ -92,16 +85,11 @@ fn cross_node_message_acquires_exactly_one_pooled_buffer() {
         // body is a slice of it, and `ctx.recv` takes the allocation.  A
         // recv-side copy-out would show up below as a `Vec` of exactly
         // `size` capacity instead of the staged buffer's pool class.
-        //
-        // Exception: when the suite streams these sends, the receiver
-        // legitimately acquires one assembly buffer per message (chunks are
-        // still zero-copy views of the staging buffer).
-        let per_message = if env_streams(size) { 2 } else { 1 };
         for (round, got) in cross_node_rounds(size, 8).into_iter().enumerate() {
             assert_eq!(
-                got.acquisitions, per_message,
+                got.acquisitions, 1,
                 "{size} B, round {round}: the receive path must not acquire \
-                 pooled buffers beyond the streamed-rendezvous assembly buffer"
+                 pooled buffers"
             );
             assert_eq!(
                 got.recv_capacity,
@@ -114,26 +102,42 @@ fn cross_node_message_acquires_exactly_one_pooled_buffer() {
 }
 
 #[test]
-fn streamed_message_costs_one_assembly_buffer_and_no_copy_out() {
+fn streamed_message_costs_no_assembly_buffer_and_no_copy_out() {
     let _turn = POOL_COUNTERS.lock().unwrap();
     // 4 MiB streams under the default 256 KiB chunk (and under any smaller
     // one): body + envelope is exactly the pool's largest class.
     const SIZE: usize = 4 << 20;
     let rounds = cross_node_rounds(SIZE, 4);
     for (round, got) in rounds.iter().enumerate() {
-        // The `Vec` from `ctx.recv` is the assembly allocation: a copy-out
+        // The `Vec` from `ctx.recv` is the staged allocation: a copy-out
         // would have exactly `SIZE` capacity.
         assert_eq!(got.recv_capacity, SIZE + ENVELOPE, "round {round}");
+        // And staging it was the message's only acquisition.
+        assert_eq!(got.acquisitions, 1, "round {round}: {got:?}");
     }
-    // After the first round the sender's staging buffer is a slab reuse
-    // (the previous round's stage was recycled once its last chunk view
-    // drained), so the only fresh allocation per message is the assembly
-    // buffer that leaves with the caller.
+    // The buffer leaves with the receiving caller, so each message's stage
+    // is at most one fresh allocation.
     for (round, got) in rounds.iter().enumerate().skip(1) {
         assert!(
             got.acquisitions <= 2 && got.misses <= 1,
-            "round {round}: {got:?} — at most a stage and an assembly buffer, \
-             at most one of them freshly allocated"
+            "round {round}: {got:?} — one stage, at most freshly allocated"
         );
     }
+}
+
+/// What the receiver does per chunk, with the counters quiet: re-joining
+/// consecutive views of one allocation moves no pool counter either way.
+#[test]
+fn coalescing_chunk_views_touches_the_pool_neither_way() {
+    let _turn = POOL_COUNTERS.lock().unwrap();
+    let staged = Payload::copy_from_slice(&[5u8; 3 * 4096 + ENVELOPE]);
+    let before = pool_stats();
+    let mut joined = Payload::empty();
+    // Three chunks, the last one absorbing the envelope.
+    for range in [0..4096, 4096..8192, 8192..staged.len()] {
+        joined.append(staged.slice(range));
+    }
+    assert_eq!(joined.as_slice().as_ptr(), staged.as_slice().as_ptr());
+    assert_eq!(joined.len(), staged.len());
+    assert_eq!(pool_stats(), before);
 }
