@@ -375,12 +375,17 @@ impl Engine {
     /// count)`.  Every correct node computes the same answer from the same
     /// inputs; a forced plan (config / `DCGN_FORCE_PLAN`) overrides the
     /// table, with rd/ring applying to allreduce only.
-    fn select_plan(&self, id: CollectiveId, up_body_len: usize, n: usize) -> ExchangePlan {
+    fn select_plan(
+        forced_plan: Option<ExchangePlan>,
+        id: CollectiveId,
+        up_body_len: usize,
+        n: usize,
+    ) -> ExchangePlan {
         if n <= 1 {
             return ExchangePlan::Star;
         }
         let allreduce = id.kind == CollectiveKind::Allreduce;
-        match self.forced_plan {
+        match forced_plan {
             Some(forced @ (ExchangePlan::Star | ExchangePlan::Tree)) => return forced,
             // A forced allreduce schedule cannot shape other kinds; they
             // fall through to the default table.
@@ -448,25 +453,9 @@ impl Engine {
             Ok(contribution) => COLLECTIVE_ID_BYTES + contribution.len(),
             Err(msg) => msg.len(),
         };
-        let plan = self.select_plan(id, up_len, nodes.len());
+        let plan = Self::select_plan(self.forced_plan, id, up_len, nodes.len());
         self.metrics.plans[plan as usize].inc();
-        let name = plan_name(plan);
-        let (machine, actions) = match (plan, id.reduction) {
-            (ExchangePlan::Star, _) => Rooted::start(id, Topology::Flat, name, group, pos, up),
-            (ExchangePlan::Tree, _) => Rooted::start(id, Topology::Binomial, name, group, pos, up),
-            (ExchangePlan::RecursiveDoubling, Some(reduction)) => {
-                Allreduce::start(id, reduction, name, rd_steps(pos, nodes), nodes.len(), up)
-            }
-            (ExchangePlan::Ring, Some(reduction)) => {
-                Allreduce::start(id, reduction, name, ring_steps(pos, nodes), nodes.len(), up)
-            }
-            (_, None) => {
-                return Err(DcgnError::Internal(format!(
-                    "{name} selected for {}, which carries no reduction",
-                    id.kind.name()
-                )))
-            }
-        };
+        let (machine, actions) = start_machine(plan, id, group, pos, up)?;
         let exchange = Exchange {
             id,
             joined,
@@ -634,15 +623,59 @@ impl Engine {
     }
 }
 
+/// Enter `plan`'s machine at position `pos` of `group` with this node's
+/// contribution (or local validation failure) `up`.
+fn start_machine(
+    plan: ExchangePlan,
+    id: CollectiveId,
+    group: &CommGroup,
+    pos: usize,
+    up: std::result::Result<Vec<u8>, String>,
+) -> Result<(Machine, Vec<Action>)> {
+    let name = plan_name(plan);
+    let nodes = &group.nodes;
+    Ok(match (plan, id.reduction) {
+        (ExchangePlan::Star, _) => Rooted::start(id, Topology::Flat, name, group, pos, up),
+        (ExchangePlan::Tree, _) => Rooted::start(id, Topology::Binomial, name, group, pos, up),
+        (ExchangePlan::RecursiveDoubling, Some(reduction)) => {
+            Allreduce::start(id, reduction, name, rd_steps(pos, nodes), nodes.len(), up)
+        }
+        (ExchangePlan::Ring, Some(reduction)) => {
+            Allreduce::start(id, reduction, name, ring_steps(pos, nodes), nodes.len(), up)
+        }
+        (_, None) => {
+            return Err(DcgnError::Internal(format!(
+                "{name} selected for {}, which carries no reduction",
+                id.kind.name()
+            )))
+        }
+    })
+}
+
 fn unregistered(comm: CommId) -> DcgnError {
     DcgnError::Internal(format!("exchange on unregistered communicator {comm}"))
 }
 
 /// Plan machines wired back to back with no runtime, substrate or thread:
 /// what one machine sends is queued and hand-fed to the machine it names.
+///
+/// Under a cost model the kit is also a max-plus cost oracle, with no
+/// sleep: every position keeps a logical clock, every frame is stamped with
+/// the time it lands, and [`Sim::run_timed`] delivers the earliest stamp
+/// first.  A frame leaves when both its sender's clock and its sender's NIC
+/// allow (a NIC sends one frame at a time, as `VirtualBus` does), costs
+/// `network.transfer_time` of its wire bytes (rmpi header, exchange header,
+/// body), and a frame above the eager threshold first pays the RTS/CTS round
+/// trip.  Consuming a frame moves the receiver's clock up to its stamp; no
+/// per-frame software cost is charged.
 #[cfg(test)]
 mod sim {
     use std::collections::VecDeque;
+    use std::time::Duration;
+
+    use dcgn_rmpi::packet::HEADER_BYTES;
+    use dcgn_rmpi::EXCHANGE_HEADER_BYTES;
+    use dcgn_simtime::CostModel;
 
     use super::{Action, CommGroup, ExFrame, Machine};
 
@@ -653,20 +686,39 @@ mod sim {
         CommGroup::new((0..n).collect(), nodes.clone(), nodes[pos], 0)
     }
 
+    /// A frame on its way: `(landing stamp, src node, dst node, phase, frame)`.
+    type InFlight = (Duration, usize, usize, u32, ExFrame);
+
     /// Every position of one exchange, each with its own view of the group.
     pub(super) struct Sim {
         groups: Vec<CommGroup>,
         machines: Vec<Machine>,
-        in_flight: VecDeque<(usize, usize, u32, ExFrame)>,
+        /// Frames sent and not yet delivered, in send order.
+        in_flight: VecDeque<InFlight>,
         /// Every frame sent so far: `(src node, dst node, phase, frame)`.
         pub(super) sent: Vec<(usize, usize, u32, ExFrame)>,
         /// The action that ended the exchange at each position.
         pub(super) outcome: Vec<Option<Action>>,
+        /// The model frames are stamped under.
+        cost: CostModel,
+        /// Each position's logical clock.
+        now: Vec<Duration>,
+        /// When each position's NIC has finished its last send.
+        nic_free: Vec<Duration>,
     }
 
     impl Sim {
-        /// Start all `n` positions with `start(group, pos)`.
+        /// Start all `n` positions with `start(group, pos)`, at no cost.
         pub(super) fn start(
+            n: usize,
+            start: impl Fn(&CommGroup, usize) -> (Machine, Vec<Action>),
+        ) -> Sim {
+            Self::start_under(CostModel::zero(), n, start)
+        }
+
+        /// [`Sim::start`] with every frame stamped under `cost`.
+        pub(super) fn start_under(
+            cost: CostModel,
             n: usize,
             start: impl Fn(&CommGroup, usize) -> (Machine, Vec<Action>),
         ) -> Sim {
@@ -676,6 +728,9 @@ mod sim {
                 in_flight: VecDeque::new(),
                 sent: Vec::new(),
                 outcome: (0..n).map(|_| None).collect(),
+                cost,
+                now: vec![Duration::ZERO; n],
+                nic_free: vec![Duration::ZERO; n],
             };
             for pos in 0..n {
                 let (machine, actions) = start(&sim.groups[pos], pos);
@@ -696,9 +751,10 @@ mod sim {
                         body,
                     } => {
                         for dst in to {
+                            let stamp = self.stamp(pos, EXCHANGE_HEADER_BYTES + body.len());
                             let frame = (status, body.clone());
                             self.sent.push((src, dst, phase, frame.clone()));
-                            self.in_flight.push_back((src, dst, phase, frame));
+                            self.in_flight.push_back((stamp, src, dst, phase, frame));
                         }
                     }
                     terminal => {
@@ -709,24 +765,58 @@ mod sim {
             }
         }
 
+        /// When an exchange frame of `len` bytes that `pos` sends now lands,
+        /// occupying `pos`'s NIC until then.
+        fn stamp(&mut self, pos: usize, len: usize) -> Duration {
+            let network = self.cost.network;
+            let handshake = if len > self.cost.eager_threshold {
+                2 * network.transfer_time(HEADER_BYTES)
+            } else {
+                Duration::ZERO
+            };
+            let leaves = self.now[pos].max(self.nic_free[pos]);
+            self.nic_free[pos] = leaves + handshake + network.transfer_time(HEADER_BYTES + len);
+            self.nic_free[pos]
+        }
+
         /// Deliver queued frames until none is left: oldest first, or —
         /// `newest_first` — always the most recently sent one, which hands
         /// every machine its later steps' frames before its earlier ones.
-        pub(super) fn run(mut self, newest_first: bool) -> Sim {
-            while let Some((src, dst, phase, frame)) = if newest_first {
-                self.in_flight.pop_back()
-            } else {
-                self.in_flight.pop_front()
-            } {
+        pub(super) fn run(self, newest_first: bool) -> Sim {
+            self.run_by(|in_flight| if newest_first { in_flight.len() - 1 } else { 0 })
+        }
+
+        /// Deliver queued frames earliest landing stamp first (oldest first
+        /// among equal stamps): the order the modelled hardware delivers in.
+        pub(super) fn run_timed(self) -> Sim {
+            self.run_by(|in_flight| {
+                let stamps = in_flight.iter().map(|frame| frame.0).enumerate();
+                stamps.min_by_key(|&(_, stamp)| stamp).expect("a frame").0
+            })
+        }
+
+        /// Deliver the frame `next` picks until none is left.
+        fn run_by(mut self, next: impl Fn(&VecDeque<InFlight>) -> usize) -> Sim {
+            while !self.in_flight.is_empty() {
+                let index = next(&self.in_flight);
+                let (stamp, src, dst, phase, frame) = self.in_flight.remove(index).expect("index");
                 let pos = self.groups[0].nodes.iter().position(|&node| node == dst);
                 let pos = pos.expect("frames go to group nodes");
                 if self.outcome[pos].is_some() {
                     continue; // the engine drops frames of a settled exchange
                 }
+                self.now[pos] = self.now[pos].max(stamp);
                 let actions = self.machines[pos].on_frame(&self.groups[pos], src, phase, frame);
                 self.absorb(pos, actions);
             }
             self
+        }
+
+        /// The exchange's modelled time: the latest clock once every
+        /// position has settled.
+        pub(super) fn modelled_time(&self) -> Duration {
+            assert!(self.outcome.iter().all(Option::is_some), "unsettled");
+            self.now.iter().copied().max().unwrap_or_default()
         }
     }
 }
@@ -765,5 +855,159 @@ mod tests {
             assert!(matches!(reply, Reply::Error(DcgnError::ShuttingDown)));
         }
         assert_eq!(replies.len(), 3);
+    }
+
+    /// The collectives the cost oracle times: name, kind and payload bytes
+    /// (the broadcast root's, or every node's reduce vector).
+    const ORACLE_COLLECTIVES: [(&str, CollectiveKind, usize); 5] = [
+        ("barrier", CollectiveKind::Barrier, 0),
+        ("bcast 1 KiB", CollectiveKind::Broadcast, 1 << 10),
+        ("allreduce 8 B", CollectiveKind::Allreduce, 8),
+        ("allreduce 32 KiB", CollectiveKind::Allreduce, 32 << 10),
+        ("allreduce 1 MiB", CollectiveKind::Allreduce, 1 << 20),
+    ];
+
+    const PLANS: [ExchangePlan; 4] = [
+        ExchangePlan::Star,
+        ExchangePlan::Tree,
+        ExchangePlan::RecursiveDoubling,
+        ExchangePlan::Ring,
+    ];
+
+    /// Modelled nanoseconds of every applicable plan, in [`PLANS`] order
+    /// (recursive doubling and ring apply to allreduce only), under the
+    /// unscaled G92 model.
+    #[rustfmt::skip]
+    const MODELLED_NS: [(usize, &str, &[u64]); 40] = [
+        (2, "barrier", &[6_104, 6_104]),
+        (2, "bcast 1 KiB", &[6_835, 6_835]),
+        (2, "allreduce 8 B", &[6_117, 6_117, 3_056, 6_118]),
+        (2, "allreduce 32 KiB", &[52_917, 52_917, 26_456, 29_512]),
+        (2, "allreduce 1 MiB", &[1_516_163, 1_516_163, 758_079, 767_180]),
+        (3, "barrier", &[9_147, 9_147]),
+        (3, "bcast 1 KiB", &[10_609, 10_609]),
+        (3, "allreduce 8 B", &[9_166, 9_166, 9_168, 12_236]),
+        (3, "allreduce 32 KiB", &[79_366, 79_366, 79_368, 43_436]),
+        (3, "allreduce 1 MiB", &[2_274_235, 2_274_235, 2_274_237, 1_035_048]),
+        (4, "barrier", &[12_190, 12_220]),
+        (4, "bcast 1 KiB", &[14_383, 13_682]),
+        (4, "allreduce 8 B", &[12_215, 12_253, 6_112, 18_354]),
+        (4, "allreduce 32 KiB", &[105_815, 135_299, 52_912, 53_424]),
+        (4, "allreduce 1 MiB", &[3_032_307, 3_781_322, 1_516_158, 1_178_070]),
+        (5, "barrier", &[15_233, 15_263]),
+        (5, "bcast 1 KiB", &[18_157, 17_456]),
+        (5, "allreduce 8 B", &[15_264, 15_302, 12_224, 24_472]),
+        (5, "allreduce 32 KiB", &[132_264, 161_748, 105_824, 61_912]),
+        (5, "allreduce 1 MiB", &[3_790_379, 4_539_394, 3_032_316, 1_271_192]),
+        (6, "barrier", &[18_276, 15_275]),
+        (6, "bcast 1 KiB", &[21_931, 17_468]),
+        (6, "allreduce 8 B", &[18_313, 15_321, 12_224, 30_590]),
+        (6, "allreduce 32 KiB", &[158_713, 185_167, 105_824, 69_560]),
+        (6, "allreduce 1 MiB", &[4_548_451, 5_288_391, 3_032_316, 1_339_330]),
+        (8, "barrier", &[24_362, 18_360]),
+        (8, "bcast 1 KiB", &[29_479, 20_553]),
+        (8, "allreduce 8 B", &[24_411, 18_428, 9_168, 42_826]),
+        (8, "allreduce 32 KiB", &[211_611, 264_520, 79_368, 83_706]),
+        (8, "allreduce 1 MiB", &[6_064_595, 7_544_474, 2_274_237, 1_438_108]),
+        (16, "barrier", &[48_706, 24_549]),
+        (16, "bcast 1 KiB", &[59_671, 27_473]),
+        (16, "allreduce 8 B", &[48_803, 24_680, 12_224, 91_770]),
+        (16, "allreduce 32 KiB", &[423_203, 487_418, 105_824, 135_480]),
+        (16, "allreduce 1 MiB", &[12_129_171, 14_303_612, 3_032_316, 1_677_300]),
+        (32, "barrier", &[97_394, 30_835]),
+        (32, "bcast 1 KiB", &[120_055, 34_490]),
+        (32, "allreduce 8 B", &[97_587, 31_086, 15_280, 189_658]),
+        (32, "allreduce 32 KiB", &[846_387, 897_670, 132_280, 234_608]),
+        (32, "allreduce 1 MiB", &[24_258_323, 27_054_721, 3_790_395, 1_640_458]),
+    ];
+
+    /// Points where the default table's pick (`TREE_MIN_NODES`,
+    /// `RING_MIN_UP_BYTES`) loses to the best plan by more than one network
+    /// latency in the model, which charges no per-frame software cost.
+    /// Moving either constant is a policy change the benchmark has to judge,
+    /// so they are recorded here, not fixed.
+    const PICK_LOSES: [(usize, &str); 11] = [
+        // star 6_117 ns, rd 3_056 ns
+        (2, "allreduce 8 B"),
+        // star 52_917 ns, rd 26_456 ns
+        (2, "allreduce 32 KiB"),
+        // star 1_516_163 ns, rd 758_079 ns
+        (2, "allreduce 1 MiB"),
+        // star 79_366 ns, ring 43_436 ns
+        (3, "allreduce 32 KiB"),
+        // star 2_274_235 ns, ring 1_035_048 ns
+        (3, "allreduce 1 MiB"),
+        // star 12_215 ns, rd 6_112 ns
+        (4, "allreduce 8 B"),
+        // star 105_815 ns, rd 52_912 ns
+        (4, "allreduce 32 KiB"),
+        // star 3_032_307 ns, ring 1_178_070 ns
+        (4, "allreduce 1 MiB"),
+        // ring 83_706 ns, rd 79_368 ns
+        (8, "allreduce 32 KiB"),
+        // ring 135_480 ns, rd 105_824 ns
+        (16, "allreduce 32 KiB"),
+        // ring 234_608 ns, rd 132_280 ns
+        (32, "allreduce 32 KiB"),
+    ];
+
+    /// Modelled nanoseconds of each applicable plan (in [`PLANS`] order) for
+    /// one collective over `n` single-rank nodes, and the default table's
+    /// pick.  Position 0 is the broadcast root.
+    fn oracle(kind: CollectiveKind, bytes: usize, n: usize) -> (Vec<u64>, ExchangePlan) {
+        use dcgn_rmpi::{frame_reduce, ReduceDtype, ReduceOp};
+        let allreduce = kind == CollectiveKind::Allreduce;
+        let id = CollectiveId {
+            kind,
+            root: (kind == CollectiveKind::Broadcast).then_some(0),
+            reduction: allreduce.then_some((ReduceOp::Sum, ReduceDtype::F64)),
+        };
+        let up = |pos: usize| match kind {
+            CollectiveKind::Allreduce => {
+                frame_reduce(ReduceOp::Sum, ReduceDtype::F64, &vec![0; bytes])
+            }
+            _ if pos == 0 => vec![0; bytes],
+            _ => Vec::new(),
+        };
+        let plans = if allreduce { &PLANS[..] } else { &PLANS[..2] };
+        let times = plans
+            .iter()
+            .map(|&plan| {
+                let start = |group: &CommGroup, pos: usize| {
+                    start_machine(plan, id, group, pos, Ok(up(pos))).expect("plan applies")
+                };
+                let sim = sim::Sim::start_under(CostModel::g92_cluster(), n, start).run_timed();
+                for outcome in &sim.outcome {
+                    assert!(matches!(outcome, Some(Action::Deliver(_))), "{outcome:?}");
+                }
+                sim.modelled_time().as_nanos() as u64
+            })
+            .collect();
+        let pick = Engine::select_plan(None, id, COLLECTIVE_ID_BYTES + up(0).len(), n);
+        (times, pick)
+    }
+
+    /// The exact critical path of every plan over 2–32 nodes, and the
+    /// default table's pick within one network latency of the best plan
+    /// everywhere but [`PICK_LOSES`].
+    #[test]
+    fn cost_oracle_pins_every_plan_and_checks_the_default_pick() {
+        let latency = CostModel::g92_cluster().network.latency.as_nanos() as u64;
+        let mut pinned = MODELLED_NS.iter();
+        for n in [2, 3, 4, 5, 6, 8, 16, 32] {
+            for (name, kind, bytes) in ORACLE_COLLECTIVES {
+                let (times, pick) = oracle(kind, bytes, n);
+                assert_eq!(pinned.next(), Some(&(n, name, &times[..])));
+                let best = times.iter().copied().min().expect("a plan applies");
+                let picked = times[PLANS.iter().position(|&plan| plan == pick).expect("a plan")];
+                let loses = picked > best + latency;
+                assert_eq!(
+                    loses,
+                    PICK_LOSES.contains(&(n, name)),
+                    "{name} over {n} nodes: {pick:?} takes {picked} ns, the best plan {best} ns"
+                );
+            }
+        }
+        assert_eq!(pinned.next(), None);
     }
 }

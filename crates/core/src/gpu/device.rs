@@ -3,8 +3,6 @@
 //! completion through [`GpuCtx::poll`]; a blocking call is the two back to
 //! back.
 
-use std::time::Duration;
-
 use dcgn_dpm::{BlockCtx, DevicePtr};
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
 
@@ -26,35 +24,13 @@ pub struct GpuCtx<'a> {
     layout: &'a GpuLayout,
 }
 
-/// Spin until `poll` yields, the way a device block busy-waits on a flag:
-/// yield the OS thread first (near-instant wakeups while the flag flips
-/// quickly) and decay to sleeping — escalating up to the nap interval —
-/// when nothing changes, so long waits leave the simulation host responsive.
-fn spin_until<T>(mut poll: impl FnMut() -> Option<T>) -> T {
-    const SPIN_YIELDS: u32 = 128;
-    let mut polls = 0u32;
-    let mut sleep = Duration::from_micros(2);
-    loop {
-        if let Some(done) = poll() {
-            return done;
-        }
-        polls += 1;
-        if polls <= SPIN_YIELDS {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(sleep);
-            sleep = (sleep * 2).min(Duration::from_micros(50));
-        }
-    }
-}
-
 impl<'a> GpuCtx<'a> {
     pub(crate) fn new(block: &'a BlockCtx, layout: &'a GpuLayout) -> Self {
         GpuCtx { block, layout }
     }
 
     /// The underlying block execution context (geometry, device memory
-    /// access, shared memory).
+    /// access).
     pub fn block(&self) -> &BlockCtx {
         self.block
     }
@@ -221,7 +197,7 @@ impl<'a> GpuCtx<'a> {
     /// waited on twice or kept.
     fn blocking(&self, slot: usize, what: &str, body: Body) -> CommStatus {
         let req = self.publish(slot, true, body);
-        spin_until(|| self.poll(req, what))
+        self.block.spin_until(|| self.poll(req, what))
     }
 
     /// A blocking collective over `comm`: the body additionally carries the
@@ -405,7 +381,7 @@ impl<'a> GpuCtx<'a> {
     /// # Panics
     /// Panics on a mailbox error or a stale handle (see [`GpuCtx::test`]).
     pub fn wait(&self, req: GpuRequest) -> CommStatus {
-        spin_until(|| self.poll(req, "wait"))
+        self.block.spin_until(|| self.poll(req, "wait"))
     }
 
     /// Wait for every request, returning the completions in argument order —
@@ -428,7 +404,7 @@ impl<'a> GpuCtx<'a> {
             !reqs.is_empty(),
             "dcgn::gpu::waitany needs at least one request handle"
         );
-        spin_until(|| {
+        self.block.spin_until(|| {
             reqs.iter()
                 .enumerate()
                 .find_map(|(i, &req)| Some((i, self.poll(req, "wait")?)))

@@ -107,11 +107,6 @@ impl RankMap {
         first..first + self.node_rank_count[node]
     }
 
-    /// Number of ranks hosted by `node`.
-    pub fn ranks_on_node_count(&self, node: usize) -> usize {
-        self.node_rank_count[node]
-    }
-
     /// The rank backed by CPU-kernel thread `cpu_index` on `node`.
     pub fn cpu_rank(&self, node: usize, cpu_index: usize) -> Option<usize> {
         self.ranks_on_node(node)

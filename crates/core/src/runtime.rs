@@ -45,8 +45,6 @@ pub struct Runtime {
 
 /// Type of the CPU kernel entry point.
 pub type CpuKernel = dyn Fn(&CpuCtx) + Send + Sync;
-/// Type of the GPU kernel entry point (called once per device block).
-pub type GpuKernel = dyn Fn(&GpuCtx) + Send + Sync;
 
 impl Runtime {
     /// Validate `config` and build the rank map.

@@ -4,9 +4,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
 use crate::memory::{DeviceMemory, DevicePtr};
+
+/// The longest a device-side wait sleeps between two polls.
+const NAP: Duration = Duration::from_micros(50);
 
 /// A three-dimensional extent, mirroring CUDA's `dim3`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,11 +24,6 @@ impl Dim {
     /// A one-dimensional extent.
     pub const fn d1(x: usize) -> Self {
         Dim { x, y: 1, z: 1 }
-    }
-
-    /// A two-dimensional extent.
-    pub const fn d2(x: usize, y: usize) -> Self {
-        Dim { x, y, z: 1 }
     }
 
     /// Total number of elements covered by this extent.
@@ -54,7 +50,6 @@ pub struct BlockCtx {
     pub(crate) grid_dim: Dim,
     pub(crate) block_dim: Dim,
     pub(crate) device_id: usize,
-    pub(crate) shared: Mutex<Vec<u8>>,
 }
 
 impl BlockCtx {
@@ -109,19 +104,33 @@ impl BlockCtx {
     /// kernel waiting for the host to complete a communication request) call
     /// this between polls so that the simulation stays live on small hosts.
     pub fn nap(&self) {
-        std::thread::sleep(Duration::from_micros(50));
+        std::thread::sleep(NAP);
     }
 
-    /// Resize this block's shared-memory scratch area and zero it.
-    pub fn shared_alloc(&self, bytes: usize) {
-        let mut s = self.shared.lock();
-        s.clear();
-        s.resize(bytes, 0);
-    }
-
-    /// Run `f` with mutable access to the block's shared-memory scratch.
-    pub fn with_shared<R>(&self, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
-        f(&mut self.shared.lock())
+    /// Spin until `poll` yields, the way a device block busy-waits on a flag.
+    ///
+    /// A real device block busy-waits in silicon at memory speed; modelling
+    /// that with a fixed [`nap`](Self::nap) quantised every mailbox
+    /// completion to the nap length.  Instead the wait starts by yielding the
+    /// OS thread (near-instant wakeups while the flag flips quickly) and only
+    /// decays to sleeping — escalating up to the nap interval — when nothing
+    /// changes, so long waits still leave the simulation host responsive.
+    pub fn spin_until<T>(&self, mut poll: impl FnMut() -> Option<T>) -> T {
+        const SPIN_YIELDS: u32 = 128;
+        let mut polls = 0u32;
+        let mut sleep = Duration::from_micros(2);
+        loop {
+            if let Some(done) = poll() {
+                return done;
+            }
+            polls += 1;
+            if polls <= SPIN_YIELDS {
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(sleep);
+                sleep = (sleep * 2).min(NAP);
+            }
+        }
     }
 
     // ---- device global memory access (no PCI-e cost: this is the device) ----
@@ -184,15 +193,6 @@ impl BlockCtx {
             .collect()
     }
 
-    /// Write a slice of `f32` values to device global memory.
-    pub fn write_f32_slice(&self, ptr: DevicePtr, values: &[f32]) {
-        let mut bytes = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.write(ptr, &bytes);
-    }
-
     /// Atomic compare-and-swap on a device word; returns the previous value.
     pub fn atomic_cas_u32(&self, ptr: DevicePtr, expected: u32, new: u32) -> u32 {
         self.memory
@@ -207,27 +207,10 @@ impl BlockCtx {
             .unwrap_or_else(|e| panic!("device fault in block {}: {e}", self.block_id))
     }
 
-    /// Spin until the `u32` at `ptr` equals `value`.
-    ///
-    /// A real device block busy-waits in silicon at memory speed; modelling
-    /// that with a fixed 50 µs host sleep quantised every mailbox completion
-    /// to the nap length.  Instead the wait starts by yielding the OS thread
-    /// (near-instant wakeups while the flag flips quickly) and only decays to
-    /// sleeping — escalating up to the nap interval — when the flag stays
-    /// unchanged, so long waits still leave the simulation host responsive.
+    /// Spin until the `u32` at `ptr` equals `value` (see
+    /// [`spin_until`](Self::spin_until)).
     pub fn wait_for_u32(&self, ptr: DevicePtr, value: u32) {
-        const SPIN_YIELDS: u32 = 128;
-        let mut polls = 0u32;
-        let mut sleep = Duration::from_micros(2);
-        while self.read_u32(ptr) != value {
-            polls += 1;
-            if polls <= SPIN_YIELDS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(sleep);
-                sleep = (sleep * 2).min(Duration::from_micros(50));
-            }
-        }
+        self.spin_until(|| (self.read_u32(ptr) == value).then_some(()))
     }
 }
 
@@ -242,14 +225,12 @@ mod tests {
             grid_dim: Dim::d1(1),
             block_dim: Dim::d1(threads),
             device_id: 0,
-            shared: Mutex::new(Vec::new()),
         }
     }
 
     #[test]
     fn dim_totals() {
         assert_eq!(Dim::d1(7).total(), 7);
-        assert_eq!(Dim::d2(3, 4).total(), 12);
         assert_eq!(Dim { x: 2, y: 3, z: 4 }.total(), 24);
         let d: Dim = 5usize.into();
         assert_eq!(d, Dim::d1(5));
@@ -289,19 +270,9 @@ mod tests {
         let c = ctx(1);
         let ptr = c.memory.malloc(64).unwrap();
         let vals = [1.5f32, -2.25, 3.0, 0.0];
-        c.write_f32_slice(ptr, &vals);
+        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        c.write(ptr, &bytes);
         assert_eq!(c.read_f32_slice(ptr, 4), vals.to_vec());
-    }
-
-    #[test]
-    fn shared_memory_scratch() {
-        let c = ctx(1);
-        c.shared_alloc(128);
-        c.with_shared(|s| {
-            assert_eq!(s.len(), 128);
-            s[0] = 42;
-        });
-        c.with_shared(|s| assert_eq!(s[0], 42));
     }
 
     #[test]

@@ -20,18 +20,16 @@
 //!   GPU-kernel thread does.
 //!
 //! Kernels are ordinary Rust closures receiving a [`BlockCtx`], which exposes
-//! block/thread geometry, device-memory accessors and per-block shared
-//! memory.  Device-side code paths used by DCGN (mailbox spinning, atomics)
-//! are all available through `BlockCtx`.
+//! block/thread geometry and device-memory accessors.  Device-side code
+//! paths used by DCGN (mailbox spinning, atomics) are all available through
+//! `BlockCtx`.
 
 #![warn(missing_docs)]
 
 pub mod device;
 pub mod kernel;
 pub mod memory;
-pub mod stream;
 
 pub use device::{Device, DeviceConfig, DmaMetrics, KernelHandle};
 pub use kernel::{BlockCtx, Dim};
 pub use memory::{DevicePtr, MemoryError};
-pub use stream::{CopyDirection, CopyHandle, Stream};

@@ -32,11 +32,6 @@ impl DevicePtr {
     pub fn add(&self, bytes: usize) -> DevicePtr {
         DevicePtr(self.0 + bytes)
     }
-
-    /// True for the null pointer.
-    pub fn is_null(&self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl fmt::Display for DevicePtr {
@@ -119,12 +114,19 @@ impl Allocator {
         }
     }
 
-    fn largest_free(&self) -> usize {
-        self.free.values().copied().max().unwrap_or(0)
+    fn out_of_memory(&self, requested: usize) -> MemoryError {
+        MemoryError::OutOfMemory {
+            requested,
+            largest_free: self.free.values().copied().max().unwrap_or(0),
+        }
     }
 
     fn alloc(&mut self, size: usize) -> Result<usize, MemoryError> {
-        let size = round_up(size.max(1));
+        // A size within ALIGN of usize::MAX has no aligned length: it fits
+        // nowhere, like any other oversized request.
+        let Some(size) = size.max(1).checked_next_multiple_of(ALIGN) else {
+            return Err(self.out_of_memory(size));
+        };
         let slot = self
             .free
             .iter()
@@ -139,10 +141,7 @@ impl Allocator {
                 self.live.insert(off, size);
                 Ok(off)
             }
-            None => Err(MemoryError::OutOfMemory {
-                requested: size,
-                largest_free: self.largest_free(),
-            }),
+            None => Err(self.out_of_memory(size)),
         }
     }
 
@@ -173,17 +172,9 @@ impl Allocator {
             }
         }
     }
-
-    fn live_bytes(&self) -> usize {
-        self.live.values().sum()
-    }
 }
 
 const ALIGN: usize = 256;
-
-fn round_up(size: usize) -> usize {
-    size.div_ceil(ALIGN) * ALIGN
-}
 
 /// The device memory arena.  Shared between the host-facing [`crate::Device`]
 /// and the kernel-facing [`crate::BlockCtx`].
@@ -204,10 +195,6 @@ impl DeviceMemory {
 
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    pub(crate) fn allocated_bytes(&self) -> usize {
-        self.alloc.lock().live_bytes()
     }
 
     pub(crate) fn malloc(&self, size: usize) -> Result<DevicePtr, MemoryError> {
@@ -251,19 +238,6 @@ impl DeviceMemory {
         let mut out = vec![0u8; len];
         self.read(ptr, &mut out)?;
         Ok(out)
-    }
-
-    pub(crate) fn copy_within(
-        &self,
-        src: DevicePtr,
-        dst: DevicePtr,
-        len: usize,
-    ) -> Result<(), MemoryError> {
-        self.check(src.0, len)?;
-        self.check(dst.0, len)?;
-        let mut data = self.data.lock();
-        data.copy_within(src.0..src.0 + len, dst.0);
-        Ok(())
     }
 
     pub(crate) fn write_u32(&self, ptr: DevicePtr, value: u32) -> Result<(), MemoryError> {
@@ -326,8 +300,8 @@ mod tests {
         let mem = DeviceMemory::new(1 << 20);
         let a = mem.malloc(10).unwrap();
         let b = mem.malloc(10).unwrap();
-        assert!(!a.is_null());
-        assert!(!b.is_null());
+        assert_ne!(a, DevicePtr::NULL);
+        assert_ne!(b, DevicePtr::NULL);
         assert_ne!(a, b);
         assert_eq!(a.offset() % ALIGN, 0);
         assert_eq!(b.offset() % ALIGN, 0);
@@ -366,13 +340,24 @@ mod tests {
         }
     }
 
+    /// Rounding a size within ALIGN of usize::MAX up to the granule
+    /// overflows; it must be refused, not wrap to a 0-byte block that the
+    /// next allocation is handed again.
+    #[test]
+    fn oversized_malloc_is_refused_without_aliasing() {
+        let mem = DeviceMemory::new(8192);
+        let live = [mem.malloc(64).unwrap()];
+        let err = mem.malloc(usize::MAX).unwrap_err();
+        assert!(matches!(err, MemoryError::OutOfMemory { .. }), "{err}");
+        let next = mem.malloc(64).unwrap();
+        assert!(!live.contains(&next), "{next} aliases a live allocation");
+    }
+
     #[test]
     fn free_and_reuse() {
         let mem = DeviceMemory::new(8192);
         let a = mem.malloc(2048).unwrap();
-        let before = mem.allocated_bytes();
         mem.free(a).unwrap();
-        assert!(mem.allocated_bytes() < before);
         // The freed block can be reused.
         let b = mem.malloc(2048).unwrap();
         assert_eq!(a, b);
@@ -396,7 +381,7 @@ mod tests {
         // After freeing everything we can allocate one block covering the
         // whole arena again.
         let big = mem.malloc(ALIGN * 15).unwrap();
-        assert!(!big.is_null());
+        assert_ne!(big, DevicePtr::NULL);
     }
 
     #[test]
@@ -424,20 +409,10 @@ mod tests {
     }
 
     #[test]
-    fn copy_within_device() {
-        let mem = DeviceMemory::new(4096);
-        let src = mem.malloc(32).unwrap();
-        let dst = mem.malloc(32).unwrap();
-        mem.write(src, &[7u8; 32]).unwrap();
-        mem.copy_within(src, dst, 32).unwrap();
-        assert_eq!(mem.read_vec(dst, 32).unwrap(), vec![7u8; 32]);
-    }
-
-    #[test]
     fn device_ptr_display_and_add() {
         let p = DevicePtr(256);
         assert_eq!(p.add(16).offset(), 272);
         assert_eq!(format!("{p}"), "dev+0x100");
-        assert!(DevicePtr::NULL.is_null());
+        assert_eq!(DevicePtr::NULL.offset(), 0);
     }
 }

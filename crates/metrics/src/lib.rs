@@ -47,7 +47,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 
 /// Number of power-of-two latency buckets.  Bucket `i` holds values whose
 /// bit length is `i` (bucket 0 holds only zero), i.e. the half-open value
@@ -213,12 +212,6 @@ impl Histogram {
         }
     }
 
-    /// Record a duration in nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-
     /// Snapshot this histogram's state.
     pub fn stats(&self) -> HistogramStats {
         match &self.0 {
@@ -317,15 +310,6 @@ impl MetricsHandle {
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Two handles referring to the same underlying registry?
-    pub fn same_registry(&self, other: &MetricsHandle) -> bool {
-        match (&self.inner, &other.inner) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        }
     }
 
     /// Get or create the counter named `name`.
@@ -760,9 +744,6 @@ mod tests {
         metrics.counter("shared").add(2);
         metrics.counter("shared").add(3);
         assert_eq!(metrics.snapshot().counter("shared"), 5);
-        assert!(metrics.same_registry(&metrics.clone()));
-        assert!(!metrics.same_registry(&MetricsHandle::new()));
-        assert!(MetricsHandle::disabled().same_registry(&MetricsHandle::disabled()));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Collective operations built from point-to-point messages.
 //!
 //! The algorithms mirror those of a production MPI: dissemination barrier,
-//! binomial-tree broadcast and reduce, linear scatter/gather (with vector
-//! variants), ring allgather and pairwise all-to-all.  All internal traffic
+//! binomial-tree broadcast and reduce, and linear scatter/gather (with vector
+//! variants).  All internal traffic
 //! uses tags at or above [`crate::comm::TAG_INTERNAL_BASE`] so it can never
 //! be stolen by user wildcard receives.
 
@@ -15,8 +15,6 @@ const TAG_BARRIER: u32 = TAG_INTERNAL_BASE + 0x100;
 const TAG_BCAST: u32 = TAG_INTERNAL_BASE + 0x200;
 const TAG_GATHER: u32 = TAG_INTERNAL_BASE + 0x300;
 const TAG_SCATTER: u32 = TAG_INTERNAL_BASE + 0x400;
-const TAG_ALLGATHER: u32 = TAG_INTERNAL_BASE + 0x500;
-const TAG_ALLTOALL: u32 = TAG_INTERNAL_BASE + 0x600;
 const TAG_REDUCE: u32 = TAG_INTERNAL_BASE + 0x700;
 
 /// Element-wise reduction operators for the typed reduce/allreduce helpers.
@@ -422,64 +420,6 @@ impl Communicator {
         self.scatterv(root, chunks.as_deref())
     }
 
-    /// All ranks contribute a buffer; every rank receives all contributions
-    /// indexed by rank (ring algorithm, `P-1` steps).
-    pub fn allgatherv(&mut self, data: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let size = self.size();
-        let rank = self.rank();
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); size];
-        out[rank] = data.to_vec();
-        if size == 1 {
-            return Ok(out);
-        }
-        let right = (rank + 1) % size;
-        let left = (rank + size - 1) % size;
-        // At step s we forward the block that originated at rank - s.
-        let mut forward = data.to_vec();
-        for step in 0..size - 1 {
-            let (incoming, _) = self.sendrecv(
-                right,
-                TAG_ALLGATHER + step as u32,
-                &forward,
-                Some(left),
-                Some(TAG_ALLGATHER + step as u32),
-            )?;
-            let origin = (rank + size - step - 1) % size;
-            out[origin] = incoming.to_vec();
-            forward = incoming.into_vec();
-        }
-        Ok(out)
-    }
-
-    /// Personalised all-to-all exchange: `chunks[i]` goes to rank `i`, the
-    /// result's entry `i` came from rank `i` (pairwise exchange algorithm).
-    pub fn alltoallv(&mut self, chunks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        let size = self.size();
-        let rank = self.rank();
-        if chunks.len() != size {
-            return Err(RmpiError::InvalidArgument(format!(
-                "alltoall needs {} chunks, got {}",
-                size,
-                chunks.len()
-            )));
-        }
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); size];
-        out[rank] = chunks[rank].clone();
-        for step in 1..size {
-            let to = (rank + step) % size;
-            let from = (rank + size - step) % size;
-            let (incoming, _) = self.sendrecv(
-                to,
-                TAG_ALLTOALL + step as u32,
-                &chunks[to],
-                Some(from),
-                Some(TAG_ALLTOALL + step as u32),
-            )?;
-            out[from] = incoming.into_vec();
-        }
-        Ok(out)
-    }
-
     /// Element-wise reduction of typed vectors (carried as little-endian
     /// bytes of `dtype` elements) to `root` (binomial tree).  Returns
     /// `Some(result)` at the root, `None` elsewhere.
@@ -536,19 +476,6 @@ impl Communicator {
         let mut bytes = reduced.unwrap_or_default();
         self.bcast(0, &mut bytes)?;
         Ok(bytes)
-    }
-
-    /// Element-wise reduction of `f64` vectors to `root` — the typed wrapper
-    /// over [`Communicator::reduce_bytes`].
-    pub fn reduce_f64(
-        &mut self,
-        root: usize,
-        data: &[f64],
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        Ok(self
-            .reduce_bytes(root, &f64s_to_bytes(data), op, ReduceDtype::F64)?
-            .map(|bytes| bytes_to_f64s(&bytes)))
     }
 
     /// Element-wise `f64` reduction where every rank receives the result.

@@ -50,7 +50,7 @@ use dcgn_netsim::buffer::ENVELOPE_BYTES;
 use dcgn_netsim::{Delivery, Endpoint, EndpointId, Payload};
 
 use crate::packet::{Packet, RmpiError, Status};
-use crate::rdv::{ProgressHandle, RdvConfig, TransferProgress};
+use crate::rdv::RdvConfig;
 use crate::Result;
 
 /// First tag value reserved for internal (collective) traffic.  User tags
@@ -129,8 +129,10 @@ enum RecvState {
         /// Drained chunks not yet credited back — flushed as one
         /// `RdvCredit` every [`RdvConfig::credit_batch`] chunks.
         pending_credits: usize,
-        /// The transfer's length, start time and published byte count.
-        progress: ProgressHandle,
+        /// The transfer's length in bytes.
+        total: usize,
+        /// When the CTS left, for the transfer's throughput sample.
+        started: Instant,
     },
     Complete {
         data: Payload,
@@ -189,8 +191,6 @@ pub struct Communicator {
     /// Keyed by source as well, because `send_id`s are per-*sender*
     /// counters and collide across senders.
     recv_streams: HashMap<(usize, u64), u64>,
-    /// Rolling-window per-transfer progress of streamed receives.
-    progress: Arc<TransferProgress>,
     // Global `rmpi.*` instruments ([`dcgn_metrics::global`]), shared across
     // every communicator: protocol split, chunk traffic, window occupancy
     // high-water, and per-transfer throughput.
@@ -225,7 +225,6 @@ impl Communicator {
             recv_fifo: VecDeque::new(),
             send_streams: HashMap::new(),
             recv_streams: HashMap::new(),
-            progress: Arc::new(TransferProgress::default()),
             eager_sends: metrics.counter("rmpi.eager_sends"),
             rdv_sends: metrics.counter("rmpi.rdv_sends"),
             rdv_chunks: metrics.counter("rmpi.rdv.chunks"),
@@ -247,17 +246,6 @@ impl Communicator {
     /// The eager/rendezvous protocol threshold in bytes.
     pub fn eager_threshold(&self) -> usize {
         self.rdv.eager_threshold
-    }
-
-    /// The transfer-protocol configuration this communicator runs with.
-    pub fn rdv_config(&self) -> RdvConfig {
-        self.rdv
-    }
-
-    /// Rolling-window progress registry of this communicator's streamed
-    /// receives: per-transfer fractions and a recent-throughput estimate.
-    pub fn transfer_progress(&self) -> Arc<TransferProgress> {
-        Arc::clone(&self.progress)
     }
 
     /// Node index this rank's endpoint is attached to.
@@ -448,25 +436,6 @@ impl Communicator {
         self.wait_recv(req)
     }
 
-    /// Blocking receive into a caller-provided buffer.  Fails with
-    /// [`RmpiError::Truncated`] if the message does not fit.
-    pub fn recv_into(
-        &mut self,
-        src: Option<usize>,
-        tag: Option<u32>,
-        buf: &mut [u8],
-    ) -> Result<Status> {
-        let (data, status) = self.recv(src, tag)?;
-        if data.len() > buf.len() {
-            return Err(RmpiError::Truncated {
-                buffer: buf.len(),
-                message: data.len(),
-            });
-        }
-        buf[..data.len()].copy_from_slice(data.as_slice());
-        Ok(status)
-    }
-
     /// Combined send and receive, progressed together so the pattern cannot
     /// deadlock (the equivalent of `MPI_Sendrecv`).
     pub fn sendrecv(
@@ -497,36 +466,6 @@ impl Communicator {
         let (data, status) = self.sendrecv(dst, send_tag, buf, src, recv_tag)?;
         *buf = data.into_vec();
         Ok(status)
-    }
-
-    /// Nonblocking check for an already-matched incoming message.  Makes one
-    /// progress pass; returns a completed `(payload, status)` if a message
-    /// matching `(src, tag)` has arrived, without blocking.  Used by pollers
-    /// (like the DCGN communication thread) that cannot afford to block.
-    pub fn try_recv_match(
-        &mut self,
-        src: Option<usize>,
-        tag: Option<u32>,
-    ) -> Result<Option<(Payload, Status)>> {
-        self.progress_pass()?;
-        let idx = self.unexpected.iter().position(|u| {
-            matches!(u.kind, UnexpectedKind::Eager(_)) && Self::matches(src, tag, u.src, u.tag)
-        });
-        if let Some(idx) = idx {
-            let u = self.unexpected.remove(idx).expect("index valid");
-            if let UnexpectedKind::Eager(data) = u.kind {
-                let status = Status {
-                    source: u.src,
-                    tag: u.tag,
-                    len: data.len(),
-                };
-                return Ok(Some((data, status)));
-            }
-        }
-        // A rendezvous message needs a posted receive to make progress, so a
-        // matching RTS is handled by posting a real irecv and letting the
-        // caller complete it later; we do not do that implicitly here.
-        Ok(None)
     }
 
     // ------------------------------------------------------------------
@@ -670,7 +609,8 @@ impl Communicator {
                 tag,
                 assembled: Payload::empty(),
                 pending_credits: 0,
-                progress: self.progress.register(len),
+                total: len,
+                started: Instant::now(),
             }
         } else {
             RecvState::WaitingData { send_id, src, tag }
@@ -883,13 +823,14 @@ impl Communicator {
             tag,
             assembled,
             pending_credits,
-            progress,
+            total,
+            started,
             ..
         } = &mut r.state
         else {
             return;
         };
-        let total = progress.total();
+        let total = *total;
         // Append-only: the fabric's per-sender FIFO means the next chunk
         // starts exactly where the assembled view ends.  A duplicate (offset
         // behind), a gap (offset ahead) or an overrun cannot be assembled;
@@ -904,13 +845,14 @@ impl Communicator {
             );
             return;
         }
-        progress.add(data.len());
         assembled.append(data);
         if assembled.len() == total {
             // The sender completed (and may have exited) when its last chunk
             // left, so nothing is owed for the finishing chunk — or for any
             // batch still pending when it lands.
-            self.rdv_rate.record(progress.bytes_per_sec() as u64);
+            let elapsed = started.elapsed().max(Duration::from_nanos(1));
+            self.rdv_rate
+                .record((total as f64 / elapsed.as_secs_f64()) as u64);
             let status = Status {
                 source: src,
                 tag: *tag,

@@ -15,15 +15,14 @@
 //!   threshold and a **rendezvous** (RTS/CTS) protocol above it; rendezvous
 //!   payloads larger than one chunk stream through a credit-windowed
 //!   chunk pipeline (zero-copy views of the staged buffer, bounded
-//!   in-flight memory, per-transfer progress metrics — see the [`comm`]
-//!   module docs and [`RdvConfig`]),
+//!   in-flight memory — see the [`comm`] module docs and [`RdvConfig`]),
 //! * receives match on `(source, tag)` with wildcard support and an
 //!   unexpected-message queue,
 //! * nonblocking operations ([`Communicator::isend`]/[`Communicator::irecv`])
 //!   are tracked as requests and progressed by every call into the library,
-//! * collectives (barrier, broadcast, scatter/gather, allgather, all-to-all,
-//!   reduce/allreduce) are built from point-to-point messages using the
-//!   standard dissemination/binomial/ring algorithms.
+//! * collectives (barrier, broadcast, scatter/gather, reduce/allreduce) are
+//!   built from point-to-point messages using the standard dissemination and
+//!   binomial-tree algorithms.
 //!
 //! A communicator is owned by exactly one thread (`MPI_THREAD_SINGLE`), which
 //! mirrors the constraint the paper designs around: DCGN funnels all
@@ -47,8 +46,8 @@ pub use packet::{
     PHASE_RD_ROUND_BASE, PHASE_RING_BASE, PHASE_UP,
 };
 pub use rdv::{
-    ProgressHandle, RdvConfig, TransferProgress, TransferSnapshot, DEFAULT_RDV_CHUNK,
-    DEFAULT_RDV_WINDOW, ENV_EAGER_THRESHOLD, ENV_RDV_CHUNK, ENV_RDV_WINDOW, MAX_RDV_WINDOW,
+    RdvConfig, DEFAULT_RDV_CHUNK, DEFAULT_RDV_WINDOW, ENV_EAGER_THRESHOLD, ENV_RDV_CHUNK,
+    ENV_RDV_WINDOW, MAX_RDV_WINDOW,
 };
 pub use typed::{
     bytes_to_f32s, bytes_to_f64s, bytes_to_i64s, bytes_to_u32s, f32s_to_bytes, f64s_to_bytes,

@@ -211,14 +211,6 @@ pub struct Status {
 pub enum RmpiError {
     /// A rank argument was outside `0..size`.
     InvalidRank(usize),
-    /// A received message was larger than the buffer provided to
-    /// `recv_into` (MPI_ERR_TRUNCATE).
-    Truncated {
-        /// Bytes available in the receive buffer.
-        buffer: usize,
-        /// Bytes in the matching message.
-        message: usize,
-    },
     /// The fabric or a peer endpoint has gone away.
     Disconnected,
     /// No progress was possible within the communicator's progress timeout —
@@ -235,10 +227,6 @@ impl fmt::Display for RmpiError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RmpiError::InvalidRank(r) => write!(f, "invalid rank {r}"),
-            RmpiError::Truncated { buffer, message } => write!(
-                f,
-                "message truncated: buffer holds {buffer} bytes, message has {message}"
-            ),
             RmpiError::Disconnected => write!(f, "communicator disconnected"),
             RmpiError::Stalled(what) => {
                 write!(f, "no progress within timeout while waiting for {what}")
@@ -327,11 +315,6 @@ mod tests {
     fn errors_format_usefully() {
         let msgs = [
             RmpiError::InvalidRank(7).to_string(),
-            RmpiError::Truncated {
-                buffer: 4,
-                message: 8,
-            }
-            .to_string(),
             RmpiError::Disconnected.to_string(),
             RmpiError::Stalled("recv").to_string(),
             RmpiError::InvalidArgument("bad".into()).to_string(),

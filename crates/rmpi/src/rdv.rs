@@ -1,19 +1,10 @@
-//! Rendezvous pipeline configuration and per-transfer progress tracking.
+//! Rendezvous pipeline configuration.
 //!
 //! Large messages rendezvous with an RTS→CTS handshake and then stream as
 //! fixed-size chunks through a bounded credit window (see the `comm` module
-//! docs for the protocol).  This module holds the two supporting pieces:
-//!
-//! * [`RdvConfig`] — the tunables (eager threshold, chunk size, window
-//!   depth), their environment-variable overrides, and their validation;
-//! * [`TransferProgress`] / [`ProgressHandle`] — a rolling-window progress
-//!   tracker that lets every in-flight transfer publish its byte count
-//!   through a shared atomic, so diagnostics can read per-transfer fractions
-//!   and a recent-throughput estimate without touching the engine state.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+//! docs for the protocol).  This module holds [`RdvConfig`]: the tunables
+//! (eager threshold, chunk size, window depth), their environment-variable
+//! overrides, and their validation.
 
 use dcgn_netsim::buffer::ENVELOPE_BYTES;
 
@@ -118,18 +109,11 @@ impl RdvConfig {
         Ok(())
     }
 
-    /// Number of chunks a `len`-byte streamed transfer splits into: the
-    /// last chunk absorbs a tail of at most [`ENVELOPE_BYTES`], so a framed
-    /// power-of-two body does not trail a 16-byte runt frame.
-    /// Meaningful only when [`RdvConfig::streams`] holds for `len`.
-    pub fn chunks_for(&self, len: usize) -> usize {
-        debug_assert!(self.streams(len));
-        (len - ENVELOPE_BYTES).div_ceil(self.chunk_bytes)
-    }
-
     /// True when a rendezvous payload of `len` bytes takes the streamed
     /// chunk path rather than the single-frame path: it is more than one
-    /// chunk plus the tail a chunk absorbs.
+    /// chunk plus the tail a chunk absorbs.  The last chunk absorbs a tail
+    /// of at most [`ENVELOPE_BYTES`], so a framed power-of-two body does not
+    /// trail a 16-byte runt frame.
     pub fn streams(&self, len: usize) -> bool {
         self.chunk_bytes > 0 && len.saturating_sub(ENVELOPE_BYTES) > self.chunk_bytes
     }
@@ -156,151 +140,6 @@ fn parse_env_usize(name: &str, value: Option<&str>) -> crate::Result<Option<usiz
             })
         })
         .transpose()
-}
-
-// ---------------------------------------------------------------------------
-// Rolling-window transfer progress.
-// ---------------------------------------------------------------------------
-
-/// Samples retained by the rolling throughput window.
-const ROLLING_SAMPLES: usize = 64;
-
-/// Progress registry shared by all transfers of one communicator.
-///
-/// Each streamed transfer registers an atomic byte counter
-/// ([`ProgressHandle`]) here; every drained chunk bumps the counter and
-/// appends a `(when, cumulative bytes)` sample to a bounded rolling window,
-/// from which [`TransferProgress::recent_bytes_per_sec`] derives the
-/// engine's recent aggregate throughput.  Readers never block the data path:
-/// counters are relaxed atomics and the window is sampled under a short
-/// lock.
-#[derive(Debug, Default)]
-pub struct TransferProgress {
-    instances: Mutex<Vec<Instance>>,
-    window: Mutex<RollingWindow>,
-    cumulative: AtomicUsize,
-}
-
-#[derive(Debug)]
-struct Instance {
-    done: Arc<AtomicUsize>,
-    total: usize,
-}
-
-impl Instance {
-    /// Still in flight: bytes outstanding and its [`ProgressHandle`] (the
-    /// counter's other owner) not yet dropped by a failed receive.
-    fn live(&self) -> bool {
-        self.done.load(Ordering::Relaxed) < self.total && Arc::strong_count(&self.done) > 1
-    }
-}
-
-#[derive(Debug, Default)]
-struct RollingWindow {
-    samples: std::collections::VecDeque<(Instant, usize)>,
-}
-
-/// Per-transfer snapshot reported by [`TransferProgress::fractions`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransferSnapshot {
-    /// Bytes delivered so far.
-    pub done: usize,
-    /// Total bytes of the transfer.
-    pub total: usize,
-}
-
-impl TransferProgress {
-    /// Register a new transfer of `total` bytes and return its handle.
-    /// Finished and abandoned transfers are swept out on the way, so the
-    /// registry holds the transfers in flight, not every one there ever was.
-    pub fn register(self: &Arc<Self>, total: usize) -> ProgressHandle {
-        let done = Arc::new(AtomicUsize::new(0));
-        let mut instances = self.instances.lock().expect("progress lock");
-        instances.retain(Instance::live);
-        instances.push(Instance {
-            done: Arc::clone(&done),
-            total,
-        });
-        ProgressHandle {
-            done,
-            total,
-            started: Instant::now(),
-            registry: Arc::clone(self),
-        }
-    }
-
-    /// Bytes delivered across every transfer ever registered.
-    pub fn total_bytes(&self) -> usize {
-        self.cumulative.load(Ordering::Relaxed)
-    }
-
-    /// Per-transfer progress of every live (incomplete) transfer.
-    /// Completed transfers are swept out on the way.
-    pub fn fractions(&self) -> Vec<TransferSnapshot> {
-        let mut instances = self.instances.lock().expect("progress lock");
-        instances.retain(Instance::live);
-        instances
-            .iter()
-            .map(|i| TransferSnapshot {
-                done: i.done.load(Ordering::Relaxed),
-                total: i.total,
-            })
-            .collect()
-    }
-
-    /// Aggregate throughput over the rolling sample window, or `None` before
-    /// two samples exist.
-    pub fn recent_bytes_per_sec(&self) -> Option<f64> {
-        let window = self.window.lock().expect("progress lock");
-        let (first, last) = (window.samples.front()?, window.samples.back()?);
-        let elapsed = last.0.duration_since(first.0);
-        if elapsed.is_zero() || last.1 == first.1 {
-            return None;
-        }
-        Some((last.1 - first.1) as f64 / elapsed.as_secs_f64())
-    }
-
-    fn record(&self, bytes: usize) {
-        let cumulative = self.cumulative.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        let mut window = self.window.lock().expect("progress lock");
-        window.samples.push_back((Instant::now(), cumulative));
-        while window.samples.len() > ROLLING_SAMPLES {
-            window.samples.pop_front();
-        }
-    }
-}
-
-/// One transfer's write handle into a [`TransferProgress`] registry.
-#[derive(Debug)]
-pub struct ProgressHandle {
-    done: Arc<AtomicUsize>,
-    total: usize,
-    started: Instant,
-    registry: Arc<TransferProgress>,
-}
-
-impl ProgressHandle {
-    /// Record `bytes` more of this transfer as delivered.
-    pub fn add(&self, bytes: usize) {
-        self.done.fetch_add(bytes, Ordering::Relaxed);
-        self.registry.record(bytes);
-    }
-
-    /// Bytes delivered so far.
-    pub fn done(&self) -> usize {
-        self.done.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes of the transfer.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Mean throughput of this transfer since it was registered.
-    pub fn bytes_per_sec(&self) -> f64 {
-        let elapsed = self.started.elapsed().max(Duration::from_nanos(1));
-        self.done() as f64 / elapsed.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -359,61 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_decision_and_chunk_count() {
+    fn streaming_decision_absorbs_an_envelope_tail() {
         let cfg = RdvConfig::new(64).with_chunk_bytes(1000);
         assert!(!cfg.streams(1000), "exactly one chunk ships single-frame");
         // A chunk absorbs an envelope-sized tail: a framed one-chunk body is
         // still one frame, not a full chunk and a 16-byte runt.
         assert!(!cfg.streams(1000 + ENVELOPE_BYTES));
         assert!(cfg.streams(1000 + ENVELOPE_BYTES + 1));
-        assert_eq!(cfg.chunks_for(1000 + ENVELOPE_BYTES + 1), 2);
-        assert_eq!(cfg.chunks_for(3000), 3);
-        assert_eq!(cfg.chunks_for(3000 + ENVELOPE_BYTES), 3);
-        assert_eq!(cfg.chunks_for(3000 + ENVELOPE_BYTES + 1), 4);
         assert!(!cfg.with_chunk_bytes(0).streams(usize::MAX));
-    }
-
-    /// A long-lived communicator registers one transfer per streamed
-    /// receive; the registry must hold the ones in flight, not all of them.
-    #[test]
-    fn finished_and_abandoned_transfers_leave_the_registry() {
-        let progress = Arc::new(TransferProgress::default());
-        for _ in 0..10_000 {
-            progress.register(8).add(8);
-        }
-        assert!(progress.instances.lock().unwrap().len() <= 1);
-        // A tombstoned receive drops its handle short of the total.
-        let in_flight = progress.register(8);
-        drop(progress.register(8));
-        drop(progress.register(8));
-        in_flight.add(4);
-        assert_eq!(
-            progress.fractions(),
-            vec![TransferSnapshot { done: 4, total: 8 }]
-        );
-    }
-
-    #[test]
-    fn progress_tracks_fractions_and_throughput() {
-        let progress = Arc::new(TransferProgress::default());
-        let a = progress.register(100);
-        let b = progress.register(50);
-        a.add(40);
-        std::thread::sleep(Duration::from_millis(2));
-        b.add(50);
-        assert_eq!(progress.total_bytes(), 90);
-        assert_eq!(a.done(), 40);
-        assert!(a.bytes_per_sec() > 0.0);
-        // b completed, so only a remains live.
-        let live = progress.fractions();
-        assert_eq!(
-            live,
-            vec![TransferSnapshot {
-                done: 40,
-                total: 100
-            }]
-        );
-        let rate = progress.recent_bytes_per_sec().expect("two samples");
-        assert!(rate > 0.0);
     }
 }

@@ -56,11 +56,6 @@ impl RankPlacement {
         }
     }
 
-    /// Total number of ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.node_of_rank.len()
-    }
-
     /// Number of nodes spanned by the placement.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
@@ -221,7 +216,6 @@ mod tests {
     #[test]
     fn block_placement_layout() {
         let p = RankPlacement::block(4, 2);
-        assert_eq!(p.num_ranks(), 8);
         assert_eq!(p.num_nodes(), 4);
         assert_eq!(p.node_map(), &[0, 0, 1, 1, 2, 2, 3, 3]);
         assert_eq!(p.node_of(5), 2);
@@ -238,7 +232,7 @@ mod tests {
     fn explicit_placement_derives_node_count() {
         let p = RankPlacement::explicit(vec![0, 2, 1]);
         assert_eq!(p.num_nodes(), 3);
-        assert_eq!(p.num_ranks(), 3);
+        assert_eq!(p.node_map().len(), 3);
     }
 
     #[test]

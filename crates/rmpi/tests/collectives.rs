@@ -1,6 +1,8 @@
 //! Collective correctness across rank counts, placements and payload sizes.
 
-use dcgn_rmpi::{MpiWorld, RankPlacement, ReduceOp, RmpiError};
+use dcgn_rmpi::{
+    bytes_to_f64s, f64s_to_bytes, MpiWorld, RankPlacement, ReduceDtype, ReduceOp, RmpiError,
+};
 use dcgn_simtime::CostModel;
 
 fn run_with<R, F>(nodes: usize, per_node: usize, f: F) -> Vec<R>
@@ -168,49 +170,6 @@ fn scatter_rejects_indivisible_buffer() {
 }
 
 #[test]
-fn allgather_gives_everyone_everything() {
-    let results = run_with(2, 3, |mut comm| {
-        let mine = vec![comm.rank() as u8 * 10; 3];
-        comm.allgatherv(&mine).unwrap()
-    });
-    for gathered in results {
-        assert_eq!(gathered.len(), 6);
-        for (rank, part) in gathered.iter().enumerate() {
-            assert_eq!(part, &vec![rank as u8 * 10; 3]);
-        }
-    }
-}
-
-#[test]
-fn alltoall_personalised_exchange() {
-    let n = 4;
-    let results = run_with(2, 2, move |mut comm| {
-        let chunks: Vec<Vec<u8>> = (0..n)
-            .map(|dst| vec![(comm.rank() * 10 + dst) as u8; 2])
-            .collect();
-        comm.alltoallv(&chunks).unwrap()
-    });
-    for (me, received) in results.iter().enumerate() {
-        for (from, part) in received.iter().enumerate() {
-            assert_eq!(part, &vec![(from * 10 + me) as u8; 2]);
-        }
-    }
-}
-
-#[test]
-fn alltoall_wrong_chunk_count_is_rejected() {
-    let results = run_with(1, 2, |mut comm| {
-        if comm.rank() == 0 {
-            let err = comm.alltoallv(&[vec![0u8]]).unwrap_err();
-            matches!(err, RmpiError::InvalidArgument(_))
-        } else {
-            true
-        }
-    });
-    assert!(results.iter().all(|&ok| ok));
-}
-
-#[test]
 fn reduce_sum_min_max() {
     for (op, expect) in [
         (ReduceOp::Sum, vec![6.0, 60.0]),
@@ -218,8 +177,9 @@ fn reduce_sum_min_max() {
         (ReduceOp::Max, vec![3.0, 30.0]),
     ] {
         let results = run_with(2, 2, move |mut comm| {
-            let mine = vec![comm.rank() as f64, comm.rank() as f64 * 10.0 + 10.0];
-            comm.reduce_f64(0, &mine, op).unwrap()
+            let mine = f64s_to_bytes(&[comm.rank() as f64, comm.rank() as f64 * 10.0 + 10.0]);
+            let reduced = comm.reduce_bytes(0, &mine, op, ReduceDtype::F64).unwrap();
+            reduced.map(|bytes| bytes_to_f64s(&bytes))
         });
         let at_root = results[0].as_ref().unwrap();
         // ranks contribute [0,10],[1,20],[2,30],[3,40]
@@ -254,7 +214,7 @@ fn reduce_length_mismatch_is_detected() {
         } else {
             vec![1.0f64]
         };
-        comm.reduce_f64(0, &mine, ReduceOp::Sum)
+        comm.reduce_bytes(0, &f64s_to_bytes(&mine), ReduceOp::Sum, ReduceDtype::F64)
     });
     // Root sees the mismatch (rank 1 sends a shorter vector).
     assert!(results[0].is_err());
@@ -262,7 +222,7 @@ fn reduce_length_mismatch_is_detected() {
 
 #[test]
 fn collectives_compose_in_sequence() {
-    // A realistic mixed sequence: bcast, compute, reduce, barrier, allgather.
+    // A realistic mixed sequence: bcast, compute, reduce, barrier, gather.
     let results = run_with(2, 2, |mut comm| {
         let mut params = if comm.rank() == 0 {
             vec![2u8, 3]
@@ -273,12 +233,13 @@ fn collectives_compose_in_sequence() {
         let local = (params[0] as f64) * (comm.rank() as f64 + 1.0);
         let total = comm.allreduce_f64(&[local], ReduceOp::Sum).unwrap()[0];
         comm.barrier().unwrap();
-        let everyone = comm.allgatherv(&[comm.rank() as u8]).unwrap();
-        (total, everyone.len())
+        let everyone = comm.gatherv(0, &[comm.rank() as u8]).unwrap();
+        (total, everyone)
     });
-    for (total, n) in results {
+    for (rank, (total, everyone)) in results.into_iter().enumerate() {
         assert_eq!(total, 2.0 * (1.0 + 2.0 + 3.0 + 4.0));
-        assert_eq!(n, 4);
+        let expected = (rank == 0).then(|| vec![vec![0u8], vec![1], vec![2], vec![3]]);
+        assert_eq!(everyone, expected);
     }
 }
 

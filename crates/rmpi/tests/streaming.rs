@@ -8,11 +8,21 @@
 //! run must deliver byte-for-byte what the sequential-reference run does,
 //! which in turn must match the deterministic per-transfer pattern.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use dcgn_netsim::buffer::ENVELOPE_BYTES;
 use dcgn_rmpi::{MpiWorld, RankPlacement, RdvConfig};
 use dcgn_simtime::CostModel;
 use proptest::prelude::*;
 
 const RANKS: usize = 3;
+
+/// Every streamed transfer bumps the process-wide `rmpi.rdv.*` instruments,
+/// so the tests of this file run one at a time for a test that counts them.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One point-to-point transfer: who sends, who receives, how many bytes,
 /// and the pattern seed.  Derived deterministically from a single u64 so
@@ -109,6 +119,7 @@ fn transfers_len(per_rank: &[Vec<(usize, Vec<u8>)>]) -> usize {
 /// they can; the hand-off must hold in every round, not in most.
 #[test]
 fn streamed_send_hands_the_staged_buffer_to_the_receiver_every_time() {
+    let _serial = serial();
     const LEN: usize = 64 * 1024;
     const ROUNDS: usize = 200;
     let rdv = RdvConfig::new(512).with_chunk_bytes(4096).with_window(2);
@@ -143,6 +154,55 @@ fn streamed_send_hands_the_staged_buffer_to_the_receiver_every_time() {
     assert_eq!(fallbacks, [0, 0], "copy fall-backs per rank");
 }
 
+/// A streamed receive records exactly one `rmpi.rdv.transfer_bytes_per_sec`
+/// sample; an eager or single-frame receive records none.  A streamed
+/// transfer cuts one chunk per `chunk_bytes`, the last absorbing a tail of
+/// at most an envelope.
+#[test]
+fn each_streamed_receive_records_one_throughput_sample() {
+    let _serial = serial();
+    const CHUNK: usize = 1000;
+    let rdv = RdvConfig::new(512).with_chunk_bytes(CHUNK).with_window(2);
+    let metrics = dcgn_metrics::global();
+    let samples = || {
+        let rate = metrics.histogram("rmpi.rdv.transfer_bytes_per_sec");
+        rate.stats().count
+    };
+    let chunks = || metrics.counter("rmpi.rdv.chunks").get();
+    // (message bytes, chunks it streams as)
+    let cases = [
+        (512, 0),                        // eager
+        (CHUNK + ENVELOPE_BYTES, 0),     // one rendezvous frame
+        (CHUNK + ENVELOPE_BYTES + 1, 2), // streamed
+        (3 * CHUNK + ENVELOPE_BYTES, 3), // the last chunk absorbs the tail
+        (3 * CHUNK + ENVELOPE_BYTES + 1, 4),
+    ];
+    for (len, streamed_chunks) in cases {
+        let (samples_before, chunks_before) = (samples(), chunks());
+        MpiWorld::run_with(
+            &RankPlacement::block(2, 1),
+            CostModel::zero(),
+            rdv,
+            move |mut comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, 0, &vec![7u8; len]).unwrap();
+                } else {
+                    let (data, _) = comm.recv(Some(0), Some(0)).unwrap();
+                    assert_eq!(data, vec![7u8; len]);
+                }
+            },
+        )
+        .expect("valid rendezvous config");
+        let streamed = u64::from(streamed_chunks > 0);
+        assert_eq!(samples() - samples_before, streamed, "{len}-byte message");
+        assert_eq!(
+            chunks() - chunks_before,
+            streamed_chunks,
+            "{len}-byte message"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 8,
@@ -158,6 +218,7 @@ proptest! {
         chunk in 1024usize..16_384,
         window in 1usize..5,
     ) {
+        let _serial = serial();
         let mut transfers: Vec<Transfer> =
             seeds.iter().copied().map(Transfer::from_seed).collect();
         // Force at least two transfers onto the same rank pair so their

@@ -10,7 +10,7 @@
 //! running system as real wall-clock delays.
 //!
 //! The crate also provides the small measurement toolkit used by the
-//! benchmark harness: [`Stopwatch`], [`RunningStats`] and percentile helpers.
+//! benchmark harness: [`Stopwatch`] and percentile helpers.
 
 #![warn(missing_docs)]
 
@@ -21,6 +21,6 @@ pub mod stats;
 
 pub use bus::VirtualBus;
 pub use cost::{CostModel, LinkCost};
-pub use stats::{percentile, RunningStats, Stopwatch};
+pub use stats::{percentile, Stopwatch};
 
 pub use sleep::precise_sleep;

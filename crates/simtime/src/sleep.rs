@@ -42,12 +42,6 @@ pub fn precise_sleep(d: Duration) {
     }
 }
 
-/// Sleep for `micros` microseconds (convenience wrapper over
-/// [`precise_sleep`]).
-pub fn sleep_micros(micros: u64) {
-    precise_sleep(Duration::from_micros(micros));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,12 +67,5 @@ mod tests {
         let start = Instant::now();
         precise_sleep(d);
         assert!(start.elapsed() >= d);
-    }
-
-    #[test]
-    fn sleep_micros_matches_duration() {
-        let start = Instant::now();
-        sleep_micros(300);
-        assert!(start.elapsed() >= Duration::from_micros(300));
     }
 }

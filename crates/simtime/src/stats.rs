@@ -20,122 +20,11 @@ impl Stopwatch {
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
-
-    /// Elapsed time in seconds as a float.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed().as_secs_f64()
-    }
-
-    /// Restart the stopwatch and return the elapsed time up to now.
-    pub fn lap(&mut self) -> Duration {
-        let e = self.start.elapsed();
-        self.start = Instant::now();
-        e
-    }
 }
 
 impl Default for Stopwatch {
     fn default() -> Self {
         Self::start()
-    }
-}
-
-/// Incremental mean/variance/min/max accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        let delta2 = x - self.mean;
-        self.m2 += delta * delta2;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Add one duration sample, in seconds.
-    pub fn push_duration(&mut self, d: Duration) {
-        self.push(d.as_secs_f64());
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean of the samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance of the samples (0.0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -176,74 +65,6 @@ mod tests {
         let sw = Stopwatch::start();
         std::thread::sleep(Duration::from_millis(2));
         assert!(sw.elapsed() >= Duration::from_millis(2));
-    }
-
-    #[test]
-    fn stopwatch_lap_resets() {
-        let mut sw = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(2));
-        let first = sw.lap();
-        assert!(first >= Duration::from_millis(2));
-        assert!(sw.elapsed() < first);
-    }
-
-    #[test]
-    fn running_stats_basics() {
-        let mut s = RunningStats::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert!((s.variance() - 1.25).abs() < 1e-12);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(4.0));
-    }
-
-    #[test]
-    fn empty_stats_are_safe() {
-        let s = RunningStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn merge_matches_single_accumulator() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = RunningStats::new();
-        for &x in &data {
-            all.push(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &data[..37] {
-            a.push(x);
-        }
-        for &x in &data[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(5.0);
-        let before = a.clone();
-        a.merge(&RunningStats::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.mean(), 5.0);
     }
 
     #[test]
