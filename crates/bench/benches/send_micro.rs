@@ -37,7 +37,7 @@ fn bench_sends(c: &mut Criterion) {
 
 /// Large-message pipeline: one-way rendezvous time across a 64 kB – 4 MB
 /// size sweep, streamed as credit-windowed 256 kB chunks (`chunked`, the
-/// shipped defaults) vs the legacy monolithic `RdvData` frame
+/// shipped defaults) vs the whole payload as one monolithic chunk
 /// (`single_frame`, `chunk = 0`).  Both arms pin the protocol through an
 /// explicit `RdvConfig`, so the comparison is immune to `DCGN_RDV_CHUNK` in
 /// the environment.  Runs under the **unscaled** g92 cost model: the

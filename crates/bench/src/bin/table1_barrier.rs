@@ -48,5 +48,5 @@ fn main() {
     println!("# (work-queue hops dominate a data-free collective; the paper reports");
     println!("# ~7-13x CPU-only, ~100-150x with GPUs).  Multi-node ratios shrink to");
     println!("# ~1.5-6x since world collectives ride the async star exchange: one");
-    println!("# up/down frame pair per node instead of log-round dissemination.");
+    println!("# up/down frame pair per node, the plan the MPI barrier runs too.");
 }

@@ -213,8 +213,8 @@ pub fn mpi_send_time(size: usize, cost: CostModel, iters: usize) -> Duration {
 /// Average one-way time for a large-message MPI ping-pong of `size` bytes
 /// between two ranks on two nodes, under an **explicit** rendezvous
 /// protocol configuration: `chunk` bytes per `RdvChunk` frame with a
-/// `window`-chunk credit window, or the legacy single-`RdvData`-frame
-/// protocol when `chunk == 0`.  The explicit [`dcgn_rmpi::RdvConfig`]
+/// `window`-chunk credit window, or the whole payload as one chunk when
+/// `chunk == 0`.  The explicit [`dcgn_rmpi::RdvConfig`]
 /// (rather than `DCGN_RDV_CHUNK`) keeps an in-process chunked-vs-legacy
 /// comparison race-free: environment variables are process-global and the
 /// two arms of the comparison run in one Criterion process.
@@ -830,7 +830,7 @@ mod tests {
         // The acceptance property of the streamed rendezvous pipeline:
         // under the unscaled g92 cost model a 1 MB send finishes faster
         // when streamed as credit-windowed 256 kB chunks (the shipped
-        // defaults) than as one monolithic RdvData frame, because the
+        // defaults) than as one monolithic chunk (`chunk = 0`), because the
         // receiver drains chunk k while chunk k+1 is still on the wire.
         // Each arm takes the better of two runs so scheduler noise cannot
         // invert the comparison.

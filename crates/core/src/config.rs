@@ -9,6 +9,8 @@ use dcgn_simtime::CostModel;
 
 use crate::error::{DcgnError, Result};
 
+pub use dcgn_rmpi::exchange::ExchangePlan;
+
 /// Per-node resource request, mirroring the paper's example of "two CPU-kernel
 /// threads per node and two GPU-kernel threads per node".
 #[derive(Debug, Clone)]
@@ -45,42 +47,6 @@ impl NodeConfig {
     pub fn with_device(mut self, device: DeviceConfig) -> Self {
         self.device = device;
         self
-    }
-}
-
-/// Which schedule the comm-thread exchange engine uses for a collective.
-///
-/// Normally the engine picks per `(op, payload size, node count)` — see the
-/// selection table in `exchange/mod.rs` — but tests and benchmarks can force a
-/// plan via [`DcgnConfig::with_exchange_plan`] or the `DCGN_FORCE_PLAN`
-/// environment variable (`star`, `tree`, `rd`, `ring`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExchangePlan {
-    /// Every node sends to the leader, which combines and fans results out.
-    Star,
-    /// Binomial tree rooted at the leader: contributions bundle up the tree,
-    /// results flow down it — O(log n) critical path.
-    Tree,
-    /// Recursive-doubling allreduce (latency-optimal for small payloads).
-    /// Applies to allreduce only; other ops fall back to the default table.
-    RecursiveDoubling,
-    /// Ring allreduce (bandwidth-optimal for large payloads).  Applies to
-    /// allreduce only; other ops fall back to the default table.
-    Ring,
-}
-
-impl ExchangePlan {
-    /// Parse the `DCGN_FORCE_PLAN` spelling of a plan.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "star" => Some(ExchangePlan::Star),
-            "tree" => Some(ExchangePlan::Tree),
-            "rd" | "recursive-doubling" | "recursive_doubling" => {
-                Some(ExchangePlan::RecursiveDoubling)
-            }
-            "ring" => Some(ExchangePlan::Ring),
-            _ => None,
-        }
     }
 }
 
@@ -131,7 +97,7 @@ pub struct DcgnConfig {
     /// same way.
     pub eager_threshold: Option<usize>,
     /// Chunk size of the streamed rendezvous pipeline, in bytes (`0`
-    /// disables chunking: every rendezvous payload ships as one frame).
+    /// disables chunking: every rendezvous payload ships as one chunk).
     /// `None` defers to `DCGN_RDV_CHUNK` or the built-in default.
     pub rdv_chunk: Option<usize>,
     /// Credit-window depth of the streamed rendezvous pipeline, in chunks.
@@ -220,8 +186,8 @@ impl DcgnConfig {
     }
 
     /// Builder-style override of the rendezvous streaming chunk size (the
-    /// programmatic twin of `DCGN_RDV_CHUNK`; `0` forces the legacy
-    /// single-frame path).
+    /// programmatic twin of `DCGN_RDV_CHUNK`; `0` ships every rendezvous
+    /// payload as one chunk).
     pub fn with_rdv_chunk(mut self, bytes: usize) -> Self {
         self.rdv_chunk = Some(bytes);
         self

@@ -97,6 +97,16 @@ impl From<dcgn_rmpi::RmpiError> for DcgnError {
             // collective engine contains InvalidArgument failures (failing
             // the joined ranks) instead of tearing the whole thread down.
             dcgn_rmpi::RmpiError::InvalidArgument(msg) => DcgnError::InvalidArgument(msg),
+            // The exchange plans live in the substrate; their errors cross
+            // over as the ones DCGN's collectives report.
+            dcgn_rmpi::RmpiError::CollectiveMismatch {
+                in_progress,
+                requested,
+            } => DcgnError::CollectiveMismatch {
+                in_progress,
+                requested,
+            },
+            dcgn_rmpi::RmpiError::Internal(msg) => DcgnError::Internal(msg),
             other => DcgnError::Mpi(other.to_string()),
         }
     }

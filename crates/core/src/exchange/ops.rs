@@ -1,20 +1,19 @@
-//! What each collective *means*: the per-operation arms of the generic join
-//! → local-combine → exchange → scatter-back engine.  [`classify_collective`]
-//! and [`build_up`] turn joined requests into a node's contribution,
-//! [`combine`] turns every node's contribution into the down distribution at
-//! the root of a rooted plan, and [`Engine::deliver`] turns a node's down
-//! payload into per-rank replies.  The plans that move those bytes between
-//! nodes never look inside them.
+//! What each collective *means* to a node: the per-operation arms of the
+//! generic join → local-combine → exchange → scatter-back engine.
+//! [`classify_collective`] and [`build_up`] turn joined requests into a
+//! node's contribution, and [`Engine::deliver`] turns a node's down payload
+//! into per-rank replies.  The plans that move those bytes between nodes
+//! (and the root's combine, in `dcgn_rmpi::exchange`) never look at ranks.
 
 use std::collections::HashMap;
 
 use dcgn_netsim::Payload;
-use dcgn_rmpi::{frame_reduce, parse_reduce_frame, ReduceDtype, ReduceOp};
-
-use super::wire::{
-    decode_color_key, decode_rank_frames_into, encode_bundle_entry, encode_color_key,
-    encode_rank_frames, CollectiveId, CollectiveKind, ST_BUNDLE, ST_OK,
+use dcgn_rmpi::exchange::{
+    decode_color_key, decode_rank_frames_into, encode_color_key, encode_rank_frames, fold_all,
+    CollectiveId, CollectiveKind,
 };
+use dcgn_rmpi::frame_reduce;
+
 use super::Engine;
 use crate::error::{DcgnError, Result};
 use crate::group::{self, child_epoch, CommGroup, CommId};
@@ -107,40 +106,6 @@ pub(crate) fn classify_collective(
     Ok((comm, id, contribution))
 }
 
-/// The reduction a reduce/allreduce id names; an id without one is a local
-/// bug surfaced as the collective's error, not a panic on the comm thread.
-fn reduction_of(id: CollectiveId) -> std::result::Result<(ReduceOp, ReduceDtype), String> {
-    id.reduction
-        .ok_or_else(|| format!("{} carries no reduction operator", id.kind.name()))
-}
-
-/// Fold equal-length typed vectors into one.  `parts` pairs each vector with
-/// the rank or node (`who`) that contributed it, for the diagnostic when the
-/// lengths disagree (`scope` says across what).
-fn fold_all<'a>(
-    (op, dtype): (ReduceOp, ReduceDtype),
-    scope: &str,
-    who: &str,
-    parts: impl IntoIterator<Item = (usize, &'a [u8])>,
-) -> std::result::Result<Vec<u8>, String> {
-    let mut acc: Option<Vec<u8>> = None;
-    for (label, bytes) in parts {
-        match &mut acc {
-            None => acc = Some(bytes.to_vec()),
-            Some(acc) if acc.len() != bytes.len() => {
-                return Err(format!(
-                    "reduce length mismatch{scope}: {who} {label} contributed {} values, \
-                     expected {}",
-                    bytes.len() / dtype.element_bytes(),
-                    acc.len() / dtype.element_bytes()
-                ))
-            }
-            Some(acc) => dtype.fold(op, acc, bytes).map_err(|e| e.to_string())?,
-        }
-    }
-    Ok(acc.unwrap_or_default())
-}
-
 /// This node's local contribution to an exchange (the payload it sends
 /// toward the root, after the encoded [`CollectiveId`]).  `Err` carries a
 /// local validation failure, which the protocol echoes to the whole
@@ -177,7 +142,7 @@ pub(super) fn build_up(
             })
             .unwrap_or_default(),
         CollectiveKind::Reduce | CollectiveKind::Allreduce => {
-            let (op, dtype) = reduction_of(assembly.id)?;
+            let (op, dtype) = assembly.id.required_reduction()?;
             // Local-combine: one node-level partial from every joined rank's
             // vector.  It carries the (op, dtype) identity on the wire: nodes
             // whose ranks disagree on the reduction fail the whole
@@ -187,80 +152,6 @@ pub(super) fn build_up(
                 .iter()
                 .map(|(rank, c, _)| (*rank, c.as_bytes()));
             frame_reduce(op, dtype, &fold_all((op, dtype), "", "rank", ranks)?)
-        }
-    })
-}
-
-/// Combine the per-node up-payloads of a collective into the root's
-/// down-frame `(status, body)`: [`ST_OK`] with the one body every node
-/// receives, or [`ST_BUNDLE`] with `[node][len][body]` entries for
-/// node-specific results (scatter chunks; rooted results, which only the
-/// root's node gets — absent nodes read as empty).  `Err` carries a
-/// diagnostic that fails every member of the communicator (on every node).
-pub(super) fn combine(
-    id: CollectiveId,
-    group: &CommGroup,
-    payloads: &HashMap<usize, Payload>,
-) -> std::result::Result<(u8, Vec<u8>), String> {
-    let size = group.members.len();
-    let root_node = || {
-        id.root
-            .and_then(|root| group.member_nodes.get(root).copied())
-            .ok_or_else(|| format!("{} carries no valid root", id.kind.name()))
-    };
-    let merged = || {
-        let mut table = vec![Payload::empty(); size];
-        for payload in payloads.values() {
-            decode_rank_frames_into(payload, &mut table);
-        }
-        encode_rank_frames(table.iter().enumerate().map(|(s, d)| (s, d.as_slice())))
-    };
-    let only = |node: usize, payload: &[u8]| {
-        let mut bundle = Vec::with_capacity(8 + payload.len());
-        encode_bundle_entry(&mut bundle, node, None, &[payload]);
-        (ST_BUNDLE, bundle)
-    };
-    Ok(match id.kind {
-        CollectiveKind::Barrier => (ST_OK, Vec::new()),
-        CollectiveKind::Broadcast => {
-            let data = payloads.get(&root_node()?);
-            (ST_OK, data.map_or_else(Vec::new, Payload::to_vec))
-        }
-        CollectiveKind::Allgather | CollectiveKind::Split => (ST_OK, merged()),
-        CollectiveKind::Gather => only(root_node()?, &merged()),
-        CollectiveKind::Scatter => {
-            let mut table = vec![Payload::empty(); size];
-            if let Some(chunks) = payloads.get(&root_node()?) {
-                decode_rank_frames_into(chunks, &mut table);
-            }
-            let mut bundle = Vec::new();
-            for &node in &group.nodes {
-                let residents = group.member_nodes.iter().enumerate();
-                let frames =
-                    residents.filter_map(|(s, &m)| (m == node).then_some((s, table[s].as_slice())));
-                encode_bundle_entry(&mut bundle, node, None, &[&encode_rank_frames(frames)]);
-            }
-            (ST_BUNDLE, bundle)
-        }
-        CollectiveKind::Reduce | CollectiveKind::Allreduce => {
-            let (op, dtype) = reduction_of(id)?;
-            // Fold in node order, so the result is deterministic.  Each
-            // up-payload leads with its (op, dtype) identity header.
-            let partials = group
-                .nodes
-                .iter()
-                .map(|&node| {
-                    let frame = payloads.get(&node).map_or(&[][..], Payload::as_slice);
-                    Ok((node, parse_reduce_frame(frame, op, dtype)?))
-                })
-                .collect::<dcgn_rmpi::Result<Vec<_>>>()
-                .map_err(|e| e.to_string())?;
-            let result = fold_all((op, dtype), " across nodes", "node", partials)?;
-            if id.kind == CollectiveKind::Reduce {
-                only(root_node()?, &result)
-            } else {
-                (ST_OK, result)
-            }
         }
     })
 }
@@ -370,7 +261,7 @@ impl Engine {
             for (sub, (&member, &node)) in child_group
                 .members
                 .iter()
-                .zip(&child_group.member_nodes)
+                .zip(&child_group.layout.member_nodes)
                 .enumerate()
             {
                 if node == self.node {

@@ -799,6 +799,91 @@ mod tests {
         }
     }
 
+    /// The exact PCI-e transfers one small request costs, per request kind,
+    /// on a 1-slot GPU: the sweep that harvests it and the sweep that
+    /// completes it, as `(device reads, device writes)`.  A change to the
+    /// mailbox protocol states its win as a diff of this table.
+    #[test]
+    fn each_request_kind_costs_a_pinned_number_of_transfers_per_sweep() {
+        const LEN: usize = 64;
+        let buf = DevicePtr::NULL.add(1 << 20);
+        let received = || {
+            let mut data = PayloadBuf::with_capacity(LEN);
+            data.body_mut(LEN).fill(7);
+            let status = crate::message::CommStatus {
+                source: 1,
+                tag: 0,
+                len: LEN,
+            };
+            Reply::RecvDone {
+                data: data.freeze(),
+                status,
+            }
+        };
+        let unit = || Reply::CollectiveDone(CollectiveResult::Unit);
+        let (gpu, _) = test_gpu_thread(1);
+        let send = Body::new(opcode::SEND, 1, buf, LEN);
+        let recv = Body::new(opcode::RECV, 1, buf, LEN);
+        // (kind, record, body, reply, harvest sweep, completion sweep)
+        let table = [
+            (
+                "blocking SEND",
+                RESERVED_RECORD,
+                send,
+                Reply::SendDone,
+                (3, 1),
+                (1, 2),
+            ),
+            (
+                "blocking RECV",
+                RESERVED_RECORD,
+                recv,
+                received(),
+                (2, 1),
+                (1, 3),
+            ),
+            ("ISEND", 1, send, Reply::SendDone, (3, 1), (1, 2)),
+            ("IRECV", 1, recv, received(), (2, 1), (1, 3)),
+            (
+                "BARRIER",
+                RESERVED_RECORD,
+                barrier_body(&gpu, 0),
+                unit(),
+                (2, 1),
+                (1, 2),
+            ),
+        ];
+        for (kind, record, body, reply, harvest, completion) in table {
+            let (gpu, work_rx) = test_gpu_thread(1);
+            let mut pending = HashMap::new();
+            let transfers = |gpu: &GpuKernelThread| {
+                (
+                    gpu.device.dtoh_transfer_count(),
+                    gpu.device.htod_transfer_count(),
+                )
+            };
+            let delta =
+                |before: (u64, u64), after: (u64, u64)| (after.0 - before.0, after.1 - before.1);
+            publish(&gpu, 0, record, body);
+            let before = transfers(&gpu);
+            gpu.sweep(&mut pending).unwrap();
+            assert_eq!(delta(before, transfers(&gpu)), harvest, "{kind}: harvest");
+            let CommCommand::Batch(mut reqs) = work_rx.try_recv().unwrap() else {
+                panic!("{kind}: expected a Batch");
+            };
+            reqs.pop().unwrap().reply_to.complete(reply);
+            let before = transfers(&gpu);
+            gpu.sweep(&mut pending).unwrap();
+            assert_eq!(
+                delta(before, transfers(&gpu)),
+                completion,
+                "{kind}: completion"
+            );
+            assert!(pending.is_empty(), "{kind}");
+            assert_eq!(record_word(&gpu, 0, record), req_word(1, req_state::DONE));
+        }
+    }
+
     #[test]
     fn status_read_is_skipped_only_while_every_reserved_record_is_pending() {
         let slots = 2;

@@ -10,6 +10,8 @@
 //! split counter and the color, so every node computes identical ids from
 //! identical split tables without any extra coordination round.
 
+use dcgn_rmpi::exchange::Layout;
+
 use crate::error::{DcgnError, Result};
 
 /// Identifier of a communicator group.  Carried by every collective request
@@ -115,92 +117,6 @@ impl Comm {
 }
 
 // ---------------------------------------------------------------------------
-// Per-node exchange topology derivation.
-//
-// The comm-thread exchange engine runs collectives over the *nodes* hosting a
-// group's members.  Alternative plans (binomial tree, recursive doubling,
-// ring) need every node to derive the same topology from the same ordered
-// node list with no coordination round, so the helpers below are pure
-// functions of a node's position `v` in that list and the list length `n`.
-// ---------------------------------------------------------------------------
-
-/// Parent of position `v` in the binomial tree rooted at 0: clear the highest
-/// set bit.  Position 0 is the root and has no parent.
-pub(crate) fn binomial_parent(v: usize) -> Option<usize> {
-    if v == 0 {
-        None
-    } else {
-        Some(v & !(1usize << (usize::BITS - 1 - v.leading_zeros())))
-    }
-}
-
-/// Children of position `v` in the `n`-position binomial tree rooted at 0:
-/// `v + 2^k` for every `2^k > v` (with `2^k > 0` for the root) still below
-/// `n`, in ascending order.
-pub(crate) fn binomial_children(v: usize, n: usize) -> Vec<usize> {
-    let mut kids = Vec::new();
-    let mut bit = 1usize;
-    while bit <= v {
-        bit <<= 1;
-    }
-    while v + bit < n {
-        kids.push(v + bit);
-        bit <<= 1;
-    }
-    kids
-}
-
-/// Shape of a rooted gather→scatter exchange over the `n` positions of a
-/// group's node list, rooted at position 0.  The flat shape is the star plan
-/// (every position a child of the root); the binomial shape is the tree plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Topology {
-    /// Depth one: positions `1..n` are all leaves under the root.
-    Flat,
-    /// The binomial tree of [`binomial_parent`] / [`binomial_children`].
-    Binomial,
-}
-
-impl Topology {
-    /// Parent of position `v`; `None` for the root.
-    pub(crate) fn parent(self, v: usize) -> Option<usize> {
-        match self {
-            Topology::Flat => (v != 0).then_some(0),
-            Topology::Binomial => binomial_parent(v),
-        }
-    }
-
-    /// Children of position `v` among `n` positions, ascending.
-    pub(crate) fn children(self, v: usize, n: usize) -> Vec<usize> {
-        match self {
-            Topology::Flat if v == 0 => (1..n).collect(),
-            Topology::Flat => Vec::new(),
-            Topology::Binomial => binomial_children(v, n),
-        }
-    }
-
-    /// Every position in the subtree rooted at `v` (including `v` itself), in
-    /// BFS order.  Used to split per-node down traffic among a node's
-    /// children.
-    pub(crate) fn subtree(self, v: usize, n: usize) -> Vec<usize> {
-        let mut out = vec![v];
-        let mut i = 0;
-        while i < out.len() {
-            out.extend(self.children(out[i], n));
-            i += 1;
-        }
-        out
-    }
-}
-
-/// Largest power of two ≤ `n` (the "core" size of a recursive-doubling
-/// schedule).  `n` must be nonzero.
-pub(crate) fn prev_power_of_two(n: usize) -> usize {
-    debug_assert!(n > 0);
-    1usize << (usize::BITS - 1 - n.leading_zeros())
-}
-
-// ---------------------------------------------------------------------------
 // The comm thread's view of a group.
 // ---------------------------------------------------------------------------
 
@@ -209,11 +125,9 @@ pub(crate) fn prev_power_of_two(n: usize) -> usize {
 pub(crate) struct CommGroup {
     /// Global DCGN ranks in sub-rank order.
     pub(crate) members: Vec<usize>,
-    /// Node hosting each member, in sub-rank order.
-    pub(crate) member_nodes: Vec<usize>,
-    /// Nodes hosting at least one member, ascending.  `nodes[0]` leads the
-    /// group's exchanges.
-    pub(crate) nodes: Vec<usize>,
+    /// The nodes hosting the members, which is all an exchange plan sees of
+    /// the group.
+    pub(crate) layout: Layout,
     /// Members resident on this node — the assembly-completeness threshold.
     pub(crate) local_members: usize,
     /// Registration epoch, part of every exchange frame's identity.  Every
@@ -243,14 +157,10 @@ impl CommGroup {
         epoch: u32,
     ) -> Self {
         debug_assert_eq!(members.len(), member_nodes.len());
-        let mut nodes = member_nodes.clone();
-        nodes.sort_unstable();
-        nodes.dedup();
         CommGroup {
             local_members: member_nodes.iter().filter(|&&n| n == this_node).count(),
             members,
-            member_nodes,
-            nodes,
+            layout: Layout::new(member_nodes),
             epoch,
             seq: 0,
             splits: 0,
@@ -403,79 +313,10 @@ mod tests {
     }
 
     #[test]
-    fn binomial_tree_parent_child_agree() {
-        for n in 1..70usize {
-            for v in 0..n {
-                let kids = binomial_children(v, n);
-                for &c in &kids {
-                    assert_eq!(binomial_parent(c), Some(v), "n={n} v={v} child={c}");
-                }
-                // Ascending and below n.
-                assert!(kids.windows(2).all(|w| w[0] < w[1]));
-                assert!(kids.iter().all(|&c| c < n));
-            }
-            // Every non-root position appears as exactly one child.
-            let mut seen = vec![0usize; n];
-            for v in 0..n {
-                for c in binomial_children(v, n) {
-                    seen[c] += 1;
-                }
-            }
-            assert_eq!(seen[0], 0);
-            assert!(seen[1..].iter().all(|&s| s == 1), "n={n}: {seen:?}");
-        }
-        assert_eq!(binomial_parent(0), None);
-        assert_eq!(binomial_parent(1), Some(0));
-        assert_eq!(binomial_parent(6), Some(2));
-        assert_eq!(binomial_parent(13), Some(5));
-        assert_eq!(binomial_children(0, 8), vec![1, 2, 4]);
-        assert_eq!(binomial_children(1, 8), vec![3, 5]);
-        assert_eq!(binomial_children(2, 8), vec![6]);
-        assert_eq!(binomial_children(0, 32), vec![1, 2, 4, 8, 16]);
-    }
-
-    #[test]
-    fn binomial_subtrees_partition_positions() {
-        for n in 1..40usize {
-            let mut all: Vec<usize> = Topology::Binomial.subtree(0, n);
-            all.sort_unstable();
-            assert_eq!(all, (0..n).collect::<Vec<_>>());
-            // Children's subtrees are disjoint and cover everything but root.
-            let mut covered = vec![false; n];
-            covered[0] = true;
-            for c in binomial_children(0, n) {
-                for p in Topology::Binomial.subtree(c, n) {
-                    assert!(!covered[p], "n={n} position {p} covered twice");
-                    covered[p] = true;
-                }
-            }
-            assert!(covered.iter().all(|&b| b));
-        }
-    }
-
-    #[test]
-    fn flat_topology_is_a_depth_one_tree() {
-        for n in 1..10usize {
-            assert_eq!(Topology::Flat.children(0, n), (1..n).collect::<Vec<_>>());
-            assert_eq!(Topology::Flat.subtree(0, n), (0..n).collect::<Vec<_>>());
-            assert_eq!(Topology::Flat.parent(0), None);
-            for v in 1..n {
-                assert_eq!(Topology::Flat.parent(v), Some(0));
-                assert!(Topology::Flat.children(v, n).is_empty());
-                assert_eq!(Topology::Flat.subtree(v, n), vec![v]);
-            }
-        }
-        // The binomial shape defers to the helpers above.
-        assert_eq!(Topology::Binomial.children(1, 8), vec![3, 5]);
-        assert_eq!(Topology::Binomial.parent(6), Some(2));
-        assert_eq!(Topology::Binomial.subtree(1, 8), vec![1, 3, 5, 7]);
-    }
-
-    #[test]
     fn comm_group_derives_nodes_and_local_members() {
         // Members 4, 9, 17, 2 hosted on nodes 3, 1, 3, 0, seen from node 3.
         let g = CommGroup::new(vec![4, 9, 17, 2], vec![3, 1, 3, 0], 3, 7);
-        assert_eq!(g.nodes, vec![0, 1, 3]);
+        assert_eq!(g.layout.nodes, vec![0, 1, 3]);
         assert_eq!(g.local_members, 2);
         assert_eq!((g.epoch, g.seq, g.splits), (7, 0, 0));
         assert_eq!(g.sub_of(17), Some(2));
@@ -489,15 +330,6 @@ mod tests {
         assert_ne!(child_epoch(0, 1, 0), child_epoch(0, 1, 1));
         let child = child_epoch(0, 1, 0);
         assert_ne!(child_epoch(child, 1, 0), child_epoch(0, 1, 0));
-    }
-
-    #[test]
-    fn prev_power_of_two_brackets() {
-        for n in 1..200usize {
-            let m = prev_power_of_two(n);
-            assert!(m.is_power_of_two());
-            assert!(m <= n && n < 2 * m, "n={n} m={m}");
-        }
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //!   [`ExchangePlan`]s: a **rooted** gather → combine → scatter machine
 //!   over a flat (star) or binomial (tree) topology, and an **allreduce**
 //!   step driver under which recursive doubling and ring are two step
-//!   tables.  The plan is selected per `(op, payload size, node count)` and
+//!   tables.  They live in `dcgn_rmpi::exchange`, where the MPI twin's own
+//!   collectives run the same plans.  The plan is selected per `(op,
+//!   payload size, node count)` and
 //!   overridable via [`config::DcgnConfig::with_exchange_plan`] or the
 //!   `DCGN_FORCE_PLAN` environment variable.  Per-rank results are
 //!   *scattered back* as zero-copy payload views, and under every plan an

@@ -1,21 +1,20 @@
-//! Collective operations built from point-to-point messages.
+//! Collective operations built from point-to-point messages, and the typed
+//! reductions they fold with.
 //!
-//! The algorithms mirror those of a production MPI: dissemination barrier,
-//! binomial-tree broadcast and reduce, and linear scatter/gather (with vector
-//! variants).  All internal traffic
-//! uses tags at or above [`crate::comm::TAG_INTERNAL_BASE`] so it can never
-//! be stolen by user wildcard receives.
+//! Every collective is a thin wrapper over one blocking loop in
+//! [`crate::exchange`]: it builds this rank's contribution, runs the plan DCGN's engine picks for
+//! the same `(kind, size, ranks)` — star, tree, recursive doubling or ring —
+//! and decodes its result.  All their traffic travels under one internal
+//! tag at or above [`crate::comm::TAG_INTERNAL_BASE`], so it can never be
+//! stolen by user wildcard receives.
 
-use crate::comm::{Communicator, TAG_INTERNAL_BASE};
+use dcgn_netsim::Payload;
+
+use crate::comm::Communicator;
+use crate::exchange::{decode_rank_frames_into, encode_rank_frames, CollectiveId, CollectiveKind};
 use crate::packet::RmpiError;
 use crate::typed::{bytes_to_f64s, f64s_to_bytes};
 use crate::Result;
-
-const TAG_BARRIER: u32 = TAG_INTERNAL_BASE + 0x100;
-const TAG_BCAST: u32 = TAG_INTERNAL_BASE + 0x200;
-const TAG_GATHER: u32 = TAG_INTERNAL_BASE + 0x300;
-const TAG_SCATTER: u32 = TAG_INTERNAL_BASE + 0x400;
-const TAG_REDUCE: u32 = TAG_INTERNAL_BASE + 0x700;
 
 /// Element-wise reduction operators for the typed reduce/allreduce helpers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,65 +260,20 @@ pub fn parse_reduce_frame(frame: &[u8], op: ReduceOp, dtype: ReduceDtype) -> Res
 }
 
 impl Communicator {
-    fn check_root(&self, root: usize) -> Result<()> {
-        if root >= self.size() {
-            Err(RmpiError::InvalidRank(root))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Synchronise every rank (dissemination algorithm, `⌈log₂ P⌉` rounds).
+    /// Synchronise every rank.
     pub fn barrier(&mut self) -> Result<()> {
-        let size = self.size();
-        if size == 1 {
-            return Ok(());
-        }
-        let rank = self.rank();
-        let mut step = 0u32;
-        let mut dist = 1usize;
-        while dist < size {
-            let to = (rank + dist) % size;
-            let from = (rank + size - dist) % size;
-            let tag = TAG_BARRIER + step;
-            self.sendrecv(to, tag, &[], Some(from), Some(tag))?;
-            dist <<= 1;
-            step += 1;
-        }
+        self.run_collective(collective(CollectiveKind::Barrier, None, None), Vec::new())?;
         Ok(())
     }
 
-    /// Broadcast `data` from `root` to every rank (binomial tree).  On entry
-    /// only the root's `data` matters; on return every rank holds the root's
-    /// bytes.
+    /// Broadcast `data` from `root` to every rank.  On entry only the root's
+    /// `data` matters; on return every rank holds the root's bytes.
     pub fn bcast(&mut self, root: usize, data: &mut Vec<u8>) -> Result<()> {
-        self.check_root(root)?;
-        let size = self.size();
-        if size == 1 {
-            return Ok(());
-        }
-        let rank = self.rank();
-        let relative = (rank + size - root) % size;
-
-        // Receive from the parent (non-root ranks only).
-        let mut mask = 1usize;
-        while mask < size {
-            if relative & mask != 0 {
-                let src = (rank + size - mask) % size;
-                let (bytes, _) = self.recv(Some(src), Some(TAG_BCAST))?;
-                *data = bytes.into_vec();
-                break;
-            }
-            mask <<= 1;
-        }
-        // Forward to children.
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < size {
-                let dst = (rank + mask) % size;
-                self.send(dst, TAG_BCAST, data)?;
-            }
-            mask >>= 1;
+        let id = collective(CollectiveKind::Broadcast, Some(root), None);
+        if self.rank() == root {
+            self.run_collective(id, data.clone())?;
+        } else {
+            *data = self.run_collective(id, Vec::new())?.into_vec();
         }
         Ok(())
     }
@@ -328,50 +282,23 @@ impl Communicator {
     /// Returns `Some(contributions)` (indexed by rank) at the root, `None`
     /// elsewhere.
     pub fn gatherv(&mut self, root: usize, data: &[u8]) -> Result<Option<Vec<Vec<u8>>>> {
-        self.check_root(root)?;
-        let size = self.size();
-        let rank = self.rank();
-        if rank == root {
-            let mut out: Vec<Vec<u8>> = vec![Vec::new(); size];
-            out[root] = data.to_vec();
-            // Post all receives up front so arrival order does not matter.
-            let mut reqs = Vec::new();
-            for src in (0..size).filter(|&s| s != root) {
-                reqs.push((src, self.irecv(Some(src), Some(TAG_GATHER))?));
-            }
-            let only_reqs: Vec<_> = reqs.iter().map(|(_, r)| *r).collect();
-            self.wait_all(&only_reqs)?;
-            for (src, req) in reqs {
-                let (bytes, _) = self.take_recv(req).ok_or(RmpiError::UnknownRequest)?;
-                out[src] = bytes.into_vec();
-            }
-            Ok(Some(out))
-        } else {
-            self.send(root, TAG_GATHER, data)?;
-            Ok(None)
-        }
+        let up = encode_rank_frames([(self.rank(), data)].into_iter());
+        let id = collective(CollectiveKind::Gather, Some(root), None);
+        let table = self.rank_table(id, up)?;
+        Ok((self.rank() == root).then(|| table.into_iter().map(Payload::into_vec).collect()))
     }
 
     /// Gather equal-sized buffers at `root`, concatenated in rank order.
     pub fn gather(&mut self, root: usize, data: &[u8]) -> Result<Option<Vec<u8>>> {
-        let parts = self.gatherv(root, data)?;
-        Ok(parts.map(|parts| {
-            let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-            for p in parts {
-                out.extend_from_slice(&p);
-            }
-            out
-        }))
+        Ok(self.gatherv(root, data)?.map(|parts| parts.concat()))
     }
 
     /// Scatter per-rank chunks from `root`.  The root passes
     /// `Some(chunks)` with exactly one chunk per rank; other ranks pass
     /// `None`.  Every rank returns its own chunk.
     pub fn scatterv(&mut self, root: usize, chunks: Option<&[Vec<u8>]>) -> Result<Vec<u8>> {
-        self.check_root(root)?;
         let size = self.size();
-        let rank = self.rank();
-        if rank == root {
+        let up = if self.rank() == root {
             let chunks = chunks.ok_or_else(|| {
                 RmpiError::InvalidArgument("root must supply scatter chunks".into())
             })?;
@@ -382,16 +309,13 @@ impl Communicator {
                     chunks.len()
                 )));
             }
-            for (dst, chunk) in chunks.iter().enumerate() {
-                if dst != root {
-                    self.send(dst, TAG_SCATTER, chunk)?;
-                }
-            }
-            Ok(chunks[root].clone())
+            encode_rank_frames(chunks.iter().map(Vec::as_slice).enumerate())
         } else {
-            let (bytes, _) = self.recv(Some(root), Some(TAG_SCATTER))?;
-            Ok(bytes.into_vec())
-        }
+            Vec::new()
+        };
+        let id = collective(CollectiveKind::Scatter, Some(root), None);
+        let mut table = self.rank_table(id, up)?;
+        Ok(table.swap_remove(self.rank()).into_vec())
     }
 
     /// Scatter an evenly divisible byte buffer from `root`.
@@ -421,8 +345,8 @@ impl Communicator {
     }
 
     /// Element-wise reduction of typed vectors (carried as little-endian
-    /// bytes of `dtype` elements) to `root` (binomial tree).  Returns
-    /// `Some(result)` at the root, `None` elsewhere.
+    /// bytes of `dtype` elements) to `root`.  Returns `Some(result)` at the
+    /// root, `None` elsewhere.
     pub fn reduce_bytes(
         &mut self,
         root: usize,
@@ -430,52 +354,24 @@ impl Communicator {
         op: ReduceOp,
         dtype: ReduceDtype,
     ) -> Result<Option<Vec<u8>>> {
-        self.check_root(root)?;
         dtype.check_aligned(data)?;
-        let size = self.size();
-        let rank = self.rank();
-        let relative = (rank + size - root) % size;
-        let mut acc = data.to_vec();
-        let mut mask = 1usize;
-        while mask < size {
-            if relative & mask == 0 {
-                let src_rel = relative | mask;
-                if src_rel < size {
-                    let src = (src_rel + root) % size;
-                    // Every hop carries the (op, dtype) identity so ranks
-                    // disagreeing on the reduction fail loudly instead of
-                    // folding reinterpreted bytes.
-                    let (frame, _) = self.recv(Some(src), Some(TAG_REDUCE))?;
-                    let bytes = parse_reduce_frame(frame.as_slice(), op, dtype)?;
-                    dtype.fold(op, &mut acc, bytes)?;
-                }
-            } else {
-                let dst_rel = relative & !mask;
-                let dst = (dst_rel + root) % size;
-                self.send(dst, TAG_REDUCE, &frame_reduce(op, dtype, &acc))?;
-                break;
-            }
-            mask <<= 1;
-        }
-        if rank == root {
-            Ok(Some(acc))
-        } else {
-            Ok(None)
-        }
+        let id = collective(CollectiveKind::Reduce, Some(root), Some((op, dtype)));
+        let result = self.run_collective(id, frame_reduce(op, dtype, data))?;
+        Ok((self.rank() == root).then(|| result.into_vec()))
     }
 
-    /// Typed element-wise reduction where every rank receives the result
-    /// (reduce to rank 0 followed by broadcast).
+    /// Typed element-wise reduction where every rank receives the result.
     pub fn allreduce_bytes(
         &mut self,
         data: &[u8],
         op: ReduceOp,
         dtype: ReduceDtype,
     ) -> Result<Vec<u8>> {
-        let reduced = self.reduce_bytes(0, data, op, dtype)?;
-        let mut bytes = reduced.unwrap_or_default();
-        self.bcast(0, &mut bytes)?;
-        Ok(bytes)
+        dtype.check_aligned(data)?;
+        let id = collective(CollectiveKind::Allreduce, None, Some((op, dtype)));
+        Ok(self
+            .run_collective(id, frame_reduce(op, dtype, data))?
+            .into_vec())
     }
 
     /// Element-wise `f64` reduction where every rank receives the result.
@@ -483,12 +379,46 @@ impl Communicator {
         let bytes = self.allreduce_bytes(&f64s_to_bytes(data), op, ReduceDtype::F64)?;
         Ok(bytes_to_f64s(&bytes))
     }
+
+    /// Run a gather or scatter and decode this rank's down-payload into a
+    /// rank-indexed table of views.
+    fn rank_table(&mut self, id: CollectiveId, up: Vec<u8>) -> Result<Vec<Payload>> {
+        let payload = self.run_collective(id, up)?;
+        let mut table = vec![Payload::empty(); self.size()];
+        decode_rank_frames_into(&payload, &mut table);
+        Ok(table)
+    }
+}
+
+/// The identity of one of this crate's collectives.
+fn collective(
+    kind: CollectiveKind,
+    root: Option<usize>,
+    reduction: Option<(ReduceOp, ReduceDtype)>,
+) -> CollectiveId {
+    CollectiveId {
+        kind,
+        root,
+        reduction,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::typed::{f32s_to_bytes, i64s_to_bytes, u32s_to_bytes, ReduceElement};
+    use crate::typed::ReduceElement;
+
+    fn f32s_to_bytes(values: &[f32]) -> Vec<u8> {
+        f32::slice_to_bytes(values)
+    }
+
+    fn u32s_to_bytes(values: &[u32]) -> Vec<u8> {
+        u32::slice_to_bytes(values)
+    }
+
+    fn i64s_to_bytes(values: &[i64]) -> Vec<u8> {
+        i64::slice_to_bytes(values)
+    }
 
     #[test]
     fn dtype_fold_matches_scalar_semantics_per_type() {

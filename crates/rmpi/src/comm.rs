@@ -2,13 +2,13 @@
 //!
 //! # Large-message pipeline
 //!
-//! Messages above the eager threshold rendezvous with an RTS→CTS handshake.
-//! A payload of at most one chunk and an envelope (or any payload when
-//! chunking is disabled) then ships as a single zero-copy `RdvData` frame.
-//! Larger payloads *stream*: the sender cuts the staged buffer into
-//! fixed-size [`Packet::RdvChunk`] frames — each a pooled view into the same
+//! Messages above the eager threshold rendezvous with an RTS→CTS handshake
+//! and then *stream*: the sender cuts the staged buffer into fixed-size
+//! [`Packet::RdvChunk`] frames — each a pooled view into the same
 //! allocation, no per-chunk copy, the last one absorbing a tail of at most
-//! an envelope — and keeps at most `window` of them in flight.  The
+//! an envelope, the whole payload one chunk when chunking is disabled — and
+//! keeps at most `window` of them in flight.  A payload of at most one chunk
+//! is a one-chunk stream: RTS, CTS and one data frame, with no credit.  The
 //! receiver owns no buffer of its own: it *coalesces* the chunk views back
 //! into one ([`Payload::append`] grows a view over the slice that directly
 //! follows it), so the payload it completes with is the sender's staged
@@ -46,9 +46,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dcgn_netsim::buffer::ENVELOPE_BYTES;
 use dcgn_netsim::{Delivery, Endpoint, EndpointId, Payload};
 
+use crate::exchange::EarlyFrames;
 use crate::packet::{Packet, RmpiError, Status};
 use crate::rdv::RdvConfig;
 use crate::Result;
@@ -68,9 +68,16 @@ pub const TAG_INTERNAL_BASE: u32 = 0x8000_0000;
 /// demultiplexes on that exact identity.  The tag's only job is to keep
 /// exchange traffic away from user receives (it sits above
 /// [`TAG_INTERNAL_BASE`], so `ANY_TAG` can never steal it) and away from
-/// this crate's own collective tags (which all sit in
-/// `TAG_INTERNAL_BASE..TAG_INTERNAL_BASE + 0x1000`).
+/// this crate's own collectives, which run on the same communicator under
+/// their own internal tag.
 pub const TAG_EXCHANGE: u32 = TAG_INTERNAL_BASE | 0x4000_0000;
+
+/// The single tag carried by every frame of this crate's own collectives
+/// ([`Communicator::barrier`] and friends), framed like layered exchange
+/// frames but under their own tag: DCGN's comm thread keeps a [`TAG_EXCHANGE`]
+/// receive posted on the communicator whose shutdown barrier runs under this
+/// one.  Internal, so `ANY_TAG` never matches it either.
+pub(crate) const TAG_COLLECTIVE: u32 = TAG_INTERNAL_BASE;
 
 /// Handle to a nonblocking operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,7 +88,7 @@ enum SendState {
     WaitingCts {
         send_id: u64,
     },
-    /// Credit-windowed chunk stream in progress (payload > one chunk).
+    /// Credit-windowed chunk stream in progress.
     Streaming {
         send_id: u64,
         /// The staged payload; chunks are zero-copy views into it.  Emptied
@@ -112,13 +119,7 @@ struct SendOp {
 
 enum RecvState {
     Posted,
-    /// Single-frame rendezvous: CTS sent, whole payload pending.
-    WaitingData {
-        send_id: u64,
-        src: usize,
-        tag: u32,
-    },
-    /// Streamed rendezvous: chunk views are coalesced, in offset order,
+    /// Rendezvous accepted: chunk views are coalesced, in offset order,
     /// into one growing view of the sender's staged allocation
     /// (`assembled.len()` is the bytes received).
     Assembling {
@@ -171,7 +172,7 @@ struct Unexpected {
 /// outstanding operations.
 pub struct Communicator {
     rank: usize,
-    endpoint: Endpoint<Packet>,
+    pub(crate) endpoint: Endpoint<Packet>,
     rank_to_ep: Arc<Vec<EndpointId>>,
     ep_to_rank: Arc<HashMap<EndpointId, usize>>,
     rdv: RdvConfig,
@@ -191,6 +192,11 @@ pub struct Communicator {
     /// Keyed by source as well, because `send_id`s are per-*sender*
     /// counters and collide across senders.
     recv_streams: HashMap<(usize, u64), u64>,
+    /// Sequence number of the last collective this rank entered.
+    pub(crate) collective_seq: u64,
+    /// Frames of collectives this rank has not entered yet — an abort among
+    /// them included.
+    pub(crate) early_frames: EarlyFrames,
     // Global `rmpi.*` instruments ([`dcgn_metrics::global`]), shared across
     // every communicator: protocol split, chunk traffic, window occupancy
     // high-water, and per-transfer throughput.
@@ -225,6 +231,8 @@ impl Communicator {
             recv_fifo: VecDeque::new(),
             send_streams: HashMap::new(),
             recv_streams: HashMap::new(),
+            collective_seq: 0,
+            early_frames: EarlyFrames::new(),
             eager_sends: metrics.counter("rmpi.eager_sends"),
             rdv_sends: metrics.counter("rmpi.rdv_sends"),
             rdv_chunks: metrics.counter("rmpi.rdv.chunks"),
@@ -599,11 +607,11 @@ impl Communicator {
         self.recv_fifo = unmatched;
     }
 
-    /// A posted receive matched an RTS: pick the transfer's data path,
-    /// stand up receiver-side state, and release the sender with a CTS.
+    /// A posted receive matched an RTS: stand up receiver-side state and
+    /// release the sender with a CTS.
     fn accept_rts(&mut self, id: u64, src: usize, tag: u32, send_id: u64, len: usize) {
-        let state = if self.rdv.streams(len) {
-            RecvState::Assembling {
+        if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
+            r.state = RecvState::Assembling {
                 send_id,
                 src,
                 tag,
@@ -611,12 +619,7 @@ impl Communicator {
                 pending_credits: 0,
                 total: len,
                 started: Instant::now(),
-            }
-        } else {
-            RecvState::WaitingData { send_id, src, tag }
-        };
-        if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
-            r.state = state;
+            };
         }
         self.recv_streams.insert((src, send_id), id);
         let src_ep = self.ep_of(src);
@@ -642,10 +645,6 @@ impl Communicator {
                 kind: UnexpectedKind::Rts { send_id, len },
             }),
             Packet::Cts { send_id } => self.handle_cts(send_id),
-            Packet::RdvData { send_id, data, .. } => {
-                self.drain_payload(src, data.len());
-                self.handle_rdv_data(src, send_id, data);
-            }
             Packet::RdvChunk {
                 send_id,
                 offset,
@@ -663,8 +662,8 @@ impl Communicator {
     /// Charge the receive-drain engine for an inter-node rendezvous payload.
     /// This is the second stage of the fabric's bandwidth pipeline: the
     /// sender paid wire time on its thread; the receiver pays drain time
-    /// here, so a streamed transfer overlaps the two while a single-frame
-    /// one serialises them.
+    /// here, so a transfer of several chunks overlaps the two while a
+    /// one-chunk one serialises them.
     fn drain_payload(&self, src: usize, bytes: usize) {
         if bytes == 0 {
             return;
@@ -675,44 +674,26 @@ impl Communicator {
         }
     }
 
-    /// The receiver released a rendezvous transfer: either ship the whole
-    /// payload in one frame, or open the credit window and start streaming.
+    /// The receiver released a rendezvous transfer: open the credit window
+    /// and start streaming.
     fn handle_cts(&mut self, send_id: u64) {
         let Some(&id) = self.send_streams.get(&send_id) else {
             return;
         };
-        let (dst, tag, data) = match self.ops.get_mut(&id) {
+        match self.ops.get_mut(&id) {
             Some(Op::Send(s)) if matches!(s.state, SendState::WaitingCts { .. }) => {
-                (s.dst, s.tag, s.data.take().unwrap_or_else(Payload::empty))
-            }
-            _ => return,
-        };
-        if self.rdv.streams(data.len()) {
-            if let Some(Op::Send(s)) = self.ops.get_mut(&id) {
                 s.state = SendState::Streaming {
                     send_id,
-                    data,
+                    data: s.data.take().unwrap_or_else(Payload::empty),
                     next_offset: 0,
                     credits: self.rdv.window,
                     sent: 0,
                     acked: 0,
                 };
             }
-            self.pump_chunks(id);
-        } else {
-            let dst_ep = self.ep_of(dst);
-            let pkt = Packet::RdvData { send_id, tag, data };
-            let wire = pkt.wire_bytes();
-            match self.endpoint.send(dst_ep, pkt, wire) {
-                Ok(()) => {
-                    self.send_streams.remove(&send_id);
-                    if let Some(Op::Send(s)) = self.ops.get_mut(&id) {
-                        s.state = SendState::Complete;
-                    }
-                }
-                Err(_) => self.fail_send(id, RmpiError::Disconnected),
-            }
+            _ => return,
         }
+        self.pump_chunks(id);
     }
 
     /// Send chunks while the window has credits and payload remains.  The
@@ -739,10 +720,8 @@ impl Communicator {
                         return;
                     }
                     let offset = *next_offset;
-                    // The last chunk absorbs a tail of at most an envelope.
-                    let full = offset + self.rdv.chunk_bytes;
-                    let done = full + ENVELOPE_BYTES >= data.len();
-                    let end = if done { data.len() } else { full };
+                    let end = self.rdv.chunk_end(offset, data.len());
+                    let done = end == data.len();
                     let chunk = data.slice(offset..end);
                     if done {
                         // Let go of the staged buffer before the receiver
@@ -878,30 +857,6 @@ impl Communicator {
         }
     }
 
-    /// A single-frame rendezvous payload landed: complete the receive.
-    fn handle_rdv_data(&mut self, src: usize, send_id: u64, data: Payload) {
-        let Some(&id) = self.recv_streams.get(&(src, send_id)) else {
-            return;
-        };
-        self.recv_streams.remove(&(src, send_id));
-        if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
-            match r.state {
-                RecvState::WaitingData { src, tag, .. }
-                // Defensive: a peer with a different chunking config may
-                // single-frame what this side expected to stream.
-                | RecvState::Assembling { src, tag, .. } => {
-                    let status = Status {
-                        source: src,
-                        tag,
-                        len: data.len(),
-                    };
-                    r.state = RecvState::Complete { data, status };
-                }
-                _ => {}
-            }
-        }
-    }
-
     /// Tombstone a send: release its window accounting and index entries so
     /// nothing leaks, and park the error for the wait call.
     fn fail_send(&mut self, id: u64, err: RmpiError) {
@@ -925,12 +880,8 @@ impl Communicator {
     /// Tombstone a receive, dropping its hold on the sender's staged buffer.
     fn fail_recv(&mut self, id: u64, err: RmpiError) {
         if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
-            match &r.state {
-                RecvState::WaitingData { send_id, src, .. }
-                | RecvState::Assembling { send_id, src, .. } => {
-                    self.recv_streams.remove(&(*src, *send_id));
-                }
-                _ => {}
+            if let RecvState::Assembling { send_id, src, .. } = &r.state {
+                self.recv_streams.remove(&(*src, *send_id));
             }
             r.state = RecvState::Failed(err);
         }
@@ -1045,8 +996,9 @@ mod tests {
     /// dropping the communicator would have.
     fn feed_stream(chunks: Vec<(usize, Payload)>) -> (Communicator, Result<Payload>) {
         let rdv = RdvConfig::new(64).with_chunk_bytes(CHUNK).with_window(4);
+        let cluster = dcgn_netsim::Cluster::new(2, CostModel::zero());
         let mut world =
-            MpiWorld::create_with(&RankPlacement::block(2, 1), CostModel::zero(), rdv).unwrap();
+            MpiWorld::create_on_with(&cluster, &RankPlacement::block(2, 1), rdv).unwrap();
         let mut receiver = world.pop().expect("rank 1");
         // Rank 0 stays alive in `world`, so the CTS and credits have
         // somewhere to go.
@@ -1157,8 +1109,7 @@ mod tests {
     #[allow(clippy::assertions_on_constants)] // compile-time tag-space guard
     fn exchange_tag_stays_in_its_reserved_space() {
         assert!(TAG_EXCHANGE >= TAG_INTERNAL_BASE, "internal space");
-        // Never collides with this crate's own collective tags, which all
-        // sit in TAG_INTERNAL_BASE..TAG_INTERNAL_BASE + 0x1000.
+        // Never collides with this crate's own collective tag.
         assert!(TAG_EXCHANGE - TAG_INTERNAL_BASE >= 0x1000);
         // ANY_TAG wildcard matching never steals an exchange frame, but an
         // explicit receive for the tag does.
@@ -1168,6 +1119,18 @@ mod tests {
             Some(TAG_EXCHANGE),
             0,
             TAG_EXCHANGE
+        ));
+        // The collectives' own tag is internal and is not the exchange tag:
+        // DCGN's comm thread keeps a TAG_EXCHANGE receive posted on the
+        // communicator its shutdown barrier runs on.
+        assert!(TAG_COLLECTIVE >= TAG_INTERNAL_BASE, "internal space");
+        assert_ne!(TAG_COLLECTIVE, TAG_EXCHANGE);
+        assert!(!Communicator::matches(None, None, 0, TAG_COLLECTIVE));
+        assert!(!Communicator::matches(
+            None,
+            Some(TAG_EXCHANGE),
+            0,
+            TAG_COLLECTIVE
         ));
     }
 }

@@ -21,17 +21,14 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use dcgn_netsim::Payload;
-use dcgn_rmpi::{
-    parse_reduce_frame, ReduceDtype, ReduceOp, PHASE_RD_FOLD_IN, PHASE_RD_FOLD_OUT,
-    PHASE_RD_ROUND_BASE, PHASE_RING_BASE,
-};
 
 use super::wire::{
     decode_reduce_body, encode_reduce_body, unexpected_frame, AbortFrame, CollectiveId, ExFrame,
     ST_ERR, ST_OK,
 };
 use super::{Action, Machine};
-use crate::group::prev_power_of_two;
+use crate::collectives::{parse_reduce_frame, ReduceDtype, ReduceOp};
+use crate::packet::{PHASE_RD_FOLD_IN, PHASE_RD_FOLD_OUT, PHASE_RD_ROUND_BASE, PHASE_RING_BASE};
 
 /// One step of a node's allreduce schedule.  `chunk` names which of the
 /// schedule's equal element-wise partitions of the vector the step moves
@@ -39,7 +36,7 @@ use crate::group::prev_power_of_two;
 /// sender's total vector length, so a length disagreement is caught on the
 /// first frame instead of surfacing as a misaligned chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Step {
+pub(crate) enum Step {
     /// Send the range to node `dst` under `phase`.
     Send {
         phase: u32,
@@ -55,10 +52,17 @@ pub(super) enum Step {
     },
 }
 
+/// Largest power of two ≤ `n` (the "core" size of a recursive-doubling
+/// schedule).  `n` must be nonzero.
+fn prev_power_of_two(n: usize) -> usize {
+    debug_assert!(n > 0);
+    1usize << (usize::BITS - 1 - n.leading_zeros())
+}
+
 /// Recursive-doubling schedule of position `pos` in `nodes`.  The largest
 /// power of two `m ≤ n` positions form the core; an extra (`pos ≥ m`) folds
 /// into core partner `pos − m` first and gets the finished vector back last.
-pub(super) fn rd_steps(pos: usize, nodes: &[usize]) -> Vec<Step> {
+pub(crate) fn rd_steps(pos: usize, nodes: &[usize]) -> Vec<Step> {
     let n = nodes.len();
     let m = prev_power_of_two(n);
     let whole = |phase, dst| Step::Send {
@@ -95,7 +99,7 @@ pub(super) fn rd_steps(pos: usize, nodes: &[usize]) -> Vec<Step> {
 /// one of `n` chunks to the successor and receiving one from the
 /// predecessor.  The first `n − 1` steps fold (reduce-scatter, after which
 /// each position owns one finished chunk), the rest overwrite (allgather).
-pub(super) fn ring_steps(pos: usize, nodes: &[usize]) -> Vec<Step> {
+pub(crate) fn ring_steps(pos: usize, nodes: &[usize]) -> Vec<Step> {
     let n = nodes.len();
     let dst = nodes[(pos + 1) % n];
     let mut steps = Vec::new();
@@ -120,7 +124,8 @@ pub(super) fn ring_steps(pos: usize, nodes: &[usize]) -> Vec<Step> {
 }
 
 /// Progress state of one node in an allreduce schedule.
-pub(super) struct Allreduce {
+#[cfg_attr(test, derive(Clone))]
+pub struct Allreduce {
     id: CollectiveId,
     op: ReduceOp,
     dtype: ReduceDtype,
@@ -145,7 +150,7 @@ impl Allreduce {
     /// Enter the exchange with this node's partial (`up`: the reduce-framed
     /// local combine, or the local validation failure) and run every step
     /// that needs no frame yet.
-    pub(super) fn start(
+    pub(crate) fn start(
         id: CollectiveId,
         (op, dtype): (ReduceOp, ReduceDtype),
         schedule: &'static str,
@@ -182,7 +187,7 @@ impl Allreduce {
     }
 
     /// Stash one received frame and run every step it unblocks.
-    pub(super) fn on_frame(&mut self, src_node: usize, phase: u32, frame: ExFrame) -> Vec<Action> {
+    pub(crate) fn on_frame(&mut self, src_node: usize, phase: u32, frame: ExFrame) -> Vec<Action> {
         let expected = self
             .steps
             .iter()
@@ -285,11 +290,11 @@ impl Allreduce {
 
 #[cfg(test)]
 mod tests {
-    use dcgn_rmpi::{frame_reduce, PHASE_UP};
-
-    use super::super::sim::{group_for, Sim};
+    use super::super::sim::{layout_for, Sim};
     use super::super::wire::CollectiveKind;
     use super::*;
+    use crate::collectives::frame_reduce;
+    use crate::packet::PHASE_UP;
 
     const SUM_F64: (ReduceOp, ReduceDtype) = (ReduceOp::Sum, ReduceDtype::F64);
 
@@ -311,7 +316,7 @@ mod tests {
     }
 
     fn start(ring: bool, pos: usize, n: usize, len: usize) -> (Machine, Vec<Action>) {
-        let nodes = group_for(pos, n).nodes;
+        let nodes = layout_for(n).nodes;
         let (name, steps) = if ring {
             ("ring", ring_steps(pos, &nodes))
         } else {
@@ -360,7 +365,7 @@ mod tests {
         // Position 1 of 6 is a core node with an extra (position 5): its
         // schedule is fold-in, round 0 (partner 0), round 1 (partner 3),
         // fold-out.  Hand it round 1 first, then round 0, then the fold-in.
-        let nodes = group_for(1, 6).nodes;
+        let nodes = layout_for(6).nodes;
         let (mut machine, opening) = start(false, 1, 6, 1);
         assert_eq!(
             opening,
@@ -418,7 +423,7 @@ mod tests {
         // Position 1 of 3 with a 3-element vector [2, 4, 6]: chunk c is
         // element c.  Its predecessor (position 0, vector [1, 2, 3]) delivers
         // step 1 before step 0.
-        let nodes = group_for(1, 3).nodes;
+        let nodes = layout_for(3).nodes;
         let (mut machine, opening) = start(true, 1, 3, 3);
         let total = Some(24);
         let send = |step: u32, value: f64| Action::Send {
@@ -459,7 +464,7 @@ mod tests {
     #[test]
     fn a_disagreeing_or_unscheduled_frame_aborts_exactly_once() {
         for ring in [false, true] {
-            let nodes = group_for(0, 4).nodes;
+            let nodes = layout_for(4).nodes;
             let (mut machine, _) = start(ring, 0, 4, 2);
             let Machine::Allreduce(m) = &mut machine else {
                 panic!("allreduce machine")
@@ -472,7 +477,7 @@ mod tests {
             );
         }
         // A partner whose vector is longer: the fold rejects it.
-        let nodes = group_for(0, 4).nodes;
+        let nodes = layout_for(4).nodes;
         let (mut machine, _) = start(false, 0, 4, 2);
         let Machine::Allreduce(m) = &mut machine else {
             panic!("allreduce machine")
@@ -490,5 +495,14 @@ mod tests {
             matches!(actions[..], [Action::Abort { status: ST_ERR, .. }]),
             "{actions:?}"
         );
+    }
+
+    #[test]
+    fn prev_power_of_two_brackets() {
+        for n in 1..200usize {
+            let m = prev_power_of_two(n);
+            assert!(m.is_power_of_two());
+            assert!(m <= n && n < 2 * m, "n={n} m={m}");
+        }
     }
 }

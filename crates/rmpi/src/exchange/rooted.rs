@@ -14,23 +14,105 @@
 //! before it was folded into this machine.  A uniform result (or an error
 //! echo) comes down as one frame relayed unchanged; node-specific results
 //! come down as a [`ST_BUNDLE`] of `[node][len][body]` entries that every
-//! node splits by child subtree.
+//! node splits by child subtree.  What the root's combine makes of the
+//! gathered contributions is [`combine`], the one place each collective's
+//! meaning is spelled out for the plans.
 
 use std::collections::{HashMap, HashSet};
 
 use dcgn_netsim::Payload;
-use dcgn_rmpi::{PHASE_DOWN, PHASE_UP};
 
-use super::ops::combine;
 use super::wire::{
-    check_id, encode_bundle_entry, frame_to_error, rank_frames, unexpected_frame, CollectiveId,
-    ExFrame, COLLECTIVE_ID_BYTES, ST_BUNDLE, ST_ERR, ST_OK,
+    check_id, decode_rank_frames_into, encode_bundle_entry, encode_rank_frames, frame_to_error,
+    rank_frames, unexpected_frame, CollectiveId, CollectiveKind, ExFrame, COLLECTIVE_ID_BYTES,
+    ST_BUNDLE, ST_ERR, ST_OK,
 };
-use super::{Action, Machine};
-use crate::group::{CommGroup, Topology};
+use super::{Action, Layout, Machine};
+use crate::collectives::{parse_reduce_frame, ReduceDtype, ReduceOp};
+use crate::packet::{PHASE_DOWN, PHASE_UP};
+
+// ---------------------------------------------------------------------------
+// Per-node exchange topology derivation.
+//
+// The plans run collectives over the *nodes* hosting a group's members.  The
+// tree plan needs every node to derive the same topology from the same
+// ordered node list with no coordination round, so the helpers below are
+// pure functions of a node's position `v` in that list and the list length
+// `n`.
+// ---------------------------------------------------------------------------
+
+/// Parent of position `v` in the binomial tree rooted at 0: clear the highest
+/// set bit.  Position 0 is the root and has no parent.
+fn binomial_parent(v: usize) -> Option<usize> {
+    if v == 0 {
+        None
+    } else {
+        Some(v & !(1usize << (usize::BITS - 1 - v.leading_zeros())))
+    }
+}
+
+/// Children of position `v` in the `n`-position binomial tree rooted at 0:
+/// `v + 2^k` for every `2^k > v` (with `2^k > 0` for the root) still below
+/// `n`, in ascending order.
+fn binomial_children(v: usize, n: usize) -> Vec<usize> {
+    let mut kids = Vec::new();
+    let mut bit = 1usize;
+    while bit <= v {
+        bit <<= 1;
+    }
+    while v + bit < n {
+        kids.push(v + bit);
+        bit <<= 1;
+    }
+    kids
+}
+
+/// Shape of a rooted gather→scatter exchange over the `n` positions of a
+/// group's node list, rooted at position 0.  The flat shape is the star plan
+/// (every position a child of the root); the binomial shape is the tree plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Topology {
+    /// Depth one: positions `1..n` are all leaves under the root.
+    Flat,
+    /// The binomial tree of [`binomial_parent`] / [`binomial_children`].
+    Binomial,
+}
+
+impl Topology {
+    /// Parent of position `v`; `None` for the root.
+    fn parent(self, v: usize) -> Option<usize> {
+        match self {
+            Topology::Flat => (v != 0).then_some(0),
+            Topology::Binomial => binomial_parent(v),
+        }
+    }
+
+    /// Children of position `v` among `n` positions, ascending.
+    fn children(self, v: usize, n: usize) -> Vec<usize> {
+        match self {
+            Topology::Flat if v == 0 => (1..n).collect(),
+            Topology::Flat => Vec::new(),
+            Topology::Binomial => binomial_children(v, n),
+        }
+    }
+
+    /// Every position in the subtree rooted at `v` (including `v` itself), in
+    /// BFS order.  Used to split per-node down traffic among a node's
+    /// children.
+    fn subtree(self, v: usize, n: usize) -> Vec<usize> {
+        let mut out = vec![v];
+        let mut i = 0;
+        while i < out.len() {
+            out.extend(self.children(out[i], n));
+            i += 1;
+        }
+        out
+    }
+}
 
 /// Progress state of one node in a rooted exchange.
-pub(super) struct Rooted {
+#[cfg_attr(test, derive(Clone))]
+pub struct Rooted {
     id: CollectiveId,
     topo: Topology,
     /// Plan name, for the unexpected-phase diagnostic.
@@ -45,19 +127,19 @@ pub(super) struct Rooted {
 }
 
 impl Rooted {
-    /// Enter the exchange at position `pos` of `group.nodes` with this
+    /// Enter the exchange at position `pos` of `layout.nodes` with this
     /// node's contribution (or local validation failure) `up`.  A leaf
     /// bundles itself up immediately; a single-node group completes on the
     /// spot.
-    pub(super) fn start(
+    pub(crate) fn start(
         id: CollectiveId,
         topo: Topology,
         schedule: &'static str,
-        group: &CommGroup,
+        layout: &Layout,
         pos: usize,
         up: Result<Vec<u8>, String>,
     ) -> (Machine, Vec<Action>) {
-        let node = group.nodes[pos];
+        let node = layout.nodes[pos];
         let head = id.encode();
         let mut bundle =
             Vec::with_capacity(2 * COLLECTIVE_ID_BYTES + 9 + up.as_ref().map_or(0, Vec::len));
@@ -73,19 +155,19 @@ impl Rooted {
             topo,
             schedule,
             pos,
-            awaiting: nodes_at(group, topo.children(pos, group.nodes.len()))
+            awaiting: nodes_at(layout, topo.children(pos, layout.nodes.len()))
                 .into_iter()
                 .collect(),
             bundle,
         };
-        let actions = machine.gathered(group);
+        let actions = machine.gathered(layout);
         (Machine::Rooted(machine), actions)
     }
 
     /// Advance on one received frame.
-    pub(super) fn on_frame(
+    pub(crate) fn on_frame(
         &mut self,
-        group: &CommGroup,
+        layout: &Layout,
         src_node: usize,
         phase: u32,
         frame: ExFrame,
@@ -102,11 +184,11 @@ impl Rooted {
             PHASE_UP => match check_id(self.id, src_node, &frame) {
                 Ok(entries) => {
                     self.bundle.extend_from_slice(entries);
-                    self.gathered(group)
+                    self.gathered(layout)
                 }
                 Err((status, body)) => vec![Action::Abort { status, body }],
             },
-            PHASE_DOWN if self.topo.parent(self.pos).is_some() => self.scatter(group, frame),
+            PHASE_DOWN if self.topo.parent(self.pos).is_some() => self.scatter(layout, frame),
             // Any other phase means the sender derived a different schedule
             // for this very exchange — the group disagrees about the
             // collective.  Abort everyone.
@@ -120,19 +202,19 @@ impl Rooted {
 
     /// Once every child's bundle is in: ship the subtree's bundle to the
     /// parent, or — at the root — combine and start the way down.
-    fn gathered(&mut self, group: &CommGroup) -> Vec<Action> {
+    fn gathered(&mut self, layout: &Layout) -> Vec<Action> {
         if !self.awaiting.is_empty() {
             return Vec::new();
         }
         let bundle = Payload::from_vec(std::mem::take(&mut self.bundle));
         match self.topo.parent(self.pos) {
             Some(parent) => vec![Action::Send {
-                to: vec![group.nodes[parent]],
+                to: vec![layout.nodes[parent]],
                 phase: PHASE_UP,
                 status: ST_OK,
                 body: bundle,
             }],
-            None => self.finish_root(group, bundle),
+            None => self.finish_root(layout, bundle),
         }
     }
 
@@ -141,7 +223,7 @@ impl Rooted {
     /// mismatched vector lengths — fails the whole communicator, and *only*
     /// this communicator, because it is echoed to every participating node
     /// instead of leaving them blocked.
-    fn finish_root(&self, group: &CommGroup, bundle: Payload) -> Vec<Action> {
+    fn finish_root(&self, layout: &Layout, bundle: Payload) -> Vec<Action> {
         let blob = bundle.as_slice();
         let mut payloads: HashMap<usize, Payload> = HashMap::new();
         let mut error: Option<(u8, Vec<u8>)> = None;
@@ -165,18 +247,18 @@ impl Rooted {
             }
         }
         let (status, body) = error.unwrap_or_else(|| {
-            combine(self.id, group, &payloads).unwrap_or_else(|msg| (ST_ERR, msg.into_bytes()))
+            combine(self.id, layout, &payloads).unwrap_or_else(|msg| (ST_ERR, msg.into_bytes()))
         });
         // From here the root is a node like any other, whose "parent's
         // down-frame" happens to have been computed locally.
-        self.scatter(group, (status, Payload::from_vec(body)))
+        self.scatter(layout, (status, Payload::from_vec(body)))
     }
 
     /// The down-frame for this node's subtree is known (received from the
     /// parent, or combined at the root): pass it toward the leaves and end
     /// the exchange locally with the result or the echoed error.
-    fn scatter(&self, group: &CommGroup, (status, body): ExFrame) -> Vec<Action> {
-        let n = group.nodes.len();
+    fn scatter(&self, layout: &Layout, (status, body): ExFrame) -> Vec<Action> {
+        let n = layout.nodes.len();
         let children = self.topo.children(self.pos, n);
         if status != ST_BUNDLE {
             // A uniform result or an error echo: every subtree node gets the
@@ -187,7 +269,7 @@ impl Rooted {
                 status => Action::Fail(frame_to_error(status, body.as_slice())),
             };
             let relay = Action::Send {
-                to: nodes_at(group, children),
+                to: nodes_at(layout, children),
                 phase: PHASE_DOWN,
                 status,
                 body,
@@ -204,37 +286,137 @@ impl Rooted {
             .into_iter()
             .map(|child| {
                 let mut sub = Vec::new();
-                for node in nodes_at(group, self.topo.subtree(child, n)) {
+                for node in nodes_at(layout, self.topo.subtree(child, n)) {
                     let entry = table.get(&node).map_or(&[][..], Payload::as_slice);
                     encode_bundle_entry(&mut sub, node, None, &[entry]);
                 }
                 Action::Send {
-                    to: vec![group.nodes[child]],
+                    to: vec![layout.nodes[child]],
                     phase: PHASE_DOWN,
                     status: ST_BUNDLE,
                     body: Payload::from_vec(sub),
                 }
             })
             .collect();
-        let own = table.remove(&group.nodes[self.pos]);
+        let own = table.remove(&layout.nodes[self.pos]);
         actions.push(Action::Deliver(own.unwrap_or_else(Payload::empty)));
         actions
     }
 }
 
 /// Node ids at `positions` of the group's node list.
-fn nodes_at(group: &CommGroup, positions: Vec<usize>) -> Vec<usize> {
-    positions.into_iter().map(|p| group.nodes[p]).collect()
+fn nodes_at(layout: &Layout, positions: Vec<usize>) -> Vec<usize> {
+    positions.into_iter().map(|p| layout.nodes[p]).collect()
+}
+
+/// Fold equal-length typed vectors into one.  `parts` pairs each vector with
+/// the rank or node (`who`) that contributed it, for the diagnostic when the
+/// lengths disagree (`scope` says across what).
+pub fn fold_all<'a>(
+    (op, dtype): (ReduceOp, ReduceDtype),
+    scope: &str,
+    who: &str,
+    parts: impl IntoIterator<Item = (usize, &'a [u8])>,
+) -> Result<Vec<u8>, String> {
+    let mut acc: Option<Vec<u8>> = None;
+    for (label, bytes) in parts {
+        match &mut acc {
+            None => acc = Some(bytes.to_vec()),
+            Some(acc) if acc.len() != bytes.len() => {
+                return Err(format!(
+                    "reduce length mismatch{scope}: {who} {label} contributed {} values, \
+                     expected {}",
+                    bytes.len() / dtype.element_bytes(),
+                    acc.len() / dtype.element_bytes()
+                ))
+            }
+            Some(acc) => dtype.fold(op, acc, bytes).map_err(|e| e.to_string())?,
+        }
+    }
+    Ok(acc.unwrap_or_default())
+}
+
+/// Combine the per-node up-payloads of a collective into the root's
+/// down-frame `(status, body)`: [`ST_OK`] with the one body every node
+/// receives, or [`ST_BUNDLE`] with `[node][len][body]` entries for
+/// node-specific results (scatter chunks; rooted results, which only the
+/// root's node gets — absent nodes read as empty).  `Err` carries a
+/// diagnostic that fails every member of the communicator (on every node).
+fn combine(
+    id: CollectiveId,
+    layout: &Layout,
+    payloads: &HashMap<usize, Payload>,
+) -> Result<(u8, Vec<u8>), String> {
+    let size = layout.member_nodes.len();
+    let root_node = || {
+        id.root
+            .and_then(|root| layout.member_nodes.get(root).copied())
+            .ok_or_else(|| format!("{} carries no valid root", id.kind.name()))
+    };
+    let merged = || {
+        let mut table = vec![Payload::empty(); size];
+        for payload in payloads.values() {
+            decode_rank_frames_into(payload, &mut table);
+        }
+        encode_rank_frames(table.iter().enumerate().map(|(s, d)| (s, d.as_slice())))
+    };
+    let only = |node: usize, payload: &[u8]| {
+        let mut bundle = Vec::with_capacity(8 + payload.len());
+        encode_bundle_entry(&mut bundle, node, None, &[payload]);
+        (ST_BUNDLE, bundle)
+    };
+    Ok(match id.kind {
+        CollectiveKind::Barrier => (ST_OK, Vec::new()),
+        CollectiveKind::Broadcast => {
+            let data = payloads.get(&root_node()?);
+            (ST_OK, data.map_or_else(Vec::new, Payload::to_vec))
+        }
+        CollectiveKind::Allgather | CollectiveKind::Split => (ST_OK, merged()),
+        CollectiveKind::Gather => only(root_node()?, &merged()),
+        CollectiveKind::Scatter => {
+            let mut table = vec![Payload::empty(); size];
+            if let Some(chunks) = payloads.get(&root_node()?) {
+                decode_rank_frames_into(chunks, &mut table);
+            }
+            let mut bundle = Vec::new();
+            for &node in &layout.nodes {
+                let residents = layout.member_nodes.iter().enumerate();
+                let frames =
+                    residents.filter_map(|(s, &m)| (m == node).then_some((s, table[s].as_slice())));
+                encode_bundle_entry(&mut bundle, node, None, &[&encode_rank_frames(frames)]);
+            }
+            (ST_BUNDLE, bundle)
+        }
+        CollectiveKind::Reduce | CollectiveKind::Allreduce => {
+            let (op, dtype) = id.required_reduction()?;
+            // Fold in node order, so the result is deterministic.  Each
+            // up-payload leads with its (op, dtype) identity header.
+            let partials = layout
+                .nodes
+                .iter()
+                .map(|&node| {
+                    let frame = payloads.get(&node).map_or(&[][..], Payload::as_slice);
+                    Ok((node, parse_reduce_frame(frame, op, dtype)?))
+                })
+                .collect::<crate::Result<Vec<_>>>()
+                .map_err(|e| e.to_string())?;
+            let result = fold_all((op, dtype), " across nodes", "node", partials)?;
+            if id.kind == CollectiveKind::Reduce {
+                only(root_node()?, &result)
+            } else {
+                (ST_OK, result)
+            }
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use dcgn_rmpi::{frame_reduce, ReduceDtype, ReduceOp, PHASE_RD_ROUND_BASE};
-
-    use super::super::sim::{group_for, Sim};
-    use super::super::wire::{encode_rank_frames, CollectiveKind, ST_MISMATCH};
+    use super::super::sim::{layout_for, Sim};
+    use super::super::wire::ST_MISMATCH;
     use super::*;
-    use crate::error::DcgnError;
+    use crate::collectives::frame_reduce;
+    use crate::packet::{RmpiError, PHASE_RD_ROUND_BASE};
 
     fn id(kind: CollectiveKind, root: Option<usize>) -> CollectiveId {
         let reduces = matches!(kind, CollectiveKind::Reduce | CollectiveKind::Allreduce);
@@ -269,7 +451,7 @@ mod tests {
         up: impl Fn(usize) -> Result<Vec<u8>, String>,
     ) -> Vec<Option<Action>> {
         let start =
-            |group: &CommGroup, pos: usize| Rooted::start(id, topo, "test", group, pos, up(pos));
+            |group: &Layout, pos: usize| Rooted::start(id, topo, "test", group, pos, up(pos));
         let oldest_first = Sim::start(n, start).run(false);
         let newest_first = Sim::start(n, start).run(true);
         assert_eq!(oldest_first.outcome, newest_first.outcome);
@@ -355,7 +537,7 @@ mod tests {
     #[test]
     fn a_leaf_up_frame_is_a_one_entry_bundle_17_bytes_over_its_contribution() {
         let id = id(CollectiveKind::Allgather, None);
-        let group = group_for(2, 3);
+        let group = layout_for(3);
         let (_, actions) = Rooted::start(id, Topology::Flat, "star", &group, 2, Ok(rank_frame(2)));
         let mut body = id.encode().to_vec();
         encode_bundle_entry(
@@ -388,7 +570,7 @@ mod tests {
                     Ok(rank_frame(pos))
                 }
             });
-            let boom = Some(Action::Fail(DcgnError::InvalidArgument("boom".into())));
+            let boom = Some(Action::Fail(RmpiError::InvalidArgument("boom".into())));
             assert_eq!(outcome, vec![boom; 6]);
             // Position 2 reduces two values, everyone else one: only the
             // root's combine can see that.
@@ -398,7 +580,7 @@ mod tests {
             });
             for outcome in outcome {
                 assert!(
-                    matches!(&outcome, Some(Action::Fail(DcgnError::InvalidArgument(msg)))
+                    matches!(&outcome, Some(Action::Fail(RmpiError::InvalidArgument(msg)))
                         if msg.contains("reduce length mismatch across nodes: node 5")),
                     "{outcome:?}"
                 );
@@ -408,8 +590,8 @@ mod tests {
 
     /// Position 1 of the 8-position binomial tree: parent 0, children 3 (with
     /// its own child 7) and 5.
-    fn interior(id: CollectiveId) -> (CommGroup, Rooted) {
-        let group = group_for(1, 8);
+    fn interior(id: CollectiveId) -> (Layout, Rooted) {
+        let group = layout_for(8);
         let (machine, opening) =
             Rooted::start(id, Topology::Binomial, "tree", &group, 1, Ok(rank_frame(1)));
         assert_eq!(opening, vec![], "an interior node waits for its children");
@@ -421,7 +603,7 @@ mod tests {
 
     /// The up-bundle position `pos` sends for subtree `positions` (itself
     /// first).
-    fn up_bundle(id: CollectiveId, group: &CommGroup, positions: &[usize]) -> ExFrame {
+    fn up_bundle(id: CollectiveId, group: &Layout, positions: &[usize]) -> ExFrame {
         let mut body = id.encode().to_vec();
         for &pos in positions {
             let parts: [&[u8]; 2] = [&id.encode(), &rank_frame(pos)];
@@ -536,7 +718,7 @@ mod tests {
         let msg = String::from_utf8_lossy(body);
         assert!(msg.contains("tree schedule has no step for"), "{msg}");
         // The root has no parent, so a down-frame is just as unscheduled.
-        let group = group_for(0, 4);
+        let group = layout_for(4);
         let (machine, _) = Rooted::start(own, Topology::Flat, "star", &group, 0, Ok(Vec::new()));
         let Machine::Rooted(mut root) = machine else {
             panic!("rooted machine")
@@ -547,5 +729,74 @@ mod tests {
             matches!(actions[..], [Action::Abort { status: ST_ERR, .. }]),
             "{actions:?}"
         );
+    }
+
+    #[test]
+    fn binomial_tree_parent_child_agree() {
+        for n in 1..70usize {
+            for v in 0..n {
+                let kids = binomial_children(v, n);
+                for &c in &kids {
+                    assert_eq!(binomial_parent(c), Some(v), "n={n} v={v} child={c}");
+                }
+                // Ascending and below n.
+                assert!(kids.windows(2).all(|w| w[0] < w[1]));
+                assert!(kids.iter().all(|&c| c < n));
+            }
+            // Every non-root position appears as exactly one child.
+            let mut seen = vec![0usize; n];
+            for v in 0..n {
+                for c in binomial_children(v, n) {
+                    seen[c] += 1;
+                }
+            }
+            assert_eq!(seen[0], 0);
+            assert!(seen[1..].iter().all(|&s| s == 1), "n={n}: {seen:?}");
+        }
+        assert_eq!(binomial_parent(0), None);
+        assert_eq!(binomial_parent(1), Some(0));
+        assert_eq!(binomial_parent(6), Some(2));
+        assert_eq!(binomial_parent(13), Some(5));
+        assert_eq!(binomial_children(0, 8), vec![1, 2, 4]);
+        assert_eq!(binomial_children(1, 8), vec![3, 5]);
+        assert_eq!(binomial_children(2, 8), vec![6]);
+        assert_eq!(binomial_children(0, 32), vec![1, 2, 4, 8, 16]);
+    }
+
+    #[test]
+    fn binomial_subtrees_partition_positions() {
+        for n in 1..40usize {
+            let mut all: Vec<usize> = Topology::Binomial.subtree(0, n);
+            all.sort_unstable();
+            assert_eq!(all, (0..n).collect::<Vec<_>>());
+            // Children's subtrees are disjoint and cover everything but root.
+            let mut covered = vec![false; n];
+            covered[0] = true;
+            for c in binomial_children(0, n) {
+                for p in Topology::Binomial.subtree(c, n) {
+                    assert!(!covered[p], "n={n} position {p} covered twice");
+                    covered[p] = true;
+                }
+            }
+            assert!(covered.iter().all(|&b| b));
+        }
+    }
+
+    #[test]
+    fn flat_topology_is_a_depth_one_tree() {
+        for n in 1..10usize {
+            assert_eq!(Topology::Flat.children(0, n), (1..n).collect::<Vec<_>>());
+            assert_eq!(Topology::Flat.subtree(0, n), (0..n).collect::<Vec<_>>());
+            assert_eq!(Topology::Flat.parent(0), None);
+            for v in 1..n {
+                assert_eq!(Topology::Flat.parent(v), Some(0));
+                assert!(Topology::Flat.children(v, n).is_empty());
+                assert_eq!(Topology::Flat.subtree(v, n), vec![v]);
+            }
+        }
+        // The binomial shape defers to the helpers above.
+        assert_eq!(Topology::Binomial.children(1, 8), vec![3, 5]);
+        assert_eq!(Topology::Binomial.parent(6), Some(2));
+        assert_eq!(Topology::Binomial.subtree(1, 8), vec![1, 3, 5, 7]);
     }
 }

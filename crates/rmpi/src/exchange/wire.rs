@@ -1,54 +1,63 @@
 //! What travels inside exchange frames.
 //!
 //! Every exchange frame is `[ExchangeId header][status u8][body]` (the header
-//! codec is [`dcgn_rmpi::frame_exchange`]).  This module owns everything
+//! codec is [`crate::frame_exchange`]).  This module owns everything
 //! after the header: the status bytes, the [`CollectiveId`] every OK body
 //! leads with and the one place a peer's id is compared with this node's
 //! ([`check_id`]), the bundle and rank-frame codecs of the rooted plans, and
 //! the reduce bodies of the allreduce schedules.
 
 use dcgn_netsim::Payload;
-use dcgn_rmpi::{frame_reduce, parse_reduce_frame, u32s_to_bytes, ReduceDtype, ReduceOp};
 
-use crate::error::DcgnError;
+use crate::collectives::{frame_reduce, parse_reduce_frame, ReduceDtype, ReduceOp};
+use crate::packet::RmpiError;
 
 /// Wire status byte of an exchange frame: the payload is a valid
 /// contribution / result.
-pub(super) const ST_OK: u8 = 0;
+pub(crate) const ST_OK: u8 = 0;
 /// Error marker: the rest of the frame is a UTF-8 diagnostic.  Errors are
 /// echoed to every participating node, so a malformed collective fails only
 /// its own communicator's ranks instead of hanging peers.
-pub(super) const ST_ERR: u8 = 1;
+pub(crate) const ST_ERR: u8 = 1;
 /// Collective-mismatch marker: the body is two [`CollectiveKind`] wire codes
 /// (`[in_progress][requested]`), decoded back into
-/// [`DcgnError::CollectiveMismatch`] on every participant.
-pub(super) const ST_MISMATCH: u8 = 2;
+/// [`RmpiError::CollectiveMismatch`] on every participant.
+pub const ST_MISMATCH: u8 = 2;
 /// Bundle marker: the body of a rooted plan's per-node down-frame is
 /// `[node u32][len u32][bytes]…` entries keyed by *physical node*, which
 /// interior nodes split by child subtree.  (Up-bundles travel as [`ST_OK`]:
 /// the sender's encoded [`CollectiveId`], then the same entries with a status
 /// byte at the head of each.)
-pub(super) const ST_BUNDLE: u8 = 3;
+pub(crate) const ST_BUNDLE: u8 = 3;
 
 /// A received (or locally built) status-framed exchange payload.
-pub(super) type ExFrame = (u8, Payload);
+pub type ExFrame = (u8, Payload);
 
 /// `(status, body)` of the abort frame a failed validation broadcasts to the
 /// rest of the group.
-pub(super) type AbortFrame = (u8, Vec<u8>);
+pub(crate) type AbortFrame = (u8, Vec<u8>);
 
-/// Which collective operation an assembly is executing.  One discriminant
-/// per operation; all per-operation behaviour lives in the `ops` module's
-/// build, combine and deliver arms, not in per-kind state machines.
+/// Which collective operation an exchange is executing.  One discriminant
+/// per operation; what each one means lives in the rooted plan's combine
+/// and in the callers' build and deliver arms, not in per-kind state
+/// machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CollectiveKind {
+pub enum CollectiveKind {
+    /// Synchronise every member.
     Barrier,
+    /// The root's bytes to every member.
     Broadcast,
+    /// Every member's bytes to the root, in sub-rank order.
     Gather,
+    /// One chunk per member from the root.
     Scatter,
+    /// Every member's bytes to every member, in sub-rank order.
     Allgather,
+    /// An element-wise fold of every member's vector, at the root.
     Reduce,
+    /// An element-wise fold of every member's vector, at every member.
     Allreduce,
+    /// Partition the group by `(color, key)` pairs (DCGN's `comm_split`).
     Split,
 }
 
@@ -66,13 +75,14 @@ const KINDS: [(CollectiveKind, &str); 8] = [
 ];
 
 impl CollectiveKind {
-    pub(crate) fn name(self) -> &'static str {
+    /// Diagnostic name, as collective-mismatch errors spell it.
+    pub fn name(self) -> &'static str {
         KINDS[self as usize].1
     }
 
     /// One-byte wire identity carried in exchange up-frames so peers can
     /// verify they agree on the operation.
-    pub(crate) fn wire_code(self) -> u8 {
+    pub fn wire_code(self) -> u8 {
         self as u8
     }
 
@@ -96,22 +106,30 @@ impl CollectiveKind {
 /// a disagreement is the paper's "collective mismatch" error.  `root` is a
 /// sub-rank of the communicator the request names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CollectiveId {
-    pub(crate) kind: CollectiveKind,
+pub struct CollectiveId {
+    /// The operation.
+    pub kind: CollectiveKind,
     /// Root sub-rank for rooted collectives, `None` for symmetric ones.
-    pub(crate) root: Option<usize>,
+    pub root: Option<usize>,
     /// Operator and element type for reduce/allreduce; part of the identity,
     /// so ranks disagreeing on either fail with a collective mismatch instead
     /// of misinterpreting each other's bytes.
-    pub(crate) reduction: Option<(ReduceOp, ReduceDtype)>,
+    pub reduction: Option<(ReduceOp, ReduceDtype)>,
 }
 
 /// Bytes of the encoded [`CollectiveId`] prefixed to every OK up-frame:
 /// `[kind u8][op u8][dtype u8][pad u8][root u32]` (0xFF / u32::MAX = none).
-pub(super) const COLLECTIVE_ID_BYTES: usize = 8;
+pub const COLLECTIVE_ID_BYTES: usize = 8;
 
 impl CollectiveId {
-    pub(super) fn encode(&self) -> [u8; COLLECTIVE_ID_BYTES] {
+    /// The reduction a reduce/allreduce id names; an id without one is a
+    /// caller bug surfaced as the collective's error, not a panic.
+    pub fn required_reduction(&self) -> Result<(ReduceOp, ReduceDtype), String> {
+        self.reduction
+            .ok_or_else(|| format!("{} carries no reduction operator", self.kind.name()))
+    }
+
+    pub(crate) fn encode(&self) -> [u8; COLLECTIVE_ID_BYTES] {
         let mut out = [0u8; COLLECTIVE_ID_BYTES];
         out[0] = self.kind.wire_code();
         (out[1], out[2]) = self.reduction.map_or((0xFF, 0xFF), |(op, dtype)| {
@@ -121,7 +139,7 @@ impl CollectiveId {
         out
     }
 
-    pub(super) fn decode(bytes: &[u8]) -> Option<CollectiveId> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<CollectiveId> {
         let (head, _) = bytes.split_first_chunk::<COLLECTIVE_ID_BYTES>()?;
         let kind = CollectiveKind::from_wire_code(head[0])?;
         let reduction = match (head[1], head[2]) {
@@ -144,14 +162,14 @@ impl CollectiveId {
 }
 
 /// Decode a non-OK frame into the error every participant reports.
-pub(super) fn frame_to_error(status: u8, body: &[u8]) -> DcgnError {
+pub fn frame_to_error(status: u8, body: &[u8]) -> RmpiError {
     match status {
-        ST_MISMATCH if body.len() >= 2 => DcgnError::CollectiveMismatch {
+        ST_MISMATCH if body.len() >= 2 => RmpiError::CollectiveMismatch {
             in_progress: CollectiveKind::wire_name(body[0]),
             requested: CollectiveKind::wire_name(body[1]),
         },
-        ST_ERR => DcgnError::InvalidArgument(String::from_utf8_lossy(body).into_owned()),
-        other => DcgnError::Internal(format!("malformed exchange frame (status {other})")),
+        ST_ERR => RmpiError::InvalidArgument(String::from_utf8_lossy(body).into_owned()),
+        other => RmpiError::Internal(format!("malformed exchange frame (status {other})")),
     }
 }
 
@@ -162,7 +180,7 @@ pub(super) fn frame_to_error(status: u8, body: &[u8]) -> DcgnError {
 /// from it first instead of deadlocking the schedule.  On success returns the
 /// body after the id; on failure the abort `(status, body)` to broadcast (a
 /// non-OK frame is passed through as its own abort).
-pub(super) fn check_id(
+pub(crate) fn check_id(
     own: CollectiveId,
     src_node: usize,
     frame: &ExFrame,
@@ -206,7 +224,7 @@ pub(super) fn check_id(
 /// sender derived a different schedule, so the group disagrees about the
 /// collective (kind, payload size, or membership) — a collective mismatch
 /// when the kinds differ, a diagnostic otherwise.
-pub(super) fn unexpected_frame(
+pub(crate) fn unexpected_frame(
     own: CollectiveId,
     schedule: &str,
     src_node: usize,
@@ -231,7 +249,7 @@ pub(super) fn unexpected_frame(
 /// `parts` so a caller can lay an id and a contribution down in place.
 /// Up-bundles prefix each body with its status byte (`status: Some`);
 /// down-bundles carry plain per-node bodies (`status: None`).
-pub(super) fn encode_bundle_entry(
+pub(crate) fn encode_bundle_entry(
     out: &mut Vec<u8>,
     node: usize,
     status: Option<u8>,
@@ -248,7 +266,7 @@ pub(super) fn encode_bundle_entry(
 
 /// Body of one allreduce-schedule frame:
 /// `[CollectiveId][total_len u32 (chunked steps only)][frame_reduce(op, dtype, payload)]`.
-pub(super) fn encode_reduce_body(
+pub(crate) fn encode_reduce_body(
     id: CollectiveId,
     op: ReduceOp,
     dtype: ReduceDtype,
@@ -268,7 +286,7 @@ pub(super) fn encode_reduce_body(
 /// collective identity, parseable reduce payload.  Returns the sender's
 /// `total_len` (when the step is chunked) and the element bytes, or the abort
 /// `(status, body)` to broadcast.
-pub(super) fn decode_reduce_body(
+pub(crate) fn decode_reduce_body(
     own: CollectiveId,
     op: ReduceOp,
     dtype: ReduceDtype,
@@ -291,11 +309,13 @@ pub(super) fn decode_reduce_body(
     }
 }
 
-pub(super) fn encode_color_key(color: u32, key: u32) -> Vec<u8> {
-    u32s_to_bytes(&[color, key])
+/// Encode a `comm_split` contribution: the `(color, key)` pair.
+pub fn encode_color_key(color: u32, key: u32) -> Vec<u8> {
+    [color.to_le_bytes(), key.to_le_bytes()].concat()
 }
 
-pub(super) fn decode_color_key(bytes: &[u8]) -> Option<(u32, u32)> {
+/// Decode an [`encode_color_key`] pair.
+pub fn decode_color_key(bytes: &[u8]) -> Option<(u32, u32)> {
     // Exactly two words: a 9-byte frame must not decode.
     let (color, key) = bytes.split_first_chunk::<4>()?;
     let key: [u8; 4] = key.try_into().ok()?;
@@ -305,7 +325,7 @@ pub(super) fn decode_color_key(bytes: &[u8]) -> Option<(u32, u32)> {
 /// Encode `(sub-rank, bytes)` pairs as `[rank u32][len u32][bytes]…` — the
 /// framing every chunked collective uses to move per-rank data inside
 /// exchange frames.
-pub(super) fn encode_rank_frames<'a>(frames: impl Iterator<Item = (usize, &'a [u8])>) -> Vec<u8> {
+pub fn encode_rank_frames<'a>(frames: impl Iterator<Item = (usize, &'a [u8])>) -> Vec<u8> {
     let mut blob = Vec::new();
     for (rank, data) in frames {
         encode_bundle_entry(&mut blob, rank, None, &[data]);
@@ -317,7 +337,7 @@ pub(super) fn encode_rank_frames<'a>(frames: impl Iterator<Item = (usize, &'a [u
 /// share the layout), yielding each frame's rank and the byte range of its
 /// payload within `blob`.  Iteration stops at a truncated tail; rank
 /// filtering is the consumer's job.
-pub(super) fn rank_frames(
+pub(crate) fn rank_frames(
     blob: &[u8],
 ) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
     let mut off = 0;
@@ -334,7 +354,7 @@ pub(super) fn rank_frames(
 /// Decode rank frames into a rank-indexed table of zero-copy views sharing
 /// `blob`'s allocation, ignoring malformed or out-of-range entries.  Tables
 /// merge: frames of a later blob overwrite only the ranks they name.
-pub(super) fn decode_rank_frames_into(blob: &Payload, per_rank: &mut [Payload]) {
+pub fn decode_rank_frames_into(blob: &Payload, per_rank: &mut [Payload]) {
     for (rank, range) in rank_frames(blob.as_slice()) {
         if let Some(slot) = per_rank.get_mut(rank) {
             *slot = blob.slice(range);
@@ -408,7 +428,7 @@ mod tests {
     #[test]
     fn non_ok_frames_decode_to_clean_errors() {
         let err = frame_to_error(ST_ERR, b"boom");
-        assert!(matches!(err, DcgnError::InvalidArgument(msg) if msg == "boom"));
+        assert!(matches!(err, RmpiError::InvalidArgument(msg) if msg == "boom"));
         let mism = frame_to_error(
             ST_MISMATCH,
             &[
@@ -418,14 +438,14 @@ mod tests {
         );
         assert_eq!(
             mism,
-            DcgnError::CollectiveMismatch {
+            RmpiError::CollectiveMismatch {
                 in_progress: "barrier",
                 requested: "broadcast",
             }
         );
         assert!(matches!(
             frame_to_error(ST_MISMATCH, &[]),
-            DcgnError::Internal(_)
+            RmpiError::Internal(_)
         ));
     }
 
@@ -447,7 +467,7 @@ mod tests {
             check_id(own, 3, &frame_of(id_of(CollectiveKind::Barrier))).unwrap_err();
         assert_eq!(
             frame_to_error(status, &body),
-            DcgnError::CollectiveMismatch {
+            RmpiError::CollectiveMismatch {
                 in_progress: "reduce",
                 requested: "barrier",
             }

@@ -13,16 +13,18 @@
 //!
 //! * point-to-point messages use an **eager** protocol below a configurable
 //!   threshold and a **rendezvous** (RTS/CTS) protocol above it; rendezvous
-//!   payloads larger than one chunk stream through a credit-windowed
-//!   chunk pipeline (zero-copy views of the staged buffer, bounded
-//!   in-flight memory — see the [`comm`] module docs and [`RdvConfig`]),
+//!   payloads stream through a credit-windowed chunk pipeline (zero-copy
+//!   views of the staged buffer, bounded in-flight memory, one chunk for a
+//!   payload of at most one — see the [`comm`] module docs and
+//!   [`RdvConfig`]),
 //! * receives match on `(source, tag)` with wildcard support and an
 //!   unexpected-message queue,
 //! * nonblocking operations ([`Communicator::isend`]/[`Communicator::irecv`])
 //!   are tracked as requests and progressed by every call into the library,
 //! * collectives (barrier, broadcast, scatter/gather, reduce/allreduce) are
-//!   built from point-to-point messages using the standard dissemination and
-//!   binomial-tree algorithms.
+//!   built from point-to-point messages by the [`exchange`] plans — star,
+//!   binomial tree, recursive doubling and ring — the same plans, picked by
+//!   the same table, that DCGN's engine runs between nodes.
 //!
 //! A communicator is owned by exactly one thread (`MPI_THREAD_SINGLE`), which
 //! mirrors the constraint the paper designs around: DCGN funnels all
@@ -33,6 +35,7 @@
 
 pub mod collectives;
 pub mod comm;
+pub mod exchange;
 pub mod packet;
 pub mod rdv;
 pub mod typed;
@@ -49,10 +52,7 @@ pub use rdv::{
     RdvConfig, DEFAULT_RDV_CHUNK, DEFAULT_RDV_WINDOW, ENV_EAGER_THRESHOLD, ENV_RDV_CHUNK,
     ENV_RDV_WINDOW, MAX_RDV_WINDOW,
 };
-pub use typed::{
-    bytes_to_f32s, bytes_to_f64s, bytes_to_i64s, bytes_to_u32s, f32s_to_bytes, f64s_to_bytes,
-    i64s_to_bytes, u32s_to_bytes, ReduceElement,
-};
+pub use typed::{bytes_to_f64s, f64s_to_bytes, ReduceElement};
 pub use world::{MpiWorld, RankPlacement};
 
 /// Result alias used across the crate.

@@ -19,9 +19,9 @@ pub const HEADER_BYTES: usize = 32;
 /// The packets exchanged between communicator endpoints.
 ///
 /// `Eager` carries the payload immediately.  Large messages rendezvous with
-/// `Rts` → `Cts`; the payload then travels either as one `RdvData` frame
-/// (messages up to one chunk) or as a credit-windowed stream of `RdvChunk`
-/// frames acknowledged by `RdvCredit` (see the `comm` module docs).
+/// `Rts` → `Cts`; the payload then travels as a credit-windowed stream of
+/// `RdvChunk` frames acknowledged by `RdvCredit` — one chunk and no credit
+/// for a message of at most one chunk (see the `comm` module docs).
 #[derive(Debug)]
 pub enum Packet {
     /// Small message: payload travels with the envelope.
@@ -46,15 +46,6 @@ pub enum Packet {
     Cts {
         /// Identifier from the matching [`Packet::Rts`].
         send_id: u64,
-    },
-    /// The payload of a single-frame rendezvous transfer.
-    RdvData {
-        /// Identifier from the matching [`Packet::Rts`].
-        send_id: u64,
-        /// Message tag (repeated for sanity checks).
-        tag: u32,
-        /// Payload bytes (pooled and shared, like [`Packet::Eager`]).
-        data: Payload,
     },
     /// One chunk of a streamed rendezvous transfer.  The data is a zero-copy
     /// view into the sender's staged payload.  Chunks must arrive in offset
@@ -87,7 +78,6 @@ impl Packet {
             Packet::Eager { data, .. } => HEADER_BYTES + data.len(),
             Packet::Rts { .. } => HEADER_BYTES,
             Packet::Cts { .. } => HEADER_BYTES,
-            Packet::RdvData { data, .. } => HEADER_BYTES + data.len(),
             Packet::RdvChunk { data, .. } => HEADER_BYTES + data.len(),
             Packet::RdvCredit { .. } => HEADER_BYTES,
         }
@@ -221,6 +211,15 @@ pub enum RmpiError {
     InvalidArgument(String),
     /// A request handle was unknown or already consumed.
     UnknownRequest,
+    /// Participants disagreed about which collective to execute.
+    CollectiveMismatch {
+        /// Collective this participant was executing.
+        in_progress: &'static str,
+        /// Collective a peer requested instead.
+        requested: &'static str,
+    },
+    /// An internal invariant was violated (bug in this crate or a peer).
+    Internal(String),
 }
 
 impl fmt::Display for RmpiError {
@@ -233,6 +232,14 @@ impl fmt::Display for RmpiError {
             }
             RmpiError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             RmpiError::UnknownRequest => write!(f, "unknown or already-completed request"),
+            RmpiError::CollectiveMismatch {
+                in_progress,
+                requested,
+            } => write!(
+                f,
+                "collective mismatch: executing {in_progress} but a peer requested {requested}"
+            ),
+            RmpiError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }
@@ -258,12 +265,6 @@ mod tests {
         assert_eq!(rts.wire_bytes(), HEADER_BYTES);
         let cts = Packet::Cts { send_id: 1 };
         assert_eq!(cts.wire_bytes(), HEADER_BYTES);
-        let data = Packet::RdvData {
-            send_id: 1,
-            tag: 0,
-            data: Payload::copy_from_slice(&vec![0u8; 1 << 20]),
-        };
-        assert_eq!(data.wire_bytes(), HEADER_BYTES + (1 << 20));
         let chunk = Packet::RdvChunk {
             send_id: 1,
             offset: 1 << 16,
@@ -319,6 +320,12 @@ mod tests {
             RmpiError::Stalled("recv").to_string(),
             RmpiError::InvalidArgument("bad".into()).to_string(),
             RmpiError::UnknownRequest.to_string(),
+            RmpiError::CollectiveMismatch {
+                in_progress: "barrier",
+                requested: "broadcast",
+            }
+            .to_string(),
+            RmpiError::Internal("x".into()).to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

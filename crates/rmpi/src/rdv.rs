@@ -1,8 +1,9 @@
 //! Rendezvous pipeline configuration.
 //!
 //! Large messages rendezvous with an RTS→CTS handshake and then stream as
-//! fixed-size chunks through a bounded credit window (see the `comm` module
-//! docs for the protocol).  This module holds [`RdvConfig`]: the tunables
+//! fixed-size chunks through a bounded credit window — a payload of at most
+//! one chunk as a one-chunk stream (see the `comm` module docs for the
+//! protocol).  This module holds [`RdvConfig`]: the tunables
 //! (eager threshold, chunk size, window depth), their environment-variable
 //! overrides, and their validation.
 
@@ -13,14 +14,14 @@ use crate::packet::RmpiError;
 /// Environment variable overriding [`RdvConfig::eager_threshold`] (bytes).
 pub const ENV_EAGER_THRESHOLD: &str = "DCGN_EAGER_THRESHOLD";
 /// Environment variable overriding [`RdvConfig::chunk_bytes`] (bytes;
-/// `0` forces the legacy single-frame rendezvous path).
+/// `0` ships every rendezvous payload as one chunk).
 pub const ENV_RDV_CHUNK: &str = "DCGN_RDV_CHUNK";
 /// Environment variable overriding [`RdvConfig::window`] (chunks).
 pub const ENV_RDV_WINDOW: &str = "DCGN_RDV_WINDOW";
 
 /// Default streaming chunk size.  Chosen so the paper-scale benchmark sizes
-/// (≤256 KB) keep the zero-copy single-frame path and only genuinely large
-/// transfers stream.
+/// (≤256 KB) ship as one zero-copy chunk and only genuinely large transfers
+/// pipeline several.
 pub const DEFAULT_RDV_CHUNK: usize = 256 * 1024;
 /// Default credit-window depth in chunks.
 pub const DEFAULT_RDV_WINDOW: usize = 8;
@@ -34,9 +35,9 @@ pub struct RdvConfig {
     /// Messages at or below this many bytes travel eagerly (payload with the
     /// envelope); larger messages rendezvous.
     pub eager_threshold: usize,
-    /// Streaming chunk size in bytes.  A rendezvous payload larger than one
-    /// chunk and an envelope streams as `RdvChunk` frames; smaller payloads
-    /// — or any payload when this is `0` — ship as a single `RdvData` frame.
+    /// Streaming chunk size in bytes.  A rendezvous payload streams as one
+    /// `RdvChunk` frame per chunk, the last absorbing a tail of at most an
+    /// envelope; `0` makes any payload one chunk.
     pub chunk_bytes: usize,
     /// Credit window: the maximum number of chunks in flight per transfer.
     pub window: usize,
@@ -78,7 +79,8 @@ impl RdvConfig {
         self
     }
 
-    /// Replace the chunk size (builder-style helper; `0` disables streaming).
+    /// Replace the chunk size (builder-style helper; `0` makes every payload
+    /// one chunk).
     pub fn with_chunk_bytes(mut self, bytes: usize) -> Self {
         self.chunk_bytes = bytes;
         self
@@ -93,10 +95,9 @@ impl RdvConfig {
     /// Check the configuration's invariants, returning
     /// [`RmpiError::InvalidArgument`] with an actionable message on violation.
     pub fn validate(&self) -> crate::Result<()> {
-        if self.chunk_bytes > 0 && self.window == 0 {
+        if self.window == 0 {
             return Err(RmpiError::InvalidArgument(format!(
-                "rendezvous window must be at least 1 chunk when chunking is \
-                 enabled (chunk_bytes = {})",
+                "rendezvous window must be at least 1 chunk (chunk_bytes = {})",
                 self.chunk_bytes
             )));
         }
@@ -109,13 +110,18 @@ impl RdvConfig {
         Ok(())
     }
 
-    /// True when a rendezvous payload of `len` bytes takes the streamed
-    /// chunk path rather than the single-frame path: it is more than one
-    /// chunk plus the tail a chunk absorbs.  The last chunk absorbs a tail
-    /// of at most [`ENVELOPE_BYTES`], so a framed power-of-two body does not
-    /// trail a 16-byte runt frame.
-    pub fn streams(&self, len: usize) -> bool {
-        self.chunk_bytes > 0 && len.saturating_sub(ENVELOPE_BYTES) > self.chunk_bytes
+    /// Where the chunk of a `len`-byte rendezvous payload that starts at
+    /// `offset` ends: one `chunk_bytes` further on, except that the last
+    /// chunk absorbs a tail of at most [`ENVELOPE_BYTES`] — so a framed
+    /// power-of-two body does not trail a 16-byte runt frame — and that
+    /// `chunk_bytes = 0` makes the whole payload one chunk.
+    pub(crate) fn chunk_end(&self, offset: usize, len: usize) -> usize {
+        let full = offset.saturating_add(self.chunk_bytes);
+        if self.chunk_bytes == 0 || full.saturating_add(ENVELOPE_BYTES) >= len {
+            len
+        } else {
+            full
+        }
     }
 
     /// Chunks a receiver coalesces into one `RdvCredit` frame: half the
@@ -189,22 +195,34 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(matches!(err, RmpiError::InvalidArgument(_)), "{err}");
-        // chunk_bytes = 0 disables streaming, so the window is irrelevant.
-        assert!(RdvConfig::new(64)
+        // chunk_bytes = 0 still streams one chunk, which needs a window slot.
+        let err = RdvConfig::new(64)
             .with_chunk_bytes(0)
             .with_window(0)
             .validate()
-            .is_ok());
+            .unwrap_err();
+        assert!(matches!(err, RmpiError::InvalidArgument(_)), "{err}");
     }
 
     #[test]
     fn streaming_decision_absorbs_an_envelope_tail() {
+        let chunks = |cfg: RdvConfig, len: usize| {
+            let (mut offset, mut count) = (0, 0);
+            while offset < len {
+                offset = cfg.chunk_end(offset, len);
+                count += 1;
+            }
+            count
+        };
         let cfg = RdvConfig::new(64).with_chunk_bytes(1000);
-        assert!(!cfg.streams(1000), "exactly one chunk ships single-frame");
+        assert_eq!(chunks(cfg, 1000), 1, "exactly one chunk is one frame");
         // A chunk absorbs an envelope-sized tail: a framed one-chunk body is
         // still one frame, not a full chunk and a 16-byte runt.
-        assert!(!cfg.streams(1000 + ENVELOPE_BYTES));
-        assert!(cfg.streams(1000 + ENVELOPE_BYTES + 1));
-        assert!(!cfg.with_chunk_bytes(0).streams(usize::MAX));
+        assert_eq!(chunks(cfg, 1000 + ENVELOPE_BYTES), 1);
+        assert_eq!(chunks(cfg, 1000 + ENVELOPE_BYTES + 1), 2);
+        assert_eq!(chunks(cfg, 3000 + ENVELOPE_BYTES), 3);
+        assert_eq!(chunks(cfg, 3000 + ENVELOPE_BYTES + 1), 4);
+        // chunk_bytes = 0: the whole payload is one chunk.
+        assert_eq!(chunks(cfg.with_chunk_bytes(0), 1 << 30), 1);
     }
 }

@@ -26,53 +26,40 @@ pub trait ReduceElement: sealed::Sealed + Copy + Send + Sync + 'static {
     fn vec_from_bytes(bytes: &[u8]) -> Vec<Self>;
 }
 
-impl ReduceElement for f64 {
-    const DTYPE: ReduceDtype = ReduceDtype::F64;
-    fn slice_to_bytes(values: &[Self]) -> Vec<u8> {
-        f64s_to_bytes(values)
-    }
-    fn vec_from_bytes(bytes: &[u8]) -> Vec<Self> {
-        bytes_to_f64s(bytes)
-    }
+/// One [`ReduceElement`] impl: little-endian bytes, `N` per element.
+macro_rules! reduce_element {
+    ($ty:ty, $dtype:expr) => {
+        impl ReduceElement for $ty {
+            const DTYPE: ReduceDtype = $dtype;
+
+            fn slice_to_bytes(values: &[Self]) -> Vec<u8> {
+                values.iter().flat_map(|v| v.to_le_bytes()).collect()
+            }
+
+            fn vec_from_bytes(bytes: &[u8]) -> Vec<Self> {
+                const N: usize = std::mem::size_of::<$ty>();
+                assert!(
+                    bytes.len().is_multiple_of(N),
+                    "byte length {} is not a multiple of {N}",
+                    bytes.len()
+                );
+                bytes
+                    .chunks_exact(N)
+                    .map(|c| <$ty>::from_le_bytes(c.try_into().expect("whole element")))
+                    .collect()
+            }
+        }
+    };
 }
 
-impl ReduceElement for f32 {
-    const DTYPE: ReduceDtype = ReduceDtype::F32;
-    fn slice_to_bytes(values: &[Self]) -> Vec<u8> {
-        f32s_to_bytes(values)
-    }
-    fn vec_from_bytes(bytes: &[u8]) -> Vec<Self> {
-        bytes_to_f32s(bytes)
-    }
-}
-
-impl ReduceElement for u32 {
-    const DTYPE: ReduceDtype = ReduceDtype::U32;
-    fn slice_to_bytes(values: &[Self]) -> Vec<u8> {
-        u32s_to_bytes(values)
-    }
-    fn vec_from_bytes(bytes: &[u8]) -> Vec<Self> {
-        bytes_to_u32s(bytes)
-    }
-}
-
-impl ReduceElement for i64 {
-    const DTYPE: ReduceDtype = ReduceDtype::I64;
-    fn slice_to_bytes(values: &[Self]) -> Vec<u8> {
-        i64s_to_bytes(values)
-    }
-    fn vec_from_bytes(bytes: &[u8]) -> Vec<Self> {
-        bytes_to_i64s(bytes)
-    }
-}
+reduce_element!(f64, ReduceDtype::F64);
+reduce_element!(f32, ReduceDtype::F32);
+reduce_element!(u32, ReduceDtype::U32);
+reduce_element!(i64, ReduceDtype::I64);
 
 /// Convert a slice of `f64` values to little-endian bytes.
 pub fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+    f64::slice_to_bytes(values)
 }
 
 /// Convert little-endian bytes back to `f64` values.
@@ -80,90 +67,7 @@ pub fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
 /// # Panics
 /// Panics if `bytes.len()` is not a multiple of 8.
 pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
-    assert!(
-        bytes.len().is_multiple_of(8),
-        "byte length {} is not a multiple of 8",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect()
-}
-
-/// Convert a slice of `f32` values to little-endian bytes.
-pub fn f32s_to_bytes(values: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Convert little-endian bytes back to `f32` values.
-///
-/// # Panics
-/// Panics if `bytes.len()` is not a multiple of 4.
-pub fn bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
-    assert!(
-        bytes.len().is_multiple_of(4),
-        "byte length {} is not a multiple of 4",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect()
-}
-
-/// Convert a slice of `i64` values to little-endian bytes.
-pub fn i64s_to_bytes(values: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Convert little-endian bytes back to `i64` values.
-///
-/// # Panics
-/// Panics if `bytes.len()` is not a multiple of 8.
-pub fn bytes_to_i64s(bytes: &[u8]) -> Vec<i64> {
-    assert!(
-        bytes.len().is_multiple_of(8),
-        "byte length {} is not a multiple of 8",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(8)
-        .map(|c| i64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect()
-}
-
-/// Convert a slice of `u32` values to little-endian bytes.
-pub fn u32s_to_bytes(values: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Convert little-endian bytes back to `u32` values.
-///
-/// # Panics
-/// Panics if `bytes.len()` is not a multiple of 4.
-pub fn bytes_to_u32s(bytes: &[u8]) -> Vec<u32> {
-    assert!(
-        bytes.len().is_multiple_of(4),
-        "byte length {} is not a multiple of 4",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect()
+    f64::vec_from_bytes(bytes)
 }
 
 #[cfg(test)]
@@ -179,19 +83,25 @@ mod tests {
     #[test]
     fn f32_roundtrip() {
         let vals = [0.0f32, -2.25, 1e30, f32::EPSILON];
-        assert_eq!(bytes_to_f32s(&f32s_to_bytes(&vals)), vals.to_vec());
+        assert_eq!(
+            f32::vec_from_bytes(&f32::slice_to_bytes(&vals)),
+            vals.to_vec()
+        );
     }
 
     #[test]
     fn u32_roundtrip() {
         let vals = [0u32, 1, u32::MAX, 0xDEADBEEF];
-        assert_eq!(bytes_to_u32s(&u32s_to_bytes(&vals)), vals.to_vec());
+        assert_eq!(
+            u32::vec_from_bytes(&u32::slice_to_bytes(&vals)),
+            vals.to_vec()
+        );
     }
 
     #[test]
     fn empty_slices_are_fine() {
         assert!(bytes_to_f64s(&f64s_to_bytes(&[])).is_empty());
-        assert!(bytes_to_u32s(&u32s_to_bytes(&[])).is_empty());
+        assert!(u32::vec_from_bytes(&u32::slice_to_bytes(&[])).is_empty());
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl RankPlacement {
     }
 
     /// The full rank → node map.
-    pub fn node_map(&self) -> &[usize] {
+    fn node_map(&self) -> &[usize] {
         &self.node_of_rank
     }
 }
@@ -84,35 +84,19 @@ impl MpiWorld {
     /// cost model's eager threshold, adjusted by any `DCGN_EAGER_THRESHOLD`,
     /// `DCGN_RDV_CHUNK` and `DCGN_RDV_WINDOW` environment overrides; an
     /// unparsable or invalid override panics with its validation message.
-    /// Use [`MpiWorld::create_with`] to pass an explicit configuration.
+    /// Use [`MpiWorld::run_with`] or [`MpiWorld::create_on_with`] to pass an
+    /// explicit configuration.
     pub fn create(placement: &RankPlacement, cost: CostModel) -> Vec<Communicator> {
         let cluster: Cluster<Packet> = Cluster::new(placement.num_nodes(), cost);
-        Self::create_on(&cluster, placement)
-    }
-
-    /// [`MpiWorld::create`] with an explicit, validated transfer-protocol
-    /// configuration (no environment overrides applied).
-    pub fn create_with(
-        placement: &RankPlacement,
-        cost: CostModel,
-        rdv: RdvConfig,
-    ) -> Result<Vec<Communicator>> {
-        let cluster: Cluster<Packet> = Cluster::new(placement.num_nodes(), cost);
-        Self::create_on_with(&cluster, placement, rdv)
-    }
-
-    /// Create communicators on an existing cluster (used when other
-    /// components — e.g. DCGN's device simulators — share the same cluster).
-    /// Resolves the transfer-protocol configuration from the cost model and
-    /// the environment, like [`MpiWorld::create`].
-    pub fn create_on(cluster: &Cluster<Packet>, placement: &RankPlacement) -> Vec<Communicator> {
-        RdvConfig::from_env(cluster.cost().eager_threshold)
-            .and_then(|rdv| Self::create_on_with(cluster, placement, rdv))
+        RdvConfig::from_env(cost.eager_threshold)
+            .and_then(|rdv| Self::create_on_with(&cluster, placement, rdv))
             .expect("invalid rendezvous configuration from environment")
     }
 
-    /// [`MpiWorld::create_on`] with an explicit transfer-protocol
-    /// configuration, validated before any endpoint is attached.
+    /// Create communicators on an existing cluster (used when other
+    /// components — e.g. DCGN's device simulators — share the same cluster)
+    /// with an explicit transfer-protocol configuration, validated before
+    /// any endpoint is attached.
     pub fn create_on_with(
         cluster: &Cluster<Packet>,
         placement: &RankPlacement,
@@ -158,8 +142,8 @@ impl MpiWorld {
         Self::run_comms(Self::create(placement, cost), f)
     }
 
-    /// [`MpiWorld::run`] with an explicit transfer-protocol configuration —
-    /// the race-free way for one process to compare protocol settings
+    /// [`MpiWorld::run`] with an explicit, validated transfer-protocol
+    /// configuration (no environment overrides applied) — the race-free way for one process to compare protocol settings
     /// (environment variables are process-global; this is not).
     pub fn run_with<R, F>(
         placement: &RankPlacement,
@@ -171,7 +155,11 @@ impl MpiWorld {
         R: Send + 'static,
         F: Fn(Communicator) -> R + Send + Sync + 'static,
     {
-        Ok(Self::run_comms(Self::create_with(placement, cost, rdv)?, f))
+        let cluster = Cluster::new(placement.num_nodes(), cost);
+        Ok(Self::run_comms(
+            Self::create_on_with(&cluster, placement, rdv)?,
+            f,
+        ))
     }
 
     fn run_comms<R, F>(comms: Vec<Communicator>, f: F) -> Vec<R>

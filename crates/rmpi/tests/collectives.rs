@@ -1,5 +1,7 @@
 //! Collective correctness across rank counts, placements and payload sizes.
 
+use std::time::Duration;
+
 use dcgn_rmpi::{
     bytes_to_f64s, f64s_to_bytes, MpiWorld, RankPlacement, ReduceDtype, ReduceOp, RmpiError,
 };
@@ -218,6 +220,31 @@ fn reduce_length_mismatch_is_detected() {
     });
     // Root sees the mismatch (rank 1 sends a shorter vector).
     assert!(results[0].is_err());
+    // ... and echoes it to the non-root rank instead of leaving it waiting.
+    assert!(results[1].is_err());
+}
+
+/// Half the ranks call `barrier` while the other half call `bcast`: every
+/// rank must come back with the collective-mismatch error in bounded time,
+/// not stall waiting for frames its peers will never send.
+#[test]
+fn mismatched_collectives_fail_every_rank_with_the_mismatch() {
+    for ranks in [4, 8] {
+        let results = run_with(ranks, 1, |mut comm| {
+            comm.set_progress_timeout(Duration::from_secs(2));
+            if comm.rank() % 2 == 0 {
+                comm.barrier()
+            } else {
+                comm.bcast(1, &mut vec![7u8; 16])
+            }
+        });
+        for (rank, result) in results.into_iter().enumerate() {
+            assert!(
+                matches!(result, Err(RmpiError::CollectiveMismatch { .. })),
+                "rank {rank} of {ranks}: {result:?}"
+            );
+        }
+    }
 }
 
 #[test]

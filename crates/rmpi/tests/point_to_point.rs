@@ -297,7 +297,7 @@ fn eager_delivery_is_zero_copy_end_to_end() {
 #[test]
 fn rendezvous_delivery_is_zero_copy_end_to_end() {
     // Same guarantee above the eager threshold: the RTS/CTS handshake moves
-    // envelopes, and the RdvData packet moves the pooled payload itself.
+    // envelopes, and the one-chunk stream moves the pooled payload itself.
     let mut comms = two_ranks();
     let mut r1 = comms.remove(1);
     let mut r0 = comms.remove(0);
@@ -317,7 +317,7 @@ fn rendezvous_delivery_is_zero_copy_end_to_end() {
     // send, the receiver legitimately assembles the chunks into its own
     // pooled buffer (the chunks themselves are still zero-copy views of the
     // sender's staging buffer), so pointer identity only holds on the
-    // single-frame path.
+    // one-chunk path.
     let streamed = std::env::var("DCGN_RDV_CHUNK")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())

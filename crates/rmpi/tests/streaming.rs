@@ -3,8 +3,8 @@
 //! Each case launches a set of concurrent transfers between random rank
 //! pairs — several sharing the same pair so chunk and credit frames for
 //! distinct transfers interleave on one wire — and runs the identical
-//! traffic twice: once streamed (small chunk, narrow window) and once over
-//! the legacy single-frame rendezvous (`chunk_bytes = 0`).  The streamed
+//! traffic twice: once streamed (small chunk, narrow window) and once with
+//! every payload one chunk (`chunk_bytes = 0`).  The streamed
 //! run must deliver byte-for-byte what the sequential-reference run does,
 //! which in turn must match the deterministic per-transfer pattern.
 
@@ -154,10 +154,10 @@ fn streamed_send_hands_the_staged_buffer_to_the_receiver_every_time() {
     assert_eq!(fallbacks, [0, 0], "copy fall-backs per rank");
 }
 
-/// A streamed receive records exactly one `rmpi.rdv.transfer_bytes_per_sec`
-/// sample; an eager or single-frame receive records none.  A streamed
-/// transfer cuts one chunk per `chunk_bytes`, the last absorbing a tail of
-/// at most an envelope.
+/// A rendezvous receive records exactly one
+/// `rmpi.rdv.transfer_bytes_per_sec` sample; an eager receive records none.
+/// A rendezvous transfer cuts one chunk per `chunk_bytes`, the last
+/// absorbing a tail of at most an envelope.
 #[test]
 fn each_streamed_receive_records_one_throughput_sample() {
     let _serial = serial();
@@ -172,7 +172,7 @@ fn each_streamed_receive_records_one_throughput_sample() {
     // (message bytes, chunks it streams as)
     let cases = [
         (512, 0),                        // eager
-        (CHUNK + ENVELOPE_BYTES, 0),     // one rendezvous frame
+        (CHUNK + ENVELOPE_BYTES, 1),     // a one-chunk stream
         (CHUNK + ENVELOPE_BYTES + 1, 2), // streamed
         (3 * CHUNK + ENVELOPE_BYTES, 3), // the last chunk absorbs the tail
         (3 * CHUNK + ENVELOPE_BYTES + 1, 4),
@@ -209,8 +209,8 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// N interleaved chunked transfers deliver exactly what the legacy
-    /// single-frame protocol delivers, which matches the expected pattern.
+    /// N interleaved chunked transfers deliver exactly what one-chunk
+    /// transfers deliver, which matches the expected pattern.
     #[test]
     fn interleaved_chunked_transfers_match_sequential_reference(
         seeds in proptest::collection::vec(any::<u64>(), 2..6),

@@ -76,7 +76,7 @@ fn cross_node_rounds(size: usize, rounds: usize) -> Vec<Round> {
 fn cross_node_message_acquires_exactly_one_pooled_buffer() {
     let _turn = POOL_COUNTERS.lock().unwrap();
     // Power-of-two bodies either side of the eager threshold: 1 KiB travels
-    // eager, 128 KiB as a single-frame rendezvous — or, under CI's tiny-chunk
+    // eager, 128 KiB as a one-chunk rendezvous — or, under CI's tiny-chunk
     // pass, streamed, which must cost no more.
     for size in [1 << 10, 1 << 17] {
         // One acquisition per message: the sender's staging buffer.  Framing
