@@ -57,29 +57,26 @@ fn main() {
     println!("# Ablation: GPU-GPU message latency and GPU-thread busy fraction vs poll interval");
     println!(
         "{:>14}{:>18}{:>16}{:>12}{:>14}",
-        "poll interval", "GPU:GPU latency", "busy fraction", "polls", "status reads"
+        "poll interval", "GPU:GPU latency", "busy fraction", "polls", "mailbox reads"
     );
     for poll_us in [25u64, 50, 100, 200, 400, 800] {
         let cost = CostModel::g92_scaled(4.0).with_poll_interval(Duration::from_micros(poll_us));
         let (latency, report) = gpu_pingpong(cost, 10);
         let polls: u64 = report.gpu_poll_stats.iter().map(|s| s.polls).sum();
-        let status_reads: u64 = report
-            .gpu_poll_stats
-            .iter()
-            .map(|s| s.batched_status_reads)
-            .sum();
+        let mailbox_reads: u64 = report.gpu_poll_stats.iter().map(|s| s.mailbox_reads).sum();
         println!(
             "{:>11} µs{:>15.0} µs{:>15.1}%{:>12}{:>14}",
             poll_us,
             latency.as_secs_f64() * 1e6,
             mean_busy(&report) * 100.0,
             polls,
-            status_reads
+            mailbox_reads
         );
     }
     println!();
     println!("# Expected shape: shorter intervals cut message latency but raise the host's");
     println!("# polling load (more sweeps, higher busy fraction) — the trade-off the paper");
     println!("# identifies as inherent to CPU-mediated GPU communication.  Each sweep is");
-    println!("# one batched status read regardless of slot count (status reads ≈ polls).");
+    println!("# one read of the mailbox records regardless of slot count (mailbox reads ≈");
+    println!("# polls, fewer while every slot waits on a blocking call).");
 }

@@ -91,18 +91,6 @@ pub struct DcgnConfig {
     /// default) uses the selection table; the `DCGN_FORCE_PLAN` environment
     /// variable provides the same override without code changes.
     pub exchange_plan: Option<ExchangePlan>,
-    /// Eager/rendezvous protocol threshold of the MPI substrate, in bytes.
-    /// `None` (the default) uses the cost model's threshold; the
-    /// `DCGN_EAGER_THRESHOLD` environment variable overrides the default the
-    /// same way.
-    pub eager_threshold: Option<usize>,
-    /// Chunk size of the streamed rendezvous pipeline, in bytes (`0`
-    /// disables chunking: every rendezvous payload ships as one chunk).
-    /// `None` defers to `DCGN_RDV_CHUNK` or the built-in default.
-    pub rdv_chunk: Option<usize>,
-    /// Credit-window depth of the streamed rendezvous pipeline, in chunks.
-    /// `None` defers to `DCGN_RDV_WINDOW` or the built-in default.
-    pub rdv_window: Option<usize>,
     /// Metrics registry the runtime reports into.  Defaults to the
     /// process-wide [`dcgn_metrics::global`] registry; tests that need
     /// isolated counters install their own via
@@ -127,9 +115,6 @@ impl DcgnConfig {
             gpu_block_threads: 32,
             mailbox_reqs_per_slot: crate::gpu::MAILBOX_REQS_PER_SLOT,
             exchange_plan: None,
-            eager_threshold: None,
-            rdv_chunk: None,
-            rdv_window: None,
             metrics: dcgn_metrics::global().clone(),
         }
     }
@@ -178,49 +163,14 @@ impl DcgnConfig {
             .or_else(|| parse_forced_plan(std::env::var(ENV_FORCE_PLAN).ok().as_deref()).ok()?)
     }
 
-    /// Builder-style override of the MPI substrate's eager/rendezvous
-    /// threshold (the programmatic twin of `DCGN_EAGER_THRESHOLD`).
-    pub fn with_eager_threshold(mut self, bytes: usize) -> Self {
-        self.eager_threshold = Some(bytes);
-        self
-    }
-
-    /// Builder-style override of the rendezvous streaming chunk size (the
-    /// programmatic twin of `DCGN_RDV_CHUNK`; `0` ships every rendezvous
-    /// payload as one chunk).
-    pub fn with_rdv_chunk(mut self, bytes: usize) -> Self {
-        self.rdv_chunk = Some(bytes);
-        self
-    }
-
-    /// Builder-style override of the rendezvous credit-window depth (the
-    /// programmatic twin of `DCGN_RDV_WINDOW`).
-    pub fn with_rdv_window(mut self, chunks: usize) -> Self {
-        self.rdv_window = Some(chunks);
-        self
-    }
-
     /// The transfer-protocol configuration this job runs with: defaults from
     /// the cost model, adjusted by the `DCGN_EAGER_THRESHOLD` /
-    /// `DCGN_RDV_CHUNK` / `DCGN_RDV_WINDOW` environment variables, with
-    /// explicit [`DcgnConfig`] fields winning over both (same precedence as
-    /// [`DcgnConfig::forced_exchange_plan`]).
+    /// `DCGN_RDV_CHUNK` / `DCGN_RDV_WINDOW` environment variables.
     pub fn resolved_rdv_config(&self) -> dcgn_rmpi::RdvConfig {
         // An unparsable variable is reported by `validate`; here it only
         // means "no environment overrides".
         let eager = self.cost.eager_threshold;
-        let mut rdv = dcgn_rmpi::RdvConfig::from_env(eager)
-            .unwrap_or_else(|_| dcgn_rmpi::RdvConfig::new(eager));
-        if let Some(bytes) = self.eager_threshold {
-            rdv.eager_threshold = bytes;
-        }
-        if let Some(bytes) = self.rdv_chunk {
-            rdv.chunk_bytes = bytes;
-        }
-        if let Some(chunks) = self.rdv_window {
-            rdv.window = chunks;
-        }
-        rdv
+        dcgn_rmpi::RdvConfig::from_env(eager).unwrap_or_else(|_| dcgn_rmpi::RdvConfig::new(eager))
     }
 
     /// Builder-style override of the metrics registry (e.g. an isolated
@@ -269,8 +219,8 @@ impl DcgnConfig {
         if self.exchange_plan.is_none() {
             parse_forced_plan(std::env::var(ENV_FORCE_PLAN).ok().as_deref())?;
         }
-        if let Err(e) = dcgn_rmpi::RdvConfig::from_env(self.cost.eager_threshold)
-            .and_then(|_| self.resolved_rdv_config().validate())
+        if let Err(e) =
+            dcgn_rmpi::RdvConfig::from_env(self.cost.eager_threshold).and_then(|rdv| rdv.validate())
         {
             return Err(DcgnError::InvalidConfig(e.to_string()));
         }
@@ -372,20 +322,7 @@ mod tests {
             rdv.window,
             env("DCGN_RDV_WINDOW", dcgn_rmpi::DEFAULT_RDV_WINDOW)
         );
-        // Explicit fields win.
-        let cfg = cfg
-            .with_eager_threshold(2048)
-            .with_rdv_chunk(4096)
-            .with_rdv_window(2);
-        let rdv = cfg.resolved_rdv_config();
-        assert_eq!(
-            (rdv.eager_threshold, rdv.chunk_bytes, rdv.window),
-            (2048, 4096, 2)
-        );
         cfg.validate().unwrap();
-        // A degenerate window is caught by job validation with a clean error.
-        let bad = cfg.with_rdv_window(0);
-        assert!(matches!(bad.validate(), Err(DcgnError::InvalidConfig(_))));
     }
 
     #[test]

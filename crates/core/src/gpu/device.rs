@@ -7,8 +7,8 @@ use dcgn_dpm::{BlockCtx, DevicePtr};
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
 
 use super::mailbox::{
-    encode_reduce_word, mailbox_error, next_claim, opcode, record_fields_ptr, req_state, req_word,
-    status, Body, GpuLayout, Record, PEER_ANY, RECORD_FIELDS_BYTES, RESERVED_RECORD,
+    encode_reduce_word, mailbox_error, opcode, req_state, req_word, split_word, Body, GpuLayout,
+    Record, PEER_ANY, RECORD_FIELDS_BYTES, REQ_GEN_MASK, RESERVED_RECORD,
 };
 use crate::group::CommId;
 use crate::message::CommStatus;
@@ -77,12 +77,13 @@ impl<'a> GpuCtx<'a> {
         }
     }
 
-    /// Publish `body` on `slot`: claim a completion record, claim the
-    /// slot's body, write the request naming the record and its claim
-    /// generation, and flip the status to `REQUESTED`.  Returns without
-    /// waiting for the host, which acknowledges the slot back to `EMPTY` at
-    /// harvest — a follow-up publish only ever waits one sweep, not a full
-    /// transfer.
+    /// Publish `body` on `slot`: claim a completion record (CAS `FREE →
+    /// CLAIMED`), take the slot's next sequence number as the claim
+    /// generation, write the body into the record and flip its word to
+    /// `PENDING`.  Returns without waiting for the host, and the host
+    /// writes nothing back until the completion.  The generation orders
+    /// the slot's requests: the host relays what one sweep finds in
+    /// publish order, whatever records they sit in.
     ///
     /// A `blocking` call claims the slot's reserved record and waits for it
     /// as long as it takes: blocks sharing a slot serialise their blocking
@@ -101,24 +102,22 @@ impl<'a> GpuCtx<'a> {
         const CLAIM_NAP_LIMIT: u32 = 100_000;
 
         let b = self.block;
-        let status_ptr = self.layout.status_ptr(slot);
         let depth = self.layout.reqs_per_slot;
         let records = if blocking {
             RESERVED_RECORD..RESERVED_RECORD + 1
         } else {
             RESERVED_RECORD + 1..self.layout.records_per_slot()
         };
-        // Each claim bumps the record's generation, so handles from earlier
-        // claims go stale.
         let mut naps = 0u32;
-        let (index, gen) = 'claim: loop {
+        let index = 'claim: loop {
             for index in records.clone() {
-                let ptr = self.layout.record_ptr(slot, index);
+                let ptr = self.layout.word_ptr(slot, index);
                 let word = b.read_u32(ptr);
-                if let Some(gen) = next_claim(word) {
-                    if b.atomic_cas_u32(ptr, word, req_word(gen, req_state::PENDING)) == word {
-                        break 'claim (index, gen);
-                    }
+                let (gen, state) = split_word(word);
+                if state == req_state::FREE
+                    && b.atomic_cas_u32(ptr, word, req_word(gen, req_state::CLAIMED)) == word
+                {
+                    break 'claim index;
                 }
             }
             naps += 1;
@@ -131,24 +130,22 @@ impl<'a> GpuCtx<'a> {
             );
             b.nap();
         };
-        while b.atomic_cas_u32(status_ptr, status::EMPTY, status::CLAIMED) != status::EMPTY {
-            b.nap();
-        }
-        // One device-memory write (device-side, so no PCI-e cost).
-        let body = Body {
-            record: index as u32,
-            gen,
-            ..body
-        };
-        b.write(self.layout.body_ptr(slot), &body.encode());
-        b.write_u32(status_ptr, status::REQUESTED);
+        // Each claim takes a fresh generation, so handles from earlier
+        // claims go stale.
+        let gen = b.atomic_add_u32(self.layout.sequence_ptr(slot), 1) & REQ_GEN_MASK;
+        // Device-side writes, so no PCI-e cost; the word goes last.
+        b.write(self.layout.record_ptr(slot, index), &body.encode());
+        b.write_u32(
+            self.layout.word_ptr(slot, index),
+            req_word(gen, req_state::PENDING),
+        );
         GpuRequest { slot, index, gen }
     }
 
     /// Read `req`'s completion word once: `None` while the request is in
     /// flight; once the host has flipped it to `DONE`, read the result
-    /// fields and release the record (keeping its generation, so the next
-    /// claim bumps it).
+    /// fields and release the record (keeping its generation until the next
+    /// claim replaces it).
     ///
     /// # Panics
     /// Panics — faulting the kernel — when the request completed with a
@@ -156,7 +153,7 @@ impl<'a> GpuCtx<'a> {
     /// whose record was released and possibly reclaimed.
     fn poll(&self, req: GpuRequest, what: &str) -> Option<CommStatus> {
         let b = self.block;
-        let ptr = self.layout.record_ptr(req.slot, req.index);
+        let ptr = self.layout.word_ptr(req.slot, req.index);
         let word = b.read_u32(ptr);
         if word == req_word(req.gen, req_state::PENDING) {
             return None;
@@ -174,7 +171,7 @@ impl<'a> GpuCtx<'a> {
             );
         }
         let mut fields = [0u8; RECORD_FIELDS_BYTES];
-        b.read(record_fields_ptr(ptr), &mut fields);
+        b.read(self.layout.fields_ptr(req.slot, req.index), &mut fields);
         let record = Record::decode(&fields);
         b.write_u32(ptr, req_word(req.gen, req_state::FREE));
         if record.error != mailbox_error::OK {
@@ -700,9 +697,9 @@ impl<'a> GpuCtx<'a> {
 pub struct GpuRequest {
     slot: usize,
     index: usize,
-    /// The completion record's claim generation at publish time; completion
-    /// words are generation-stamped, so a handle outliving its record's
-    /// release is detected as stale.
+    /// The completion record's claim generation (the slot's sequence number
+    /// at publish); completion words are generation-stamped, so a handle
+    /// outliving its record's release is detected as stale.
     gen: u32,
 }
 

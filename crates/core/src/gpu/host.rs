@@ -14,9 +14,9 @@ use dcgn_netsim::{Payload, PayloadBuf};
 use dcgn_simtime::CostModel;
 
 use super::mailbox::{
-    decode_reduce_word, error_code, mailbox_error, mailbox_region_bytes, opcode, record_fields_ptr,
-    req_state, req_word, status, Body, GpuLayout, Record, ANY_TAG, MAILBOX_BODY_BYTES, PEER_ANY,
-    RESERVED_RECORD,
+    decode_reduce_word, error_code, mailbox_error, mailbox_region_bytes, opcode, publish_order,
+    record_word, req_state, split_word, Body, GpuLayout, Record, ANY_TAG, MAILBOX_COMPLETION_BYTES,
+    PEER_ANY, RESERVED_RECORD,
 };
 use crate::error::{DcgnError, Result};
 use crate::group::CommId;
@@ -82,17 +82,10 @@ pub struct GpuPollStats {
     pub polls: u64,
     /// Number of communication requests relayed.
     pub requests: u64,
-    /// Batched PCI-e reads of the status column (at most one per sweep,
-    /// however many slots there are; none while every slot's blocking call
-    /// is in flight).
-    pub batched_status_reads: u64,
-    /// Batched PCI-e fetches of `REQUESTED` bodies (one covers every slot
-    /// harvested in the sweep).
-    pub batched_entry_reads: u64,
-    /// Batched PCI-e writes acknowledging harvested slots back to `EMPTY` —
-    /// one covers every slot harvested in the sweep, mirroring the batched
-    /// reads.
-    pub batched_status_writes: u64,
+    /// PCI-e reads of the mailbox's records (at most one per sweep, however
+    /// many slots there are; none while every slot's blocking call is in
+    /// flight).
+    pub mailbox_reads: u64,
     /// Wall-clock time spent actively polling/copying (not sleeping).
     pub busy: Duration,
     /// Total wall-clock lifetime of the polling loop.
@@ -111,7 +104,7 @@ impl GpuPollStats {
 }
 
 /// One harvested request between its relay to the comm thread and its
-/// completion into the record it named.
+/// completion into its record.
 struct PendingOp {
     /// Replies the comm thread still owes (two for `SENDRECV_REPLACE`, none
     /// for a request that failed to stage, one otherwise) and the replies
@@ -158,13 +151,11 @@ pub(crate) struct GpuKernelThread {
 pub(crate) struct GpuThreadMetrics {
     polls: Counter,
     requests: Counter,
-    batched_status_reads: Counter,
-    batched_entry_reads: Counter,
-    batched_status_writes: Counter,
+    mailbox_reads: Counter,
 }
 
 impl GpuThreadMetrics {
-    /// Resolve the five polling counters for GPU `gpu_index` on `node` in
+    /// Resolve the three polling counters for GPU `gpu_index` on `node` in
     /// `metrics`.  A disabled handle falls back to a private registry so the
     /// per-launch [`GpuPollStats`] stay meaningful even when the user opted
     /// out of stack-wide metrics.
@@ -181,9 +172,7 @@ impl GpuThreadMetrics {
         Self {
             polls: counter("polls"),
             requests: counter("requests"),
-            batched_status_reads: counter("batched_status_reads"),
-            batched_entry_reads: counter("batched_entry_reads"),
-            batched_status_writes: counter("batched_status_writes"),
+            mailbox_reads: counter("mailbox_reads"),
         }
     }
 
@@ -195,9 +184,7 @@ impl GpuThreadMetrics {
             gpu_index: layout.gpu_index,
             polls: self.polls.get(),
             requests: self.requests.get(),
-            batched_status_reads: self.batched_status_reads.get(),
-            batched_entry_reads: self.batched_entry_reads.get(),
-            batched_status_writes: self.batched_status_writes.get(),
+            mailbox_reads: self.mailbox_reads.get(),
             busy,
             wall,
         }
@@ -245,18 +232,25 @@ impl GpuKernelThread {
         Ok(buf.freeze())
     }
 
-    /// Relay a harvested body: queue its request(s) into the sweep's `batch`
-    /// (shipped to the comm thread as one [`CommCommand::Batch`]) and return
-    /// the bookkeeping its completion needs.  A body that cannot be turned
-    /// into requests (a buffer outside device memory, an unknown opcode or
-    /// reduce word) yields an op that is already answered with the error,
-    /// so it completes into its record on the next sweep and the kernel
-    /// faults instead of waiting forever.
-    fn stage(&self, slot: usize, body: &Body, batch: &mut Vec<Request>) -> PendingOp {
+    /// Relay the body harvested from record `(slot, index)` under `gen`:
+    /// queue its request(s) into the sweep's `batch` (shipped to the comm
+    /// thread as one [`CommCommand::Batch`]) and return the bookkeeping its
+    /// completion needs.  A body that cannot be turned into requests (a
+    /// buffer outside device memory, an unknown opcode or reduce word)
+    /// yields an op that is already answered with the error, so it
+    /// completes into its record on the next sweep and the kernel faults
+    /// instead of waiting forever.
+    fn stage(
+        &self,
+        (slot, index): PendingKey,
+        gen: u32,
+        body: &Body,
+        batch: &mut Vec<Request>,
+    ) -> PendingOp {
         let mut op = PendingOp {
             awaiting: 0,
             replies: Vec::new(),
-            gen: body.gen,
+            gen,
             buffer: Some((body.data, body.len)),
             unit_len: 0,
         };
@@ -266,7 +260,7 @@ impl GpuKernelThread {
                     batch.push(Request {
                         src_rank: self.layout.slot_rank(slot),
                         kind,
-                        reply_to: self.inbox.reply_to((slot as u32, body.record)),
+                        reply_to: self.inbox.reply_to((slot as u32, index as u32)),
                     });
                     op.awaiting += 1;
                 }
@@ -278,8 +272,7 @@ impl GpuKernelThread {
 
     /// The request(s) `body` asks for — two for `SENDRECV_REPLACE` — with
     /// `op`'s write-back bookkeeping adjusted where the operation's buffer
-    /// convention needs it.  The payload leaves device memory here, which
-    /// is why the slot can be acknowledged straight back to `EMPTY`.
+    /// convention needs it.  A sent payload leaves device memory here.
     fn requests(&self, body: &Body, op: &mut PendingOp) -> Result<[Option<RequestKind>; 2]> {
         let Body {
             peer, peer2, aux, ..
@@ -401,10 +394,9 @@ impl GpuKernelThread {
 
     /// Complete a request whose replies have all arrived: write this rank's
     /// share of the result into the slot's device buffer, then the record's
-    /// result fields, then flip its word to `DONE` (a separate word write,
-    /// like the real implementation's flag protocol — the kernel's
-    /// `test`/`wait` read that word).  Fails only when the record itself
-    /// cannot be written.
+    /// result fields and `DONE` word in one transfer, word last (the
+    /// kernel's `test`/`wait` read that word).  Fails only when the record
+    /// itself cannot be written.
     fn complete(&self, (slot, index): PendingKey, op: &mut PendingOp) -> Result<()> {
         let mut record = Record::default();
         for reply in std::mem::take(&mut op.replies) {
@@ -434,11 +426,10 @@ impl GpuKernelThread {
                 Reply::Error(e) => record.error = error_code(&e),
             }
         }
-        let ptr = self.layout.record_ptr(slot, index);
-        self.device
-            .memcpy_htod(record_fields_ptr(ptr), &record.encode())?;
-        self.device
-            .write_u32(ptr, req_word(op.gen, req_state::DONE))?;
+        self.device.memcpy_htod(
+            self.layout.fields_ptr(slot, index),
+            &record.encode_done(op.gen),
+        )?;
         Ok(())
     }
 
@@ -455,76 +446,73 @@ impl GpuKernelThread {
         }
     }
 
-    /// One polling sweep: complete finished requests, then harvest every
-    /// newly `REQUESTED` slot with one batched status-column read, one
-    /// scattered body fetch and one scattered write acknowledging them back
-    /// to `EMPTY`, relaying the harvest as a single [`CommCommand::Batch`].
-    /// Returns true when the sweep did any work.
+    /// One polling sweep: complete finished requests, then harvest newly
+    /// published ones.  Returns true when the sweep did any work.
     fn sweep(&self, pending: &mut HashMap<PendingKey, PendingOp>) -> Result<bool> {
-        let mut did_work = false;
+        let completed = self.complete_ready(pending)?;
+        Ok(self.harvest(pending)? || completed)
+    }
 
-        // Completions: requests whose replies have all arrived from the
-        // comm thread get written back to device memory.
+    /// Write back every request whose replies have all arrived from the
+    /// comm thread.  Returns true when there was one.
+    fn complete_ready(&self, pending: &mut HashMap<PendingKey, PendingOp>) -> Result<bool> {
         self.collect(pending, Duration::ZERO);
         let done: Vec<PendingKey> = pending
             .iter()
             .filter_map(|(&key, op)| (op.awaiting == 0).then_some(key))
             .collect();
-        for key in done {
+        for &key in &done {
             self.cost.charge_queue_hop();
             let mut op = pending.remove(&key).expect("selected above");
             self.complete(key, &mut op)?;
-            did_work = true;
         }
+        Ok(!done.is_empty())
+    }
 
-        // New requests: one batched PCI-e read covers every slot's status
-        // word.  Skipped entirely while every slot has its blocking call in
-        // flight (its reserved record pending): the kernel behind each slot
-        // is waiting, not publishing.
+    /// Harvest every record newly `PENDING` with one read of the record
+    /// region and relay the harvest as a single [`CommCommand::Batch`],
+    /// writing nothing back.  Returns true when anything was harvested.
+    fn harvest(&self, pending: &mut HashMap<PendingKey, PendingOp>) -> Result<bool> {
+        // Skipped entirely while every slot has its blocking call in flight
+        // (its reserved record pending): the kernel behind each slot is
+        // waiting, not publishing.
         let blocked_slots = pending
             .keys()
             .filter(|&&(_, index)| index == RESERVED_RECORD)
             .count();
         if blocked_slots == self.layout.slots {
-            return Ok(did_work);
+            return Ok(false);
         }
-        let statuses = self
+        let region = self
             .device
-            .read_u32s(self.layout.mailbox_base, self.layout.slots)?;
-        self.metrics.batched_status_reads.inc();
-        let requested: Vec<usize> = (0..self.layout.slots)
-            .filter(|&slot| statuses[slot] == status::REQUESTED)
-            .collect();
-        if requested.is_empty() {
-            return Ok(did_work);
-        }
-        // One scattered fetch pulls every requested body together.
-        let ranges: Vec<(DevicePtr, usize)> = requested
-            .iter()
-            .map(|&slot| (self.layout.body_ptr(slot), MAILBOX_BODY_BYTES))
-            .collect();
-        let bodies = self.device.memcpy_dtoh_scattered(&ranges)?;
-        self.metrics.batched_entry_reads.inc();
-        let mut batch = Vec::new();
-        let mut acks: Vec<(DevicePtr, u32)> = Vec::with_capacity(requested.len());
-        for (&slot, bytes) in requested.iter().zip(&bodies) {
-            // A body naming no record of this slot, or one still in flight,
-            // was not written by `GpuCtx`: the mailbox is corrupt and there
-            // is no record to complete the request into.
-            let body = Body::decode(bytes, self.layout.records_per_slot())?;
-            let op = self.stage(slot, &body, &mut batch);
-            if pending.insert((slot, body.record as usize), op).is_some() {
-                return Err(DcgnError::Internal(format!(
-                    "slot {slot} republished a completion record still in flight"
-                )));
+            .memcpy_dtoh_vec(self.layout.mailbox_base, self.layout.records_bytes())?;
+        self.metrics.mailbox_reads.inc();
+        let records_per_slot = self.layout.records_per_slot();
+        let mut found: Vec<(PendingKey, u32, &[u8])> = Vec::new();
+        for (i, record) in region.chunks_exact(MAILBOX_COMPLETION_BYTES).enumerate() {
+            let key = (i / records_per_slot, i % records_per_slot);
+            let (gen, state) = split_word(record_word(record));
+            // A record in `pending` is in flight: the kernel cannot have
+            // claimed it again before its completion.
+            if state == req_state::PENDING && !pending.contains_key(&key) {
+                found.push((key, gen, record));
             }
-            acks.push((self.layout.status_ptr(slot), status::EMPTY));
+        }
+        if found.is_empty() {
+            return Ok(false);
+        }
+        // A slot's kernel may reuse its records in any index order, so
+        // relay each slot's requests by generation — its publish sequence —
+        // which keeps sends to one destination non-overtaking.
+        found.sort_by(|&((a, _), gen_a, _), &((b, _), gen_b, _)| {
+            a.cmp(&b).then(publish_order(gen_a, gen_b))
+        });
+        let mut batch = Vec::new();
+        for (key, gen, record) in found {
+            let op = self.stage(key, gen, &Body::decode(record), &mut batch);
+            pending.insert(key, op);
             self.metrics.requests.inc();
         }
-        // One scattered write acknowledges the whole harvest — the
-        // write-side mirror of the batched status read.
-        self.device.write_u32s_scattered(&acks)?;
-        self.metrics.batched_status_writes.inc();
         if !batch.is_empty() {
             // The whole harvest crosses the work queue as one command.  A
             // comm thread that is gone hands it back: dropping it answers
@@ -533,6 +521,22 @@ impl GpuKernelThread {
             let _ = self.work_tx.send(CommCommand::Batch(batch));
         }
         Ok(true)
+    }
+
+    /// One pass of the poll loop after its wait: note whether the kernel
+    /// has retired, then sweep.  The note comes first: a kernel that
+    /// publishes during the sweep and then retires still counts as running
+    /// for this pass, so the next pass harvests its request instead of the
+    /// loop ending with it unread.  Returns `None` while the kernel ran, and
+    /// whether the sweep did any work once it had retired.
+    fn pass(
+        &self,
+        retired: impl FnOnce() -> bool,
+        pending: &mut HashMap<PendingKey, PendingOp>,
+    ) -> Result<Option<bool>> {
+        let retired = retired();
+        let did_work = self.sweep(pending)?;
+        Ok(retired.then_some(did_work))
     }
 
     /// Run the sleep-based polling loop until the kernel has retired and all
@@ -572,10 +576,10 @@ impl GpuKernelThread {
             }
             let sweep_start = Instant::now();
             self.metrics.polls.inc();
-            let did_work = self.sweep(&mut pending)?;
+            let retired = self.pass(|| handle.is_done(), &mut pending)?;
             busy += sweep_start.elapsed();
 
-            if handle.is_done() {
+            if let Some(did_work) = retired {
                 if pending.is_empty() {
                     if !did_work {
                         break;
@@ -602,9 +606,7 @@ impl GpuKernelThread {
         Ok(GpuPollStats {
             polls: now.polls - before.polls,
             requests: now.requests - before.requests,
-            batched_status_reads: now.batched_status_reads - before.batched_status_reads,
-            batched_entry_reads: now.batched_entry_reads - before.batched_entry_reads,
-            batched_status_writes: now.batched_status_writes - before.batched_status_writes,
+            mailbox_reads: now.mailbox_reads - before.mailbox_reads,
             ..now
         })
     }
@@ -612,7 +614,13 @@ impl GpuKernelThread {
 
 #[cfg(test)]
 mod tests {
-    use super::super::mailbox::{MAILBOX_REQS_PER_SLOT, RECORD_FIELDS_BYTES};
+    use std::ops::Range;
+
+    use dcgn_dpm::DeviceConfig;
+
+    use super::super::mailbox::{
+        req_word, MAILBOX_REQS_PER_SLOT, RECORD_FIELDS_BYTES, REQ_GEN_MASK,
+    };
     use super::*;
 
     #[test]
@@ -622,9 +630,7 @@ mod tests {
             gpu_index: 0,
             polls: 10,
             requests: 2,
-            batched_status_reads: 10,
-            batched_entry_reads: 2,
-            batched_status_writes: 2,
+            mailbox_reads: 10,
             busy: Duration::from_millis(25),
             wall: Duration::from_millis(100),
         };
@@ -646,14 +652,15 @@ mod tests {
         assert!(bytes.iter().all(|&b| b == 0));
     }
 
-    /// Build a host-side GPU-kernel thread wired to a plain channel, with
+    /// Build a host-side GPU-kernel thread for `slots` slots of `depth`
+    /// nonblocking records each on `device`, wired to a plain channel, with
     /// every mailbox zeroed.
-    fn test_gpu_thread(
+    fn gpu_thread(
+        device: Arc<Device>,
         slots: usize,
+        depth: usize,
     ) -> (GpuKernelThread, crossbeam::channel::Receiver<CommCommand>) {
-        let device = Device::new_default(0);
-        let mailbox_base =
-            GpuKernelThread::allocate_mailboxes(&device, slots, MAILBOX_REQS_PER_SLOT).unwrap();
+        let mailbox_base = GpuKernelThread::allocate_mailboxes(&device, slots, depth).unwrap();
         let (work_tx, work_rx) = crossbeam::channel::unbounded();
         (
             GpuKernelThread {
@@ -662,7 +669,7 @@ mod tests {
                     node: 0,
                     gpu_index: 0,
                     slots,
-                    reqs_per_slot: MAILBOX_REQS_PER_SLOT,
+                    reqs_per_slot: depth,
                     slot_rank_base: 0,
                     total_ranks: slots,
                     mailbox_base,
@@ -676,25 +683,52 @@ mod tests {
         )
     }
 
-    /// Publish `body` on `slot` under generation 1 of `record`, the way a
-    /// device block would (through the one body encoder).
-    fn publish(gpu: &GpuKernelThread, slot: usize, record: usize, body: Body) {
-        let body = Body {
-            record: record as u32,
-            gen: 1,
-            ..body
-        };
-        let l = &gpu.layout;
-        let pending = req_word(1, req_state::PENDING);
+    fn test_gpu_thread(
+        slots: usize,
+    ) -> (GpuKernelThread, crossbeam::channel::Receiver<CommCommand>) {
+        gpu_thread(Device::new_default(0), slots, MAILBOX_REQS_PER_SLOT)
+    }
+
+    fn word_of(gpu: &GpuKernelThread, slot: usize, record: usize) -> u32 {
         gpu.device
-            .write_u32(l.record_ptr(slot, record), pending)
+            .read_u32(gpu.layout.word_ptr(slot, record))
+            .unwrap()
+    }
+
+    /// A device block's claim, step for step as `GpuCtx::publish` makes it
+    /// (the walker is single-threaded, so a read and a write stand in for
+    /// the device's atomics): the first `FREE` record of `records` goes
+    /// `CLAIMED`, and the slot's sequence word hands out its generation.
+    fn claim(gpu: &GpuKernelThread, slot: usize, records: Range<usize>) -> Option<(usize, u32)> {
+        let (d, l) = (&gpu.device, &gpu.layout);
+        let index = records
+            .into_iter()
+            .find(|&i| split_word(word_of(gpu, slot, i)).1 == req_state::FREE)?;
+        let (old, _) = split_word(word_of(gpu, slot, index));
+        d.write_u32(l.word_ptr(slot, index), req_word(old, req_state::CLAIMED))
             .unwrap();
-        gpu.device
-            .memcpy_htod(l.body_ptr(slot), &body.encode())
+        let sequence = d.read_u32(l.sequence_ptr(slot)).unwrap();
+        d.write_u32(l.sequence_ptr(slot), sequence.wrapping_add(1))
             .unwrap();
-        gpu.device
-            .write_u32(l.status_ptr(slot), status::REQUESTED)
+        Some((index, sequence & REQ_GEN_MASK))
+    }
+
+    /// The rest of the publish: the body into the claimed record, then the
+    /// word to `PENDING`.
+    fn post(gpu: &GpuKernelThread, slot: usize, (index, gen): (usize, u32), body: Body) {
+        let (d, l) = (&gpu.device, &gpu.layout);
+        d.memcpy_htod(l.record_ptr(slot, index), &body.encode())
             .unwrap();
+        d.write_u32(l.word_ptr(slot, index), req_word(gen, req_state::PENDING))
+            .unwrap();
+    }
+
+    /// Publish `body` on exactly `record` of `slot`, the way a device block
+    /// would; returns the claim's generation.
+    fn publish(gpu: &GpuKernelThread, slot: usize, record: usize, body: Body) -> u32 {
+        let claimed = claim(gpu, slot, record..record + 1).expect("the record is FREE");
+        post(gpu, slot, claimed, body);
+        claimed.1
     }
 
     fn barrier_body(gpu: &GpuKernelThread, slot: usize) -> Body {
@@ -705,13 +739,8 @@ mod tests {
         }
     }
 
-    fn record_word(gpu: &GpuKernelThread, slot: usize, record: usize) -> u32 {
-        let ptr = gpu.layout.record_ptr(slot, record);
-        gpu.device.read_u32(ptr).unwrap()
-    }
-
     fn record_fields(gpu: &GpuKernelThread, slot: usize, record: usize) -> Record {
-        let ptr = record_fields_ptr(gpu.layout.record_ptr(slot, record));
+        let ptr = gpu.layout.fields_ptr(slot, record);
         let bytes = gpu
             .device
             .memcpy_dtoh_vec(ptr, RECORD_FIELDS_BYTES)
@@ -719,8 +748,20 @@ mod tests {
         Record::decode(bytes.as_slice().try_into().unwrap())
     }
 
+    fn transfers(gpu: &GpuKernelThread) -> (u64, u64) {
+        (
+            gpu.device.dtoh_transfer_count(),
+            gpu.device.htod_transfer_count(),
+        )
+    }
+
+    fn since(before: (u64, u64), gpu: &GpuKernelThread) -> (u64, u64) {
+        let after = transfers(gpu);
+        (after.0 - before.0, after.1 - before.1)
+    }
+
     #[test]
-    fn one_sweep_harvests_n_slots_with_one_status_read_and_one_batch() {
+    fn one_sweep_harvests_n_slots_with_one_region_read_and_one_batch() {
         let slots = 4;
         let (gpu, work_rx) = test_gpu_thread(slots);
         for slot in 0..slots {
@@ -728,37 +769,24 @@ mod tests {
         }
 
         let mut pending = HashMap::new();
-        let reads_before = gpu.device.dtoh_transfer_count();
-        let writes_before = gpu.device.htod_transfer_count();
+        let before = transfers(&gpu);
         gpu.sweep(&mut pending).unwrap();
 
-        // Exactly one status-column read plus one scattered body fetch —
-        // not one PCI-e round trip per slot.
+        // Exactly one read of the record region — not one PCI-e round trip
+        // per slot — and nothing written back.
         assert_eq!(
-            gpu.device.dtoh_transfer_count(),
-            reads_before + 2,
-            "a sweep over {slots} requested slots must issue exactly 2 device reads"
+            since(before, &gpu),
+            (1, 0),
+            "a sweep over {slots} published slots must issue exactly 1 device read"
         );
-        // ... and exactly one scattered acknowledgement write, not one
-        // write per slot.
-        assert_eq!(
-            gpu.device.htod_transfer_count(),
-            writes_before + 1,
-            "a sweep over {slots} requested slots must issue exactly 1 device write"
-        );
-        assert_eq!(gpu.metrics.batched_status_reads.get(), 1);
-        assert_eq!(gpu.metrics.batched_entry_reads.get(), 1);
-        assert_eq!(gpu.metrics.batched_status_writes.get(), 1);
+        assert_eq!(gpu.metrics.mailbox_reads.get(), 1);
         assert_eq!(gpu.metrics.requests.get(), slots as u64);
         assert_eq!(pending.len(), slots);
-        // Every slot is acknowledged straight back to EMPTY; its record
-        // stays PENDING until the completion.
+        // Each record stays PENDING until the completion.
         for slot in 0..slots {
-            let status_ptr = gpu.layout.status_ptr(slot);
-            assert_eq!(gpu.device.read_u32(status_ptr).unwrap(), status::EMPTY);
             assert_eq!(
-                record_word(&gpu, slot, RESERVED_RECORD),
-                req_word(1, req_state::PENDING)
+                word_of(&gpu, slot, RESERVED_RECORD),
+                req_word(0, req_state::PENDING)
             );
         }
 
@@ -770,27 +798,27 @@ mod tests {
         assert_eq!(reqs.len(), slots);
         assert!(work_rx.try_recv().is_err(), "no further queue traffic");
 
+        // A record still pending is not harvested again.
+        gpu.sweep(&mut pending).unwrap();
+        assert_eq!(gpu.metrics.requests.get(), slots as u64);
+        assert!(work_rx.try_recv().is_err());
+
         // Completing the replies flips every record to DONE on the next
-        // sweep: two device writes per completion (fields, then the word).
+        // sweep: one device write per completion (fields and word).
         for req in reqs {
             req.reply_to
                 .complete(Reply::CollectiveDone(CollectiveResult::Unit));
         }
-        let reads_before = gpu.device.dtoh_transfer_count();
-        let writes_before = gpu.device.htod_transfer_count();
+        let before = transfers(&gpu);
         gpu.sweep(&mut pending).unwrap();
         assert!(pending.is_empty());
-        assert_eq!(
-            gpu.device.htod_transfer_count(),
-            writes_before + 2 * slots as u64
-        );
         // No slot is blocked any more, so the same sweep goes on to read
-        // the status column (once; nothing is requested).
-        assert_eq!(gpu.device.dtoh_transfer_count(), reads_before + 1);
+        // the records (once; nothing new is pending).
+        assert_eq!(since(before, &gpu), (1, slots as u64));
         for slot in 0..slots {
             assert_eq!(
-                record_word(&gpu, slot, RESERVED_RECORD),
-                req_word(1, req_state::DONE)
+                word_of(&gpu, slot, RESERVED_RECORD),
+                req_word(0, req_state::DONE)
             );
             assert_eq!(
                 record_fields(&gpu, slot, RESERVED_RECORD),
@@ -824,73 +852,63 @@ mod tests {
         let (gpu, _) = test_gpu_thread(1);
         let send = Body::new(opcode::SEND, 1, buf, LEN);
         let recv = Body::new(opcode::RECV, 1, buf, LEN);
-        // (kind, record, body, reply, harvest sweep, completion sweep)
+        // (kind, record, body, reply, harvest sweep, completion sweep):
+        // the harvest reads the records (and a sent payload), the
+        // completion writes a received payload and then the record.
         let table = [
             (
                 "blocking SEND",
                 RESERVED_RECORD,
                 send,
                 Reply::SendDone,
-                (3, 1),
-                (1, 2),
+                (2, 0),
+                (1, 1),
             ),
             (
                 "blocking RECV",
                 RESERVED_RECORD,
                 recv,
                 received(),
-                (2, 1),
-                (1, 3),
+                (1, 0),
+                (1, 2),
             ),
-            ("ISEND", 1, send, Reply::SendDone, (3, 1), (1, 2)),
-            ("IRECV", 1, recv, received(), (2, 1), (1, 3)),
+            ("ISEND", 1, send, Reply::SendDone, (2, 0), (1, 1)),
+            ("IRECV", 1, recv, received(), (1, 0), (1, 2)),
             (
                 "BARRIER",
                 RESERVED_RECORD,
                 barrier_body(&gpu, 0),
                 unit(),
-                (2, 1),
-                (1, 2),
+                (1, 0),
+                (1, 1),
             ),
         ];
         for (kind, record, body, reply, harvest, completion) in table {
             let (gpu, work_rx) = test_gpu_thread(1);
             let mut pending = HashMap::new();
-            let transfers = |gpu: &GpuKernelThread| {
-                (
-                    gpu.device.dtoh_transfer_count(),
-                    gpu.device.htod_transfer_count(),
-                )
-            };
-            let delta =
-                |before: (u64, u64), after: (u64, u64)| (after.0 - before.0, after.1 - before.1);
-            publish(&gpu, 0, record, body);
+            let gen = publish(&gpu, 0, record, body);
             let before = transfers(&gpu);
             gpu.sweep(&mut pending).unwrap();
-            assert_eq!(delta(before, transfers(&gpu)), harvest, "{kind}: harvest");
+            assert_eq!(since(before, &gpu), harvest, "{kind}: harvest");
             let CommCommand::Batch(mut reqs) = work_rx.try_recv().unwrap() else {
                 panic!("{kind}: expected a Batch");
             };
             reqs.pop().unwrap().reply_to.complete(reply);
             let before = transfers(&gpu);
             gpu.sweep(&mut pending).unwrap();
-            assert_eq!(
-                delta(before, transfers(&gpu)),
-                completion,
-                "{kind}: completion"
-            );
+            assert_eq!(since(before, &gpu), completion, "{kind}: completion");
             assert!(pending.is_empty(), "{kind}");
-            assert_eq!(record_word(&gpu, 0, record), req_word(1, req_state::DONE));
+            assert_eq!(word_of(&gpu, 0, record), req_word(gen, req_state::DONE));
         }
     }
 
     #[test]
-    fn status_read_is_skipped_only_while_every_reserved_record_is_pending() {
+    fn region_read_is_skipped_only_while_every_reserved_record_is_pending() {
         let slots = 2;
         let (gpu, _work_rx) = test_gpu_thread(slots);
         let mut pending = HashMap::new();
         // Slot 0 blocks; slot 1 has only a nonblocking request in flight,
-        // so it may publish again: the status column is still read.
+        // so it may publish again: the records are still read.
         publish(&gpu, 0, RESERVED_RECORD, barrier_body(&gpu, 0));
         publish(&gpu, 1, 1, barrier_body(&gpu, 1));
         gpu.sweep(&mut pending).unwrap();
@@ -905,6 +923,43 @@ mod tests {
         let reads = gpu.device.dtoh_transfer_count();
         assert!(!gpu.sweep(&mut pending).unwrap());
         assert_eq!(gpu.device.dtoh_transfer_count(), reads);
+    }
+
+    /// Records free in any order, so a slot's requests can sit in its column
+    /// out of publish order; one sweep that finds several must still relay
+    /// them as published, or a later blocking send would overtake an
+    /// earlier `isend` to the same `(dst, tag)`.
+    #[test]
+    fn one_sweep_relays_a_slots_requests_in_publish_order_not_record_order() {
+        let (gpu, work_rx) = test_gpu_thread(1);
+        let buf = DevicePtr::NULL.add(1 << 20);
+        let send = |len| Body {
+            aux: 5,
+            ..Body::new(opcode::SEND, 1, buf, len)
+        };
+        // Identified by length: ISEND on record 2, blocking SEND on the
+        // reserved record 0, ISEND on record 1.
+        publish(&gpu, 0, 2, send(8));
+        publish(&gpu, 0, RESERVED_RECORD, send(16));
+        publish(&gpu, 0, 1, send(24));
+        let mut pending = HashMap::new();
+        gpu.sweep(&mut pending).unwrap();
+        assert_eq!(pending.len(), 3);
+        let CommCommand::Batch(reqs) = work_rx.try_recv().unwrap() else {
+            panic!("expected one Batch");
+        };
+        let relayed: Vec<_> = reqs
+            .iter()
+            .map(|req| match &req.kind {
+                RequestKind::Send {
+                    dst: 1,
+                    tag: 5,
+                    data,
+                } => data.len(),
+                other => panic!("expected a send to (1, 5), got {other:?}"),
+            })
+            .collect();
+        assert_eq!(relayed, [8, 16, 24]);
     }
 
     #[test]
@@ -932,10 +987,7 @@ mod tests {
         gpu.sweep(&mut pending).unwrap();
         assert!(pending.is_empty());
         for (slot, record) in [(0, RESERVED_RECORD), (1, 2), (2, RESERVED_RECORD)] {
-            assert_eq!(
-                record_word(&gpu, slot, record),
-                req_word(1, req_state::DONE)
-            );
+            assert_eq!(word_of(&gpu, slot, record), req_word(0, req_state::DONE));
             let fields = record_fields(&gpu, slot, record);
             assert_eq!(fields.error, mailbox_error::OTHER);
         }
@@ -945,7 +997,7 @@ mod tests {
     fn a_result_that_cannot_be_written_back_completes_with_an_error_code() {
         let (gpu, work_rx) = test_gpu_thread(1);
         let outside = DevicePtr::NULL.add(gpu.device.memory_capacity());
-        publish(&gpu, 0, 1, Body::new(opcode::RECV, 0, outside, 8));
+        let gen = publish(&gpu, 0, 1, Body::new(opcode::RECV, 0, outside, 8));
         let mut pending = HashMap::new();
         gpu.sweep(&mut pending).unwrap();
         let CommCommand::Batch(mut reqs) = work_rx.try_recv().unwrap() else {
@@ -963,7 +1015,7 @@ mod tests {
             status,
         });
         gpu.sweep(&mut pending).unwrap();
-        assert_eq!(record_word(&gpu, 0, 1), req_word(1, req_state::DONE));
+        assert_eq!(word_of(&gpu, 0, 1), req_word(gen, req_state::DONE));
         assert_eq!(record_fields(&gpu, 0, 1).error, mailbox_error::OTHER);
     }
 
@@ -971,7 +1023,7 @@ mod tests {
     fn a_request_the_comm_thread_drops_completes_with_the_shutdown_code() {
         let (gpu, work_rx) = test_gpu_thread(1);
         let buf = DevicePtr::NULL.add(4096);
-        publish(&gpu, 0, RESERVED_RECORD, Body::new(opcode::RECV, 0, buf, 8));
+        let gen = publish(&gpu, 0, RESERVED_RECORD, Body::new(opcode::RECV, 0, buf, 8));
         let mut pending = HashMap::new();
         gpu.sweep(&mut pending).unwrap();
         assert_eq!(pending.len(), 1);
@@ -980,8 +1032,8 @@ mod tests {
         gpu.sweep(&mut pending).unwrap();
         assert!(pending.is_empty());
         assert_eq!(
-            record_word(&gpu, 0, RESERVED_RECORD),
-            req_word(1, req_state::DONE)
+            word_of(&gpu, 0, RESERVED_RECORD),
+            req_word(gen, req_state::DONE)
         );
         let fields = record_fields(&gpu, 0, RESERVED_RECORD);
         assert_eq!(fields.error, mailbox_error::SHUTDOWN);
@@ -1000,8 +1052,9 @@ mod tests {
         let (gpu, work_rx) = test_gpu_thread(1);
         let mut pending = HashMap::new();
         let mut reqs = Vec::new();
+        let mut gens = Vec::new();
         for record in [1, 2] {
-            publish(&gpu, 0, record, barrier_body(&gpu, 0));
+            gens.push(publish(&gpu, 0, record, barrier_body(&gpu, 0)));
             gpu.sweep(&mut pending).unwrap();
             let CommCommand::Batch(batch) = work_rx.try_recv().unwrap() else {
                 panic!("expected a Batch");
@@ -1022,19 +1075,366 @@ mod tests {
             "the wait ran to its deadline"
         );
         gpu.sweep(&mut pending).unwrap();
-        assert_eq!(record_word(&gpu, 0, 2), req_word(1, req_state::DONE));
-        assert_eq!(record_word(&gpu, 0, 1), req_word(1, req_state::PENDING));
+        assert_eq!(word_of(&gpu, 0, 2), req_word(gens[1], req_state::DONE));
+        assert_eq!(word_of(&gpu, 0, 1), req_word(gens[0], req_state::PENDING));
         assert_eq!(pending.len(), 1);
     }
 
     #[test]
-    fn empty_sweep_reads_the_status_column_once_and_sends_nothing() {
+    fn empty_sweep_reads_the_records_once_and_sends_nothing() {
         let (gpu, work_rx) = test_gpu_thread(3);
         let mut pending = HashMap::new();
-        let reads_before = gpu.device.dtoh_transfer_count();
+        let before = transfers(&gpu);
         assert!(!gpu.sweep(&mut pending).unwrap());
-        assert_eq!(gpu.device.dtoh_transfer_count(), reads_before + 1);
-        assert_eq!(gpu.metrics.batched_entry_reads.get(), 0);
+        assert_eq!(since(before, &gpu), (1, 0));
+        assert_eq!(gpu.metrics.mailbox_reads.get(), 1);
+        assert_eq!(gpu.metrics.requests.get(), 0);
+        // A claimed record is still being written: the host leaves it be.
+        let claimed = claim(&gpu, 1, 1..2).unwrap();
+        assert!(!gpu.sweep(&mut pending).unwrap());
+        post(&gpu, 1, claimed, barrier_body(&gpu, 1));
+        assert!(gpu.sweep(&mut pending).unwrap());
+        assert_eq!(pending.len(), 1);
+        let CommCommand::Batch(reqs) = work_rx.try_recv().unwrap() else {
+            panic!("expected a Batch");
+        };
+        assert_eq!(reqs.len(), 1);
         assert!(work_rx.try_recv().is_err());
+    }
+
+    /// One move of the mailbox walker.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Move {
+        /// The block takes its next step.
+        Block,
+        /// The poll loop's retirement probe returns (inside a pass).
+        Probe,
+        /// The poll loop runs one pass.
+        Pass,
+        /// The host writes back every answered request.
+        Complete,
+        /// The comm thread answers the i-th request it holds.
+        Reply(usize),
+    }
+
+    /// Depth-first enumeration by replay: `prefix` names the option taken at
+    /// each choice point so far (0 past its end), `taken` records what each
+    /// point of this run took and offered.
+    struct Schedule {
+        prefix: Vec<usize>,
+        taken: Vec<(usize, usize)>,
+    }
+
+    impl Schedule {
+        fn choose(&mut self, options: &[Move]) -> Move {
+            let k = self.prefix.get(self.taken.len()).copied().unwrap_or(0);
+            self.taken.push((k, options.len()));
+            options[k]
+        }
+
+        /// The prefix of the next schedule, `None` after the last.
+        fn next(mut self) -> Option<Vec<usize>> {
+            while let Some((k, n)) = self.taken.pop() {
+                if k + 1 < n {
+                    let mut prefix: Vec<usize> = self.taken.iter().map(|&(k, _)| k).collect();
+                    prefix.push(k + 1);
+                    return Some(prefix);
+                }
+            }
+            None
+        }
+    }
+
+    /// One step of the walked block's program.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// Publish a send of tag `.0`, on the reserved record when `.1`.
+        Publish(u32, bool),
+        /// Poll the `.0`-th publish until `DONE`, then release its record.
+        Wait(usize),
+        Retire,
+    }
+
+    /// The walked block: its program, where it is, and the `(record, gen)`
+    /// of each of its publishes.
+    struct Block {
+        program: Vec<Op>,
+        pc: usize,
+        claimed: Option<(usize, u32)>,
+        published: Vec<(usize, u32)>,
+        retired: bool,
+    }
+
+    impl Block {
+        fn op(&self) -> Option<Op> {
+            self.program.get(self.pc).copied()
+        }
+
+        fn records(&self, gpu: &GpuKernelThread, blocking: bool) -> Range<usize> {
+            if blocking {
+                RESERVED_RECORD..RESERVED_RECORD + 1
+            } else {
+                RESERVED_RECORD + 1..gpu.layout.records_per_slot()
+            }
+        }
+
+        /// Whether the next step can do anything: a claim needs a `FREE`
+        /// record, a poll one that is no longer `PENDING`.
+        fn enabled(&self, gpu: &GpuKernelThread) -> bool {
+            match self.op() {
+                Some(Op::Publish(_, blocking)) if self.claimed.is_none() => self
+                    .records(gpu, blocking)
+                    .any(|i| split_word(word_of(gpu, 0, i)).1 == req_state::FREE),
+                Some(Op::Wait(i)) => {
+                    let (record, gen) = self.published[i];
+                    word_of(gpu, 0, record) != req_word(gen, req_state::PENDING)
+                }
+                Some(_) => true,
+                None => false,
+            }
+        }
+
+        fn step(&mut self, gpu: &GpuKernelThread) {
+            match self.op().expect("enabled") {
+                Op::Publish(_, blocking) if self.claimed.is_none() => {
+                    self.claimed = claim(gpu, 0, self.records(gpu, blocking));
+                    return;
+                }
+                Op::Publish(tag, _) => {
+                    let claimed = self.claimed.take().expect("claimed first");
+                    let body = Body {
+                        aux: tag,
+                        ..Body::new(opcode::SEND, 1, DevicePtr::NULL.add(4096), 8)
+                    };
+                    post(gpu, 0, claimed, body);
+                    self.published.push(claimed);
+                }
+                Op::Wait(i) => {
+                    let (record, gen) = self.published[i];
+                    assert_eq!(
+                        word_of(gpu, 0, record),
+                        req_word(gen, req_state::DONE),
+                        "publish {i} completed under another generation"
+                    );
+                    assert_eq!(record_fields(gpu, 0, record).error, mailbox_error::OK);
+                    gpu.device
+                        .write_u32(
+                            gpu.layout.word_ptr(0, record),
+                            req_word(gen, req_state::FREE),
+                        )
+                        .unwrap();
+                }
+                Op::Retire => self.retired = true,
+            }
+            self.pc += 1;
+        }
+    }
+
+    /// Replay one schedule of the walk to the poll loop's exit, checking the
+    /// mailbox's invariants on the way and at the end.  A pass that changes
+    /// nothing and does not end the loop is a no-op: the walk also takes
+    /// every schedule through it without it, so the replay stops there.
+    /// Returns whether it reached the exit.
+    fn walk_one(prefix: Vec<usize>, program: &[Op]) -> (Schedule, bool) {
+        let device = Device::new(
+            0,
+            DeviceConfig::default().with_memory_bytes(1 << 16),
+            CostModel::zero(),
+        );
+        let (gpu, work_rx) = gpu_thread(device, 1, 1);
+        // One claim short of the generation wrap: the first publish takes
+        // REQ_GEN_MASK, the next 0; every record starts FREE under a
+        // generation no claim takes.
+        let l = &gpu.layout;
+        gpu.device
+            .write_u32(l.sequence_ptr(0), REQ_GEN_MASK)
+            .unwrap();
+        for record in 0..l.records_per_slot() {
+            let free = req_word(REQ_GEN_MASK - 1, req_state::FREE);
+            gpu.device.write_u32(l.word_ptr(0, record), free).unwrap();
+        }
+        let mut schedule = Schedule {
+            prefix,
+            taken: Vec::new(),
+        };
+        let mut block = Block {
+            program: program.to_vec(),
+            pc: 0,
+            claimed: None,
+            published: Vec::new(),
+            retired: false,
+        };
+        let mut pending = HashMap::new();
+        let mut held: Vec<Request> = Vec::new();
+        let mut relayed: Vec<u32> = Vec::new();
+        let mut answered = false;
+        // Replies commute with the block's moves, and with each other: the
+        // host sees them only at its next move.  So the walk offers them
+        // right after a host move, in the order the comm thread holds them.
+        let mut replies_from = Some(0);
+        loop {
+            let mut options = Vec::new();
+            if block.enabled(&gpu) {
+                options.push(Move::Block);
+            }
+            options.push(Move::Pass);
+            if answered {
+                options.push(Move::Complete);
+            }
+            if let Some(first) = replies_from {
+                options.extend((first..held.len()).map(Move::Reply));
+            }
+            assert!(!options.is_empty(), "the walk is stuck");
+            let chosen = schedule.choose(&options);
+            replies_from = Some(0);
+            match chosen {
+                Move::Block => {
+                    block.step(&gpu);
+                    replies_from = None;
+                }
+                Move::Reply(i) => {
+                    held.remove(i).reply_to.complete(Reply::SendDone);
+                    answered = true;
+                    replies_from = Some(i);
+                }
+                Move::Complete => {
+                    gpu.complete_ready(&mut pending).unwrap();
+                    answered = false;
+                }
+                Move::Pass => {
+                    let (requests, completes) = (gpu.metrics.requests.get(), answered);
+                    let mut moved = false;
+                    // The block may run on while the loop reads whether it
+                    // has retired, wherever the pass reads that.
+                    let retired = gpu
+                        .pass(
+                            || {
+                                if block.enabled(&gpu)
+                                    && schedule.choose(&[Move::Probe, Move::Block]) == Move::Block
+                                {
+                                    while block.enabled(&gpu) {
+                                        block.step(&gpu);
+                                    }
+                                    moved = true;
+                                }
+                                block.retired
+                            },
+                            &mut pending,
+                        )
+                        .unwrap();
+                    answered = false;
+                    while let Ok(command) = work_rx.try_recv() {
+                        let CommCommand::Batch(reqs) = command else {
+                            panic!("expected a Batch");
+                        };
+                        for req in reqs {
+                            let RequestKind::Send { tag, .. } = req.kind else {
+                                panic!("expected a send, got {:?}", req.kind);
+                            };
+                            relayed.push(tag);
+                            held.push(req);
+                        }
+                    }
+                    if retired == Some(false) && pending.is_empty() {
+                        break;
+                    }
+                    if !moved && !completes && gpu.metrics.requests.get() == requests {
+                        return (schedule, false);
+                    }
+                }
+                Move::Probe => unreachable!("offered only inside a pass"),
+            }
+            // No record ever shows DONE under a generation other than that
+            // of the request the block published on it.
+            for record in 0..gpu.layout.records_per_slot() {
+                let (word_gen, state) = split_word(word_of(&gpu, 0, record));
+                if state == req_state::DONE {
+                    let latest = block.published.iter().rev().find(|p| p.0 == record);
+                    assert_eq!(
+                        Some(word_gen),
+                        latest.map(|p| p.1),
+                        "record {record} completed under another generation"
+                    );
+                }
+            }
+        }
+
+        // The loop has exited: the kernel retired and nothing it published
+        // was left behind.
+        let published: Vec<u32> = program
+            .iter()
+            .filter_map(|op| match op {
+                Op::Publish(tag, _) => Some(*tag),
+                _ => None,
+            })
+            .collect();
+        assert!(block.retired);
+        assert_eq!(relayed, published, "harvested once each, in publish order");
+        assert_eq!(gpu.metrics.requests.get(), published.len() as u64);
+        let waited: Vec<usize> = program
+            .iter()
+            .filter_map(|op| match op {
+                Op::Wait(i) => Some(*i),
+                _ => None,
+            })
+            .collect();
+        for (i, &(record, gen)) in block.published.iter().enumerate() {
+            let latest = block.published.iter().rposition(|p| p.0 == record) == Some(i);
+            if !latest {
+                continue;
+            }
+            let state = if waited.contains(&i) {
+                req_state::FREE
+            } else {
+                // Abandoned: completed, never polled.
+                req_state::DONE
+            };
+            assert_eq!(
+                word_of(&gpu, 0, record),
+                req_word(gen, state),
+                "record {record} ended in the wrong state"
+            );
+        }
+        (schedule, true)
+    }
+
+    /// Every interleaving of one block's publishes, polls and retirement
+    /// with the poll loop's passes and completion sweeps and the comm
+    /// thread's replies, on one slot of two records across the generation
+    /// wrap: an `isend` on record 1, a blocking send on the reserved record
+    /// (the wrap falls between the two), the `isend`'s wait, and a second
+    /// `isend` reusing record 1 — waited on, or abandoned at retirement.
+    #[test]
+    fn every_interleaving_of_the_mailbox_harvests_each_request_once_in_order() {
+        let started = Instant::now();
+        let (mut walked, mut cut) = (0usize, 0usize);
+        for waits_last in [true, false] {
+            let mut program = vec![
+                Op::Publish(1, false),
+                Op::Publish(2, true),
+                Op::Wait(1),
+                Op::Wait(0),
+                Op::Publish(3, false),
+            ];
+            if waits_last {
+                program.push(Op::Wait(2));
+            }
+            program.push(Op::Retire);
+            let mut prefix = Some(Vec::new());
+            while let Some(next) = prefix {
+                let (schedule, exited) = walk_one(next, &program);
+                if exited {
+                    walked += 1;
+                } else {
+                    cut += 1;
+                }
+                prefix = schedule.next();
+            }
+        }
+        println!(
+            "mailbox walker: {walked} schedules to the loop's exit ({cut} cut at a no-op pass) in {:?}",
+            started.elapsed()
+        );
+        assert!(walked > 1000, "only {walked} schedules walked");
     }
 }

@@ -1,23 +1,22 @@
 //! The mailbox format — the only module that knows where anything sits in
-//! the mailbox region of device memory, laid out struct-of-arrays so the
-//! host polls and acknowledges every slot with one transfer each:
+//! the mailbox region of device memory.  A request lives in one completion
+//! record from publish to release, so the host reads every slot's requests
+//! with one transfer and completes each with one more:
 //!
 //! ```text
-//! | status word × slots | record × (1 + reqs_per_slot) × slots | body × slots |
+//! | record × (1 + reqs_per_slot) × slots | sequence word × slots |
+//!   record = [body | result fields | word]
 //! ```
 //!
 //! Record 0 of each slot is *reserved* for blocking calls; records
 //! `1..=reqs_per_slot` serve `isend`/`irecv`.
 
+use std::cmp::Ordering;
+
 use dcgn_dpm::DevicePtr;
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
 
-use crate::error::{DcgnError, Result};
-
-/// Bytes of one slot's status word.  The status words of all slots are
-/// contiguous at the front of the mailbox region, so the host polls them
-/// with a single batched read.
-pub const MAILBOX_STATUS_BYTES: usize = 4;
+use crate::error::DcgnError;
 
 /// Default maximum of nonblocking requests a slot can have outstanding at
 /// once (the depth of its completion-record column, not counting the record
@@ -27,12 +26,18 @@ pub const MAILBOX_STATUS_BYTES: usize = 4;
 /// deadlocking.
 pub const MAILBOX_REQS_PER_SLOT: usize = 4;
 
-/// Bytes of one completion record:
-/// `[word u32][error u32][len u64][source u32][tag u32]`.
-pub const MAILBOX_COMPLETION_BYTES: usize = 24;
+/// Bytes of a request body, the first part of its completion record.
+const MAILBOX_BODY_BYTES: usize = 44;
 
-/// Bytes of one slot's request body, stored after the record columns.
-pub const MAILBOX_BODY_BYTES: usize = 52;
+/// Bytes of a completion record's result fields (after the body).
+pub(crate) const RECORD_FIELDS_BYTES: usize = 20;
+
+/// Bytes of one completion record:
+/// `[body 44 B][error u32][len u64][source u32][tag u32][word u32]`.
+pub const MAILBOX_COMPLETION_BYTES: usize = MAILBOX_BODY_BYTES + RECORD_FIELDS_BYTES + 4;
+
+/// Bytes of one slot's sequence word, stored after every record.
+const SEQUENCE_BYTES: usize = 4;
 
 /// Index, within a slot's record column, of the record reserved for
 /// blocking calls.
@@ -41,10 +46,7 @@ pub(crate) const RESERVED_RECORD: usize = 0;
 /// Total bytes of the mailbox region for `slots` slots that each carry the
 /// reserved record plus `reqs_per_slot` nonblocking ones.
 pub fn mailbox_region_bytes(slots: usize, reqs_per_slot: usize) -> usize {
-    slots
-        * (MAILBOX_STATUS_BYTES
-            + (1 + reqs_per_slot) * MAILBOX_COMPLETION_BYTES
-            + MAILBOX_BODY_BYTES)
+    slots * ((1 + reqs_per_slot) * MAILBOX_COMPLETION_BYTES + SEQUENCE_BYTES)
 }
 
 /// Static, read-only description of one GPU shared by the host GPU-kernel
@@ -90,45 +92,44 @@ impl GpuLayout {
         self.slot_rank_base + slot
     }
 
-    /// Address of `slot`'s status word.
-    pub fn status_ptr(&self, slot: usize) -> DevicePtr {
-        self.assert_slot(slot);
-        self.mailbox_base.add(slot * MAILBOX_STATUS_BYTES)
+    /// Bytes of every slot's records, from the region's base: what one sweep
+    /// reads.
+    pub fn records_bytes(&self) -> usize {
+        self.slots * self.records_per_slot() * MAILBOX_COMPLETION_BYTES
     }
 
-    /// Address of `slot`'s `record`-th completion record (its word; the
-    /// result fields follow at [`record_fields_ptr`]).
+    /// Address of `slot`'s `record`-th completion record (its body).
     pub fn record_ptr(&self, slot: usize, record: usize) -> DevicePtr {
         let index = slot * self.records_per_slot() + record;
-        self.mailbox_base
-            .add(self.slots * MAILBOX_STATUS_BYTES + index * MAILBOX_COMPLETION_BYTES)
+        self.mailbox_base.add(index * MAILBOX_COMPLETION_BYTES)
     }
 
-    /// Address of `slot`'s request body.
-    pub fn body_ptr(&self, slot: usize) -> DevicePtr {
-        let columns = MAILBOX_STATUS_BYTES + self.records_per_slot() * MAILBOX_COMPLETION_BYTES;
-        self.mailbox_base
-            .add(self.slots * columns + slot * MAILBOX_BODY_BYTES)
+    /// Address of that record's result fields, which its word follows: the
+    /// host completes a record with one write of both.
+    pub fn fields_ptr(&self, slot: usize, record: usize) -> DevicePtr {
+        self.record_ptr(slot, record).add(MAILBOX_BODY_BYTES)
     }
-}
 
-/// Mailbox status values (a slot's `status` word): who owns the slot's body.
-/// The host acknowledges a harvested `REQUESTED` straight back to `EMPTY`,
-/// so the slot can publish again while the request is in flight.
-pub mod status {
-    /// The body is free; a device block may claim it.
-    pub const EMPTY: u32 = 0;
-    /// A device block has claimed the body and is still filling it in.
-    pub const CLAIMED: u32 = 1;
-    /// The body holds a published request the host has not harvested yet.
-    pub const REQUESTED: u32 = 2;
+    /// Address of that record's word.
+    pub fn word_ptr(&self, slot: usize, record: usize) -> DevicePtr {
+        self.fields_ptr(slot, record).add(RECORD_FIELDS_BYTES)
+    }
+
+    /// Address of `slot`'s sequence word: a counter its blocks bump with a
+    /// device-side atomic add on every publish and the host never writes.
+    pub fn sequence_ptr(&self, slot: usize) -> DevicePtr {
+        self.assert_slot(slot);
+        self.mailbox_base
+            .add(self.records_bytes() + slot * SEQUENCE_BYTES)
+    }
 }
 
 /// States of a completion word (its low 2 bits; the remaining 30 bits carry
-/// the record's claim *generation*, bumped on every claim, so a stale
-/// [`GpuRequest`](super::GpuRequest) — waited on twice, or kept past
-/// completion — is detected and faults instead of spinning forever or
-/// stealing a newer request's completion).
+/// the record's claim *generation*, the slot's sequence number at the claim,
+/// so a stale [`GpuRequest`](super::GpuRequest) — waited on twice, or kept
+/// past completion — is detected and faults instead of spinning forever or
+/// stealing a newer request's completion).  The word is the only state a
+/// request has.
 pub mod req_state {
     /// The record is unused; a kernel may claim it (device-side CAS).
     pub const FREE: u32 = 0;
@@ -136,20 +137,35 @@ pub mod req_state {
     pub const PENDING: u32 = 1;
     /// The host has completed the request; result fields are valid.
     pub const DONE: u32 = 2;
+    /// A block has claimed the record and is still writing the body; the
+    /// host leaves it alone.
+    pub const CLAIMED: u32 = 3;
 }
 
 /// Mask of the generation bits within a completion word.
-const REQ_GEN_MASK: u32 = u32::MAX >> 2;
+pub(crate) const REQ_GEN_MASK: u32 = u32::MAX >> 2;
 
 /// Compose a completion word from a claim generation and a state.
 pub(crate) fn req_word(gen: u32, state: u32) -> u32 {
     (gen << 2) | state
 }
 
-/// The generation the next claim of a record stamps on it, given its
-/// current completion word — `None` while the record is not `FREE`.
-pub(crate) fn next_claim(word: u32) -> Option<u32> {
-    (word & 0b11 == req_state::FREE).then(|| (word >> 2).wrapping_add(1) & REQ_GEN_MASK)
+/// The `(generation, state)` a completion word holds.
+pub(crate) fn split_word(word: u32) -> (u32, u32) {
+    (word >> 2, word & 0b11)
+}
+
+/// The order in which two requests of one slot were published, from their
+/// generations.  Generations are the slot's sequence numbers, which wrap
+/// within [`REQ_GEN_MASK`]; the requests one sweep finds in a slot were
+/// claimed far less than half that range apart, so the nearer way round the
+/// circle is the true one.
+pub(crate) fn publish_order(a: u32, b: u32) -> Ordering {
+    match b.wrapping_sub(a) & REQ_GEN_MASK {
+        0 => Ordering::Equal,
+        ahead if ahead <= REQ_GEN_MASK / 2 => Ordering::Less,
+        _ => Ordering::Greater,
+    }
 }
 
 /// Mailbox opcodes.
@@ -241,7 +257,12 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
-/// One published request, as it sits in a slot's body.
+/// The word of a completion record, from the record's bytes.
+pub(crate) fn record_word(record: &[u8]) -> u32 {
+    u32_at(record, MAILBOX_BODY_BYTES + RECORD_FIELDS_BYTES)
+}
+
+/// One published request, as it sits at the front of its record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Body {
     /// What is asked for ([`opcode`]).
@@ -254,11 +275,6 @@ pub(crate) struct Body {
     pub aux: u32,
     /// Reduction operator and element type (`encode_reduce_word`).
     pub reduce: u32,
-    /// Index, within the slot's record column, of the completion record the
-    /// host completes this request into.
-    pub record: u32,
-    /// That record's claim generation, echoed in the `DONE` word.
-    pub gen: u32,
     /// The device buffer the request reads from and/or writes to.
     pub data: DevicePtr,
     /// Its length in bytes (per rank, for the chunked collectives).
@@ -268,8 +284,8 @@ pub(crate) struct Body {
     pub comm: u64,
 }
 
-/// Byte offset of the first `u64` word of a body, after its seven `u32`s.
-const BODY_WIDE: usize = 28;
+/// Byte offset of the first `u64` word of a body, after its five `u32`s.
+const BODY_WIDE: usize = 20;
 
 impl Body {
     /// A request for `opcode` towards `peer` over `len` bytes at `data`,
@@ -281,8 +297,6 @@ impl Body {
             peer2: 0,
             aux: 0,
             reduce: 0,
-            record: 0,
-            gen: 0,
             data,
             len,
             comm: 0,
@@ -291,15 +305,7 @@ impl Body {
 
     /// The body's bytes as published in device memory.
     pub fn encode(&self) -> [u8; MAILBOX_BODY_BYTES] {
-        let narrow = [
-            self.opcode,
-            self.peer,
-            self.peer2,
-            self.aux,
-            self.reduce,
-            self.record,
-            self.gen,
-        ];
+        let narrow = [self.opcode, self.peer, self.peer2, self.aux, self.reduce];
         let wide = [self.data.offset() as u64, self.len as u64, self.comm];
         let mut out = [0u8; MAILBOX_BODY_BYTES];
         for (i, word) in narrow.iter().enumerate() {
@@ -311,40 +317,19 @@ impl Body {
         out
     }
 
-    /// Parse a harvested body, rejecting one that names a record outside
-    /// the slot's column of `records_per_slot` (nothing could complete it).
-    pub fn decode(bytes: &[u8], records_per_slot: usize) -> Result<Body> {
-        let body = Body {
+    /// Parse the body at the front of a harvested record.
+    pub fn decode(bytes: &[u8]) -> Body {
+        Body {
             opcode: u32_at(bytes, 0),
             peer: u32_at(bytes, 4),
             peer2: u32_at(bytes, 8),
             aux: u32_at(bytes, 12),
             reduce: u32_at(bytes, 16),
-            record: u32_at(bytes, 20),
-            gen: u32_at(bytes, 24),
             data: DevicePtr::NULL.add(u64_at(bytes, BODY_WIDE) as usize),
             len: u64_at(bytes, BODY_WIDE + 8) as usize,
             comm: u64_at(bytes, BODY_WIDE + 16),
-        };
-        if body.record as usize >= records_per_slot {
-            return Err(DcgnError::Internal(format!(
-                "mailbox body names completion record {} of {records_per_slot}",
-                body.record
-            )));
         }
-        Ok(body)
     }
-}
-
-/// Bytes of a completion record's result fields (everything after its word).
-pub(crate) const RECORD_FIELDS_BYTES: usize = MAILBOX_COMPLETION_BYTES - 4;
-
-/// Address of the result fields of the record whose word is at `record`.
-/// The host writes the fields first and flips the word to `DONE` in a
-/// separate transfer, so a kernel that observes `DONE` reads consistent
-/// fields.
-pub(crate) fn record_fields_ptr(record: DevicePtr) -> DevicePtr {
-    record.add(4)
 }
 
 /// The result fields of a completion record.
@@ -362,13 +347,17 @@ pub(crate) struct Record {
 }
 
 impl Record {
-    /// The fields' bytes as the host writes them at [`record_fields_ptr`].
-    pub fn encode(&self) -> [u8; RECORD_FIELDS_BYTES] {
-        let mut out = [0u8; RECORD_FIELDS_BYTES];
+    /// The completion of a record claimed under `gen`, as the host writes it
+    /// at [`GpuLayout::fields_ptr`]: the fields, then `DONE(gen)`.  It is one
+    /// transfer and device memory is written under one lock, so a kernel
+    /// that observes `DONE` reads consistent fields.
+    pub fn encode_done(&self, gen: u32) -> [u8; RECORD_FIELDS_BYTES + 4] {
+        let mut out = [0u8; RECORD_FIELDS_BYTES + 4];
         out[0..4].copy_from_slice(&self.error.to_le_bytes());
         out[4..12].copy_from_slice(&self.len.to_le_bytes());
         out[12..16].copy_from_slice(&self.source.to_le_bytes());
         out[16..20].copy_from_slice(&self.tag.to_le_bytes());
+        out[20..].copy_from_slice(&req_word(gen, req_state::DONE).to_le_bytes());
         out
     }
 
@@ -424,36 +413,42 @@ mod tests {
     }
 
     #[test]
-    fn status_column_then_record_columns_then_bodies() {
+    fn record_columns_then_sequence_words() {
         let slots = 4;
         let l = layout(slots, MAILBOX_REQS_PER_SLOT);
         let records = 1 + MAILBOX_REQS_PER_SLOT;
         assert_eq!(l.records_per_slot(), records);
-        assert_eq!(l.status_ptr(0).offset(), 0);
-        assert_eq!(l.status_ptr(3).offset(), 12);
-        // Records sit right after the status column, densely packed by
-        // (slot, record), the reserved record first in each slot's column.
-        assert_eq!(
-            l.record_ptr(0, RESERVED_RECORD).offset(),
-            slots * MAILBOX_STATUS_BYTES
-        );
+        assert_eq!(MAILBOX_COMPLETION_BYTES, 68);
+        // Records are densely packed by (slot, record) from the base, the
+        // reserved record first in each slot's column.
+        assert_eq!(l.record_ptr(0, RESERVED_RECORD).offset(), 0);
         assert_eq!(
             l.record_ptr(1, 2).offset(),
-            slots * MAILBOX_STATUS_BYTES + (records + 2) * MAILBOX_COMPLETION_BYTES
+            (records + 2) * MAILBOX_COMPLETION_BYTES
         );
-        // Bodies follow all record columns.
-        let columns = slots * (MAILBOX_STATUS_BYTES + records * MAILBOX_COMPLETION_BYTES);
-        assert_eq!(l.body_ptr(0).offset(), columns);
-        assert_eq!(l.body_ptr(2).offset(), columns + 2 * MAILBOX_BODY_BYTES);
+        // Within a record: body, then fields, then the word, which ends it.
+        let record = l.record_ptr(1, 2).offset();
+        assert_eq!(l.fields_ptr(1, 2).offset(), record + MAILBOX_BODY_BYTES);
+        assert_eq!(
+            l.word_ptr(1, 2).offset() + 4,
+            record + MAILBOX_COMPLETION_BYTES
+        );
+        // The sequence words follow every record, outside what a sweep reads.
+        assert_eq!(
+            l.records_bytes(),
+            slots * records * MAILBOX_COMPLETION_BYTES
+        );
+        assert_eq!(l.sequence_ptr(0).offset(), l.records_bytes());
         assert_eq!(
             mailbox_region_bytes(slots, MAILBOX_REQS_PER_SLOT),
-            l.body_ptr(slots).offset()
+            l.sequence_ptr(3).offset() + 4
         );
-        // Depth 1 still carries the reserved record next to the one
-        // nonblocking record.
+        // The largest layout any app or ablation runs stays under 1.5 KB a
+        // sweep.
+        assert_eq!(l.records_bytes(), 1360);
         assert_eq!(
             mailbox_region_bytes(slots, 1),
-            slots * (MAILBOX_STATUS_BYTES + 2 * MAILBOX_COMPLETION_BYTES + MAILBOX_BODY_BYTES)
+            slots * (2 * MAILBOX_COMPLETION_BYTES + 4)
         );
     }
 
@@ -465,31 +460,16 @@ mod tests {
             peer2: PEER_ANY,
             aux: 0x0303_0303,
             reduce: encode_reduce_word(ReduceOp::Max, ReduceDtype::I64),
-            record: 4,
-            gen: REQ_GEN_MASK,
             data: DevicePtr::NULL.add(0x0505_0505_0505),
             len: 0x0606_0606_0606,
             comm: u64::MAX - 7,
         };
-        assert_eq!(Body::decode(&body.encode(), 5).unwrap(), body);
+        assert_eq!(Body::decode(&body.encode()), body);
         // Distinct values per field, so a swapped pair of offsets would
         // have failed the comparison above; a zero body stays zero.
         let zero = Body::new(0, 0, DevicePtr::NULL, 0);
         assert_eq!(zero.encode(), [0u8; MAILBOX_BODY_BYTES]);
-        assert_eq!(Body::decode(&zero.encode(), 1).unwrap(), zero);
-    }
-
-    #[test]
-    fn body_decode_rejects_a_record_outside_the_column() {
-        let depth = 3;
-        let mut body = Body::new(opcode::BARRIER, 0, DevicePtr::NULL, 0);
-        for record in 0..=depth {
-            body.record = record as u32;
-            assert!(Body::decode(&body.encode(), 1 + depth).is_ok());
-        }
-        body.record = 1 + depth as u32;
-        let err = Body::decode(&body.encode(), 1 + depth).unwrap_err();
-        assert!(matches!(err, DcgnError::Internal(msg) if msg.contains("completion record 4")));
+        assert_eq!(Body::decode(&zero.encode()), zero);
     }
 
     #[test]
@@ -501,22 +481,46 @@ mod tests {
             source: 0x0A0B_0C0D,
             tag: ANY_TAG - 1,
         };
-        assert_eq!(Record::decode(&record.encode()), record);
-        assert_eq!(Record::default().encode(), [0u8; RECORD_FIELDS_BYTES]);
+        let done = record.encode_done(REQ_GEN_MASK);
+        let fields: &[u8; RECORD_FIELDS_BYTES] = done[..RECORD_FIELDS_BYTES].try_into().unwrap();
+        assert_eq!(Record::decode(fields), record);
         assert_eq!(
-            record_fields_ptr(DevicePtr::NULL).offset() + RECORD_FIELDS_BYTES,
-            MAILBOX_COMPLETION_BYTES
+            u32_at(&done, RECORD_FIELDS_BYTES),
+            req_word(REQ_GEN_MASK, req_state::DONE)
         );
+        // Written at the fields, it ends where the record does.
+        let mut bytes = [0u8; MAILBOX_COMPLETION_BYTES];
+        bytes[MAILBOX_BODY_BYTES..].copy_from_slice(&done);
+        assert_eq!(record_word(&bytes), req_word(REQ_GEN_MASK, req_state::DONE));
     }
 
     #[test]
-    fn claims_bump_the_generation_of_free_records_only() {
-        assert_eq!(next_claim(0), Some(1));
-        assert_eq!(next_claim(req_word(7, req_state::FREE)), Some(8));
-        assert_eq!(next_claim(req_word(7, req_state::PENDING)), None);
-        assert_eq!(next_claim(req_word(7, req_state::DONE)), None);
-        // The generation wraps within its 30 bits.
-        assert_eq!(next_claim(req_word(REQ_GEN_MASK, req_state::FREE)), Some(0));
+    fn words_split_into_generation_and_state() {
+        for state in [
+            req_state::FREE,
+            req_state::CLAIMED,
+            req_state::PENDING,
+            req_state::DONE,
+        ] {
+            assert_eq!(split_word(req_word(7, state)), (7, state));
+            assert_eq!(
+                split_word(req_word(REQ_GEN_MASK, state)),
+                (REQ_GEN_MASK, state)
+            );
+        }
+    }
+
+    #[test]
+    fn publish_order_follows_the_sequence_across_its_wrap() {
+        assert_eq!(publish_order(3, 4), Ordering::Less);
+        assert_eq!(publish_order(4, 3), Ordering::Greater);
+        assert_eq!(publish_order(4, 4), Ordering::Equal);
+        // The generation after REQ_GEN_MASK is 0, published later.
+        assert_eq!(publish_order(REQ_GEN_MASK, 0), Ordering::Less);
+        assert_eq!(publish_order(0, REQ_GEN_MASK), Ordering::Greater);
+        let mut gens = [1, REQ_GEN_MASK - 1, 0, REQ_GEN_MASK];
+        gens.sort_by(|&a, &b| publish_order(a, b));
+        assert_eq!(gens, [REQ_GEN_MASK - 1, REQ_GEN_MASK, 0, 1]);
     }
 
     #[test]

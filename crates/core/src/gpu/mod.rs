@@ -11,23 +11,25 @@
 //! ## The mailbox protocol
 //!
 //! Every device request — point-to-point, every collective, `split`,
-//! `comm_free`, blocking or not — takes the same three steps (drawn in the
-//! README's "The mailbox protocol"):
+//! `comm_free`, blocking or not — lives in one *completion record* from
+//! publish to release, and the record's word is the only state it has.  It
+//! takes the same three steps (drawn in the README's "The mailbox
+//! protocol"):
 //!
-//! 1. **Publish** — the kernel claims a per-request *completion record*
-//!    (device-side CAS `FREE → PENDING`, bumping the record's generation),
-//!    claims the slot's body, writes the request naming that record, and
-//!    flips the slot status to `REQUESTED`.
-//! 2. **Harvest** — the host's next sweep issues **one** batched PCI-e read
-//!    of the status column (instead of one small read per slot), one
-//!    scattered fetch of every `REQUESTED` body and one scattered write
-//!    acknowledging them straight back to `EMPTY` — the payload has left
-//!    device memory, so the slot can publish again while the request is
-//!    still in flight — and relays the whole harvest to the communication
-//!    thread as a single `CommCommand::Batch` paying one queue hop.
+//! 1. **Publish** — the kernel claims a record (device-side CAS `FREE →
+//!    CLAIMED`), takes the slot's next sequence number as the claim
+//!    generation (a device-side atomic add on a word the host never
+//!    writes), writes the request body into the record and flips its word
+//!    to `PENDING`.
+//! 2. **Harvest** — the host's next sweep issues **one** PCI-e read of every
+//!    slot's records, takes each `PENDING` record it does not already hold,
+//!    writes nothing back, and relays the harvest to the communication
+//!    thread as a single `CommCommand::Batch` paying one queue hop — each
+//!    slot's requests in generation order, which is the order its kernel
+//!    published them, so sends to one destination never overtake.
 //! 3. **Complete** — when the communication thread has answered, the host
-//!    writes the result into the slot's device buffer and the record's
-//!    result fields, then flips the record's word to `DONE`.  The kernel
+//!    writes the result into the slot's device buffer, then the record's
+//!    result fields and `DONE` word in one transfer, word last.  The kernel
 //!    reads that word ([`GpuCtx::test`] once, [`GpuCtx::wait`] spinning
 //!    device-side), reads the fields and releases the record (`FREE`).  A
 //!    request the host cannot stage (a buffer outside device memory, an
@@ -45,11 +47,10 @@
 //! *reserved* record and wait for it as long as it takes.  Blocks sharing a
 //! slot therefore serialise their blocking calls (one rank never has two
 //! collectives in flight), a blocking call never competes with outstanding
-//! `isend`/`irecv`s for a record, and the host skips the status read
-//! altogether while every slot's reserved record is pending.
+//! `isend`/`irecv`s for a record, and the host skips its read altogether
+//! while every slot's reserved record is pending.
 //!
-//! The region is laid out struct-of-arrays — the status words of all slots,
-//! then every slot's records, then the per-slot bodies
+//! The region holds every slot's records, then one sequence word per slot
 //! ([`mailbox_region_bytes`]); the `mailbox` submodule is the only code that
 //! knows an offset.
 
@@ -63,6 +64,5 @@ pub use host::{GpuPollStats, GpuSetupCtx};
 pub(crate) use mailbox::GpuLayout;
 pub use mailbox::{
     mailbox_error, mailbox_region_bytes, opcode, reduce_dtype_code, reduce_op_code, req_state,
-    status, ANY_TAG, MAILBOX_BODY_BYTES, MAILBOX_COMPLETION_BYTES, MAILBOX_REQS_PER_SLOT,
-    MAILBOX_STATUS_BYTES, PEER_ANY,
+    ANY_TAG, MAILBOX_COMPLETION_BYTES, MAILBOX_REQS_PER_SLOT, PEER_ANY,
 };

@@ -360,9 +360,7 @@ impl Device {
     /// Write several scattered `u32` words to the device in **one** DMA
     /// operation (the host-to-device counterpart of
     /// [`Device::memcpy_dtoh_scattered`]): the PCI-e link is crossed once for
-    /// the summed byte count instead of once per word.  This is the batched
-    /// status-column *write* the DCGN GPU-kernel thread issues per polling
-    /// sweep to acknowledge every harvested slot together.
+    /// the summed byte count instead of once per word.
     pub fn write_u32s_scattered(&self, writes: &[(DevicePtr, u32)]) -> Result<(), MemoryError> {
         self.htod_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.htod.inc();
@@ -375,8 +373,7 @@ impl Device {
     }
 
     /// Read `count` consecutive little-endian `u32` words in one DMA
-    /// operation.  This is the batched status-column read the DCGN GPU-kernel
-    /// thread issues per polling sweep.
+    /// operation.
     pub fn read_u32s(&self, ptr: DevicePtr, count: usize) -> Result<Vec<u32>, MemoryError> {
         self.dtoh_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.dtoh.inc();

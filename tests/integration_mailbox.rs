@@ -3,6 +3,7 @@
 //! compete with them for one, and blocks sharing a slot serialise their
 //! blocking calls on it however long each takes.
 
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dcgn::{CommStatus, DcgnConfig, DevicePtr, GpuCtx, Runtime};
@@ -66,6 +67,51 @@ fn blocking_barrier_proceeds_with_every_nonblocking_record_outstanding() {
             },
         )
         .unwrap();
+}
+
+#[test]
+fn records_freed_out_of_index_order_still_deliver_in_publish_order() {
+    // Each round frees record 2 before record 1, so its third send sits in
+    // record 2 and its fourth, published right after, in record 1.  The
+    // long poll interval lets one sweep find both; the receiver must still
+    // see the sends as published.
+    const ROUNDS: usize = 8;
+    let config = cpu_and_gpu()
+        .with_mailbox_depth(2)
+        .with_poll_interval(Duration::from_millis(2));
+    let runtime = Runtime::new(config).unwrap();
+    let received = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&received);
+    runtime
+        .launch(
+            move |ctx| {
+                for _ in 0..4 * ROUNDS {
+                    let (msg, _) = ctx.recv_tagged(Some(1), 7).unwrap();
+                    log.lock().unwrap().push(msg[0] as usize);
+                }
+            },
+            |ctx| {
+                let buf = DevicePtr::NULL.add(1 << 20);
+                let send = |i: usize| {
+                    let at = buf.add(i * 64);
+                    ctx.block().write(at, &[i as u8; 8]);
+                    ctx.isend_tagged(SLOT, 0, 7, at, 8)
+                };
+                for round in 0..ROUNDS {
+                    let i = 4 * round;
+                    let first = send(i);
+                    let second = send(i + 1);
+                    ctx.wait(second);
+                    let third = send(i + 2);
+                    ctx.wait(first);
+                    let fourth = send(i + 3);
+                    ctx.waitall(&[third, fourth]);
+                }
+            },
+        )
+        .unwrap();
+    let in_order: Vec<usize> = (0..4 * ROUNDS).collect();
+    assert_eq!(*received.lock().unwrap(), in_order, "a send was overtaken");
 }
 
 #[test]
