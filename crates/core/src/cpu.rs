@@ -900,6 +900,127 @@ mod tests {
         assert!(ctx.waitany(&handles).is_err(), "handle 1 is consumed");
     }
 
+    /// One event of the `ReplyTo`/`Inbox` walk.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Event {
+        /// The comm thread answers the request: completes or drops it.
+        Answer(usize),
+        /// The kernel waits on the request, with no time to spare: a wait
+        /// the answer has not reached times out.
+        Wait(usize),
+        /// The kernel posts one more request, reusing a freed table slot.
+        Reuse,
+        /// The comm thread completes that request.
+        AnswerReused,
+    }
+
+    /// Every order of `events` in which `Reuse` precedes `AnswerReused`.
+    fn orders(events: &[Event]) -> Vec<Vec<Event>> {
+        if events.is_empty() {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for (i, &first) in events.iter().enumerate() {
+            if first == Event::AnswerReused && events.contains(&Event::Reuse) {
+                continue;
+            }
+            let mut rest = events.to_vec();
+            rest.remove(i);
+            for mut order in orders(&rest) {
+                order.insert(0, first);
+                out.push(order);
+            }
+        }
+        out
+    }
+
+    /// Replay one order of the walk over two requests, `drops[r]` saying
+    /// whether request `r` is dropped rather than completed.
+    fn walk_replies(order: &[Event], drops: [bool; 2]) {
+        let (ctx, work_rx) = test_ctx(Duration::ZERO);
+        let reply = |r: usize| Reply::RecvDone {
+            data: Payload::copy_from_slice(&[r as u8]),
+            status: CommStatus {
+                source: 1,
+                tag: 0,
+                len: 1,
+            },
+        };
+        let handles = [ctx.irecv(1).unwrap(), ctx.irecv(1).unwrap()];
+        let mut reply_tos = [0, 1].map(|_| Some(next_request(&work_rx).reply_to));
+        let mut reused = None;
+        let mut reused_reply_to = None;
+        let mut answered = [false; 2];
+        for &event in order {
+            match event {
+                Event::Answer(r) => {
+                    let reply_to = reply_tos[r].take().expect("answered once");
+                    if drops[r] {
+                        drop(reply_to);
+                    } else {
+                        reply_to.complete(reply(r));
+                    }
+                    answered[r] = true;
+                }
+                Event::Wait(r) => match (ctx.wait(handles[r]), answered[r], drops[r]) {
+                    (Err(DcgnError::Timeout { .. }), false, _) => {}
+                    (Err(DcgnError::ShuttingDown), true, true) => {}
+                    (Ok(Completion::Recv { data, .. }), true, false) => assert_eq!(data, [r as u8]),
+                    (got, ..) => panic!("{order:?}, {drops:?}: request {r} got {got:?}"),
+                },
+                Event::Reuse => {
+                    reused = Some(ctx.irecv(1).unwrap());
+                    reused_reply_to = Some(next_request(&work_rx).reply_to);
+                }
+                Event::AnswerReused => reused_reply_to.take().unwrap().complete(reply(2)),
+            }
+        }
+        // The slot's next tenant gets its own answer, never a late one to
+        // the handle it replaced; every handle was answered exactly once.
+        let reused = reused.unwrap();
+        match ctx.wait(reused) {
+            Ok(Completion::Recv { data, .. }) => assert_eq!(data, [2], "{order:?}, {drops:?}"),
+            other => panic!("{order:?}, {drops:?}: the reused slot got {other:?}"),
+        }
+        for handle in [handles[0], handles[1], reused] {
+            assert!(matches!(
+                ctx.wait(handle),
+                Err(DcgnError::InvalidArgument(_))
+            ));
+        }
+        let table = ctx.requests.lock().unwrap();
+        assert!(
+            table.slots.iter().all(Option::is_none),
+            "the table ends empty"
+        );
+    }
+
+    /// Every order of {answer, wait} on two requests, each answer a
+    /// completion or a drop and each wait a timeout unless the answer came
+    /// first, interleaved with a third request that reuses a freed table
+    /// slot and is answered in turn.
+    #[test]
+    fn every_order_of_replies_and_waits_answers_each_request_once() {
+        let started = Instant::now();
+        let events = [
+            Event::Answer(0),
+            Event::Answer(1),
+            Event::Wait(0),
+            Event::Wait(1),
+            Event::Reuse,
+            Event::AnswerReused,
+        ];
+        let mut walked = 0;
+        for order in orders(&events) {
+            for drops in [[false, false], [false, true], [true, false], [true, true]] {
+                walk_replies(&order, drops);
+                walked += 1;
+            }
+        }
+        println!("reply walk: {walked} orders in {:?}", started.elapsed());
+        assert_eq!(walked, 360 * 4);
+    }
+
     #[test]
     fn cpu_ctx_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

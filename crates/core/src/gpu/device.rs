@@ -7,11 +7,69 @@ use dcgn_dpm::{BlockCtx, DevicePtr};
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
 
 use super::mailbox::{
-    encode_reduce_word, mailbox_error, opcode, req_state, req_word, split_word, Body, GpuLayout,
-    Record, PEER_ANY, RECORD_FIELDS_BYTES, REQ_GEN_MASK, RESERVED_RECORD,
+    encode_reduce_word, in_device_memory, mailbox_error, opcode, record_word, req_state, req_word,
+    split_word, Body, GpuLayout, Record, MAILBOX_COMPLETION_BYTES, MAILBOX_INLINE_BYTES, PEER_ANY,
+    REQ_GEN_MASK, RESERVED_RECORD,
 };
 use crate::group::CommId;
 use crate::message::CommStatus;
+
+/// Device memory as the mailbox's device side uses it: a block's, or the
+/// mailbox walker's stand-in that lands writes one schedule step at a time.
+pub(super) trait DeviceMemory {
+    fn read(&self, ptr: DevicePtr, out: &mut [u8]);
+    fn write(&self, ptr: DevicePtr, bytes: &[u8]);
+}
+
+impl DeviceMemory for BlockCtx {
+    fn read(&self, ptr: DevicePtr, out: &mut [u8]) {
+        BlockCtx::read(self, ptr, out)
+    }
+
+    fn write(&self, ptr: DevicePtr, bytes: &[u8]) {
+        BlockCtx::write(self, ptr, bytes)
+    }
+}
+
+/// The rest of a publish once a block holds `req`'s record: the body, with
+/// a copy of a buffer that fits the inline area and lies in device memory,
+/// then the word to `PENDING` — last, so the host never harvests it early.
+pub(super) fn post(mem: &impl DeviceMemory, layout: &GpuLayout, req: GpuRequest, body: &Body) {
+    let mut inline = [0u8; MAILBOX_INLINE_BYTES];
+    let fits = body.len <= MAILBOX_INLINE_BYTES;
+    if fits && in_device_memory(body.data, body.len, layout.memory_bytes) {
+        mem.read(body.data, &mut inline[..body.len]);
+    }
+    let record = layout.record_ptr(req.slot, req.index);
+    mem.write(record, &body.encode(&inline));
+    let pending = req_word(req.gen, req_state::PENDING);
+    mem.write(layout.word_ptr(req.slot, req.index), &pending.to_le_bytes());
+}
+
+/// Read `req`'s record once: `Ok(None)` while it is in flight; once `DONE`,
+/// copy a result the host flagged inline into the request's buffer, release
+/// the record (keeping its generation until the next claim) and return the
+/// result.  `Err` carries the word of a stale handle's record.
+pub(super) fn release(
+    mem: &impl DeviceMemory,
+    layout: &GpuLayout,
+    req: GpuRequest,
+) -> Result<Option<Record>, u32> {
+    let mut bytes = [0u8; MAILBOX_COMPLETION_BYTES];
+    mem.read(layout.record_ptr(req.slot, req.index), &mut bytes);
+    match record_word(&bytes) {
+        word if word == req_word(req.gen, req_state::PENDING) => return Ok(None),
+        word if word != req_word(req.gen, req_state::DONE) => return Err(word),
+        _ => {}
+    }
+    let record = Record::decode(&bytes);
+    if let Some(result) = &record.inline {
+        mem.write(Body::decode(&bytes).data, result);
+    }
+    let free = req_word(req.gen, req_state::FREE);
+    mem.write(layout.word_ptr(req.slot, req.index), &free.to_le_bytes());
+    Ok(Some(record))
+}
 
 /// The device-side communication context handed to DCGN GPU kernels
 /// (the `dcgn::gpu::*` API of the paper).
@@ -79,11 +137,13 @@ impl<'a> GpuCtx<'a> {
 
     /// Publish `body` on `slot`: claim a completion record (CAS `FREE →
     /// CLAIMED`), take the slot's next sequence number as the claim
-    /// generation, write the body into the record and flip its word to
-    /// `PENDING`.  Returns without waiting for the host, and the host
-    /// writes nothing back until the completion.  The generation orders
-    /// the slot's requests: the host relays what one sweep finds in
-    /// publish order, whatever records they sit in.
+    /// generation, write the body into the record — with a copy of a buffer
+    /// of at most [`MAILBOX_INLINE_BYTES`], a device-side copy that saves the
+    /// host a PCI-e read — and flip its word to `PENDING` ([`post`]).
+    /// Returns without waiting for the host, and the host writes nothing
+    /// back until the completion.  The generation orders the slot's
+    /// requests: the host relays what one sweep finds in publish order,
+    /// whatever records they sit in.
     ///
     /// A `blocking` call claims the slot's reserved record and waits for it
     /// as long as it takes: blocks sharing a slot serialise their blocking
@@ -133,19 +193,13 @@ impl<'a> GpuCtx<'a> {
         // Each claim takes a fresh generation, so handles from earlier
         // claims go stale.
         let gen = b.atomic_add_u32(self.layout.sequence_ptr(slot), 1) & REQ_GEN_MASK;
-        // Device-side writes, so no PCI-e cost; the word goes last.
-        b.write(self.layout.record_ptr(slot, index), &body.encode());
-        b.write_u32(
-            self.layout.word_ptr(slot, index),
-            req_word(gen, req_state::PENDING),
-        );
-        GpuRequest { slot, index, gen }
+        let req = GpuRequest { slot, index, gen };
+        post(b, self.layout, req, &body);
+        req
     }
 
-    /// Read `req`'s completion word once: `None` while the request is in
-    /// flight; once the host has flipped it to `DONE`, read the result
-    /// fields and release the record (keeping its generation until the next
-    /// claim replaces it).
+    /// Read `req`'s record once ([`release`]): `None` while the request is
+    /// in flight, its completion status once the host has completed it.
     ///
     /// # Panics
     /// Panics — faulting the kernel — when the request completed with a
@@ -153,12 +207,7 @@ impl<'a> GpuCtx<'a> {
     /// whose record was released and possibly reclaimed.
     fn poll(&self, req: GpuRequest, what: &str) -> Option<CommStatus> {
         let b = self.block;
-        let ptr = self.layout.word_ptr(req.slot, req.index);
-        let word = b.read_u32(ptr);
-        if word == req_word(req.gen, req_state::PENDING) {
-            return None;
-        }
-        if word != req_word(req.gen, req_state::DONE) {
+        let record = release(b, self.layout, req).unwrap_or_else(|word| {
             panic!(
                 "stale GpuRequest {}.{}.{} on device {} block {}: its completion record \
                  was already harvested (word is now {word:#x}) — was the request waited \
@@ -168,12 +217,8 @@ impl<'a> GpuCtx<'a> {
                 req.gen,
                 b.device_id(),
                 b.block_id()
-            );
-        }
-        let mut fields = [0u8; RECORD_FIELDS_BYTES];
-        b.read(self.layout.fields_ptr(req.slot, req.index), &mut fields);
-        let record = Record::decode(&fields);
-        b.write_u32(ptr, req_word(req.gen, req_state::FREE));
+            )
+        })?;
         if record.error != mailbox_error::OK {
             panic!(
                 "dcgn::gpu::{what} failed on device {} block {}: mailbox error {}",
@@ -695,12 +740,12 @@ impl<'a> GpuCtx<'a> {
 /// and the index of its completion record within that slot's column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GpuRequest {
-    slot: usize,
-    index: usize,
+    pub(super) slot: usize,
+    pub(super) index: usize,
     /// The completion record's claim generation (the slot's sequence number
     /// at publish); completion words are generation-stamped, so a handle
     /// outliving its record's release is detected as stale.
-    gen: u32,
+    pub(super) gen: u32,
 }
 
 impl GpuRequest {

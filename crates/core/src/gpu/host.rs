@@ -3,6 +3,7 @@
 //! writes their completions back, plus the setup context and per-launch
 //! statistics it hands to applications.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -14,9 +15,9 @@ use dcgn_netsim::{Payload, PayloadBuf};
 use dcgn_simtime::CostModel;
 
 use super::mailbox::{
-    decode_reduce_word, error_code, mailbox_error, mailbox_region_bytes, opcode, publish_order,
-    record_word, req_state, split_word, Body, GpuLayout, Record, ANY_TAG, MAILBOX_COMPLETION_BYTES,
-    PEER_ANY, RESERVED_RECORD,
+    decode_reduce_word, error_code, in_device_memory, mailbox_error, mailbox_region_bytes, opcode,
+    publish_order, record_word, req_state, split_word, Body, GpuLayout, Record, ANY_TAG,
+    MAILBOX_COMPLETION_BYTES, MAILBOX_INLINE_BYTES, PEER_ANY, RESERVED_RECORD,
 };
 use crate::error::{DcgnError, Result};
 use crate::group::CommId;
@@ -138,6 +139,9 @@ pub(crate) struct GpuKernelThread {
     /// Where every reply to a relayed request lands, tagged with the
     /// `(slot, record)` the request completes into.
     pub inbox: Inbox,
+    /// The record region as the last sweep read it: one buffer for the
+    /// loop's lifetime, so a sweep allocates nothing to read it.
+    pub region: RefCell<Vec<u8>>,
 }
 
 /// The polling loop's counters, registered in the unified metrics registry
@@ -215,46 +219,49 @@ impl GpuKernelThread {
         Ok(ptr)
     }
 
-    /// Pull `len` device bytes at `ptr` into a pooled payload.  The pool's
-    /// classes leave room for the wire envelope, so the comm thread frames a
-    /// remote send in this same buffer instead of copying the body again.
-    /// The range comes from the kernel, so it is checked against device
-    /// memory before anything is allocated for it.
-    fn pull_payload(&self, ptr: DevicePtr, len: usize) -> Result<Payload> {
-        let end = ptr.offset().checked_add(len);
-        if end.is_none_or(|end| end > self.device.memory_capacity()) {
+    /// Pull `len` device bytes at `ptr` into a pooled payload, from
+    /// `inline` (the copy in the record the sweep read) or over PCI-e.  The
+    /// pool's classes leave room for the wire envelope, so the comm thread
+    /// frames a remote send in this same buffer instead of copying the body
+    /// again.  The range comes from the kernel, so it is checked against
+    /// device memory before anything is allocated for it.
+    fn pull_payload(&self, ptr: DevicePtr, len: usize, inline: Option<&[u8]>) -> Result<Payload> {
+        if !in_device_memory(ptr, len, self.device.memory_capacity()) {
             return Err(DcgnError::Internal(format!(
                 "{len} bytes at {ptr} reach outside device memory"
             )));
         }
         let mut buf = PayloadBuf::with_capacity(len);
-        self.device.memcpy_dtoh(buf.body_mut(len), ptr)?;
+        match inline {
+            Some(bytes) => buf.body_mut(len).copy_from_slice(bytes),
+            None => self.device.memcpy_dtoh(buf.body_mut(len), ptr)?,
+        }
         Ok(buf.freeze())
     }
 
-    /// Relay the body harvested from record `(slot, index)` under `gen`:
-    /// queue its request(s) into the sweep's `batch` (shipped to the comm
-    /// thread as one [`CommCommand::Batch`]) and return the bookkeeping its
-    /// completion needs.  A body that cannot be turned into requests (a
-    /// buffer outside device memory, an unknown opcode or reduce word)
-    /// yields an op that is already answered with the error, so it
-    /// completes into its record on the next sweep and the kernel faults
-    /// instead of waiting forever.
+    /// Relay the request harvested from record `(slot, index)` under
+    /// `gen`, whose bytes are `record`: queue its request(s) into the
+    /// sweep's `batch` (shipped to the comm thread as one
+    /// [`CommCommand::Batch`]) and return the bookkeeping its completion
+    /// needs.  A body that cannot be turned into requests (a buffer outside
+    /// device memory, an unknown opcode or reduce word) yields an op that is
+    /// already answered with the error, so it completes into its record on
+    /// the next sweep and the kernel faults instead of waiting forever.
     fn stage(
         &self,
         (slot, index): PendingKey,
         gen: u32,
-        body: &Body,
+        record: &[u8],
         batch: &mut Vec<Request>,
     ) -> PendingOp {
         let mut op = PendingOp {
             awaiting: 0,
             replies: Vec::new(),
             gen,
-            buffer: Some((body.data, body.len)),
+            buffer: None,
             unit_len: 0,
         };
-        match self.requests(body, &mut op) {
+        match self.requests(record, &mut op) {
             Ok(kinds) => {
                 for kind in kinds.into_iter().flatten() {
                     batch.push(Request {
@@ -270,20 +277,25 @@ impl GpuKernelThread {
         op
     }
 
-    /// The request(s) `body` asks for — two for `SENDRECV_REPLACE` — with
-    /// `op`'s write-back bookkeeping adjusted where the operation's buffer
-    /// convention needs it.  A sent payload leaves device memory here.
-    fn requests(&self, body: &Body, op: &mut PendingOp) -> Result<[Option<RequestKind>; 2]> {
+    /// The request(s) the body harvested in `record` asks for — two for
+    /// `SENDRECV_REPLACE` — with `op`'s write-back buffer set as the
+    /// operation's buffer convention needs it.  A sent payload leaves device
+    /// memory here.
+    fn requests(&self, record: &[u8], op: &mut PendingOp) -> Result<[Option<RequestKind>; 2]> {
+        let body = Body::decode(record);
         let Body {
             peer, peer2, aux, ..
-        } = *body;
+        } = body;
         let (data_ptr, len) = (body.data, body.len);
+        op.buffer = Some((data_ptr, len));
         let comm = CommId::from_raw(body.comm);
         // Collectives carry the slot's position and the group size in the
         // `peer2`/`aux` words (equal to the global rank and total rank count
         // for world operations); `peer` is the root's sub-rank.
         let (root, sub, group_size) = (peer as usize, peer2 as usize, aux as usize);
-        let pull = |len: usize| self.pull_payload(data_ptr, len);
+        // A buffer's bytes ride in the record when they fit it.
+        let sent = body.inline(record);
+        let pull = |len: usize| self.pull_payload(data_ptr, len, sent.filter(|s| s.len() == len));
 
         let mut inbound = None;
         let kind = match body.opcode {
@@ -291,8 +303,8 @@ impl GpuKernelThread {
                 // `SENDRECV_REPLACE` relays two requests together: the
                 // outbound copy of the buffer and the inbound replacement.
                 inbound = (body.opcode != opcode::SEND).then(|| recv_kind(peer2, aux));
-                // The payload is pulled from device memory over PCI-e into
-                // a pooled buffer and is never copied again on the host.
+                // The payload is pulled into a pooled buffer and is never
+                // copied again on the host.
                 let data = pull(len)?;
                 let (dst, tag) = (root, aux);
                 RequestKind::Send { dst, tag, data }
@@ -315,7 +327,7 @@ impl GpuKernelThread {
                 // sub-rank's offset inside a `group_size × len` buffer
                 // (saturating: an absurd offset fails the range check).
                 let mine = data_ptr.offset().saturating_add(sub.saturating_mul(len));
-                let data = self.pull_payload(DevicePtr::NULL.add(mine), len)?;
+                let data = self.pull_payload(DevicePtr::NULL.add(mine), len, None)?;
                 op.unit_len = len;
                 op.buffer = Some((data_ptr, len.saturating_mul(group_size)));
                 if body.opcode == opcode::GATHER {
@@ -375,11 +387,12 @@ impl GpuKernelThread {
         Ok([Some(kind), inbound])
     }
 
-    /// Copy a completed request's result bytes into its device buffer —
-    /// straight from the shared payload (for inter-node messages, the wire
-    /// frame itself), no intermediate host copy — and note their length.
-    /// Bytes that do not fit, or a buffer outside device memory, complete
-    /// the request with an error code instead.
+    /// Deliver a completed request's result bytes and note their length:
+    /// into the record's inline area when they fit it, else into the device
+    /// buffer straight from the shared payload (for inter-node messages, the
+    /// wire frame itself), no intermediate host copy.  Bytes that do not
+    /// fit, or a buffer outside device memory (which fails that write),
+    /// complete the request with an error code instead.
     fn write_back(&self, op: &PendingOp, bytes: &[u8], record: &mut Record) {
         record.len = bytes.len() as u64;
         let Some((ptr, capacity)) = op.buffer else {
@@ -387,13 +400,17 @@ impl GpuKernelThread {
         };
         if bytes.len() > capacity {
             record.error = mailbox_error::TRUNCATED;
+        } else if bytes.len() <= MAILBOX_INLINE_BYTES
+            && in_device_memory(ptr, bytes.len(), self.device.memory_capacity())
+        {
+            record.inline = Some(bytes.to_vec());
         } else if self.device.memcpy_htod(ptr, bytes).is_err() {
             record.error = mailbox_error::OTHER;
         }
     }
 
-    /// Complete a request whose replies have all arrived: write this rank's
-    /// share of the result into the slot's device buffer, then the record's
+    /// Complete a request whose replies have all arrived: deliver this
+    /// rank's share of the result, then write the record's inline area,
     /// result fields and `DONE` word in one transfer, word last (the
     /// kernel's `test`/`wait` read that word).  Fails only when the record
     /// itself cannot be written.
@@ -427,7 +444,7 @@ impl GpuKernelThread {
             }
         }
         self.device.memcpy_htod(
-            self.layout.fields_ptr(slot, index),
+            self.layout.result_ptr(slot, index),
             &record.encode_done(op.gen),
         )?;
         Ok(())
@@ -483,9 +500,10 @@ impl GpuKernelThread {
         if blocked_slots == self.layout.slots {
             return Ok(false);
         }
-        let region = self
-            .device
-            .memcpy_dtoh_vec(self.layout.mailbox_base, self.layout.records_bytes())?;
+        let mut region = self.region.borrow_mut();
+        region.resize(self.layout.records_bytes(), 0);
+        self.device
+            .memcpy_dtoh(&mut region, self.layout.mailbox_base)?;
         self.metrics.mailbox_reads.inc();
         let records_per_slot = self.layout.records_per_slot();
         let mut found: Vec<(PendingKey, u32, &[u8])> = Vec::new();
@@ -509,7 +527,7 @@ impl GpuKernelThread {
         });
         let mut batch = Vec::new();
         for (key, gen, record) in found {
-            let op = self.stage(key, gen, &Body::decode(record), &mut batch);
+            let op = self.stage(key, gen, record, &mut batch);
             pending.insert(key, op);
             self.metrics.requests.inc();
         }
@@ -614,14 +632,26 @@ impl GpuKernelThread {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
     use std::ops::Range;
 
     use dcgn_dpm::DeviceConfig;
 
-    use super::super::mailbox::{
-        req_word, MAILBOX_REQS_PER_SLOT, RECORD_FIELDS_BYTES, REQ_GEN_MASK,
-    };
+    use super::super::device::{self, DeviceMemory, GpuRequest};
+    use super::super::mailbox::{req_word, MAILBOX_REQS_PER_SLOT, REQ_GEN_MASK};
     use super::*;
+
+    /// The device side of the mailbox driven through the host API, as the
+    /// kit below publishes and the walker's block releases.
+    impl DeviceMemory for Device {
+        fn read(&self, ptr: DevicePtr, out: &mut [u8]) {
+            self.memcpy_dtoh(out, ptr).unwrap()
+        }
+
+        fn write(&self, ptr: DevicePtr, bytes: &[u8]) {
+            self.memcpy_htod(ptr, bytes).unwrap()
+        }
+    }
 
     #[test]
     fn poll_stats_busy_fraction() {
@@ -664,7 +694,6 @@ mod tests {
         let (work_tx, work_rx) = crossbeam::channel::unbounded();
         (
             GpuKernelThread {
-                device,
                 layout: GpuLayout {
                     node: 0,
                     gpu_index: 0,
@@ -673,11 +702,14 @@ mod tests {
                     slot_rank_base: 0,
                     total_ranks: slots,
                     mailbox_base,
+                    memory_bytes: device.memory_capacity(),
                 },
+                device,
                 work_tx,
                 cost: CostModel::zero(),
                 metrics: GpuThreadMetrics::new(&MetricsHandle::new(), 0, 0),
                 inbox: Inbox::new(),
+                region: RefCell::default(),
             },
             work_rx,
         )
@@ -713,14 +745,11 @@ mod tests {
         Some((index, sequence & REQ_GEN_MASK))
     }
 
-    /// The rest of the publish: the body into the claimed record, then the
-    /// word to `PENDING`.
+    /// The rest of the publish, as `GpuCtx::publish` makes it: the body and
+    /// a small buffer into the claimed record, then the word to `PENDING`.
     fn post(gpu: &GpuKernelThread, slot: usize, (index, gen): (usize, u32), body: Body) {
-        let (d, l) = (&gpu.device, &gpu.layout);
-        d.memcpy_htod(l.record_ptr(slot, index), &body.encode())
-            .unwrap();
-        d.write_u32(l.word_ptr(slot, index), req_word(gen, req_state::PENDING))
-            .unwrap();
+        let req = GpuRequest { slot, index, gen };
+        device::post(&*gpu.device, &gpu.layout, req, &body);
     }
 
     /// Publish `body` on exactly `record` of `slot`, the way a device block
@@ -740,12 +769,12 @@ mod tests {
     }
 
     fn record_fields(gpu: &GpuKernelThread, slot: usize, record: usize) -> Record {
-        let ptr = gpu.layout.fields_ptr(slot, record);
+        let ptr = gpu.layout.record_ptr(slot, record);
         let bytes = gpu
             .device
-            .memcpy_dtoh_vec(ptr, RECORD_FIELDS_BYTES)
+            .memcpy_dtoh_vec(ptr, MAILBOX_COMPLETION_BYTES)
             .unwrap();
-        Record::decode(bytes.as_slice().try_into().unwrap())
+        Record::decode(&bytes)
     }
 
     fn transfers(gpu: &GpuKernelThread) -> (u64, u64) {
@@ -827,58 +856,99 @@ mod tests {
         }
     }
 
-    /// The exact PCI-e transfers one small request costs, per request kind,
-    /// on a 1-slot GPU: the sweep that harvests it and the sweep that
-    /// completes it, as `(device reads, device writes)`.  A change to the
-    /// mailbox protocol states its win as a diff of this table.
+    /// The exact PCI-e transfers one request costs, per request kind, on a
+    /// 1-slot GPU: the sweep that harvests it and the sweep that completes
+    /// it, as `(device reads, device writes)`.  A change to the mailbox
+    /// protocol states its win as a diff of this table.
     #[test]
     fn each_request_kind_costs_a_pinned_number_of_transfers_per_sweep() {
-        const LEN: usize = 64;
+        const LEN: usize = MAILBOX_INLINE_BYTES;
         let buf = DevicePtr::NULL.add(1 << 20);
-        let received = || {
-            let mut data = PayloadBuf::with_capacity(LEN);
-            data.body_mut(LEN).fill(7);
+        let bytes = |len: usize| {
+            let mut data = PayloadBuf::with_capacity(len);
+            data.body_mut(len).fill(7);
+            data.freeze()
+        };
+        let received = |len: usize| {
             let status = crate::message::CommStatus {
                 source: 1,
                 tag: 0,
-                len: LEN,
+                len,
             };
             Reply::RecvDone {
-                data: data.freeze(),
+                data: bytes(len),
                 status,
             }
         };
+        let result = |len| Reply::CollectiveDone(CollectiveResult::Bytes(bytes(len)));
         let unit = || Reply::CollectiveDone(CollectiveResult::Unit);
         let (gpu, _) = test_gpu_thread(1);
-        let send = Body::new(opcode::SEND, 1, buf, LEN);
-        let recv = Body::new(opcode::RECV, 1, buf, LEN);
+        let send = |len| Body::new(opcode::SEND, 1, buf, len);
+        let recv = |len| Body::new(opcode::RECV, 1, buf, len);
+        let collective = |opcode| Body {
+            aux: 1,
+            ..Body::new(opcode, 0, buf, LEN)
+        };
         // (kind, record, body, reply, harvest sweep, completion sweep):
-        // the harvest reads the records (and a sent payload), the
-        // completion writes a received payload and then the record.
+        // the harvest reads the records (and a sent payload too large to
+        // ride in one), the completion writes a received payload too large
+        // to ride in the record and then the record.
         let table = [
             (
                 "blocking SEND",
                 RESERVED_RECORD,
-                send,
+                send(LEN),
                 Reply::SendDone,
-                (2, 0),
+                (1, 0),
                 (1, 1),
             ),
             (
                 "blocking RECV",
                 RESERVED_RECORD,
-                recv,
-                received(),
+                recv(LEN),
+                received(LEN),
                 (1, 0),
-                (1, 2),
+                (1, 1),
             ),
-            ("ISEND", 1, send, Reply::SendDone, (2, 0), (1, 1)),
-            ("IRECV", 1, recv, received(), (1, 0), (1, 2)),
+            ("ISEND", 1, send(LEN), Reply::SendDone, (1, 0), (1, 1)),
+            ("IRECV", 1, recv(LEN), received(LEN), (1, 0), (1, 1)),
             (
                 "BARRIER",
                 RESERVED_RECORD,
                 barrier_body(&gpu, 0),
                 unit(),
+                (1, 0),
+                (1, 1),
+            ),
+            (
+                "SEND 65 B",
+                RESERVED_RECORD,
+                send(LEN + 1),
+                Reply::SendDone,
+                (2, 0),
+                (1, 1),
+            ),
+            (
+                "RECV of a 65 B message",
+                RESERVED_RECORD,
+                recv(LEN + 1),
+                received(LEN + 1),
+                (1, 0),
+                (1, 2),
+            ),
+            (
+                "ALLREDUCE",
+                RESERVED_RECORD,
+                collective(opcode::ALLREDUCE),
+                result(LEN),
+                (1, 0),
+                (1, 1),
+            ),
+            (
+                "BROADCAST root",
+                RESERVED_RECORD,
+                collective(opcode::BROADCAST),
+                result(LEN),
                 (1, 0),
                 (1, 1),
             ),
@@ -899,6 +969,7 @@ mod tests {
             assert_eq!(since(before, &gpu), completion, "{kind}: completion");
             assert!(pending.is_empty(), "{kind}");
             assert_eq!(word_of(&gpu, 0, record), req_word(gen, req_state::DONE));
+            assert_eq!(record_fields(&gpu, 0, record).error, mailbox_error::OK);
         }
     }
 
@@ -1145,24 +1216,75 @@ mod tests {
         }
     }
 
+    /// What a walked publish asks for.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Kind {
+        Recv,
+        /// A broadcast from this slot, its root: nothing is written back.
+        BroadcastRoot,
+        Send,
+    }
+
     /// One step of the walked block's program.
     #[derive(Clone, Copy, Debug)]
     enum Op {
-        /// Publish a send of tag `.0`, on the reserved record when `.1`.
-        Publish(u32, bool),
+        /// Publish a request, on the reserved record when `.1`.
+        Publish(Kind, bool),
         /// Poll the `.0`-th publish until `DONE`, then release its record.
         Wait(usize),
         Retire,
     }
 
-    /// The walked block: its program, where it is, and the `(record, gen)`
-    /// of each of its publishes.
+    /// The 8-byte buffer of the walk's `i`-th publish, which holds
+    /// `payload(i)` when published.
+    fn walked_buffer(i: usize) -> DevicePtr {
+        DevicePtr::NULL.add(4096 + 64 * i)
+    }
+
+    fn payload(i: usize) -> Vec<u8> {
+        vec![0xB0 + i as u8; 8]
+    }
+
+    /// What the comm thread answers the walk's `i`-th publish, a receive.
+    fn answer(i: usize) -> Vec<u8> {
+        vec![0xA0 + i as u8; 8]
+    }
+
+    fn walked_body(kind: Kind, i: usize) -> Body {
+        let (opcode, peer, aux) = match kind {
+            Kind::Recv => (opcode::RECV, 1, i as u32),
+            Kind::Send => (opcode::SEND, 1, i as u32),
+            // Root 0 of a group of 1, whose sub-rank (`peer2`) is 0.
+            Kind::BroadcastRoot => (opcode::BROADCAST, 0, 1),
+        };
+        Body {
+            aux,
+            ..Body::new(opcode, peer, walked_buffer(i), 8)
+        }
+    }
+
+    /// The walked block: its program, where it is, each publish's kind and
+    /// request, and the writes of its last step not yet landed.  Its
+    /// device-side code is `GpuCtx`'s, over a memory that queues writes and
+    /// lands one per block move, so the walk puts host moves between the
+    /// writes of one publish or release.
     struct Block {
+        device: Arc<Device>,
         program: Vec<Op>,
         pc: usize,
-        claimed: Option<(usize, u32)>,
-        published: Vec<(usize, u32)>,
+        published: Vec<(Kind, GpuRequest)>,
+        queued: RefCell<VecDeque<(DevicePtr, Vec<u8>)>>,
         retired: bool,
+    }
+
+    impl DeviceMemory for Block {
+        fn read(&self, ptr: DevicePtr, out: &mut [u8]) {
+            DeviceMemory::read(&*self.device, ptr, out)
+        }
+
+        fn write(&self, ptr: DevicePtr, bytes: &[u8]) {
+            self.queued.borrow_mut().push_back((ptr, bytes.to_vec()));
+        }
     }
 
     impl Block {
@@ -1178,51 +1300,68 @@ mod tests {
             }
         }
 
-        /// Whether the next step can do anything: a claim needs a `FREE`
-        /// record, a poll one that is no longer `PENDING`.
+        /// Land the oldest queued write; false when there is none.
+        fn land(&self) -> bool {
+            let next = self.queued.borrow_mut().pop_front();
+            next.map(|(ptr, bytes)| DeviceMemory::write(&*self.device, ptr, &bytes))
+                .is_some()
+        }
+
+        /// Whether the next move can do anything: land a queued write, or
+        /// start the next op — a publish needs a `FREE` record, a poll one
+        /// that is no longer `PENDING`.
         fn enabled(&self, gpu: &GpuKernelThread) -> bool {
+            if !self.queued.borrow().is_empty() {
+                return true;
+            }
             match self.op() {
-                Some(Op::Publish(_, blocking)) if self.claimed.is_none() => self
+                Some(Op::Publish(_, blocking)) => self
                     .records(gpu, blocking)
                     .any(|i| split_word(word_of(gpu, 0, i)).1 == req_state::FREE),
                 Some(Op::Wait(i)) => {
-                    let (record, gen) = self.published[i];
-                    word_of(gpu, 0, record) != req_word(gen, req_state::PENDING)
+                    let req = self.published[i].1;
+                    word_of(gpu, 0, req.index) != req_word(req.gen, req_state::PENDING)
                 }
-                Some(_) => true,
+                Some(Op::Retire) => true,
                 None => false,
             }
         }
 
+        /// One move: land the next queued write, or else start the next op
+        /// and land its first write.
         fn step(&mut self, gpu: &GpuKernelThread) {
+            if self.land() {
+                return;
+            }
             match self.op().expect("enabled") {
-                Op::Publish(_, blocking) if self.claimed.is_none() => {
-                    self.claimed = claim(gpu, 0, self.records(gpu, blocking));
-                    return;
-                }
-                Op::Publish(tag, _) => {
-                    let claimed = self.claimed.take().expect("claimed first");
-                    let body = Body {
-                        aux: tag,
-                        ..Body::new(opcode::SEND, 1, DevicePtr::NULL.add(4096), 8)
+                Op::Publish(kind, blocking) => {
+                    let i = self.published.len();
+                    let (index, gen) = claim(gpu, 0, self.records(gpu, blocking)).expect("FREE");
+                    let req = GpuRequest {
+                        slot: 0,
+                        index,
+                        gen,
                     };
-                    post(gpu, 0, claimed, body);
-                    self.published.push(claimed);
+                    device::post(&*self, &gpu.layout, req, &walked_body(kind, i));
+                    self.published.push((kind, req));
+                    self.land();
                 }
                 Op::Wait(i) => {
-                    let (record, gen) = self.published[i];
-                    assert_eq!(
-                        word_of(gpu, 0, record),
-                        req_word(gen, req_state::DONE),
-                        "publish {i} completed under another generation"
-                    );
-                    assert_eq!(record_fields(gpu, 0, record).error, mailbox_error::OK);
-                    gpu.device
-                        .write_u32(
-                            gpu.layout.word_ptr(0, record),
-                            req_word(gen, req_state::FREE),
-                        )
-                        .unwrap();
+                    let (kind, req) = self.published[i];
+                    let record = device::release(&*self, &gpu.layout, req)
+                        .unwrap_or_else(|_| {
+                            panic!("publish {i} completed under another generation")
+                        })
+                        .expect("enabled once DONE");
+                    assert_eq!(record.error, mailbox_error::OK);
+                    self.land();
+                    let holds = gpu.device.memcpy_dtoh_vec(walked_buffer(i), 8).unwrap();
+                    let expected = if kind == Kind::Recv {
+                        answer(i)
+                    } else {
+                        payload(i)
+                    };
+                    assert_eq!(holds, expected, "publish {i} released the wrong bytes");
                 }
                 Op::Retire => self.retired = true,
             }
@@ -1244,7 +1383,8 @@ mod tests {
         let (gpu, work_rx) = gpu_thread(device, 1, 1);
         // One claim short of the generation wrap: the first publish takes
         // REQ_GEN_MASK, the next 0; every record starts FREE under a
-        // generation no claim takes.
+        // generation no claim takes, its inline area holding that previous
+        // tenant's bytes.
         let l = &gpu.layout;
         gpu.device
             .write_u32(l.sequence_ptr(0), REQ_GEN_MASK)
@@ -1252,21 +1392,31 @@ mod tests {
         for record in 0..l.records_per_slot() {
             let free = req_word(REQ_GEN_MASK - 1, req_state::FREE);
             gpu.device.write_u32(l.word_ptr(0, record), free).unwrap();
+            let previous = [0xEE; MAILBOX_INLINE_BYTES];
+            gpu.device
+                .memcpy_htod(l.result_ptr(0, record), &previous)
+                .unwrap();
+        }
+        for i in 0..program.len() {
+            gpu.device
+                .memcpy_htod(walked_buffer(i), &payload(i))
+                .unwrap();
         }
         let mut schedule = Schedule {
             prefix,
             taken: Vec::new(),
         };
         let mut block = Block {
+            device: Arc::clone(&gpu.device),
             program: program.to_vec(),
             pc: 0,
-            claimed: None,
             published: Vec::new(),
+            queued: RefCell::default(),
             retired: false,
         };
         let mut pending = HashMap::new();
         let mut held: Vec<Request> = Vec::new();
-        let mut relayed: Vec<u32> = Vec::new();
+        let mut relayed: Vec<(&str, Vec<u8>)> = Vec::new();
         let mut answered = false;
         // Replies commute with the block's moves, and with each other: the
         // host sees them only at its next move.  So the walk offers them
@@ -1293,7 +1443,22 @@ mod tests {
                     replies_from = None;
                 }
                 Move::Reply(i) => {
-                    held.remove(i).reply_to.complete(Reply::SendDone);
+                    let req = held.remove(i);
+                    let reply = match req.kind {
+                        RequestKind::Recv { tag: Some(tag), .. } => Reply::RecvDone {
+                            data: Payload::copy_from_slice(&answer(tag as usize)),
+                            status: crate::message::CommStatus {
+                                source: 1,
+                                tag,
+                                len: 8,
+                            },
+                        },
+                        RequestKind::Broadcast {
+                            data: Some(data), ..
+                        } => Reply::CollectiveDone(CollectiveResult::Bytes(data)),
+                        _ => Reply::SendDone,
+                    };
+                    req.reply_to.complete(reply);
                     answered = true;
                     replies_from = Some(i);
                 }
@@ -1328,10 +1493,14 @@ mod tests {
                             panic!("expected a Batch");
                         };
                         for req in reqs {
-                            let RequestKind::Send { tag, .. } = req.kind else {
-                                panic!("expected a send, got {:?}", req.kind);
+                            let bytes = match &req.kind {
+                                RequestKind::Send { data, .. }
+                                | RequestKind::Broadcast {
+                                    data: Some(data), ..
+                                } => data.as_slice().to_vec(),
+                                _ => Vec::new(),
                             };
-                            relayed.push(tag);
+                            relayed.push((req.kind.name(), bytes));
                             held.push(req);
                         }
                     }
@@ -1349,10 +1518,10 @@ mod tests {
             for record in 0..gpu.layout.records_per_slot() {
                 let (word_gen, state) = split_word(word_of(&gpu, 0, record));
                 if state == req_state::DONE {
-                    let latest = block.published.iter().rev().find(|p| p.0 == record);
+                    let latest = block.published.iter().rev().find(|p| p.1.index == record);
                     assert_eq!(
                         Some(word_gen),
-                        latest.map(|p| p.1),
+                        latest.map(|p| p.1.gen),
                         "record {record} completed under another generation"
                     );
                 }
@@ -1360,12 +1529,20 @@ mod tests {
         }
 
         // The loop has exited: the kernel retired and nothing it published
-        // was left behind.
-        let published: Vec<u32> = program
+        // was left behind.  Each request was relayed once, in publish
+        // order, a sent payload with its own bytes — never those its
+        // record's previous tenant left there.
+        let published: Vec<(&str, Vec<u8>)> = program
             .iter()
             .filter_map(|op| match op {
-                Op::Publish(tag, _) => Some(*tag),
+                Op::Publish(kind, _) => Some(*kind),
                 _ => None,
+            })
+            .enumerate()
+            .map(|(i, kind)| match kind {
+                Kind::Recv => ("recv", Vec::new()),
+                Kind::BroadcastRoot => ("broadcast", payload(i)),
+                Kind::Send => ("send", payload(i)),
             })
             .collect();
         assert!(block.retired);
@@ -1378,8 +1555,9 @@ mod tests {
                 _ => None,
             })
             .collect();
-        for (i, &(record, gen)) in block.published.iter().enumerate() {
-            let latest = block.published.iter().rposition(|p| p.0 == record) == Some(i);
+        for (i, &(_, req)) in block.published.iter().enumerate() {
+            let (record, gen) = (req.index, req.gen);
+            let latest = block.published.iter().rposition(|p| p.1.index == record) == Some(i);
             if !latest {
                 continue;
             }
@@ -1398,23 +1576,26 @@ mod tests {
         (schedule, true)
     }
 
-    /// Every interleaving of one block's publishes, polls and retirement
-    /// with the poll loop's passes and completion sweeps and the comm
-    /// thread's replies, on one slot of two records across the generation
-    /// wrap: an `isend` on record 1, a blocking send on the reserved record
-    /// (the wrap falls between the two), the `isend`'s wait, and a second
-    /// `isend` reusing record 1 — waited on, or abandoned at retirement.
+    /// Every interleaving of one block's publishes, polls and retirement —
+    /// each write they make landing as a move of its own — with the poll
+    /// loop's passes and completion sweeps and the comm thread's replies, on
+    /// one slot of two records across the generation wrap: an `irecv` on
+    /// record 1, a blocking broadcast from this slot on the reserved record
+    /// (the wrap falls between the two), the `irecv`'s wait, and an `isend`
+    /// reusing record 1 — waited on, or abandoned at retirement.  Every
+    /// payload rides in the record: each released receive must read the
+    /// bytes answered to it, the broadcast root's buffer must keep its own.
     #[test]
     fn every_interleaving_of_the_mailbox_harvests_each_request_once_in_order() {
         let started = Instant::now();
         let (mut walked, mut cut) = (0usize, 0usize);
         for waits_last in [true, false] {
             let mut program = vec![
-                Op::Publish(1, false),
-                Op::Publish(2, true),
+                Op::Publish(Kind::Recv, false),
+                Op::Publish(Kind::BroadcastRoot, true),
                 Op::Wait(1),
                 Op::Wait(0),
-                Op::Publish(3, false),
+                Op::Publish(Kind::Send, false),
             ];
             if waits_last {
                 program.push(Op::Wait(2));

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! | record × (1 + reqs_per_slot) × slots | sequence word × slots |
-//!   record = [body | result fields | word]
+//!   record = [body | inline | result fields | word]
 //! ```
 //!
 //! Record 0 of each slot is *reserved* for blocking calls; records
@@ -29,12 +29,24 @@ pub const MAILBOX_REQS_PER_SLOT: usize = 4;
 /// Bytes of a request body, the first part of its completion record.
 const MAILBOX_BODY_BYTES: usize = 44;
 
-/// Bytes of a completion record's result fields (after the body).
-pub(crate) const RECORD_FIELDS_BYTES: usize = 20;
+/// Bytes of a completion record's inline area (after the body): the largest
+/// payload that rides in the record each way instead of crossing PCI-e.
+pub const MAILBOX_INLINE_BYTES: usize = 64;
 
-/// Bytes of one completion record:
-/// `[body 44 B][error u32][len u64][source u32][tag u32][word u32]`.
-pub const MAILBOX_COMPLETION_BYTES: usize = MAILBOX_BODY_BYTES + RECORD_FIELDS_BYTES + 4;
+/// Bytes of a completion record's result fields (after the inline area).
+const RECORD_FIELDS_BYTES: usize = 20;
+
+/// Bytes the host writes to complete a record: inline area, fields, word.
+const COMPLETION_WRITE_BYTES: usize = MAILBOX_INLINE_BYTES + RECORD_FIELDS_BYTES + 4;
+
+/// Bytes of one completion record: `[body 44 B][inline 64 B][error u32]
+/// [len u64][source u32][tag u32][word u32]`.
+pub const MAILBOX_COMPLETION_BYTES: usize = MAILBOX_BODY_BYTES + COMPLETION_WRITE_BYTES;
+
+/// Bit of the `error` field that says the result bytes are in the inline
+/// area.  The host sets it; a kernel never infers it from `len`, which a
+/// request with no write-back buffer (a broadcast root) reports too.
+const INLINE_RESULT: u32 = 1 << 31;
 
 /// Bytes of one slot's sequence word, stored after every record.
 const SEQUENCE_BYTES: usize = 4;
@@ -69,6 +81,8 @@ pub(crate) struct GpuLayout {
     pub total_ranks: usize,
     /// Base device address of the mailbox region.
     pub mailbox_base: DevicePtr,
+    /// Bytes of device memory: a buffer reaching past them is unreadable.
+    pub memory_bytes: usize,
 }
 
 impl GpuLayout {
@@ -104,15 +118,16 @@ impl GpuLayout {
         self.mailbox_base.add(index * MAILBOX_COMPLETION_BYTES)
     }
 
-    /// Address of that record's result fields, which its word follows: the
-    /// host completes a record with one write of both.
-    pub fn fields_ptr(&self, slot: usize, record: usize) -> DevicePtr {
+    /// Address of that record's inline area, which its result fields and
+    /// word follow: the host completes a record with one write of all three.
+    pub fn result_ptr(&self, slot: usize, record: usize) -> DevicePtr {
         self.record_ptr(slot, record).add(MAILBOX_BODY_BYTES)
     }
 
     /// Address of that record's word.
     pub fn word_ptr(&self, slot: usize, record: usize) -> DevicePtr {
-        self.fields_ptr(slot, record).add(RECORD_FIELDS_BYTES)
+        self.result_ptr(slot, record)
+            .add(COMPLETION_WRITE_BYTES - 4)
     }
 
     /// Address of `slot`'s sequence word: a counter its blocks bump with a
@@ -259,7 +274,13 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 
 /// The word of a completion record, from the record's bytes.
 pub(crate) fn record_word(record: &[u8]) -> u32 {
-    u32_at(record, MAILBOX_BODY_BYTES + RECORD_FIELDS_BYTES)
+    u32_at(record, MAILBOX_COMPLETION_BYTES - 4)
+}
+
+/// Whether `len` bytes at `ptr` lie inside a device memory of `capacity`
+/// bytes.
+pub(crate) fn in_device_memory(ptr: DevicePtr, len: usize, capacity: usize) -> bool {
+    matches!(ptr.offset().checked_add(len), Some(end) if end <= capacity)
 }
 
 /// One published request, as it sits at the front of its record.
@@ -303,11 +324,16 @@ impl Body {
         }
     }
 
-    /// The body's bytes as published in device memory.
-    pub fn encode(&self) -> [u8; MAILBOX_BODY_BYTES] {
+    /// The front of a record as a publish writes it: the body, then the
+    /// inline area holding `inline`.
+    pub fn encode(
+        &self,
+        inline: &[u8; MAILBOX_INLINE_BYTES],
+    ) -> [u8; MAILBOX_BODY_BYTES + MAILBOX_INLINE_BYTES] {
         let narrow = [self.opcode, self.peer, self.peer2, self.aux, self.reduce];
         let wide = [self.data.offset() as u64, self.len as u64, self.comm];
-        let mut out = [0u8; MAILBOX_BODY_BYTES];
+        let mut out = [0u8; MAILBOX_BODY_BYTES + MAILBOX_INLINE_BYTES];
+        out[MAILBOX_BODY_BYTES..].copy_from_slice(inline);
         for (i, word) in narrow.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
         }
@@ -317,7 +343,13 @@ impl Body {
         out
     }
 
-    /// Parse the body at the front of a harvested record.
+    /// The copy of its buffer a publish left in `record` — the record the
+    /// body was harvested from — when the buffer fits the inline area.
+    pub fn inline<'a>(&self, record: &'a [u8]) -> Option<&'a [u8]> {
+        (self.len <= MAILBOX_INLINE_BYTES).then(|| &record[MAILBOX_BODY_BYTES..][..self.len])
+    }
+
+    /// Parse the body at the front of a record.
     pub fn decode(bytes: &[u8]) -> Body {
         Body {
             opcode: u32_at(bytes, 0),
@@ -333,7 +365,7 @@ impl Body {
 }
 
 /// The result fields of a completion record.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Record {
     /// How the request ended ([`mailbox_error`]).
     pub error: u32,
@@ -344,30 +376,43 @@ pub(crate) struct Record {
     /// Tag the completed receive actually matched — an `ANY_TAG` receive
     /// learns the sender's tag from here instead of reporting 0.
     pub tag: u32,
+    /// The result bytes, when they ride in the record's inline area instead
+    /// of having been written to the request's buffer.
+    pub inline: Option<Vec<u8>>,
 }
 
 impl Record {
     /// The completion of a record claimed under `gen`, as the host writes it
-    /// at [`GpuLayout::fields_ptr`]: the fields, then `DONE(gen)`.  It is one
-    /// transfer and device memory is written under one lock, so a kernel
-    /// that observes `DONE` reads consistent fields.
-    pub fn encode_done(&self, gen: u32) -> [u8; RECORD_FIELDS_BYTES + 4] {
-        let mut out = [0u8; RECORD_FIELDS_BYTES + 4];
-        out[0..4].copy_from_slice(&self.error.to_le_bytes());
-        out[4..12].copy_from_slice(&self.len.to_le_bytes());
-        out[12..16].copy_from_slice(&self.source.to_le_bytes());
-        out[16..20].copy_from_slice(&self.tag.to_le_bytes());
-        out[20..].copy_from_slice(&req_word(gen, req_state::DONE).to_le_bytes());
+    /// at [`GpuLayout::result_ptr`]: the inline area, the fields, then
+    /// `DONE(gen)`.  It is one transfer and device memory is written under
+    /// one lock, so a kernel that observes `DONE` reads a consistent result.
+    pub fn encode_done(&self, gen: u32) -> [u8; COMPLETION_WRITE_BYTES] {
+        let mut out = [0u8; COMPLETION_WRITE_BYTES];
+        let mut error = self.error;
+        if let Some(inline) = &self.inline {
+            out[..inline.len()].copy_from_slice(inline);
+            error |= INLINE_RESULT;
+        }
+        let fields = &mut out[MAILBOX_INLINE_BYTES..];
+        fields[0..4].copy_from_slice(&error.to_le_bytes());
+        fields[4..12].copy_from_slice(&self.len.to_le_bytes());
+        fields[12..16].copy_from_slice(&self.source.to_le_bytes());
+        fields[16..20].copy_from_slice(&self.tag.to_le_bytes());
+        fields[20..].copy_from_slice(&req_word(gen, req_state::DONE).to_le_bytes());
         out
     }
 
-    /// Parse the fields a kernel read back after observing `DONE`.
-    pub fn decode(bytes: &[u8; RECORD_FIELDS_BYTES]) -> Record {
+    /// Parse the result in a record's bytes, read after observing `DONE`.
+    pub fn decode(record: &[u8]) -> Record {
+        let at = MAILBOX_BODY_BYTES + MAILBOX_INLINE_BYTES;
+        let (error, len) = (u32_at(record, at), u64_at(record, at + 4));
         Record {
-            error: u32_at(bytes, 0),
-            len: u64_at(bytes, 4),
-            source: u32_at(bytes, 12),
-            tag: u32_at(bytes, 16),
+            error: error & !INLINE_RESULT,
+            len,
+            source: u32_at(record, at + 12),
+            tag: u32_at(record, at + 16),
+            inline: (error & INLINE_RESULT != 0)
+                .then(|| record[MAILBOX_BODY_BYTES..][..len as usize].to_vec()),
         }
     }
 }
@@ -409,6 +454,7 @@ mod tests {
             slot_rank_base: 0,
             total_ranks: slots,
             mailbox_base: DevicePtr::NULL,
+            memory_bytes: 1 << 20,
         }
     }
 
@@ -418,7 +464,7 @@ mod tests {
         let l = layout(slots, MAILBOX_REQS_PER_SLOT);
         let records = 1 + MAILBOX_REQS_PER_SLOT;
         assert_eq!(l.records_per_slot(), records);
-        assert_eq!(MAILBOX_COMPLETION_BYTES, 68);
+        assert_eq!(MAILBOX_COMPLETION_BYTES, 132);
         // Records are densely packed by (slot, record) from the base, the
         // reserved record first in each slot's column.
         assert_eq!(l.record_ptr(0, RESERVED_RECORD).offset(), 0);
@@ -426,9 +472,14 @@ mod tests {
             l.record_ptr(1, 2).offset(),
             (records + 2) * MAILBOX_COMPLETION_BYTES
         );
-        // Within a record: body, then fields, then the word, which ends it.
+        // Within a record: body, then the inline area, fields and the word,
+        // which ends it.
         let record = l.record_ptr(1, 2).offset();
-        assert_eq!(l.fields_ptr(1, 2).offset(), record + MAILBOX_BODY_BYTES);
+        assert_eq!(l.result_ptr(1, 2).offset(), record + MAILBOX_BODY_BYTES);
+        assert_eq!(
+            l.result_ptr(1, 2).offset() + COMPLETION_WRITE_BYTES,
+            record + MAILBOX_COMPLETION_BYTES
+        );
         assert_eq!(
             l.word_ptr(1, 2).offset() + 4,
             record + MAILBOX_COMPLETION_BYTES
@@ -443,9 +494,10 @@ mod tests {
             mailbox_region_bytes(slots, MAILBOX_REQS_PER_SLOT),
             l.sequence_ptr(3).offset() + 4
         );
-        // The largest layout any app or ablation runs stays under 1.5 KB a
-        // sweep.
-        assert_eq!(l.records_bytes(), 1360);
+        // What a sweep reads: 660 B for one slot at the default depth, and
+        // 2,640 B for the largest layout any app or ablation runs.
+        assert_eq!(layout(1, MAILBOX_REQS_PER_SLOT).records_bytes(), 660);
+        assert_eq!(l.records_bytes(), 2640);
         assert_eq!(
             mailbox_region_bytes(slots, 1),
             slots * (2 * MAILBOX_COMPLETION_BYTES + 4)
@@ -464,12 +516,16 @@ mod tests {
             len: 0x0606_0606_0606,
             comm: u64::MAX - 7,
         };
-        assert_eq!(Body::decode(&body.encode()), body);
+        let inline = [0x77; MAILBOX_INLINE_BYTES];
+        let front = body.encode(&inline);
+        assert_eq!(Body::decode(&front), body);
+        assert_eq!(front[MAILBOX_BODY_BYTES..], inline);
         // Distinct values per field, so a swapped pair of offsets would
         // have failed the comparison above; a zero body stays zero.
         let zero = Body::new(0, 0, DevicePtr::NULL, 0);
-        assert_eq!(zero.encode(), [0u8; MAILBOX_BODY_BYTES]);
-        assert_eq!(Body::decode(&zero.encode()), zero);
+        let front = zero.encode(&[0; MAILBOX_INLINE_BYTES]);
+        assert_eq!(front, [0u8; MAILBOX_BODY_BYTES + MAILBOX_INLINE_BYTES]);
+        assert_eq!(Body::decode(&front), zero);
     }
 
     #[test]
@@ -480,18 +536,31 @@ mod tests {
             len: 0x0102_0304_0506,
             source: 0x0A0B_0C0D,
             tag: ANY_TAG - 1,
+            inline: None,
         };
-        let done = record.encode_done(REQ_GEN_MASK);
-        let fields: &[u8; RECORD_FIELDS_BYTES] = done[..RECORD_FIELDS_BYTES].try_into().unwrap();
-        assert_eq!(Record::decode(fields), record);
-        assert_eq!(
-            u32_at(&done, RECORD_FIELDS_BYTES),
-            req_word(REQ_GEN_MASK, req_state::DONE)
-        );
-        // Written at the fields, it ends where the record does.
+        // Written at the inline area, a completion ends where the record
+        // does; its word last.
         let mut bytes = [0u8; MAILBOX_COMPLETION_BYTES];
-        bytes[MAILBOX_BODY_BYTES..].copy_from_slice(&done);
+        bytes[MAILBOX_BODY_BYTES..].copy_from_slice(&record.encode_done(REQ_GEN_MASK));
+        assert_eq!(Record::decode(&bytes), record);
         assert_eq!(record_word(&bytes), req_word(REQ_GEN_MASK, req_state::DONE));
+        // An inline result is flagged in the error word, never inferred:
+        // the same length without the flag decodes with no inline bytes.
+        let small = Record {
+            error: mailbox_error::OK,
+            len: 3,
+            inline: Some(vec![1, 2, 3]),
+            ..record
+        };
+        bytes[MAILBOX_BODY_BYTES..].copy_from_slice(&small.encode_done(5));
+        assert_eq!(Record::decode(&bytes), small);
+        let unflagged = Record {
+            inline: None,
+            ..small.clone()
+        };
+        bytes[MAILBOX_BODY_BYTES..].copy_from_slice(&unflagged.encode_done(5));
+        assert_eq!(Record::decode(&bytes), unflagged);
+        assert_eq!(bytes[MAILBOX_BODY_BYTES..][..3], [0, 0, 0]);
     }
 
     #[test]

@@ -19,22 +19,26 @@
 //! 1. **Publish** — the kernel claims a record (device-side CAS `FREE →
 //!    CLAIMED`), takes the slot's next sequence number as the claim
 //!    generation (a device-side atomic add on a word the host never
-//!    writes), writes the request body into the record and flips its word
-//!    to `PENDING`.
+//!    writes), writes the request body — and a copy of a buffer of at most
+//!    [`MAILBOX_INLINE_BYTES`] — into the record and flips its word to
+//!    `PENDING`.
 //! 2. **Harvest** — the host's next sweep issues **one** PCI-e read of every
 //!    slot's records, takes each `PENDING` record it does not already hold,
-//!    writes nothing back, and relays the harvest to the communication
-//!    thread as a single `CommCommand::Batch` paying one queue hop — each
-//!    slot's requests in generation order, which is the order its kernel
-//!    published them, so sends to one destination never overtake.
+//!    pulls a sent payload only when it did not ride in the record, writes
+//!    nothing back, and relays the harvest to the communication thread as
+//!    a single `CommCommand::Batch` paying one queue hop — each slot's
+//!    requests in generation order, which is the order its kernel published
+//!    them, so sends to one destination never overtake.
 //! 3. **Complete** — when the communication thread has answered, the host
-//!    writes the result into the slot's device buffer, then the record's
-//!    result fields and `DONE` word in one transfer, word last.  The kernel
-//!    reads that word ([`GpuCtx::test`] once, [`GpuCtx::wait`] spinning
-//!    device-side), reads the fields and releases the record (`FREE`).  A
-//!    request the host cannot stage (a buffer outside device memory, an
-//!    unknown opcode) is completed the same way with an error code, so the
-//!    kernel faults instead of waiting forever.
+//!    writes a result too large for the record into the slot's device
+//!    buffer, then the record's inline area (a smaller result, flagged as
+//!    such), result fields and `DONE` word in one transfer, word last.  The
+//!    kernel reads that word ([`GpuCtx::test`] once, [`GpuCtx::wait`]
+//!    spinning device-side), copies a flagged inline result into its buffer
+//!    and releases the record (`FREE`).  A request the host cannot stage (a
+//!    buffer outside device memory, an unknown opcode) is completed the same
+//!    way with an error code, so the kernel faults instead of waiting
+//!    forever.
 //!
 //! [`GpuCtx::isend`] / [`GpuCtx::irecv`] return after step 1 with a
 //! [`GpuRequest`]; compute issued before the wait overlaps the entire host
@@ -64,5 +68,5 @@ pub use host::{GpuPollStats, GpuSetupCtx};
 pub(crate) use mailbox::GpuLayout;
 pub use mailbox::{
     mailbox_error, mailbox_region_bytes, opcode, reduce_dtype_code, reduce_op_code, req_state,
-    ANY_TAG, MAILBOX_COMPLETION_BYTES, MAILBOX_REQS_PER_SLOT, PEER_ANY,
+    ANY_TAG, MAILBOX_COMPLETION_BYTES, MAILBOX_INLINE_BYTES, MAILBOX_REQS_PER_SLOT, PEER_ANY,
 };

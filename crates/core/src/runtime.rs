@@ -232,6 +232,7 @@ impl Runtime {
                     slot_rank_base,
                     total_ranks: rank_map.total_ranks(),
                     mailbox_base,
+                    memory_bytes: device.memory_capacity(),
                 };
                 let grid_blocks = self.config.gpu_grid_blocks.unwrap_or(slots).max(1);
                 let block_threads = self.config.gpu_block_threads.max(1);
@@ -242,6 +243,7 @@ impl Runtime {
                     cost,
                     metrics: GpuThreadMetrics::new(&metrics, node, gpu_index),
                     inbox: Inbox::new(),
+                    region: Default::default(),
                 };
                 let setup = Arc::clone(&gpu_setup);
                 let kernel = Arc::clone(&gpu_kernel);

@@ -1,14 +1,107 @@
 //! What the mailbox's reserved record guarantees: blocking device calls
 //! complete through a completion record like nonblocking ones, but never
 //! compete with them for one, and blocks sharing a slot serialise their
-//! blocking calls on it however long each takes.
+//! blocking calls on it however long each takes.  And what its inline area
+//! guarantees: a payload that rides in the record arrives as intact as one
+//! that crosses PCI-e on its own, on every route.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dcgn::{CommStatus, DcgnConfig, DevicePtr, GpuCtx, Runtime};
+use dcgn::gpu::{mailbox_error, ANY_TAG, MAILBOX_INLINE_BYTES};
+use dcgn::{CommStatus, DcgnConfig, DcgnError, DevicePtr, GpuCtx, Runtime};
 
 const SLOT: usize = 0;
+
+/// Payload sizes on both sides of the inline area's edge, and one far past.
+const SIZES: [usize; 6] = [
+    0,
+    1,
+    MAILBOX_INLINE_BYTES - 1,
+    MAILBOX_INLINE_BYTES,
+    MAILBOX_INLINE_BYTES + 1,
+    4096,
+];
+
+/// Bytes that differ by position and by `seed`.
+fn pattern(len: usize, seed: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(31) ^ seed)
+        .collect()
+}
+
+#[test]
+fn payloads_around_the_inline_size_arrive_intact_on_every_route() {
+    // Ranks: node 0 is CPU 0 + GPU 1, node 1 is CPU 2 + GPU 3.  Per size:
+    // CPU 0 → GPU 1 → GPU 3 (an ANY_TAG irecv) → CPU 2 and back in one
+    // `sendrecv_replace` → CPU 0.  Each receiver checks bytes, source and
+    // tag; a GPU receiver also checks that nothing past the message moved.
+    const SENTINEL: u8 = 0x5A;
+    let runtime = Runtime::new(DcgnConfig::homogeneous(2, 1, 1, 1)).unwrap();
+    runtime
+        .launch(
+            |ctx| {
+                for (tag, &len) in SIZES.iter().enumerate() {
+                    let tag = tag as u32 + 1;
+                    if ctx.rank() == 0 {
+                        ctx.send_tagged(1, tag, &pattern(len, 1)).unwrap();
+                        let (back, status) = ctx.recv_tagged(Some(3), tag).unwrap();
+                        assert_eq!((status.source, status.tag, status.len), (3, tag, len));
+                        assert_eq!(back, pattern(len, 2), "{len} B back at CPU 0");
+                    } else {
+                        let (got, status) = ctx.recv(3).unwrap();
+                        assert_eq!((status.source, status.tag, status.len), (3, 0, len));
+                        assert_eq!(got, pattern(len, 1), "{len} B at CPU 2");
+                        ctx.send(3, &pattern(len, 2)).unwrap();
+                    }
+                }
+            },
+            |ctx| {
+                let buf = DevicePtr::NULL.add(1 << 20);
+                let b = ctx.block();
+                let received = |status: CommStatus, src, tag, len, seed| {
+                    assert_eq!((status.source, status.tag, status.len), (src, tag, len));
+                    assert_eq!(b.read_vec(buf, len), pattern(len, seed), "{len} B");
+                    assert_eq!(b.read_vec(buf.add(len), 8), [SENTINEL; 8], "{len} B");
+                };
+                for (tag, &len) in SIZES.iter().enumerate() {
+                    let tag = tag as u32 + 1;
+                    b.write(buf, &[SENTINEL; 4096 + 8]);
+                    if ctx.rank(SLOT) == 1 {
+                        let status = ctx.recv_tagged(SLOT, 0, tag, buf, 4096);
+                        received(status, 0, tag, len, 1);
+                        ctx.send_tagged(SLOT, 3, tag, buf, len);
+                    } else {
+                        let req = ctx.irecv_tagged(SLOT, 1, ANY_TAG, buf, 4096);
+                        received(ctx.wait(req), 1, tag, len, 1);
+                        let status = ctx.sendrecv_replace(SLOT, 2, 2, buf, len);
+                        received(status, 2, 0, len, 2);
+                        ctx.send_tagged(SLOT, 0, tag, buf, len);
+                    }
+                }
+            },
+        )
+        .unwrap();
+}
+
+#[test]
+fn a_message_larger_than_a_small_gpu_buffer_still_faults_truncated() {
+    let runtime = Runtime::new(cpu_and_gpu()).unwrap();
+    let result = runtime.launch(
+        |ctx| {
+            let _ = ctx.send(1, &[7; MAILBOX_INLINE_BYTES]);
+        },
+        |ctx| {
+            let buf = DevicePtr::NULL.add(1 << 20);
+            ctx.recv(SLOT, 0, buf, MAILBOX_INLINE_BYTES / 2);
+        },
+    );
+    let truncated = format!("mailbox error {}", mailbox_error::TRUNCATED);
+    match result {
+        Err(DcgnError::Device(msg)) => assert!(msg.contains(&truncated), "unexpected: {msg}"),
+        other => panic!("expected a truncation fault, got {other:?}"),
+    }
+}
 
 /// One node, CPU rank 0 and a single-slot GPU (rank 1).
 fn cpu_and_gpu() -> DcgnConfig {
