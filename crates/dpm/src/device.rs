@@ -320,7 +320,9 @@ impl Device {
         self.htod_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.htod.inc();
         self.pcie.transfer(src.len());
-        self.memory.write(dst, src)
+        self.memory.write(dst, src)?;
+        self.memory.host_wrote();
+        Ok(())
     }
 
     /// Copy device memory to the host (blocking, pays the PCI-e cost).
@@ -369,6 +371,7 @@ impl Device {
         for &(ptr, value) in writes {
             self.memory.write_u32(ptr, value)?;
         }
+        self.memory.host_wrote();
         Ok(())
     }
 
@@ -409,7 +412,9 @@ impl Device {
         self.htod_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.htod.inc();
         self.pcie.transfer(4);
-        self.memory.write_u32(ptr, value)
+        self.memory.write_u32(ptr, value)?;
+        self.memory.host_wrote();
+        Ok(())
     }
 
     // ---- kernel launch ----
@@ -683,5 +688,18 @@ mod tests {
         dev.read_u32(p).unwrap();
         assert_eq!(dev.htod_transfer_count(), w0 + 2);
         assert_eq!(dev.dtoh_transfer_count(), r0 + 2);
+    }
+
+    #[test]
+    fn every_host_write_and_no_host_read_wakes_waiting_blocks() {
+        let dev = Device::new_default(0);
+        let p = dev.malloc(64).unwrap();
+        let before = dev.memory.host_writes();
+        dev.memcpy_htod(p, &[1u8; 8]).unwrap();
+        dev.write_u32(p, 2).unwrap();
+        dev.write_u32s_scattered(&[(p, 3), (p.add(4), 4)]).unwrap();
+        dev.memcpy_dtoh_vec(p, 8).unwrap();
+        dev.read_u32(p).unwrap();
+        assert_eq!(dev.memory.host_writes(), before + 3);
     }
 }

@@ -115,11 +115,15 @@ impl BlockCtx {
     /// OS thread (near-instant wakeups while the flag flips quickly) and only
     /// decays to sleeping — escalating up to the nap interval — when nothing
     /// changes, so long waits still leave the simulation host responsive.
+    /// A sleep ends early when a host write lands, so a flag the host flips
+    /// is seen at once however long the wait has run — as in silicon —
+    /// rather than up to a nap (plus OS timer slack) late.
     pub fn spin_until<T>(&self, mut poll: impl FnMut() -> Option<T>) -> T {
         const SPIN_YIELDS: u32 = 128;
         let mut polls = 0u32;
         let mut sleep = Duration::from_micros(2);
         loop {
+            let seen = self.memory.host_writes();
             if let Some(done) = poll() {
                 return done;
             }
@@ -127,7 +131,7 @@ impl BlockCtx {
             if polls <= SPIN_YIELDS {
                 std::thread::yield_now();
             } else {
-                std::thread::sleep(sleep);
+                self.memory.await_host_write(seen, sleep);
                 sleep = (sleep * 2).min(NAP);
             }
         }

@@ -9,8 +9,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 /// An address in device global memory.  Device pointers are plain offsets
 /// into the device arena; they are only meaningful for the device that
@@ -182,6 +183,10 @@ pub(crate) struct DeviceMemory {
     data: Mutex<Vec<u8>>,
     alloc: Mutex<Allocator>,
     capacity: usize,
+    /// Host writes landed so far; every one wakes the blocks waiting on
+    /// `host_write` (see [`crate::BlockCtx::spin_until`]).
+    host_writes: Mutex<u64>,
+    host_write: Condvar,
 }
 
 impl DeviceMemory {
@@ -190,6 +195,35 @@ impl DeviceMemory {
             data: Mutex::new(vec![0u8; capacity]),
             alloc: Mutex::new(Allocator::new(capacity)),
             capacity,
+            host_writes: Mutex::new(0),
+            host_write: Condvar::new(),
+        }
+    }
+
+    /// Count a host write that has landed and wake every waiting block.
+    pub(crate) fn host_wrote(&self) {
+        *self.host_writes.lock() += 1;
+        self.host_write.notify_all();
+    }
+
+    /// Host writes landed so far.
+    pub(crate) fn host_writes(&self) -> u64 {
+        *self.host_writes.lock()
+    }
+
+    /// Block until a host write lands after the first `seen`, or for at
+    /// most `timeout`.
+    pub(crate) fn await_host_write(&self, seen: u64, timeout: Duration) {
+        let deadline = Instant::now() + timeout;
+        let mut writes = self.host_writes.lock();
+        while *writes == seen {
+            if self
+                .host_write
+                .wait_until(&mut writes, deadline)
+                .timed_out()
+            {
+                break;
+            }
         }
     }
 
@@ -406,6 +440,29 @@ mod tests {
         assert_eq!(mem.read_u32(p).unwrap(), 9);
         assert_eq!(mem.atomic_add_u32(p, 3).unwrap(), 9);
         assert_eq!(mem.read_u32(p).unwrap(), 12);
+    }
+
+    #[test]
+    fn a_host_write_ends_a_wait_for_one_and_a_missed_one_skips_it() {
+        let mem = std::sync::Arc::new(DeviceMemory::new(4096));
+        let seen = mem.host_writes();
+        let host = std::sync::Arc::clone(&mem);
+        let writer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            host.host_wrote();
+        });
+        let start = Instant::now();
+        mem.await_host_write(seen, Duration::from_secs(60));
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "woken by the write"
+        );
+        assert_eq!(mem.host_writes(), seen + 1);
+        writer.join().unwrap();
+        // A write that landed before the wait began does not wait at all.
+        let start = Instant::now();
+        mem.await_host_write(seen, Duration::from_secs(60));
+        assert!(start.elapsed() < Duration::from_secs(30));
     }
 
     #[test]
