@@ -1,10 +1,8 @@
-//! Benchmark harness for the DCGN reproduction.
-//!
-//! The functions in this crate drive the micro-benchmarks behind Figure 6
-//! (sends), Figure 7 (broadcasts) and Table 1 (barriers) of the paper, plus
-//! the application-level measurements of §5.1.  They are shared between the
-//! Criterion benches (`benches/`) and the report binaries (`src/bin/`) that
-//! print the paper-formatted tables.
+//! Measurement harness behind the report binaries (`src/bin/`), which print
+//! the paper-formatted Figure 6 (sends), Figure 7 (broadcasts) and Table 1
+//! (barriers), plus the application-level measurements of §5.1.  The
+//! repository benchmark (`benchmark/`) is the yardstick a change is judged
+//! by; these binaries print the paper's shapes as DCGN:MPI tables.
 //!
 //! All timings are measured *inside* the participating kernels (after a
 //! warm-up barrier), so job launch and teardown costs are excluded — the same
@@ -13,7 +11,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dcgn::{CostModel, DcgnConfig, DevicePtr, ExchangePlan, NodeConfig, Runtime};
+use dcgn::{CostModel, DcgnConfig, DevicePtr, NodeConfig, Runtime};
 use dcgn_rmpi::{MpiWorld, RankPlacement};
 use parking_lot::Mutex;
 
@@ -41,63 +39,6 @@ impl EndpointKind {
             EndpointKind::Gpu => NodeConfig::new(0, 1, 1),
         }
     }
-}
-
-/// True when `DCGN_BENCH_QUICK` is set: the Criterion benches shrink their
-/// sample counts so the CI smoke job finishes in seconds while still
-/// exercising the full harness (and still writing the JSON report).
-pub fn quick_mode() -> bool {
-    std::env::var_os("DCGN_BENCH_QUICK").is_some()
-}
-
-/// `full` timed samples normally, 3 in quick mode.
-pub fn bench_samples(full: usize) -> usize {
-    if quick_mode() {
-        3
-    } else {
-        full
-    }
-}
-
-/// Runtime counters worth attributing to individual benchmarks: stable,
-/// workload-proportional totals (aggregated over nodes/GPUs), not volatile
-/// ones like poll counts that vary with scheduler timing.
-const TRACKED_COUNTERS: &[&str] = &[
-    "fabric.frames",
-    "fabric.frame_bytes",
-    "rmpi.eager_sends",
-    "rmpi.rdv_sends",
-    "rmpi.rdv.chunks",
-    "fabric.rx_drain_bytes",
-    "pool.acquire_reuse",
-    "pool.acquire_miss",
-    "pool.recycled",
-    "dma.dtoh",
-    "dma.htod",
-    "dma.scattered",
-    "comm.requests",
-    "exchange.frames.up",
-    "exchange.frames.down",
-    "exchange.frames.rd",
-    "exchange.frames.ring",
-];
-
-/// Install the criterion metrics hook: each benchmark's JSON record gains a
-/// `"metrics"` block of the global-registry counter deltas it caused, so a
-/// median shift can be traced to the traffic change behind it.  Idempotent —
-/// every bench group calls it.
-pub fn install_metrics_hook() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        criterion::set_metrics_hook(|| {
-            let snap = dcgn_metrics::global().snapshot().aggregated();
-            TRACKED_COUNTERS
-                .iter()
-                .map(|&name| (name.to_string(), snap.counter(name)))
-                .collect()
-        });
-    });
 }
 
 /// Human-readable data size ("0 B", "64 kB", "1 MB").
@@ -210,189 +151,6 @@ pub fn mpi_send_time(size: usize, cost: CostModel, iters: usize) -> Duration {
     results[0] / (2 * iters as u32)
 }
 
-/// Average one-way time for a large-message MPI ping-pong of `size` bytes
-/// between two ranks on two nodes, under an **explicit** rendezvous
-/// protocol configuration: `chunk` bytes per `RdvChunk` frame with a
-/// `window`-chunk credit window, or the whole payload as one chunk when
-/// `chunk == 0`.  The explicit [`dcgn_rmpi::RdvConfig`]
-/// (rather than `DCGN_RDV_CHUNK`) keeps an in-process chunked-vs-legacy
-/// comparison race-free: environment variables are process-global and the
-/// two arms of the comparison run in one Criterion process.
-pub fn mpi_large_send_time(
-    size: usize,
-    chunk: usize,
-    window: usize,
-    cost: CostModel,
-    iters: usize,
-) -> Duration {
-    let rdv = dcgn_rmpi::RdvConfig::new(cost.eager_threshold)
-        .with_chunk_bytes(chunk)
-        .with_window(window);
-    let results = MpiWorld::run_with(&RankPlacement::block(2, 1), cost, rdv, move |mut comm| {
-        let me = comm.rank();
-        let peer = 1 - me;
-        let payload = vec![0xA5u8; size];
-        comm.barrier().unwrap();
-        let start = Instant::now();
-        for _ in 0..iters {
-            if me == 0 {
-                comm.send(peer, 0, &payload).unwrap();
-                let _ = comm.recv(Some(peer), Some(0)).unwrap();
-            } else {
-                let _ = comm.recv(Some(peer), Some(0)).unwrap();
-                comm.send(peer, 0, &payload).unwrap();
-            }
-        }
-        let elapsed = start.elapsed();
-        comm.barrier().unwrap();
-        elapsed
-    })
-    .expect("valid rendezvous config");
-    results[0] / (2 * iters as u32)
-}
-
-// ---------------------------------------------------------------------------
-// Nonblocking overlap (isend/irecv vs blocking send/recv)
-// ---------------------------------------------------------------------------
-
-/// Per-iteration time of a compute+exchange loop between two CPU ranks on
-/// two nodes: each iteration, rank 0 exchanges `size` bytes with rank 1
-/// (send one way, receive the echo) and performs `compute` worth of local
-/// work.
-///
-/// * `nonblocking = false` — the blocking shape `send; recv; compute`: the
-///   wire round trip and the compute serialise, so the iteration costs
-///   roughly `RTT + compute`.
-/// * `nonblocking = true` — the overlapped shape `irecv; isend; compute;
-///   wait; wait`: the compute runs while the message flies, so the
-///   iteration costs roughly `max(RTT, compute)`.
-///
-/// The gap between the two is the compute-hidden latency the nonblocking
-/// subsystem buys.
-pub fn dcgn_isend_overlap_time(
-    size: usize,
-    compute: Duration,
-    nonblocking: bool,
-    cost: CostModel,
-    iters: usize,
-) -> Duration {
-    let config = DcgnConfig::homogeneous(2, 1, 0, 0).with_cost(cost);
-    let runtime = Runtime::new(config).expect("overlap config");
-    let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
-    let m = Arc::clone(&measured);
-
-    runtime
-        .launch_cpu_only(move |ctx| {
-            let me = ctx.rank();
-            let peer = 1 - me;
-            let payload = vec![0xC3u8; size];
-            ctx.barrier().unwrap();
-            let start = Instant::now();
-            for _ in 0..iters {
-                if me == 0 {
-                    if nonblocking {
-                        let recv = ctx.irecv(peer).unwrap();
-                        let send = ctx.isend(peer, &payload).unwrap();
-                        dcgn_simtime::precise_sleep(compute);
-                        let _ = ctx.wait(recv).unwrap();
-                        ctx.wait(send).unwrap();
-                    } else {
-                        ctx.send(peer, &payload).unwrap();
-                        let _ = ctx.recv(peer).unwrap();
-                        dcgn_simtime::precise_sleep(compute);
-                    }
-                } else {
-                    // The echo side runs the same blocking recv+send in both
-                    // variants, so the measured gap comes only from rank 0's
-                    // shape.
-                    let (data, _) = ctx.recv(peer).unwrap();
-                    ctx.send(peer, &data).unwrap();
-                }
-            }
-            if me == 0 {
-                *m.lock() = start.elapsed();
-            }
-            ctx.barrier().unwrap();
-        })
-        .expect("overlap launch");
-    let total = *measured.lock();
-    total / iters as u32
-}
-
-/// Average latency of one blocked `waitany` round trip between two CPU
-/// ranks: rank 0 posts an `irecv`, pings rank 1, then blocks in `waitany`
-/// until the echo lands, so every iteration exercises the blocked-wait
-/// wake-up path (not the already-complete fast path).
-///
-/// With the old fixed 20 µs poll sleep each blocked wait paid at least one
-/// full sleep period, putting a hard >20 µs floor under this number; the
-/// condvar wake from the comm thread removes that floor.
-pub fn dcgn_waitany_time(size: usize, cost: CostModel, iters: usize) -> Duration {
-    dcgn_wait_roundtrip_time(size, cost, iters, None)
-}
-
-/// The same round trip, but rank 0 completes the receive by polling
-/// `test()` with a fixed sleep between probes — the shape `waitany` had
-/// before the event wake.  Measured next to [`dcgn_waitany_time`] under
-/// identical load it isolates what the blocked wake-up is worth, without
-/// depending on absolute timings of the host machine.
-pub fn dcgn_polled_wait_time(
-    size: usize,
-    cost: CostModel,
-    iters: usize,
-    poll_sleep: Duration,
-) -> Duration {
-    dcgn_wait_roundtrip_time(size, cost, iters, Some(poll_sleep))
-}
-
-fn dcgn_wait_roundtrip_time(
-    size: usize,
-    cost: CostModel,
-    iters: usize,
-    poll_sleep: Option<Duration>,
-) -> Duration {
-    let config = DcgnConfig::homogeneous(1, 2, 0, 0).with_cost(cost);
-    let runtime = Runtime::new(config).expect("waitany config");
-    let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
-    let m = Arc::clone(&measured);
-
-    runtime
-        .launch_cpu_only(move |ctx| {
-            let me = ctx.rank();
-            let peer = 1 - me;
-            let payload = vec![0x5Au8; size];
-            ctx.barrier().unwrap();
-            if me == 0 {
-                let start = Instant::now();
-                for _ in 0..iters {
-                    let recv = ctx.irecv(peer).unwrap();
-                    ctx.send(peer, &payload).unwrap();
-                    match poll_sleep {
-                        None => {
-                            let (idx, _) = ctx.waitany(&[recv]).unwrap();
-                            assert_eq!(idx, 0);
-                        }
-                        Some(sleep) => {
-                            while ctx.test(recv).unwrap().is_none() {
-                                std::thread::sleep(sleep);
-                            }
-                        }
-                    }
-                }
-                *m.lock() = start.elapsed();
-            } else {
-                for _ in 0..iters {
-                    let (data, _) = ctx.recv(peer).unwrap();
-                    ctx.send(peer, &data).unwrap();
-                }
-            }
-            ctx.barrier().unwrap();
-        })
-        .expect("waitany launch");
-    let total = *measured.lock();
-    total / iters as u32
-}
-
 // ---------------------------------------------------------------------------
 // Broadcast (Figure 7)
 // ---------------------------------------------------------------------------
@@ -477,97 +235,6 @@ pub fn mpi_broadcast_time(size: usize, cost: CostModel, iters: usize) -> Duratio
 }
 
 // ---------------------------------------------------------------------------
-// Allreduce through the unified exchange engine
-// ---------------------------------------------------------------------------
-
-/// Average time of one `count`-element `f64` allreduce over
-/// `nodes × cpus_per_node` CPU ranks, either across the **world** or inside
-/// a **subgroup** covering every rank (`subgroup = true` splits once with a
-/// single color first).  Both run through the same keyed asynchronous
-/// exchange engine; benchmarking them side by side guards the
-/// world-collective migration against regressions relative to the subgroup
-/// path it joined.
-pub fn dcgn_allreduce_time(
-    nodes: usize,
-    cpus_per_node: usize,
-    subgroup: bool,
-    count: usize,
-    cost: CostModel,
-    iters: usize,
-) -> Duration {
-    let config = DcgnConfig::homogeneous(nodes, cpus_per_node, 0, 0).with_cost(cost);
-    let runtime = Runtime::new(config).expect("allreduce config");
-    let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
-    let m = Arc::clone(&measured);
-    let total_ranks = nodes * cpus_per_node;
-
-    runtime
-        .launch_cpu_only(move |ctx| {
-            let comm = subgroup.then(|| ctx.comm_split(0, 0).unwrap());
-            let data = vec![1.0f64; count];
-            ctx.barrier().unwrap();
-            let start = Instant::now();
-            for _ in 0..iters {
-                let sum = match &comm {
-                    Some(comm) => ctx.allreduce_in(comm, &data, dcgn::ReduceOp::Sum).unwrap(),
-                    None => ctx.allreduce(&data, dcgn::ReduceOp::Sum).unwrap(),
-                };
-                debug_assert_eq!(sum[0], total_ranks as f64);
-            }
-            if ctx.rank() == 0 {
-                *m.lock() = start.elapsed();
-            }
-            ctx.barrier().unwrap();
-        })
-        .expect("allreduce launch");
-    let total = *measured.lock();
-    total / iters as u32
-}
-
-// ---------------------------------------------------------------------------
-// Communicator split + subgroup collective
-// ---------------------------------------------------------------------------
-
-/// Average time for one `comm_split` into `colors` groups followed by a
-/// one-element allreduce inside each resulting subgroup, with
-/// `cpus_per_node × nodes` CPU ranks.  Disjoint subgroups' allreduces run
-/// concurrently, so this measures the keyed-assembly engine end to end.
-pub fn dcgn_comm_split_time(
-    nodes: usize,
-    cpus_per_node: usize,
-    colors: usize,
-    cost: CostModel,
-    iters: usize,
-) -> Duration {
-    let config = DcgnConfig::homogeneous(nodes, cpus_per_node, 0, 0).with_cost(cost);
-    let runtime = Runtime::new(config).expect("comm_split config");
-    let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
-    let m = Arc::clone(&measured);
-
-    runtime
-        .launch_cpu_only(move |ctx| {
-            let rank = ctx.rank();
-            let color = (rank % colors) as u32;
-            ctx.barrier().unwrap();
-            let start = Instant::now();
-            for _ in 0..iters {
-                let comm = ctx.comm_split(color, 0).unwrap();
-                let sum = ctx
-                    .allreduce_in(&comm, &[1.0], dcgn::ReduceOp::Sum)
-                    .unwrap();
-                assert_eq!(sum, vec![comm.size() as f64]);
-            }
-            if rank == 0 {
-                *m.lock() = start.elapsed();
-            }
-            ctx.barrier().unwrap();
-        })
-        .expect("comm_split launch");
-    let total = *measured.lock();
-    total / iters as u32
-}
-
-// ---------------------------------------------------------------------------
 // Barrier (Table 1)
 // ---------------------------------------------------------------------------
 
@@ -645,79 +312,6 @@ pub fn mpi_barrier_time(
     results[0] / iters as u32
 }
 
-// ---------------------------------------------------------------------------
-// Exchange-plan scaling (node-count sweep)
-// ---------------------------------------------------------------------------
-
-/// Which world collective a plan-scaling measurement runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScalingOp {
-    /// Empty up/down frames — pure fan-in/fan-out latency.
-    Barrier,
-    /// Uniform down payload of `size` bytes from rank 0.
-    Broadcast,
-    /// `size / 8` summed `f64` elements per rank.
-    Allreduce,
-}
-
-impl ScalingOp {
-    /// Short label used in benchmark ids ("barrier" / "bcast" / "allreduce").
-    pub fn label(&self) -> &'static str {
-        match self {
-            ScalingOp::Barrier => "barrier",
-            ScalingOp::Broadcast => "bcast",
-            ScalingOp::Allreduce => "allreduce",
-        }
-    }
-}
-
-/// Average time of one world collective on `nodes` nodes (one CPU rank
-/// each) under a forced exchange `plan`, measured at rank 0 after a warm-up
-/// barrier.  The node-count sweep of this harness is what demonstrates the
-/// tree plans' logarithmic fan-out against the star's serialized one.
-pub fn dcgn_plan_collective_time(
-    op: ScalingOp,
-    nodes: usize,
-    size: usize,
-    plan: ExchangePlan,
-    cost: CostModel,
-    iters: usize,
-) -> Duration {
-    let config = DcgnConfig::homogeneous(nodes, 1, 0, 0)
-        .with_cost(cost)
-        .with_exchange_plan(plan);
-    let runtime = Runtime::new(config).expect("plan scaling config");
-    let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
-    let m = Arc::clone(&measured);
-
-    runtime
-        .launch_cpu_only(move |ctx| {
-            let rank = ctx.rank();
-            let count = size.div_ceil(8).max(1);
-            let mut bcast_buf = vec![0x6Du8; size.max(1)];
-            let reduce_in = vec![1.0f64; count];
-            ctx.barrier().unwrap();
-            let start = Instant::now();
-            for _ in 0..iters {
-                match op {
-                    ScalingOp::Barrier => ctx.barrier().unwrap(),
-                    ScalingOp::Broadcast => ctx.broadcast(0, &mut bcast_buf).unwrap(),
-                    ScalingOp::Allreduce => {
-                        let sum = ctx.allreduce(&reduce_in, dcgn::ReduceOp::Sum).unwrap();
-                        assert_eq!(sum[0], nodes as f64);
-                    }
-                }
-            }
-            if rank == 0 {
-                *m.lock() = start.elapsed();
-            }
-            ctx.barrier().unwrap();
-        })
-        .expect("plan scaling launch");
-    let total = *measured.lock();
-    total / iters as u32
-}
-
 /// Format a duration in the unit the paper uses for the given magnitude.
 pub fn format_duration(d: Duration) -> String {
     let us = d.as_secs_f64() * 1e6;
@@ -731,6 +325,186 @@ pub fn format_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Average one-way time for a large-message MPI ping-pong of `size` bytes
+    /// between two ranks on two nodes, under an **explicit** rendezvous
+    /// protocol configuration: `chunk` bytes per `RdvChunk` frame with a
+    /// `window`-chunk credit window, or the whole payload as one chunk when
+    /// `chunk == 0`.  The explicit [`dcgn_rmpi::RdvConfig`]
+    /// (rather than `DCGN_RDV_CHUNK`) keeps an in-process chunked-vs-legacy
+    /// comparison race-free: environment variables are process-global and the
+    /// two arms of the comparison run in one test process.
+    fn mpi_large_send_time(
+        size: usize,
+        chunk: usize,
+        window: usize,
+        cost: CostModel,
+        iters: usize,
+    ) -> Duration {
+        let rdv = dcgn_rmpi::RdvConfig::new(cost.eager_threshold)
+            .with_chunk_bytes(chunk)
+            .with_window(window);
+        let results =
+            MpiWorld::run_with(&RankPlacement::block(2, 1), cost, rdv, move |mut comm| {
+                let me = comm.rank();
+                let peer = 1 - me;
+                let payload = vec![0xA5u8; size];
+                comm.barrier().unwrap();
+                let start = Instant::now();
+                for _ in 0..iters {
+                    if me == 0 {
+                        comm.send(peer, 0, &payload).unwrap();
+                        let _ = comm.recv(Some(peer), Some(0)).unwrap();
+                    } else {
+                        let _ = comm.recv(Some(peer), Some(0)).unwrap();
+                        comm.send(peer, 0, &payload).unwrap();
+                    }
+                }
+                let elapsed = start.elapsed();
+                comm.barrier().unwrap();
+                elapsed
+            })
+            .expect("valid rendezvous config");
+        results[0] / (2 * iters as u32)
+    }
+
+    /// Per-iteration time of a compute+exchange loop between two CPU ranks on
+    /// two nodes: each iteration, rank 0 exchanges `size` bytes with rank 1
+    /// (send one way, receive the echo) and performs `compute` worth of local
+    /// work.
+    ///
+    /// * `nonblocking = false` — the blocking shape `send; recv; compute`: the
+    ///   wire round trip and the compute serialise, so the iteration costs
+    ///   roughly `RTT + compute`.
+    /// * `nonblocking = true` — the overlapped shape `irecv; isend; compute;
+    ///   wait; wait`: the compute runs while the message flies, so the
+    ///   iteration costs roughly `max(RTT, compute)`.
+    ///
+    /// The gap between the two is the compute-hidden latency the nonblocking
+    /// subsystem buys.
+    fn dcgn_isend_overlap_time(
+        size: usize,
+        compute: Duration,
+        nonblocking: bool,
+        cost: CostModel,
+        iters: usize,
+    ) -> Duration {
+        let config = DcgnConfig::homogeneous(2, 1, 0, 0).with_cost(cost);
+        let runtime = Runtime::new(config).expect("overlap config");
+        let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
+        let m = Arc::clone(&measured);
+
+        runtime
+            .launch_cpu_only(move |ctx| {
+                let me = ctx.rank();
+                let peer = 1 - me;
+                let payload = vec![0xC3u8; size];
+                ctx.barrier().unwrap();
+                let start = Instant::now();
+                for _ in 0..iters {
+                    if me == 0 {
+                        if nonblocking {
+                            let recv = ctx.irecv(peer).unwrap();
+                            let send = ctx.isend(peer, &payload).unwrap();
+                            dcgn_simtime::precise_sleep(compute);
+                            let _ = ctx.wait(recv).unwrap();
+                            ctx.wait(send).unwrap();
+                        } else {
+                            ctx.send(peer, &payload).unwrap();
+                            let _ = ctx.recv(peer).unwrap();
+                            dcgn_simtime::precise_sleep(compute);
+                        }
+                    } else {
+                        // The echo side runs the same blocking recv+send in both
+                        // variants, so the measured gap comes only from rank 0's
+                        // shape.
+                        let (data, _) = ctx.recv(peer).unwrap();
+                        ctx.send(peer, &data).unwrap();
+                    }
+                }
+                if me == 0 {
+                    *m.lock() = start.elapsed();
+                }
+                ctx.barrier().unwrap();
+            })
+            .expect("overlap launch");
+        let total = *measured.lock();
+        total / iters as u32
+    }
+
+    /// Average latency of one blocked `waitany` round trip between two CPU
+    /// ranks: rank 0 posts an `irecv`, pings rank 1, then blocks in `waitany`
+    /// until the echo lands, so every iteration exercises the blocked-wait
+    /// wake-up path (not the already-complete fast path).
+    ///
+    /// With the old fixed 20 µs poll sleep each blocked wait paid at least one
+    /// full sleep period, putting a hard >20 µs floor under this number; the
+    /// condvar wake from the comm thread removes that floor.
+    fn dcgn_waitany_time(size: usize, cost: CostModel, iters: usize) -> Duration {
+        dcgn_wait_roundtrip_time(size, cost, iters, None)
+    }
+
+    /// The same round trip, but rank 0 completes the receive by polling
+    /// `test()` with a fixed sleep between probes — the shape `waitany` had
+    /// before the event wake.  Measured next to [`dcgn_waitany_time`] under
+    /// identical load it isolates what the blocked wake-up is worth, without
+    /// depending on absolute timings of the host machine.
+    fn dcgn_polled_wait_time(
+        size: usize,
+        cost: CostModel,
+        iters: usize,
+        poll_sleep: Duration,
+    ) -> Duration {
+        dcgn_wait_roundtrip_time(size, cost, iters, Some(poll_sleep))
+    }
+
+    fn dcgn_wait_roundtrip_time(
+        size: usize,
+        cost: CostModel,
+        iters: usize,
+        poll_sleep: Option<Duration>,
+    ) -> Duration {
+        let config = DcgnConfig::homogeneous(1, 2, 0, 0).with_cost(cost);
+        let runtime = Runtime::new(config).expect("waitany config");
+        let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
+        let m = Arc::clone(&measured);
+
+        runtime
+            .launch_cpu_only(move |ctx| {
+                let me = ctx.rank();
+                let peer = 1 - me;
+                let payload = vec![0x5Au8; size];
+                ctx.barrier().unwrap();
+                if me == 0 {
+                    let start = Instant::now();
+                    for _ in 0..iters {
+                        let recv = ctx.irecv(peer).unwrap();
+                        ctx.send(peer, &payload).unwrap();
+                        match poll_sleep {
+                            None => {
+                                let (idx, _) = ctx.waitany(&[recv]).unwrap();
+                                assert_eq!(idx, 0);
+                            }
+                            Some(sleep) => {
+                                while ctx.test(recv).unwrap().is_none() {
+                                    std::thread::sleep(sleep);
+                                }
+                            }
+                        }
+                    }
+                    *m.lock() = start.elapsed();
+                } else {
+                    for _ in 0..iters {
+                        let (data, _) = ctx.recv(peer).unwrap();
+                        ctx.send(peer, &data).unwrap();
+                    }
+                }
+                ctx.barrier().unwrap();
+            })
+            .expect("waitany launch");
+        let total = *measured.lock();
+        total / iters as u32
+    }
 
     /// The four wall-clock ratio tests below each compare two timed runs; on
     /// a 2-vCPU host they perturb each other when `cargo test` runs them on
@@ -754,7 +528,6 @@ mod tests {
         assert!(dcgn_send_time(64, EndpointKind::Cpu, EndpointKind::Cpu, cost, 2) > Duration::ZERO);
         assert!(mpi_barrier_time(2, 1, cost, 2) > Duration::ZERO);
         assert!(dcgn_barrier_time(1, 2, 0, cost, 2) > Duration::ZERO);
-        assert!(dcgn_comm_split_time(2, 2, 2, cost, 2) > Duration::ZERO);
     }
 
     #[test]

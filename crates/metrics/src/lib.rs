@@ -15,13 +15,15 @@
 //! any locking: the hot path touches only relaxed atomics.  A handle can
 //! also be **disabled** ([`MetricsHandle::disabled`]), in which case every
 //! instrument it hands out is a no-op — the branch on an `Option` is the
-//! entire overhead, which the `metrics_overhead` micro-bench guards.
+//! entire overhead.  The repository benchmark's `metrics.counter_inc_ns`
+//! probe times an enabled counter's increment.
 //!
 //! [`MetricsHandle::snapshot`] produces a point-in-time [`MetricsSnapshot`]:
-//! sorted name → value maps that serialize to (and parse from) the same
-//! hand-rolled JSON style as `BENCH_pr3.json`, support subtraction
-//! ([`MetricsSnapshot::delta_since`]) for per-benchmark attribution, and
-//! can merge per-node instrument instances into stack-wide totals
+//! sorted name → value maps that serialize to (and parse from) a small JSON
+//! object of `counters`, `gauges` and `histograms`, one entry per line with
+//! integer values ([`MetricsSnapshot::to_json`]), support subtraction
+//! ([`MetricsSnapshot::delta_since`]) for per-run attribution, and can merge
+//! per-node instrument instances into stack-wide totals
 //! ([`MetricsSnapshot::aggregated`]).
 //!
 //! Naming convention: dot-separated, lowest layer first, with per-instance
@@ -473,9 +475,10 @@ impl MetricsSnapshot {
         agg
     }
 
-    /// Serialize in the repository's hand-rolled JSON style (the
-    /// `BENCH_pr3.json` dialect): one entry per line, sorted names,
-    /// integers only.
+    /// Serialize as one JSON object with three sections, `counters`
+    /// (name → integer), `gauges` (name → `{ value, high_water }`) and
+    /// `histograms` (name → `{ count, sum, max, p50, p90, p99 }`): one
+    /// entry per line, sorted names, integers only.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         let mut first = true;
