@@ -13,7 +13,7 @@ use std::time::Duration;
 use dcgn::{CostModel, DcgnConfig, DcgnError, NodeConfig, Runtime};
 use dcgn_dpm::{Device, DeviceConfig};
 use dcgn_rmpi::{MpiWorld, RankPlacement};
-use dcgn_simtime::Stopwatch;
+use dcgn_simtime::Clock;
 use parking_lot::Mutex;
 
 /// Deterministic test matrices: `A[i][j]` and `B[i][j]` as simple functions
@@ -172,8 +172,7 @@ pub fn run_dcgn_gpu(
     let result: Arc<Mutex<Option<Vec<f32>>>> = Arc::new(Mutex::new(None));
     let result_master = Arc::clone(&result);
 
-    let sw = Stopwatch::start();
-    runtime.launch_with_gpu_setup(
+    let report = runtime.launch_with_gpu_setup(
         // Master: collect the C blocks and assemble the full matrix.
         move |ctx| {
             if ctx.rank() != 0 {
@@ -273,7 +272,7 @@ pub fn run_dcgn_gpu(
         },
         |_setup, _buffers| {},
     )?;
-    let elapsed = sw.elapsed();
+    let elapsed = report.elapsed;
     let c = result
         .lock()
         .take()
@@ -296,7 +295,8 @@ pub fn run_gas(n: usize, p: usize, num_nodes: usize, cost: CostModel) -> CannonR
     let block_bytes = bs * bs * 4;
     // Rank 0 is the master, ranks 1..=p are workers.
     let placement = RankPlacement::round_robin(num_nodes, p + 1);
-    let sw = Stopwatch::start();
+    let clock = Clock::from(cost);
+    let start = clock.now();
     let results = MpiWorld::run(&placement, cost, move |mut comm| {
         if comm.rank() == 0 {
             let mut c = vec![0.0f32; n * n];
@@ -362,7 +362,7 @@ pub fn run_gas(n: usize, p: usize, num_nodes: usize, cost: CostModel) -> CannonR
             None
         }
     });
-    let elapsed = sw.elapsed();
+    let elapsed = clock.elapsed(start);
     let c = results.into_iter().flatten().next().expect("master result");
     CannonRun {
         c,

@@ -15,7 +15,7 @@ use std::time::Duration;
 use dcgn::{CostModel, DcgnConfig, DcgnError, NodeConfig, Runtime};
 use dcgn_dpm::{Device, DeviceConfig};
 use dcgn_rmpi::{MpiWorld, RankPlacement};
-use dcgn_simtime::Stopwatch;
+use dcgn_simtime::Clock;
 use parking_lot::Mutex;
 
 /// Shared slot the master rank deposits the rendered image and per-strip
@@ -163,7 +163,6 @@ pub fn run_dcgn_gpu(
     let result_for_master = Arc::clone(&result);
     let strip_bytes = 12 + params.strip_rows * params.width * 4;
 
-    let sw = Stopwatch::start();
     let report = runtime.launch_with_gpu_setup(
         // ---------------- master (CPU rank 0) ----------------
         move |ctx| {
@@ -266,8 +265,7 @@ pub fn run_dcgn_gpu(
         |_setup, _bufs| {},
     )?;
 
-    let elapsed = sw.elapsed();
-    let _ = report;
+    let elapsed = report.elapsed;
     let (image, strip_owner) = result
         .lock()
         .take()
@@ -295,7 +293,8 @@ pub fn run_gas(
     // Rank 0 is the master; workers are ranks 1..=num_workers.
     let placement = RankPlacement::round_robin(num_nodes, num_workers + 1);
     let params = Arc::new(params);
-    let sw = Stopwatch::start();
+    let clock = Clock::from(cost);
+    let start = clock.now();
     let results = MpiWorld::run(&placement, cost, {
         let params = Arc::clone(&params);
         move |mut comm| {
@@ -361,7 +360,7 @@ pub fn run_gas(
             }
         }
     });
-    let elapsed = sw.elapsed();
+    let elapsed = clock.elapsed(start);
     let (image, strip_owner) = results
         .into_iter()
         .flatten()

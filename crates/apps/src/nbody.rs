@@ -14,7 +14,7 @@ use std::time::Duration;
 use dcgn::{CostModel, DcgnConfig, DcgnError, NodeConfig, Runtime};
 use dcgn_dpm::{Device, DeviceConfig};
 use dcgn_rmpi::{MpiWorld, RankPlacement};
-use dcgn_simtime::Stopwatch;
+use dcgn_simtime::Clock;
 use parking_lot::Mutex;
 
 /// State of one body: position, velocity and mass.
@@ -192,8 +192,7 @@ pub fn run_dcgn_gpu(
     let result_master = Arc::clone(&result);
     let initial = Arc::new(initial_bodies(n));
 
-    let sw = Stopwatch::start();
-    runtime.launch_with_gpu_setup(
+    let report = runtime.launch_with_gpu_setup(
         // Master (CPU rank 0): participates in every broadcast so it always
         // holds the current state; stores the final result.
         move |ctx| {
@@ -255,7 +254,7 @@ pub fn run_dcgn_gpu(
         },
         |_setup, _buffers| {},
     )?;
-    let elapsed = sw.elapsed();
+    let elapsed = report.elapsed;
     let bodies = result
         .lock()
         .take()
@@ -271,7 +270,8 @@ pub fn run_dcgn_gpu(
 /// broadcasts of each worker's share between launches.
 pub fn run_gas(n: usize, p: usize, num_nodes: usize, steps: usize, cost: CostModel) -> NbodyRun {
     let placement = RankPlacement::round_robin(num_nodes, p);
-    let sw = Stopwatch::start();
+    let clock = Clock::from(cost);
+    let start = clock.now();
     let results = MpiWorld::run(&placement, cost, move |mut comm| {
         let worker = comm.rank();
         let my_range = share(n, p, worker);
@@ -326,7 +326,7 @@ pub fn run_gas(n: usize, p: usize, num_nodes: usize, steps: usize, cost: CostMod
             None
         }
     });
-    let elapsed = sw.elapsed();
+    let elapsed = clock.elapsed(start);
     let bodies = results
         .into_iter()
         .flatten()

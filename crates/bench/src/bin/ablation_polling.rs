@@ -6,6 +6,7 @@
 use std::time::Duration;
 
 use dcgn::{CostModel, DcgnConfig, DevicePtr, GpuCtx, LaunchReport, Runtime};
+use dcgn_simtime::Clock;
 
 /// Ping-pong `iters` round trips between two single-slot GPUs, returning the
 /// average one-way latency and the launch report.
@@ -14,6 +15,7 @@ fn gpu_pingpong(cost: CostModel, iters: u32) -> (Duration, LaunchReport) {
     let runtime = Runtime::new(config).expect("config");
     let measured = std::sync::Arc::new(parking_lot::Mutex::new(Duration::ZERO));
     let m = std::sync::Arc::clone(&measured);
+    let clock = Clock::from(cost);
     let report = runtime
         .launch_gpu_only(move |ctx: &GpuCtx| {
             if ctx.block().block_id() != 0 {
@@ -24,7 +26,7 @@ fn gpu_pingpong(cost: CostModel, iters: u32) -> (Duration, LaunchReport) {
             let buf = DevicePtr::NULL.add(32 * 1024);
             ctx.block().write(buf, &[1u8; 64]);
             ctx.barrier(SLOT);
-            let start = std::time::Instant::now();
+            let start = clock.now();
             for _ in 0..iters {
                 if me == 0 {
                     ctx.send(SLOT, 1, buf, 64);
@@ -35,7 +37,7 @@ fn gpu_pingpong(cost: CostModel, iters: u32) -> (Duration, LaunchReport) {
                 }
             }
             if me == 0 {
-                *m.lock() = start.elapsed() / (2 * iters);
+                *m.lock() = clock.elapsed(start) / (2 * iters);
             }
             ctx.barrier(SLOT);
         })

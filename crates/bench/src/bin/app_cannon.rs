@@ -6,7 +6,7 @@
 
 use dcgn::CostModel;
 use dcgn_apps::cannon::{matmul_reference, run_dcgn_gpu, run_gas};
-use dcgn_simtime::Stopwatch;
+use dcgn_simtime::Clock;
 
 fn main() {
     let n = 192;
@@ -15,9 +15,10 @@ fn main() {
     let cost = CostModel::fast();
 
     // Sequential single-worker baseline for the efficiency denominator.
-    let sw = Stopwatch::start();
+    let clock = Clock::from(cost);
+    let start = clock.now();
     let _reference = matmul_reference(n);
-    let t1 = sw.elapsed();
+    let t1 = clock.elapsed(start);
 
     let dcgn = run_dcgn_gpu(n, p, nodes, cost).expect("dcgn cannon");
     let gas = run_gas(n, p, nodes, cost);

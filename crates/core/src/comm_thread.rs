@@ -25,7 +25,7 @@ use crossbeam::channel::{Receiver, Sender};
 use dcgn_metrics::{Counter, Gauge, MetricsHandle};
 use dcgn_netsim::Payload;
 use dcgn_rmpi::{Communicator, Request as MpiRequest, TAG_EXCHANGE};
-use dcgn_simtime::CostModel;
+use dcgn_simtime::{Charge, Clock};
 
 use crate::config::ExchangePlan;
 use crate::error::{DcgnError, Result};
@@ -121,7 +121,7 @@ pub(crate) struct CommThread {
     rank_map: Arc<RankMap>,
     net: Substrate,
     work_rx: Receiver<CommCommand>,
-    cost: CostModel,
+    clock: Clock,
 
     /// Persistent wildcard receive for inter-node point-to-point frames.
     catchall: Option<MpiRequest>,
@@ -148,7 +148,7 @@ impl CommThread {
         comm: Communicator,
         work_rx: Receiver<CommCommand>,
         work_tx: Sender<CommCommand>,
-        cost: CostModel,
+        clock: Clock,
         forced_plan: Option<ExchangePlan>,
         metrics: &MetricsHandle,
     ) -> Self {
@@ -164,14 +164,14 @@ impl CommThread {
             Matcher::new(metrics.histogram(&format!("comm.matcher.wildcard_scan.node{node}")));
         CommThread {
             node,
-            engine: Engine::new(node, Arc::clone(&rank_map), cost, forced_plan, metrics),
+            engine: Engine::new(node, Arc::clone(&rank_map), &clock, forced_plan, metrics),
             rank_map,
             net: Substrate {
                 comm,
                 outstanding_isends: Vec::new(),
             },
             work_rx,
-            cost,
+            clock,
             catchall: None,
             exchange_recv: None,
             matcher,
@@ -240,7 +240,8 @@ impl CommThread {
             //    notifier, so this is an event wait; the timeout is only a
             //    safety net.
             if !did_work {
-                match self.work_rx.recv_timeout(IDLE_FALLBACK) {
+                let idle = self.clock.deadline(IDLE_FALLBACK);
+                match self.clock.recv_until(&self.work_rx, idle) {
                     Ok(cmd) => self.handle_command(cmd)?,
                     Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                     Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
@@ -270,11 +271,13 @@ impl CommThread {
             // Receiving a command costs one hop through the thread-safe
             // queue — a whole GPU-sweep batch pays it once, not per request.
             CommCommand::Request(req) => {
-                self.cost.charge_queue_hop();
+                self.clock
+                    .charge(Charge::QueueHop, self.clock.model().queue_hop);
                 self.dispatch_request(req)
             }
             CommCommand::Batch(reqs) => {
-                self.cost.charge_queue_hop();
+                self.clock
+                    .charge(Charge::QueueHop, self.clock.model().queue_hop);
                 for req in reqs {
                     self.dispatch_request(req)?;
                 }
@@ -379,7 +382,8 @@ impl CommThread {
     fn deliver_match(&mut self, msg: IncomingMsg, recv: PendingRecv) {
         // The local copy from the sender's buffer to the receiver's buffer
         // (or staging buffer, for GPU-bound data).
-        self.cost.intra_node.charge(msg.data.len());
+        let copy = self.clock.model().intra_node.transfer_time(msg.data.len());
+        self.clock.charge(Charge::IntraNode, copy);
         let status = CommStatus {
             source: msg.src,
             tag: msg.tag,

@@ -15,12 +15,12 @@
 //! table, and its reply arrives in the rank's one completion inbox.
 
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::Sender;
 use dcgn_netsim::Payload;
 use dcgn_rmpi::{ReduceElement, ReduceOp};
-use dcgn_simtime::CostModel;
+use dcgn_simtime::{Charge, Clock};
 
 use crate::error::{DcgnError, Result};
 use crate::group::{self, Comm, CommId};
@@ -142,7 +142,7 @@ pub struct CpuCtx {
     rank: usize,
     rank_map: Arc<RankMap>,
     work_tx: Sender<CommCommand>,
-    cost: CostModel,
+    clock: Clock,
     request_timeout: Duration,
     /// Built once so the world-collective wrappers don't allocate a member
     /// table per call.
@@ -161,7 +161,7 @@ impl CpuCtx {
         rank: usize,
         rank_map: Arc<RankMap>,
         work_tx: Sender<CommCommand>,
-        cost: CostModel,
+        clock: Clock,
         request_timeout: Duration,
         metrics: dcgn_metrics::MetricsHandle,
     ) -> Self {
@@ -170,7 +170,7 @@ impl CpuCtx {
             rank,
             rank_map,
             work_tx,
-            cost,
+            clock,
             request_timeout,
             metrics,
             world,
@@ -228,7 +228,8 @@ impl CpuCtx {
         let (handle, reply_to) = table.insert(what);
         // Crossing the thread-safe work queue is one of the overheads the
         // paper measures; charge it explicitly.
-        self.cost.charge_queue_hop();
+        self.clock
+            .charge(Charge::QueueHop, self.clock.model().queue_hop);
         let request = Request {
             src_rank: self.rank,
             kind,
@@ -257,7 +258,7 @@ impl CpuCtx {
         if let Some(&dead) = wanted.iter().find(|h| table.live_mut(h.token()).is_none()) {
             return Err(stale_handle_error(self.rank, dead));
         }
-        let deadline = Instant::now() + wait;
+        let deadline = self.clock.deadline(wait);
         loop {
             let answered = wanted.iter().enumerate().find_map(|(i, handle)| {
                 let entry = table.live_mut(handle.token())?;
@@ -265,12 +266,12 @@ impl CpuCtx {
             });
             if let Some((i, what, reply)) = answered {
                 // The reply crossed the work queue in the other direction.
-                self.cost.charge_queue_hop();
+                self.clock
+                    .charge(Charge::QueueHop, self.clock.model().queue_hop);
                 table.remove(wanted[i]);
                 return Ok(Some((i, what, reply)));
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            let Some((token, reply)) = table.inbox.recv_timeout(left) else {
+            let Some((token, reply)) = table.inbox.recv_until(&self.clock, deadline) else {
                 return Ok(None);
             };
             if let Some(entry) = table.live_mut(token) {
@@ -821,6 +822,8 @@ mod tests {
     use super::*;
     use crate::config::DcgnConfig;
     use crossbeam::channel::{unbounded, Receiver};
+    use dcgn_simtime::CostModel;
+    use std::time::Instant;
 
     /// Rank 0's context wired to a plain channel standing in for the comm
     /// thread.
@@ -828,8 +831,8 @@ mod tests {
         let rank_map = Arc::new(RankMap::new(&DcgnConfig::homogeneous(1, 2, 0, 0)));
         let (work_tx, work_rx) = unbounded();
         let metrics = dcgn_metrics::MetricsHandle::new();
-        let cost = CostModel::zero();
-        let ctx = CpuCtx::new(0, rank_map, work_tx, cost, request_timeout, metrics);
+        let clock = Clock::new(CostModel::zero(), &metrics);
+        let ctx = CpuCtx::new(0, rank_map, work_tx, clock, request_timeout, metrics);
         (ctx, work_rx)
     }
 

@@ -53,7 +53,7 @@ mod ops;
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dcgn_metrics::{Counter, Gauge, Histogram, MetricsHandle};
 use dcgn_netsim::Payload;
@@ -65,7 +65,7 @@ use dcgn_rmpi::{
     frame_exchange, parse_exchange_header, ExchangeId, EXCHANGE_HEADER_BYTES, PHASE_ABORT,
     PHASE_DOWN, PHASE_RING_BASE, PHASE_UP, TAG_EXCHANGE,
 };
-use dcgn_simtime::CostModel;
+use dcgn_simtime::{Clock, Stamp};
 
 use crate::comm_thread::Substrate;
 use crate::config::ExchangePlan;
@@ -112,7 +112,7 @@ struct Exchange {
     machine: Machine,
     /// When this node entered the exchange; successful delivery records the
     /// elapsed time in the per-`(comm, kind, plan)` latency histogram.
-    started: Instant,
+    started: Stamp,
 }
 
 /// Fail every joined rank of an abandoned or erroneous collective.
@@ -205,7 +205,7 @@ impl ExchangeMetrics {
 pub(crate) struct Engine {
     node: usize,
     rank_map: Arc<RankMap>,
-    cost: CostModel,
+    clock: Clock,
     /// Communicator groups known to this node (world plus every split
     /// product with a resident member).
     groups: HashMap<CommId, CommGroup>,
@@ -229,7 +229,7 @@ impl Engine {
     pub(crate) fn new(
         node: usize,
         rank_map: Arc<RankMap>,
-        cost: CostModel,
+        clock: &Clock,
         forced_plan: Option<ExchangePlan>,
         metrics: &MetricsHandle,
     ) -> Self {
@@ -242,7 +242,7 @@ impl Engine {
         Engine {
             node,
             rank_map,
-            cost,
+            clock: clock.clone(),
             groups: HashMap::from([(CommId::WORLD, world)]),
             exchanges: HashMap::new(),
             early_frames: HashMap::new(),
@@ -353,7 +353,7 @@ impl Engine {
             joined,
             plan,
             machine,
-            started: Instant::now(),
+            started: self.clock.now(),
         };
         self.exchanges.insert(key, exchange);
         self.run_actions(net, key, actions)?;
@@ -466,7 +466,7 @@ impl Engine {
                 }
                 Action::Deliver(payload) => {
                     if let Some(ex) = self.exchanges.remove(&key) {
-                        let elapsed = ex.started.elapsed();
+                        let elapsed = self.clock.elapsed(ex.started);
                         self.metrics
                             .record_latency(key.comm, ex.id.kind, ex.plan, elapsed);
                         self.deliver(key.comm, ex.id, ex.joined, payload)?;
@@ -542,7 +542,7 @@ mod tests {
             joined: vec![(2, inbox.reply_to((2, 1)))],
             plan: ExchangePlan::Star,
             machine,
-            started: Instant::now(),
+            started: dcgn_simtime::Clock::from(dcgn_simtime::CostModel::zero()).now(),
         });
         let replies = inbox.drain();
         for (rank, (token, reply)) in replies.iter().enumerate() {

@@ -13,6 +13,7 @@ use dcgn_rmpi::exchange::{
     CollectiveId, CollectiveKind,
 };
 use dcgn_rmpi::frame_reduce;
+use dcgn_simtime::Charge;
 
 use super::Engine;
 use crate::error::{DcgnError, Result};
@@ -224,7 +225,9 @@ impl Engine {
                 )),
             };
             if !matches!(result, CollectiveResult::Unit) && Some(rank) != source {
-                self.cost.intra_node.charge(result_payload_len(&result));
+                let len = result_payload_len(&result);
+                let copy = self.clock.model().intra_node.transfer_time(len);
+                self.clock.charge(Charge::IntraNode, copy);
             }
             reply_to.complete(Reply::CollectiveDone(result));
         }

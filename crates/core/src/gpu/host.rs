@@ -6,13 +6,13 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::Sender;
 use dcgn_dpm::{Device, DevicePtr, KernelHandle};
 use dcgn_metrics::{Counter, MetricsHandle};
 use dcgn_netsim::{Payload, PayloadBuf};
-use dcgn_simtime::CostModel;
+use dcgn_simtime::{Charge, Clock, Deadline};
 
 use super::mailbox::{
     decode_reduce_word, error_code, in_device_memory, mailbox_error, mailbox_region_bytes, opcode,
@@ -134,7 +134,7 @@ pub(crate) struct GpuKernelThread {
     pub device: Arc<Device>,
     pub layout: GpuLayout,
     pub work_tx: Sender<CommCommand>,
-    pub cost: CostModel,
+    pub clock: Clock,
     pub metrics: GpuThreadMetrics,
     /// Where every reply to a relayed request lands, tagged with the
     /// `(slot, record)` the request completes into.
@@ -453,13 +453,15 @@ impl GpuKernelThread {
     /// The one place this thread receives from its inbox: wait up to `wait`
     /// for a reply — whichever request's lands first — then file it, and
     /// whatever else has arrived, under the pending op its token names.
-    fn collect(&self, pending: &mut HashMap<PendingKey, PendingOp>, mut wait: Duration) {
-        while let Some(((slot, record), reply)) = self.inbox.recv_timeout(wait) {
+    fn collect(&self, pending: &mut HashMap<PendingKey, PendingOp>, wait: Duration) {
+        let deadline = self.clock.deadline(wait);
+        let mut next = self.inbox.recv_until(&self.clock, deadline);
+        while let Some(((slot, record), reply)) = next {
             if let Some(op) = pending.get_mut(&(slot as usize, record as usize)) {
                 op.replies.push(reply);
                 op.awaiting -= 1;
             }
-            wait = Duration::ZERO;
+            next = self.inbox.try_recv();
         }
     }
 
@@ -479,7 +481,8 @@ impl GpuKernelThread {
             .filter_map(|(&key, op)| (op.awaiting == 0).then_some(key))
             .collect();
         for &key in &done {
-            self.cost.charge_queue_hop();
+            self.clock
+                .charge(Charge::QueueHop, self.clock.model().queue_hop);
             let mut op = pending.remove(&key).expect("selected above");
             self.complete(key, &mut op)?;
         }
@@ -535,7 +538,8 @@ impl GpuKernelThread {
             // The whole harvest crosses the work queue as one command.  A
             // comm thread that is gone hands it back: dropping it answers
             // every request in it `ShuttingDown`.
-            self.cost.charge_queue_hop();
+            self.clock
+                .charge(Charge::QueueHop, self.clock.model().queue_hop);
             let _ = self.work_tx.send(CommCommand::Batch(batch));
         }
         Ok(true)
@@ -567,7 +571,8 @@ impl GpuKernelThread {
         /// an `irecv` nothing will ever match) must not hang the launch.
         const ABANDONED_GRACE: Duration = Duration::from_secs(5);
 
-        let started = Instant::now();
+        let poll_interval = self.clock.model().poll_interval;
+        let started = self.clock.now();
         let mut busy = Duration::ZERO;
         // The registry accumulates across launches; a baseline taken here
         // keeps the returned per-launch stats delta-based.
@@ -575,14 +580,16 @@ impl GpuKernelThread {
             .metrics
             .stats(&self.layout, Duration::ZERO, Duration::ZERO);
         let mut pending: HashMap<PendingKey, PendingOp> = HashMap::new();
-        let mut retired_at: Option<Instant> = None;
+        // Set once the kernel retires with requests still pending, and
+        // pushed back by every sweep that makes progress on them.
+        let mut give_up: Option<Deadline> = None;
 
         loop {
             if pending.is_empty() {
                 // Sleep-based polling: the CPU deliberately yields between
                 // sweeps, trading request-discovery latency for host CPU
                 // load (§3.2.3).
-                dcgn_simtime::precise_sleep(self.cost.poll_interval);
+                self.clock.charge(Charge::Poll, poll_interval);
             } else {
                 // Requests are in flight with the comm thread: block on the
                 // inbox (a true wait, not a spin) so completions are written
@@ -590,12 +597,12 @@ impl GpuKernelThread {
                 // handles a picked-up request synchronously — while still
                 // sweeping for newly published requests at least once per
                 // interval.
-                self.collect(&mut pending, self.cost.poll_interval);
+                self.collect(&mut pending, poll_interval);
             }
-            let sweep_start = Instant::now();
+            let sweep_start = self.clock.now();
             self.metrics.polls.inc();
             let retired = self.pass(|| handle.is_done(), &mut pending)?;
-            busy += sweep_start.elapsed();
+            busy += self.clock.elapsed(sweep_start);
 
             if let Some(did_work) = retired {
                 if pending.is_empty() {
@@ -605,10 +612,11 @@ impl GpuKernelThread {
                 } else {
                     // Only nonblocking requests can outlive the kernel (a
                     // blocking call pins its block until completion).
-                    let since = *retired_at.get_or_insert_with(Instant::now);
+                    let grace =
+                        *give_up.get_or_insert_with(|| self.clock.deadline(ABANDONED_GRACE));
                     if did_work {
-                        retired_at = Some(Instant::now());
-                    } else if since.elapsed() > ABANDONED_GRACE {
+                        give_up = Some(self.clock.deadline(ABANDONED_GRACE));
+                    } else if self.clock.passed(grace) {
                         return Err(DcgnError::Internal(format!(
                             "GPU {}:{} kernel retired with {} abandoned nonblocking \
                              request(s) that never completed",
@@ -620,7 +628,8 @@ impl GpuKernelThread {
                 }
             }
         }
-        let now = self.metrics.stats(&self.layout, busy, started.elapsed());
+        let elapsed = self.clock.elapsed(started);
+        let now = self.metrics.stats(&self.layout, busy, elapsed);
         Ok(GpuPollStats {
             polls: now.polls - before.polls,
             requests: now.requests - before.requests,
@@ -634,8 +643,10 @@ impl GpuKernelThread {
 mod tests {
     use std::collections::VecDeque;
     use std::ops::Range;
+    use std::time::Instant;
 
     use dcgn_dpm::DeviceConfig;
+    use dcgn_simtime::CostModel;
 
     use super::super::device::{self, DeviceMemory, GpuRequest};
     use super::super::mailbox::{req_word, MAILBOX_REQS_PER_SLOT, REQ_GEN_MASK};
@@ -706,7 +717,7 @@ mod tests {
                 },
                 device,
                 work_tx,
-                cost: CostModel::zero(),
+                clock: Clock::from(CostModel::zero()),
                 metrics: GpuThreadMetrics::new(&MetricsHandle::new(), 0, 0),
                 inbox: Inbox::new(),
                 region: RefCell::default(),

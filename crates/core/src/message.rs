@@ -8,13 +8,12 @@
 //! body, so the body bytes are written once, never move on their way to the
 //! wire, and sit at offset 0 of the allocation the receiver hands out.
 
-use std::time::Duration;
-
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
 
 use dcgn_netsim::buffer::ENVELOPE_BYTES;
 use dcgn_netsim::Payload;
+use dcgn_simtime::{Clock, Deadline};
 
 use crate::error::DcgnError;
 use crate::group::CommId;
@@ -215,10 +214,14 @@ impl Inbox {
         }
     }
 
-    /// The next reply, waiting up to `timeout` for it (zero: only what has
-    /// already arrived).
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<(Token, Reply)> {
-        self.rx.recv_timeout(timeout).ok()
+    /// The next reply, waiting on `clock` until `deadline` at most.
+    pub(crate) fn recv_until(&self, clock: &Clock, deadline: Deadline) -> Option<(Token, Reply)> {
+        clock.recv_until(&self.rx, deadline).ok()
+    }
+
+    /// The next reply if one has already arrived.
+    pub(crate) fn try_recv(&self) -> Option<(Token, Reply)> {
+        self.rx.try_recv().ok()
     }
 }
 
@@ -301,7 +304,7 @@ pub(crate) fn decode_p2p(wire: Payload) -> Result<(usize, usize, u32, Payload), 
 impl Inbox {
     /// Every reply that has arrived, for tests counting them.
     pub(crate) fn drain(&self) -> Vec<(Token, Reply)> {
-        std::iter::from_fn(|| self.recv_timeout(Duration::ZERO)).collect()
+        std::iter::from_fn(|| self.try_recv()).collect()
     }
 }
 

@@ -7,13 +7,14 @@
 //! tears everything down.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Sender};
 use dcgn_dpm::{Device, Dim, DmaMetrics};
 use dcgn_metrics::MetricsSnapshot;
 use dcgn_netsim::Cluster;
 use dcgn_rmpi::{MpiWorld, RankPlacement};
+use dcgn_simtime::Clock;
 
 use crate::comm_thread::CommThread;
 use crate::config::DcgnConfig;
@@ -132,10 +133,12 @@ impl Runtime {
         F: Fn(&GpuSetupCtx, &T) + Send + Sync + 'static,
         T: Send + Sync + 'static,
     {
-        let started = Instant::now();
-        let num_nodes = self.config.num_nodes();
-        let cost = self.config.cost;
         let metrics = self.config.metrics.clone();
+        // The one clock every layer of this launch reads, waits and charges
+        // on, its cost ledger in the job's registry.
+        let clock = Clock::new(self.config.cost, &metrics);
+        let started = clock.now();
+        let num_nodes = self.config.num_nodes();
         let rank_map = Arc::clone(&self.rank_map);
         let cpu_kernel: Arc<CpuKernel> = Arc::new(cpu_kernel);
         let gpu_setup = Arc::new(gpu_setup);
@@ -148,7 +151,7 @@ impl Runtime {
         // with environment overrides already resolved; `DcgnConfig::validate`
         // vetted it, but a runtime-constructed config could skip that, so
         // surface the validation error here as well.
-        let cluster: Cluster<dcgn_rmpi::Packet> = Cluster::new(num_nodes, cost);
+        let cluster: Cluster<dcgn_rmpi::Packet> = Cluster::new(num_nodes, clock.clone());
         let placement = RankPlacement::explicit((0..num_nodes).collect());
         let node_comms =
             MpiWorld::create_on_with(&cluster, &placement, self.config.resolved_rdv_config())
@@ -162,12 +165,12 @@ impl Runtime {
             let (tx, rx) = unbounded();
             work_txs.push(tx.clone());
             let rank_map = Arc::clone(&rank_map);
-            let metrics = metrics.clone();
+            let (metrics, clock) = (metrics.clone(), clock.clone());
             comm_threads.push(
                 std::thread::Builder::new()
                     .name(format!("dcgn-comm-node{node}"))
                     .spawn(move || {
-                        CommThread::new(node, rank_map, comm, rx, tx, cost, forced_plan, &metrics)
+                        CommThread::new(node, rank_map, comm, rx, tx, clock, forced_plan, &metrics)
                             .run()
                     })
                     .map_err(|e| DcgnError::Internal(format!("spawn comm thread: {e}")))?,
@@ -187,7 +190,7 @@ impl Runtime {
                     rank,
                     Arc::clone(&rank_map),
                     work_txs[node].clone(),
-                    cost,
+                    clock.clone(),
                     self.request_timeout,
                     metrics.clone(),
                 );
@@ -213,7 +216,7 @@ impl Runtime {
                 let device = Device::new_with_metrics(
                     node * 16 + gpu_index,
                     node_cfg.device.clone(),
-                    cost,
+                    clock.clone(),
                     dma,
                 );
                 let slots = node_cfg.slots_per_gpu;
@@ -240,7 +243,7 @@ impl Runtime {
                     device: Arc::clone(&device),
                     layout: layout.clone(),
                     work_tx: work_txs[node].clone(),
-                    cost,
+                    clock: clock.clone(),
                     metrics: GpuThreadMetrics::new(&metrics, node, gpu_index),
                     inbox: Inbox::new(),
                     region: Default::default(),
@@ -352,7 +355,7 @@ impl Runtime {
         match first_error {
             Some(e) => Err(e),
             None => Ok(LaunchReport {
-                elapsed: started.elapsed(),
+                elapsed: clock.elapsed(started),
                 gpu_poll_stats,
             }),
         }

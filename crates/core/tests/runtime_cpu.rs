@@ -36,6 +36,28 @@ fn two_rank_ping_pong_across_nodes() {
 }
 
 #[test]
+fn a_maximal_request_timeout_waits_without_overflow() {
+    // `Duration::MAX` means "never time out": the deadline saturates instead
+    // of overflowing the clock on the first blocking call.
+    let mut runtime = cpu_only(2, 1);
+    runtime.set_request_timeout(std::time::Duration::MAX);
+    runtime
+        .launch_cpu_only(|ctx| {
+            let peer = 1 - ctx.rank();
+            for i in 0..4u8 {
+                if ctx.rank() == 0 {
+                    ctx.send(peer, &[i]).unwrap();
+                    assert_eq!(ctx.recv(peer).unwrap().0, [i]);
+                } else {
+                    let (data, _) = ctx.recv(peer).unwrap();
+                    ctx.send(peer, &data).unwrap();
+                }
+            }
+        })
+        .unwrap();
+}
+
+#[test]
 fn intra_node_ping_pong() {
     // Both ranks on one node: the comm thread must match locally without MPI.
     let runtime = cpu_only(1, 2);

@@ -8,7 +8,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use dcgn_metrics::Counter;
-use dcgn_simtime::{CostModel, VirtualBus};
+use dcgn_simtime::{Charge, Clock, CostModel, Deadline, VirtualBus};
 
 use crate::kernel::{BlockCtx, Dim};
 use crate::memory::{DeviceMemory, DevicePtr, MemoryError};
@@ -91,14 +91,16 @@ struct LaunchState {
     remaining: Mutex<usize>,
     done: Condvar,
     fault: Mutex<Option<String>>,
+    clock: Clock,
 }
 
 impl LaunchState {
-    fn new(blocks: usize) -> Self {
+    fn new(blocks: usize, clock: Clock) -> Self {
         LaunchState {
             remaining: Mutex::new(blocks),
             done: Condvar::new(),
             fault: Mutex::new(None),
+            clock,
         }
     }
 
@@ -127,9 +129,12 @@ pub struct KernelHandle {
 impl KernelHandle {
     /// Block until every block of the launch has completed.
     pub fn wait(&self) -> Result<(), KernelError> {
-        let mut remaining = self.state.remaining.lock();
+        let state = &self.state;
+        let mut remaining = state.remaining.lock();
         while *remaining > 0 {
-            self.state.done.wait(&mut remaining);
+            state
+                .clock
+                .wait_until(&state.done, &mut remaining, Deadline::NEVER);
         }
         drop(remaining);
         match self.state.fault.lock().clone() {
@@ -171,8 +176,8 @@ pub struct Device {
     id: usize,
     config: DeviceConfig,
     memory: Arc<DeviceMemory>,
-    pcie: Arc<VirtualBus>,
-    cost: CostModel,
+    pcie: VirtualBus,
+    clock: Clock,
     sm_tx: Sender<SmMessage>,
     /// Kept so multiprocessor workers can be spawned lazily per launch.
     sm_rx: Receiver<SmMessage>,
@@ -189,9 +194,11 @@ pub struct Device {
 }
 
 impl Device {
-    /// Create a device with `id` and the given configuration and cost model.
-    pub fn new(id: usize, config: DeviceConfig, cost: CostModel) -> Arc<Self> {
-        Self::new_with_metrics(id, config, cost, DmaMetrics::default())
+    /// Create a device with `id` and the given configuration, whose
+    /// transfers and launches pay their cost on `clock` (a [`CostModel`]
+    /// makes a clock with its ledger in the global registry).
+    pub fn new(id: usize, config: DeviceConfig, clock: impl Into<Clock>) -> Arc<Self> {
+        Self::new_with_metrics(id, config, clock, DmaMetrics::default())
     }
 
     /// Like [`Device::new`], but DMA operations additionally bump the given
@@ -199,9 +206,10 @@ impl Device {
     pub fn new_with_metrics(
         id: usize,
         config: DeviceConfig,
-        cost: CostModel,
+        clock: impl Into<Clock>,
         metrics: DmaMetrics,
     ) -> Arc<Self> {
+        let clock = clock.into();
         let memory = Arc::new(DeviceMemory::new(config.memory_bytes));
         let (sm_tx, sm_rx) = unbounded::<SmMessage>();
         // Multiprocessor workers are spawned lazily by `launch`: a kernel of
@@ -210,9 +218,9 @@ impl Device {
         // workers that never ran a block.
         Arc::new(Device {
             id,
-            pcie: Arc::new(VirtualBus::new(format!("pcie-dev{id}"), cost.pcie)),
+            pcie: VirtualBus::new(Charge::Pcie, clock.model().pcie),
             memory,
-            cost,
+            clock,
             sm_tx,
             sm_rx,
             sm_threads: Mutex::new(Vec::new()),
@@ -258,6 +266,7 @@ impl Device {
                         grid_dim: task.grid_dim,
                         block_dim: task.block_dim,
                         device_id: task.device_id,
+                        clock: task.state.clock.clone(),
                     };
                     let kernel = Arc::clone(&task.kernel);
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -298,11 +307,6 @@ impl Device {
         self.memory.capacity()
     }
 
-    /// The cost model this device was created with.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     // ---- host-side memory API ----
 
     /// Allocate `size` bytes of device memory.
@@ -319,7 +323,7 @@ impl Device {
     pub fn memcpy_htod(&self, dst: DevicePtr, src: &[u8]) -> Result<(), MemoryError> {
         self.htod_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.htod.inc();
-        self.pcie.transfer(src.len());
+        self.pcie.transfer(&self.clock, src.len());
         self.memory.write(dst, src)?;
         self.memory.host_wrote();
         Ok(())
@@ -329,7 +333,7 @@ impl Device {
     pub fn memcpy_dtoh(&self, dst: &mut [u8], src: DevicePtr) -> Result<(), MemoryError> {
         self.dtoh_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.dtoh.inc();
-        self.pcie.transfer(dst.len());
+        self.pcie.transfer(&self.clock, dst.len());
         self.memory.read(src, dst)
     }
 
@@ -352,7 +356,7 @@ impl Device {
         self.metrics.dtoh.inc();
         self.metrics.scattered.inc();
         let total: usize = ranges.iter().map(|&(_, len)| len).sum();
-        self.pcie.transfer(total);
+        self.pcie.transfer(&self.clock, total);
         ranges
             .iter()
             .map(|&(ptr, len)| self.memory.read_vec(ptr, len))
@@ -367,7 +371,7 @@ impl Device {
         self.htod_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.htod.inc();
         self.metrics.scattered.inc();
-        self.pcie.transfer(writes.len() * 4);
+        self.pcie.transfer(&self.clock, writes.len() * 4);
         for &(ptr, value) in writes {
             self.memory.write_u32(ptr, value)?;
         }
@@ -380,7 +384,7 @@ impl Device {
     pub fn read_u32s(&self, ptr: DevicePtr, count: usize) -> Result<Vec<u32>, MemoryError> {
         self.dtoh_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.dtoh.inc();
-        self.pcie.transfer(count * 4);
+        self.pcie.transfer(&self.clock, count * 4);
         let bytes = self.memory.read_vec(ptr, count * 4)?;
         Ok(bytes
             .chunks_exact(4)
@@ -403,7 +407,7 @@ impl Device {
     pub fn read_u32(&self, ptr: DevicePtr) -> Result<u32, MemoryError> {
         self.dtoh_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.dtoh.inc();
-        self.pcie.transfer(4);
+        self.pcie.transfer(&self.clock, 4);
         self.memory.read_u32(ptr)
     }
 
@@ -411,7 +415,7 @@ impl Device {
     pub fn write_u32(&self, ptr: DevicePtr, value: u32) -> Result<(), MemoryError> {
         self.htod_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.htod.inc();
-        self.pcie.transfer(4);
+        self.pcie.transfer(&self.clock, 4);
         self.memory.write_u32(ptr, value)?;
         self.memory.host_wrote();
         Ok(())
@@ -435,8 +439,9 @@ impl Device {
         let block_dim = block_dim.into();
         let blocks = grid_dim.total().max(1);
         self.ensure_sm_workers(blocks);
-        self.cost.charge_kernel_launch();
-        let state = Arc::new(LaunchState::new(blocks));
+        self.clock
+            .charge(Charge::Launch, self.clock.model().kernel_launch);
+        let state = Arc::new(LaunchState::new(blocks, self.clock.clone()));
         let kernel: BlockClosure = Arc::new(kernel);
         for block_id in 0..blocks {
             let task = BlockTask {

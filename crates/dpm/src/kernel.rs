@@ -4,6 +4,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use dcgn_simtime::Clock;
+
 use crate::memory::{DeviceMemory, DevicePtr};
 
 /// The longest a device-side wait sleeps between two polls.
@@ -50,6 +52,7 @@ pub struct BlockCtx {
     pub(crate) grid_dim: Dim,
     pub(crate) block_dim: Dim,
     pub(crate) device_id: usize,
+    pub(crate) clock: Clock,
 }
 
 impl BlockCtx {
@@ -104,7 +107,7 @@ impl BlockCtx {
     /// kernel waiting for the host to complete a communication request) call
     /// this between polls so that the simulation stays live on small hosts.
     pub fn nap(&self) {
-        std::thread::sleep(NAP);
+        self.clock.sleep(NAP);
     }
 
     /// Spin until `poll` yields, the way a device block busy-waits on a flag.
@@ -129,9 +132,9 @@ impl BlockCtx {
             }
             polls += 1;
             if polls <= SPIN_YIELDS {
-                std::thread::yield_now();
+                self.clock.yield_now();
             } else {
-                self.memory.await_host_write(seen, sleep);
+                self.memory.await_host_write(&self.clock, seen, sleep);
                 sleep = (sleep * 2).min(NAP);
             }
         }
@@ -229,6 +232,7 @@ mod tests {
             grid_dim: Dim::d1(1),
             block_dim: Dim::d1(threads),
             device_id: 0,
+            clock: Clock::from(dcgn_simtime::CostModel::zero()),
         }
     }
 

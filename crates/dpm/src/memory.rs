@@ -9,8 +9,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use dcgn_simtime::Clock;
 use parking_lot::{Condvar, Mutex};
 
 /// An address in device global memory.  Device pointers are plain offsets
@@ -212,16 +213,12 @@ impl DeviceMemory {
     }
 
     /// Block until a host write lands after the first `seen`, or for at
-    /// most `timeout`.
-    pub(crate) fn await_host_write(&self, seen: u64, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
+    /// most `timeout` on `clock`.
+    pub(crate) fn await_host_write(&self, clock: &Clock, seen: u64, timeout: Duration) {
+        let deadline = clock.deadline(timeout);
         let mut writes = self.host_writes.lock();
         while *writes == seen {
-            if self
-                .host_write
-                .wait_until(&mut writes, deadline)
-                .timed_out()
-            {
+            if clock.wait_until(&self.host_write, &mut writes, deadline) {
                 break;
             }
         }
@@ -328,6 +325,7 @@ impl DeviceMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn malloc_never_returns_null_and_respects_alignment() {
@@ -445,6 +443,7 @@ mod tests {
     #[test]
     fn a_host_write_ends_a_wait_for_one_and_a_missed_one_skips_it() {
         let mem = std::sync::Arc::new(DeviceMemory::new(4096));
+        let clock = Clock::from(dcgn_simtime::CostModel::zero());
         let seen = mem.host_writes();
         let host = std::sync::Arc::clone(&mem);
         let writer = std::thread::spawn(move || {
@@ -452,7 +451,7 @@ mod tests {
             host.host_wrote();
         });
         let start = Instant::now();
-        mem.await_host_write(seen, Duration::from_secs(60));
+        mem.await_host_write(&clock, seen, Duration::from_secs(60));
         assert!(
             start.elapsed() < Duration::from_secs(30),
             "woken by the write"
@@ -461,7 +460,7 @@ mod tests {
         writer.join().unwrap();
         // A write that landed before the wait began does not wait at all.
         let start = Instant::now();
-        mem.await_host_write(seen, Duration::from_secs(60));
+        mem.await_host_write(&clock, seen, Duration::from_secs(60));
         assert!(start.elapsed() < Duration::from_secs(30));
     }
 

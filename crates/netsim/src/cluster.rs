@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use dcgn_simtime::CostModel;
+use dcgn_simtime::Clock;
 
 use crate::fabric::{Endpoint, Fabric};
 
@@ -32,7 +32,6 @@ impl NodeHandle {
 pub struct Cluster<T> {
     fabric: Fabric<T>,
     nodes: Arc<Vec<NodeHandle>>,
-    cost: CostModel,
 }
 
 impl<T> Clone for Cluster<T> {
@@ -40,14 +39,14 @@ impl<T> Clone for Cluster<T> {
         Cluster {
             fabric: self.fabric.clone(),
             nodes: Arc::clone(&self.nodes),
-            cost: self.cost,
         }
     }
 }
 
 impl<T: Send + 'static> Cluster<T> {
-    /// Create a cluster of `num_nodes` nodes with the given cost model.
-    pub fn new(num_nodes: usize, cost: CostModel) -> Self {
+    /// Create a cluster of `num_nodes` nodes whose fabric charges and waits
+    /// on `clock`.
+    pub fn new(num_nodes: usize, clock: impl Into<Clock>) -> Self {
         assert!(num_nodes > 0, "a cluster needs at least one node");
         let nodes = (0..num_nodes)
             .map(|index| NodeHandle {
@@ -56,9 +55,8 @@ impl<T: Send + 'static> Cluster<T> {
             })
             .collect();
         Cluster {
-            fabric: Fabric::new(num_nodes, cost),
+            fabric: Fabric::new(num_nodes, clock),
             nodes: Arc::new(nodes),
-            cost,
         }
     }
 
@@ -70,11 +68,6 @@ impl<T: Send + 'static> Cluster<T> {
     /// The node handles.
     pub fn nodes(&self) -> &[NodeHandle] {
         &self.nodes
-    }
-
-    /// The cost model in force for the cluster.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
     }
 
     /// The underlying fabric.
@@ -91,6 +84,7 @@ impl<T: Send + 'static> Cluster<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcgn_simtime::CostModel;
 
     #[test]
     fn cluster_builds_named_nodes() {

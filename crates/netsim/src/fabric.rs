@@ -3,12 +3,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::RwLock;
 
-use dcgn_simtime::{CostModel, VirtualBus};
+use dcgn_simtime::{Charge, Clock, Deadline, VirtualBus};
 
 /// Globally unique identifier of an endpoint attached to the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,7 +36,7 @@ pub struct Delivery<T> {
 pub enum RecvError {
     /// No message is currently queued (try_recv only).
     Empty,
-    /// The timeout elapsed before a message arrived.
+    /// The deadline passed before a message arrived.
     Timeout,
     /// The fabric (or the endpoint's sender side) has been torn down.
     Disconnected,
@@ -91,7 +90,7 @@ struct EndpointEntry<T> {
 }
 
 struct FabricInner<T> {
-    cost: CostModel,
+    clock: Clock,
     endpoints: RwLock<HashMap<usize, EndpointEntry<T>>>,
     nics: Vec<Arc<VirtualBus>>,
     /// Per-node receive-drain engines: the DMA stage that moves a landed
@@ -130,22 +129,21 @@ impl<T> Clone for Fabric<T> {
 }
 
 impl<T: Send + 'static> Fabric<T> {
-    /// Create a fabric for `num_nodes` nodes using the given cost model.
-    pub fn new(num_nodes: usize, cost: CostModel) -> Self {
+    /// Create a fabric for `num_nodes` nodes whose sends pay their cost on
+    /// `clock` (a [`dcgn_simtime::CostModel`] makes a clock with its ledger
+    /// in the global registry).
+    pub fn new(num_nodes: usize, clock: impl Into<Clock>) -> Self {
+        let clock = clock.into();
+        let network = clock.model().network;
         let nics = (0..num_nodes)
-            .map(|n| Arc::new(VirtualBus::new(format!("nic-node{n}"), cost.network)))
+            .map(|_| Arc::new(VirtualBus::new(Charge::Network, network)))
             .collect();
         let rx_drains = (0..num_nodes)
-            .map(|n| {
-                Arc::new(VirtualBus::new(
-                    format!("rx-drain-node{n}"),
-                    cost.network.bandwidth_only(),
-                ))
-            })
+            .map(|_| Arc::new(VirtualBus::new(Charge::Drain, network.bandwidth_only())))
             .collect();
         Fabric {
             inner: Arc::new(FabricInner {
-                cost,
+                clock,
                 endpoints: RwLock::new(HashMap::new()),
                 nics,
                 rx_drains,
@@ -162,9 +160,9 @@ impl<T: Send + 'static> Fabric<T> {
         self.inner.nics.len()
     }
 
-    /// The cost model in force.
-    pub fn cost(&self) -> &CostModel {
-        &self.inner.cost
+    /// The clock this fabric charges and waits on.
+    pub fn clock(&self) -> &Clock {
+        &self.inner.clock
     }
 
     /// Attach a new endpoint to `node`.  Panics if `node` is out of range.
@@ -217,11 +215,13 @@ impl<T: Send + 'static> Fabric<T> {
         self.inner.frame_bytes.add(wire_bytes as u64);
         if dst_node == src_node {
             // Intra-node path: shared-memory copy, no NIC involvement.
-            self.inner.cost.intra_node.charge(wire_bytes);
+            let clock = &self.inner.clock;
+            let copy = clock.model().intra_node.transfer_time(wire_bytes);
+            clock.charge(Charge::IntraNode, copy);
         } else {
             // Inter-node path: serialise on the sending node's NIC for the
             // full wire time (store-and-forward model).
-            self.inner.nics[src_node].transfer(wire_bytes);
+            self.inner.nics[src_node].transfer(&self.inner.clock, wire_bytes);
         }
         tx.send(Delivery {
             src,
@@ -242,7 +242,7 @@ impl<T: Send + 'static> Fabric<T> {
     /// small eager frames are consumed in place and never drain.
     pub fn charge_rx_drain(&self, node: usize, bytes: usize) {
         self.inner.rx_drain_bytes.add(bytes as u64);
-        self.inner.rx_drains[node].transfer(bytes);
+        self.inner.rx_drains[node].transfer(&self.inner.clock, bytes);
     }
 
     /// Install (or replace) the delivery notifier of `endpoint`.  The
@@ -328,9 +328,9 @@ impl<T: Send + 'static> Endpoint<T> {
         }
     }
 
-    /// Block until a message arrives or `timeout` elapses.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Delivery<T>, RecvError> {
-        match self.rx.recv_timeout(timeout) {
+    /// Block until a message arrives or `deadline` passes.
+    pub fn recv_until(&self, deadline: Deadline) -> Result<Delivery<T>, RecvError> {
+        match self.fabric.inner.clock.recv_until(&self.rx, deadline) {
             Ok(d) => {
                 self.note_recv(&d);
                 Ok(d)
@@ -374,7 +374,8 @@ impl<T> Drop for Endpoint<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+    use dcgn_simtime::CostModel;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn point_to_point_delivery() {
@@ -402,13 +403,39 @@ mod tests {
     }
 
     #[test]
+    fn the_ledger_holds_exactly_what_each_frame_was_charged() {
+        let metrics = dcgn_metrics::MetricsHandle::new();
+        let cost = CostModel::g92_cluster();
+        let fabric: Fabric<u32> = Fabric::new(2, Clock::new(cost, &metrics));
+        let (a, b, far) = (fabric.attach(0), fabric.attach(0), fabric.attach(1));
+        let sizes = [0, 1, 100, 4096];
+        for &w in &sizes {
+            a.send(far.id(), 0, w).unwrap();
+            a.send(b.id(), 0, w).unwrap();
+            far.charge_rx_drain(w);
+        }
+        let sum = |link: dcgn_simtime::LinkCost| -> u64 {
+            sizes
+                .iter()
+                .map(|&w| link.transfer_time(w).as_nanos() as u64)
+                .sum()
+        };
+        let snap = metrics.snapshot();
+        let charged = |kind: &str| snap.counter(&format!("model.charged_ns.{kind}"));
+        assert_eq!(charged("network"), sum(cost.network));
+        assert_eq!(charged("intra_node"), sum(cost.intra_node));
+        assert_eq!(charged("drain"), sum(cost.network.bandwidth_only()));
+    }
+
+    #[test]
     fn try_recv_and_timeout() {
         let fabric: Fabric<u32> = Fabric::new(1, CostModel::zero());
         let a = fabric.attach(0);
         let b = fabric.attach(0);
         assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty);
         assert_eq!(
-            b.recv_timeout(Duration::from_millis(10)).unwrap_err(),
+            b.recv_until(fabric.clock().deadline(Duration::from_millis(10)))
+                .unwrap_err(),
             RecvError::Timeout
         );
         a.send(b.id(), 9, 4).unwrap();

@@ -44,9 +44,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dcgn_netsim::{Delivery, Endpoint, EndpointId, Payload};
+use dcgn_simtime::Stamp;
 
 use crate::exchange::EarlyFrames;
 use crate::packet::{Packet, RmpiError, Status};
@@ -133,7 +134,7 @@ enum RecvState {
         /// The transfer's length in bytes.
         total: usize,
         /// When the CTS left, for the transfer's throughput sample.
-        started: Instant,
+        started: Stamp,
     },
     Complete {
         data: Payload,
@@ -618,7 +619,7 @@ impl Communicator {
                 assembled: Payload::empty(),
                 pending_credits: 0,
                 total: len,
-                started: Instant::now(),
+                started: self.endpoint.fabric().clock().now(),
             };
         }
         self.recv_streams.insert((src, send_id), id);
@@ -829,7 +830,8 @@ impl Communicator {
             // The sender completed (and may have exited) when its last chunk
             // left, so nothing is owed for the finishing chunk — or for any
             // batch still pending when it lands.
-            let elapsed = started.elapsed().max(Duration::from_nanos(1));
+            let clock = self.endpoint.fabric().clock();
+            let elapsed = clock.elapsed(*started).max(Duration::from_nanos(1));
             self.rdv_rate
                 .record((total as f64 / elapsed.as_secs_f64()) as u64);
             let status = Status {
@@ -909,18 +911,18 @@ impl Communicator {
                 return Err(RmpiError::UnknownRequest);
             }
         }
-        let deadline = Instant::now() + self.progress_timeout;
+        let clock = self.endpoint.fabric().clock().clone();
+        let deadline = clock.deadline(self.progress_timeout);
         loop {
             self.progress_pass()?;
             if targets.iter().all(|&t| self.is_complete(t)) {
                 return Ok(());
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if clock.passed(deadline) {
                 return Err(RmpiError::Stalled(what));
             }
-            let wait = (deadline - now).min(Duration::from_millis(50));
-            match self.endpoint.recv_timeout(wait) {
+            let wait = deadline.min(clock.deadline(Duration::from_millis(50)));
+            match self.endpoint.recv_until(wait) {
                 Ok(d) => self.classify(d),
                 Err(dcgn_netsim::RecvError::Timeout) => {}
                 Err(_) => return Err(RmpiError::Disconnected),

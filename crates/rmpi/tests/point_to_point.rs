@@ -233,6 +233,33 @@ fn unmatched_recv_times_out_as_stall() {
 }
 
 #[test]
+fn a_maximal_progress_timeout_never_stalls() {
+    // `Duration::MAX` means "wait forever": the deadline saturates instead
+    // of overflowing the clock.
+    let handles: Vec<_> = two_ranks()
+        .into_iter()
+        .map(|mut comm| {
+            comm.set_progress_timeout(Duration::MAX);
+            std::thread::spawn(move || {
+                let peer = 1 - comm.rank();
+                for i in 0..4u8 {
+                    if comm.rank() == 0 {
+                        comm.send(peer, 0, &[i]).unwrap();
+                        assert_eq!(comm.recv(Some(peer), Some(0)).unwrap().0, [i]);
+                    } else {
+                        let (data, _) = comm.recv(Some(peer), Some(0)).unwrap();
+                        comm.send(peer, 0, data.as_slice()).unwrap();
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+}
+
+#[test]
 fn unknown_request_is_an_error() {
     let mut comms = two_ranks();
     let mut r0 = comms.remove(0);

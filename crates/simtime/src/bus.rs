@@ -6,102 +6,87 @@
 //! concurrent users queue up behind one another, exactly like DMA requests on
 //! the paper's PCI-e bus shared by the GPU and the NIC.
 
-use std::time::Duration;
-
 use parking_lot::Mutex;
 
+use crate::clock::{Charge, Clock};
 use crate::cost::LinkCost;
 
-/// A bus with a single transfer engine.  Cloning the handle shares the
-/// underlying engine.
+/// A bus with a single transfer engine, whose transfers are charged to one
+/// ledger kind.
 #[derive(Debug)]
 pub struct VirtualBus {
+    kind: Charge,
     cost: LinkCost,
     engine: Mutex<()>,
-    label: String,
 }
 
 impl VirtualBus {
-    /// Create a bus with the given per-transfer cost.
-    pub fn new(label: impl Into<String>, cost: LinkCost) -> Self {
+    /// Create a bus with the given per-transfer cost, charged as `kind`.
+    pub fn new(kind: Charge, cost: LinkCost) -> Self {
         VirtualBus {
+            kind,
             cost,
             engine: Mutex::new(()),
-            label: label.into(),
         }
     }
 
-    /// The cost description for this bus.
-    pub fn cost(&self) -> LinkCost {
-        self.cost
-    }
-
-    /// Human-readable label (used in traces and error messages).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Time a transfer of `bytes` would take with no contention.
-    pub fn transfer_time(&self, bytes: usize) -> Duration {
-        self.cost.transfer_time(bytes)
-    }
-
-    /// Perform (block for) a transfer of `bytes`, serialising with any other
-    /// in-flight transfer on the same bus.
-    pub fn transfer(&self, bytes: usize) {
+    /// Perform (block for) a transfer of `bytes` on `clock`, serialising with
+    /// any other in-flight transfer on the same bus.
+    pub fn transfer(&self, clock: &Clock, bytes: usize) {
         if self.cost.is_free() {
             return;
         }
         let _guard = self.engine.lock();
-        self.cost.charge(bytes);
+        clock.charge(self.kind, self.cost.transfer_time(bytes));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::Duration;
+
+    fn clock() -> Clock {
+        Clock::from(CostModel::zero())
+    }
 
     #[test]
     fn free_bus_costs_nothing() {
-        let bus = VirtualBus::new("free", LinkCost::free());
-        let start = Instant::now();
-        bus.transfer(1 << 20);
-        assert!(start.elapsed() < Duration::from_millis(5));
+        let (bus, clock) = (VirtualBus::new(Charge::Pcie, LinkCost::free()), clock());
+        let start = clock.now();
+        bus.transfer(&clock, 1 << 20);
+        assert!(clock.elapsed(start) < Duration::from_millis(5));
     }
 
     #[test]
     fn transfer_takes_modelled_time() {
-        let bus = VirtualBus::new("pcie", LinkCost::from_us_and_mbps(100, 1000.0));
-        let start = Instant::now();
-        bus.transfer(100_000); // 100µs latency + 100µs bandwidth
-        assert!(start.elapsed() >= Duration::from_micros(200));
+        let bus = VirtualBus::new(Charge::Pcie, LinkCost::from_us_and_mbps(100, 1000.0));
+        let clock = clock();
+        let start = clock.now();
+        bus.transfer(&clock, 100_000); // 100µs latency + 100µs bandwidth
+        assert!(clock.elapsed(start) >= Duration::from_micros(200));
     }
 
     #[test]
     fn concurrent_transfers_serialise() {
         let bus = Arc::new(VirtualBus::new(
-            "pcie",
+            Charge::Network,
             LinkCost::from_us_and_mbps(500, f64::INFINITY.min(1e12)),
         ));
-        let start = Instant::now();
+        let clock = clock();
+        let start = clock.now();
         let handles: Vec<_> = (0..3)
             .map(|_| {
-                let bus = Arc::clone(&bus);
-                std::thread::spawn(move || bus.transfer(0))
+                let (bus, clock) = (Arc::clone(&bus), clock.clone());
+                std::thread::spawn(move || bus.transfer(&clock, 0))
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
         // Three 500µs transfers must serialise to at least ~1.5ms.
-        assert!(start.elapsed() >= Duration::from_micros(1400));
-    }
-
-    #[test]
-    fn label_is_preserved() {
-        let bus = VirtualBus::new("nic0", LinkCost::free());
-        assert_eq!(bus.label(), "nic0");
+        assert!(clock.elapsed(start) >= Duration::from_micros(1400));
     }
 }

@@ -10,8 +10,6 @@
 
 use std::time::Duration;
 
-use crate::sleep::precise_sleep;
-
 /// Latency/bandwidth description of one link or bus.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkCost {
@@ -48,11 +46,6 @@ impl LinkCost {
         }
         let secs = bytes as f64 / self.bandwidth_bytes_per_sec;
         self.latency + Duration::from_secs_f64(secs)
-    }
-
-    /// Block the calling thread for the time it takes to move `bytes`.
-    pub fn charge(&self, bytes: usize) {
-        precise_sleep(self.transfer_time(bytes));
     }
 
     /// True when the link injects no delay.
@@ -170,16 +163,6 @@ impl CostModel {
     pub fn with_eager_threshold(mut self, bytes: usize) -> Self {
         self.eager_threshold = bytes;
         self
-    }
-
-    /// Block for one work-queue hop.
-    pub fn charge_queue_hop(&self) {
-        precise_sleep(self.queue_hop);
-    }
-
-    /// Block for one kernel launch.
-    pub fn charge_kernel_launch(&self) {
-        precise_sleep(self.kernel_launch);
     }
 }
 

@@ -5,22 +5,27 @@
 //! connected with Infiniband.  This reproduction replaces the physical
 //! hardware with software simulators; the [`CostModel`] in this crate is the
 //! single place where the latency and bandwidth characteristics of those
-//! simulated components are described, and [`charge`](LinkCost::charge) /
-//! [`precise_sleep`] are how those characteristics are injected into the
-//! running system as real wall-clock delays.
+//! simulated components are described.
 //!
-//! The crate also provides the small measurement toolkit used by the
-//! benchmark harness: [`Stopwatch`] and percentile helpers.
+//! [`Clock`] is the one owner of time: every layer reads the time, sleeps
+//! and waits at a [`Deadline`] through it, and pays each modelled hardware
+//! cost with [`Clock::charge`], which blocks for it and adds it to a
+//! per-[`Charge`]-kind cost ledger in the metrics registry.
+//!
+//! The crate also provides the percentile helpers the benchmark harness
+//! uses.
 
 #![warn(missing_docs)]
 
 pub mod bus;
+pub mod clock;
 pub mod cost;
 pub mod sleep;
 pub mod stats;
 
 pub use bus::VirtualBus;
+pub use clock::{Charge, Clock, Deadline, Stamp};
 pub use cost::{CostModel, LinkCost};
-pub use stats::{percentile, Stopwatch};
+pub use stats::percentile;
 
 pub use sleep::precise_sleep;

@@ -1,12 +1,7 @@
-//! Delay injection primitives.
-//!
-//! Simulated hardware costs (PCI-e transfers, NIC serialisation, kernel
-//! launch latency, polling intervals) are injected as real wall-clock delays.
-//! On a lightly loaded machine `thread::sleep` has a granularity of tens of
-//! microseconds, which is far coarser than the microsecond-scale latencies we
-//! model, so short delays are realised with a yielding spin loop instead.
-//! Long delays always use `thread::sleep` so that the (possibly single-core)
-//! host is not starved by busy waiting.
+//! The delay behind [`crate::Clock::charge`]: modelled hardware costs are
+//! injected as real wall-clock delays.  On a lightly loaded machine
+//! `thread::sleep` has a granularity of tens of microseconds, far coarser than
+//! the latencies modelled, so short delays are a yielding spin instead.
 
 use std::time::{Duration, Instant};
 
@@ -27,10 +22,15 @@ const SLEEP_SLACK: Duration = Duration::from_micros(150);
 ///   `spin_loop`) keeps the simulation live on single-core hosts where the
 ///   thread being waited on needs the same core.
 pub fn precise_sleep(d: Duration) {
+    sleep_from(Instant::now(), d);
+}
+
+/// [`precise_sleep`] for a delay that began at `start`: returns once `d`
+/// has passed since then.
+pub(crate) fn sleep_from(start: Instant, d: Duration) {
     if d.is_zero() {
         return;
     }
-    let start = Instant::now();
     if d >= SPIN_THRESHOLD {
         let coarse = d.saturating_sub(SLEEP_SLACK);
         if !coarse.is_zero() {

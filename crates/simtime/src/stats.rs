@@ -1,33 +1,5 @@
 //! Measurement helpers used by the benchmark harness.
 
-use std::time::{Duration, Instant};
-
-/// A simple wall-clock stopwatch.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Start a new stopwatch.
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed time since the stopwatch was started.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
 /// Linear-interpolated percentile of a sample set.  `p` is in `[0, 100]`.
 /// Returns `None` for an empty slice.
 pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
@@ -59,13 +31,6 @@ pub fn median(samples: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stopwatch_measures_elapsed_time() {
-        let sw = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(sw.elapsed() >= Duration::from_millis(2));
-    }
 
     #[test]
     fn percentile_endpoints_and_median() {
