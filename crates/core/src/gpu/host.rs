@@ -591,12 +591,12 @@ impl GpuKernelThread {
                 // load (§3.2.3).
                 self.clock.charge(Charge::Poll, poll_interval);
             } else {
-                // Requests are in flight with the comm thread: block on the
-                // inbox (a true wait, not a spin) so completions are written
-                // back as soon as a reply lands — the real GPU-kernel thread
-                // handles a picked-up request synchronously — while still
-                // sweeping for newly published requests at least once per
-                // interval.
+                // Requests are in flight with the comm thread: wait on the
+                // inbox (the clock's spin, then park) so completions are
+                // written back as soon as a reply lands — the real GPU-kernel
+                // thread handles a picked-up request synchronously — while
+                // still sweeping for newly published requests at least once
+                // per interval.
                 self.collect(&mut pending, poll_interval);
             }
             let sweep_start = self.clock.now();

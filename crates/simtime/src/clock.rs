@@ -3,17 +3,19 @@
 //! host's real one here without touching the layers above.  Each
 //! [`Clock::charge`] also adds the modelled nanoseconds it blocked for to the
 //! clock's **cost ledger**, one `model.charged_ns.<kind>` counter per
-//! [`Charge`] kind, exact however noisy the wall clock is.
+//! [`Charge`] kind, exact however noisy the wall clock is.  Beside it,
+//! `clock.parks` counts the channel waits that outlasted
+//! [`Clock::recv_until`]'s spin and blocked.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use dcgn_metrics::{Counter, MetricsHandle};
 use parking_lot::{Condvar, MutexGuard};
 
 use crate::cost::CostModel;
-use crate::sleep::sleep_from;
+use crate::sleep::{sleep_from, PARK_AFTER};
 
 /// What a modelled cost pays for: each kind has its own ledger counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +83,7 @@ pub struct Clock(Arc<Ledger>);
 struct Ledger {
     model: CostModel,
     charged_ns: [Counter; 7],
+    parks: Counter,
 }
 
 impl Clock {
@@ -89,6 +92,7 @@ impl Clock {
         Clock(Arc::new(Ledger {
             model,
             charged_ns: KINDS.map(|kind| metrics.counter(&format!("model.charged_ns.{kind}"))),
+            parks: metrics.counter("clock.parks"),
         }))
     }
 
@@ -140,12 +144,30 @@ impl Clock {
         sleep_from(start, d);
     }
 
-    /// Receive from `rx`, waiting until `deadline` at most.
+    /// Receive from `rx`, waiting until `deadline` at most: spin, then park.
+    /// The wait yield-polls `rx` for up to 50 µs (`PARK_AFTER`), so a
+    /// hand-off that lands that soon costs no futex wake-up; only then does
+    /// it block, counted in `clock.parks`.  A deadline already passed checks
+    /// `rx` once.  The spin is an artefact of the real clock, which wakes a
+    /// parked thread late; a virtual clock parks at once.
     pub fn recv_until<T>(
         &self,
         rx: &Receiver<T>,
         deadline: Deadline,
     ) -> Result<T, RecvTimeoutError> {
+        let park_at = Deadline::after(self.now(), PARK_AFTER);
+        loop {
+            match rx.try_recv() {
+                Ok(msg) => return Ok(msg),
+                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+                Err(TryRecvError::Empty) if self.passed(deadline) => {
+                    return Err(RecvTimeoutError::Timeout)
+                }
+                Err(TryRecvError::Empty) if self.passed(park_at) => break,
+                Err(TryRecvError::Empty) => self.yield_now(),
+            }
+        }
+        self.0.parks.inc();
         match deadline.0 {
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
             Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
@@ -247,6 +269,64 @@ mod tests {
             clock.recv_until(&rx, Deadline::NEVER),
             Err(RecvTimeoutError::Disconnected)
         );
+    }
+
+    fn parks(metrics: &MetricsHandle) -> u64 {
+        metrics.snapshot().counter("clock.parks")
+    }
+
+    #[test]
+    fn a_queued_message_is_taken_without_parking() {
+        let metrics = MetricsHandle::new();
+        let clock = Clock::new(CostModel::zero(), &metrics);
+        let (tx, rx) = crossbeam::channel::unbounded::<u32>();
+        tx.send(7).unwrap();
+        assert_eq!(clock.recv_until(&rx, Deadline::NEVER), Ok(7));
+        assert_eq!(parks(&metrics), 0);
+    }
+
+    #[test]
+    fn an_expired_deadline_times_out_without_parking() {
+        let metrics = MetricsHandle::new();
+        let clock = Clock::new(CostModel::zero(), &metrics);
+        let (_tx, rx) = crossbeam::channel::unbounded::<u32>();
+        let got = clock.recv_until(&rx, clock.deadline(Duration::ZERO));
+        assert_eq!(got, Err(RecvTimeoutError::Timeout));
+        assert_eq!(parks(&metrics), 0);
+    }
+
+    #[test]
+    fn a_sender_dropped_during_the_spin_disconnects_it() {
+        let metrics = MetricsHandle::new();
+        let clock = Clock::new(CostModel::zero(), &metrics);
+        let (tx, rx) = crossbeam::channel::unbounded::<u32>();
+        drop(tx);
+        let got = clock.recv_until(&rx, Deadline::NEVER);
+        assert_eq!(got, Err(RecvTimeoutError::Disconnected));
+        assert_eq!(parks(&metrics), 0, "a disconnect seen while spinning");
+
+        let (tx, rx) = crossbeam::channel::unbounded::<u32>();
+        let dropper = std::thread::spawn(move || drop(tx));
+        let got = clock.recv_until(&rx, Deadline::NEVER);
+        assert_eq!(got, Err(RecvTimeoutError::Disconnected));
+        dropper.join().unwrap();
+    }
+
+    #[test]
+    fn a_late_message_is_received_after_at_most_one_park() {
+        let metrics = MetricsHandle::new();
+        let clock = Clock::new(CostModel::zero(), &metrics);
+        let (tx, rx) = crossbeam::channel::unbounded::<u32>();
+        let sender = {
+            let clock = clock.clone();
+            std::thread::spawn(move || {
+                clock.sleep(Duration::from_millis(5));
+                tx.send(9).unwrap();
+            })
+        };
+        assert_eq!(clock.recv_until(&rx, Deadline::NEVER), Ok(9));
+        assert!(parks(&metrics) <= 1, "{} parks", parks(&metrics));
+        sender.join().unwrap();
     }
 
     #[test]

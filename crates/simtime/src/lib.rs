@@ -10,7 +10,10 @@
 //! [`Clock`] is the one owner of time: every layer reads the time, sleeps
 //! and waits at a [`Deadline`] through it, and pays each modelled hardware
 //! cost with [`Clock::charge`], which blocks for it and adds it to a
-//! per-[`Charge`]-kind cost ledger in the metrics registry.
+//! per-[`Charge`]-kind cost ledger in the metrics registry.  Its channel
+//! wait, [`Clock::recv_until`], spins for 50 µs before it parks: an artefact
+//! of the real clock, whose futex wake-up costs more than a short spin, that
+//! a virtual clock would drop.
 //!
 //! The crate also provides the percentile helpers the benchmark harness
 //! uses.

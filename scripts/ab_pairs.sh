@@ -11,20 +11,25 @@
 # with it for BENCHMARK.json's run_seconds: pair i uses seed first-seed+i-1
 # (default 1) on both sides, odd pairs run the parent first, even pairs the
 # change.  Printed: per pair and per end-to-end metric both values, then per
-# metric both medians with their quartiles and how many pairs the change
-# won (ties count for neither side).  It reads benchmark/ and
-# BENCHMARK.json and changes neither; set TMPDIR to choose where the export
-# and the two target directories (~250 MB) go.
+# metric both medians with their quartiles, how many pairs the change won
+# (ties count for neither side) and the house rule's verdict: `gain` (the
+# change won >= 9 in 10 pairs and the medians differ by more than the
+# parent's IQR), else `unresolved` (the parent's IQR exceeds the bound),
+# else `worse than bound` or `within bound`; last, per workload, each
+# side's attempted and failed operations summed over its runs, with the
+# failed share.  It reads benchmark/ and BENCHMARK.json and changes
+# neither; set TMPDIR to choose where the export and the two target
+# directories (~250 MB) go.
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,18s/^# \{0,1\}//p' "$0"; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,23s/^# \{0,1\}//p' "$0"; exit 2; }
 rev=$1 which=$2 pairs=${3:-10} seed0=${4:-1}
 root=$(cd "$(dirname "$0")/.." && pwd)
 spec=$root/BENCHMARK.json
 
 cmd=$(sed -n 's/.*"command": *\[\(.*\)\].*/\1/p' "$spec" | tr -d '",')
 secs=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$spec")
-metrics=$(sed -n 's/.*{"name": "\([^"]*\)".*"better": "\([a-z]*\)", "bound".*/\1:\2/p' "$spec")
+metrics=$(sed -n 's/.*{"name": "\([^"]*\)".*"better": "\([a-z]*\)", "bound": \([0-9.]*\).*/\1:\2:\3/p' "$spec")
 if [ "$which" = all ]; then
     which=$(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' "$spec")
 fi
@@ -46,6 +51,9 @@ run() {
 value() { # value <result object> <metric>
     printf '%s\n' "$1" | sed -n 's/.*"'"$2"'": {"value": \([-0-9.e+]*\).*/\1/p'
 }
+count() { # count <result object> <attempted|failed>
+    printf '%s\n' "$1" | sed -n 's/.*"'"$2"'": \([0-9]*\).*/\1/p'
+}
 
 echo "parent $(git -C "$root" rev-parse --short "$rev"), change $(git -C "$root" describe --always --dirty), $pairs pairs, ${secs}s runs, nproc $(nproc)"
 echo "building both sides"
@@ -64,8 +72,10 @@ for w in $which; do
                 echo "$w pair $i: $side run did not verify: $(cat "$tmp/$side.out")"
         done
         parent=$(cat "$tmp/parent.out") change=$(cat "$tmp/change.out")
+        echo "$w parent $(count "$parent" attempted) $(count "$parent" failed)" >>"$tmp/ops"
+        echo "$w change $(count "$change" attempted) $(count "$change" failed)" >>"$tmp/ops"
         for m in $metrics; do
-            name=${m%:*}
+            name=${m%%:*}
             p=$(value "$parent" "$name") c=$(value "$change" "$name")
             printf '%-18s pair %2d seed %3d  %-12s parent %14.4f  change %14.4f\n' \
                 "$w" "$i" "$seed" "$name" "$p" "$c"
@@ -77,8 +87,8 @@ done
 
 # Quartiles by linear interpolation between order statistics.
 echo
-printf '%-18s %-12s %32s  %32s  %s\n' workload metric \
-    "parent median [q1 .. q3]" "change median [q1 .. q3]" "change wins"
+printf '%-18s %-12s %32s  %32s  %-17s %s\n' workload metric \
+    "parent median [q1 .. q3]" "change median [q1 .. q3]" "change wins" verdict
 for w in $which; do
     for m in $metrics; do
         for col in 3 4; do
@@ -94,14 +104,36 @@ for w in $which; do
             FILENAME ~ /col4$/ { b[++nb] = $1; next }
             $1 == w && $2 == m {
                 n++
-                if (m ~ /:lower$/ ? $4 < $3 : $4 > $3) wins++
+                if (m ~ /:lower:/ ? $4 < $3 : $4 > $3) wins++
                 else if ($4 != $3) losses++
             }
             END {
-                sub(/:.*/, "", m)
-                printf "%-18s %-12s %12.4f [%8.4f .. %8.4f]  %12.4f [%8.4f .. %8.4f]  %d of %d (%d lost)\n",
-                    w, m, q(a, na, .5), q(a, na, .25), q(a, na, .75),
-                    q(b, nb, .5), q(b, nb, .25), q(b, nb, .75), wins, n, losses
+                split(m, f, ":")
+                pm = q(a, na, .5); cm = q(b, nb, .5)
+                iqr = q(a, na, .75) - q(a, na, .25)
+                gain = f[2] == "lower" ? pm - cm : cm - pm
+                if (wins * 10 >= n * 9 && gain > iqr) verdict = "gain"
+                else if (iqr > f[3] * pm) verdict = "unresolved"
+                else if (-gain > f[3] * pm) verdict = "worse than bound"
+                else verdict = "within bound"
+                printf "%-18s %-12s %12.4f [%8.4f .. %8.4f]  %12.4f [%8.4f .. %8.4f]  %2d of %2d (%d lost) %s\n",
+                    w, f[1], pm, q(a, na, .25), q(a, na, .75),
+                    cm, q(b, nb, .25), q(b, nb, .75), wins, n, losses, verdict
             }' "$tmp/col3" "$tmp/col4" "$tmp/values"
     done
+done
+
+echo
+for w in $which; do
+    awk -v w="$w" '
+        $1 == w { att[$2] += $3; fail[$2] += $4 }
+        END {
+            for (s = 0; s < 2; s++) {
+                side = s ? "change" : "parent"
+                share[side] = att[side] ? fail[side] / att[side] : 0
+                printf "%-18s %-6s attempted %10d  failed %6d  failed_op_share %.6f\n",
+                    w, side, att[side], fail[side], share[side]
+            }
+            if (share["change"] > share["parent"]) print w ": the change fails a larger share of operations"
+        }' "$tmp/ops"
 done
