@@ -5,12 +5,14 @@
 
 use dcgn_dpm::{BlockCtx, DevicePtr};
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
+use dcgn_simtime::Deadline;
 
 use super::mailbox::{
     encode_reduce_word, in_device_memory, mailbox_error, opcode, record_word, req_state, req_word,
     split_word, Body, GpuLayout, Record, MAILBOX_COMPLETION_BYTES, MAILBOX_INLINE_BYTES, PEER_ANY,
     REQ_GEN_MASK, RESERVED_RECORD,
 };
+use super::ABANDONED_GRACE;
 use crate::group::CommId;
 use crate::message::CommStatus;
 
@@ -149,47 +151,35 @@ impl<'a> GpuCtx<'a> {
     /// as long as it takes: blocks sharing a slot serialise their blocking
     /// calls there (one rank never has two collectives in flight), and
     /// never compete with outstanding nonblocking requests.  A nonblocking
-    /// call claims any record of the `reqs_per_slot` column.
+    /// call claims any record of the `reqs_per_slot` column, and faults
+    /// rather than deadlock when none goes `FREE` within [`ABANDONED_GRACE`]
+    /// (typically this very kernel publishing past the configured depth).
     fn publish(&self, slot: usize, blocking: bool, body: Body) -> GpuRequest {
-        // Bound on fruitless nonblocking claim passes (~50 µs nap each, so
-        // ~5 s — in line with the host's abandoned-request grace, so a slot
-        // whose records are legitimately held by slow concurrent blocks is
-        // not faulted prematurely).  All records staying unclaimable this
-        // long means their owners never harvest — typically this very
-        // kernel publishing past the configured per-slot depth of
-        // outstanding requests, which no host progress can ever unblock:
-        // fault, don't deadlock.
-        const CLAIM_NAP_LIMIT: u32 = 100_000;
-
         let b = self.block;
         let depth = self.layout.reqs_per_slot;
-        let records = if blocking {
-            RESERVED_RECORD..RESERVED_RECORD + 1
+        let (records, deadline) = if blocking {
+            (RESERVED_RECORD..RESERVED_RECORD + 1, Deadline::NEVER)
         } else {
-            RESERVED_RECORD + 1..self.layout.records_per_slot()
+            let column = RESERVED_RECORD + 1..self.layout.records_per_slot();
+            (column, b.clock().deadline(ABANDONED_GRACE))
         };
-        let mut naps = 0u32;
-        let index = 'claim: loop {
-            for index in records.clone() {
+        let claim = || {
+            records.clone().find(|&index| {
                 let ptr = self.layout.word_ptr(slot, index);
                 let word = b.read_u32(ptr);
                 let (gen, state) = split_word(word);
-                if state == req_state::FREE
+                state == req_state::FREE
                     && b.atomic_cas_u32(ptr, word, req_word(gen, req_state::CLAIMED)) == word
-                {
-                    break 'claim index;
-                }
-            }
-            naps += 1;
-            assert!(
-                blocking || naps <= CLAIM_NAP_LIMIT,
+            })
+        };
+        let index = b.spin_until(deadline, claim).unwrap_or_else(|| {
+            panic!(
                 "slot {slot} on device {}: all {depth} completion record(s) stayed in \
                  flight — did this kernel publish more than the configured mailbox \
                  depth ({depth}) of requests without test()/wait()ing any?",
                 b.device_id()
-            );
-            b.nap();
-        };
+            )
+        });
         // Each claim takes a fresh generation, so handles from earlier
         // claims go stale.
         let gen = b.atomic_add_u32(self.layout.sequence_ptr(slot), 1) & REQ_GEN_MASK;
@@ -234,12 +224,19 @@ impl<'a> GpuCtx<'a> {
         })
     }
 
+    /// Spin on `poll` with no deadline: only a completion (or a fault)
+    /// ends the wait.
+    fn spin<T>(&self, poll: impl FnMut() -> Option<T>) -> T {
+        let done = self.block.spin_until(Deadline::NEVER, poll);
+        done.expect("a wait with no deadline ends only on a completion")
+    }
+
     /// A blocking call: publish on the reserved record, then wait for it.
     /// No [`GpuRequest`] escapes, so the reserved record's handle cannot be
     /// waited on twice or kept.
     fn blocking(&self, slot: usize, what: &str, body: Body) -> CommStatus {
         let req = self.publish(slot, true, body);
-        self.block.spin_until(|| self.poll(req, what))
+        self.spin(|| self.poll(req, what))
     }
 
     /// A blocking collective over `comm`: the body additionally carries the
@@ -423,7 +420,7 @@ impl<'a> GpuCtx<'a> {
     /// # Panics
     /// Panics on a mailbox error or a stale handle (see [`GpuCtx::test`]).
     pub fn wait(&self, req: GpuRequest) -> CommStatus {
-        self.block.spin_until(|| self.poll(req, "wait"))
+        self.spin(|| self.poll(req, "wait"))
     }
 
     /// Wait for every request, returning the completions in argument order —
@@ -436,8 +433,8 @@ impl<'a> GpuCtx<'a> {
     /// Wait until *one* of the requests completes; returns its index within
     /// `reqs` and its completion status (the other handles stay valid) —
     /// the device-side mirror of `CpuCtx::waitany`.  Polls every request's
-    /// completion word device-side with the same yield-then-sleep
-    /// escalation as [`GpuCtx::wait`].
+    /// completion word in one device-side wait, as [`GpuCtx::wait`] polls
+    /// one: spin, then park until the next write to device memory.
     ///
     /// # Panics
     /// Panics on an empty request list, a mailbox error, or a stale handle.
@@ -446,7 +443,7 @@ impl<'a> GpuCtx<'a> {
             !reqs.is_empty(),
             "dcgn::gpu::waitany needs at least one request handle"
         );
-        self.block.spin_until(|| {
+        self.spin(|| {
             reqs.iter()
                 .enumerate()
                 .find_map(|(i, &req)| Some((i, self.poll(req, "wait")?)))

@@ -19,6 +19,7 @@ use super::mailbox::{
     publish_order, record_word, req_state, split_word, Body, GpuLayout, Record, ANY_TAG,
     MAILBOX_COMPLETION_BYTES, MAILBOX_INLINE_BYTES, PEER_ANY, RESERVED_RECORD,
 };
+use super::ABANDONED_GRACE;
 use crate::error::{DcgnError, Result};
 use crate::group::CommId;
 use crate::message::{CollectiveResult, CommCommand, Inbox, Reply, Request, RequestKind};
@@ -564,13 +565,6 @@ impl GpuKernelThread {
     /// Run the sleep-based polling loop until the kernel has retired and all
     /// outstanding requests have been completed.
     pub fn run(&self, handle: &KernelHandle) -> Result<GpuPollStats> {
-        /// How long after kernel retirement the loop keeps servicing
-        /// requests the kernel abandoned (published but never waited on)
-        /// before giving up with an error.  Legitimate in-flight
-        /// completions land well within this; an irrecoverable request (e.g.
-        /// an `irecv` nothing will ever match) must not hang the launch.
-        const ABANDONED_GRACE: Duration = Duration::from_secs(5);
-
         let poll_interval = self.clock.model().poll_interval;
         let started = self.clock.now();
         let mut busy = Duration::ZERO;

@@ -62,6 +62,14 @@ mod device;
 mod host;
 mod mailbox;
 
+use std::time::Duration;
+
+/// How long the mailbox waits on requests nobody will harvest before it
+/// faults rather than hang: a retired kernel's abandoned requests (an
+/// `irecv` nothing matches) fail the launch, and a nonblocking claim finding
+/// no `FREE` record (a kernel past its mailbox depth) faults the kernel.
+const ABANDONED_GRACE: Duration = Duration::from_secs(5);
+
 pub use device::{GpuComm, GpuCtx, GpuRequest};
 pub(crate) use host::{GpuKernelThread, GpuThreadMetrics};
 pub use host::{GpuPollStats, GpuSetupCtx};

@@ -132,7 +132,7 @@ fn gpu_kernel(ctx: &dcgn::GpuCtx, case: Case) {
             loop {
                 match ctx.test(recv) {
                     Some(status) => break status,
-                    None => b.nap(),
+                    None => std::thread::sleep(Duration::from_micros(50)),
                 }
             }
         } else {

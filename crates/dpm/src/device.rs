@@ -324,9 +324,7 @@ impl Device {
         self.htod_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.htod.inc();
         self.pcie.transfer(&self.clock, src.len());
-        self.memory.write(dst, src)?;
-        self.memory.host_wrote();
-        Ok(())
+        self.memory.write(dst, src)
     }
 
     /// Copy device memory to the host (blocking, pays the PCI-e cost).
@@ -375,7 +373,6 @@ impl Device {
         for &(ptr, value) in writes {
             self.memory.write_u32(ptr, value)?;
         }
-        self.memory.host_wrote();
         Ok(())
     }
 
@@ -416,9 +413,7 @@ impl Device {
         self.htod_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.htod.inc();
         self.pcie.transfer(&self.clock, 4);
-        self.memory.write_u32(ptr, value)?;
-        self.memory.host_wrote();
-        Ok(())
+        self.memory.write_u32(ptr, value)
     }
 
     // ---- kernel launch ----
@@ -696,15 +691,98 @@ mod tests {
     }
 
     #[test]
-    fn every_host_write_and_no_host_read_wakes_waiting_blocks() {
-        let dev = Device::new_default(0);
+    fn every_write_rings_while_a_block_waits_and_no_read_ever_does() {
+        let metrics = dcgn_metrics::MetricsHandle::new();
+        let clock = Clock::new(CostModel::zero(), &metrics);
+        let dev = Device::new(0, DeviceConfig::default(), clock);
         let p = dev.malloc(64).unwrap();
-        let before = dev.memory.host_writes();
+        let flag = dev.malloc(4).unwrap();
+        dev.write_u32(flag, 0).unwrap();
+        let rings = || dev.memory.rings();
+        let block_writes = move |b: &BlockCtx| {
+            b.write_u32(p, 5);
+            b.write(p.add(4), &[9; 4]);
+            b.atomic_add_u32(p, 1);
+            b.atomic_cas_u32(p, 6, 7);
+        };
+
+        // Nobody waits: no write rings, so a kernel's plain stores stay free.
+        let before = rings();
+        dev.memcpy_htod(p, &[1u8; 8]).unwrap();
+        dev.write_u32(p, 2).unwrap();
+        dev.launch_sync(1, 1, block_writes).unwrap();
+        assert_eq!(rings(), before, "a write nobody waits on rang");
+
+        // A block waits, parked on `flag`: every write rings, once per
+        // write, and no read does.  Its idle twin leaves a multiprocessor
+        // free for the kernels below.
+        let waiting = dev.launch(2, 1, move |b| {
+            if b.block_id() == 0 {
+                b.wait_for_u32(flag, 1);
+            }
+        });
+        while metrics.snapshot().counter("clock.parks") == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let before = rings();
+        dev.memcpy_dtoh_vec(p, 8).unwrap();
+        dev.read_u32(p).unwrap();
+        dev.read_u32s(p, 2).unwrap();
+        dev.memcpy_dtoh_scattered(&[(p, 4), (p.add(8), 4)]).unwrap();
+        dev.launch_sync(1, 1, move |b| {
+            b.read_u32(p);
+            b.read_vec(p, 8);
+        })
+        .unwrap();
+        assert_eq!(rings(), before, "a read rang");
         dev.memcpy_htod(p, &[1u8; 8]).unwrap();
         dev.write_u32(p, 2).unwrap();
         dev.write_u32s_scattered(&[(p, 3), (p.add(4), 4)]).unwrap();
-        dev.memcpy_dtoh_vec(p, 8).unwrap();
-        dev.read_u32(p).unwrap();
-        assert_eq!(dev.memory.host_writes(), before + 3);
+        assert_eq!(rings(), before + 4, "host writes");
+        dev.launch_sync(1, 1, block_writes).unwrap();
+        assert_eq!(rings(), before + 8, "block writes");
+        dev.write_u32(flag, 1).unwrap();
+        waiting.wait().unwrap();
+    }
+
+    /// A wake-up lost between a block's last poll and its park leaves it
+    /// parked for good: nothing else ends a wait with no deadline.  Two
+    /// blocks hand one word back and forth, each holding it for 0–100 µs
+    /// first, so the other's spin ends on both sides of the write — parked
+    /// long before it, or just as it lands.
+    #[test]
+    fn a_ping_pong_between_two_blocks_loses_no_wake_up() {
+        const ROUNDS: u32 = 10_000;
+        let dev = Device::new(
+            0,
+            DeviceConfig::default().with_multiprocessors(2),
+            CostModel::zero(),
+        );
+        let word = dev.malloc(4).unwrap();
+        dev.write_u32(word, 0).unwrap();
+        let handle = dev.launch(2, 1, move |b| {
+            let me = b.block_id() as u32;
+            for round in 0..ROUNDS {
+                b.wait_for_u32(word, 2 * round + me);
+                let hold = Instant::now() + Duration::from_micros(u64::from(round % 101));
+                while Instant::now() < hold {
+                    std::hint::spin_loop();
+                }
+                b.write_u32(word, 2 * round + me + 1);
+            }
+        });
+        let watchdog = Instant::now() + Duration::from_secs(120);
+        while !handle.is_done() {
+            if Instant::now() > watchdog {
+                let stuck = dev.read_u32(word).unwrap();
+                // The parked blocks never retire; dropping the device would
+                // join them forever.
+                std::mem::forget(dev);
+                panic!("a wake-up was lost: the word is stuck at {stuck}");
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.wait().unwrap();
+        assert_eq!(dev.read_u32(word).unwrap(), 2 * ROUNDS);
     }
 }

@@ -2,14 +2,10 @@
 //! access for kernel closures.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use dcgn_simtime::Clock;
+use dcgn_simtime::{Clock, Deadline};
 
-use crate::memory::{DeviceMemory, DevicePtr};
-
-/// The longest a device-side wait sleeps between two polls.
-const NAP: Duration = Duration::from_micros(50);
+use crate::memory::{DeviceMemory, DevicePtr, MemoryError};
 
 /// A three-dimensional extent, mirroring CUDA's `dim3`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,92 +99,62 @@ impl BlockCtx {
     /// CUDA kernels in the paper (`__syncthreads()`).
     pub fn syncthreads(&self) {}
 
-    /// Briefly yield the multiprocessor.  Device-side spin loops (e.g. a
-    /// kernel waiting for the host to complete a communication request) call
-    /// this between polls so that the simulation stays live on small hosts.
-    pub fn nap(&self) {
-        self.clock.sleep(NAP);
+    /// The clock this block's device runs on: its deadlines bound
+    /// [`spin_until`](Self::spin_until).
+    pub fn clock(&self) -> &Clock {
+        &self.clock
     }
 
-    /// Spin until `poll` yields, the way a device block busy-waits on a flag.
-    ///
-    /// A real device block busy-waits in silicon at memory speed; modelling
-    /// that with a fixed [`nap`](Self::nap) quantised every mailbox
-    /// completion to the nap length.  Instead the wait starts by yielding the
-    /// OS thread (near-instant wakeups while the flag flips quickly) and only
-    /// decays to sleeping — escalating up to the nap interval — when nothing
-    /// changes, so long waits still leave the simulation host responsive.
-    /// A sleep ends early when a host write lands, so a flag the host flips
-    /// is seen at once however long the wait has run — as in silicon —
-    /// rather than up to a nap (plus OS timer slack) late.
-    pub fn spin_until<T>(&self, mut poll: impl FnMut() -> Option<T>) -> T {
-        const SPIN_YIELDS: u32 = 128;
-        let mut polls = 0u32;
-        let mut sleep = Duration::from_micros(2);
-        loop {
-            let seen = self.memory.host_writes();
-            if let Some(done) = poll() {
-                return done;
-            }
-            polls += 1;
-            if polls <= SPIN_YIELDS {
-                self.clock.yield_now();
-            } else {
-                self.memory.await_host_write(&self.clock, seen, sleep);
-                sleep = (sleep * 2).min(NAP);
-            }
-        }
+    /// Wait until `poll` yields, the way a block busy-waits on a word, or
+    /// until `deadline` passes (`None`): the device's one wait.  The block
+    /// polls, spins through the clock's budget ([`Clock::poll_until`]), then
+    /// parks until the next write to device memory, the host's or another
+    /// block's, so a word flipped at any point is seen at once and a long
+    /// wait leaves the host idle.  Writes ring only while a block waits.
+    pub fn spin_until<T>(&self, deadline: Deadline, poll: impl FnMut() -> Option<T>) -> Option<T> {
+        self.memory.wait(&self.clock, deadline, poll)
     }
 
     // ---- device global memory access (no PCI-e cost: this is the device) ----
 
+    /// `r`'s value, or a device fault (a panic) in this block.
+    fn or_fault<T>(&self, r: Result<T, MemoryError>) -> T {
+        r.unwrap_or_else(|e| panic!("device fault in block {}: {e}", self.block_id))
+    }
+
     /// Read `out.len()` bytes from device global memory.
     pub fn read(&self, ptr: DevicePtr, out: &mut [u8]) {
-        self.memory
-            .read(ptr, out)
-            .unwrap_or_else(|e| panic!("device fault in block {}: {e}", self.block_id));
+        self.or_fault(self.memory.read(ptr, out));
     }
 
     /// Read `len` bytes from device global memory into a new vector.
     pub fn read_vec(&self, ptr: DevicePtr, len: usize) -> Vec<u8> {
-        self.memory
-            .read_vec(ptr, len)
-            .unwrap_or_else(|e| panic!("device fault in block {}: {e}", self.block_id))
+        self.or_fault(self.memory.read_vec(ptr, len))
     }
 
     /// Write bytes to device global memory.
     pub fn write(&self, ptr: DevicePtr, bytes: &[u8]) {
-        self.memory
-            .write(ptr, bytes)
-            .unwrap_or_else(|e| panic!("device fault in block {}: {e}", self.block_id));
+        self.or_fault(self.memory.write(ptr, bytes));
     }
 
     /// Read a little-endian `u32` from device global memory.
     pub fn read_u32(&self, ptr: DevicePtr) -> u32 {
-        self.memory
-            .read_u32(ptr)
-            .unwrap_or_else(|e| panic!("device fault in block {}: {e}", self.block_id))
+        self.or_fault(self.memory.read_u32(ptr))
     }
 
     /// Write a little-endian `u32` to device global memory.
     pub fn write_u32(&self, ptr: DevicePtr, value: u32) {
-        self.memory
-            .write_u32(ptr, value)
-            .unwrap_or_else(|e| panic!("device fault in block {}: {e}", self.block_id));
+        self.or_fault(self.memory.write_u32(ptr, value));
     }
 
     /// Read a little-endian `u64` from device global memory.
     pub fn read_u64(&self, ptr: DevicePtr) -> u64 {
-        self.memory
-            .read_u64(ptr)
-            .unwrap_or_else(|e| panic!("device fault in block {}: {e}", self.block_id))
+        self.or_fault(self.memory.read_u64(ptr))
     }
 
     /// Write a little-endian `u64` to device global memory.
     pub fn write_u64(&self, ptr: DevicePtr, value: u64) {
-        self.memory
-            .write_u64(ptr, value)
-            .unwrap_or_else(|e| panic!("device fault in block {}: {e}", self.block_id));
+        self.or_fault(self.memory.write_u64(ptr, value));
     }
 
     /// Read a vector of `f32` values from device global memory.
@@ -202,22 +168,20 @@ impl BlockCtx {
 
     /// Atomic compare-and-swap on a device word; returns the previous value.
     pub fn atomic_cas_u32(&self, ptr: DevicePtr, expected: u32, new: u32) -> u32 {
-        self.memory
-            .atomic_cas_u32(ptr, expected, new)
-            .unwrap_or_else(|e| panic!("device fault in block {}: {e}", self.block_id))
+        self.or_fault(self.memory.atomic_cas_u32(ptr, expected, new))
     }
 
     /// Atomic fetch-add on a device word; returns the previous value.
     pub fn atomic_add_u32(&self, ptr: DevicePtr, delta: u32) -> u32 {
-        self.memory
-            .atomic_add_u32(ptr, delta)
-            .unwrap_or_else(|e| panic!("device fault in block {}: {e}", self.block_id))
+        self.or_fault(self.memory.atomic_add_u32(ptr, delta))
     }
 
-    /// Spin until the `u32` at `ptr` equals `value` (see
+    /// Wait, with no deadline, until the `u32` at `ptr` equals `value` (see
     /// [`spin_until`](Self::spin_until)).
     pub fn wait_for_u32(&self, ptr: DevicePtr, value: u32) {
-        self.spin_until(|| (self.read_u32(ptr) == value).then_some(()))
+        self.spin_until(Deadline::NEVER, || {
+            (self.read_u32(ptr) == value).then_some(())
+        });
     }
 }
 

@@ -6,12 +6,16 @@
 //! synchronisation between the host and running kernels are accessed with the
 //! `atomic_*` helpers, which take the arena lock only for the duration of the
 //! word access so that a kernel spinning on a flag never starves a host copy.
+//! Every write, the host's or a block's, takes one path that rings the blocks
+//! waiting on device memory while any is registered, so a kernel's plain
+//! stores pay one atomic load when nobody waits.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dcgn_simtime::Clock;
+use dcgn_simtime::{Clock, Deadline};
 use parking_lot::{Condvar, Mutex};
 
 /// An address in device global memory.  Device pointers are plain offsets
@@ -184,10 +188,12 @@ pub(crate) struct DeviceMemory {
     data: Mutex<Vec<u8>>,
     alloc: Mutex<Allocator>,
     capacity: usize,
-    /// Host writes landed so far; every one wakes the blocks waiting on
-    /// `host_write` (see [`crate::BlockCtx::spin_until`]).
-    host_writes: Mutex<u64>,
-    host_write: Condvar,
+    /// Blocks inside `wait`: while there is one, every write — the host's
+    /// or a block's — rings `ring`.
+    waiters: AtomicUsize,
+    /// Writes rung so far.
+    rings: Mutex<u64>,
+    ring: Condvar,
 }
 
 impl DeviceMemory {
@@ -196,32 +202,59 @@ impl DeviceMemory {
             data: Mutex::new(vec![0u8; capacity]),
             alloc: Mutex::new(Allocator::new(capacity)),
             capacity,
-            host_writes: Mutex::new(0),
-            host_write: Condvar::new(),
+            waiters: AtomicUsize::new(0),
+            rings: Mutex::new(0),
+            ring: Condvar::new(),
         }
     }
 
-    /// Count a host write that has landed and wake every waiting block.
-    pub(crate) fn host_wrote(&self) {
-        *self.host_writes.lock() += 1;
-        self.host_write.notify_all();
+    /// Wait on `clock` until `poll` yields or `deadline` passes, parked
+    /// between polls until a write rings: [`crate::BlockCtx::spin_until`].
+    pub(crate) fn wait<T>(
+        &self,
+        clock: &Clock,
+        deadline: Deadline,
+        mut poll: impl FnMut() -> Option<T>,
+    ) -> Option<T> {
+        // Register, then poll; against write, then check `waiters`: a store
+        // → load race on each side.  Either the poll reads the write, or the
+        // writer's check sees the waiter and rings.  The arena lock both
+        // sides take in between orders them today; SeqCst here and in
+        // `mutate` keeps the pairing without it.
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let _registered = Registered(&self.waiters);
+        let seen = Cell::new(0);
+        let mark_then_poll = || {
+            seen.set(self.rings());
+            poll()
+        };
+        let park = |deadline| {
+            let mut rings = self.rings.lock();
+            while *rings == seen.get() && !clock.wait_until(&self.ring, &mut rings, deadline) {}
+        };
+        clock.poll_until(deadline, mark_then_poll, park)
     }
 
-    /// Host writes landed so far.
-    pub(crate) fn host_writes(&self) -> u64 {
-        *self.host_writes.lock()
+    /// Writes rung so far.
+    pub(crate) fn rings(&self) -> u64 {
+        *self.rings.lock()
     }
 
-    /// Block until a host write lands after the first `seen`, or for at
-    /// most `timeout` on `clock`.
-    pub(crate) fn await_host_write(&self, clock: &Clock, seen: u64, timeout: Duration) {
-        let deadline = clock.deadline(timeout);
-        let mut writes = self.host_writes.lock();
-        while *writes == seen {
-            if clock.wait_until(&self.host_write, &mut writes, deadline) {
-                break;
-            }
+    /// Apply `f` to the `len` bytes at `ptr`, then ring the waiting blocks,
+    /// if any: the one path every write takes.
+    fn mutate<R>(
+        &self,
+        ptr: DevicePtr,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, MemoryError> {
+        self.check(ptr.0, len)?;
+        let out = f(&mut self.data.lock()[ptr.0..ptr.0 + len]);
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            *self.rings.lock() += 1;
+            self.ring.notify_all();
         }
+        Ok(out)
     }
 
     pub(crate) fn capacity(&self) -> usize {
@@ -252,10 +285,7 @@ impl DeviceMemory {
     }
 
     pub(crate) fn write(&self, ptr: DevicePtr, bytes: &[u8]) -> Result<(), MemoryError> {
-        self.check(ptr.0, bytes.len())?;
-        let mut data = self.data.lock();
-        data[ptr.0..ptr.0 + bytes.len()].copy_from_slice(bytes);
-        Ok(())
+        self.mutate(ptr, bytes.len(), |data| data.copy_from_slice(bytes))
     }
 
     pub(crate) fn read(&self, ptr: DevicePtr, out: &mut [u8]) -> Result<(), MemoryError> {
@@ -298,34 +328,39 @@ impl DeviceMemory {
         expected: u32,
         new: u32,
     ) -> Result<u32, MemoryError> {
-        self.check(ptr.0, 4)?;
-        let mut data = self.data.lock();
-        let mut buf = [0u8; 4];
-        buf.copy_from_slice(&data[ptr.0..ptr.0 + 4]);
-        let current = u32::from_le_bytes(buf);
-        if current == expected {
-            data[ptr.0..ptr.0 + 4].copy_from_slice(&new.to_le_bytes());
-        }
-        Ok(current)
+        self.mutate(ptr, 4, |word| {
+            let current = u32::from_le_bytes(word.try_into().expect("4 bytes"));
+            if current == expected {
+                word.copy_from_slice(&new.to_le_bytes());
+            }
+            current
+        })
     }
 
     /// Atomic fetch-add on a 32-bit word (device-side primitive).
     pub(crate) fn atomic_add_u32(&self, ptr: DevicePtr, delta: u32) -> Result<u32, MemoryError> {
-        self.check(ptr.0, 4)?;
-        let mut data = self.data.lock();
-        let mut buf = [0u8; 4];
-        buf.copy_from_slice(&data[ptr.0..ptr.0 + 4]);
-        let current = u32::from_le_bytes(buf);
-        let new = current.wrapping_add(delta);
-        data[ptr.0..ptr.0 + 4].copy_from_slice(&new.to_le_bytes());
-        Ok(current)
+        self.mutate(ptr, 4, |word| {
+            let current = u32::from_le_bytes(word.try_into().expect("4 bytes"));
+            word.copy_from_slice(&current.wrapping_add(delta).to_le_bytes());
+            current
+        })
+    }
+}
+
+/// Deregisters a waiting block however its wait ends, a fault included.
+struct Registered<'a>(&'a AtomicUsize);
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn malloc_never_returns_null_and_respects_alignment() {
@@ -441,27 +476,52 @@ mod tests {
     }
 
     #[test]
-    fn a_host_write_ends_a_wait_for_one_and_a_missed_one_skips_it() {
-        let mem = std::sync::Arc::new(DeviceMemory::new(4096));
-        let clock = Clock::from(dcgn_simtime::CostModel::zero());
-        let seen = mem.host_writes();
-        let host = std::sync::Arc::clone(&mem);
+    fn a_write_ends_a_parked_wait_and_rings_only_while_one_is_registered() {
+        let mem = Arc::new(DeviceMemory::new(4096));
+        let metrics = dcgn_metrics::MetricsHandle::new();
+        let clock = Clock::new(dcgn_simtime::CostModel::zero(), &metrics);
+        let p = mem.malloc(4).unwrap();
+        let rings = mem.rings();
+        mem.write_u32(p, 1).unwrap();
+        assert_eq!(mem.rings(), rings, "a write nobody waits on rang");
+
+        let host = Arc::clone(&mem);
         let writer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            host.host_wrote();
+            host.write_u32(p, 2).unwrap();
         });
+        let is_two = || (mem.read_u32(p).unwrap() == 2).then_some(());
         let start = Instant::now();
-        mem.await_host_write(&clock, seen, Duration::from_secs(60));
+        assert_eq!(
+            mem.wait(&clock, clock.deadline(Duration::from_secs(60)), is_two),
+            Some(())
+        );
         assert!(
             start.elapsed() < Duration::from_secs(30),
             "woken by the write"
         );
-        assert_eq!(mem.host_writes(), seen + 1);
+        assert!(
+            metrics.snapshot().counter("clock.parks") >= 1,
+            "never parked"
+        );
         writer.join().unwrap();
-        // A write that landed before the wait began does not wait at all.
-        let start = Instant::now();
-        mem.await_host_write(&clock, seen, Duration::from_secs(60));
-        assert!(start.elapsed() < Duration::from_secs(30));
+
+        let is_three = || (mem.read_u32(p).unwrap() == 3).then_some(());
+        let soon = clock.deadline(Duration::from_millis(5));
+        assert_eq!(
+            mem.wait(&clock, soon, is_three),
+            None,
+            "a wait past its deadline"
+        );
+        let fault = std::panic::catch_unwind(|| {
+            mem.wait(&clock, Deadline::NEVER, || -> Option<()> {
+                panic!("device fault")
+            })
+        });
+        assert!(fault.is_err());
+        let rings = mem.rings();
+        mem.write_u32(p, 3).unwrap();
+        assert_eq!(mem.rings(), rings, "a finished or faulted wait still rings");
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! host's real one here without touching the layers above.  Each
 //! [`Clock::charge`] also adds the modelled nanoseconds it blocked for to the
 //! clock's **cost ledger**, one `model.charged_ns.<kind>` counter per
-//! [`Charge`] kind, exact however noisy the wall clock is.  Beside it,
-//! `clock.parks` counts the channel waits that outlasted
-//! [`Clock::recv_until`]'s spin and blocked.
+//! [`Charge`] kind, exact however noisy the wall clock is.  Every wait names
+//! the event it waits for and a [`Deadline`]; the ones that spin share one
+//! budget, and `clock.parks` counts those that outlasted it and blocked: a
+//! channel receive ([`Clock::recv_until`]) or a device block waiting on a
+//! word ([`Clock::poll_until`]).
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -121,17 +124,6 @@ impl Clock {
         deadline.0.is_some_and(|at| Instant::now() >= at)
     }
 
-    /// Pause the calling thread for at least `d` without burning the CPU;
-    /// the OS may wake it late.  Not a modelled cost: nothing is charged.
-    pub fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-
-    /// Offer the CPU to another thread.
-    pub fn yield_now(&self) {
-        std::thread::yield_now();
-    }
-
     /// Pay the modelled cost `d` of a `kind` of hardware step: block for
     /// exactly `d` ([`crate::precise_sleep`]) and add it to the ledger.  The
     /// ledger's update is part of the `d`, not added to it.
@@ -144,34 +136,59 @@ impl Clock {
         sleep_from(start, d);
     }
 
-    /// Receive from `rx`, waiting until `deadline` at most: spin, then park.
-    /// The wait yield-polls `rx` for up to 50 µs (`PARK_AFTER`), so a
-    /// hand-off that lands that soon costs no futex wake-up; only then does
-    /// it block, counted in `clock.parks`.  A deadline already passed checks
-    /// `rx` once.  The spin is an artefact of the real clock, which wakes a
-    /// parked thread late; a virtual clock parks at once.
+    /// Wait until `poll` yields, or `deadline` passes (`None`): yield-poll
+    /// for up to 50 µs (`PARK_AFTER`, the stack's one spin budget), then
+    /// call `park` on every miss, counted in `clock.parks`; `park` blocks
+    /// until what `poll` reads may have changed, or until the deadline it is
+    /// given.  The spin is an artefact of the real clock, whose futex
+    /// wake-up costs more; a virtual clock parks at once.
+    pub fn poll_until<T>(
+        &self,
+        deadline: Deadline,
+        mut poll: impl FnMut() -> Option<T>,
+        mut park: impl FnMut(Deadline),
+    ) -> Option<T> {
+        let park_at = Deadline::after(self.now(), PARK_AFTER);
+        loop {
+            if let Some(done) = poll() {
+                return Some(done);
+            }
+            if self.passed(deadline) {
+                return None;
+            }
+            if self.passed(park_at) {
+                self.0.parks.inc();
+                park(deadline);
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Receive from `rx`, waiting until `deadline` at most: a
+    /// [`Clock::poll_until`] whose park is a blocking receive.
     pub fn recv_until<T>(
         &self,
         rx: &Receiver<T>,
         deadline: Deadline,
     ) -> Result<T, RecvTimeoutError> {
-        let park_at = Deadline::after(self.now(), PARK_AFTER);
-        loop {
-            match rx.try_recv() {
-                Ok(msg) => return Ok(msg),
-                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-                Err(TryRecvError::Empty) if self.passed(deadline) => {
-                    return Err(RecvTimeoutError::Timeout)
-                }
-                Err(TryRecvError::Empty) if self.passed(park_at) => break,
-                Err(TryRecvError::Empty) => self.yield_now(),
-            }
-        }
-        self.0.parks.inc();
-        match deadline.0 {
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
-        }
+        let parked = Cell::new(None);
+        let poll = || match parked.take() {
+            None | Some(Err(RecvTimeoutError::Timeout)) => match rx.try_recv() {
+                Ok(msg) => Some(Ok(msg)),
+                Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
+                Err(TryRecvError::Empty) => None,
+            },
+            got => got,
+        };
+        let park = |deadline: Deadline| {
+            parked.set(Some(match deadline.0 {
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+            }))
+        };
+        self.poll_until(deadline, poll, park)
+            .unwrap_or(Err(RecvTimeoutError::Timeout))
     }
 
     /// Wait on `cv`, releasing `guard` meanwhile, until notified or until
@@ -317,16 +334,47 @@ mod tests {
         let metrics = MetricsHandle::new();
         let clock = Clock::new(CostModel::zero(), &metrics);
         let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-        let sender = {
-            let clock = clock.clone();
-            std::thread::spawn(move || {
-                clock.sleep(Duration::from_millis(5));
-                tx.send(9).unwrap();
-            })
-        };
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(5));
+            tx.send(9).unwrap();
+        });
         assert_eq!(clock.recv_until(&rx, Deadline::NEVER), Ok(9));
         assert!(parks(&metrics) <= 1, "{} parks", parks(&metrics));
         sender.join().unwrap();
+    }
+
+    #[test]
+    fn poll_until_parks_only_after_its_spin_and_gives_up_at_its_deadline() {
+        let metrics = MetricsHandle::new();
+        let clock = Clock::new(CostModel::zero(), &metrics);
+        let never_parks = |_| panic!("parked");
+        assert_eq!(
+            clock.poll_until(Deadline::NEVER, || Some(7), never_parks),
+            Some(7)
+        );
+        let expired = clock.deadline(Duration::ZERO);
+        assert_eq!(clock.poll_until(expired, || None::<u32>, never_parks), None);
+
+        // A poll that fails all through the spin: one park, then the poll
+        // after it succeeds.
+        let parked = std::cell::Cell::new(false);
+        let got = clock.poll_until(
+            Deadline::NEVER,
+            || parked.get().then_some(9),
+            |_| parked.set(true),
+        );
+        assert_eq!(got, Some(9));
+        assert_eq!(parks(&metrics), 1);
+
+        let wait = Duration::from_millis(5);
+        let (start, deadline) = (clock.now(), clock.deadline(wait));
+        let park = |given| {
+            assert_eq!(given, deadline);
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(clock.poll_until(deadline, || None::<u32>, park), None);
+        assert!(clock.elapsed(start) >= wait);
+        assert!(parks(&metrics) > 1);
     }
 
     #[test]

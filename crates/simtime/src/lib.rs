@@ -7,13 +7,14 @@
 //! single place where the latency and bandwidth characteristics of those
 //! simulated components are described.
 //!
-//! [`Clock`] is the one owner of time: every layer reads the time, sleeps
-//! and waits at a [`Deadline`] through it, and pays each modelled hardware
-//! cost with [`Clock::charge`], which blocks for it and adds it to a
-//! per-[`Charge`]-kind cost ledger in the metrics registry.  Its channel
-//! wait, [`Clock::recv_until`], spins for 50 µs before it parks: an artefact
-//! of the real clock, whose futex wake-up costs more than a short spin, that
-//! a virtual clock would drop.
+//! [`Clock`] is the one owner of time: every layer reads the time and waits
+//! for an event until a [`Deadline`] through it, and pays each modelled
+//! hardware cost with [`Clock::charge`], which blocks for it and adds it to
+//! a per-[`Charge`]-kind cost ledger in the metrics registry.  Its channel
+//! wait, [`Clock::recv_until`], and its wait on a polled condition,
+//! [`Clock::poll_until`], spin for 50 µs before they park: an artefact of
+//! the real clock, whose futex wake-up costs more than a short spin, that a
+//! virtual clock would drop.
 //!
 //! The crate also provides the percentile helpers the benchmark harness
 //! uses.

@@ -10,8 +10,11 @@
 #   condvar-wait           a condvar `wait`, `wait_until`, `wait_for` or
 #                          `wait_timeout` (spotted by the guard it takes:
 #                          `.wait(&mut ...`).
-# Each has a clock method instead: `now`/`elapsed`, `sleep`, `charge`,
-# `yield_now`, `recv_until`, `wait_until`.
+# Each has a clock method instead: `now`/`elapsed` to read the time,
+# `charge` to pay a modelled cost, and a wait that names its event and a
+# `Deadline` — `recv_until` (a channel), `wait_until` (a condvar) or
+# `poll_until` (a polled condition; the device's `BlockCtx::spin_until`).
+# The clock has no blind sleep or bare yield to call instead.
 #
 #   scripts/no_wallclock.sh            # list every use
 #   scripts/no_wallclock.sh --check    # fail on a use the allowlist lacks
