@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use dcgn_metrics::{Counter, Gauge, MetricsHandle};
 use dcgn_netsim::Payload;
 use dcgn_rmpi::{Communicator, Request as MpiRequest, TAG_EXCHANGE};
@@ -33,8 +33,8 @@ use crate::exchange::{classify_collective, CollectiveAssembly, Contribution, Eng
 use crate::group::{CommGroup, CommId};
 use crate::matcher::{IncomingMsg, Matcher, PendingRecv};
 use crate::message::{
-    decode_p2p, frame_p2p, CollectiveResult, CommCommand, CommStatus, Reply, ReplyTo, Request,
-    RequestKind,
+    decode_p2p, drain, frame_p2p, CollectiveResult, CommCommand, CommStatus, Reply, ReplyTo,
+    Request, RequestKind,
 };
 use crate::rank::RankMap;
 
@@ -106,8 +106,11 @@ impl Substrate {
 struct CommThreadMetrics {
     /// `comm.requests.node{N}` — kernel requests dispatched.
     requests: Counter,
-    /// `comm.queue_depth.node{N}` — work-queue backlog sampled per loop
-    /// iteration (the high-water mark is the interesting read).
+    /// `comm.crossings.node{N}` — work-queue drains that carried requests,
+    /// each of which paid one queue hop.
+    crossings: Counter,
+    /// `comm.queue_depth.node{N}` — commands each work-queue drain took
+    /// (the high-water mark is the interesting read).
     queue_depth: Gauge,
     /// `comm.matcher.pending_recvs.node{N}` — receives waiting for a match.
     pending_recvs: Gauge,
@@ -179,6 +182,7 @@ impl CommThread {
             local_done: false,
             metrics: CommThreadMetrics {
                 requests: counter("comm.requests"),
+                crossings: counter("comm.crossings"),
                 queue_depth: gauge("comm.queue_depth"),
                 pending_recvs: gauge("comm.matcher.pending_recvs"),
                 unexpected_msgs: gauge("comm.matcher.unexpected_msgs"),
@@ -190,18 +194,9 @@ impl CommThread {
     /// work remains.
     pub(crate) fn run(&mut self) -> Result<()> {
         loop {
-            let mut did_work = false;
-
             // 1. Drain the local work queue (a collective's exchange starts
-            //    at the join that completes its assembly).  The backlog
-            //    sampled before the drain is the queue-depth gauge's
-            //    observation point (its high-water mark survives in the
-            //    metrics snapshot).
-            self.metrics.queue_depth.set(self.work_rx.len() as u64);
-            while let Ok(cmd) = self.work_rx.try_recv() {
-                self.handle_command(cmd)?;
-                did_work = true;
-            }
+            //    at the join that completes its assembly).
+            let mut did_work = self.drain_work(Duration::ZERO)?;
 
             // 2. Progress the MPI substrate: harvest inter-node
             //    point-to-point messages and exchange frames (each is
@@ -240,18 +235,41 @@ impl CommThread {
             //    notifier, so this is an event wait; the timeout is only a
             //    safety net.
             if !did_work {
-                let idle = self.clock.deadline(IDLE_FALLBACK);
-                match self.clock.recv_until(&self.work_rx, idle) {
-                    Ok(cmd) => self.handle_command(cmd)?,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                        // The runtime dropped its handles; treat it as a
-                        // shutdown signal so panicked launches still unwind.
-                        self.local_done = true;
-                    }
-                }
+                self.drain_work(IDLE_FALLBACK)?;
             }
         }
+    }
+
+    /// Take one crossing of the work queue, waiting up to `wait` for it, and
+    /// handle every command it carried; the crossing pays one queue hop if
+    /// it carried a request, a whole GPU-sweep batch included.  The number
+    /// taken is the queue-depth gauge's observation (its high-water mark
+    /// survives in the metrics snapshot).  True when anything was taken.
+    fn drain_work(&mut self, wait: Duration) -> Result<bool> {
+        let mut cmds = Vec::new();
+        let file = |cmd| {
+            let work = matches!(cmd, CommCommand::Request(_) | CommCommand::Batch(_));
+            cmds.push(cmd);
+            work
+        };
+        let taken = match drain(&self.clock, &self.work_rx, self.clock.deadline(wait), file) {
+            Ok(crossing) => {
+                self.metrics.crossings.add(crossing.paid as u64);
+                crossing.taken
+            }
+            Err(RecvTimeoutError::Timeout) => 0,
+            Err(RecvTimeoutError::Disconnected) => {
+                // The runtime dropped its handles; treat it as a shutdown
+                // signal so panicked launches still unwind.
+                self.local_done = true;
+                0
+            }
+        };
+        self.metrics.queue_depth.set(taken as u64);
+        for cmd in cmds {
+            self.handle_command(cmd)?;
+        }
+        Ok(taken > 0)
     }
 
     fn handle_command(&mut self, cmd: CommCommand) -> Result<()> {
@@ -268,16 +286,9 @@ impl CommThread {
                 self.matcher.drain_recvs();
                 Ok(())
             }
-            // Receiving a command costs one hop through the thread-safe
-            // queue — a whole GPU-sweep batch pays it once, not per request.
-            CommCommand::Request(req) => {
-                self.clock
-                    .charge(Charge::QueueHop, self.clock.model().queue_hop);
-                self.dispatch_request(req)
-            }
+            // The drain that took the command paid its queue hop.
+            CommCommand::Request(req) => self.dispatch_request(req),
             CommCommand::Batch(reqs) => {
-                self.clock
-                    .charge(Charge::QueueHop, self.clock.model().queue_hop);
                 for req in reqs {
                     self.dispatch_request(req)?;
                 }

@@ -122,19 +122,20 @@ impl RequestTable {
         (handle, self.inbox.reply_to(handle.token()))
     }
 
-    /// The outstanding request filed under `token`, if there still is one.
-    fn live_mut(&mut self, (index, gen): Token) -> Option<&mut PendingReq> {
-        let entry = self.slots.get_mut(index as usize)?.as_mut()?;
-        (entry.gen == gen).then_some(entry)
-    }
-
     /// Free the slot behind a live handle; returns the operation's name.
     fn remove(&mut self, handle: RequestHandle) -> Option<&'static str> {
-        let what = self.live_mut(handle.token())?.what;
+        let what = live(&mut self.slots, handle.token())?.what;
         self.slots[handle.index as usize] = None;
         self.free.push(handle.index);
         Some(what)
     }
+}
+
+/// The outstanding request of `slots` filed under `(index, gen)`, if there
+/// still is one.
+fn live(slots: &mut [Option<PendingReq>], (index, gen): Token) -> Option<&mut PendingReq> {
+    let entry = slots.get_mut(index as usize)?.as_mut()?;
+    (entry.gen == gen).then_some(entry)
 }
 
 /// Execution context of one CPU-kernel thread (one DCGN rank).
@@ -243,39 +244,47 @@ impl CpuCtx {
         Ok(handle)
     }
 
-    /// The one place this rank receives from its inbox: file each reply under
-    /// its token until one of `wanted` is answered, then free that entry and
-    /// return its position, operation name and reply.  A reply to a request
-    /// no longer outstanding (its wait timed out) is dropped on receipt.
-    /// `None` when `wait` runs out with nothing in `wanted` answered (zero:
-    /// once the inbox is empty).
+    /// The one place this rank receives from its inbox: file each reply
+    /// under its token until one of `wanted` is answered, then free that
+    /// entry and return its position, operation name and reply.  Replies
+    /// cross one drain at a time, each paying one queue hop for everything
+    /// queued when the rank drains, so a reply an earlier drain filed is
+    /// returned without paying again.  A reply to a request no longer
+    /// outstanding (its wait timed out) is dropped on receipt and pays
+    /// nothing.  `None` when `wait` runs out with nothing in `wanted`
+    /// answered (zero: once the inbox is empty).
     fn receive(
         &self,
         table: &mut RequestTable,
         wanted: &[RequestHandle],
         wait: Duration,
     ) -> Result<Option<(usize, &'static str, Reply)>> {
-        if let Some(&dead) = wanted.iter().find(|h| table.live_mut(h.token()).is_none()) {
+        if let Some(&dead) = wanted
+            .iter()
+            .find(|h| live(&mut table.slots, h.token()).is_none())
+        {
             return Err(stale_handle_error(self.rank, dead));
         }
         let deadline = self.clock.deadline(wait);
         loop {
             let answered = wanted.iter().enumerate().find_map(|(i, handle)| {
-                let entry = table.live_mut(handle.token())?;
+                let entry = live(&mut table.slots, handle.token())?;
                 Some((i, entry.what, entry.reply.take()?))
             });
             if let Some((i, what, reply)) = answered {
-                // The reply crossed the work queue in the other direction.
-                self.clock
-                    .charge(Charge::QueueHop, self.clock.model().queue_hop);
                 table.remove(wanted[i]);
                 return Ok(Some((i, what, reply)));
             }
-            let Some((token, reply)) = table.inbox.recv_until(&self.clock, deadline) else {
-                return Ok(None);
+            let RequestTable { slots, inbox, .. } = &mut *table;
+            let file = |(token, reply)| match live(slots, token) {
+                Some(entry) => {
+                    entry.reply = Some(reply);
+                    true
+                }
+                None => false,
             };
-            if let Some(entry) = table.live_mut(token) {
-                entry.reply = Some(reply);
+            if inbox.drain(&self.clock, deadline, file).is_none() {
+                return Ok(None);
             }
         }
     }
@@ -825,13 +834,20 @@ mod tests {
     use dcgn_simtime::CostModel;
     use std::time::Instant;
 
+    /// The queue hop `test_ctx`'s clock charges.
+    const HOP: Duration = Duration::from_micros(1);
+
     /// Rank 0's context wired to a plain channel standing in for the comm
-    /// thread.
+    /// thread, with a clock that charges only queue hops, of `HOP` each.
     fn test_ctx(request_timeout: Duration) -> (CpuCtx, Receiver<CommCommand>) {
         let rank_map = Arc::new(RankMap::new(&DcgnConfig::homogeneous(1, 2, 0, 0)));
         let (work_tx, work_rx) = unbounded();
         let metrics = dcgn_metrics::MetricsHandle::new();
-        let clock = Clock::new(CostModel::zero(), &metrics);
+        let model = CostModel {
+            queue_hop: HOP,
+            ..CostModel::zero()
+        };
+        let clock = Clock::new(model, &metrics);
         let ctx = CpuCtx::new(0, rank_map, work_tx, clock, request_timeout, metrics);
         (ctx, work_rx)
     }
@@ -901,6 +917,36 @@ mod tests {
         assert!(index == 1 && done.is_send());
         assert!(matches!(ctx.test(handles[0]), Ok(None)));
         assert!(ctx.waitany(&handles).is_err(), "handle 1 is consumed");
+    }
+
+    /// The queue hops `ctx`'s clock has charged.
+    fn hops(ctx: &CpuCtx) -> u64 {
+        let charged = ctx.metrics_snapshot().counter("model.charged_ns.queue_hop");
+        charged / HOP.as_nanos() as u64
+    }
+
+    #[test]
+    fn waitall_pays_one_hop_for_every_reply_queued_when_it_drains() {
+        let (ctx, work_rx) = test_ctx(Duration::from_secs(60));
+        let n = 8;
+        let handles: Vec<_> = (0..n).map(|i| ctx.isend(1, &[i]).unwrap()).collect();
+        assert_eq!(hops(&ctx), n as u64, "each post pays its own hop");
+        for _ in 0..n {
+            next_request(&work_rx).reply_to.complete(Reply::SendDone);
+        }
+        let done = ctx.waitall(&handles).unwrap();
+        assert!(done.len() == n as usize && done.iter().all(Completion::is_send));
+        // The first wait drains all n replies in one crossing; the other
+        // waits find theirs filed and pay nothing.
+        assert_eq!(hops(&ctx), n as u64 + 1);
+        // A reply to a request nobody waits for any more crosses for free.
+        let timed_out = ctx.irecv(1).unwrap();
+        let late = next_request(&work_rx);
+        assert!(ctx.requests.lock().unwrap().remove(timed_out).is_some());
+        late.reply_to.complete(Reply::SendDone);
+        let reused = ctx.isend(1, &[0]).unwrap();
+        assert!(ctx.test(reused).unwrap().is_none());
+        assert_eq!(hops(&ctx), n as u64 + 3);
     }
 
     /// One event of the `ReplyTo`/`Inbox` walk.

@@ -519,9 +519,11 @@ fn unregistered(comm: CommId) -> DcgnError {
 mod tests {
     use super::*;
     use crate::message::Inbox;
+    use dcgn_simtime::CostModel;
 
     #[test]
     fn a_dropped_assembly_or_exchange_answers_every_joined_rank_shutting_down() {
+        let clock = Clock::from(CostModel::zero());
         let inbox = Inbox::new();
         let id = CollectiveId {
             kind: CollectiveKind::Barrier,
@@ -542,9 +544,13 @@ mod tests {
             joined: vec![(2, inbox.reply_to((2, 1)))],
             plan: ExchangePlan::Star,
             machine,
-            started: dcgn_simtime::Clock::from(dcgn_simtime::CostModel::zero()).now(),
+            started: clock.now(),
         });
-        let replies = inbox.drain();
+        let mut replies = Vec::new();
+        inbox.drain(&clock, clock.deadline(Duration::ZERO), |reply| {
+            replies.push(reply);
+            true
+        });
         for (rank, (token, reply)) in replies.iter().enumerate() {
             assert_eq!(*token, (rank as u32, 1));
             assert!(matches!(reply, Reply::Error(DcgnError::ShuttingDown)));

@@ -452,18 +452,22 @@ impl GpuKernelThread {
     }
 
     /// The one place this thread receives from its inbox: wait up to `wait`
-    /// for a reply — whichever request's lands first — then file it, and
-    /// whatever else has arrived, under the pending op its token names.
+    /// for a reply — whichever request's lands first — then take it and
+    /// everything queued behind it as one crossing, filing each under the
+    /// pending op its token names.  The crossing pays one queue hop if it
+    /// left an op with all its replies, so a `SENDRECV_REPLACE` whose two
+    /// replies cross apart pays once, like any other op.
     fn collect(&self, pending: &mut HashMap<PendingKey, PendingOp>, wait: Duration) {
-        let deadline = self.clock.deadline(wait);
-        let mut next = self.inbox.recv_until(&self.clock, deadline);
-        while let Some(((slot, record), reply)) = next {
-            if let Some(op) = pending.get_mut(&(slot as usize, record as usize)) {
-                op.replies.push(reply);
-                op.awaiting -= 1;
-            }
-            next = self.inbox.try_recv();
-        }
+        let file = |((slot, record), reply)| {
+            let Some(op) = pending.get_mut(&(slot as usize, record as usize)) else {
+                return false;
+            };
+            op.replies.push(reply);
+            op.awaiting -= 1;
+            op.awaiting == 0
+        };
+        self.inbox
+            .drain(&self.clock, self.clock.deadline(wait), file);
     }
 
     /// One polling sweep: complete finished requests, then harvest newly
@@ -474,7 +478,8 @@ impl GpuKernelThread {
     }
 
     /// Write back every request whose replies have all arrived from the
-    /// comm thread.  Returns true when there was one.
+    /// comm thread (the crossing that brought them paid the queue hop).
+    /// Returns true when there was one.
     fn complete_ready(&self, pending: &mut HashMap<PendingKey, PendingOp>) -> Result<bool> {
         self.collect(pending, Duration::ZERO);
         let done: Vec<PendingKey> = pending
@@ -482,8 +487,6 @@ impl GpuKernelThread {
             .filter_map(|(&key, op)| (op.awaiting == 0).then_some(key))
             .collect();
         for &key in &done {
-            self.clock
-                .charge(Charge::QueueHop, self.clock.model().queue_hop);
             let mut op = pending.remove(&key).expect("selected above");
             self.complete(key, &mut op)?;
         }
@@ -726,6 +729,18 @@ mod tests {
         gpu_thread(Device::new_default(0), slots, MAILBOX_REQS_PER_SLOT)
     }
 
+    /// Give `gpu` a clock that charges 1 ns per queue hop and nothing else;
+    /// the returned ledger counter reads the hops it has paid.
+    fn charge_hops(gpu: &mut GpuKernelThread) -> Counter {
+        let metrics = MetricsHandle::new();
+        let model = CostModel {
+            queue_hop: Duration::from_nanos(1),
+            ..CostModel::zero()
+        };
+        gpu.clock = Clock::new(model, &metrics);
+        metrics.counter("model.charged_ns.queue_hop")
+    }
+
     fn word_of(gpu: &GpuKernelThread, slot: usize, record: usize) -> u32 {
         gpu.device
             .read_u32(gpu.layout.word_ptr(slot, record))
@@ -797,7 +812,8 @@ mod tests {
     #[test]
     fn one_sweep_harvests_n_slots_with_one_region_read_and_one_batch() {
         let slots = 4;
-        let (gpu, work_rx) = test_gpu_thread(slots);
+        let (mut gpu, work_rx) = test_gpu_thread(slots);
+        let hops = charge_hops(&mut gpu);
         for slot in 0..slots {
             publish(&gpu, slot, RESERVED_RECORD, barrier_body(&gpu, slot));
         }
@@ -831,6 +847,7 @@ mod tests {
         };
         assert_eq!(reqs.len(), slots);
         assert!(work_rx.try_recv().is_err(), "no further queue traffic");
+        assert_eq!(hops.get(), 1, "the batch pays one queue hop");
 
         // A record still pending is not harvested again.
         gpu.sweep(&mut pending).unwrap();
@@ -849,6 +866,8 @@ mod tests {
         // No slot is blocked any more, so the same sweep goes on to read
         // the records (once; nothing new is pending).
         assert_eq!(since(before, &gpu), (1, slots as u64));
+        // The replies crossed back together: one more hop, not one each.
+        assert_eq!(hops.get(), 2);
         for slot in 0..slots {
             assert_eq!(
                 word_of(&gpu, slot, RESERVED_RECORD),
@@ -1385,7 +1404,8 @@ mod tests {
             DeviceConfig::default().with_memory_bytes(1 << 16),
             CostModel::zero(),
         );
-        let (gpu, work_rx) = gpu_thread(device, 1, 1);
+        let (mut gpu, work_rx) = gpu_thread(device, 1, 1);
+        let hops = charge_hops(&mut gpu);
         // One claim short of the generation wrap: the first publish takes
         // REQ_GEN_MASK, the next 0; every record starts FREE under a
         // generation no claim takes, its inline area holding that previous
@@ -1467,12 +1487,20 @@ mod tests {
                     answered = true;
                     replies_from = Some(i);
                 }
+                // A host move pays one queue hop per batch it relays, and
+                // one for its inbox drain if that completed anything — never
+                // one per reply.
                 Move::Complete => {
+                    let (before, hopped) = (pending.len(), hops.get());
                     gpu.complete_ready(&mut pending).unwrap();
+                    let completing = pending.len() < before;
+                    assert_eq!(hops.get() - hopped, completing as u64);
                     answered = false;
                 }
                 Move::Pass => {
                     let (requests, completes) = (gpu.metrics.requests.get(), answered);
+                    let (held_keys, hopped) =
+                        (pending.keys().copied().collect::<Vec<_>>(), hops.get());
                     let mut moved = false;
                     // The block may run on while the loop reads whether it
                     // has retired, wherever the pass reads that.
@@ -1493,10 +1521,13 @@ mod tests {
                         )
                         .unwrap();
                     answered = false;
+                    let completing = held_keys.iter().any(|key| !pending.contains_key(key));
+                    let mut batches = 0;
                     while let Ok(command) = work_rx.try_recv() {
                         let CommCommand::Batch(reqs) = command else {
                             panic!("expected a Batch");
                         };
+                        batches += 1;
                         for req in reqs {
                             let bytes = match &req.kind {
                                 RequestKind::Send { data, .. }
@@ -1509,6 +1540,7 @@ mod tests {
                             held.push(req);
                         }
                     }
+                    assert_eq!(hops.get() - hopped, batches + completing as u64);
                     if retired == Some(false) && pending.is_empty() {
                         break;
                     }

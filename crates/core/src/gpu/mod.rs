@@ -26,16 +26,19 @@
 //!    slot's records, takes each `PENDING` record it does not already hold,
 //!    pulls a sent payload only when it did not ride in the record, writes
 //!    nothing back, and relays the harvest to the communication thread as
-//!    a single `CommCommand::Batch` paying one queue hop — each slot's
+//!    a single `CommCommand::Batch` paying one queue hop (one hop per
+//!    crossing: everything queued when the consumer drains) — each slot's
 //!    requests in generation order, which is the order its kernel published
 //!    them, so sends to one destination never overtake.
-//! 3. **Complete** — when the communication thread has answered, the host
-//!    writes a result too large for the record into the slot's device
-//!    buffer, then the record's inline area (a smaller result, flagged as
-//!    such), result fields and `DONE` word in one transfer, word last.  The
-//!    kernel reads that word ([`GpuCtx::test`] once, [`GpuCtx::wait`]
-//!    spinning device-side), copies a flagged inline result into its buffer
-//!    and releases the record (`FREE`).  A request the host cannot stage (a
+//! 3. **Complete** — when the communication thread has answered (its replies
+//!    cross back through the GPU-kernel thread's inbox, one queue hop for
+//!    every reply queued when the thread drains it), the host writes a
+//!    result too large for the record into the slot's device buffer, then
+//!    the record's inline area (a smaller result, flagged as such), result
+//!    fields and `DONE` word in one transfer, word last.  The kernel reads
+//!    that word ([`GpuCtx::test`] once, [`GpuCtx::wait`] spinning
+//!    device-side), copies a flagged inline result into its buffer and
+//!    releases the record (`FREE`).  A request the host cannot stage (a
 //!    buffer outside device memory, an unknown opcode) is completed the same
 //!    way with an error code, so the kernel faults instead of waiting
 //!    forever.

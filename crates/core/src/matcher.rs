@@ -201,6 +201,8 @@ mod tests {
     use super::*;
     use crate::error::DcgnError;
     use crate::message::{Inbox, Reply};
+    use dcgn_simtime::{Clock, CostModel};
+    use std::time::Duration;
 
     /// A receive replying into an inbox of its own, under token `(dst, seq)`.
     fn test_recv(
@@ -367,8 +369,10 @@ mod tests {
         m.drain_recvs();
         assert_eq!(m.pending_recvs(), 0);
         // Dropped, not parked somewhere: every one of them was answered.
+        let clock = Clock::from(CostModel::zero());
         for inbox in inboxes {
-            assert_eq!(inbox.drain().len(), 1);
+            let crossing = inbox.drain(&clock, clock.deadline(Duration::ZERO), |_| true);
+            assert_eq!(crossing.map(|c| c.taken), Some(1));
         }
     }
 
@@ -390,12 +394,12 @@ mod tests {
         });
         inboxes.push(sender);
         drop(m);
+        let clock = Clock::from(CostModel::zero());
         for inbox in inboxes {
-            let replies = inbox.drain();
-            assert!(matches!(
-                replies[..],
-                [(_, Reply::Error(DcgnError::ShuttingDown))]
-            ));
+            let crossing = inbox.drain(&clock, clock.deadline(Duration::ZERO), |(_, reply)| {
+                matches!(reply, Reply::Error(DcgnError::ShuttingDown))
+            });
+            assert_eq!(crossing.map(|c| (c.taken, c.paid)), Some((1, true)));
         }
     }
 }

@@ -8,12 +8,12 @@
 //! body, so the body bytes are written once, never move on their way to the
 //! wire, and sit at offset 0 of the allocation the receiver hands out.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
 
 use dcgn_netsim::buffer::ENVELOPE_BYTES;
 use dcgn_netsim::Payload;
-use dcgn_simtime::{Clock, Deadline};
+use dcgn_simtime::{Charge, Clock, Deadline};
 
 use crate::error::DcgnError;
 use crate::group::CommId;
@@ -179,7 +179,8 @@ pub(crate) enum CommCommand {
     /// A communication request from a local kernel.
     Request(Request),
     /// Every request a GPU-kernel thread harvested in one polling sweep,
-    /// relayed together so the whole sweep pays a single queue hop.
+    /// relayed together: the sweep's requests cross the work queue as one
+    /// item, so the harvest pays a single queue hop for all of them.
     Batch(Vec<Request>),
     /// Wake the comm thread's idle wait (sent by the fabric's delivery
     /// notifier when an inter-node message lands); carries no work itself.
@@ -214,15 +215,56 @@ impl Inbox {
         }
     }
 
-    /// The next reply, waiting on `clock` until `deadline` at most.
-    pub(crate) fn recv_until(&self, clock: &Clock, deadline: Deadline) -> Option<(Token, Reply)> {
-        clock.recv_until(&self.rx, deadline).ok()
+    /// One crossing of this inbox (see [`drain`]): `None` when no reply
+    /// arrived by `deadline`.
+    pub(crate) fn drain(
+        &self,
+        clock: &Clock,
+        deadline: Deadline,
+        file: impl FnMut((Token, Reply)) -> bool,
+    ) -> Option<Drained> {
+        drain(clock, &self.rx, deadline, file).ok()
     }
+}
 
-    /// The next reply if one has already arrived.
-    pub(crate) fn try_recv(&self) -> Option<(Token, Reply)> {
-        self.rx.try_recv().ok()
+/// What one [`drain`] took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Drained {
+    /// Items taken: the first, plus the queue's length just after it.
+    pub taken: usize,
+    /// Whether any item was work, and so the crossing paid its queue hop.
+    pub paid: bool,
+}
+
+/// One crossing of a thread-safe queue — the one place that decides what a
+/// hand-off between DCGN's threads costs.  Waits on `clock` until
+/// `deadline` for the first item, then takes exactly the items queued
+/// behind it at that moment (one that lands during the drain belongs to the
+/// next crossing), handing each to `file`, which says whether it gave the
+/// consumer work.  A crossing that did pays one [`Charge::QueueHop`] —
+/// everything queued when the consumer drains crosses in one hop — after
+/// it is filed and before the consumer acts on it; one that carried only
+/// wake-ups, or replies nobody waits for, pays nothing.  `Err` when nothing
+/// arrived by `deadline` (a passed one looks once) or every sender is gone.
+pub(crate) fn drain<T>(
+    clock: &Clock,
+    rx: &Receiver<T>,
+    deadline: Deadline,
+    mut file: impl FnMut(T) -> bool,
+) -> Result<Drained, RecvTimeoutError> {
+    let first = clock.recv_until(rx, deadline)?;
+    let behind = rx.len();
+    let mut paid = file(first);
+    for item in std::iter::from_fn(|| rx.try_recv().ok()).take(behind) {
+        paid |= file(item);
     }
+    if paid {
+        clock.charge(Charge::QueueHop, clock.model().queue_hop);
+    }
+    Ok(Drained {
+        taken: 1 + behind,
+        paid,
+    })
 }
 
 /// Where a request's reply goes, and the obligation to send one: every
@@ -301,23 +343,83 @@ pub(crate) fn decode_p2p(wire: Payload) -> Result<(usize, usize, u32, Payload), 
 }
 
 #[cfg(test)]
-impl Inbox {
-    /// Every reply that has arrived, for tests counting them.
-    pub(crate) fn drain(&self) -> Vec<(Token, Reply)> {
-        std::iter::from_fn(|| self.try_recv()).collect()
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use dcgn_metrics::MetricsHandle;
+    use dcgn_simtime::CostModel;
+    use std::time::Duration;
+
+    /// Every reply `inbox` holds, taken in one crossing that does not wait.
+    fn replies(inbox: &Inbox) -> Vec<(Token, Reply)> {
+        let clock = Clock::from(CostModel::zero());
+        let mut replies = Vec::new();
+        inbox.drain(&clock, clock.deadline(Duration::ZERO), |reply| {
+            replies.push(reply);
+            true
+        });
+        replies
+    }
+
+    #[test]
+    fn a_drain_takes_what_is_queued_when_it_looks_and_pays_one_hop_for_work() {
+        let metrics = MetricsHandle::new();
+        let hop = Duration::from_micros(1);
+        let model = CostModel {
+            queue_hop: hop,
+            ..CostModel::zero()
+        };
+        let clock = Clock::new(model, &metrics);
+        let hops =
+            || metrics.snapshot().counter("model.charged_ns.queue_hop") / hop.as_nanos() as u64;
+        let now = || clock.deadline(Duration::ZERO);
+        let (tx, rx) = unbounded();
+        assert_eq!(
+            drain(&clock, &rx, now(), |_: u32| true),
+            Err(RecvTimeoutError::Timeout)
+        );
+        // Three items queued, one of them work: one crossing, one hop.  An
+        // item sent while the crossing is filed waits for the next one.
+        for item in [0, 1, 0] {
+            tx.send(item).unwrap();
+        }
+        let mut filed = Vec::new();
+        let crossing = drain(&clock, &rx, now(), |item| {
+            if filed.is_empty() {
+                tx.send(7).unwrap();
+            }
+            filed.push(item);
+            item != 0
+        });
+        assert_eq!(
+            crossing,
+            Ok(Drained {
+                taken: 3,
+                paid: true
+            })
+        );
+        assert_eq!((filed, hops()), (vec![0, 1, 0], 1));
+        // A crossing that carried no work pays nothing.
+        let late = drain(&clock, &rx, now(), |item| item == 0);
+        assert_eq!(
+            late,
+            Ok(Drained {
+                taken: 1,
+                paid: false
+            })
+        );
+        assert_eq!(hops(), 1);
+        drop(tx);
+        assert_eq!(
+            drain(&clock, &rx, now(), |_| true),
+            Err(RecvTimeoutError::Disconnected)
+        );
+    }
 
     #[test]
     fn a_completed_reply_to_delivers_exactly_its_reply() {
         let inbox = Inbox::new();
         inbox.reply_to((3, 9)).complete(Reply::SendDone);
-        let replies = inbox.drain();
-        assert!(matches!(replies[..], [((3, 9), Reply::SendDone)]));
+        assert!(matches!(replies(&inbox)[..], [((3, 9), Reply::SendDone)]));
     }
 
     #[test]
@@ -333,9 +435,8 @@ mod tests {
             },
             reply_to: inbox.reply_to((5, 6)),
         }]));
-        let replies = inbox.drain();
         assert!(matches!(
-            replies[..],
+            replies(&inbox)[..],
             [
                 ((1, 2), Reply::Error(DcgnError::ShuttingDown)),
                 ((5, 6), Reply::Error(DcgnError::ShuttingDown))

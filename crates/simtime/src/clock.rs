@@ -31,7 +31,9 @@ pub enum Charge {
     IntraNode,
     /// A NIC's receive drain of a rendezvous payload.
     Drain,
-    /// A hand-off across one of DCGN's internal work queues.
+    /// A hand-off across one of DCGN's internal work queues: one hop per
+    /// crossing, and a crossing is everything queued when the consumer
+    /// drains.
     QueueHop,
     /// A kernel launch.
     Launch,

@@ -82,8 +82,9 @@ pub struct CostModel {
     pub intra_node: LinkCost,
     /// Fixed cost of launching a kernel on the device.
     pub kernel_launch: Duration,
-    /// Fixed cost of handing a request across one internal DCGN work queue
-    /// (CPU-kernel thread → comm thread, comm thread → GPU thread, …).
+    /// Fixed cost of one crossing of an internal DCGN work queue
+    /// (CPU-kernel thread → comm thread, comm thread → GPU thread, …): one
+    /// hop per crossing, everything queued when the consumer drains.
     pub queue_hop: Duration,
     /// Sleep interval of the GPU-kernel thread's polling loop.
     pub poll_interval: Duration,
@@ -113,7 +114,8 @@ impl CostModel {
     /// * Infiniband (DDR, MVAPICH2): 3 µs latency, ~1.4 GB/s.
     /// * Intra-node shared memory: 0.8 µs, ~2.5 GB/s.
     /// * Kernel launch: 12 µs.
-    /// * Work-queue hop: 6 µs (thread-safe queue + wakeup).
+    /// * Work-queue hop: 6 µs (thread-safe queue + wakeup), paid once per
+    ///   crossing: everything queued when the consumer drains.
     /// * Polling interval: 200 µs.
     pub fn g92_cluster() -> Self {
         CostModel {

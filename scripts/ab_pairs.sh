@@ -14,15 +14,17 @@
 # metric both medians with their quartiles, how many pairs the change won
 # (ties count for neither side) and the house rule's verdict: `gain` (the
 # change won >= 9 in 10 pairs and the medians differ by more than the
-# parent's IQR), else `unresolved` (the parent's IQR exceeds the bound),
-# else `worse than bound` or `within bound`; last, per workload, each
-# side's attempted and failed operations summed over its runs, with the
-# failed share.  It reads benchmark/ and BENCHMARK.json and changes
-# neither; set TMPDIR to choose where the export and the two target
-# directories (~250 MB) go.
+# parent's IQR), else, when the parent's IQR exceeds the bound, `all runs
+# better` (every change run beats every parent run) or `unresolved`, else
+# `worse than bound` or `within bound`; last, per workload, each side's
+# attempted and failed operations summed over its runs, with the failed
+# share.  It reads benchmark/ and BENCHMARK.json and changes neither:
+# cargo rewrites benchmark/Cargo.lock when it builds the change side, and
+# the script puts the file back as it found it when it exits.  Set TMPDIR
+# to choose where the export and the two target directories (~250 MB) go.
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,23s/^# \{0,1\}//p' "$0"; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,25s/^# \{0,1\}//p' "$0"; exit 2; }
 rev=$1 which=$2 pairs=${3:-10} seed0=${4:-1}
 root=$(cd "$(dirname "$0")/.." && pwd)
 spec=$root/BENCHMARK.json
@@ -35,7 +37,9 @@ if [ "$which" = all ]; then
 fi
 
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+lock=$root/benchmark/Cargo.lock
+cp "$lock" "$tmp/Cargo.lock"
+trap 'cp "$tmp/Cargo.lock" "$lock"; rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 mkdir "$tmp/parent"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/parent"
@@ -112,8 +116,9 @@ for w in $which; do
                 pm = q(a, na, .5); cm = q(b, nb, .5)
                 iqr = q(a, na, .75) - q(a, na, .25)
                 gain = f[2] == "lower" ? pm - cm : cm - pm
+                better = f[2] == "lower" ? b[nb] < a[1] : b[1] > a[na]
                 if (wins * 10 >= n * 9 && gain > iqr) verdict = "gain"
-                else if (iqr > f[3] * pm) verdict = "unresolved"
+                else if (iqr > f[3] * pm) verdict = better ? "all runs better" : "unresolved"
                 else if (-gain > f[3] * pm) verdict = "worse than bound"
                 else verdict = "within bound"
                 printf "%-18s %-12s %12.4f [%8.4f .. %8.4f]  %12.4f [%8.4f .. %8.4f]  %2d of %2d (%d lost) %s\n",
