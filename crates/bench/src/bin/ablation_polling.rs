@@ -1,7 +1,7 @@
 //! Ablation A1: the latency / host-CPU-load trade-off of the sleep-based
 //! polling interval (§3.2.3 of the paper discusses exactly this tension).
 //!
-//! `cargo run -p dcgn-bench --bin ablation_polling --release`
+//! `cargo run -p dcgn_bench --bin ablation_polling --release`
 
 use std::time::Duration;
 

@@ -2,7 +2,7 @@
 //! motivation for slots: with one slot, one slow work item idles the whole
 //! device; with more slots, the device keeps several requests in flight).
 //!
-//! `cargo run -p dcgn-bench --bin ablation_slots --release`
+//! `cargo run -p dcgn_bench --bin ablation_slots --release`
 
 use dcgn::CostModel;
 use dcgn_apps::mandelbrot::{run_dcgn_gpu, MandelbrotParams};

@@ -2,7 +2,7 @@
 //! under DCGN vs. GAS+MPI with four GPU ranks (paper: 71% vs 74% at
 //! 1024×1024).
 //!
-//! `cargo run -p dcgn-bench --bin app_cannon --release`
+//! `cargo run -p dcgn_bench --bin app_cannon --release`
 
 use dcgn::CostModel;
 use dcgn_apps::cannon::{matmul_reference, run_dcgn_gpu, run_gas};

@@ -2,7 +2,7 @@
 //! DCGN dynamic-work-queue generator vs. the GAS+MPI static partition, with
 //! eight GPU worker ranks (paper: DCGN 2.72x / 34%, GAS 3.08x / 38%).
 //!
-//! `cargo run -p dcgn-bench --bin app_mandelbrot --release`
+//! `cargo run -p dcgn_bench --bin app_mandelbrot --release`
 
 use dcgn::CostModel;
 use dcgn_apps::mandelbrot::{run_dcgn_gpu, run_gas, MandelbrotParams};

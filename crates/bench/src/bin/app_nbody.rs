@@ -1,7 +1,7 @@
 //! §5.1 "N-body": parallel efficiency vs. problem size with eight GPU ranks
 //! (paper: 28% at 4k bodies, 64% at 16k, >90% at 32k; DCGN ≈ GAS).
 //!
-//! `cargo run -p dcgn-bench --bin app_nbody --release`
+//! `cargo run -p dcgn_bench --bin app_nbody --release`
 
 use dcgn::CostModel;
 use dcgn_apps::nbody::{run_dcgn_gpu, run_gas};

@@ -2,7 +2,7 @@
 //! ranks and identical parameters, showing the per-strip work distribution
 //! produced by the dynamic work queue.
 //!
-//! `cargo run -p dcgn-bench --bin fig5_mandelbrot_strips --release`
+//! `cargo run -p dcgn_bench --bin fig5_mandelbrot_strips --release`
 
 use dcgn::CostModel;
 use dcgn_apps::mandelbrot::{run_dcgn_gpu, MandelbrotParams};

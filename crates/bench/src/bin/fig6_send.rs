@@ -2,7 +2,7 @@
 //! (CPU:CPU, CPU:GPU, GPU:CPU, GPU:GPU) against the raw-MPI baseline, plus
 //! the §5.2 ratio table (0-byte and 1 MB messages).
 //!
-//! `cargo run -p dcgn-bench --bin fig6_send --release`
+//! `cargo run -p dcgn_bench --bin fig6_send --release`
 
 use dcgn::CostModel;
 use dcgn_bench::{dcgn_send_time, format_duration, format_size, mpi_send_time, EndpointKind};

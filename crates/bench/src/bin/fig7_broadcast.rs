@@ -1,7 +1,7 @@
 //! Figure 7: broadcast time vs. payload size for eight DCGN ranks (all CPU
 //! or all GPU) against the raw-MPI baseline with eight ranks.
 //!
-//! `cargo run -p dcgn-bench --bin fig7_broadcast --release`
+//! `cargo run -p dcgn_bench --bin fig7_broadcast --release`
 
 use dcgn::CostModel;
 use dcgn_bench::{

@@ -1,7 +1,7 @@
 //! Table 1: barrier timings for CPUs and GPUs under DCGN, with the ratio to
 //! a raw-MPI barrier over the same number of CPU ranks.
 //!
-//! `cargo run -p dcgn-bench --bin table1_barrier --release`
+//! `cargo run -p dcgn_bench --bin table1_barrier --release`
 
 use dcgn::CostModel;
 use dcgn_bench::{dcgn_barrier_time, format_duration, mpi_barrier_time};

@@ -24,7 +24,7 @@ use std::time::Duration;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use dcgn_metrics::{Counter, Gauge, MetricsHandle};
 use dcgn_netsim::Payload;
-use dcgn_rmpi::{Communicator, Request as MpiRequest, TAG_EXCHANGE};
+use dcgn_rmpi::{Communicator, Request as MpiRequest, Status as MpiStatus, TAG_EXCHANGE};
 use dcgn_simtime::{Charge, Clock};
 
 use crate::config::ExchangePlan;
@@ -63,13 +63,14 @@ impl Substrate {
 
     /// Keep one persistent receive for `tag` (`None`: the point-to-point
     /// catch-all) posted in `slot`; if a frame has landed on it, take the
-    /// frame and its source rank — one MPI rank per node, so the source *is*
-    /// the sending node.
+    /// frame and its status.  One MPI rank per node, so the status's source
+    /// *is* the sending node, and its `drained` says whether the frame was
+    /// a rendezvous payload the NIC's drain already moved into place.
     fn poll(
         &mut self,
         slot: &mut Option<MpiRequest>,
         tag: Option<u32>,
-    ) -> Result<Option<(Payload, usize)>> {
+    ) -> Result<Option<(Payload, MpiStatus)>> {
         let req = match *slot {
             Some(req) => req,
             None => *slot.insert(self.comm.irecv(None, tag)?),
@@ -82,7 +83,7 @@ impl Substrate {
             .comm
             .take_recv(req)
             .ok_or_else(|| DcgnError::Internal("completed receive vanished".into()))?;
-        Ok(Some((wire, status.source)))
+        Ok(Some((wire, status)))
     }
 
     /// Retire completed nonblocking sends.
@@ -348,7 +349,8 @@ impl CommThread {
             // Intra-node: no MPI involvement.  The message is held until a
             // local receive matches it; the sender's completion is deferred
             // until then (globally-synchronised intra-node semantics, §6.2).
-            self.route_incoming(src, dst, tag, data, Some(reply_to));
+            // Nothing drained it, so the match pays the shared-memory copy.
+            self.route_incoming(src, dst, tag, data, false, Some(reply_to));
         } else {
             // Inter-node: append the DCGN envelope in the staged buffer's
             // spare capacity (no body copy) and hand that frame to MPI.  The
@@ -364,20 +366,31 @@ impl CommThread {
     }
 
     /// Match a freshly arrived (or locally sourced, `local_sender`) message
-    /// immediately, or queue it for a later receive.
+    /// immediately, or queue it for a later receive.  Its delivery owes one
+    /// copy — out of an eager frame's landing slot, or across shared memory
+    /// for a local send — unless the substrate reports the payload
+    /// `drained`: a rendezvous stream the NIC's drain already moved into
+    /// the buffer the receiver takes whole.
     fn route_incoming(
         &mut self,
         src: usize,
         dst: usize,
         tag: u32,
         data: Payload,
+        drained: bool,
         local_sender: Option<ReplyTo>,
     ) {
+        let copy = if drained {
+            Duration::ZERO
+        } else {
+            self.clock.model().intra_node.transfer_time(data.len())
+        };
         let msg = IncomingMsg {
             src,
             dst,
             tag,
             data,
+            copy,
             local_sender,
             seq: self.matcher.stamp(),
         };
@@ -388,13 +401,13 @@ impl CommThread {
     }
 
     /// Complete a matched (message, receive) pair: the receiver gets the
-    /// payload (a shared reference, not a copy) and an intra-node sender's
-    /// deferred completion fires.
+    /// payload (a shared reference), the message pays the receive-side copy
+    /// it owes (`IncomingMsg::copy`, zero for a drained rendezvous payload,
+    /// which a CPU receiver takes whole and a GPU receiver's host-to-device
+    /// DMA reads in place), and an intra-node sender's deferred completion
+    /// fires.
     fn deliver_match(&mut self, msg: IncomingMsg, recv: PendingRecv) {
-        // The local copy from the sender's buffer to the receiver's buffer
-        // (or staging buffer, for GPU-bound data).
-        let copy = self.clock.model().intra_node.transfer_time(msg.data.len());
-        self.clock.charge(Charge::IntraNode, copy);
+        self.clock.charge(Charge::IntraNode, msg.copy);
         let status = CommStatus {
             source: msg.src,
             tag: msg.tag,
@@ -455,15 +468,16 @@ impl CommThread {
     /// which demultiplexes them onto the exchange named *inside* the frame.
     fn progress_mpi(&mut self) -> Result<bool> {
         let mut did_work = false;
-        while let Some((wire, _)) = self.net.poll(&mut self.catchall, None)? {
+        while let Some((wire, status)) = self.net.poll(&mut self.catchall, None)? {
             // The decoded body is a zero-copy view of the pooled wire frame.
             let (src, dst, tag, data) = decode_p2p(wire)?;
-            self.route_incoming(src, dst, tag, data, None);
+            self.route_incoming(src, dst, tag, data, status.drained, None);
             did_work = true;
         }
         let tag = Some(TAG_EXCHANGE);
-        while let Some((wire, src_node)) = self.net.poll(&mut self.exchange_recv, tag)? {
-            self.engine.on_wire_frame(&mut self.net, src_node, wire)?;
+        while let Some((wire, status)) = self.net.poll(&mut self.exchange_recv, tag)? {
+            self.engine
+                .on_wire_frame(&mut self.net, status.source, wire)?;
             did_work = true;
         }
         Ok(did_work)

@@ -5,6 +5,7 @@
 //! message, and the hash indexes that pair them up in MPI order.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::time::Duration;
 
 use dcgn_metrics::Histogram;
 use dcgn_netsim::Payload;
@@ -18,6 +19,11 @@ pub(crate) struct IncomingMsg {
     pub(crate) dst: usize,
     pub(crate) tag: u32,
     pub(crate) data: Payload,
+    /// The receive-side copy this message owes its receiver, decided where
+    /// it arrived: an eager frame's copy out of its landing slot, or an
+    /// intra-node send's shared-memory copy.  Zero for a rendezvous payload
+    /// the NIC's drain already moved into the buffer the receiver takes.
+    pub(crate) copy: Duration,
     /// Reply address of the local sender, for intra-node sends whose
     /// completion is tied to the matching receive (paper §6.2: "Local sends
     /// finish upon matching with a local receive").
@@ -230,6 +236,7 @@ mod tests {
             dst,
             tag,
             data: Payload::copy_from_slice(&[byte]),
+            copy: Duration::ZERO,
             local_sender: None,
             seq,
         }

@@ -8,6 +8,7 @@ use std::time::Duration;
 use dcgn::{CostModel, DcgnConfig, MetricsHandle, MetricsSnapshot, Runtime};
 use dcgn_netsim::buffer::ENVELOPE_BYTES;
 use dcgn_rmpi::packet::HEADER_BYTES;
+use dcgn_rmpi::RdvConfig;
 
 const KINDS: [&str; 7] = [
     "pcie",
@@ -34,8 +35,17 @@ fn launch_g92(
     cpus: usize,
     kernel: impl Fn(&dcgn::CpuCtx) + Send + Sync + 'static,
 ) -> MetricsSnapshot {
+    launch_g92_on(2, cpus, kernel)
+}
+
+/// [`launch_g92`] on `nodes` nodes.
+fn launch_g92_on(
+    nodes: usize,
+    cpus: usize,
+    kernel: impl Fn(&dcgn::CpuCtx) + Send + Sync + 'static,
+) -> MetricsSnapshot {
     let metrics = MetricsHandle::new();
-    let config = DcgnConfig::homogeneous(2, cpus, 0, 0)
+    let config = DcgnConfig::homogeneous(nodes, cpus, 0, 0)
         .with_cost(CostModel::g92_cluster())
         .with_metrics(metrics.clone());
     Runtime::new(config)
@@ -43,6 +53,50 @@ fn launch_g92(
         .launch_cpu_only(kernel)
         .unwrap();
     metrics.snapshot()
+}
+
+/// The transfer protocol a DCGN job runs with here: the defaults, adjusted
+/// by any `DCGN_RDV_CHUNK` / `DCGN_RDV_WINDOW` the test run sets.
+fn rdv_config() -> RdvConfig {
+    DcgnConfig::homogeneous(2, 1, 0, 0)
+        .with_cost(CostModel::g92_cluster())
+        .resolved_rdv_config()
+}
+
+/// What one `size`-byte DCGN message between nodes pays when it
+/// rendezvous, as `(network, drain)` ns: the RTS, the CTS, one frame per
+/// chunk of the framed body and one credit per batch of chunks the receiver
+/// drains before the last; each chunk also passes the receiver's drain.
+fn rendezvous_ns(size: usize) -> (u64, u64) {
+    let (cost, rdv) = (CostModel::g92_cluster(), rdv_config());
+    let framed = size + ENVELOPE_BYTES;
+    assert!(
+        framed > rdv.eager_threshold,
+        "{size} B must rendezvous (eager threshold {})",
+        rdv.eager_threshold
+    );
+    // The sender's cut (`RdvConfig::chunk_end`): the last chunk absorbs a
+    // tail of at most an envelope; chunk size 0 is one chunk.
+    let mut chunks = Vec::new();
+    let mut offset = 0;
+    while offset < framed {
+        let full = offset + rdv.chunk_bytes;
+        let end = if rdv.chunk_bytes == 0 || full + ENVELOPE_BYTES >= framed {
+            framed
+        } else {
+            full
+        };
+        chunks.push(end - offset);
+        offset = end;
+    }
+    let credits = (chunks.len() - 1) / rdv.credit_batch();
+    let frame = |bytes: usize| ns(cost.network.transfer_time(HEADER_BYTES + bytes));
+    let network = (2 + credits as u64) * frame(0) + chunks.iter().map(|&c| frame(c)).sum::<u64>();
+    let drain = chunks
+        .iter()
+        .map(|&c| ns(cost.network.bandwidth_only().transfer_time(c)))
+        .sum();
+    (network, drain)
 }
 
 /// Summed over both nodes.
@@ -146,6 +200,118 @@ fn a_barrier_charges_exactly_its_hops_and_the_same_frames_each_time() {
             ("intra_node", 0),
             ("drain", 0),
             ("queue_hop", queue_hop_ns(&three)),
+            ("launch", 0),
+            ("poll", 0),
+        ]
+    );
+}
+
+/// A rendezvous payload is moved once on the receive side, by the drain:
+/// the receiver takes the drained buffer whole, so no message of a
+/// rendezvous ping-pong pays an intra-node copy.  64 KiB is one chunk once
+/// framed (under the default chunk size), 1 MiB four.
+#[test]
+fn a_rendezvous_ping_pong_charges_its_frames_and_drains_and_no_copy() {
+    for size in [64 * 1024, 1 << 20] {
+        let iters = 2;
+        let messages = 2 * iters as u64;
+        let idle = ledger(&pingpong(0, size));
+        let snap = pingpong(iters, size);
+        let (network, drain) = rendezvous_ns(size);
+        assert_eq!(
+            ledger(&snap),
+            [
+                ("pcie", 0),
+                ("network", idle[1].1 + messages * network),
+                ("intra_node", 0),
+                ("drain", messages * drain),
+                ("queue_hop", queue_hop_ns(&snap)),
+                ("launch", 0),
+                ("poll", 0),
+            ],
+            "{size} B"
+        );
+    }
+}
+
+/// A rendezvous payload that lands before its receive is posted waits in
+/// the matcher as an unexpected message, and owes no copy there either;
+/// the eager marker that overtakes its receive pays its own.
+#[test]
+fn an_unexpected_rendezvous_payload_owes_no_copy() {
+    let cost = CostModel::g92_cluster();
+    let (size, marker) = (1 << 20, 8);
+    let run = |sends: bool| {
+        launch_g92(1, move |ctx| {
+            if !sends {
+                return;
+            }
+            if ctx.rank() == 0 {
+                ctx.send_tagged(1, 1, &vec![7u8; size]).unwrap();
+                ctx.send_tagged(1, 2, &vec![0u8; marker]).unwrap();
+            } else {
+                // MPI's non-overtaking order: the payload completes on the
+                // node's catch-all receive before the marker behind it can,
+                // so it is queued unmatched by the time the marker returns.
+                ctx.recv_tagged(Some(0), 2).unwrap();
+                let (data, _) = ctx.recv_tagged(Some(0), 1).unwrap();
+                assert_eq!(data.len(), size);
+            }
+        })
+    };
+    let idle = ledger(&run(false));
+    let snap = run(true);
+    assert!(
+        snap.gauge("comm.matcher.unexpected_msgs.node1").high_water >= 1,
+        "the payload must have waited unmatched"
+    );
+    let (network, drain) = rendezvous_ns(size);
+    let eager = ns(cost
+        .network
+        .transfer_time(HEADER_BYTES + marker + ENVELOPE_BYTES));
+    assert_eq!(
+        ledger(&snap),
+        [
+            ("pcie", 0),
+            ("network", idle[1].1 + network + eager),
+            ("intra_node", ns(cost.intra_node.transfer_time(marker))),
+            ("drain", drain),
+            ("queue_hop", queue_hop_ns(&snap)),
+            ("launch", 0),
+            ("poll", 0),
+        ]
+    );
+}
+
+/// An intra-node send is a shared-memory copy, whatever its size: 1 MiB
+/// between two ranks of one node pays exactly one, and nothing crosses the
+/// network or drains.
+#[test]
+fn an_intra_node_send_pays_exactly_one_copy() {
+    let cost = CostModel::g92_cluster();
+    let size = 1 << 20;
+    let run = |sends: bool| {
+        launch_g92_on(1, 2, move |ctx| {
+            if !sends {
+                return;
+            }
+            if ctx.rank() == 0 {
+                ctx.send(1, &vec![7u8; size]).unwrap();
+            } else {
+                assert_eq!(ctx.recv(0).unwrap().0.len(), size);
+            }
+        })
+    };
+    let idle = ledger(&run(false));
+    let snap = run(true);
+    assert_eq!(
+        ledger(&snap),
+        [
+            ("pcie", 0),
+            ("network", idle[1].1),
+            ("intra_node", ns(cost.intra_node.transfer_time(size))),
+            ("drain", 0),
+            ("queue_hop", queue_hop_ns(&snap)),
             ("launch", 0),
             ("poll", 0),
         ]

@@ -239,7 +239,9 @@ impl<T: Send + 'static> Fabric<T> {
     /// serialised with other drains on the same node).  Higher layers call
     /// this on the *receiver's* thread when a large inbound frame must be
     /// moved out of the NIC's landing buffers (the rendezvous payload path);
-    /// small eager frames are consumed in place and never drain.
+    /// small eager frames are consumed in place and never drain.  The drain
+    /// lands the bytes in the buffer the receive completes with, so it is a
+    /// rendezvous payload's only receive-side movement: no copy follows it.
     pub fn charge_rx_drain(&self, node: usize, bytes: usize) {
         self.inner.rx_drain_bytes.add(bytes as u64);
         self.inner.rx_drains[node].transfer(&self.inner.clock, bytes);
@@ -344,13 +346,6 @@ impl<T: Send + 'static> Endpoint<T> {
     /// [`Fabric::set_notifier`]).
     pub fn set_notifier(&self, notify: WakeNotifier) {
         self.fabric.set_notifier(self.id, notify);
-    }
-
-    /// The node a peer endpoint is attached to, if it is still attached.
-    /// Lets protocol layers distinguish intra-node deliveries (shared
-    /// memory, nothing to drain) from inter-node ones.
-    pub fn peer_node(&self, peer: EndpointId) -> Option<usize> {
-        self.fabric.node_of(peer)
     }
 
     /// Charge this endpoint's node's receive-drain engine for `bytes` (see

@@ -17,6 +17,10 @@
 //! duplicate, a gap or an overrun poisons the transfer instead of
 //! delivering a corrupt message.  The sender lets go of the staged buffer
 //! before its last chunk leaves, so the receiver ends up its only owner.
+//! Between nodes, each chunk passes the fabric's receive-drain stage as it
+//! lands, and that drain is the payload's only receive-side movement: the
+//! receive hands the assembled buffer over whole, and its
+//! [`Status::drained`] says so, so the layer above owes no copy of its own.
 //! It returns
 //! [`Packet::RdvCredit`] frames, each coalescing half a window's worth of
 //! drained chunks ([`RdvConfig::credit_batch`]); every credited chunk opens
@@ -176,6 +180,9 @@ pub struct Communicator {
     pub(crate) endpoint: Endpoint<Packet>,
     rank_to_ep: Arc<Vec<EndpointId>>,
     ep_to_rank: Arc<HashMap<EndpointId, usize>>,
+    /// Node of each rank, fixed at creation: whether a frame crossed nodes
+    /// does not depend on its sender still being attached when it lands.
+    rank_to_node: Arc<Vec<usize>>,
     rdv: RdvConfig,
     progress_timeout: Duration,
     next_req: u64,
@@ -214,6 +221,7 @@ impl Communicator {
         endpoint: Endpoint<Packet>,
         rank_to_ep: Arc<Vec<EndpointId>>,
         ep_to_rank: Arc<HashMap<EndpointId, usize>>,
+        rank_to_node: Arc<Vec<usize>>,
         rdv: RdvConfig,
     ) -> Self {
         let metrics = dcgn_metrics::global();
@@ -222,6 +230,7 @@ impl Communicator {
             endpoint,
             rank_to_ep,
             ep_to_rank,
+            rank_to_node,
             rdv,
             progress_timeout: Duration::from_secs(30),
             next_req: 0,
@@ -595,6 +604,7 @@ impl Communicator {
                         source: u.src,
                         tag: u.tag,
                         len: data.len(),
+                        drained: false,
                     };
                     if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
                         r.state = RecvState::Complete { data, status };
@@ -651,8 +661,8 @@ impl Communicator {
                 offset,
                 data,
             } => {
-                self.drain_payload(src, data.len());
-                self.handle_chunk(src, send_id, offset, data);
+                let drained = self.drain_payload(src, data.len());
+                self.handle_chunk(src, send_id, offset, data, drained);
             }
             // Credits for a finished or tombstoned transfer are expected
             // stragglers and are dropped by the lookup below.
@@ -660,19 +670,20 @@ impl Communicator {
         }
     }
 
-    /// Charge the receive-drain engine for an inter-node rendezvous payload.
-    /// This is the second stage of the fabric's bandwidth pipeline: the
-    /// sender paid wire time on its thread; the receiver pays drain time
-    /// here, so a transfer of several chunks overlaps the two while a
-    /// one-chunk one serialises them.
-    fn drain_payload(&self, src: usize, bytes: usize) {
-        if bytes == 0 {
-            return;
-        }
-        let src_node = self.endpoint.peer_node(self.ep_of(src));
-        if src_node.is_some_and(|n| n != self.endpoint.node()) {
+    /// Charge the receive-drain engine for an inter-node rendezvous payload;
+    /// true when it did.  This is the second stage of the fabric's bandwidth
+    /// pipeline: the sender paid wire time on its thread; the receiver pays
+    /// drain time here, so a transfer of several chunks overlaps the two
+    /// while a one-chunk one serialises them.  The drain moves the chunk
+    /// into the buffer the receive completes with, so it is the payload's
+    /// only receive-side movement: [`Status::drained`] tells the layer
+    /// above that it owes no copy of its own.
+    fn drain_payload(&self, src: usize, bytes: usize) -> bool {
+        let remote = bytes > 0 && self.rank_to_node[src] != self.endpoint.node();
+        if remote {
             self.endpoint.charge_rx_drain(bytes);
         }
+        remote
     }
 
     /// The receiver released a rendezvous transfer: open the credit window
@@ -788,11 +799,19 @@ impl Communicator {
         self.pump_chunks(id);
     }
 
-    /// One streamed chunk landed: coalesce it into the assembled view and,
-    /// every [`RdvConfig::credit_batch`] drained chunks, return one coalesced
+    /// One streamed chunk landed (`drained`: through this node's drain
+    /// stage): coalesce it into the assembled view and, every
+    /// [`RdvConfig::credit_batch`] drained chunks, return one coalesced
     /// credit.  Chunks for unknown transfers (tombstoned receives) are
     /// dropped — their hold on the staged buffer goes on return.
-    fn handle_chunk(&mut self, src: usize, send_id: u64, offset: usize, data: Payload) {
+    fn handle_chunk(
+        &mut self,
+        src: usize,
+        send_id: u64,
+        offset: usize,
+        data: Payload,
+        drained: bool,
+    ) {
         let Some(&id) = self.recv_streams.get(&(src, send_id)) else {
             return;
         };
@@ -834,10 +853,13 @@ impl Communicator {
             let elapsed = clock.elapsed(*started).max(Duration::from_nanos(1));
             self.rdv_rate
                 .record((total as f64 / elapsed.as_secs_f64()) as u64);
+            // Every chunk of a stream comes from one source, so the
+            // finishing chunk speaks for the whole payload.
             let status = Status {
                 source: src,
                 tag: *tag,
                 len: total,
+                drained,
             };
             let data = std::mem::replace(assembled, Payload::empty());
             r.state = RecvState::Complete { data, status };
@@ -1029,7 +1051,8 @@ mod tests {
             "a finished or poisoned transfer leaves no stream index entry"
         );
         let outcome = receiver.wait_recv(req).map(|(data, status)| {
-            assert_eq!((status.source, status.tag, status.len), (0, 7, TOTAL));
+            let got = (status.source, status.tag, status.len, status.drained);
+            assert_eq!(got, (0, 7, TOTAL, true));
             data
         });
         (receiver, outcome)
@@ -1104,6 +1127,38 @@ mod tests {
                 "{what}: the staged buffer must return to the pool once both \
                  sides have let go of it"
             );
+        }
+    }
+
+    /// `Status::drained` is set exactly where the receive-drain stage moved
+    /// the payload: never for an eager frame, always for a stream between
+    /// nodes — one chunk or many — and never for a stream within a node,
+    /// which does not drain.
+    #[test]
+    fn status_says_whether_the_drain_moved_the_payload() {
+        let rdv = RdvConfig::new(64).with_chunk_bytes(1024).with_window(2);
+        // Eager, a one-chunk stream and a four-chunk stream.
+        let lens = [64, 1000, 3 * 1024 + 100];
+        for (placement, remote) in [
+            (RankPlacement::block(2, 1), true),
+            (RankPlacement::block(1, 2), false),
+        ] {
+            let per_rank =
+                MpiWorld::run_with(&placement, CostModel::zero(), rdv, move |mut comm| {
+                    let mut statuses = Vec::new();
+                    for (tag, len) in lens.into_iter().enumerate() {
+                        if comm.rank() == 0 {
+                            comm.send(1, tag as u32, &vec![1; len]).unwrap();
+                        } else {
+                            statuses.push(comm.recv(Some(0), Some(tag as u32)).unwrap().1);
+                        }
+                    }
+                    statuses
+                })
+                .unwrap();
+            let got: Vec<_> = per_rank[1].iter().map(|s| (s.len, s.drained)).collect();
+            let want = [(lens[0], false), (lens[1], remote), (lens[2], remote)];
+            assert_eq!(got, want, "ranks on different nodes: {remote}");
         }
     }
 

@@ -194,6 +194,13 @@ pub struct Status {
     pub tag: u32,
     /// Number of payload bytes received.
     pub len: usize,
+    /// True when the payload is a rendezvous stream from another node: the
+    /// receive-drain stage already moved every chunk into the buffer the
+    /// receive hands back, so taking that buffer whole copies nothing.
+    /// False for an eager frame, whose payload is still where the frame
+    /// landed, and for a stream between ranks of one node, which never
+    /// drains.
+    pub drained: bool,
 }
 
 /// Errors produced by the message passing layer.
