@@ -539,11 +539,10 @@ impl GpuKernelThread {
             self.metrics.requests.inc();
         }
         if !batch.is_empty() {
-            // The whole harvest crosses the work queue as one command.  A
-            // comm thread that is gone hands it back: dropping it answers
-            // every request in it `ShuttingDown`.
-            self.clock
-                .charge(Charge::QueueHop, self.clock.model().queue_hop);
+            // The whole harvest crosses the work queue as one command, paid
+            // once, by the consumer's drain; the post costs this thread
+            // nothing modelled.  A comm thread that is gone hands it back:
+            // dropping it answers every request in it `ShuttingDown`.
             let _ = self.work_tx.send(CommCommand::Batch(batch));
         }
         Ok(true)
@@ -847,7 +846,7 @@ mod tests {
         };
         assert_eq!(reqs.len(), slots);
         assert!(work_rx.try_recv().is_err(), "no further queue traffic");
-        assert_eq!(hops.get(), 1, "the batch pays one queue hop");
+        assert_eq!(hops.get(), 0, "the harvest costs its sweep no hop");
 
         // A record still pending is not harvested again.
         gpu.sweep(&mut pending).unwrap();
@@ -866,8 +865,8 @@ mod tests {
         // No slot is blocked any more, so the same sweep goes on to read
         // the records (once; nothing new is pending).
         assert_eq!(since(before, &gpu), (1, slots as u64));
-        // The replies crossed back together: one more hop, not one each.
-        assert_eq!(hops.get(), 2);
+        // The replies crossed back together: one hop, not one each.
+        assert_eq!(hops.get(), 1);
         for slot in 0..slots {
             assert_eq!(
                 word_of(&gpu, slot, RESERVED_RECORD),
@@ -1487,9 +1486,9 @@ mod tests {
                     answered = true;
                     replies_from = Some(i);
                 }
-                // A host move pays one queue hop per batch it relays, and
-                // one for its inbox drain if that completed anything — never
-                // one per reply.
+                // A host move pays one queue hop for its inbox drain if that
+                // completed anything — never one per reply, and none for a
+                // batch it relays.
                 Move::Complete => {
                     let (before, hopped) = (pending.len(), hops.get());
                     gpu.complete_ready(&mut pending).unwrap();
@@ -1522,12 +1521,10 @@ mod tests {
                         .unwrap();
                     answered = false;
                     let completing = held_keys.iter().any(|key| !pending.contains_key(key));
-                    let mut batches = 0;
                     while let Ok(command) = work_rx.try_recv() {
                         let CommCommand::Batch(reqs) = command else {
                             panic!("expected a Batch");
                         };
-                        batches += 1;
                         for req in reqs {
                             let bytes = match &req.kind {
                                 RequestKind::Send { data, .. }
@@ -1540,7 +1537,7 @@ mod tests {
                             held.push(req);
                         }
                     }
-                    assert_eq!(hops.get() - hopped, batches + completing as u64);
+                    assert_eq!(hops.get() - hopped, completing as u64);
                     if retired == Some(false) && pending.is_empty() {
                         break;
                     }

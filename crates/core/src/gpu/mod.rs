@@ -26,10 +26,10 @@
 //!    slot's records, takes each `PENDING` record it does not already hold,
 //!    pulls a sent payload only when it did not ride in the record, writes
 //!    nothing back, and relays the harvest to the communication thread as
-//!    a single `CommCommand::Batch` paying one queue hop (one hop per
-//!    crossing: everything queued when the consumer drains) — each slot's
-//!    requests in generation order, which is the order its kernel published
-//!    them, so sends to one destination never overtake.
+//!    a single `CommCommand::Batch` — each slot's requests in generation
+//!    order, which is the order its kernel published them, so sends to one
+//!    destination never overtake.  Its queue hop is paid once, by the
+//!    consumer's drain; a post costs the producer nothing modelled.
 //! 3. **Complete** — when the communication thread has answered (its replies
 //!    cross back through the GPU-kernel thread's inbox, one queue hop for
 //!    every reply queued when the thread drains it), the host writes a

@@ -244,7 +244,9 @@ pub(crate) struct Drained {
 /// consumer work.  A crossing that did pays one [`Charge::QueueHop`] —
 /// everything queued when the consumer drains crosses in one hop — after
 /// it is filed and before the consumer acts on it; one that carried only
-/// wake-ups, or replies nobody waits for, pays nothing.  `Err` when nothing
+/// wake-ups, or replies nobody waits for, pays nothing.  This is the only
+/// site that charges a hop: each crossing is paid once, by the consumer's
+/// drain, and a post costs the producer nothing modelled.  `Err` when nothing
 /// arrived by `deadline` (a passed one looks once) or every sender is gone.
 pub(crate) fn drain<T>(
     clock: &Clock,

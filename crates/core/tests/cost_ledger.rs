@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use dcgn::{CostModel, DcgnConfig, MetricsHandle, MetricsSnapshot, Runtime};
+use dcgn::{CostModel, DcgnConfig, DevicePtr, MetricsHandle, MetricsSnapshot, Runtime};
 use dcgn_netsim::buffer::ENVELOPE_BYTES;
 use dcgn_rmpi::packet::HEADER_BYTES;
 use dcgn_rmpi::RdvConfig;
@@ -104,12 +104,13 @@ fn both(snap: &MetricsSnapshot, name: &str) -> u64 {
     snap.counter(&format!("{name}.node0")) + snap.counter(&format!("{name}.node1"))
 }
 
-/// A request pays two queue hops of its own: the kernel thread's post, and
-/// its reply's way back to a rank waiting on it alone.  The comm thread
-/// pays one more per crossing: each drain of its work queue carries every
+/// Each crossing of a queue is paid once, by the consumer's drain; a post
+/// costs its producer nothing.  So a request pays one queue hop of its own,
+/// its reply's way back to a rank waiting on it alone, and the comm thread
+/// pays one per crossing: each drain of its work queue carries every
 /// request queued when it looks.
 fn queue_hop_ns(snap: &MetricsSnapshot) -> u64 {
-    let hops = 2 * both(snap, "comm.requests") + both(snap, "comm.crossings");
+    let hops = both(snap, "comm.requests") + both(snap, "comm.crossings");
     hops * ns(CostModel::g92_cluster().queue_hop)
 }
 
@@ -138,7 +139,8 @@ fn a_cpu_ping_pong_charges_exactly_its_hops_copies_and_frames() {
     let idle = ledger(&pingpong(0, size));
     let snap = pingpong(iters, size);
     assert_eq!(snap.counter("comm.requests.node0"), 2 * iters as u64);
-    // Requests arrive one at a time, so each crosses alone: three hops.
+    // Requests arrive one at a time, so each crosses alone: two hops, its
+    // own crossing and its reply's.
     assert_eq!(both(&snap, "comm.crossings"), both(&snap, "comm.requests"));
 
     // Each message is one eager frame on the wire, `size` bytes plus the
@@ -159,6 +161,69 @@ fn a_cpu_ping_pong_charges_exactly_its_hops_copies_and_frames() {
             ("queue_hop", queue_hop_ns(&snap)),
             ("launch", 0),
             ("poll", 0),
+        ]
+    );
+}
+
+/// Slot 0 of each node's one GPU (one slot each) bounces a `size`-byte
+/// message `iters` times, staged in device memory.
+fn gpu_pingpong(iters: usize, size: usize) -> MetricsSnapshot {
+    let metrics = MetricsHandle::new();
+    let config = DcgnConfig::homogeneous(2, 0, 1, 1)
+        .with_cost(CostModel::g92_cluster())
+        .with_metrics(metrics.clone());
+    Runtime::new(config)
+        .unwrap()
+        .launch_gpu_only(move |ctx| {
+            const SLOT: usize = 0;
+            if ctx.block().block_id() != 0 {
+                return;
+            }
+            let scratch = DevicePtr::NULL.add(1 << 20);
+            let peer = 1 - ctx.rank(SLOT);
+            for _ in 0..iters {
+                if ctx.rank(SLOT) == 0 {
+                    ctx.send(SLOT, peer, scratch, size);
+                    ctx.recv(SLOT, peer, scratch, size);
+                } else {
+                    ctx.recv(SLOT, peer, scratch, size);
+                    ctx.send(SLOT, peer, scratch, size);
+                }
+            }
+        })
+        .unwrap();
+    metrics.snapshot()
+}
+
+/// A GPU slot's request crosses to its comm thread in a sweep's batch and
+/// its reply crosses back through the GPU-kernel thread's inbox: one hop
+/// each, paid by the drain that consumes it and never by the sweep that
+/// posts.  PCI-e is left out: it varies with the number of sweeps.
+#[test]
+fn a_gpu_ping_pong_charges_exactly_one_hop_per_crossing_and_its_frames() {
+    let cost = CostModel::g92_cluster();
+    let (iters, size) = (5, 64);
+    let messages = 2 * iters as u64;
+    let idle = ledger(&gpu_pingpong(0, size));
+    let snap = gpu_pingpong(iters, size);
+    assert_eq!(snap.counter("comm.requests.node0"), 2 * iters as u64);
+    // A slot waits on one request at a time, so each batch crosses alone.
+    assert_eq!(both(&snap, "comm.crossings"), both(&snap, "comm.requests"));
+    let frame = HEADER_BYTES + size + ENVELOPE_BYTES;
+    let [_, network, intra_node, drain, queue_hop, ..] = ledger(&snap);
+    assert_eq!(
+        [network, intra_node, drain, queue_hop],
+        [
+            (
+                "network",
+                idle[1].1 + messages * ns(cost.network.transfer_time(frame))
+            ),
+            (
+                "intra_node",
+                messages * ns(cost.intra_node.transfer_time(size))
+            ),
+            ("drain", 0),
+            ("queue_hop", queue_hop_ns(&snap)),
         ]
     );
 }

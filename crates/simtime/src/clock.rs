@@ -33,7 +33,8 @@ pub enum Charge {
     Drain,
     /// A hand-off across one of DCGN's internal work queues: one hop per
     /// crossing, and a crossing is everything queued when the consumer
-    /// drains.
+    /// drains.  Paid once, by the consumer's drain; a post costs the
+    /// producer nothing modelled.
     QueueHop,
     /// A kernel launch.
     Launch,

@@ -84,7 +84,9 @@ pub struct CostModel {
     pub kernel_launch: Duration,
     /// Fixed cost of one crossing of an internal DCGN work queue
     /// (CPU-kernel thread → comm thread, comm thread → GPU thread, …): one
-    /// hop per crossing, everything queued when the consumer drains.
+    /// hop per crossing, everything queued when the consumer drains, paid
+    /// once, by the consumer's drain; a post costs the producer nothing
+    /// modelled.
     pub queue_hop: Duration,
     /// Sleep interval of the GPU-kernel thread's polling loop.
     pub poll_interval: Duration,
@@ -115,7 +117,8 @@ impl CostModel {
     /// * Intra-node shared memory: 0.8 µs, ~2.5 GB/s.
     /// * Kernel launch: 12 µs.
     /// * Work-queue hop: 6 µs (thread-safe queue + wakeup), paid once per
-    ///   crossing: everything queued when the consumer drains.
+    ///   crossing (everything queued when the consumer drains), by the
+    ///   consumer's drain; a post costs the producer nothing modelled.
     /// * Polling interval: 200 µs.
     pub fn g92_cluster() -> Self {
         CostModel {
