@@ -21,11 +21,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use dcgn_metrics::{Counter, Gauge, MetricsHandle};
 use dcgn_netsim::Payload;
 use dcgn_rmpi::{Communicator, Request as MpiRequest, Status as MpiStatus, TAG_EXCHANGE};
-use dcgn_simtime::{Charge, Clock};
+use dcgn_simtime::{Charge, Clock, Receiver, Sender};
 
 use crate::config::ExchangePlan;
 use crate::error::{DcgnError, Result};
@@ -33,8 +32,8 @@ use crate::exchange::{classify_collective, CollectiveAssembly, Contribution, Eng
 use crate::group::{CommGroup, CommId};
 use crate::matcher::{IncomingMsg, Matcher, PendingRecv};
 use crate::message::{
-    decode_p2p, drain, frame_p2p, CollectiveResult, CommCommand, CommStatus, Reply, ReplyTo,
-    Request, RequestKind,
+    decode_p2p, frame_p2p, CollectiveResult, CommCommand, CommStatus, Reply, ReplyTo, Request,
+    RequestKind,
 };
 use crate::rank::RankMap;
 
@@ -253,19 +252,13 @@ impl CommThread {
             cmds.push(cmd);
             work
         };
-        let taken = match drain(&self.clock, &self.work_rx, self.clock.deadline(wait), file) {
-            Ok(crossing) => {
-                self.metrics.crossings.add(crossing.paid as u64);
-                crossing.taken
-            }
-            Err(RecvTimeoutError::Timeout) => 0,
-            Err(RecvTimeoutError::Disconnected) => {
-                // The runtime dropped its handles; treat it as a shutdown
-                // signal so panicked launches still unwind.
-                self.local_done = true;
-                0
-            }
-        };
+        let crossing = self
+            .work_rx
+            .drain(&self.clock, self.clock.deadline(wait), file);
+        let taken = crossing.map_or(0, |crossing| {
+            self.metrics.crossings.add(crossing.paid as u64);
+            crossing.taken
+        });
         self.metrics.queue_depth.set(taken as u64);
         for cmd in cmds {
             self.handle_command(cmd)?;

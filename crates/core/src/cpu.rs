@@ -17,10 +17,9 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crossbeam::channel::Sender;
 use dcgn_netsim::Payload;
 use dcgn_rmpi::{ReduceElement, ReduceOp};
-use dcgn_simtime::Clock;
+use dcgn_simtime::{Clock, Sender};
 
 use crate::error::{DcgnError, Result};
 use crate::group::{self, Comm, CommId};
@@ -827,8 +826,7 @@ impl std::fmt::Debug for CpuCtx {
 mod tests {
     use super::*;
     use crate::config::DcgnConfig;
-    use crossbeam::channel::{unbounded, Receiver};
-    use dcgn_simtime::CostModel;
+    use dcgn_simtime::{channel, CostModel, Receiver};
     use std::time::Instant;
 
     /// The queue hop `test_ctx`'s clock charges.
@@ -838,7 +836,7 @@ mod tests {
     /// thread, with a clock that charges only queue hops, of `HOP` each.
     fn test_ctx(request_timeout: Duration) -> (CpuCtx, Receiver<CommCommand>) {
         let rank_map = Arc::new(RankMap::new(&DcgnConfig::homogeneous(1, 2, 0, 0)));
-        let (work_tx, work_rx) = unbounded();
+        let (work_tx, work_rx) = channel();
         let metrics = dcgn_metrics::MetricsHandle::new();
         let model = CostModel {
             queue_hop: HOP,
@@ -851,7 +849,7 @@ mod tests {
 
     fn next_request(work_rx: &Receiver<CommCommand>) -> Request {
         match work_rx.try_recv() {
-            Ok(CommCommand::Request(request)) => request,
+            Some(CommCommand::Request(request)) => request,
             other => panic!("expected one Request, got {other:?}"),
         }
     }

@@ -8,11 +8,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::Sender;
 use dcgn_dpm::{Device, DevicePtr, KernelHandle};
 use dcgn_metrics::{Counter, MetricsHandle};
 use dcgn_netsim::{Payload, PayloadBuf};
-use dcgn_simtime::{Charge, Clock, Deadline};
+use dcgn_simtime::{Charge, Clock, Deadline, Sender};
 
 use super::mailbox::{
     decode_reduce_word, error_code, in_device_memory, mailbox_error, mailbox_region_bytes, opcode,
@@ -642,7 +641,7 @@ mod tests {
     use std::time::Instant;
 
     use dcgn_dpm::DeviceConfig;
-    use dcgn_simtime::CostModel;
+    use dcgn_simtime::{channel, CostModel, Receiver};
 
     use super::super::device::{self, DeviceMemory, GpuRequest};
     use super::super::mailbox::{req_word, MAILBOX_REQS_PER_SLOT, REQ_GEN_MASK};
@@ -696,9 +695,9 @@ mod tests {
         device: Arc<Device>,
         slots: usize,
         depth: usize,
-    ) -> (GpuKernelThread, crossbeam::channel::Receiver<CommCommand>) {
+    ) -> (GpuKernelThread, Receiver<CommCommand>) {
         let mailbox_base = GpuKernelThread::allocate_mailboxes(&device, slots, depth).unwrap();
-        let (work_tx, work_rx) = crossbeam::channel::unbounded();
+        let (work_tx, work_rx) = channel();
         (
             GpuKernelThread {
                 layout: GpuLayout {
@@ -722,9 +721,7 @@ mod tests {
         )
     }
 
-    fn test_gpu_thread(
-        slots: usize,
-    ) -> (GpuKernelThread, crossbeam::channel::Receiver<CommCommand>) {
+    fn test_gpu_thread(slots: usize) -> (GpuKernelThread, Receiver<CommCommand>) {
         gpu_thread(Device::new_default(0), slots, MAILBOX_REQS_PER_SLOT)
     }
 
@@ -845,13 +842,13 @@ mod tests {
             other => panic!("expected one Batch command, got {other:?}"),
         };
         assert_eq!(reqs.len(), slots);
-        assert!(work_rx.try_recv().is_err(), "no further queue traffic");
+        assert!(work_rx.try_recv().is_none(), "no further queue traffic");
         assert_eq!(hops.get(), 0, "the harvest costs its sweep no hop");
 
         // A record still pending is not harvested again.
         gpu.sweep(&mut pending).unwrap();
         assert_eq!(gpu.metrics.requests.get(), slots as u64);
-        assert!(work_rx.try_recv().is_err());
+        assert!(work_rx.try_recv().is_none());
 
         // Completing the replies flips every record to DONE on the next
         // sweep: one device write per completion (fields and word).
@@ -1075,7 +1072,7 @@ mod tests {
         gpu.sweep(&mut pending).unwrap();
         assert_eq!(pending.len(), 3);
         assert!(
-            work_rx.try_recv().is_err(),
+            work_rx.try_recv().is_none(),
             "nothing reached the comm thread"
         );
         gpu.sweep(&mut pending).unwrap();
@@ -1193,7 +1190,7 @@ mod tests {
             panic!("expected a Batch");
         };
         assert_eq!(reqs.len(), 1);
-        assert!(work_rx.try_recv().is_err());
+        assert!(work_rx.try_recv().is_none());
     }
 
     /// One move of the mailbox walker.
@@ -1521,7 +1518,7 @@ mod tests {
                         .unwrap();
                     answered = false;
                     let completing = held_keys.iter().any(|key| !pending.contains_key(key));
-                    while let Ok(command) = work_rx.try_recv() {
+                    while let Some(command) = work_rx.try_recv() {
                         let CommCommand::Batch(reqs) = command else {
                             panic!("expected a Batch");
                         };

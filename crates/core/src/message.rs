@@ -8,12 +8,12 @@
 //! body, so the body bytes are written once, never move on their way to the
 //! wire, and sit at offset 0 of the allocation the receiver hands out.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
 
 use dcgn_netsim::buffer::ENVELOPE_BYTES;
 use dcgn_netsim::Payload;
-use dcgn_simtime::{Charge, Clock, Deadline};
+use dcgn_simtime::channel::Drained;
+use dcgn_simtime::{channel, Clock, Deadline, Receiver, Sender};
 
 use crate::error::DcgnError;
 use crate::group::CommId;
@@ -203,7 +203,7 @@ pub(crate) struct Inbox {
 
 impl Inbox {
     pub(crate) fn new() -> Self {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         Inbox { tx, rx }
     }
 
@@ -215,58 +215,16 @@ impl Inbox {
         }
     }
 
-    /// One crossing of this inbox (see [`drain`]): `None` when no reply
-    /// arrived by `deadline`.
+    /// One crossing of this inbox ([`Receiver::drain`]): `None` when no
+    /// reply arrived by `deadline`.
     pub(crate) fn drain(
         &self,
         clock: &Clock,
         deadline: Deadline,
         file: impl FnMut((Token, Reply)) -> bool,
     ) -> Option<Drained> {
-        drain(clock, &self.rx, deadline, file).ok()
+        self.rx.drain(clock, deadline, file)
     }
-}
-
-/// What one [`drain`] took.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Drained {
-    /// Items taken: the first, plus the queue's length just after it.
-    pub taken: usize,
-    /// Whether any item was work, and so the crossing paid its queue hop.
-    pub paid: bool,
-}
-
-/// One crossing of a thread-safe queue — the one place that decides what a
-/// hand-off between DCGN's threads costs.  Waits on `clock` until
-/// `deadline` for the first item, then takes exactly the items queued
-/// behind it at that moment (one that lands during the drain belongs to the
-/// next crossing), handing each to `file`, which says whether it gave the
-/// consumer work.  A crossing that did pays one [`Charge::QueueHop`] —
-/// everything queued when the consumer drains crosses in one hop — after
-/// it is filed and before the consumer acts on it; one that carried only
-/// wake-ups, or replies nobody waits for, pays nothing.  This is the only
-/// site that charges a hop: each crossing is paid once, by the consumer's
-/// drain, and a post costs the producer nothing modelled.  `Err` when nothing
-/// arrived by `deadline` (a passed one looks once) or every sender is gone.
-pub(crate) fn drain<T>(
-    clock: &Clock,
-    rx: &Receiver<T>,
-    deadline: Deadline,
-    mut file: impl FnMut(T) -> bool,
-) -> Result<Drained, RecvTimeoutError> {
-    let first = clock.recv_until(rx, deadline)?;
-    let behind = rx.len();
-    let mut paid = file(first);
-    for item in std::iter::from_fn(|| rx.try_recv().ok()).take(behind) {
-        paid |= file(item);
-    }
-    if paid {
-        clock.charge(Charge::QueueHop, clock.model().queue_hop);
-    }
-    Ok(Drained {
-        taken: 1 + behind,
-        paid,
-    })
 }
 
 /// Where a request's reply goes, and the obligation to send one: every
@@ -347,7 +305,6 @@ pub(crate) fn decode_p2p(wire: Payload) -> Result<(usize, usize, u32, Payload), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcgn_metrics::MetricsHandle;
     use dcgn_simtime::CostModel;
     use std::time::Duration;
 
@@ -360,61 +317,6 @@ mod tests {
             true
         });
         replies
-    }
-
-    #[test]
-    fn a_drain_takes_what_is_queued_when_it_looks_and_pays_one_hop_for_work() {
-        let metrics = MetricsHandle::new();
-        let hop = Duration::from_micros(1);
-        let model = CostModel {
-            queue_hop: hop,
-            ..CostModel::zero()
-        };
-        let clock = Clock::new(model, &metrics);
-        let hops =
-            || metrics.snapshot().counter("model.charged_ns.queue_hop") / hop.as_nanos() as u64;
-        let now = || clock.deadline(Duration::ZERO);
-        let (tx, rx) = unbounded();
-        assert_eq!(
-            drain(&clock, &rx, now(), |_: u32| true),
-            Err(RecvTimeoutError::Timeout)
-        );
-        // Three items queued, one of them work: one crossing, one hop.  An
-        // item sent while the crossing is filed waits for the next one.
-        for item in [0, 1, 0] {
-            tx.send(item).unwrap();
-        }
-        let mut filed = Vec::new();
-        let crossing = drain(&clock, &rx, now(), |item| {
-            if filed.is_empty() {
-                tx.send(7).unwrap();
-            }
-            filed.push(item);
-            item != 0
-        });
-        assert_eq!(
-            crossing,
-            Ok(Drained {
-                taken: 3,
-                paid: true
-            })
-        );
-        assert_eq!((filed, hops()), (vec![0, 1, 0], 1));
-        // A crossing that carried no work pays nothing.
-        let late = drain(&clock, &rx, now(), |item| item == 0);
-        assert_eq!(
-            late,
-            Ok(Drained {
-                taken: 1,
-                paid: false
-            })
-        );
-        assert_eq!(hops(), 1);
-        drop(tx);
-        assert_eq!(
-            drain(&clock, &rx, now(), |_| true),
-            Err(RecvTimeoutError::Disconnected)
-        );
     }
 
     #[test]

@@ -9,12 +9,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
 use dcgn_dpm::{Device, Dim, DmaMetrics};
 use dcgn_metrics::MetricsSnapshot;
 use dcgn_netsim::Cluster;
 use dcgn_rmpi::{MpiWorld, RankPlacement};
-use dcgn_simtime::Clock;
+use dcgn_simtime::{channel, Clock, Sender};
 
 use crate::comm_thread::CommThread;
 use crate::config::DcgnConfig;
@@ -159,26 +158,12 @@ impl Runtime {
 
         // Per-node work queues.
         let forced_plan = self.config.forced_exchange_plan();
-        let mut work_txs: Vec<Sender<CommCommand>> = Vec::with_capacity(num_nodes);
-        let mut comm_threads = Vec::with_capacity(num_nodes);
-        for (node, comm) in node_comms.into_iter().enumerate() {
-            let (tx, rx) = unbounded();
-            work_txs.push(tx.clone());
-            let rank_map = Arc::clone(&rank_map);
-            let (metrics, clock) = (metrics.clone(), clock.clone());
-            comm_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("dcgn-comm-node{node}"))
-                    .spawn(move || {
-                        CommThread::new(node, rank_map, comm, rx, tx, clock, forced_plan, &metrics)
-                            .run()
-                    })
-                    .map_err(|e| DcgnError::Internal(format!("spawn comm thread: {e}")))?,
-            );
-        }
+        let (work_txs, work_rxs): (Vec<Sender<CommCommand>>, Vec<_>) =
+            (0..num_nodes).map(|_| channel()).unzip();
 
-        // Kernel threads (CPU ranks and GPU controllers).
-        let mut kernel_threads = Vec::new();
+        // Kernel threads (CPU ranks and GPU controllers), set up in full —
+        // every step that can fail — before the first thread is spawned.
+        let mut kernels: Vec<(String, KernelJob)> = Vec::new();
         for (node, node_cfg) in self.config.nodes.iter().enumerate() {
             // CPU-kernel threads.
             for cpu_index in 0..node_cfg.cpu_kernel_threads {
@@ -195,15 +180,13 @@ impl Runtime {
                     metrics.clone(),
                 );
                 let kernel = Arc::clone(&cpu_kernel);
-                kernel_threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("dcgn-cpu-n{node}-k{cpu_index}"))
-                        .spawn(move || -> Result<Option<GpuPollStats>> {
-                            kernel(&ctx);
-                            Ok(None)
-                        })
-                        .map_err(|e| DcgnError::Internal(format!("spawn CPU kernel: {e}")))?,
-                );
+                kernels.push((
+                    format!("dcgn-cpu-n{node}-k{cpu_index}"),
+                    Box::new(move || {
+                        kernel(&ctx);
+                        Ok(None)
+                    }),
+                ));
             }
 
             // GPU-kernel threads (one per GPU).
@@ -251,48 +234,66 @@ impl Runtime {
                 let setup = Arc::clone(&gpu_setup);
                 let kernel = Arc::clone(&gpu_kernel);
                 let finish = Arc::clone(&gpu_finish);
-                kernel_threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("dcgn-gpu-n{node}-g{gpu_index}"))
-                        .spawn(move || -> Result<Option<GpuPollStats>> {
-                            // Stage device memory on the GPU-kernel thread
-                            // before the kernel launches (the CPU manages all
-                            // GPU memory, as in CUDA).
-                            let setup_ctx = GpuSetupCtx {
-                                device: &gpu_thread.device,
-                                layout: &layout,
-                            };
-                            let state = Arc::new(setup(&setup_ctx));
-                            // Launch the device kernel: every block receives a
-                            // GpuCtx wired to this GPU's mailboxes.
-                            let launch_layout = layout.clone();
-                            let kernel_state = Arc::clone(&state);
-                            let handle = gpu_thread.device.launch(
-                                Dim::d1(grid_blocks),
-                                Dim::d1(block_threads),
-                                move |block| {
-                                    let ctx = GpuCtx::new(block, &launch_layout);
-                                    kernel(&ctx, &kernel_state);
-                                },
-                            );
-                            // Poll the device until the kernel retires.
-                            let stats = gpu_thread.run(&handle)?;
-                            handle
-                                .wait()
-                                .map_err(|e| DcgnError::Device(e.to_string()))?;
-                            // Read results back / release buffers.
-                            finish(&setup_ctx, &state);
-                            Ok(Some(stats))
-                        })
-                        .map_err(|e| DcgnError::Internal(format!("spawn GPU thread: {e}")))?,
-                );
+                kernels.push((
+                    format!("dcgn-gpu-n{node}-g{gpu_index}"),
+                    Box::new(move || {
+                        // Stage device memory on the GPU-kernel thread
+                        // before the kernel launches (the CPU manages all
+                        // GPU memory, as in CUDA).
+                        let setup_ctx = GpuSetupCtx {
+                            device: &gpu_thread.device,
+                            layout: &layout,
+                        };
+                        let state = Arc::new(setup(&setup_ctx));
+                        // Launch the device kernel: every block receives a
+                        // GpuCtx wired to this GPU's mailboxes.
+                        let launch_layout = layout.clone();
+                        let kernel_state = Arc::clone(&state);
+                        let handle = gpu_thread.device.launch(
+                            Dim::d1(grid_blocks),
+                            Dim::d1(block_threads),
+                            move |block| {
+                                let ctx = GpuCtx::new(block, &launch_layout);
+                                kernel(&ctx, &kernel_state);
+                            },
+                        );
+                        // Poll the device until the kernel retires.
+                        let stats = gpu_thread.run(&handle)?;
+                        handle
+                            .wait()
+                            .map_err(|e| DcgnError::Device(e.to_string()))?;
+                        // Read results back / release buffers.
+                        finish(&setup_ctx, &state);
+                        Ok(Some(stats))
+                    }),
+                ));
             }
         }
+
+        // Spawn the comm threads, then the kernel threads.  From here on
+        // every exit path joins every thread spawned.
+        let mut comm_threads = Vec::with_capacity(num_nodes);
+        let mut kernel_threads = Vec::with_capacity(kernels.len());
+        let spawned = (|| -> Result<()> {
+            for (node, (comm, rx)) in node_comms.into_iter().zip(work_rxs).enumerate() {
+                let tx = work_txs[node].clone();
+                let (rank_map, metrics, clock) =
+                    (Arc::clone(&rank_map), metrics.clone(), clock.clone());
+                comm_threads.push(spawn(format!("dcgn-comm-node{node}"), move || {
+                    CommThread::new(node, rank_map, comm, rx, tx, clock, forced_plan, &metrics)
+                        .run()
+                })?);
+            }
+            for (name, job) in kernels {
+                kernel_threads.push(spawn(name, job)?);
+            }
+            Ok(())
+        })();
 
         // Wait for every kernel thread, collecting GPU poll statistics and
         // the first failure (if any).
         let mut gpu_poll_stats = Vec::new();
-        let mut first_error: Option<DcgnError> = None;
+        let mut first_error = spawned.err();
         for handle in kernel_threads {
             match handle.join() {
                 Ok(Ok(Some(stats))) => gpu_poll_stats.push(stats),
@@ -360,6 +361,22 @@ impl Runtime {
             }),
         }
     }
+}
+
+/// What one kernel thread runs: a CPU rank's kernel, or a GPU's whole
+/// set-up, launch, poll loop and finish.
+type KernelJob = Box<dyn FnOnce() -> Result<Option<GpuPollStats>> + Send>;
+
+/// Spawn one of a launch's threads.
+fn spawn<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> Result<std::thread::JoinHandle<T>> {
+    let what = format!("spawn {name}");
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(f)
+        .map_err(|e| DcgnError::Internal(format!("{what}: {e}")))
 }
 
 /// Hand the heap pages a launch freed back to the operating system.

@@ -4,11 +4,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use dcgn_metrics::Counter;
-use dcgn_simtime::{Charge, Clock, CostModel, Deadline, VirtualBus};
+use dcgn_simtime::{channel, Charge, Clock, CostModel, Deadline, Receiver, Sender, VirtualBus};
 
 use crate::kernel::{BlockCtx, Dim};
 use crate::memory::{DeviceMemory, DevicePtr, MemoryError};
@@ -180,7 +179,7 @@ pub struct Device {
     clock: Clock,
     sm_tx: Sender<SmMessage>,
     /// Kept so multiprocessor workers can be spawned lazily per launch.
-    sm_rx: Receiver<SmMessage>,
+    sm_rx: Arc<Receiver<SmMessage>>,
     sm_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     shutdown: AtomicBool,
     /// Device-to-host DMA operations issued by the host (each is one PCI-e
@@ -211,7 +210,7 @@ impl Device {
     ) -> Arc<Self> {
         let clock = clock.into();
         let memory = Arc::new(DeviceMemory::new(config.memory_bytes));
-        let (sm_tx, sm_rx) = unbounded::<SmMessage>();
+        let (sm_tx, sm_rx) = channel::<SmMessage>();
         // Multiprocessor workers are spawned lazily by `launch`: a kernel of
         // B blocks needs at most min(B, num_multiprocessors) of them, and
         // spawning the full complement up front made small launches pay for
@@ -222,7 +221,7 @@ impl Device {
             memory,
             clock,
             sm_tx,
-            sm_rx,
+            sm_rx: Arc::new(sm_rx),
             sm_threads: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             dtoh_transfers: AtomicU64::new(0),
@@ -238,12 +237,12 @@ impl Device {
         let needed = needed.min(self.config.num_multiprocessors);
         let mut threads = self.sm_threads.lock();
         while threads.len() < needed {
-            let rx = self.sm_rx.clone();
+            let (rx, clock) = (Arc::clone(&self.sm_rx), self.clock.clone());
             let name = format!("dev{}-sm{}", self.id, threads.len());
             threads.push(
                 std::thread::Builder::new()
                     .name(name)
-                    .spawn(move || Self::sm_worker(rx))
+                    .spawn(move || Self::sm_worker(&rx, &clock))
                     .expect("failed to spawn multiprocessor worker"),
             );
         }
@@ -255,8 +254,8 @@ impl Device {
         Self::new(id, DeviceConfig::default(), CostModel::zero())
     }
 
-    fn sm_worker(rx: Receiver<SmMessage>) {
-        while let Ok(msg) = rx.recv() {
+    fn sm_worker(rx: &Receiver<SmMessage>, clock: &Clock) {
+        while let Some(msg) = rx.recv_until(clock, Deadline::NEVER) {
             match msg {
                 SmMessage::Shutdown => break,
                 SmMessage::Run(task) => {
@@ -448,9 +447,8 @@ impl Device {
                 memory: Arc::clone(&self.memory),
                 state: Arc::clone(&state),
             };
-            self.sm_tx
-                .send(SmMessage::Run(task))
-                .expect("device multiprocessor pool is gone");
+            let queued = self.sm_tx.send(SmMessage::Run(task)).is_ok();
+            assert!(queued, "device multiprocessor pool is gone");
         }
         KernelHandle { state }
     }

@@ -4,10 +4,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::RwLock;
 
-use dcgn_simtime::{Charge, Clock, Deadline, VirtualBus};
+use dcgn_simtime::{channel, Charge, Clock, Deadline, Receiver, Sender, VirtualBus};
 
 /// Globally unique identifier of an endpoint attached to the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,7 +37,7 @@ pub enum RecvError {
     Empty,
     /// The deadline passed before a message arrived.
     Timeout,
-    /// The fabric (or the endpoint's sender side) has been torn down.
+    /// The destination endpoint is detached (sends only).
     Disconnected,
 }
 
@@ -173,7 +172,7 @@ impl<T: Send + 'static> Fabric<T> {
             self.num_nodes()
         );
         let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst) as usize;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.inner.endpoints.write().insert(
             id,
             EndpointEntry {
@@ -313,33 +312,24 @@ impl<T: Send + 'static> Endpoint<T> {
 
     /// Block until a message arrives.
     pub fn recv(&self) -> Result<Delivery<T>, RecvError> {
-        let d = self.rx.recv().map_err(|_| RecvError::Disconnected)?;
-        self.note_recv(&d);
-        Ok(d)
+        self.recv_until(Deadline::NEVER)
     }
 
     /// Return a queued message if one is available.
     pub fn try_recv(&self) -> Result<Delivery<T>, RecvError> {
-        match self.rx.try_recv() {
-            Ok(d) => {
-                self.note_recv(&d);
-                Ok(d)
-            }
-            Err(TryRecvError::Empty) => Err(RecvError::Empty),
-            Err(TryRecvError::Disconnected) => Err(RecvError::Disconnected),
-        }
+        let d = self.rx.try_recv().ok_or(RecvError::Empty)?;
+        self.note_recv(&d);
+        Ok(d)
     }
 
     /// Block until a message arrives or `deadline` passes.
     pub fn recv_until(&self, deadline: Deadline) -> Result<Delivery<T>, RecvError> {
-        match self.fabric.inner.clock.recv_until(&self.rx, deadline) {
-            Ok(d) => {
-                self.note_recv(&d);
-                Ok(d)
-            }
-            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Disconnected),
-        }
+        let d = self
+            .rx
+            .recv_until(&self.fabric.inner.clock, deadline)
+            .ok_or(RecvError::Timeout)?;
+        self.note_recv(&d);
+        Ok(d)
     }
 
     /// Install a delivery notifier for this endpoint (see

@@ -6,14 +6,12 @@
 //! [`Charge`] kind, exact however noisy the wall clock is.  Every wait names
 //! the event it waits for and a [`Deadline`]; the ones that spin share one
 //! budget, and `clock.parks` counts those that outlasted it and blocked: a
-//! channel receive ([`Clock::recv_until`]) or a device block waiting on a
-//! word ([`Clock::poll_until`]).
+//! channel receive ([`crate::channel::Receiver::recv_until`]) or a device
+//! block waiting on a word, both a [`Clock::poll_until`].
 
-use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use dcgn_metrics::{Counter, MetricsHandle};
 use parking_lot::{Condvar, MutexGuard};
 
@@ -31,10 +29,10 @@ pub enum Charge {
     IntraNode,
     /// A NIC's receive drain of a rendezvous payload.
     Drain,
-    /// A hand-off across one of DCGN's internal work queues: one hop per
+    /// A hand-off across one of DCGN's internal queues: one hop per
     /// crossing, and a crossing is everything queued when the consumer
-    /// drains.  Paid once, by the consumer's drain; a post costs the
-    /// producer nothing modelled.
+    /// drains.  Paid once, by [`crate::channel::Receiver::drain`]; a send
+    /// costs the producer nothing modelled.
     QueueHop,
     /// A kernel launch.
     Launch,
@@ -168,32 +166,6 @@ impl Clock {
         }
     }
 
-    /// Receive from `rx`, waiting until `deadline` at most: a
-    /// [`Clock::poll_until`] whose park is a blocking receive.
-    pub fn recv_until<T>(
-        &self,
-        rx: &Receiver<T>,
-        deadline: Deadline,
-    ) -> Result<T, RecvTimeoutError> {
-        let parked = Cell::new(None);
-        let poll = || match parked.take() {
-            None | Some(Err(RecvTimeoutError::Timeout)) => match rx.try_recv() {
-                Ok(msg) => Some(Ok(msg)),
-                Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
-                Err(TryRecvError::Empty) => None,
-            },
-            got => got,
-        };
-        let park = |deadline: Deadline| {
-            parked.set(Some(match deadline.0 {
-                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
-            }))
-        };
-        self.poll_until(deadline, poll, park)
-            .unwrap_or(Err(RecvTimeoutError::Timeout))
-    }
-
     /// Wait on `cv`, releasing `guard` meanwhile, until notified or until
     /// `deadline`; true when the wait ended because the deadline passed.
     pub fn wait_until<T>(
@@ -223,6 +195,7 @@ impl From<CostModel> for Clock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::channel;
 
     fn ledger(metrics: &MetricsHandle) -> Vec<u64> {
         let snap = metrics.snapshot();
@@ -273,22 +246,19 @@ mod tests {
         assert!(clock.passed(soon));
     }
 
+    // A channel receive is the clock's spin-then-park: these pin its
+    // deadline and what it adds to `clock.parks`.
+
     #[test]
     fn recv_until_returns_at_its_deadline() {
         let clock = Clock::from(CostModel::zero());
-        let (tx, rx) = crossbeam::channel::unbounded::<u32>();
+        let (tx, rx) = channel::<u32>();
         let wait = Duration::from_millis(5);
         let start = clock.now();
-        let got = clock.recv_until(&rx, clock.deadline(wait));
-        assert_eq!(got, Err(RecvTimeoutError::Timeout));
+        assert_eq!(rx.recv_until(&clock, clock.deadline(wait)), None);
         assert!(clock.elapsed(start) >= wait);
         tx.send(7).unwrap();
-        assert_eq!(clock.recv_until(&rx, Deadline::NEVER), Ok(7));
-        drop(tx);
-        assert_eq!(
-            clock.recv_until(&rx, Deadline::NEVER),
-            Err(RecvTimeoutError::Disconnected)
-        );
+        assert_eq!(rx.recv_until(&clock, Deadline::NEVER), Some(7));
     }
 
     fn parks(metrics: &MetricsHandle) -> u64 {
@@ -299,9 +269,9 @@ mod tests {
     fn a_queued_message_is_taken_without_parking() {
         let metrics = MetricsHandle::new();
         let clock = Clock::new(CostModel::zero(), &metrics);
-        let (tx, rx) = crossbeam::channel::unbounded::<u32>();
+        let (tx, rx) = channel::<u32>();
         tx.send(7).unwrap();
-        assert_eq!(clock.recv_until(&rx, Deadline::NEVER), Ok(7));
+        assert_eq!(rx.recv_until(&clock, Deadline::NEVER), Some(7));
         assert_eq!(parks(&metrics), 0);
     }
 
@@ -309,39 +279,21 @@ mod tests {
     fn an_expired_deadline_times_out_without_parking() {
         let metrics = MetricsHandle::new();
         let clock = Clock::new(CostModel::zero(), &metrics);
-        let (_tx, rx) = crossbeam::channel::unbounded::<u32>();
-        let got = clock.recv_until(&rx, clock.deadline(Duration::ZERO));
-        assert_eq!(got, Err(RecvTimeoutError::Timeout));
+        let (_tx, rx) = channel::<u32>();
+        assert_eq!(rx.recv_until(&clock, clock.deadline(Duration::ZERO)), None);
         assert_eq!(parks(&metrics), 0);
-    }
-
-    #[test]
-    fn a_sender_dropped_during_the_spin_disconnects_it() {
-        let metrics = MetricsHandle::new();
-        let clock = Clock::new(CostModel::zero(), &metrics);
-        let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-        drop(tx);
-        let got = clock.recv_until(&rx, Deadline::NEVER);
-        assert_eq!(got, Err(RecvTimeoutError::Disconnected));
-        assert_eq!(parks(&metrics), 0, "a disconnect seen while spinning");
-
-        let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-        let dropper = std::thread::spawn(move || drop(tx));
-        let got = clock.recv_until(&rx, Deadline::NEVER);
-        assert_eq!(got, Err(RecvTimeoutError::Disconnected));
-        dropper.join().unwrap();
     }
 
     #[test]
     fn a_late_message_is_received_after_at_most_one_park() {
         let metrics = MetricsHandle::new();
         let clock = Clock::new(CostModel::zero(), &metrics);
-        let (tx, rx) = crossbeam::channel::unbounded::<u32>();
+        let (tx, rx) = channel::<u32>();
         let sender = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
             tx.send(9).unwrap();
         });
-        assert_eq!(clock.recv_until(&rx, Deadline::NEVER), Ok(9));
+        assert_eq!(rx.recv_until(&clock, Deadline::NEVER), Some(9));
         assert!(parks(&metrics) <= 1, "{} parks", parks(&metrics));
         sender.join().unwrap();
     }

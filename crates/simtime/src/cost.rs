@@ -85,8 +85,8 @@ pub struct CostModel {
     /// Fixed cost of one crossing of an internal DCGN work queue
     /// (CPU-kernel thread → comm thread, comm thread → GPU thread, …): one
     /// hop per crossing, everything queued when the consumer drains, paid
-    /// once, by the consumer's drain; a post costs the producer nothing
-    /// modelled.
+    /// once, by the consumer's [`crate::channel::Receiver::drain`]; a post
+    /// costs the producer nothing modelled.
     pub queue_hop: Duration,
     /// Sleep interval of the GPU-kernel thread's polling loop.
     pub poll_interval: Duration,

@@ -10,11 +10,16 @@
 //! [`Clock`] is the one owner of time: every layer reads the time and waits
 //! for an event until a [`Deadline`] through it, and pays each modelled
 //! hardware cost with [`Clock::charge`], which blocks for it and adds it to
-//! a per-[`Charge`]-kind cost ledger in the metrics registry.  Its channel
-//! wait, [`Clock::recv_until`], and its wait on a polled condition,
-//! [`Clock::poll_until`], spin for 50 µs before they park: an artefact of
-//! the real clock, whose futex wake-up costs more than a short spin, that a
-//! virtual clock would drop.
+//! a per-[`Charge`]-kind cost ledger in the metrics registry.  Its wait on
+//! a polled condition, [`Clock::poll_until`], spins for 50 µs before it
+//! parks: an artefact of the real clock, whose futex wake-up costs more than
+//! a short spin, that a virtual clock would drop.
+//!
+//! [`channel()`] is the one queue every hand-off between the stack's threads
+//! crosses.  Its receive, [`Receiver::recv_until`], is a
+//! [`Clock::poll_until`], and its [`Receiver::drain`] is the one site that
+//! charges a [`Charge::QueueHop`]: one per crossing, for everything queued
+//! when the consumer drains.
 //!
 //! The crate also provides the percentile helpers the benchmark harness
 //! uses.
@@ -22,12 +27,14 @@
 #![warn(missing_docs)]
 
 pub mod bus;
+pub mod channel;
 pub mod clock;
 pub mod cost;
 pub mod sleep;
 pub mod stats;
 
 pub use bus::VirtualBus;
+pub use channel::{channel, Receiver, Sender};
 pub use clock::{Charge, Clock, Deadline, Stamp};
 pub use cost::{CostModel, LinkCost};
 pub use stats::percentile;

@@ -14,10 +14,10 @@ const SPIN_THRESHOLD: Duration = Duration::from_micros(200);
 /// over-sleep from the OS scheduler.
 const SLEEP_SLACK: Duration = Duration::from_micros(150);
 
-/// How long a spinning wait of [`crate::Clock`] (`recv_until`,
-/// `poll_until`) yield-polls before it parks: an event that lands within
-/// this budget skips the futex wake-up, which costs more than the spin it
-/// replaces.  The stack's one spin budget.
+/// How long a spinning wait ([`crate::Clock::poll_until`], a channel's
+/// `recv_until` and `drain` among them) yield-polls before it parks: an
+/// event that lands within this budget skips the futex wake-up, which costs
+/// more than the spin it replaces.  The stack's one spin budget.
 pub(crate) const PARK_AFTER: Duration = Duration::from_micros(50);
 
 /// Sleep for `d`, trading CPU time for accuracy only when `d` is short.

@@ -12,7 +12,8 @@
 #                          `.wait(&mut ...`).
 # Each has a clock method instead: `now`/`elapsed` to read the time,
 # `charge` to pay a modelled cost, and a wait that names its event and a
-# `Deadline` — `recv_until` (a channel), `wait_until` (a condvar) or
+# `Deadline` — `Receiver::recv_until` or `Receiver::drain` (a
+# `dcgn_simtime::channel`), `wait_until` (a condvar) or
 # `poll_until` (a polled condition; the device's `BlockCtx::spin_until`).
 # The clock has no blind sleep or bare yield to call instead.
 #
