@@ -87,6 +87,7 @@ pub struct Clock(Arc<Ledger>);
 struct Ledger {
     model: CostModel,
     charged_ns: [Counter; 7],
+    overshoot_ns: [Counter; 7],
     parks: Counter,
 }
 
@@ -96,6 +97,7 @@ impl Clock {
         Clock(Arc::new(Ledger {
             model,
             charged_ns: KINDS.map(|kind| metrics.counter(&format!("model.charged_ns.{kind}"))),
+            overshoot_ns: KINDS.map(|kind| metrics.counter(&format!("model.overshoot_ns.{kind}"))),
             parks: metrics.counter("clock.parks"),
         }))
     }
@@ -127,14 +129,16 @@ impl Clock {
 
     /// Pay the modelled cost `d` of a `kind` of hardware step: block for
     /// exactly `d` ([`crate::precise_sleep`]) and add it to the ledger.  The
-    /// ledger's update is part of the `d`, not added to it.
+    /// ledger's update is part of the `d`, not added to it.  The real time
+    /// it blocked beyond `d` goes to `model.overshoot_ns.<kind>`.
     pub fn charge(&self, kind: Charge, d: Duration) {
         if d.is_zero() {
             return;
         }
         let start = Instant::now();
         self.0.charged_ns[kind as usize].add(d.as_nanos() as u64);
-        sleep_from(start, d);
+        let blocked = sleep_from(start, d);
+        self.0.overshoot_ns[kind as usize].add((blocked - d).as_nanos() as u64);
     }
 
     /// Wait until `poll` yields, or `deadline` passes (`None`): yield-poll

@@ -32,10 +32,11 @@ pub fn precise_sleep(d: Duration) {
 }
 
 /// [`precise_sleep`] for a delay that began at `start`: returns once `d`
-/// has passed since then.
-pub(crate) fn sleep_from(start: Instant, d: Duration) {
+/// has passed since then, with the elapsed time it read last (at least `d`,
+/// or zero when `d` is).
+pub(crate) fn sleep_from(start: Instant, d: Duration) -> Duration {
     if d.is_zero() {
-        return;
+        return Duration::ZERO;
     }
     if d >= SPIN_THRESHOLD {
         let coarse = d.saturating_sub(SLEEP_SLACK);
@@ -43,7 +44,11 @@ pub(crate) fn sleep_from(start: Instant, d: Duration) {
             std::thread::sleep(coarse);
         }
     }
-    while start.elapsed() < d {
+    loop {
+        let elapsed = start.elapsed();
+        if elapsed >= d {
+            return elapsed;
+        }
         std::thread::yield_now();
     }
 }
