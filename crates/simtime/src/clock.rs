@@ -3,7 +3,10 @@
 //! host's real one here without touching the layers above.  Each
 //! [`Clock::charge`] also adds the modelled nanoseconds it blocked for to the
 //! clock's **cost ledger**, one `model.charged_ns.<kind>` counter per
-//! [`Charge`] kind, exact however noisy the wall clock is.  Every wait names
+//! [`Charge`] kind, exact however noisy the wall clock is.  Beside it,
+//! `model.overshoot_ns.<kind>` counts the real time each charge blocked past
+//! its modelled length: wall-clock time, not model, the "OS sleep jitter"
+//! term of a measured latency.  Every wait names
 //! the event it waits for and a [`Deadline`]; the ones that spin share one
 //! budget, and `clock.parks` counts those that outlasted it and blocked: a
 //! channel receive ([`crate::channel::Receiver::recv_until`]) or a device
@@ -130,7 +133,9 @@ impl Clock {
     /// Pay the modelled cost `d` of a `kind` of hardware step: block for
     /// exactly `d` ([`crate::precise_sleep`]) and add it to the ledger.  The
     /// ledger's update is part of the `d`, not added to it.  The real time
-    /// it blocked beyond `d` goes to `model.overshoot_ns.<kind>`.
+    /// it blocked beyond `d`, read off the wait's own last clock read, goes
+    /// to `model.overshoot_ns.<kind>`: that ledger is wall time, not model,
+    /// so unlike `model.charged_ns` it varies from run to run.
     pub fn charge(&self, kind: Charge, d: Duration) {
         if d.is_zero() {
             return;
@@ -201,26 +206,27 @@ mod tests {
     use super::*;
     use crate::channel::channel;
 
-    fn ledger(metrics: &MetricsHandle) -> Vec<u64> {
+    fn ledger(metrics: &MetricsHandle, counter: &str) -> Vec<u64> {
         let snap = metrics.snapshot();
         KINDS
             .iter()
-            .map(|kind| snap.counter(&format!("model.charged_ns.{kind}")))
+            .map(|kind| snap.counter(&format!("model.{counter}.{kind}")))
             .collect()
     }
 
+    const ALL_KINDS: [Charge; 7] = [
+        Charge::Pcie,
+        Charge::Network,
+        Charge::IntraNode,
+        Charge::Drain,
+        Charge::QueueHop,
+        Charge::Launch,
+        Charge::Poll,
+    ];
+
     #[test]
     fn a_charge_lands_on_its_own_kind_only() {
-        let kinds = [
-            Charge::Pcie,
-            Charge::Network,
-            Charge::IntraNode,
-            Charge::Drain,
-            Charge::QueueHop,
-            Charge::Launch,
-            Charge::Poll,
-        ];
-        for (i, kind) in kinds.into_iter().enumerate() {
+        for (i, kind) in ALL_KINDS.into_iter().enumerate() {
             let metrics = MetricsHandle::new();
             let clock = Clock::new(CostModel::zero(), &metrics);
             let d = Duration::from_nanos(1_000 + i as u64);
@@ -233,8 +239,38 @@ mod tests {
             clock.charge(kind, Duration::ZERO);
             let mut want = vec![0; KINDS.len()];
             want[i] = d.as_nanos() as u64;
-            assert_eq!(ledger(&metrics), want, "{kind:?} charged elsewhere");
+            assert_eq!(
+                ledger(&metrics, "charged_ns"),
+                want,
+                "{kind:?} charged elsewhere"
+            );
+            // The overshoot is wall time, so only where it lands is pinned.
+            for (j, over) in ledger(&metrics, "overshoot_ns").into_iter().enumerate() {
+                assert!(i == j || over == 0, "{kind:?} overshot on {}", KINDS[j]);
+            }
         }
+    }
+
+    #[test]
+    fn a_charge_never_returns_before_its_deadline() {
+        let clock = Clock::from(CostModel::zero());
+        for us in [1, 2, 3, 50, 250] {
+            let d = Duration::from_micros(us);
+            let start = clock.now();
+            clock.charge(Charge::QueueHop, d);
+            assert!(clock.elapsed(start) >= d, "returned before {d:?}");
+        }
+    }
+
+    #[test]
+    fn a_zero_charge_records_no_overshoot() {
+        let metrics = MetricsHandle::new();
+        let clock = Clock::new(CostModel::zero(), &metrics);
+        for kind in ALL_KINDS {
+            clock.charge(kind, Duration::ZERO);
+        }
+        assert_eq!(ledger(&metrics, "charged_ns"), [0; 7]);
+        assert_eq!(ledger(&metrics, "overshoot_ns"), [0; 7]);
     }
 
     #[test]

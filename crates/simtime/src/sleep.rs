@@ -2,6 +2,9 @@
 //! injected as real wall-clock delays.  On a lightly loaded machine
 //! `thread::sleep` has a granularity of tens of microseconds, far coarser than
 //! the latencies modelled, so short delays are a yielding spin instead.
+//! Either way a delay ends in a raw spin of at most `YIELD_TAIL` (2 µs): on
+//! a shared core a yield returns only after another runnable thread's turn,
+//! so one started that close to the deadline would run past it.
 
 use std::time::{Duration, Instant};
 
@@ -20,6 +23,32 @@ const SLEEP_SLACK: Duration = Duration::from_micros(150);
 /// more than the spin it replaces.  The stack's one spin budget.
 pub(crate) const PARK_AFTER: Duration = Duration::from_micros(50);
 
+/// The last stretch of a delay, spun without yielding: a yield started
+/// with no more than this left would likely end past the deadline.  Short
+/// enough that the spin holds the core for less than any modelled hop.
+const YIELD_TAIL: Duration = Duration::from_micros(2);
+
+/// What a delay's spin does next, given the time `left` of it.
+#[derive(Debug, PartialEq, Eq)]
+enum Step {
+    /// More than `YIELD_TAIL` is left: let another thread run.
+    Yield,
+    /// The tail: spin on the core until the deadline.
+    Spin,
+    /// The deadline has passed.
+    Done,
+}
+
+fn step(left: Duration) -> Step {
+    if left.is_zero() {
+        Step::Done
+    } else if left > YIELD_TAIL {
+        Step::Yield
+    } else {
+        Step::Spin
+    }
+}
+
 /// Sleep for `d`, trading CPU time for accuracy only when `d` is short.
 ///
 /// * `d >= 200µs`: `thread::sleep` for most of the interval, then yield-spin
@@ -27,6 +56,11 @@ pub(crate) const PARK_AFTER: Duration = Duration::from_micros(50);
 /// * `d < 200µs`: yield-spin the whole interval.  Yielding (rather than a raw
 ///   `spin_loop`) keeps the simulation live on single-core hosts where the
 ///   thread being waited on needs the same core.
+///
+/// Both end with a raw `spin_loop` through the last `YIELD_TAIL` (2 µs) of
+/// `d`, in which no yield is started: a yield lasts until another runnable
+/// thread has had its turn, which on a shared core ends well past the
+/// deadline.
 pub fn precise_sleep(d: Duration) {
     sleep_from(Instant::now(), d);
 }
@@ -46,10 +80,11 @@ pub(crate) fn sleep_from(start: Instant, d: Duration) -> Duration {
     }
     loop {
         let elapsed = start.elapsed();
-        if elapsed >= d {
-            return elapsed;
+        match step(d.saturating_sub(elapsed)) {
+            Step::Yield => std::thread::yield_now(),
+            Step::Spin => std::hint::spin_loop(),
+            Step::Done => return elapsed,
         }
-        std::thread::yield_now();
     }
 }
 
@@ -78,5 +113,12 @@ mod tests {
         let start = Instant::now();
         precise_sleep(d);
         assert!(start.elapsed() >= d);
+    }
+
+    #[test]
+    fn a_delay_yields_until_its_tail_then_spins_to_its_deadline() {
+        assert_eq!(step(Duration::ZERO), Step::Done);
+        assert_eq!(step(YIELD_TAIL), Step::Spin);
+        assert_eq!(step(YIELD_TAIL + Duration::from_nanos(1)), Step::Yield);
     }
 }

@@ -10,15 +10,18 @@
 # keeps for all its rounds, so the last dump counts exactly the operations
 # the result's `attempted` counts.  Printed: `attempted`, then for each
 # `model.charged_ns.*` counter (the modelled-cost ledger), each
-# `comm.requests.*` / `comm.crossings.*` counter and `clock.parks` (waits
-# that outlasted the clock's spin budget and parked) its total and its
-# total divided by `attempted`.  To compare two revisions, run it in a
-# checkout of each.  It reads benchmark/ and BENCHMARK.json and changes
-# neither: the build goes to CARGO_TARGET_DIR (default .bench_build/,
-# git-ignored), and benchmark/Cargo.lock is put back as it was found.
+# `model.overshoot_ns.*` counter (the real time those charges blocked past
+# their modelled length), each `comm.requests.*` / `comm.crossings.*`
+# counter and `clock.parks` (waits that outlasted the clock's spin budget
+# and parked) its total and its total divided by `attempted`, and last
+# the overshoot summed over every kind.  To compare two revisions, run a
+# copy of this script in a checkout of each.  It reads benchmark/ and
+# BENCHMARK.json and changes neither: the build goes to CARGO_TARGET_DIR
+# (default .bench_build/, git-ignored), and benchmark/Cargo.lock is put
+# back as it was found.
 set -eu
 
-[ $# -ge 1 ] || { sed -n '2,19s/^# \{0,1\}//p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,22s/^# \{0,1\}//p' "$0"; exit 2; }
 root=$(cd "$(dirname "$0")/.." && pwd)
 spec=$root/BENCHMARK.json
 cmd=$(sed -n 's/.*"command": *\[\(.*\)\].*/\1/p' "$spec" | tr -d '",')
@@ -44,5 +47,8 @@ echo "$workload seed $seed ${secs}s: attempted $attempted"
 # Counter lines of the dump read `    "name": value,`; the counters section
 # comes first and ends at the gauges header.
 sed -n '/"counters"/,/"gauges"/s/^ *"\([^"]*\)": \([0-9]*\),\{0,1\}$/\1 \2/p' "$tmp/metrics.json" |
-    grep -E '^(model\.charged_ns\.|comm\.requests\.|comm\.crossings\.|clock\.parks )' |
-    awk -v n="$attempted" '{ printf "%-40s %16.0f %16.3f per op\n", $1, $2, $2 / n }'
+    grep -E '^(model\.(charged|overshoot)_ns\.|comm\.requests\.|comm\.crossings\.|clock\.parks )' |
+    awk -v n="$attempted" '
+        { printf "%-40s %16.0f %16.3f per op\n", $1, $2, $2 / n }
+        $1 ~ /^model\.overshoot_ns\./ { over += $2 }
+        END { printf "%-40s %16.0f %16.3f per op\n", "model.overshoot_ns (all kinds)", over, over / n }'
