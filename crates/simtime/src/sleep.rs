@@ -23,9 +23,9 @@ const SLEEP_SLACK: Duration = Duration::from_micros(150);
 /// more than the spin it replaces.  The stack's one spin budget.
 pub(crate) const PARK_AFTER: Duration = Duration::from_micros(50);
 
-/// The last stretch of a delay, spun without yielding: a yield started
-/// with no more than this left would likely end past the deadline.  Short
-/// enough that the spin holds the core for less than any modelled hop.
+/// The last stretch of a delay, spun without yielding (see
+/// [`precise_sleep`]).  A longer tail would spin whole queue hops (6 µs)
+/// and hold a core that the threads being waited on need.
 const YIELD_TAIL: Duration = Duration::from_micros(2);
 
 /// What a delay's spin does next, given the time `left` of it.
@@ -66,12 +66,8 @@ pub fn precise_sleep(d: Duration) {
 }
 
 /// [`precise_sleep`] for a delay that began at `start`: returns once `d`
-/// has passed since then, with the elapsed time it read last (at least `d`,
-/// or zero when `d` is).
+/// has passed since then, with the elapsed time it read last (at least `d`).
 pub(crate) fn sleep_from(start: Instant, d: Duration) -> Duration {
-    if d.is_zero() {
-        return Duration::ZERO;
-    }
     if d >= SPIN_THRESHOLD {
         let coarse = d.saturating_sub(SLEEP_SLACK);
         if !coarse.is_zero() {
