@@ -15,6 +15,11 @@
 //! assembly is handed to the exchange [`Engine`] (`exchange/`), which runs
 //! **every** cross-node collective — the world included — under one of its
 //! plans and replies to the joined ranks.
+//!
+//! It is also the one place that validates a request, whichever kind of
+//! rank posted it: a rank outside the world, a root outside its
+//! communicator and a scatter root's chunk table of the wrong shape are
+//! answered with their error here.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -23,6 +28,7 @@ use std::time::Duration;
 
 use dcgn_metrics::{Counter, Gauge, MetricsHandle};
 use dcgn_netsim::Payload;
+use dcgn_rmpi::exchange::{CollectiveId, CollectiveKind};
 use dcgn_rmpi::{Communicator, Request as MpiRequest, Status as MpiStatus, TAG_EXCHANGE};
 use dcgn_simtime::{Charge, Clock, Receiver, Sender};
 
@@ -300,6 +306,11 @@ impl CommThread {
             RequestKind::Send { dst, tag, data } => {
                 self.handle_send(req.src_rank, dst, tag, data, req.reply_to)
             }
+            RequestKind::Recv { src: Some(src), .. } if self.rank_map.node_of(src).is_none() => {
+                req.reply_to
+                    .complete(Reply::Error(DcgnError::InvalidRank(src)));
+                Ok(())
+            }
             RequestKind::Recv { src, tag } => {
                 let recv = PendingRecv {
                     dst_rank: req.src_rank,
@@ -487,12 +498,13 @@ impl CommThread {
         &mut self,
         src_rank: usize,
         comm: CommId,
-        root: Option<usize>,
+        id: &CollectiveId,
         contribution: &Contribution,
     ) -> Result<usize> {
         let group = self.member_group(src_rank, comm)?;
         let size = group.members.len();
-        match (root, contribution) {
+        let scatter_root = id.kind == CollectiveKind::Scatter && group.sub_of(src_rank) == id.root;
+        match (id.root, contribution) {
             (Some(root), _) if root >= size => Err(DcgnError::InvalidRank(root)),
             (_, Contribution::Chunks(chunks)) if chunks.len() != size => {
                 Err(DcgnError::InvalidArgument(format!(
@@ -500,6 +512,9 @@ impl CommThread {
                     chunks.len()
                 )))
             }
+            (_, Contribution::None) if scatter_root => Err(DcgnError::InvalidArgument(
+                "scatter root must supply chunks".into(),
+            )),
             _ => Ok(group.local_members),
         }
     }
@@ -512,7 +527,7 @@ impl CommThread {
     fn join_collective(&mut self, req: Request) -> Result<()> {
         let src_rank = req.src_rank;
         let classified = classify_collective(req.kind).and_then(|(comm, id, contribution)| {
-            let awaited = self.check_join(src_rank, comm, id.root, &contribution)?;
+            let awaited = self.check_join(src_rank, comm, &id, &contribution)?;
             Ok((comm, id, contribution, awaited))
         });
         let (comm, id, contribution, awaited) = match classified {

@@ -13,6 +13,11 @@
 //! calls are thin `i* + wait` wrappers, so there is exactly one data path —
 //! and one reply path: every request (collectives included) is filed in the
 //! table, and its reply arrives in the rank's one completion inbox.
+//!
+//! This side validates nothing: the communication thread checks every
+//! request's ranks, roots and chunk tables, and answers a bad one with its
+//! error.  The only rank logic here is translating a communicator's
+//! sub-ranks into the global ranks the comm thread matches on.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -213,14 +218,6 @@ impl CpuCtx {
         self.metrics.snapshot()
     }
 
-    fn check_rank(&self, rank: usize) -> Result<()> {
-        if rank >= self.rank_map.total_ranks() {
-            Err(DcgnError::InvalidRank(rank))
-        } else {
-            Ok(())
-        }
-    }
-
     /// File a request in the table and relay it to the communication thread
     /// without waiting.  Its crossing of the work queue is paid once, by the
     /// comm thread's drain; a post costs the producer nothing modelled.
@@ -315,14 +312,15 @@ impl CpuCtx {
     /// The payload is staged immediately, so `data` may be reused as soon as
     /// this returns; the returned handle must eventually be completed with
     /// [`CpuCtx::wait`]/[`CpuCtx::test`] (or abandoned — the runtime drains
-    /// abandoned requests at shutdown).
+    /// abandoned requests at shutdown).  A `dst` outside the world is
+    /// reported at completion: the handle's `wait`/`test` yields
+    /// [`DcgnError::InvalidRank`].
     pub fn isend(&self, dst: usize, data: &[u8]) -> Result<RequestHandle> {
         self.isend_tagged(dst, 0, data)
     }
 
     /// Start a nonblocking tagged send.
     pub fn isend_tagged(&self, dst: usize, tag: u32, data: &[u8]) -> Result<RequestHandle> {
-        self.check_rank(dst)?;
         let data = Payload::copy_from_slice(data);
         self.post(RequestKind::Send { dst, tag, data }, "isend")
     }
@@ -339,15 +337,11 @@ impl CpuCtx {
         self.isend_tagged(global, tag, data)
     }
 
-    /// Post a nonblocking receive from DCGN rank `src` (untagged).
+    /// Post a nonblocking receive from DCGN rank `src` (untagged).  A `src`
+    /// outside the world is reported at completion: the handle's
+    /// `wait`/`test` yields [`DcgnError::InvalidRank`].
     pub fn irecv(&self, src: usize) -> Result<RequestHandle> {
-        self.check_rank(src)?;
         self.irecv_tagged(Some(src), 0)
-    }
-
-    /// Post a nonblocking receive from any rank (untagged).
-    pub fn irecv_any(&self) -> Result<RequestHandle> {
-        self.irecv_tagged(None, 0)
     }
 
     /// Post a nonblocking receive with an explicit source filter and tag.
@@ -359,9 +353,6 @@ impl CpuCtx {
     /// filters (`None` = any) — the CPU-side mirror of the GPU mailbox's
     /// `ANY_TAG` receives.
     pub fn irecv_filtered(&self, src: Option<usize>, tag: Option<u32>) -> Result<RequestHandle> {
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
         self.post(RequestKind::Recv { src, tag }, "irecv")
     }
 
@@ -435,7 +426,6 @@ impl CpuCtx {
     /// Receive a message from `src` (untagged).  Returns the payload and a
     /// [`CommStatus`].
     pub fn recv(&self, src: usize) -> Result<(Vec<u8>, CommStatus)> {
-        self.check_rank(src)?;
         self.recv_tagged(Some(src), 0)
     }
 
@@ -455,14 +445,14 @@ impl CpuCtx {
     /// Exchange buffers with two (possibly identical) partners: send `buf` to
     /// `dst` and replace it with the message received from `src`.  The two
     /// halves are posted together so symmetric exchanges cannot deadlock —
-    /// this is the call Cannon's algorithm uses in the paper.
+    /// this is the call Cannon's algorithm uses in the paper.  An invalid
+    /// `src` fails the receive half only: the send half is still posted.
     pub fn sendrecv_replace(
         &self,
         buf: &mut Vec<u8>,
         dst: usize,
         src: usize,
     ) -> Result<CommStatus> {
-        self.check_rank(src)?;
         let send = self.isend(dst, buf)?;
         let recv = self.irecv(src)?;
         // Complete the receive first (it carries the replacement payload);
@@ -542,14 +532,6 @@ impl CpuCtx {
         Ok(())
     }
 
-    fn check_comm_root(&self, comm: &Comm, root: usize) -> Result<()> {
-        if root >= comm.size() {
-            Err(DcgnError::InvalidRank(root))
-        } else {
-            Ok(())
-        }
-    }
-
     /// Barrier across every DCGN rank (CPU threads and GPU slots alike).
     pub fn barrier(&self) -> Result<()> {
         self.barrier_in_id(CommId::WORLD)
@@ -568,13 +550,11 @@ impl CpuCtx {
     /// Broadcast from `root`.  On entry only the root's `data` matters; on
     /// return every rank's `data` holds the root's bytes.
     pub fn broadcast(&self, root: usize, data: &mut Vec<u8>) -> Result<()> {
-        self.check_rank(root)?;
         self.broadcast_in(&self.world, root, data)
     }
 
     /// Broadcast within `comm` from sub-rank `root`.
     pub fn broadcast_in(&self, comm: &Comm, root: usize, data: &mut Vec<u8>) -> Result<()> {
-        self.check_comm_root(comm, root)?;
         let payload = if comm.rank() == root {
             Some(Payload::from_vec(std::mem::take(data)))
         } else {
@@ -595,14 +575,12 @@ impl CpuCtx {
     /// Gather every rank's `data` at `root`.  Returns `Some(chunks)` indexed
     /// by rank at the root and `None` elsewhere.
     pub fn gather(&self, root: usize, data: &[u8]) -> Result<Option<Vec<Vec<u8>>>> {
-        self.check_rank(root)?;
         self.gather_in(&self.world, root, data)
     }
 
     /// Gather within `comm` at sub-rank `root`; the root's chunk table is
     /// indexed by sub-rank.
     pub fn gather_in(&self, comm: &Comm, root: usize, data: &[u8]) -> Result<Option<Vec<Vec<u8>>>> {
-        self.check_comm_root(comm, root)?;
         match self.collective(
             RequestKind::Gather {
                 comm: comm.id(),
@@ -625,7 +603,6 @@ impl CpuCtx {
     /// with exactly one chunk per rank; every other rank passes `None`.
     /// Every rank (the root included) receives its own chunk.
     pub fn scatter(&self, root: usize, chunks: Option<&[Vec<u8>]>) -> Result<Vec<u8>> {
-        self.check_rank(root)?;
         self.scatter_in(&self.world, root, chunks)
     }
 
@@ -637,32 +614,14 @@ impl CpuCtx {
         root: usize,
         chunks: Option<&[Vec<u8>]>,
     ) -> Result<Vec<u8>> {
-        self.check_comm_root(comm, root)?;
-        let payload = if comm.rank() == root {
-            let chunks = chunks.ok_or_else(|| {
-                DcgnError::InvalidArgument("scatter root must supply chunks".into())
-            })?;
-            if chunks.len() != comm.size() {
-                return Err(DcgnError::InvalidArgument(format!(
-                    "scatter needs {} chunks, got {}",
-                    comm.size(),
-                    chunks.len()
-                )));
-            }
-            Some(
-                chunks
-                    .iter()
-                    .map(|c| Payload::copy_from_slice(c))
-                    .collect::<Vec<_>>(),
-            )
-        } else {
-            None
-        };
+        let chunks = chunks
+            .filter(|_| comm.rank() == root)
+            .map(|chunks| chunks.iter().map(|c| Payload::copy_from_slice(c)).collect());
         let result = self.collective(
             RequestKind::Scatter {
                 comm: comm.id(),
                 root,
-                chunks: payload,
+                chunks,
             },
             "scatter",
         )?;
@@ -693,46 +652,28 @@ impl CpuCtx {
         }
     }
 
-    /// Element-wise reduction of every rank's `data` to `root`.  All ranks
-    /// must contribute vectors of the same length.  Returns `Some(result)`
-    /// at the root and `None` elsewhere.
-    pub fn reduce(&self, root: usize, data: &[f64], op: ReduceOp) -> Result<Option<Vec<f64>>> {
-        self.reduce_t(root, data, op)
+    /// Element-wise reduction of every rank's `data` to `root`, over any
+    /// supported element type (`f64`, `f32`, `u32`, `i64`).  All ranks must
+    /// contribute vectors of the same length and element type — a mismatch
+    /// is a collective mismatch.  Returns `Some(result)` at the root and
+    /// `None` elsewhere.
+    pub fn reduce<T: ReduceElement>(
+        &self,
+        root: usize,
+        data: &[T],
+        op: ReduceOp,
+    ) -> Result<Option<Vec<T>>> {
+        self.reduce_in(&self.world, root, data, op)
     }
 
     /// Element-wise reduction within `comm` to sub-rank `root`.
-    pub fn reduce_in(
-        &self,
-        comm: &Comm,
-        root: usize,
-        data: &[f64],
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        self.reduce_t_in(comm, root, data, op)
-    }
-
-    /// Typed element-wise reduction to `root` over any supported element
-    /// type (`f64`, `f32`, `u32`, `i64`).  All ranks of one reduction must
-    /// agree on the element type — a mismatch is a collective mismatch.
-    pub fn reduce_t<T: ReduceElement>(
-        &self,
-        root: usize,
-        data: &[T],
-        op: ReduceOp,
-    ) -> Result<Option<Vec<T>>> {
-        self.check_rank(root)?;
-        self.reduce_t_in(&self.world, root, data, op)
-    }
-
-    /// Typed element-wise reduction within `comm` to sub-rank `root`.
-    pub fn reduce_t_in<T: ReduceElement>(
+    pub fn reduce_in<T: ReduceElement>(
         &self,
         comm: &Comm,
         root: usize,
         data: &[T],
         op: ReduceOp,
     ) -> Result<Option<Vec<T>>> {
-        self.check_comm_root(comm, root)?;
         match self.collective(
             RequestKind::Reduce {
                 comm: comm.id(),
@@ -751,23 +692,14 @@ impl CpuCtx {
         }
     }
 
-    /// Element-wise reduction where every rank receives the result.
-    pub fn allreduce(&self, data: &[f64], op: ReduceOp) -> Result<Vec<f64>> {
-        self.allreduce_t(data, op)
+    /// Element-wise reduction where every rank receives the result (element
+    /// types as for [`CpuCtx::reduce`]).
+    pub fn allreduce<T: ReduceElement>(&self, data: &[T], op: ReduceOp) -> Result<Vec<T>> {
+        self.allreduce_in(&self.world, data, op)
     }
 
     /// Element-wise reduction within `comm` delivered to every member.
-    pub fn allreduce_in(&self, comm: &Comm, data: &[f64], op: ReduceOp) -> Result<Vec<f64>> {
-        self.allreduce_t_in(comm, data, op)
-    }
-
-    /// Typed element-wise reduction delivered to every rank.
-    pub fn allreduce_t<T: ReduceElement>(&self, data: &[T], op: ReduceOp) -> Result<Vec<T>> {
-        self.allreduce_t_in(&self.world, data, op)
-    }
-
-    /// Typed element-wise reduction within `comm` delivered to every member.
-    pub fn allreduce_t_in<T: ReduceElement>(
+    pub fn allreduce_in<T: ReduceElement>(
         &self,
         comm: &Comm,
         data: &[T],

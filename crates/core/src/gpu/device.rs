@@ -110,11 +110,6 @@ impl<'a> GpuCtx<'a> {
         self.layout.node
     }
 
-    /// Index of this GPU within its node.
-    pub fn gpu_index(&self) -> usize {
-        self.layout.gpu_index
-    }
-
     /// The DCGN rank of `slot` on this GPU (the paper's
     /// `dcgn::gpu::getRank(slotIdx)`).
     pub fn rank(&self, slot: usize) -> usize {
@@ -383,11 +378,6 @@ impl<'a> GpuCtx<'a> {
         self.publish(slot, false, Self::p2p(opcode::RECV, src, tag, data, len))
     }
 
-    /// Post a nonblocking receive from any rank (untagged = tag 0).
-    pub fn irecv_any(&self, slot: usize, data: DevicePtr, len: usize) -> GpuRequest {
-        self.irecv_any_tagged(slot, 0, data, len)
-    }
-
     /// Post a nonblocking receive matching `tag` (or
     /// [`ANY_TAG`](super::ANY_TAG)) from any rank.
     pub fn irecv_any_tagged(
@@ -558,40 +548,16 @@ impl<'a> GpuCtx<'a> {
         data: DevicePtr,
         count: usize,
     ) -> usize {
-        self.reduce_in(slot, &self.world_comm(slot), root, op, data, count)
+        let world = self.world_comm(slot);
+        self.reduce_in(slot, &world, root, op, ReduceDtype::F64, data, count)
     }
 
-    /// Element-wise reduction within `comm` to sub-rank `root`.
-    pub fn reduce_in(
-        &self,
-        slot: usize,
-        comm: &GpuComm,
-        root: usize,
-        op: ReduceOp,
-        data: DevicePtr,
-        count: usize,
-    ) -> usize {
-        self.reduce_dtype_in(slot, comm, root, op, ReduceDtype::F64, data, count)
-    }
-
-    /// Typed element-wise reduction of `count` elements of `dtype` at `data`
-    /// to DCGN rank `root` (`f64`, `f32`, `u32` or `i64`; the element type is
-    /// carried in the body's `reduce` word next to the operator).
-    pub fn reduce_dtype(
-        &self,
-        slot: usize,
-        root: usize,
-        op: ReduceOp,
-        dtype: ReduceDtype,
-        data: DevicePtr,
-        count: usize,
-    ) -> usize {
-        self.reduce_dtype_in(slot, &self.world_comm(slot), root, op, dtype, data, count)
-    }
-
-    /// Typed element-wise reduction within `comm` to sub-rank `root`.
+    /// Element-wise reduction of `count` elements of `dtype` at `data`
+    /// (`f64`, `f32`, `u32` or `i64`; the element type is carried in the
+    /// body's `reduce` word next to the operator) within `comm` to sub-rank
+    /// `root`.
     #[allow(clippy::too_many_arguments)]
-    pub fn reduce_dtype_in(
+    pub fn reduce_in(
         &self,
         slot: usize,
         comm: &GpuComm,
@@ -617,35 +583,13 @@ impl<'a> GpuCtx<'a> {
     /// receiving the reduced vector in place.  Returns the result size in
     /// bytes.
     pub fn allreduce(&self, slot: usize, op: ReduceOp, data: DevicePtr, count: usize) -> usize {
-        self.allreduce_in(slot, &self.world_comm(slot), op, data, count)
+        let world = self.world_comm(slot);
+        self.allreduce_in(slot, &world, op, ReduceDtype::F64, data, count)
     }
 
-    /// Element-wise reduction within `comm` delivered to every member.
+    /// Element-wise reduction of `count` elements of `dtype` within `comm`
+    /// delivered to every member.
     pub fn allreduce_in(
-        &self,
-        slot: usize,
-        comm: &GpuComm,
-        op: ReduceOp,
-        data: DevicePtr,
-        count: usize,
-    ) -> usize {
-        self.allreduce_dtype_in(slot, comm, op, ReduceDtype::F64, data, count)
-    }
-
-    /// Typed element-wise reduction with every rank receiving the result.
-    pub fn allreduce_dtype(
-        &self,
-        slot: usize,
-        op: ReduceOp,
-        dtype: ReduceDtype,
-        data: DevicePtr,
-        count: usize,
-    ) -> usize {
-        self.allreduce_dtype_in(slot, &self.world_comm(slot), op, dtype, data, count)
-    }
-
-    /// Typed element-wise reduction within `comm` delivered to every member.
-    pub fn allreduce_dtype_in(
         &self,
         slot: usize,
         comm: &GpuComm,
@@ -743,13 +687,6 @@ pub struct GpuRequest {
     /// at publish); completion words are generation-stamped, so a handle
     /// outliving its record's release is detected as stale.
     pub(super) gen: u32,
-}
-
-impl GpuRequest {
-    /// The slot this request was published through.
-    pub fn slot(&self) -> usize {
-        self.slot
-    }
 }
 
 /// A GPU slot's handle onto a communicator created with [`GpuCtx::split`]:

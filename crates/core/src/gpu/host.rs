@@ -48,11 +48,6 @@ impl GpuSetupCtx<'_> {
         self.layout.node
     }
 
-    /// Index of the GPU within its node.
-    pub fn gpu_index(&self) -> usize {
-        self.layout.gpu_index
-    }
-
     /// Number of slots this GPU is virtualised into.
     pub fn slots(&self) -> usize {
         self.layout.slots

@@ -51,9 +51,10 @@
 //!   publish + wait — one data path.
 //! * **Typed collectives** ([`ReduceDtype`] / [`ReduceElement`]):
 //!   `reduce`/`allreduce` run over `f64`, `f32`, `u32` or `i64` vectors
-//!   (`reduce_t`/`allreduce_t` on CPU ranks, `reduce_dtype`/
-//!   `allreduce_dtype` on GPU slots); the element type travels next to the
-//!   operator word and is part of the collective's identity.
+//!   (every CPU reduction is generic over the element type; the GPU
+//!   `reduce_in`/`allreduce_in` take a [`ReduceDtype`]); the element type
+//!   travels next to the operator word and is part of the collective's
+//!   identity.
 //! * **Communicator groups** ([`group::Comm`] / [`group::CommId`]): the
 //!   `MPI_Comm_split` analogue.  `comm_split(color, key)` — itself a
 //!   collective riding the engine — partitions a communicator into subgroups

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use dcgn::{DcgnConfig, DevicePtr, ReduceOp, Runtime};
+use dcgn::{DcgnConfig, DevicePtr, ReduceDtype, ReduceOp, Runtime};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ fn gpu_kernel(ctx: &dcgn::GpuCtx, case: Case) {
 
     let buf = base.add(64 << 10);
     b.write(buf, &f64s_to_bytes(&reduce_input(rank, case.count)));
-    let got = ctx.allreduce_in(slot, &comm, case.op, buf, case.count);
+    let got = ctx.allreduce_in(slot, &comm, case.op, ReduceDtype::F64, buf, case.count);
     assert_eq!(got, case.count * 8, "gpu subgroup allreduce result size");
     assert_close(
         &bytes_to_f64s(&b.read_vec(buf, case.count * 8)),

@@ -295,12 +295,6 @@ impl Device {
         &self.config
     }
 
-    /// Number of multiprocessors (the maximum number of concurrently resident
-    /// blocks).
-    pub fn num_multiprocessors(&self) -> usize {
-        self.config.num_multiprocessors
-    }
-
     /// Total device memory in bytes.
     pub fn memory_capacity(&self) -> usize {
         self.memory.capacity()

@@ -39,7 +39,7 @@ impl From<usize> for Dim {
 /// Execution context handed to a kernel closure, once per block.
 ///
 /// A block is modelled as a single thread of control that may iterate over
-/// its `block_dim().total()` logical threads with [`BlockCtx::for_each_thread`]
+/// its [`BlockCtx::threads_per_block`] logical threads with [`BlockCtx::for_each_thread`]
 /// or [`BlockCtx::thread_range`].  Device-memory accessors fault (panic) on
 /// out-of-bounds access, like a real device would.
 pub struct BlockCtx {
@@ -65,11 +65,6 @@ impl BlockCtx {
     /// Grid extent of the launch.
     pub fn grid_dim(&self) -> Dim {
         self.grid_dim
-    }
-
-    /// Block (thread) extent of the launch.
-    pub fn block_dim(&self) -> Dim {
-        self.block_dim
     }
 
     /// Number of logical threads in this block.
@@ -150,11 +145,6 @@ impl BlockCtx {
     /// Read a little-endian `u64` from device global memory.
     pub fn read_u64(&self, ptr: DevicePtr) -> u64 {
         self.or_fault(self.memory.read_u64(ptr))
-    }
-
-    /// Write a little-endian `u64` to device global memory.
-    pub fn write_u64(&self, ptr: DevicePtr, value: u64) {
-        self.or_fault(self.memory.write_u64(ptr, value));
     }
 
     /// Read a vector of `f32` values from device global memory.

@@ -311,10 +311,6 @@ impl DeviceMemory {
         Ok(u32::from_le_bytes(buf))
     }
 
-    pub(crate) fn write_u64(&self, ptr: DevicePtr, value: u64) -> Result<(), MemoryError> {
-        self.write(ptr, &value.to_le_bytes())
-    }
-
     pub(crate) fn read_u64(&self, ptr: DevicePtr) -> Result<u64, MemoryError> {
         let mut buf = [0u8; 8];
         self.read(ptr, &mut buf)?;
@@ -457,7 +453,8 @@ mod tests {
         let p = mem.malloc(16).unwrap();
         mem.write_u32(p, 0xDEADBEEF).unwrap();
         assert_eq!(mem.read_u32(p).unwrap(), 0xDEADBEEF);
-        mem.write_u64(p.add(8), 0x0123_4567_89AB_CDEF).unwrap();
+        mem.write(p.add(8), &0x0123_4567_89AB_CDEFu64.to_le_bytes())
+            .unwrap();
         assert_eq!(mem.read_u64(p.add(8)).unwrap(), 0x0123_4567_89AB_CDEF);
     }
 

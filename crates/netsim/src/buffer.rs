@@ -135,19 +135,24 @@ impl Pool {
         Vec::with_capacity(capacity)
     }
 
-    fn release(&self, buf: Vec<u8>) {
+    /// Return `buf` to its class's slab; true when the slab kept it.
+    fn release(&self, buf: Vec<u8>) -> bool {
         // Only exact class-sized capacities are retained, so acquire() can
         // trust that a pooled buffer fits its class.
-        if let Some(class) = class_of(buf.capacity()) {
-            if buf.capacity() == class_capacity(class) {
-                let mut slab = self.classes[class].lock().expect("pool lock");
-                if slab.len() < max_retained(class) {
-                    slab.push(buf);
-                    self.recycled.inc();
-                    self.retained.add(1);
-                }
-            }
+        let Some(class) = class_of(buf.capacity()) else {
+            return false;
+        };
+        if buf.capacity() != class_capacity(class) {
+            return false;
         }
+        let mut slab = self.classes[class].lock().expect("pool lock");
+        if slab.len() >= max_retained(class) {
+            return false;
+        }
+        slab.push(buf);
+        self.recycled.inc();
+        self.retained.add(1);
+        true
     }
 }
 
@@ -593,26 +598,34 @@ mod tests {
         assert_eq!(p.as_slice(), &vec![4u8; size][..]);
     }
 
+    /// Whether the slab holds the allocation that starts at `ptr`.  Other
+    /// tests recycle into the same process-wide pool concurrently, so the
+    /// tests below look for their own buffer rather than at the counters.
+    fn pooled(ptr: *const u8) -> bool {
+        let slabs = &Pool::global().classes;
+        slabs
+            .iter()
+            .any(|slab| slab.lock().unwrap().iter().any(|b| b.as_ptr() == ptr))
+    }
+
     #[test]
     fn recycling_waits_for_the_last_reference() {
         let size = (1 << 19) + 1; // quiet 1 MB class, see above
         let p = Payload::copy_from_slice(&vec![0xAB; size]);
+        let buffer = p.as_slice().as_ptr();
         let view = p.slice(100..200);
-        let before = pool_stats().recycled;
         drop(p);
-        // The slice still pins the buffer: nothing recycled yet.
-        assert_eq!(pool_stats().recycled, before);
+        // The slice still pins the buffer: it is not in the slab yet.
+        assert!(!pooled(buffer));
         assert_eq!(view.as_slice(), &[0xAB; 100]);
         drop(view);
-        assert!(pool_stats().recycled > before);
+        assert!(pooled(buffer));
     }
 
     #[test]
     fn oversized_buffers_are_not_pooled() {
         let huge = vec![1u8; (1 << 22) + ENVELOPE_BYTES + 1];
-        let before = pool_stats().recycled;
-        drop(Payload::from_vec(huge));
-        assert_eq!(pool_stats().recycled, before);
+        assert!(!Pool::global().release(huge));
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl Deadline {
     pub const NEVER: Deadline = Deadline(None);
 
     /// `wait` after `now`, or never when that is past the clock's range.
-    pub fn after(now: Stamp, wait: Duration) -> Deadline {
+    fn after(now: Stamp, wait: Duration) -> Deadline {
         Deadline(now.0.checked_add(wait))
     }
 

@@ -2,12 +2,14 @@
 # Public items that nothing runs: for every `pub fn|struct|enum|trait|const|
 # type` in the non-test part of crates/<crate>/src (the lines before a
 # file's first `#[cfg(test)]`, as nontest_lines.sh counts them), print
-# `crate path item` when the item's name has no word match in the
-# workspace's Rust sources (crates/, src/, tests/, examples/,
-# benchmark/src) except in
+# `crate path item` when the item's name has no use in the workspace's Rust
+# sources (crates/, src/, tests/, examples/, benchmark/src) except in
 #   - its defining file,
 #   - `#[cfg(test)]` code and `tests/` of its own crate,
 #   - `pub use` lines and comments.
+# A use of a type or const is any word match.  A use of a fn is only a
+# call- or path-shaped one: `::name`, `name(` not preceded by `fn `, or
+# `name::<`, so a field or a local of the same name keeps no method alive.
 # Ignoring the defining file catches self-referential clusters; it also
 # lists items whose only live caller sits in their own file.
 #
@@ -55,21 +57,37 @@ awk -v crates="$crates" -v allow="$allow" '
     !intest && (crate in want) && FILENAME ~ /^crates\/[^\/]+\/src\// &&
     match($0, /^[ \t]*pub (const |unsafe |async )*(fn|struct|enum|trait|type|const) +[A-Za-z_][A-Za-z0-9_]*/) {
         k = split(substr($0, RSTART, RLENGTH), w, " ")
-        ni++; icrate[ni] = crate; ifile[ni] = FILENAME; iname[ni] = w[k]
+        ni++; icrate[ni] = crate; ifile[ni] = FILENAME; iname[ni] = w[k]; ikind[ni] = w[k - 1]
     }
 
-    # Record where each identifier occurs: file, crate, test or not.
+    # Record where each identifier occurs: file, crate, test or not.  `refs`
+    # holds every word match; `calls` the call- or path-shaped ones outside
+    # string literals.
     {
         line = $0
         sub(/\/\/.*/, "", line)
+        where = FILENAME "\t" crate "\t" intest
+        code = line
+        gsub(/"([^"\\]|\\.)*"/, "\"\"", code)
         gsub(/[^A-Za-z0-9_]+/, " ", line)
         k = split(line, tok, " ")
-        where = FILENAME "\t" crate "\t" intest
         for (i = 1; i <= k; i++) {
             if (!((tok[i], where) in seen)) {
                 seen[tok[i], where]
                 refs[tok[i]] = refs[tok[i]] where "\n"
             }
+        }
+        before = ""
+        while (match(code, /[A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(code, RSTART, RLENGTH)
+            before = before substr(code, 1, RSTART - 1)
+            code = substr(code, RSTART + RLENGTH)
+            called = before ~ /::$/ || code ~ /^::</ || (code ~ /^\(/ && before !~ /(^|[^A-Za-z0-9_])fn[ \t]+$/)
+            if (called && !((name, where) in seencall)) {
+                seencall[name, where]
+                calls[name] = calls[name] where "\n"
+            }
+            before = before name
         }
     }
 
@@ -79,7 +97,7 @@ awk -v crates="$crates" -v allow="$allow" '
             if (key in done) continue
             done[key]
             alive = 0
-            m = split(refs[iname[i]], r, "\n")
+            m = split(ikind[i] == "fn" ? calls[iname[i]] : refs[iname[i]], r, "\n")
             for (j = 1; j < m && !alive; j++) {
                 split(r[j], f, "\t")
                 alive = f[1] != ifile[i] && !(f[2] == icrate[i] && f[3] == 1)

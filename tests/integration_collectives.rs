@@ -360,9 +360,9 @@ where
         .launch(
             move |ctx| {
                 let mine = input(ctx.rank());
-                let all = ctx.allreduce_t(&mine, op).unwrap();
+                let all = ctx.allreduce(&mine, op).unwrap();
                 assert_eq!(all, expected_cpu);
-                let rooted = ctx.reduce_t(0, &mine, op).unwrap();
+                let rooted = ctx.reduce(0, &mine, op).unwrap();
                 if ctx.rank() == 0 {
                     assert_eq!(rooted.unwrap(), expected_cpu);
                 } else {
@@ -380,13 +380,13 @@ where
                 let dtype = T::DTYPE;
                 let buf = DevicePtr::NULL.add(1 << 20);
                 ctx.block().write(buf, &T::slice_to_bytes(&mine));
-                let got = ctx.allreduce_dtype(0, op, dtype, buf, count);
+                let got = ctx.allreduce_in(0, &ctx.world_comm(0), op, dtype, buf, count);
                 assert_eq!(got, count * dtype.element_bytes());
                 let back = T::vec_from_bytes(&ctx.block().read_vec(buf, got));
                 assert_eq!(back, expected_gpu);
                 // Rooted variant: refill and reduce to global rank 0.
                 ctx.block().write(buf, &T::slice_to_bytes(&mine));
-                let got = ctx.reduce_dtype(0, 0, op, dtype, buf, count);
+                let got = ctx.reduce_in(0, &ctx.world_comm(0), 0, op, dtype, buf, count);
                 assert_eq!(got, 0, "non-root GPU slots receive nothing");
                 c_gpu.fetch_add(1, Ordering::SeqCst);
             },
@@ -447,10 +447,10 @@ fn typed_reduce_dtype_disagreement_is_a_collective_mismatch() {
     let e = Arc::clone(&errors);
     let result = runtime.launch_cpu_only(move |ctx| {
         let outcome = if ctx.rank() == 0 {
-            ctx.allreduce_t(&[1.0f32, 2.0], ReduceOp::Sum).map(|_| ())
+            ctx.allreduce(&[1.0f32, 2.0], ReduceOp::Sum).map(|_| ())
         } else {
             // Same byte length, different dtype.
-            ctx.allreduce_t(&[1u32, 2], ReduceOp::Sum).map(|_| ())
+            ctx.allreduce(&[1u32, 2], ReduceOp::Sum).map(|_| ())
         };
         if outcome.is_err() {
             e.fetch_add(1, Ordering::SeqCst);
@@ -477,9 +477,9 @@ fn typed_reduce_cross_node_dtype_disagreement_fails_loudly() {
     runtime
         .launch_cpu_only(move |ctx| {
             let outcome = if ctx.rank() == 0 {
-                ctx.reduce_t::<f32>(0, &[1.5], ReduceOp::Sum).map(|_| ())
+                ctx.reduce::<f32>(0, &[1.5], ReduceOp::Sum).map(|_| ())
             } else {
-                ctx.reduce_t::<u32>(0, &[2], ReduceOp::Sum).map(|_| ())
+                ctx.reduce::<u32>(0, &[2], ReduceOp::Sum).map(|_| ())
             };
             match outcome {
                 Err(err) => {
@@ -506,10 +506,10 @@ fn subgroup_dtype_disagreement_fails_every_member() {
         .launch_cpu_only(move |ctx| {
             let comm = ctx.comm_split(0, 0).unwrap();
             let outcome = if ctx.rank() == 0 {
-                ctx.allreduce_t_in::<f32>(&comm, &[1.0], ReduceOp::Sum)
+                ctx.allreduce_in::<f32>(&comm, &[1.0], ReduceOp::Sum)
                     .map(|_| ())
             } else {
-                ctx.allreduce_t_in::<u32>(&comm, &[1], ReduceOp::Sum)
+                ctx.allreduce_in::<u32>(&comm, &[1], ReduceOp::Sum)
                     .map(|_| ())
             };
             let err = outcome.expect_err("dtype disagreement must fail");

@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use dcgn::{Comm, CpuCtx, DcgnConfig, DevicePtr, ReduceOp, Runtime};
+use dcgn::{Comm, CpuCtx, DcgnConfig, DevicePtr, ReduceDtype, ReduceOp, Runtime};
 
 fn split_by_parity(ctx: &CpuCtx) -> Comm {
     ctx.comm_split((ctx.rank() % 2) as u32, 0).unwrap()
@@ -146,7 +146,7 @@ fn gpu_subgroups_run_different_collectives() {
             } else {
                 let buf = base.add(64 << 10);
                 b.write(buf, &1.0f64.to_le_bytes());
-                let got = ctx.allreduce_in(slot, &comm, ReduceOp::Sum, buf, 1);
+                let got = ctx.allreduce_in(slot, &comm, ReduceOp::Sum, ReduceDtype::F64, buf, 1);
                 assert_eq!(got, 8);
                 assert_eq!(b.read_vec(buf, 8), 2.0f64.to_le_bytes());
             }

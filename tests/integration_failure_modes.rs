@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use dcgn::gpu::mailbox_error;
 use dcgn::{
     CostModel, DcgnConfig, DcgnError, DeviceConfig, DevicePtr, ExchangePlan, NodeConfig, Runtime,
 };
@@ -47,6 +48,85 @@ fn send_to_nonexistent_rank_reports_error_not_hang() {
             ));
         })
         .unwrap();
+}
+
+#[test]
+fn nonblocking_receive_from_nonexistent_rank_fails_at_wait() {
+    // The comm thread validates the source, so the post succeeds and the
+    // error arrives with the completion.
+    let runtime = Runtime::new(DcgnConfig::homogeneous(1, 1, 0, 0)).unwrap();
+    runtime
+        .launch_cpu_only(|ctx| {
+            let handle = ctx.irecv(42).unwrap();
+            assert!(matches!(ctx.wait(handle), Err(DcgnError::InvalidRank(42))));
+        })
+        .unwrap();
+}
+
+#[test]
+fn scatter_root_without_the_right_chunk_table_is_rejected() {
+    let runtime = Runtime::new(DcgnConfig::homogeneous(1, 1, 0, 0)).unwrap();
+    runtime
+        .launch_cpu_only(|ctx| {
+            assert!(matches!(
+                ctx.scatter(0, None),
+                Err(DcgnError::InvalidArgument(_))
+            ));
+            let two = [vec![1u8], vec![2u8]];
+            assert!(matches!(
+                ctx.scatter(0, Some(&two)),
+                Err(DcgnError::InvalidArgument(_))
+            ));
+            // The rejected joins left no assembly behind.
+            assert_eq!(ctx.scatter(0, Some(&two[..1])).unwrap(), [1]);
+        })
+        .unwrap();
+}
+
+/// Launch a GPU-only job of `cfg` and expect it to fail with a device fault
+/// naming mailbox error `code`.  The watchdog only turns a regression into
+/// a failure instead of a hung suite; the fault comes within milliseconds.
+fn expect_mailbox_fault(cfg: DcgnConfig, code: u32, kernel: fn(&dcgn::GpuCtx<'_>)) {
+    let result = with_timeout(Duration::from_secs(60), move || {
+        Runtime::new(cfg).unwrap().launch_gpu_only(kernel)
+    });
+    match result {
+        Err(DcgnError::Device(msg)) => {
+            let named = format!("mailbox error {code}");
+            assert!(msg.contains(&named), "expected {named}, got: {msg}");
+        }
+        other => panic!("expected a mailbox-error fault, got {other:?}"),
+    }
+}
+
+#[test]
+fn gpu_receive_from_nonexistent_rank_faults_instead_of_hanging() {
+    let cfg = || DcgnConfig::homogeneous(1, 0, 1, 1);
+    expect_mailbox_fault(cfg(), mailbox_error::INVALID_RANK, |ctx| {
+        ctx.recv(0, 99, DevicePtr::NULL.add(1 << 20), 8);
+    });
+    expect_mailbox_fault(cfg(), mailbox_error::INVALID_RANK, |ctx| {
+        let req = ctx.irecv(0, 99, DevicePtr::NULL.add(1 << 20), 8);
+        ctx.wait(req);
+    });
+}
+
+#[test]
+fn gpu_sendrecv_replace_from_nonexistent_rank_faults_instead_of_hanging() {
+    // The destination is on the other node, so the send half completes once
+    // handed to the substrate and only the receive half's error remains.
+    expect_mailbox_fault(
+        DcgnConfig::homogeneous(2, 0, 1, 1),
+        mailbox_error::INVALID_RANK,
+        |ctx| {
+            let buf = DevicePtr::NULL.add(1 << 20);
+            if ctx.rank(0) == 0 {
+                ctx.sendrecv_replace(0, 1, 99, buf, 8);
+            } else {
+                ctx.recv(0, 0, buf, 8);
+            }
+        },
+    );
 }
 
 #[test]
@@ -209,10 +289,10 @@ fn world_dtype_mismatch_aborts_every_node_without_timeout() {
         runtime
             .launch_cpu_only(move |ctx| {
                 let outcome = if ctx.node() == 0 && ctx.rank() % 2 == 1 {
-                    ctx.allreduce_t::<f32>(&[1.0], dcgn::ReduceOp::Sum)
+                    ctx.allreduce::<f32>(&[1.0], dcgn::ReduceOp::Sum)
                         .map(|_| ())
                 } else {
-                    ctx.allreduce_t::<f64>(&[1.0], dcgn::ReduceOp::Sum)
+                    ctx.allreduce::<f64>(&[1.0], dcgn::ReduceOp::Sum)
                         .map(|_| ())
                 };
                 match outcome {
