@@ -1,6 +1,8 @@
 //! Table 1: barrier timings for CPUs and GPUs under DCGN, with the ratio to
 //! a raw-MPI barrier over DCGN's world size: every row's MPI barrier runs
-//! `cpus + gpus` ranks per node, one per DCGN rank.
+//! `cpus + gpus` ranks per node, one per DCGN rank.  Each figure is the
+//! median of `iters` barriers timed one by one, so one descheduled barrier
+//! cannot move a row.
 //!
 //! `cargo run -p dcgn_bench --bin table1_barrier --release`
 
@@ -9,7 +11,7 @@ use dcgn_bench::{dcgn_barrier_time, format_duration, mpi_barrier_time};
 
 fn main() {
     let cost = CostModel::g92_cluster();
-    let iters = 8;
+    let iters = 5000;
 
     // (nodes, cpus/node, gpus/node) — the configurations of Table 1.
     let configs = [

@@ -249,8 +249,27 @@ pub fn mpi_broadcast_time(size: usize, cost: CostModel, iters: usize) -> Duratio
 // Barrier (Table 1)
 // ---------------------------------------------------------------------------
 
-/// Average DCGN barrier time for `nodes` nodes each contributing
-/// `cpus_per_node` CPU ranks and `gpus_per_node` single-slot GPU ranks.
+/// Time each of `iters` back-to-back `barrier` calls on `clock`, in ns.
+fn each_barrier_ns(clock: &Clock, iters: usize, mut barrier: impl FnMut()) -> Vec<f64> {
+    (0..iters)
+        .map(|_| {
+            let start = clock.now();
+            barrier();
+            clock.elapsed(start).as_nanos() as f64
+        })
+        .collect()
+}
+
+/// The median of per-barrier times: one slow barrier (a descheduled
+/// thread) moves it by one rank, not by its whole delay over `iters`.
+fn median_barrier(ns: &[f64]) -> Duration {
+    let median = dcgn_simtime::stats::median(ns).expect("at least one timed barrier");
+    Duration::from_nanos(median as u64)
+}
+
+/// Median DCGN barrier time over `iters` timed barriers, for `nodes` nodes
+/// each contributing `cpus_per_node` CPU ranks and `gpus_per_node`
+/// single-slot GPU ranks.
 pub fn dcgn_barrier_time(
     nodes: usize,
     cpus_per_node: usize,
@@ -264,7 +283,7 @@ pub fn dcgn_barrier_time(
     ])
     .with_cost(cost);
     let runtime = Runtime::new(config).expect("barrier config");
-    let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
+    let measured: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
     let clock = Clock::from(cost);
     let (m_cpu, c_cpu) = (Arc::clone(&measured), clock.clone());
     let (m_gpu, c_gpu) = (Arc::clone(&measured), clock);
@@ -274,12 +293,9 @@ pub fn dcgn_barrier_time(
         .launch(
             move |ctx| {
                 ctx.barrier().unwrap();
-                let start = c_cpu.now();
-                for _ in 0..iters {
-                    ctx.barrier().unwrap();
-                }
+                let times = each_barrier_ns(&c_cpu, iters, || ctx.barrier().unwrap());
                 if ctx.rank() == 0 {
-                    *m_cpu.lock() = c_cpu.elapsed(start);
+                    *m_cpu.lock() = times;
                 }
             },
             move |ctx| {
@@ -288,21 +304,19 @@ pub fn dcgn_barrier_time(
                 }
                 const SLOT: usize = 0;
                 ctx.barrier(SLOT);
-                let start = c_gpu.now();
-                for _ in 0..iters {
-                    ctx.barrier(SLOT);
-                }
+                let times = each_barrier_ns(&c_gpu, iters, || ctx.barrier(SLOT));
                 if !timer_is_cpu && ctx.rank(SLOT) == 0 {
-                    *m_gpu.lock() = c_gpu.elapsed(start);
+                    *m_gpu.lock() = times;
                 }
             },
         )
         .expect("barrier launch");
-    let total = *measured.lock();
-    total / iters as u32
+    let times = measured.lock();
+    median_barrier(&times)
 }
 
-/// Average raw MPI barrier time for `nodes × ranks_per_node` ranks.
+/// Median raw MPI barrier time over `iters` timed barriers, for
+/// `nodes × ranks_per_node` ranks.
 pub fn mpi_barrier_time(
     nodes: usize,
     ranks_per_node: usize,
@@ -315,14 +329,10 @@ pub fn mpi_barrier_time(
         cost,
         move |mut comm| {
             comm.barrier().unwrap();
-            let start = clock.now();
-            for _ in 0..iters {
-                comm.barrier().unwrap();
-            }
-            clock.elapsed(start)
+            each_barrier_ns(&clock, iters, || comm.barrier().unwrap())
         },
     );
-    results[0] / iters as u32
+    median_barrier(&results[0])
 }
 
 /// Format a duration in the unit the paper uses for the given magnitude.

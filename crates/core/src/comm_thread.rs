@@ -7,14 +7,14 @@
 //! communication requests into.
 //!
 //! This file is the service loop and the two things it does itself:
-//! point-to-point traffic (matched on arrival by the [`Matcher`]) and the
-//! per-communicator *join* of collectives.  Collectives are keyed by
-//! communicator ([`CommId`]): every group assembles independently in its own
-//! [`CollectiveAssembly`], so two communicators can execute collectives
-//! concurrently.  The moment a group's local members have all joined, the
-//! assembly is handed to the exchange [`Engine`] (`exchange/`), which runs
-//! **every** cross-node collective — the world included — under one of its
-//! plans and replies to the joined ranks.
+//! point-to-point traffic (matched on arrival by the [`Matcher`] the MPI
+//! twin uses too) and the per-communicator *join* of collectives.
+//! Collectives are keyed by communicator ([`CommId`]): every group
+//! assembles independently in its own [`CollectiveAssembly`], so two
+//! communicators can execute collectives concurrently.  The moment a group's
+//! local members have all joined, the assembly is handed to the exchange
+//! [`Engine`] (`exchange/`), which runs **every** cross-node collective — the
+//! world included — under one of its plans and replies to the joined ranks.
 //!
 //! It is also the one place that validates a request, whichever kind of
 //! rank posted it: a rank outside the world, a root outside its
@@ -138,7 +138,8 @@ pub(crate) struct CommThread {
     /// frames are handed to the [`Engine`], which demultiplexes them by the
     /// exact key inside the frame.
     exchange_recv: Option<MpiRequest>,
-    /// Indexed point-to-point matcher (messages and receives).
+    /// Unmatched point-to-point messages and receives, each matched the
+    /// moment it comes.
     matcher: Matcher,
     /// Per-communicator collective assemblies, keyed so independent groups
     /// assemble concurrently.
@@ -169,8 +170,6 @@ impl CommThread {
         }));
         let counter = |name: &str| metrics.counter(&format!("{name}.node{node}"));
         let gauge = |name: &str| metrics.gauge(&format!("{name}.node{node}"));
-        let matcher =
-            Matcher::new(metrics.histogram(&format!("comm.matcher.wildcard_scan.node{node}")));
         CommThread {
             node,
             engine: Engine::new(node, Arc::clone(&rank_map), &clock, forced_plan, metrics),
@@ -183,7 +182,7 @@ impl CommThread {
             clock,
             catchall: None,
             exchange_recv: None,
-            matcher,
+            matcher: Matcher::default(),
             active: HashMap::new(),
             local_done: false,
             metrics: CommThreadMetrics {
@@ -213,17 +212,14 @@ impl CommThread {
             // 3. Retire completed nonblocking sends.
             self.net.reap()?;
 
-            self.metrics
-                .pending_recvs
-                .set(self.matcher.pending_recvs() as u64);
-            self.metrics
-                .unexpected_msgs
-                .set(self.matcher.queued_msgs() as u64);
+            let (recvs, msgs) = (self.matcher.pending_recvs(), self.matcher.queued_msgs());
+            self.metrics.pending_recvs.set(recvs as u64);
+            self.metrics.unexpected_msgs.set(msgs as u64);
             self.engine.sample_gauges();
 
             // 4. Shut down when the process is quiescent.
             if self.local_done
-                && self.matcher.pending_recvs() == 0
+                && recvs == 0
                 && self.active.is_empty()
                 && self.engine.is_idle()
                 && self.net.outstanding_isends.is_empty()
@@ -283,7 +279,7 @@ impl CommThread {
                 // answered `ShuttingDown` — so shutdown cannot hang.
                 self.active.clear();
                 self.engine.shutdown();
-                self.matcher.drain_recvs();
+                self.matcher.clear_recvs();
                 Ok(())
             }
             // The drain that took the command paid its queue hop.
@@ -317,11 +313,9 @@ impl CommThread {
                     src,
                     tag,
                     reply_to: req.reply_to,
-                    seq: self.matcher.stamp(),
                 };
-                match self.matcher.take_msg_for(&recv) {
-                    Some(msg) => self.deliver_match(msg, recv),
-                    None => self.matcher.push_recv(recv),
+                if let Some(pair) = self.matcher.post(recv) {
+                    self.deliver_match(pair);
                 }
                 Ok(())
             }
@@ -370,11 +364,9 @@ impl CommThread {
     }
 
     /// Match a freshly arrived (or locally sourced, `local_sender`) message
-    /// immediately, or queue it for a later receive.  Its delivery owes one
-    /// copy — out of an eager frame's landing slot, or across shared memory
-    /// for a local send — unless the substrate reports the payload
-    /// `drained`: a rendezvous stream the NIC's drain already moved into
-    /// the buffer the receiver takes whole.
+    /// at once, or queue it for a later receive.  Its delivery owes one copy
+    /// ([`IncomingMsg::copy`]) unless the substrate reports the payload
+    /// `drained` by the NIC into the buffer the receiver takes whole.
     fn route_incoming(
         &mut self,
         src: usize,
@@ -396,21 +388,16 @@ impl CommThread {
             data,
             copy,
             local_sender,
-            seq: self.matcher.stamp(),
         };
-        match self.matcher.take_recv_for(msg.dst, msg.src, msg.tag) {
-            Some(recv) => self.deliver_match(msg, recv),
-            None => self.matcher.push_msg(msg),
+        if let Some(pair) = self.matcher.arrive(msg) {
+            self.deliver_match(pair);
         }
     }
 
-    /// Complete a matched (message, receive) pair: the receiver gets the
-    /// payload (a shared reference), the message pays the receive-side copy
-    /// it owes (`IncomingMsg::copy`, zero for a drained rendezvous payload,
-    /// which a CPU receiver takes whole and a GPU receiver's host-to-device
-    /// DMA reads in place), and an intra-node sender's deferred completion
-    /// fires.
-    fn deliver_match(&mut self, msg: IncomingMsg, recv: PendingRecv) {
+    /// Complete a matched pair: the message pays the receive-side copy it
+    /// owes (`IncomingMsg::copy`), the receiver gets the payload (a shared
+    /// reference) and an intra-node sender's deferred completion fires.
+    fn deliver_match(&mut self, (recv, msg): (PendingRecv, IncomingMsg)) {
         self.clock.charge(Charge::IntraNode, msg.copy);
         let status = CommStatus {
             source: msg.src,

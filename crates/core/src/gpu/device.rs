@@ -5,7 +5,6 @@
 
 use dcgn_dpm::{BlockCtx, DevicePtr};
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
-use dcgn_simtime::Deadline;
 
 use super::mailbox::{
     encode_reduce_word, in_device_memory, mailbox_error, opcode, record_word, req_state, req_word,
@@ -142,21 +141,21 @@ impl<'a> GpuCtx<'a> {
     /// requests: the host relays what one sweep finds in publish order,
     /// whatever records they sit in.
     ///
-    /// A `blocking` call claims the slot's reserved record and waits for it
-    /// as long as it takes: blocks sharing a slot serialise their blocking
+    /// A `blocking` call (named, for its timeout) claims the slot's
+    /// reserved record and waits for it like for its completion
+    /// ([`GpuCtx::spin`]): blocks sharing a slot serialise their blocking
     /// calls there (one rank never has two collectives in flight), and
     /// never compete with outstanding nonblocking requests.  A nonblocking
     /// call claims any record of the `reqs_per_slot` column, and faults
     /// rather than deadlock when none goes `FREE` within [`ABANDONED_GRACE`]
     /// (typically this very kernel publishing past the configured depth).
-    fn publish(&self, slot: usize, blocking: bool, body: Body) -> GpuRequest {
+    fn publish(&self, slot: usize, blocking: Option<&str>, body: Body) -> GpuRequest {
         let b = self.block;
         let depth = self.layout.reqs_per_slot;
-        let (records, deadline) = if blocking {
-            (RESERVED_RECORD..RESERVED_RECORD + 1, Deadline::NEVER)
-        } else {
-            let column = RESERVED_RECORD + 1..self.layout.records_per_slot();
-            (column, b.clock().deadline(ABANDONED_GRACE))
+        let column = RESERVED_RECORD + 1..self.layout.records_per_slot();
+        let records = match blocking {
+            Some(_) => RESERVED_RECORD..column.start,
+            None => column,
         };
         let claim = || {
             records.clone().find(|&index| {
@@ -167,14 +166,20 @@ impl<'a> GpuCtx<'a> {
                     && b.atomic_cas_u32(ptr, word, req_word(gen, req_state::CLAIMED)) == word
             })
         };
-        let index = b.spin_until(deadline, claim).unwrap_or_else(|| {
-            panic!(
-                "slot {slot} on device {}: all {depth} completion record(s) stayed in \
-                 flight — did this kernel publish more than the configured mailbox \
-                 depth ({depth}) of requests without test()/wait()ing any?",
-                b.device_id()
-            )
-        });
+        let index = match blocking {
+            Some(what) => self.spin(what, claim),
+            None => {
+                let grace = b.clock().deadline(ABANDONED_GRACE);
+                b.spin_until(grace, claim).unwrap_or_else(|| {
+                    panic!(
+                        "slot {slot} on device {}: all {depth} completion record(s) stayed \
+                         in flight — did this kernel publish more than the configured \
+                         mailbox depth ({depth}) of requests without test()/wait()ing any?",
+                        b.device_id()
+                    )
+                })
+            }
+        };
         // Each claim takes a fresh generation, so handles from earlier
         // claims go stale.
         let gen = b.atomic_add_u32(self.layout.sequence_ptr(slot), 1) & REQ_GEN_MASK;
@@ -219,19 +224,25 @@ impl<'a> GpuCtx<'a> {
         })
     }
 
-    /// Spin on `poll` with no deadline: only a completion (or a fault)
-    /// ends the wait.
-    fn spin<T>(&self, poll: impl FnMut() -> Option<T>) -> T {
-        let done = self.block.spin_until(Deadline::NEVER, poll);
-        done.expect("a wait with no deadline ends only on a completion")
+    /// Spin on `poll` until it yields; past the request timeout, fault the
+    /// kernel naming call `what`, as a CPU rank's call returns `Timeout`.
+    /// The block never releases a record it gave up on, so no later claim
+    /// takes it and a reply landing late completes no other request.
+    fn spin<T>(&self, what: &str, poll: impl FnMut() -> Option<T>) -> T {
+        let (b, after) = (self.block, self.layout.request_timeout);
+        let done = b.spin_until(b.clock().deadline(after), poll);
+        done.unwrap_or_else(|| {
+            let (device, block) = (b.device_id(), b.block_id());
+            panic!("dcgn::gpu::{what} timed out after {after:?} on device {device} block {block}")
+        })
     }
 
     /// A blocking call: publish on the reserved record, then wait for it.
     /// No [`GpuRequest`] escapes, so the reserved record's handle cannot be
     /// waited on twice or kept.
     fn blocking(&self, slot: usize, what: &str, body: Body) -> CommStatus {
-        let req = self.publish(slot, true, body);
-        self.spin(|| self.poll(req, what))
+        let req = self.publish(slot, Some(what), body);
+        self.spin(what, || self.poll(req, what))
     }
 
     /// A blocking collective over `comm`: the body additionally carries the
@@ -355,7 +366,7 @@ impl<'a> GpuCtx<'a> {
         data: DevicePtr,
         len: usize,
     ) -> GpuRequest {
-        self.publish(slot, false, Self::p2p(opcode::SEND, dst, tag, data, len))
+        self.publish(slot, None, Self::p2p(opcode::SEND, dst, tag, data, len))
     }
 
     /// Post a nonblocking receive from DCGN rank `src` into `len` bytes of
@@ -375,7 +386,7 @@ impl<'a> GpuCtx<'a> {
         data: DevicePtr,
         len: usize,
     ) -> GpuRequest {
-        self.publish(slot, false, Self::p2p(opcode::RECV, src, tag, data, len))
+        self.publish(slot, None, Self::p2p(opcode::RECV, src, tag, data, len))
     }
 
     /// Post a nonblocking receive matching `tag` (or
@@ -410,7 +421,7 @@ impl<'a> GpuCtx<'a> {
     /// # Panics
     /// Panics on a mailbox error or a stale handle (see [`GpuCtx::test`]).
     pub fn wait(&self, req: GpuRequest) -> CommStatus {
-        self.spin(|| self.poll(req, "wait"))
+        self.spin("wait", || self.poll(req, "wait"))
     }
 
     /// Wait for every request, returning the completions in argument order —
@@ -433,7 +444,7 @@ impl<'a> GpuCtx<'a> {
             !reqs.is_empty(),
             "dcgn::gpu::waitany needs at least one request handle"
         );
-        self.spin(|| {
+        self.spin("waitany", || {
             reqs.iter()
                 .enumerate()
                 .find_map(|(i, &req)| Some((i, self.poll(req, "wait")?)))

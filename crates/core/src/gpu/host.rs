@@ -599,6 +599,10 @@ impl GpuKernelThread {
                     if !did_work {
                         break;
                     }
+                } else if handle.faulted() {
+                    // The launch fails with the fault; a faulted block (one
+                    // whose call timed out) harvests nothing more.
+                    break;
                 } else {
                     // Only nonblocking requests can outlive the kernel (a
                     // blocking call pins its block until completion).
@@ -704,6 +708,7 @@ mod tests {
                     total_ranks: slots,
                     mailbox_base,
                     memory_bytes: device.memory_capacity(),
+                    request_timeout: Duration::MAX,
                 },
                 device,
                 work_tx,

@@ -12,6 +12,7 @@
 //! `1..=reqs_per_slot` serve `isend`/`irecv`.
 
 use std::cmp::Ordering;
+use std::time::Duration;
 
 use dcgn_dpm::DevicePtr;
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
@@ -83,6 +84,8 @@ pub(crate) struct GpuLayout {
     pub mailbox_base: DevicePtr,
     /// Bytes of device memory: a buffer reaching past them is unreadable.
     pub memory_bytes: usize,
+    /// The runtime's request timeout, which bounds every device-side wait.
+    pub request_timeout: Duration,
 }
 
 impl GpuLayout {
@@ -455,6 +458,7 @@ mod tests {
             total_ranks: slots,
             mailbox_base: DevicePtr::NULL,
             memory_bytes: 1 << 20,
+            request_timeout: Duration::MAX,
         }
     }
 

@@ -219,6 +219,7 @@ impl Runtime {
                     total_ranks: rank_map.total_ranks(),
                     mailbox_base,
                     memory_bytes: device.memory_capacity(),
+                    request_timeout: self.request_timeout,
                 };
                 let grid_blocks = self.config.gpu_grid_blocks.unwrap_or(slots).max(1);
                 let block_threads = self.config.gpu_block_threads.max(1);

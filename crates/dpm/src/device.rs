@@ -146,6 +146,12 @@ impl KernelHandle {
     pub fn is_done(&self) -> bool {
         *self.state.remaining.lock() == 0
     }
+
+    /// True once a block has faulted; [`KernelHandle::wait`] then returns
+    /// the first fault.
+    pub fn faulted(&self) -> bool {
+        self.state.fault.lock().is_some()
+    }
 }
 
 type BlockClosure = Arc<dyn Fn(&BlockCtx) + Send + Sync + 'static>;

@@ -54,6 +54,7 @@ use dcgn_netsim::{Delivery, Endpoint, EndpointId, Payload};
 use dcgn_simtime::Stamp;
 
 use crate::exchange::EarlyFrames;
+use crate::matcher::{Accepts, Matcher};
 use crate::packet::{Packet, RmpiError, Status};
 use crate::rdv::RdvConfig;
 use crate::Result;
@@ -148,15 +149,9 @@ enum RecvState {
     Failed(RmpiError),
 }
 
-struct RecvOp {
-    src: Option<usize>,
-    tag: Option<u32>,
-    state: RecvState,
-}
-
 enum Op {
     Send(SendOp),
-    Recv(RecvOp),
+    Recv(RecvState),
 }
 
 enum UnexpectedKind {
@@ -164,10 +159,30 @@ enum UnexpectedKind {
     Rts { send_id: u64, len: usize },
 }
 
+/// A message (or a rendezvous announcement) no posted receive took yet.
 struct Unexpected {
     src: usize,
     tag: u32,
     kind: UnexpectedKind,
+}
+
+/// A receive posted by op `id`, waiting in the [`Matcher`] for a message.
+/// `None` filters are wildcards.
+struct PostedRecv {
+    id: u64,
+    src: Option<usize>,
+    tag: Option<u32>,
+}
+
+impl Accepts<Unexpected> for PostedRecv {
+    fn accepts(&self, msg: &Unexpected) -> bool {
+        // ANY_TAG never matches internal (collective) tags.
+        let tag_ok = match self.tag {
+            Some(t) => t == msg.tag,
+            None => msg.tag < TAG_INTERNAL_BASE,
+        };
+        self.src.is_none_or(|s| s == msg.src) && tag_ok
+    }
 }
 
 /// An MPI-style communicator bound to one rank of the world.
@@ -188,11 +203,10 @@ pub struct Communicator {
     next_req: u64,
     next_send_id: u64,
     ops: HashMap<u64, Op>,
-    unexpected: VecDeque<Unexpected>,
+    /// Unexpected messages and receives awaiting a match.
+    matcher: Matcher<Unexpected, PostedRecv>,
     /// Send ops that have not yet touched the wire, in submission order.
     send_fifo: VecDeque<u64>,
-    /// Posted receives awaiting a match, in posting order.
-    recv_fifo: VecDeque<u64>,
     /// Sender-side rendezvous index: `send_id` → op id.  Gives CTS and
     /// credit handling O(1) lookups instead of scanning every op.
     send_streams: HashMap<u64, u64>,
@@ -236,9 +250,8 @@ impl Communicator {
             next_req: 0,
             next_send_id: 0,
             ops: HashMap::new(),
-            unexpected: VecDeque::new(),
+            matcher: Matcher::default(),
             send_fifo: VecDeque::new(),
-            recv_fifo: VecDeque::new(),
             send_streams: HashMap::new(),
             recv_streams: HashMap::new(),
             collective_seq: 0,
@@ -317,7 +330,8 @@ impl Communicator {
     }
 
     /// Post a nonblocking receive matching `src` (or any source) and `tag`
-    /// (or any tag).
+    /// (or any tag).  It takes the earliest-arrived unexpected message it
+    /// matches at once, if there is one.
     pub fn irecv(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Request> {
         if let Some(s) = src {
             if s >= self.size() {
@@ -325,15 +339,10 @@ impl Communicator {
             }
         }
         let id = self.alloc_req();
-        self.ops.insert(
-            id,
-            Op::Recv(RecvOp {
-                src,
-                tag,
-                state: RecvState::Posted,
-            }),
-        );
-        self.recv_fifo.push_back(id);
+        self.ops.insert(id, Op::Recv(RecvState::Posted));
+        if let Some((recv, msg)) = self.matcher.post(PostedRecv { id, src, tag }) {
+            self.deliver(recv.id, msg);
+        }
         Ok(Request(id))
     }
 
@@ -370,14 +379,8 @@ impl Communicator {
     pub fn wait_recv(&mut self, req: Request) -> Result<(Payload, Status)> {
         self.progress_until(&[req.0], "recv completion")?;
         match self.ops.remove(&req.0) {
-            Some(Op::Recv(RecvOp {
-                state: RecvState::Complete { data, status },
-                ..
-            })) => Ok((data, status)),
-            Some(Op::Recv(RecvOp {
-                state: RecvState::Failed(e),
-                ..
-            })) => Err(e),
+            Some(Op::Recv(RecvState::Complete { data, status })) => Ok((data, status)),
+            Some(Op::Recv(RecvState::Failed(e))) => Err(e),
             Some(op) => {
                 self.ops.insert(req.0, op);
                 Err(RmpiError::UnknownRequest)
@@ -400,11 +403,8 @@ impl Communicator {
                     SendState::Failed(e) => Some(e.clone()),
                     _ => None,
                 },
-                Some(Op::Recv(r)) => match &r.state {
-                    RecvState::Failed(e) => Some(e.clone()),
-                    _ => None,
-                },
-                None => None,
+                Some(Op::Recv(RecvState::Failed(e))) => Some(e.clone()),
+                Some(Op::Recv(_)) | None => None,
             };
             if let Some(e) = op_failed {
                 self.ops.remove(&id);
@@ -424,14 +424,8 @@ impl Communicator {
     /// The payload is a zero-copy view of the delivered frame.
     pub fn take_recv(&mut self, req: Request) -> Option<(Payload, Status)> {
         match self.ops.get(&req.0) {
-            Some(Op::Recv(RecvOp {
-                state: RecvState::Complete { .. },
-                ..
-            })) => match self.ops.remove(&req.0) {
-                Some(Op::Recv(RecvOp {
-                    state: RecvState::Complete { data, status },
-                    ..
-                })) => Some((data, status)),
+            Some(Op::Recv(RecvState::Complete { .. })) => match self.ops.remove(&req.0) {
+                Some(Op::Recv(RecvState::Complete { data, status })) => Some((data, status)),
                 _ => unreachable!("checked above"),
             },
             _ => None,
@@ -507,22 +501,10 @@ impl Communicator {
             .expect("delivery from endpoint outside the world")
     }
 
-    fn matches(want_src: Option<usize>, want_tag: Option<u32>, src: usize, tag: u32) -> bool {
-        let src_ok = want_src.is_none_or(|s| s == src);
-        // ANY_TAG never matches internal (collective) tags.
-        let tag_ok = match want_tag {
-            Some(t) => t == tag,
-            None => tag < TAG_INTERNAL_BASE,
-        };
-        src_ok && tag_ok
-    }
-
     fn is_complete(&self, id: u64) -> bool {
         match self.ops.get(&id) {
             Some(Op::Send(s)) => matches!(s.state, SendState::Complete | SendState::Failed(_)),
-            Some(Op::Recv(r)) => {
-                matches!(r.state, RecvState::Complete { .. } | RecvState::Failed(_))
-            }
+            Some(Op::Recv(r)) => matches!(r, RecvState::Complete { .. } | RecvState::Failed(_)),
             None => false,
         }
     }
@@ -578,51 +560,32 @@ impl Communicator {
         }
     }
 
-    /// Match posted receives against the unexpected queue in posting order
-    /// (the FIFO holds exactly the `Posted` ops; matched or consumed entries
-    /// drop out, unmatched ones keep their position).
-    fn match_recvs(&mut self) {
-        let mut unmatched = VecDeque::new();
-        while let Some(id) = self.recv_fifo.pop_front() {
-            let (want_src, want_tag) = match self.ops.get(&id) {
-                Some(Op::Recv(r)) if matches!(r.state, RecvState::Posted) => (r.src, r.tag),
-                // Consumed or progressed elsewhere: drop from the queue.
-                _ => continue,
-            };
-            let idx = self
-                .unexpected
-                .iter()
-                .position(|u| Self::matches(want_src, want_tag, u.src, u.tag));
-            let Some(idx) = idx else {
-                unmatched.push_back(id);
-                continue;
-            };
-            let u = self.unexpected.remove(idx).expect("index valid");
-            match u.kind {
-                UnexpectedKind::Eager(data) => {
-                    let status = Status {
-                        source: u.src,
-                        tag: u.tag,
-                        len: data.len(),
-                        drained: false,
-                    };
-                    if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
-                        r.state = RecvState::Complete { data, status };
-                    }
-                }
-                UnexpectedKind::Rts { send_id, len } => {
-                    self.accept_rts(id, u.src, u.tag, send_id, len);
+    /// Hand a matched message to posted receive `id`: an eager payload
+    /// completes it, an RTS starts its rendezvous.
+    fn deliver(&mut self, id: u64, msg: Unexpected) {
+        match msg.kind {
+            UnexpectedKind::Eager(data) => {
+                let status = Status {
+                    source: msg.src,
+                    tag: msg.tag,
+                    len: data.len(),
+                    drained: false,
+                };
+                if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
+                    *r = RecvState::Complete { data, status };
                 }
             }
+            UnexpectedKind::Rts { send_id, len } => {
+                self.accept_rts(id, msg.src, msg.tag, send_id, len);
+            }
         }
-        self.recv_fifo = unmatched;
     }
 
     /// A posted receive matched an RTS: stand up receiver-side state and
     /// release the sender with a CTS.
     fn accept_rts(&mut self, id: u64, src: usize, tag: u32, send_id: u64, len: usize) {
         if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
-            r.state = RecvState::Assembling {
+            *r = RecvState::Assembling {
                 send_id,
                 src,
                 tag,
@@ -641,32 +604,29 @@ impl Communicator {
         }
     }
 
-    /// Incorporate one delivered packet into engine state.
+    /// Incorporate one delivered packet into engine state.  An eager
+    /// payload or an RTS goes to the earliest-posted receive that matches
+    /// it, or waits for one.
     fn classify(&mut self, delivery: Delivery<Packet>) {
         let src = self.rank_of(delivery.src);
-        match delivery.msg {
-            Packet::Eager { tag, data } => self.unexpected.push_back(Unexpected {
-                src,
-                tag,
-                kind: UnexpectedKind::Eager(data),
-            }),
-            Packet::Rts { tag, send_id, len } => self.unexpected.push_back(Unexpected {
-                src,
-                tag,
-                kind: UnexpectedKind::Rts { send_id, len },
-            }),
-            Packet::Cts { send_id } => self.handle_cts(send_id),
+        let (tag, kind) = match delivery.msg {
+            Packet::Eager { tag, data } => (tag, UnexpectedKind::Eager(data)),
+            Packet::Rts { tag, send_id, len } => (tag, UnexpectedKind::Rts { send_id, len }),
+            Packet::Cts { send_id } => return self.handle_cts(send_id),
             Packet::RdvChunk {
                 send_id,
                 offset,
                 data,
             } => {
                 let drained = self.drain_payload(src, data.len());
-                self.handle_chunk(src, send_id, offset, data, drained);
+                return self.handle_chunk(src, send_id, offset, data, drained);
             }
             // Credits for a finished or tombstoned transfer are expected
             // stragglers and are dropped by the lookup below.
-            Packet::RdvCredit { send_id, chunks } => self.handle_credit(send_id, chunks),
+            Packet::RdvCredit { send_id, chunks } => return self.handle_credit(send_id, chunks),
+        };
+        if let Some((recv, msg)) = self.matcher.arrive(Unexpected { src, tag, kind }) {
+            self.deliver(recv.id, msg);
         }
     }
 
@@ -825,7 +785,7 @@ impl Communicator {
             total,
             started,
             ..
-        } = &mut r.state
+        } = r
         else {
             return;
         };
@@ -862,7 +822,7 @@ impl Communicator {
                 drained,
             };
             let data = std::mem::replace(assembled, Payload::empty());
-            r.state = RecvState::Complete { data, status };
+            *r = RecvState::Complete { data, status };
             self.recv_streams.remove(&(src, send_id));
             return;
         }
@@ -904,15 +864,15 @@ impl Communicator {
     /// Tombstone a receive, dropping its hold on the sender's staged buffer.
     fn fail_recv(&mut self, id: u64, err: RmpiError) {
         if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
-            if let RecvState::Assembling { send_id, src, .. } = &r.state {
+            if let RecvState::Assembling { send_id, src, .. } = r {
                 self.recv_streams.remove(&(*src, *send_id));
             }
-            r.state = RecvState::Failed(err);
+            *r = RecvState::Failed(err);
         }
     }
 
-    /// One nonblocking pass of the engine: start sends, drain the endpoint,
-    /// match receives.
+    /// One nonblocking pass of the engine: start sends, drain the endpoint
+    /// (each arrival is matched as it is classified).
     fn progress_pass(&mut self) -> Result<()> {
         self.start_sends();
         loop {
@@ -922,7 +882,6 @@ impl Communicator {
                 Err(_) => return Err(RmpiError::Disconnected),
             }
         }
-        self.match_recvs();
         Ok(())
     }
 
@@ -959,7 +918,7 @@ impl std::fmt::Debug for Communicator {
             .field("rank", &self.rank)
             .field("size", &self.size())
             .field("pending_ops", &self.ops.len())
-            .field("unexpected", &self.unexpected.len())
+            .field("unexpected", &self.matcher.queued_msgs())
             .finish()
     }
 }
@@ -1038,7 +997,6 @@ mod tests {
             len: TOTAL,
             send_id: 0,
         }));
-        receiver.match_recvs();
         for (offset, data) in chunks {
             receiver.classify(from_rank0(Packet::RdvChunk {
                 send_id: 0,
@@ -1168,26 +1126,28 @@ mod tests {
         assert!(TAG_EXCHANGE >= TAG_INTERNAL_BASE, "internal space");
         // Never collides with this crate's own collective tag.
         assert!(TAG_EXCHANGE - TAG_INTERNAL_BASE >= 0x1000);
+        let accepts = |want: Option<u32>, tag| {
+            let recv = PostedRecv {
+                id: 0,
+                src: None,
+                tag: want,
+            };
+            recv.accepts(&Unexpected {
+                src: 0,
+                tag,
+                kind: UnexpectedKind::Eager(Payload::empty()),
+            })
+        };
         // ANY_TAG wildcard matching never steals an exchange frame, but an
         // explicit receive for the tag does.
-        assert!(!Communicator::matches(None, None, 0, TAG_EXCHANGE));
-        assert!(Communicator::matches(
-            None,
-            Some(TAG_EXCHANGE),
-            0,
-            TAG_EXCHANGE
-        ));
+        assert!(!accepts(None, TAG_EXCHANGE));
+        assert!(accepts(Some(TAG_EXCHANGE), TAG_EXCHANGE));
         // The collectives' own tag is internal and is not the exchange tag:
         // DCGN's comm thread keeps a TAG_EXCHANGE receive posted on the
         // communicator its shutdown barrier runs on.
         assert!(TAG_COLLECTIVE >= TAG_INTERNAL_BASE, "internal space");
         assert_ne!(TAG_COLLECTIVE, TAG_EXCHANGE);
-        assert!(!Communicator::matches(None, None, 0, TAG_COLLECTIVE));
-        assert!(!Communicator::matches(
-            None,
-            Some(TAG_EXCHANGE),
-            0,
-            TAG_COLLECTIVE
-        ));
+        assert!(!accepts(None, TAG_COLLECTIVE));
+        assert!(!accepts(Some(TAG_EXCHANGE), TAG_COLLECTIVE));
     }
 }

@@ -17,8 +17,10 @@
 //!   views of the staged buffer, bounded in-flight memory, one chunk for a
 //!   payload of at most one — see the [`comm`] module docs and
 //!   [`RdvConfig`]),
-//! * receives match on `(source, tag)` with wildcard support and an
-//!   unexpected-message queue,
+//! * receives match on `(source, tag)` with wildcard support through the
+//!   [`Matcher`] (unexpected messages in arrival order, posted receives in
+//!   posting order, each matched the moment it arrives or is posted), the
+//!   same matcher DCGN's comm thread matches its own messages with,
 //! * nonblocking operations ([`Communicator::isend`]/[`Communicator::irecv`])
 //!   are tracked as requests and progressed by every call into the library,
 //! * collectives (barrier, broadcast, scatter/gather, reduce/allreduce) are
@@ -36,6 +38,7 @@
 pub mod collectives;
 pub mod comm;
 pub mod exchange;
+pub mod matcher;
 pub mod packet;
 pub mod rdv;
 pub mod typed;
@@ -43,6 +46,7 @@ pub mod world;
 
 pub use collectives::{frame_reduce, parse_reduce_frame, ReduceDtype, ReduceOp};
 pub use comm::{Communicator, Request, TAG_EXCHANGE, TAG_INTERNAL_BASE};
+pub use matcher::{Accepts, Matcher};
 pub use packet::{
     frame_exchange, parse_exchange_header, ExchangeId, Packet, RmpiError, Status, ANY_SOURCE,
     ANY_TAG, EXCHANGE_HEADER_BYTES, PHASE_ABORT, PHASE_DOWN, PHASE_RD_FOLD_IN, PHASE_RD_FOLD_OUT,

@@ -130,6 +130,33 @@ fn gpu_sendrecv_replace_from_nonexistent_rank_faults_instead_of_hanging() {
 }
 
 #[test]
+fn gpu_call_nothing_completes_times_out_instead_of_hanging() {
+    // The send half goes to the idle CPU rank 0 on the same node, and an
+    // intra-node send finishes only when a local receive matches it; the
+    // receive half names a rank outside the world.  Nothing completes the
+    // call, so the request timeout must end it, as it ends a CPU rank's.
+    let result = with_timeout(Duration::from_secs(60), || {
+        let mut runtime = Runtime::new(DcgnConfig::homogeneous(1, 1, 1, 1)).unwrap();
+        runtime.set_request_timeout(Duration::from_secs(1));
+        runtime.launch(
+            |_cpu| {},
+            |ctx| {
+                if ctx.block().block_id() == 0 {
+                    ctx.sendrecv_replace(0, 0, 99, DevicePtr::NULL.add(1 << 20), 8);
+                }
+            },
+        )
+    });
+    match result {
+        Err(DcgnError::Device(msg)) => assert!(
+            msg.contains("dcgn::gpu::sendrecv_replace timed out after 1s"),
+            "expected the call's timeout, got: {msg}"
+        ),
+        other => panic!("expected a device fault naming the timed-out call, got {other:?}"),
+    }
+}
+
+#[test]
 fn mismatched_collectives_are_detected() {
     // Rank 0 enters a barrier while rank 1 enters a broadcast: the node's
     // comm thread reports the mismatch to the second participant.
