@@ -1,5 +1,7 @@
 //! Figure 7: broadcast time vs. payload size for eight DCGN ranks (all CPU
-//! or all GPU) against the raw-MPI baseline with eight ranks.
+//! or all GPU) against the raw-MPI baseline with eight ranks.  Each figure
+//! is the median of `iters` broadcasts timed one by one at the root, so one
+//! descheduled broadcast cannot move a row.
 //!
 //! `cargo run -p dcgn_bench --bin fig7_broadcast --release`
 
@@ -10,7 +12,7 @@ use dcgn_bench::{
 
 fn main() {
     let cost = CostModel::g92_cluster();
-    let iters = 5;
+    let iters = 2000;
     let sizes = [1usize << 10, 8 << 10, 64 << 10, 512 << 10];
 
     println!("# Figure 7: Broadcast timings with and without DCGN (8 ranks, 4 nodes)");

@@ -164,8 +164,9 @@ pub fn mpi_send_time(size: usize, cost: CostModel, iters: usize) -> Duration {
 // Broadcast (Figure 7)
 // ---------------------------------------------------------------------------
 
-/// Average broadcast time with 8 DCGN ranks of `kind` spread over 4 nodes
-/// (2 ranks per node), measured at the root.
+/// Median broadcast time over `iters` broadcasts timed one by one, with 8
+/// DCGN ranks of `kind` spread over 4 nodes (2 ranks per node), measured at
+/// the root.
 pub fn dcgn_broadcast_time(
     size: usize,
     kind: EndpointKind,
@@ -178,7 +179,7 @@ pub fn dcgn_broadcast_time(
     };
     let config = DcgnConfig::heterogeneous(vec![node; 4]).with_cost(cost);
     let runtime = Runtime::new(config).expect("broadcast config");
-    let measured: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
+    let measured: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
     let clock = Clock::from(cost);
     let (m_cpu, c_cpu) = (Arc::clone(&measured), clock.clone());
     let (m_gpu, c_gpu) = (Arc::clone(&measured), clock);
@@ -188,13 +189,12 @@ pub fn dcgn_broadcast_time(
             move |ctx| {
                 let me = ctx.rank();
                 ctx.barrier().unwrap();
-                let start = c_cpu.now();
-                for _ in 0..iters {
+                let times = each_ns(&c_cpu, iters, || {
                     let mut data = if me == 0 { vec![1u8; size] } else { Vec::new() };
                     ctx.broadcast(0, &mut data).unwrap();
-                }
+                });
                 if me == 0 {
-                    *m_cpu.lock() = c_cpu.elapsed(start);
+                    *m_cpu.lock() = times;
                 }
                 ctx.barrier().unwrap();
             },
@@ -209,61 +209,54 @@ pub fn dcgn_broadcast_time(
                     ctx.block().write(buf, &vec![1u8; size.max(1)]);
                 }
                 ctx.barrier(SLOT);
-                let start = c_gpu.now();
-                for _ in 0..iters {
-                    ctx.broadcast(SLOT, 0, buf, size);
-                }
+                let times = each_ns(&c_gpu, iters, || ctx.broadcast(SLOT, 0, buf, size));
                 if me == 0 {
-                    *m_gpu.lock() = c_gpu.elapsed(start);
+                    *m_gpu.lock() = times;
                 }
                 ctx.barrier(SLOT);
             },
         )
         .expect("broadcast launch");
-    let total = *measured.lock();
-    total / iters as u32
+    let times = measured.lock();
+    median(&times)
 }
 
-/// Average raw MPI broadcast time with 8 ranks over 4 nodes.
+/// Median raw MPI broadcast time over `iters` broadcasts timed one by one,
+/// with 8 ranks over 4 nodes, measured at the root.
 pub fn mpi_broadcast_time(size: usize, cost: CostModel, iters: usize) -> Duration {
     let clock = Clock::from(cost);
     let results = MpiWorld::run(&RankPlacement::block(4, 2), cost, move |mut comm| {
         comm.barrier().unwrap();
-        let start = clock.now();
-        for _ in 0..iters {
-            let mut data = if comm.rank() == 0 {
-                vec![1u8; size]
-            } else {
-                Vec::new()
-            };
+        let times = each_ns(&clock, iters, || {
+            let root = comm.rank() == 0;
+            let mut data = if root { vec![1u8; size] } else { Vec::new() };
             comm.bcast(0, &mut data).unwrap();
-        }
-        let elapsed = clock.elapsed(start);
+        });
         comm.barrier().unwrap();
-        elapsed
+        times
     });
-    results[0] / iters as u32
+    median(&results[0])
 }
 
 // ---------------------------------------------------------------------------
 // Barrier (Table 1)
 // ---------------------------------------------------------------------------
 
-/// Time each of `iters` back-to-back `barrier` calls on `clock`, in ns.
-fn each_barrier_ns(clock: &Clock, iters: usize, mut barrier: impl FnMut()) -> Vec<f64> {
+/// Time each of `iters` back-to-back calls of `op` on `clock`, in ns.
+fn each_ns<R>(clock: &Clock, iters: usize, mut op: impl FnMut() -> R) -> Vec<f64> {
     (0..iters)
         .map(|_| {
             let start = clock.now();
-            barrier();
+            op();
             clock.elapsed(start).as_nanos() as f64
         })
         .collect()
 }
 
-/// The median of per-barrier times: one slow barrier (a descheduled
-/// thread) moves it by one rank, not by its whole delay over `iters`.
-fn median_barrier(ns: &[f64]) -> Duration {
-    let median = dcgn_simtime::stats::median(ns).expect("at least one timed barrier");
+/// The median of per-call times: one slow call (a descheduled thread)
+/// moves it by one rank, not by its whole delay over the count.
+fn median(ns: &[f64]) -> Duration {
+    let median = dcgn_simtime::stats::median(ns).expect("at least one timed call");
     Duration::from_nanos(median as u64)
 }
 
@@ -293,7 +286,7 @@ pub fn dcgn_barrier_time(
         .launch(
             move |ctx| {
                 ctx.barrier().unwrap();
-                let times = each_barrier_ns(&c_cpu, iters, || ctx.barrier().unwrap());
+                let times = each_ns(&c_cpu, iters, || ctx.barrier().unwrap());
                 if ctx.rank() == 0 {
                     *m_cpu.lock() = times;
                 }
@@ -304,7 +297,7 @@ pub fn dcgn_barrier_time(
                 }
                 const SLOT: usize = 0;
                 ctx.barrier(SLOT);
-                let times = each_barrier_ns(&c_gpu, iters, || ctx.barrier(SLOT));
+                let times = each_ns(&c_gpu, iters, || ctx.barrier(SLOT));
                 if !timer_is_cpu && ctx.rank(SLOT) == 0 {
                     *m_gpu.lock() = times;
                 }
@@ -312,7 +305,7 @@ pub fn dcgn_barrier_time(
         )
         .expect("barrier launch");
     let times = measured.lock();
-    median_barrier(&times)
+    median(&times)
 }
 
 /// Median raw MPI barrier time over `iters` timed barriers, for
@@ -329,10 +322,10 @@ pub fn mpi_barrier_time(
         cost,
         move |mut comm| {
             comm.barrier().unwrap();
-            each_barrier_ns(&clock, iters, || comm.barrier().unwrap())
+            each_ns(&clock, iters, || comm.barrier().unwrap())
         },
     );
-    median_barrier(&results[0])
+    median(&results[0])
 }
 
 /// Format a duration in the unit the paper uses for the given magnitude.

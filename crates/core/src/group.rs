@@ -10,6 +10,8 @@
 //! split counter and the color, so every node computes identical ids from
 //! identical split tables without any extra coordination round.
 
+use std::sync::Arc;
+
 use dcgn_rmpi::exchange::Layout;
 
 use crate::error::{DcgnError, Result};
@@ -126,8 +128,8 @@ pub(crate) struct CommGroup {
     /// Global DCGN ranks in sub-rank order.
     pub(crate) members: Vec<usize>,
     /// The nodes hosting the members, which is all an exchange plan sees of
-    /// the group.
-    pub(crate) layout: Layout,
+    /// the group; shared with each of its running exchanges.
+    pub(crate) layout: Arc<Layout>,
     /// Members resident on this node — the assembly-completeness threshold.
     pub(crate) local_members: usize,
     /// Registration epoch, part of every exchange frame's identity.  Every
@@ -136,10 +138,6 @@ pub(crate) struct CommGroup {
     /// color), so a recycled or colliding communicator id can never match a
     /// stale exchange frame.
     pub(crate) epoch: u32,
-    /// Collectives executed on this communicator so far; the sequence number
-    /// inside every exchange frame, so consecutive collectives on one group
-    /// can never cross-talk.
-    pub(crate) seq: u64,
     /// Splits executed on this communicator (salts child communicator ids).
     pub(crate) splits: u64,
     /// Local members that have called `comm_free`; the group is evicted from
@@ -160,9 +158,8 @@ impl CommGroup {
         CommGroup {
             local_members: member_nodes.iter().filter(|&&n| n == this_node).count(),
             members,
-            layout: Layout::new(member_nodes),
+            layout: Arc::new(Layout::new(member_nodes)),
             epoch,
-            seq: 0,
             splits: 0,
             freed: std::collections::HashSet::new(),
         }
@@ -318,7 +315,7 @@ mod tests {
         let g = CommGroup::new(vec![4, 9, 17, 2], vec![3, 1, 3, 0], 3, 7);
         assert_eq!(g.layout.nodes, vec![0, 1, 3]);
         assert_eq!(g.local_members, 2);
-        assert_eq!((g.epoch, g.seq, g.splits), (7, 0, 0));
+        assert_eq!((g.epoch, g.splits), (7, 0));
         assert_eq!(g.sub_of(17), Some(2));
         assert_eq!(g.sub_of(5), None);
     }

@@ -33,7 +33,9 @@
 //!   over a flat (star) or binomial (tree) topology, and an **allreduce**
 //!   step driver under which recursive doubling and ring are two step
 //!   tables.  They live in `dcgn_rmpi::exchange`, where the MPI twin's own
-//!   collectives run the same plans.  The plan is selected per `(op,
+//!   collectives run the same plans through the same exchange driver (its
+//!   sequence numbers, early-frame stash, tombstones and aborts).  The plan
+//!   is selected per `(op,
 //!   payload size, node count)` and
 //!   overridable via [`config::DcgnConfig::with_exchange_plan`] or the
 //!   `DCGN_FORCE_PLAN` environment variable.  Per-rank results are
@@ -62,8 +64,9 @@
 //!   exchanges by communicator, so *groups execute collectives
 //!   concurrently* (disjoint subgroups against each other and against the
 //!   world), and every exchange frame carries its exact
-//!   `(comm_epoch, comm_id, seq, phase)` identity
-//!   ([`dcgn_rmpi::ExchangeId`]), so concurrent exchanges can never
+//!   `(comm_epoch, comm_id, seq, phase)` identity, framed and
+//!   demultiplexed by one [`dcgn_rmpi::exchange::Driver`] per node (the MPI
+//!   twin's collectives run the same driver), so concurrent exchanges can never
 //!   cross-talk and cross-node disagreement surfaces as a clean
 //!   collective-mismatch error on every rank.
 //!

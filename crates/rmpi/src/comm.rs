@@ -53,7 +53,7 @@ use std::time::Duration;
 use dcgn_netsim::{Delivery, Endpoint, EndpointId, Payload};
 use dcgn_simtime::Stamp;
 
-use crate::exchange::EarlyFrames;
+use crate::exchange::{Driver, Layout};
 use crate::matcher::{Accepts, Matcher};
 use crate::packet::{Packet, RmpiError, Status};
 use crate::rdv::RdvConfig;
@@ -65,17 +65,13 @@ pub const TAG_INTERNAL_BASE: u32 = 0x8000_0000;
 
 /// The single tag carried by every frame of a layered collective exchange.
 ///
-/// Layers above the substrate (DCGN's communicator engine) run collectives
-/// over subsets of the world using point-to-point traffic, with many
-/// exchanges concurrently in flight between the same pair of ranks.  Those
-/// frames are *not* told apart by tag: each one carries its full
-/// [`crate::ExchangeId`] — `(comm_epoch, comm_id, seq, phase)` — in an
-/// explicit header ([`crate::frame_exchange`]), and the receiving engine
-/// demultiplexes on that exact identity.  The tag's only job is to keep
+/// DCGN's engine runs many exchanges concurrently between the same pair of
+/// ranks.  They are told apart not by tag but by the header every frame
+/// carries, `(comm_epoch, comm_id, seq, phase)`, which the receiver's
+/// [`crate::exchange::Driver`] demultiplexes on.  The tag only keeps
 /// exchange traffic away from user receives (it sits above
-/// [`TAG_INTERNAL_BASE`], so `ANY_TAG` can never steal it) and away from
-/// this crate's own collectives, which run on the same communicator under
-/// their own internal tag.
+/// [`TAG_INTERNAL_BASE`], so `ANY_TAG` can never steal it) and from this
+/// crate's own collectives, which run under their own internal tag.
 pub const TAG_EXCHANGE: u32 = TAG_INTERNAL_BASE | 0x4000_0000;
 
 /// The single tag carried by every frame of this crate's own collectives
@@ -214,11 +210,11 @@ pub struct Communicator {
     /// Keyed by source as well, because `send_id`s are per-*sender*
     /// counters and collide across senders.
     recv_streams: HashMap<(usize, u64), u64>,
-    /// Sequence number of the last collective this rank entered.
-    pub(crate) collective_seq: u64,
-    /// Frames of collectives this rank has not entered yet — an abort among
-    /// them included.
-    pub(crate) early_frames: EarlyFrames,
+    /// The world as this crate's collectives lay it out: rank `r` is
+    /// participant `r`.
+    pub(crate) layout: Arc<Layout>,
+    /// This rank's side of this crate's collectives.
+    pub(crate) exchanges: Driver<()>,
     // Global `rmpi.*` instruments ([`dcgn_metrics::global`]), shared across
     // every communicator: protocol split, chunk traffic, window occupancy
     // high-water, and per-transfer throughput.
@@ -239,6 +235,7 @@ impl Communicator {
         rdv: RdvConfig,
     ) -> Self {
         let metrics = dcgn_metrics::global();
+        let size = rank_to_ep.len();
         Communicator {
             rank,
             endpoint,
@@ -254,8 +251,8 @@ impl Communicator {
             send_fifo: VecDeque::new(),
             send_streams: HashMap::new(),
             recv_streams: HashMap::new(),
-            collective_seq: 0,
-            early_frames: EarlyFrames::new(),
+            layout: Arc::new(Layout::new((0..size).collect())),
+            exchanges: Driver::new(rank, size),
             eager_sends: metrics.counter("rmpi.eager_sends"),
             rdv_sends: metrics.counter("rmpi.rdv_sends"),
             rdv_chunks: metrics.counter("rmpi.rdv.chunks"),

@@ -339,7 +339,7 @@ mod tests {
         for (pos, outcome) in sim.outcome.iter().enumerate() {
             assert_eq!(
                 outcome,
-                &Some(Action::Deliver(Payload::from_vec(bytes(&sum)))),
+                &Some(Ok(Payload::from_vec(bytes(&sum)))),
                 "{what}: position {pos} of {n}"
             );
         }

@@ -449,7 +449,7 @@ mod tests {
         n: usize,
         id: CollectiveId,
         up: impl Fn(usize) -> Result<Vec<u8>, String>,
-    ) -> Vec<Option<Action>> {
+    ) -> Vec<Option<Result<Payload, RmpiError>>> {
         let start =
             |group: &Layout, pos: usize| Rooted::start(id, topo, "test", group, pos, up(pos));
         let oldest_first = Sim::start(n, start).run(false);
@@ -460,8 +460,8 @@ mod tests {
         oldest_first.outcome
     }
 
-    fn delivered(bytes: Vec<u8>) -> Option<Action> {
-        Some(Action::Deliver(Payload::from_vec(bytes)))
+    fn delivered(bytes: Vec<u8>) -> Option<Result<Payload, RmpiError>> {
+        Some(Ok(Payload::from_vec(bytes)))
     }
 
     #[test]
@@ -570,7 +570,7 @@ mod tests {
                     Ok(rank_frame(pos))
                 }
             });
-            let boom = Some(Action::Fail(RmpiError::InvalidArgument("boom".into())));
+            let boom = Some(Err(RmpiError::InvalidArgument("boom".into())));
             assert_eq!(outcome, vec![boom; 6]);
             // Position 2 reduces two values, everyone else one: only the
             // root's combine can see that.
@@ -580,7 +580,7 @@ mod tests {
             });
             for outcome in outcome {
                 assert!(
-                    matches!(&outcome, Some(Action::Fail(RmpiError::InvalidArgument(msg)))
+                    matches!(&outcome, Some(Err(RmpiError::InvalidArgument(msg)))
                         if msg.contains("reduce length mismatch across nodes: node 5")),
                     "{outcome:?}"
                 );

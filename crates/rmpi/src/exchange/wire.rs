@@ -1,7 +1,7 @@
 //! What travels inside exchange frames.
 //!
-//! Every exchange frame is `[ExchangeId header][status u8][body]` (the header
-//! codec is [`crate::frame_exchange`]).  This module owns everything
+//! Every exchange frame is `[header][status u8][body]` (the header codec is
+//! the [`super::Driver`]'s).  This module owns everything
 //! after the header: the status bytes, the [`CollectiveId`] every OK body
 //! leads with and the one place a peer's id is compared with this node's
 //! ([`check_id`]), the bundle and rank-frame codecs of the rooted plans, and
@@ -162,7 +162,7 @@ impl CollectiveId {
 }
 
 /// Decode a non-OK frame into the error every participant reports.
-pub fn frame_to_error(status: u8, body: &[u8]) -> RmpiError {
+pub(crate) fn frame_to_error(status: u8, body: &[u8]) -> RmpiError {
     match status {
         ST_MISMATCH if body.len() >= 2 => RmpiError::CollectiveMismatch {
             in_progress: CollectiveKind::wire_name(body[0]),

@@ -26,7 +26,9 @@
 //! * collectives (barrier, broadcast, scatter/gather, reduce/allreduce) are
 //!   built from point-to-point messages by the [`exchange`] plans — star,
 //!   binomial tree, recursive doubling and ring — the same plans, picked by
-//!   the same table, that DCGN's engine runs between nodes.
+//!   the same table, that DCGN's engine runs between nodes, driven by the
+//!   same [`exchange::Driver`] (sequence numbers, early-frame stash,
+//!   tombstones and aborts).
 //!
 //! A communicator is owned by exactly one thread (`MPI_THREAD_SINGLE`), which
 //! mirrors the constraint the paper designs around: DCGN funnels all
@@ -48,9 +50,8 @@ pub use collectives::{frame_reduce, parse_reduce_frame, ReduceDtype, ReduceOp};
 pub use comm::{Communicator, Request, TAG_EXCHANGE, TAG_INTERNAL_BASE};
 pub use matcher::{Accepts, Matcher};
 pub use packet::{
-    frame_exchange, parse_exchange_header, ExchangeId, Packet, RmpiError, Status, ANY_SOURCE,
-    ANY_TAG, EXCHANGE_HEADER_BYTES, PHASE_ABORT, PHASE_DOWN, PHASE_RD_FOLD_IN, PHASE_RD_FOLD_OUT,
-    PHASE_RD_ROUND_BASE, PHASE_RING_BASE, PHASE_UP,
+    Packet, RmpiError, Status, ANY_SOURCE, ANY_TAG, PHASE_ABORT, PHASE_DOWN, PHASE_RD_FOLD_IN,
+    PHASE_RD_FOLD_OUT, PHASE_RD_ROUND_BASE, PHASE_RING_BASE, PHASE_UP,
 };
 pub use rdv::{
     RdvConfig, DEFAULT_RDV_CHUNK, DEFAULT_RDV_WINDOW, ENV_EAGER_THRESHOLD, ENV_RDV_CHUNK,

@@ -1,5 +1,5 @@
-//! Wire-level packet types, status, and error definitions, plus the
-//! deterministic exchange-frame header used by layered collective engines.
+//! Wire-level packet types, status, and error definitions, plus the phases
+//! of exchange frames.
 
 use std::fmt;
 
@@ -85,44 +85,8 @@ impl Packet {
 }
 
 // ---------------------------------------------------------------------------
-// Exchange-frame identity.
-// ---------------------------------------------------------------------------
-
-/// Deterministic identity of one phase of a layered collective exchange,
-/// carried **inside** every exchange frame (see [`frame_exchange`]).
-///
-/// Layers above the substrate (DCGN's communicator engine) run collectives
-/// over subsets of the world using point-to-point traffic, with several
-/// exchanges concurrently in flight between the same pair of ranks.  An
-/// earlier design told those exchanges apart by hashing this identity into a
-/// 30-bit message *tag*, which separated concurrent exchanges only
-/// probabilistically.  Carrying the full identity in the frame (and keying
-/// the receiver's demultiplexer on it) makes the separation exact: a frame
-/// can only ever be folded into the exchange it names, and disagreement
-/// between peers surfaces as a clean collective-mismatch error instead of a
-/// silent cross-talk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ExchangeId {
-    /// Registration epoch of the communicator on its member nodes (0 for the
-    /// world; split products derive theirs deterministically from the
-    /// parent's).  Guards against a recycled communicator id ever matching a
-    /// stale frame.
-    pub comm_epoch: u32,
-    /// Raw communicator id the exchange runs over.
-    pub comm: u64,
-    /// The communicator's collective sequence number.
-    pub seq: u64,
-    /// Protocol phase (e.g. contribution vs result leg of a star exchange).
-    pub phase: u32,
-}
-
-/// Bytes of the exchange-frame header:
-/// `[comm_epoch u32][comm u64][seq u64][phase u32][status u8][pad u8 × 3]`.
-pub const EXCHANGE_HEADER_BYTES: usize = 28;
-
-// ---------------------------------------------------------------------------
-// Exchange phases.  The phase field of an [`ExchangeId`] names which leg of
-// a collective schedule a frame belongs to.  Star and tree plans use only
+// Exchange phases.  The phase field of an exchange frame's header names
+// which leg of a collective schedule a frame belongs to.  Star and tree plans use only
 // UP/DOWN; the allreduce schedules (recursive doubling, ring) claim disjoint
 // ranges so a frame from a node running a *different* schedule is detected
 // as an unexpected phase instead of being folded into the wrong state.
@@ -146,44 +110,6 @@ pub const PHASE_RD_ROUND_BASE: u32 = 8;
 /// Ring allreduce step `s` (reduce-scatter then allgather, `2(n-1)` steps
 /// total) travels as phase `PHASE_RING_BASE + s`.
 pub const PHASE_RING_BASE: u32 = 0x1000;
-
-/// Frame an exchange payload: the full [`ExchangeId`] plus a one-byte status
-/// code, followed by the body.
-pub fn frame_exchange(id: ExchangeId, status: u8, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(EXCHANGE_HEADER_BYTES + body.len());
-    out.extend_from_slice(&id.comm_epoch.to_le_bytes());
-    out.extend_from_slice(&id.comm.to_le_bytes());
-    out.extend_from_slice(&id.seq.to_le_bytes());
-    out.extend_from_slice(&id.phase.to_le_bytes());
-    out.push(status);
-    out.extend_from_slice(&[0u8; 3]);
-    out.extend_from_slice(body);
-    out
-}
-
-/// Parse an exchange frame's header, returning its identity and status code.
-/// The body is the remainder of the frame
-/// (`frame[EXCHANGE_HEADER_BYTES..]`), left to the caller so it can be
-/// sliced zero-copy out of a pooled buffer.
-pub fn parse_exchange_header(frame: &[u8]) -> crate::Result<(ExchangeId, u8)> {
-    if frame.len() < EXCHANGE_HEADER_BYTES {
-        return Err(RmpiError::InvalidArgument(format!(
-            "short exchange frame: {} bytes",
-            frame.len()
-        )));
-    }
-    let u32_at = |off: usize| u32::from_le_bytes(frame[off..off + 4].try_into().expect("4 bytes"));
-    let u64_at = |off: usize| u64::from_le_bytes(frame[off..off + 8].try_into().expect("8 bytes"));
-    Ok((
-        ExchangeId {
-            comm_epoch: u32_at(0),
-            comm: u64_at(4),
-            seq: u64_at(12),
-            phase: u32_at(20),
-        },
-        frame[24],
-    ))
-}
 
 /// Completion information for a receive, mirroring `MPI_Status`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,6 +151,12 @@ pub enum RmpiError {
         /// Collective a peer requested instead.
         requested: &'static str,
     },
+    /// More frames of one exchange arrived before this participant entered
+    /// it than any correct run sends it.
+    StashOverflow {
+        /// Frames the exchange's stash holds at most.
+        cap: usize,
+    },
     /// An internal invariant was violated (bug in this crate or a peer).
     Internal(String),
 }
@@ -246,6 +178,12 @@ impl fmt::Display for RmpiError {
                 f,
                 "collective mismatch: executing {in_progress} but a peer requested {requested}"
             ),
+            RmpiError::StashOverflow { cap } => {
+                write!(
+                    f,
+                    "more than {cap} frames arrived for an exchange not entered yet"
+                )
+            }
             RmpiError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
@@ -286,40 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn exchange_frames_roundtrip_identity_status_and_body() {
-        let id = ExchangeId {
-            comm_epoch: 7,
-            comm: u64::MAX - 3,
-            seq: 99,
-            phase: 1,
-        };
-        let frame = frame_exchange(id, 2, &[0xAB, 0xCD]);
-        assert_eq!(frame.len(), EXCHANGE_HEADER_BYTES + 2);
-        let (got, status) = parse_exchange_header(&frame).unwrap();
-        assert_eq!(got, id);
-        assert_eq!(status, 2);
-        assert_eq!(&frame[EXCHANGE_HEADER_BYTES..], &[0xAB, 0xCD]);
-        // Every identity field is distinguishing — no hashing, no collisions.
-        for other in [
-            ExchangeId {
-                comm_epoch: 8,
-                ..id
-            },
-            ExchangeId { comm: 1, ..id },
-            ExchangeId { seq: 100, ..id },
-            ExchangeId { phase: 0, ..id },
-        ] {
-            assert_ne!(
-                parse_exchange_header(&frame_exchange(other, 2, &[]))
-                    .unwrap()
-                    .0,
-                id
-            );
-        }
-        assert!(parse_exchange_header(&[0u8; EXCHANGE_HEADER_BYTES - 1]).is_err());
-    }
-
-    #[test]
     fn errors_format_usefully() {
         let msgs = [
             RmpiError::InvalidRank(7).to_string(),
@@ -332,6 +236,7 @@ mod tests {
                 requested: "broadcast",
             }
             .to_string(),
+            RmpiError::StashOverflow { cap: 6 }.to_string(),
             RmpiError::Internal("x".into()).to_string(),
         ];
         for m in msgs {
