@@ -30,7 +30,7 @@ use dcgn_metrics::{Counter, Gauge, MetricsHandle};
 use dcgn_netsim::Payload;
 use dcgn_rmpi::exchange::{CollectiveId, CollectiveKind};
 use dcgn_rmpi::{Communicator, Request as MpiRequest, Status as MpiStatus, TAG_EXCHANGE};
-use dcgn_simtime::{Charge, Clock, Receiver, Sender};
+use dcgn_simtime::{Charge, Clock, Deadline, Receiver, Sender};
 
 use crate::config::ExchangePlan;
 use crate::error::{DcgnError, Result};
@@ -45,9 +45,11 @@ use crate::rank::RankMap;
 
 /// Fallback bound on the idle wait.  Correctness does not depend on it: the
 /// fabric's delivery notifier rings the work queue whenever an inter-node
-/// message lands, so the comm thread is woken *by event* for both local
+/// frame is queued for this node, and the wait ends no later than the next
+/// frame's landing, so the comm thread is woken *by event* for both local
 /// requests and substrate traffic.  The timeout only caps how stale the loop
-/// can get if a wake is somehow missed.
+/// can get if a wake is somehow missed (`comm.missed_landings` counts the
+/// waits that overslept a landing).
 const IDLE_FALLBACK: Duration = Duration::from_millis(1);
 
 /// The MPI substrate as the comm thread drives it: the node's communicator
@@ -118,6 +120,11 @@ struct CommThreadMetrics {
     /// `comm.queue_depth.node{N}` — commands each work-queue drain took
     /// (the high-water mark is the interesting read).
     queue_depth: Gauge,
+    /// `comm.missed_landings.node{N}` — idle waits that ran to the fallback
+    /// while a frame that had landed before the wait began was queued, or
+    /// a receive held one it completed with.  A frame lands after it is
+    /// queued, so every count is a landing the wait should have ended at.
+    missed_landings: Counter,
     /// `comm.matcher.pending_recvs.node{N}` — receives waiting for a match.
     pending_recvs: Gauge,
     /// `comm.matcher.unexpected_msgs.node{N}` — messages queued unmatched.
@@ -130,6 +137,9 @@ pub(crate) struct CommThread {
     rank_map: Arc<RankMap>,
     net: Substrate,
     work_rx: Receiver<CommCommand>,
+    /// The commands of the crossing being handled, kept between crossings
+    /// so that taking one allocates nothing.
+    cmds: Vec<CommCommand>,
     clock: Clock,
 
     /// Persistent wildcard receive for inter-node point-to-point frames.
@@ -179,6 +189,7 @@ impl CommThread {
                 outstanding_isends: Vec::new(),
             },
             work_rx,
+            cmds: Vec::new(),
             clock,
             catchall: None,
             exchange_recv: None,
@@ -189,6 +200,7 @@ impl CommThread {
                 requests: counter("comm.requests"),
                 crossings: counter("comm.crossings"),
                 queue_depth: gauge("comm.queue_depth"),
+                missed_landings: counter("comm.missed_landings"),
                 pending_recvs: gauge("comm.matcher.pending_recvs"),
                 unexpected_msgs: gauge("comm.matcher.unexpected_msgs"),
             },
@@ -201,7 +213,7 @@ impl CommThread {
         loop {
             // 1. Drain the local work queue (a collective's exchange starts
             //    at the join that completes its assembly).
-            let mut did_work = self.drain_work(Duration::ZERO)?;
+            let mut did_work = self.drain_work(self.clock.deadline(Duration::ZERO))?;
 
             // 2. Progress the MPI substrate: harvest inter-node
             //    point-to-point messages and exchange frames (each is
@@ -232,39 +244,60 @@ impl CommThread {
                 return Ok(());
             }
 
-            // 5. Idle: block on the work queue.  Local kernel requests land
-            //    here directly and fabric deliveries ring it via the wake
-            //    notifier, so this is an event wait; the timeout is only a
-            //    safety net.
+            // 5. Idle: block on the work queue until the next frame lands
+            //    here.  Local kernel requests land on the queue directly and
+            //    fabric sends ring it via the wake notifier, so this is an
+            //    event wait; the fallback is only a safety net.
             if !did_work {
-                self.drain_work(IDLE_FALLBACK)?;
+                self.idle()?;
             }
         }
     }
 
-    /// Take one crossing of the work queue, waiting up to `wait` for it, and
-    /// handle every command it carried; the crossing pays one queue hop if
-    /// it carried a request, a whole GPU-sweep batch included.  The number
-    /// taken is the queue-depth gauge's observation (its high-water mark
-    /// survives in the metrics snapshot).  True when anything was taken.
-    fn drain_work(&mut self, wait: Duration) -> Result<bool> {
-        let mut cmds = Vec::new();
+    /// Wait for work: a command, or the substrate's next landing
+    /// ([`Communicator::pending_landing`], due at once if a frame has
+    /// landed, or progress absorbed one into a persistent receive, since the
+    /// last look: no wake marks either), or the fallback.
+    fn idle(&mut self) -> Result<()> {
+        let began = self.clock.now();
+        let fallback = self.clock.deadline(IDLE_FALLBACK);
+        let deadline = match self.net.comm.pending_landing(began) {
+            Some(at) => Deadline::landing(at).min(fallback),
+            None => fallback,
+        };
+        if !self.drain_work(deadline)? && deadline == fallback {
+            // The same query, re-read: a landing due when the wait began.
+            let due = self.net.comm.pending_landing(began);
+            if due.is_some_and(|at| at <= began) {
+                self.metrics.missed_landings.inc();
+            }
+        }
+        Ok(())
+    }
+
+    /// Take one crossing of the work queue, waiting until `deadline` for it,
+    /// and handle every command it carried; the crossing pays one queue hop
+    /// if it carried a request, a whole GPU-sweep batch included.  The
+    /// number taken is the queue-depth gauge's observation (its high-water
+    /// mark survives in the metrics snapshot).  True when anything was
+    /// taken.
+    fn drain_work(&mut self, deadline: Deadline) -> Result<bool> {
+        let mut cmds = std::mem::take(&mut self.cmds);
         let file = |cmd| {
             let work = matches!(cmd, CommCommand::Request(_) | CommCommand::Batch(_));
             cmds.push(cmd);
             work
         };
-        let crossing = self
-            .work_rx
-            .drain(&self.clock, self.clock.deadline(wait), file);
+        let crossing = self.work_rx.drain(&self.clock, deadline, file);
         let taken = crossing.map_or(0, |crossing| {
             self.metrics.crossings.add(crossing.paid as u64);
             crossing.taken
         });
         self.metrics.queue_depth.set(taken as u64);
-        for cmd in cmds {
+        for cmd in cmds.drain(..) {
             self.handle_command(cmd)?;
         }
+        self.cmds = cmds;
         Ok(taken > 0)
     }
 

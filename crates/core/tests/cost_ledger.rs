@@ -382,3 +382,33 @@ fn an_intra_node_send_pays_exactly_one_copy() {
         ]
     );
 }
+
+/// A comm thread's idle wait ends at the next landing, including one that
+/// no wake-up marks: a frame that landed while the thread was busy, or one
+/// that progress absorbed into a persistent receive.  A wait that ran to
+/// its fallback past either is counted in `comm.missed_landings`.
+#[test]
+fn no_comm_thread_idles_past_a_landed_frame() {
+    const MSGS: u32 = 32;
+    let pingpong = pingpong(2_000, 64);
+    let window = launch_g92(1, |ctx| {
+        let msg = [3u8; 1024];
+        for _ in 0..200 {
+            if ctx.rank() == 0 {
+                let reqs: Vec<_> = (0..MSGS)
+                    .map(|tag| ctx.isend_tagged(1, tag, &msg).unwrap())
+                    .collect();
+                ctx.waitall(&reqs).unwrap();
+                ctx.recv_tagged(Some(1), MSGS).unwrap();
+            } else {
+                let reqs: Vec<_> = (0..MSGS)
+                    .map(|tag| ctx.irecv_tagged(Some(0), tag).unwrap())
+                    .collect();
+                ctx.waitall(&reqs).unwrap();
+                ctx.send_tagged(0, MSGS, &[]).unwrap();
+            }
+        }
+    });
+    let missed = |snap: &MetricsSnapshot| both(snap, "comm.missed_landings");
+    assert_eq!((missed(&pingpong), missed(&window)), (0, 0));
+}

@@ -1,12 +1,17 @@
 //! The message fabric: endpoints, delivery, and the cost-charging send path.
+//!
+//! An inter-node send books its sending node's NIC ([`VirtualBus::reserve`])
+//! and returns at once: the frame is queued stamped with its landing
+//! ([`Delivery::at`]), and a receiver takes it only once it has landed.  An
+//! intra-node send is a CPU copy, so it blocks for it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use dcgn_simtime::{channel, Charge, Clock, Deadline, Receiver, Sender, VirtualBus};
+use dcgn_simtime::{channel, Charge, Clock, Deadline, Receiver, Sender, Stamp, VirtualBus};
 
 /// Globally unique identifier of an endpoint attached to the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -26,6 +31,9 @@ pub struct Delivery<T> {
     /// Size the message occupied on the wire, in bytes (as declared by the
     /// sender; used by higher layers for accounting).
     pub wire_bytes: usize,
+    /// When the frame lands: the end of its booking on the sender's NIC.
+    /// `None` for an intra-node frame, which is in place once queued.
+    pub at: Option<Stamp>,
     /// The message itself.
     pub msg: T,
 }
@@ -78,8 +86,9 @@ impl TrafficStats {
     }
 }
 
-/// Callback invoked (on the sender's thread) after a message is queued on an
-/// endpoint — the delivery interrupt line of a real NIC.
+/// Callback invoked (on the sender's thread) right after a message is queued
+/// on an endpoint, before an inter-node frame has landed: a receiver woken
+/// by it waits for [`Endpoint::first_landing`].
 pub type WakeNotifier = Arc<dyn Fn() + Send + Sync>;
 
 struct EndpointEntry<T> {
@@ -96,9 +105,10 @@ struct FabricInner<T> {
     /// frame out of the NIC's bounce buffers into its destination.  Shares
     /// the network link's sustained bandwidth but pays no per-transfer
     /// latency (the inbound frame already paid it on the sending NIC), and
-    /// runs on the *receiver's* thread — so a sender streaming chunks can
-    /// overlap its own wire time with the receiver's drain of earlier
-    /// chunks, which a single monolithic frame never can.
+    /// blocks the *receiver's* thread, since the receive completes with the
+    /// moved bytes — so a stream of chunks overlaps the sender's NIC time
+    /// with the receiver's drain of earlier chunks, which a single
+    /// monolithic frame never can.
     rx_drains: Vec<Arc<VirtualBus>>,
     next_id: AtomicU64,
     // Global `fabric.*` instruments ([`dcgn_metrics::global`]): every
@@ -128,7 +138,7 @@ impl<T> Clone for Fabric<T> {
 }
 
 impl<T: Send + 'static> Fabric<T> {
-    /// Create a fabric for `num_nodes` nodes whose sends pay their cost on
+    /// Create a fabric for `num_nodes` nodes whose sends book their cost on
     /// `clock` (a [`dcgn_simtime::CostModel`] makes a clock with its ledger
     /// in the global registry).
     pub fn new(num_nodes: usize, clock: impl Into<Clock>) -> Self {
@@ -212,19 +222,22 @@ impl<T: Send + 'static> Fabric<T> {
         };
         self.inner.frames.inc();
         self.inner.frame_bytes.add(wire_bytes as u64);
-        if dst_node == src_node {
-            // Intra-node path: shared-memory copy, no NIC involvement.
-            let clock = &self.inner.clock;
+        let clock = &self.inner.clock;
+        let at = if dst_node == src_node {
+            // Intra-node path: the sender's shared-memory copy, no NIC.
             let copy = clock.model().intra_node.transfer_time(wire_bytes);
             clock.charge(Charge::IntraNode, copy);
+            None
         } else {
-            // Inter-node path: serialise on the sending node's NIC for the
-            // full wire time (store-and-forward model).
-            self.inner.nics[src_node].transfer(&self.inner.clock, wire_bytes);
-        }
+            // Inter-node path: the sending node's NIC sends the whole frame
+            // (store-and-forward) while its CPU goes on; the frame lands
+            // when its booking ends.
+            Some(self.inner.nics[src_node].reserve(clock, wire_bytes))
+        };
         tx.send(Delivery {
             src,
             wire_bytes,
+            at,
             msg,
         })
         .map_err(|_| RecvError::Disconnected)?;
@@ -249,7 +262,8 @@ impl<T: Send + 'static> Fabric<T> {
     /// Install (or replace) the delivery notifier of `endpoint`.  The
     /// callback runs on the *sender's* thread right after each message is
     /// queued, so a receiver that multiplexes several event sources can be
-    /// woken instead of polling.
+    /// woken instead of polling; it then waits for the frame to land
+    /// ([`Endpoint::first_landing`]).
     pub fn set_notifier(&self, endpoint: EndpointId, notify: WakeNotifier) {
         if let Some(entry) = self.inner.endpoints.write().get_mut(&endpoint.0) {
             entry.notify = Some(notify);
@@ -291,8 +305,9 @@ impl<T: Send + 'static> Endpoint<T> {
     }
 
     /// Send `msg` to `dst`, charging the cost of a `wire_bytes`-byte message
-    /// (intra-node or inter-node, depending on where `dst` lives).  The call
-    /// blocks for the modelled wire time, like a blocking hardware send.
+    /// (intra-node or inter-node, depending on where `dst` lives).  An
+    /// intra-node send blocks for its copy; an inter-node one books the
+    /// node's NIC and returns, and the frame lands when the booking ends.
     pub fn send(&self, dst: EndpointId, msg: T, wire_bytes: usize) -> Result<(), RecvError> {
         self.fabric
             .deliver(self.id, self.node, dst, msg, wire_bytes)?;
@@ -303,11 +318,37 @@ impl<T: Send + 'static> Endpoint<T> {
         Ok(())
     }
 
-    fn note_recv(&self, d: &Delivery<T>) {
+    fn clock(&self) -> &Clock {
+        &self.fabric.inner.clock
+    }
+
+    /// Account a taken frame: its traffic, and its lateness past its
+    /// landing in `model.overshoot_ns.network`.
+    fn note_recv(&self, d: Delivery<T>) -> Delivery<T> {
         self.stats.msgs_received.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_received
             .fetch_add(d.wire_bytes as u64, Ordering::Relaxed);
+        if let Some(at) = d.at {
+            self.clock().late(Charge::Network, at);
+        }
+        d
+    }
+
+    /// Take the first frame in queue order that has landed.  One NIC
+    /// serialises a source's frames, so they land in send order, and a
+    /// frame from an idle NIC is not held behind a busy NIC's later one.
+    fn take_landed(&self, queue: &mut VecDeque<Delivery<T>>) -> Option<Delivery<T>> {
+        let now = self.clock().now();
+        let at = queue.iter().position(|d| d.at.is_none_or(|at| at <= now))?;
+        queue.remove(at)
+    }
+
+    /// The earliest landing in `queue` (an intra-node frame's is now), or
+    /// `None` if nothing is queued.
+    fn first_landing_in(&self, queue: &VecDeque<Delivery<T>>) -> Option<Stamp> {
+        let now = self.clock().now();
+        queue.iter().map(|d| d.at.unwrap_or(now)).min()
     }
 
     /// Block until a message arrives.
@@ -315,21 +356,38 @@ impl<T: Send + 'static> Endpoint<T> {
         self.recv_until(Deadline::NEVER)
     }
 
-    /// Return a queued message if one is available.
+    /// Return a landed message if one is queued.
     pub fn try_recv(&self) -> Result<Delivery<T>, RecvError> {
-        let d = self.rx.try_recv().ok_or(RecvError::Empty)?;
-        self.note_recv(&d);
-        Ok(d)
+        let d = self.rx.with_queue(|queue| self.take_landed(queue));
+        Ok(self.note_recv(d.ok_or(RecvError::Empty)?))
     }
 
-    /// Block until a message arrives or `deadline` passes.
+    /// Block until a message has landed or `deadline` passes.
     pub fn recv_until(&self, deadline: Deadline) -> Result<Delivery<T>, RecvError> {
-        let d = self
-            .rx
-            .recv_until(&self.fabric.inner.clock, deadline)
-            .ok_or(RecvError::Timeout)?;
-        self.note_recv(&d);
-        Ok(d)
+        let clock = self.clock();
+        loop {
+            // Take a landed frame, or learn when the first queued one lands.
+            let looked = self.rx.with_queue(|queue| {
+                let taken = self.take_landed(queue);
+                taken.ok_or_else(|| (queue.len(), self.first_landing_in(queue)))
+            });
+            let (queued, landing) = match looked {
+                Ok(d) => return Ok(self.note_recv(d)),
+                Err(_) if clock.passed(deadline) => return Err(RecvError::Timeout),
+                Err(next) => next,
+            };
+            // Wait for that landing, or for a send, whose frame may land
+            // sooner: then look again.  Only the look scans the queue.
+            let landing = landing.map_or(Deadline::NEVER, Deadline::landing);
+            let sent = |queue: &mut VecDeque<_>| (queue.len() != queued).then_some(());
+            self.rx.recv_with(clock, deadline.min(landing), sent);
+        }
+    }
+
+    /// When the first frame queued here lands (passed while a landed one is
+    /// queued), or `None` if nothing is queued.
+    pub fn first_landing(&self) -> Option<Stamp> {
+        self.rx.with_queue(|queue| self.first_landing_in(queue))
     }
 
     /// Install a delivery notifier for this endpoint (see
@@ -360,7 +418,7 @@ impl<T> Drop for Endpoint<T> {
 mod tests {
     use super::*;
     use dcgn_simtime::CostModel;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     #[test]
     fn point_to_point_delivery() {
@@ -440,21 +498,73 @@ mod tests {
 
     #[test]
     fn inter_node_send_charges_network_cost() {
+        let us = Duration::from_micros;
         let mut cost = CostModel::zero();
         cost.network = dcgn_simtime::LinkCost::from_us_and_mbps(400, 1e9);
+        cost.intra_node = dcgn_simtime::LinkCost::from_us_and_mbps(400, 1e9);
         let fabric: Fabric<u32> = Fabric::new(2, cost);
+        let clock = fabric.clock().clone();
         let a = fabric.attach(0);
         let b = fabric.attach(1);
-        let start = Instant::now();
+        // The NIC sends while the sender goes on: two frames book it back
+        // to back, and neither send waits for the wire.
+        let (start, early) = (clock.now(), clock.deadline(us(200)));
         a.send(b.id(), 1, 0).unwrap();
-        assert!(start.elapsed() >= Duration::from_micros(400));
-        // Intra-node send does not pay the network latency.
+        a.send(b.id(), 2, 0).unwrap();
+        assert!(clock.elapsed(start) < us(400));
+        // Nothing has landed halfway through the first frame's wire time;
+        // each frame lands a wire time after the one before it.
+        assert_eq!(b.recv_until(early).unwrap_err(), RecvError::Timeout);
+        assert_eq!(b.recv().unwrap().msg, 1);
+        assert!(clock.elapsed(start) >= us(400));
+        assert_eq!(b.recv().unwrap().msg, 2);
+        assert!(clock.elapsed(start) >= us(800));
+        // An intra-node send blocks for its copy, and its frame is in place
+        // once the send returns.
         let c = fabric.attach(0);
-        let start = Instant::now();
-        a.send(c.id(), 1, 0).unwrap();
-        assert!(start.elapsed() < Duration::from_micros(400));
-        let _ = b.recv().unwrap();
-        let _ = c.recv().unwrap();
+        let start = clock.now();
+        a.send(c.id(), 3, 0).unwrap();
+        assert!(clock.elapsed(start) >= us(400));
+        assert_eq!(c.try_recv().unwrap().msg, 3);
+    }
+
+    #[test]
+    fn frames_are_taken_as_they_land_and_in_order_per_source() {
+        let mut cost = CostModel::zero();
+        cost.network = dcgn_simtime::LinkCost::from_us_and_mbps(10_000, 1e9);
+        let fabric: Fabric<(char, u32)> = Fabric::new(3, cost);
+        let (busy, idle, dst) = (fabric.attach(0), fabric.attach(1), fabric.attach(2));
+        // The busy NIC's three frames land 10, 20 and 30 ms in; the idle
+        // NIC's one, queued behind all three, lands just after the first.
+        for seq in 0..3 {
+            busy.send(dst.id(), ('b', seq), 0).unwrap();
+        }
+        idle.send(dst.id(), ('i', 0), 0).unwrap();
+        assert_eq!(dst.try_recv().unwrap_err(), RecvError::Empty);
+        let taken: Vec<_> = (0..4).map(|_| dst.recv().unwrap().msg).collect();
+        assert_eq!(taken, [('b', 0), ('i', 0), ('b', 1), ('b', 2)]);
+    }
+
+    #[test]
+    fn a_flood_of_frames_drains_in_order_as_they_land() {
+        // Ten thousand sends book the NIC 10 ms ahead at once, so the
+        // receiver's queue is that deep: each take still looks at the queue
+        // head first, and scans the whole queue only when nothing landed.
+        let mut cost = CostModel::zero();
+        cost.network = dcgn_simtime::LinkCost::from_us_and_mbps(1, 1e9);
+        let fabric: Fabric<u32> = Fabric::new(2, cost);
+        let clock = fabric.clock().clone();
+        let (a, b) = (fabric.attach(0), fabric.attach(1));
+        let start = clock.now();
+        for seq in 0..10_000 {
+            a.send(b.id(), seq, 0).unwrap();
+        }
+        for seq in 0..10_000 {
+            assert_eq!(b.recv().unwrap().msg, seq);
+        }
+        // The NIC's 10 ms, with room for a loaded test host: a wait that
+        // scans the whole queue on every poll takes seconds.
+        assert!(clock.elapsed(start) < Duration::from_millis(500));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! This crate provides that substrate in software: a [`Cluster`] of nodes,
 //! each with a NIC, connected by a [`Fabric`] that delivers typed messages
 //! between [`Endpoint`]s while charging the configured latency/bandwidth
-//! costs and serialising concurrent transfers on each node's NIC.
+//! costs and serialising concurrent transfers on each node's NIC, which
+//! sends while its sender goes on.
 //!
 //! The fabric is deliberately minimal: it offers reliable, per-sender-ordered,
 //! point-to-point delivery only.  Anything higher level — tag matching,

@@ -343,6 +343,25 @@ impl Communicator {
         Ok(Request(id))
     }
 
+    /// When this rank next has a frame to hand out, as of `by`: `by` while
+    /// a receive holds one it completed with (progress absorbs a landed
+    /// frame into a matching posted receive, and no wake marks that), else
+    /// the first landing of a frame queued for it ([`Endpoint::first_landing`]),
+    /// or `None`.  A caller that waits on other events too (DCGN's comm
+    /// thread) waits no later than this.
+    pub fn pending_landing(&self, by: Stamp) -> Option<Stamp> {
+        let completed = |op: &Op| {
+            matches!(
+                op,
+                Op::Recv(RecvState::Complete { .. } | RecvState::Failed(_))
+            )
+        };
+        if self.ops.values().any(completed) {
+            return Some(by);
+        }
+        self.endpoint.first_landing()
+    }
+
     /// Make one nonblocking progress pass and report whether `req` has
     /// completed.  The request stays valid until waited on.
     pub fn test(&mut self, req: Request) -> Result<bool> {
@@ -629,12 +648,13 @@ impl Communicator {
 
     /// Charge the receive-drain engine for an inter-node rendezvous payload;
     /// true when it did.  This is the second stage of the fabric's bandwidth
-    /// pipeline: the sender paid wire time on its thread; the receiver pays
-    /// drain time here, so a transfer of several chunks overlaps the two
-    /// while a one-chunk one serialises them.  The drain moves the chunk
-    /// into the buffer the receive completes with, so it is the payload's
-    /// only receive-side movement: [`Status::drained`] tells the layer
-    /// above that it owes no copy of its own.
+    /// pipeline: the sender's NIC booked the wire time, and the chunk was
+    /// taken once it landed; the receiver pays drain time here, so a
+    /// transfer of several chunks overlaps the two while a one-chunk one
+    /// serialises them.  The drain moves the chunk into the buffer the
+    /// receive completes with, so it is the payload's only receive-side
+    /// movement: [`Status::drained`] tells the layer above that it owes no
+    /// copy of its own.
     fn drain_payload(&self, src: usize, bytes: usize) -> bool {
         let remote = bytes > 0 && self.rank_to_node[src] != self.endpoint.node();
         if remote {
@@ -986,6 +1006,7 @@ mod tests {
         let from_rank0 = |msg| Delivery {
             src: rank0,
             wire_bytes: 0,
+            at: None,
             msg,
         };
         let req = receiver.irecv(Some(0), Some(7)).unwrap();

@@ -2,13 +2,14 @@
 //!
 //! Real PCI-e links and NICs serialise transfers: two concurrent 1 MB copies
 //! to the same GPU each see roughly half the bandwidth.  [`VirtualBus`] models
-//! this by holding a mutex for the duration of each charged transfer so that
-//! concurrent users queue up behind one another, exactly like DMA requests on
-//! the paper's PCI-e bus shared by the GPU and the NIC.
+//! this in one of two modes, one per bus: a blocking [`VirtualBus::transfer`]
+//! holds a mutex through the copy (the paper's synchronous PCI-e copies), and
+//! a NIC that sends while its CPU works books a busy-until stamp instead
+//! ([`VirtualBus::reserve`]), which a `transfer` does not read.
 
 use parking_lot::Mutex;
 
-use crate::clock::{Charge, Clock};
+use crate::clock::{Charge, Clock, Stamp};
 use crate::cost::LinkCost;
 
 /// A bus with a single transfer engine, whose transfers are charged to one
@@ -17,7 +18,8 @@ use crate::cost::LinkCost;
 pub struct VirtualBus {
     kind: Charge,
     cost: LinkCost,
-    engine: Mutex<()>,
+    /// Held through a transfer; or the end of the last reservation.
+    engine: Mutex<Option<Stamp>>,
 }
 
 impl VirtualBus {
@@ -26,7 +28,7 @@ impl VirtualBus {
         VirtualBus {
             kind,
             cost,
-            engine: Mutex::new(()),
+            engine: Mutex::new(None),
         }
     }
 
@@ -38,6 +40,16 @@ impl VirtualBus {
         }
         let _guard = self.engine.lock();
         clock.charge(self.kind, self.cost.transfer_time(bytes));
+    }
+
+    /// Book a transfer of `bytes` on `clock` after every earlier one, and
+    /// not before now, without blocking; returns when it ends, which is
+    /// when its bytes land.
+    pub fn reserve(&self, clock: &Clock, bytes: usize) -> Stamp {
+        let mut busy_until = self.engine.lock();
+        let end = clock.book(self.kind, *busy_until, self.cost.transfer_time(bytes));
+        *busy_until = Some(end);
+        end
     }
 }
 
@@ -88,5 +100,30 @@ mod tests {
         }
         // Three 500µs transfers must serialise to at least ~1.5ms.
         assert!(clock.elapsed(start) >= Duration::from_micros(1400));
+    }
+
+    #[test]
+    fn reservations_book_without_blocking_and_end_back_to_back() {
+        let metrics = dcgn_metrics::MetricsHandle::new();
+        let clock = Clock::new(CostModel::zero(), &metrics);
+        // Milliseconds, so that a preempted test thread does not read as a
+        // blocking reservation.
+        let ms = Duration::from_millis;
+        let bus = VirtualBus::new(Charge::Network, LinkCost::from_us_and_mbps(10_000, 1e12));
+        let start = clock.now();
+        let (first, second) = (bus.reserve(&clock, 0), bus.reserve(&clock, 0));
+        assert!(clock.elapsed(start) < ms(10), "a reservation blocked");
+        let charged = metrics.snapshot().counter("model.charged_ns.network");
+        assert_eq!(charged, 20_000_000);
+        // The first lands a transfer after the reservation, the second a
+        // transfer after the first.
+        let landed = |at| {
+            while at > clock.now() {
+                std::thread::yield_now();
+            }
+            clock.elapsed(start)
+        };
+        assert!(landed(first) >= ms(10));
+        assert!(landed(second) >= ms(20));
     }
 }

@@ -94,14 +94,20 @@ pub struct Drained {
 impl<T> Receiver<T> {
     /// Take the next item if one is queued, without waiting.
     pub fn try_recv(&self) -> Option<T> {
-        self.0.state.lock().queue.pop_front()
+        self.with_queue(VecDeque::pop_front)
+    }
+
+    /// Run `look` on the queue under its lock, without waiting (a fabric
+    /// endpoint takes the first frame that has landed, not the head).
+    pub fn with_queue<R>(&self, look: impl FnOnce(&mut VecDeque<T>) -> R) -> R {
+        look(&mut self.0.state.lock().queue)
     }
 
     /// The next item, waiting on `clock` until `deadline` at most (`None`
     /// once it passes; a passed one looks once): a [`Clock::poll_until`]
     /// whose park is a wait on the channel's condvar.
     pub fn recv_until(&self, clock: &Clock, deadline: Deadline) -> Option<T> {
-        self.poll_until(clock, deadline, |queue| queue.pop_front())
+        self.recv_with(clock, deadline, VecDeque::pop_front)
     }
 
     /// One crossing of this queue — the one place that decides what a
@@ -124,7 +130,7 @@ impl<T> Receiver<T> {
         mut file: impl FnMut(T) -> bool,
     ) -> Option<Drained> {
         let mut spare = self.1.lock();
-        let mut crossing = self.poll_until(clock, deadline, |queue| {
+        let mut crossing = self.recv_with(clock, deadline, |queue| {
             (!queue.is_empty()).then(|| std::mem::replace(queue, std::mem::take(&mut *spare)))
         })?;
         let taken = crossing.len();
@@ -139,23 +145,31 @@ impl<T> Receiver<T> {
     }
 
     /// Wait until `take` finds something in the queue, or `deadline`
-    /// passes: spin, then park on `ready` until a send wakes this receiver.
-    fn poll_until<R>(
+    /// passes (`None`): spin, then park on `ready` until a send wakes this
+    /// receiver.  `take` may leave items it does not want yet queued.
+    pub fn recv_with<R>(
         &self,
         clock: &Clock,
         deadline: Deadline,
         mut take: impl FnMut(&mut VecDeque<T>) -> Option<R>,
     ) -> Option<R> {
+        let seen = std::cell::Cell::new(0);
+        let poll = || {
+            let mut state = self.0.state.lock();
+            let got = take(&mut state.queue);
+            seen.set(state.queue.len());
+            got
+        };
         let park = |deadline| {
             let mut state = self.0.state.lock();
-            // A send that landed since the last poll must not be slept on.
-            if state.queue.is_empty() {
+            // A send since the last poll must not be slept on.
+            if state.queue.len() == seen.get() {
                 state.waiting += 1;
                 clock.wait_until(&self.0.ready, &mut state, deadline);
                 state.waiting -= 1;
             }
         };
-        clock.poll_until(deadline, || take(&mut self.0.state.lock().queue), park)
+        clock.poll_until(deadline, poll, park)
     }
 }
 
@@ -239,6 +253,19 @@ mod tests {
             t.join().unwrap();
             assert_eq!(rx.0.state.lock().waiting, 0);
         }
+    }
+
+    #[test]
+    fn an_item_left_queued_does_not_turn_the_park_into_a_spin() {
+        // A fabric endpoint leaves a frame that has not landed queued: its
+        // wait parks until something is sent, not only while nothing is.
+        let metrics = MetricsHandle::new();
+        let clock = Clock::new(CostModel::zero(), &metrics);
+        let (tx, rx) = channel();
+        tx.send(1).unwrap();
+        let deadline = clock.deadline(Duration::from_millis(5));
+        assert_eq!(rx.recv_with(&clock, deadline, |_| None::<u32>), None);
+        assert!(metrics.snapshot().counter("clock.parks") <= 2);
     }
 
     #[test]

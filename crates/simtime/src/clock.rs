@@ -6,8 +6,9 @@
 //! [`Charge`] kind, exact however noisy the wall clock is.  Beside it,
 //! `model.overshoot_ns.<kind>` counts the real time each charge blocked past
 //! its modelled length: wall-clock time, not model, the "OS sleep jitter"
-//! term of a measured latency.  Every wait names
-//! the event it waits for and a [`Deadline`]; the ones that spin share one
+//! term of a measured latency; a NIC's frames are booked, not slept, so theirs
+//! is the taker's lateness ([`Clock::late`]).  Every wait names the event it
+//! waits for and a [`Deadline`]; the ones that spin share one
 //! budget, and `clock.parks` counts those that outlasted it and blocked: a
 //! channel receive ([`crate::channel::Receiver::recv_until`]) or a device
 //! block waiting on a word, both a [`Clock::poll_until`].
@@ -21,12 +22,16 @@ use parking_lot::{Condvar, MutexGuard};
 use crate::cost::CostModel;
 use crate::sleep::{sleep_from, PARK_AFTER};
 
+/// A wait for a landing spins its last 100 µs: a timed park oversleeps by
+/// the thread's timer slack (a median 55 µs at Linux's default 50 µs).
+const LANDING_SLACK: Duration = Duration::from_micros(100);
+
 /// What a modelled cost pays for: each kind has its own ledger counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Charge {
     /// A host ↔ device transfer over PCI-e.
     Pcie,
-    /// A frame on an inter-node NIC.
+    /// A frame on an inter-node NIC, booked without blocking.
     Network,
     /// A shared-memory copy within a node.
     IntraNode,
@@ -54,29 +59,37 @@ const KINDS: [&str; 7] = [
     "poll",
 ];
 
-/// A reading of a [`Clock`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A reading of a [`Clock`]; a later reading compares greater.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Stamp(Instant);
 
 /// The point at which a timed wait gives up.  A wait too long to represent
-/// saturates to [`Deadline::NEVER`] instead of overflowing.
+/// saturates to [`Deadline::NEVER`] instead of overflowing.  The flag marks
+/// a frame's landing ([`Deadline::landing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Deadline(Option<Instant>);
+pub struct Deadline(Option<Instant>, bool);
 
 impl Deadline {
     /// A deadline that never passes.
-    pub const NEVER: Deadline = Deadline(None);
+    pub const NEVER: Deadline = Deadline(None, false);
 
     /// `wait` after `now`, or never when that is past the clock's range.
     fn after(now: Stamp, wait: Duration) -> Deadline {
-        Deadline(now.0.checked_add(wait))
+        Deadline(now.0.checked_add(wait), false)
+    }
+
+    /// The landing of a frame stamped `at`: a wait that ends there parks
+    /// only until `LANDING_SLACK` (100 µs) before it and spins the rest.
+    pub fn landing(at: Stamp) -> Deadline {
+        Deadline(Some(at.0), true)
     }
 
     /// The earlier of two deadlines.
     pub fn min(self, other: Deadline) -> Deadline {
         match (self.0, other.0) {
-            (Some(a), Some(b)) => Deadline(Some(a.min(b))),
-            (a, b) => Deadline(a.or(b)),
+            (Some(a), Some(b)) if b < a => other,
+            (Some(_), _) => self,
+            (None, _) => other,
         }
     }
 }
@@ -130,6 +143,20 @@ impl Clock {
         deadline.0.is_some_and(|at| Instant::now() >= at)
     }
 
+    /// Book `d` of `kind` from when an engine busy until `busy_until` is
+    /// free, or now: add it to the ledger without blocking; returns its end.
+    pub(crate) fn book(&self, kind: Charge, busy_until: Option<Stamp>, d: Duration) -> Stamp {
+        self.0.charged_ns[kind as usize].add(d.as_nanos() as u64);
+        let now = Instant::now();
+        Stamp(busy_until.map_or(now, |busy| busy.0.max(now)) + d)
+    }
+
+    /// An item of a booked `kind` due at `at` is taken now: its lateness
+    /// goes to `model.overshoot_ns.<kind>`.
+    pub fn late(&self, kind: Charge, at: Stamp) {
+        self.0.overshoot_ns[kind as usize].add(at.0.elapsed().as_nanos() as u64);
+    }
+
     /// Pay the modelled cost `d` of a `kind` of hardware step: block for
     /// exactly `d` ([`crate::precise_sleep`]) and add it to the ledger.  The
     /// ledger's update is part of the `d`, not added to it.  The real time
@@ -151,7 +178,8 @@ impl Clock {
     /// call `park` on every miss, counted in `clock.parks`; `park` blocks
     /// until what `poll` reads may have changed, or until the deadline it is
     /// given.  The spin is an artefact of the real clock, whose futex
-    /// wake-up costs more; a virtual clock parks at once.
+    /// wake-up costs more; a virtual clock parks at once.  A wait for a
+    /// landing yield-polls its last 100 µs ([`Deadline::landing`]).
     pub fn poll_until<T>(
         &self,
         deadline: Deadline,
@@ -159,6 +187,10 @@ impl Clock {
         mut park: impl FnMut(Deadline),
     ) -> Option<T> {
         let park_at = Deadline::after(self.now(), PARK_AFTER);
+        let park_until = match deadline {
+            Deadline(Some(at), true) => Deadline(at.checked_sub(LANDING_SLACK).or(Some(at)), false),
+            _ => deadline,
+        };
         loop {
             if let Some(done) = poll() {
                 return Some(done);
@@ -166,9 +198,9 @@ impl Clock {
             if self.passed(deadline) {
                 return None;
             }
-            if self.passed(park_at) {
+            if self.passed(park_at) && !self.passed(park_until) {
                 self.0.parks.inc();
-                park(deadline);
+                park(park_until);
             } else {
                 std::thread::yield_now();
             }

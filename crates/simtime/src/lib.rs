@@ -11,9 +11,10 @@
 //! for an event until a [`Deadline`] through it, and pays each modelled
 //! hardware cost with [`Clock::charge`], which blocks for it and adds it to
 //! a per-[`Charge`]-kind cost ledger in the metrics registry, and the real
-//! time it blocked past that cost to a per-kind overshoot ledger.  A charge
-//! yields its core while more than 2 µs of it is left and spins through the
-//! rest, starting no yield that could carry it past its deadline.  The
+//! time it blocked past that cost to a per-kind overshoot ledger (a NIC's
+//! frame is booked instead, [`VirtualBus::reserve`]).  A charge yields its
+//! core while more than 2 µs of it is left and spins through the rest,
+//! starting no yield that could carry it past its deadline.  The
 //! clock's wait on a polled condition, [`Clock::poll_until`], spins for
 //! 50 µs before it parks: an artefact of the real clock, whose futex
 //! wake-up costs more than a short spin, that a virtual clock would drop.

@@ -1,7 +1,7 @@
-//! The delay behind [`crate::Clock::charge`]: modelled hardware costs are
-//! injected as real wall-clock delays.  On a lightly loaded machine
-//! `thread::sleep` has a granularity of tens of microseconds, far coarser than
-//! the latencies modelled, so short delays are a yielding spin instead.
+//! The delay behind [`crate::Clock::charge`]: modelled costs but a NIC's are
+//! real wall-clock delays.  On a lightly loaded machine `thread::sleep` has a
+//! granularity of tens of microseconds, far coarser than the latencies
+//! modelled, so short delays are a yielding spin instead.
 //! Either way a delay ends in a raw spin of at most `YIELD_TAIL` (2 µs): on
 //! a shared core a yield returns only after another runnable thread's turn,
 //! so one started that close to the deadline would run past it.
