@@ -46,8 +46,9 @@
 //! Large frames need no special handling here: any payload above the
 //! substrate's eager threshold rides the rendezvous path, and payloads beyond
 //! one chunk stream through its credit-windowed chunk pipeline automatically
-//! (see `dcgn_rmpi::RdvConfig` and the `DCGN_RDV_CHUNK` / `DCGN_RDV_WINDOW`
-//! knobs on [`crate::DcgnConfig`]).
+//! (see `dcgn_rmpi::RdvConfig`, whose `from_env` reads the `DCGN_RDV_CHUNK` /
+//! `DCGN_RDV_WINDOW` env vars, and [`crate::DcgnConfig::resolved_rdv_config`],
+//! which applies them).
 
 mod ops;
 

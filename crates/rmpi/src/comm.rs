@@ -30,23 +30,27 @@
 //! ```text
 //! sender                          receiver
 //!   | -- Rts{len, send_id} ------->  |   (posted recv matches,
-//!   | <------------- Cts{send_id} -- |    allocates nothing)
+//!   | <---- Cts{send_id, recv_id} -- |    allocates nothing)
 //!   | -- RdvChunk{off=0}  --------->  |   ┐ up to `window`
 //!   | -- RdvChunk{off=C}  --------->  |   ┘ chunks in flight
 //!   | <-- RdvCredit{window/2} ------ |   (per half window drained)
 //!   | -- RdvChunk{off=2C} --------->  |   …until all chunks are sent
 //! ```
 //!
-//! Transfers are identified by `(source rank, send_id)` on the receiver and
-//! by `send_id` on the sender, so any number of transfers — including
-//! several between the same rank pair — interleave without cross-talk, and
-//! credits arriving late or out of order for a finished transfer are
-//! ignored.  A failed mid-stream send tombstones the operation
+//! A request has one id, its key in the communicator's table of ops, and
+//! every rendezvous frame names the op it advances in the table of the rank
+//! that receives it: the RTS and each credit carry the sender's id, the CTS
+//! both, each chunk the receiver's.  Ids are never reused, so any number of
+//! transfers — including several between the same rank pair — interleave
+//! without cross-talk.  A frame is taken only from the op's peer and only in
+//! the state that expects it; any other (a credit arriving late for a
+//! finished transfer, a chunk for a tombstoned receive) is dropped.  A
+//! failed mid-stream send tombstones the operation
 //! (`SendState::Failed`/`RecvState::Failed`): the error surfaces from
 //! the wait call, in-flight accounting is released, and no window slots or
 //! pooled frames leak.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -86,13 +90,14 @@ pub(crate) const TAG_COLLECTIVE: u32 = TAG_INTERNAL_BASE;
 pub struct Request(u64);
 
 enum SendState {
-    NotStarted,
+    /// The RTS left; the staged payload waits for the receiver's CTS.
     WaitingCts {
-        send_id: u64,
+        data: Payload,
     },
     /// Credit-windowed chunk stream in progress.
     Streaming {
-        send_id: u64,
+        /// The receiver's id of the receive, from its CTS.
+        recv_id: u64,
         /// The staged payload; chunks are zero-copy views into it.  Emptied
         /// before the last chunk leaves.
         data: Payload,
@@ -114,8 +119,6 @@ enum SendState {
 
 struct SendOp {
     dst: usize,
-    tag: u32,
-    data: Option<Payload>,
     state: SendState,
 }
 
@@ -125,6 +128,7 @@ enum RecvState {
     /// into one growing view of the sender's staged allocation
     /// (`assembled.len()` is the bytes received).
     Assembling {
+        /// The sender's id of the send, from its RTS.
         send_id: u64,
         src: usize,
         tag: u32,
@@ -197,19 +201,10 @@ pub struct Communicator {
     rdv: RdvConfig,
     progress_timeout: Duration,
     next_req: u64,
-    next_send_id: u64,
+    /// Every op by its request id, which rendezvous frames name.
     ops: HashMap<u64, Op>,
     /// Unexpected messages and receives awaiting a match.
     matcher: Matcher<Unexpected, PostedRecv>,
-    /// Send ops that have not yet touched the wire, in submission order.
-    send_fifo: VecDeque<u64>,
-    /// Sender-side rendezvous index: `send_id` → op id.  Gives CTS and
-    /// credit handling O(1) lookups instead of scanning every op.
-    send_streams: HashMap<u64, u64>,
-    /// Receiver-side rendezvous index: `(source rank, send_id)` → op id.
-    /// Keyed by source as well, because `send_id`s are per-*sender*
-    /// counters and collide across senders.
-    recv_streams: HashMap<(usize, u64), u64>,
     /// The world as this crate's collectives lay it out: rank `r` is
     /// participant `r`.
     pub(crate) layout: Arc<Layout>,
@@ -245,12 +240,8 @@ impl Communicator {
             rdv,
             progress_timeout: Duration::from_secs(30),
             next_req: 0,
-            next_send_id: 0,
             ops: HashMap::new(),
             matcher: Matcher::default(),
-            send_fifo: VecDeque::new(),
-            send_streams: HashMap::new(),
-            recv_streams: HashMap::new(),
             layout: Arc::new(Layout::new((0..size).collect())),
             exchanges: Driver::new(rank, size),
             eager_sends: metrics.counter("rmpi.eager_sends"),
@@ -305,24 +296,38 @@ impl Communicator {
     /// is a pooled, shared buffer: handing it to the substrate moves a
     /// reference (the caller typically framed it in place), and the
     /// receiver gets views of the same allocation.
+    ///
+    /// An eager payload leaves at once and the send is complete from the
+    /// sender's point of view (fire-and-forget, like an MPI buffered eager
+    /// send); a larger one announces itself with an RTS and waits, staged,
+    /// for the receiver's CTS.
     pub fn isend(&mut self, dst: usize, tag: u32, data: impl Into<Payload>) -> Result<Request> {
         let data = data.into();
         if dst >= self.size() {
             return Err(RmpiError::InvalidRank(dst));
         }
         let id = self.alloc_req();
-        self.ops.insert(
-            id,
-            Op::Send(SendOp {
-                dst,
+        let dst_ep = self.ep_of(dst);
+        let state = if data.len() <= self.rdv.eager_threshold {
+            let pkt = Packet::Eager { tag, data };
+            let wire = pkt.wire_bytes();
+            self.eager_sends.inc();
+            let _ = self.endpoint.send(dst_ep, pkt, wire);
+            SendState::Complete
+        } else {
+            let pkt = Packet::Rts {
                 tag,
-                data: Some(data),
-                state: SendState::NotStarted,
-            }),
-        );
-        self.send_fifo.push_back(id);
-        // Kick the engine once so eager sends leave immediately.
-        self.start_sends();
+                len: data.len(),
+                send_id: id,
+            };
+            let wire = pkt.wire_bytes();
+            self.rdv_sends.inc();
+            match self.endpoint.send(dst_ep, pkt, wire) {
+                Ok(()) => SendState::WaitingCts { data },
+                Err(_) => SendState::Failed(RmpiError::Disconnected),
+            }
+        };
+        self.ops.insert(id, Op::Send(SendOp { dst, state }));
         Ok(Request(id))
     }
 
@@ -525,57 +530,6 @@ impl Communicator {
         }
     }
 
-    /// Start every send that has not yet touched the wire, in submission
-    /// order (the FIFO holds exactly the `NotStarted` ops, so no scan over
-    /// unrelated operations is needed).
-    fn start_sends(&mut self) {
-        while let Some(id) = self.send_fifo.pop_front() {
-            let (dst, tag, data_len) = match self.ops.get(&id) {
-                Some(Op::Send(s)) if matches!(s.state, SendState::NotStarted) => {
-                    (s.dst, s.tag, s.data.as_ref().map_or(0, |d| d.len()))
-                }
-                _ => continue,
-            };
-            let dst_ep = self.ep_of(dst);
-            if data_len <= self.rdv.eager_threshold {
-                // Eager: ship the payload immediately; the send is complete
-                // from the sender's point of view (fire-and-forget, like an
-                // MPI buffered eager send).
-                let data = match self.ops.get_mut(&id) {
-                    Some(Op::Send(s)) => s.data.take().unwrap_or_else(Payload::empty),
-                    _ => continue,
-                };
-                let pkt = Packet::Eager { tag, data };
-                let wire = pkt.wire_bytes();
-                self.eager_sends.inc();
-                let _ = self.endpoint.send(dst_ep, pkt, wire);
-                if let Some(Op::Send(s)) = self.ops.get_mut(&id) {
-                    s.state = SendState::Complete;
-                }
-            } else {
-                // Rendezvous: announce and wait for the receiver's CTS.
-                let send_id = self.next_send_id;
-                self.next_send_id += 1;
-                let pkt = Packet::Rts {
-                    tag,
-                    len: data_len,
-                    send_id,
-                };
-                let wire = pkt.wire_bytes();
-                self.rdv_sends.inc();
-                match self.endpoint.send(dst_ep, pkt, wire) {
-                    Ok(()) => {
-                        self.send_streams.insert(send_id, id);
-                        if let Some(Op::Send(s)) = self.ops.get_mut(&id) {
-                            s.state = SendState::WaitingCts { send_id };
-                        }
-                    }
-                    Err(_) => self.fail_send(id, RmpiError::Disconnected),
-                }
-            }
-        }
-    }
-
     /// Hand a matched message to posted receive `id`: an eager payload
     /// completes it, an RTS starts its rendezvous.
     fn deliver(&mut self, id: u64, msg: Unexpected) {
@@ -611,9 +565,11 @@ impl Communicator {
                 started: self.endpoint.fabric().clock().now(),
             };
         }
-        self.recv_streams.insert((src, send_id), id);
         let src_ep = self.ep_of(src);
-        let pkt = Packet::Cts { send_id };
+        let pkt = Packet::Cts {
+            send_id,
+            recv_id: id,
+        };
         let wire = pkt.wire_bytes();
         if self.endpoint.send(src_ep, pkt, wire).is_err() {
             self.fail_recv(id, RmpiError::Disconnected);
@@ -628,18 +584,20 @@ impl Communicator {
         let (tag, kind) = match delivery.msg {
             Packet::Eager { tag, data } => (tag, UnexpectedKind::Eager(data)),
             Packet::Rts { tag, send_id, len } => (tag, UnexpectedKind::Rts { send_id, len }),
-            Packet::Cts { send_id } => return self.handle_cts(send_id),
+            Packet::Cts { send_id, recv_id } => return self.handle_cts(src, send_id, recv_id),
             Packet::RdvChunk {
-                send_id,
+                recv_id,
                 offset,
                 data,
             } => {
                 let drained = self.drain_payload(src, data.len());
-                return self.handle_chunk(src, send_id, offset, data, drained);
+                return self.handle_chunk(src, recv_id, offset, data, drained);
             }
             // Credits for a finished or tombstoned transfer are expected
-            // stragglers and are dropped by the lookup below.
-            Packet::RdvCredit { send_id, chunks } => return self.handle_credit(send_id, chunks),
+            // stragglers, and `handle_credit` drops them.
+            Packet::RdvCredit { send_id, chunks } => {
+                return self.handle_credit(src, send_id, chunks)
+            }
         };
         if let Some((recv, msg)) = self.matcher.arrive(Unexpected { src, tag, kind }) {
             self.deliver(recv.id, msg);
@@ -663,40 +621,42 @@ impl Communicator {
         remote
     }
 
-    /// The receiver released a rendezvous transfer: open the credit window
-    /// and start streaming.
-    fn handle_cts(&mut self, send_id: u64) {
-        let Some(&id) = self.send_streams.get(&send_id) else {
+    /// Rank `src`'s receive `recv_id` released send `send_id`: open the
+    /// credit window and start streaming.  Dropped unless the send waits for
+    /// a CTS from `src`.
+    fn handle_cts(&mut self, src: usize, send_id: u64, recv_id: u64) {
+        let Some(Op::Send(s)) = self.ops.get_mut(&send_id) else {
             return;
         };
-        match self.ops.get_mut(&id) {
-            Some(Op::Send(s)) if matches!(s.state, SendState::WaitingCts { .. }) => {
-                s.state = SendState::Streaming {
-                    send_id,
-                    data: s.data.take().unwrap_or_else(Payload::empty),
-                    next_offset: 0,
-                    credits: self.rdv.window,
-                    sent: 0,
-                    acked: 0,
-                };
-            }
-            _ => return,
+        let SendState::WaitingCts { data } = &mut s.state else {
+            return;
+        };
+        if s.dst != src {
+            return;
         }
-        self.pump_chunks(id);
+        s.state = SendState::Streaming {
+            recv_id,
+            data: std::mem::replace(data, Payload::empty()),
+            next_offset: 0,
+            credits: self.rdv.window,
+            sent: 0,
+            acked: 0,
+        };
+        self.pump_chunks(send_id);
     }
 
     /// Send chunks while the window has credits and payload remains.  The
     /// transfer completes when the last chunk leaves; credits still in
-    /// flight for it are released from the gauge here and late arrivals are
-    /// dropped by the id lookup.
+    /// flight for it are released from the gauge here and late arrivals
+    /// find it no longer streaming.
     fn pump_chunks(&mut self, id: u64) {
         loop {
-            let (dst, send_id, chunk, offset, done) = match self.ops.get_mut(&id) {
+            let (dst, recv_id, chunk, offset, done) = match self.ops.get_mut(&id) {
                 Some(Op::Send(SendOp {
                     dst,
                     state:
                         SendState::Streaming {
-                            send_id,
+                            recv_id,
                             data,
                             next_offset,
                             credits,
@@ -721,7 +681,7 @@ impl Communicator {
                     *next_offset = end;
                     *credits -= 1;
                     *sent += 1;
-                    (*dst, *send_id, chunk, offset, done)
+                    (*dst, *recv_id, chunk, offset, done)
                 }
                 _ => return,
             };
@@ -729,7 +689,7 @@ impl Communicator {
             self.rdv_inflight.add(1);
             let dst_ep = self.ep_of(dst);
             let pkt = Packet::RdvChunk {
-                send_id,
+                recv_id,
                 offset,
                 data: chunk,
             };
@@ -739,7 +699,7 @@ impl Communicator {
                 return;
             }
             if done {
-                self.complete_stream(id, send_id);
+                self.complete_stream(id);
                 return;
             }
         }
@@ -747,8 +707,7 @@ impl Communicator {
 
     /// Transition a finished chunk stream to `Complete`, releasing its
     /// remaining in-flight accounting and its staged payload.
-    fn complete_stream(&mut self, id: u64, send_id: u64) {
-        self.send_streams.remove(&send_id);
+    fn complete_stream(&mut self, id: u64) {
         if let Some(Op::Send(s)) = self.ops.get_mut(&id) {
             if let SendState::Streaming { sent, acked, .. } = s.state {
                 self.rdv_inflight.sub((sent - acked) as u64);
@@ -757,56 +716,49 @@ impl Communicator {
         }
     }
 
-    /// A credit returned window slots: account it and keep streaming.
-    fn handle_credit(&mut self, send_id: u64, chunks: usize) {
-        let Some(&id) = self.send_streams.get(&send_id) else {
-            return;
-        };
-        match self.ops.get_mut(&id) {
+    /// Rank `src` returned window slots to send `send_id`: account them and
+    /// keep streaming.  Dropped unless the send streams to `src`.
+    fn handle_credit(&mut self, src: usize, send_id: u64, chunks: usize) {
+        match self.ops.get_mut(&send_id) {
             Some(Op::Send(SendOp {
+                dst,
                 state: SendState::Streaming { credits, acked, .. },
-                ..
-            })) => {
+            })) if *dst == src => {
                 *credits += chunks;
                 *acked += chunks;
                 self.rdv_inflight.sub(chunks as u64);
             }
             _ => return,
         }
-        self.pump_chunks(id);
+        self.pump_chunks(send_id);
     }
 
-    /// One streamed chunk landed (`drained`: through this node's drain
-    /// stage): coalesce it into the assembled view and, every
-    /// [`RdvConfig::credit_batch`] drained chunks, return one coalesced
-    /// credit.  Chunks for unknown transfers (tombstoned receives) are
-    /// dropped — their hold on the staged buffer goes on return.
-    fn handle_chunk(
-        &mut self,
-        src: usize,
-        send_id: u64,
-        offset: usize,
-        data: Payload,
-        drained: bool,
-    ) {
-        let Some(&id) = self.recv_streams.get(&(src, send_id)) else {
-            return;
-        };
+    /// One streamed chunk for receive `id` landed from rank `src`
+    /// (`drained`: through this node's drain stage): coalesce it into the
+    /// assembled view and, every [`RdvConfig::credit_batch`] drained chunks,
+    /// return one coalesced credit.  Chunks for a receive that is not
+    /// assembling from `src` (finished or tombstoned, say) are dropped —
+    /// their hold on the staged buffer goes on return.
+    fn handle_chunk(&mut self, src: usize, id: u64, offset: usize, data: Payload, drained: bool) {
         let Some(Op::Recv(r)) = self.ops.get_mut(&id) else {
             return;
         };
         let RecvState::Assembling {
+            send_id,
+            src: from,
             tag,
             assembled,
             pending_credits,
             total,
             started,
-            ..
         } = r
         else {
             return;
         };
-        let total = *total;
+        if *from != src {
+            return;
+        }
+        let (send_id, total) = (*send_id, *total);
         // Append-only: the fabric's per-sender FIFO means the next chunk
         // starts exactly where the assembled view ends.  A duplicate (offset
         // behind), a gap (offset ahead) or an overrun cannot be assembled;
@@ -840,7 +792,6 @@ impl Communicator {
             };
             let data = std::mem::replace(assembled, Payload::empty());
             *r = RecvState::Complete { data, status };
-            self.recv_streams.remove(&(src, send_id));
             return;
         }
         *pending_credits += 1;
@@ -858,21 +809,12 @@ impl Communicator {
         }
     }
 
-    /// Tombstone a send: release its window accounting and index entries so
-    /// nothing leaks, and park the error for the wait call.
+    /// Tombstone a send: release its window accounting so nothing leaks,
+    /// and park the error for the wait call.
     fn fail_send(&mut self, id: u64, err: RmpiError) {
         if let Some(Op::Send(s)) = self.ops.get_mut(&id) {
-            if let SendState::Streaming {
-                send_id,
-                sent,
-                acked,
-                ..
-            } = s.state
-            {
+            if let SendState::Streaming { sent, acked, .. } = s.state {
                 self.rdv_inflight.sub((sent - acked) as u64);
-                self.send_streams.remove(&send_id);
-            } else if let SendState::WaitingCts { send_id } = s.state {
-                self.send_streams.remove(&send_id);
             }
             s.state = SendState::Failed(err);
         }
@@ -881,17 +823,13 @@ impl Communicator {
     /// Tombstone a receive, dropping its hold on the sender's staged buffer.
     fn fail_recv(&mut self, id: u64, err: RmpiError) {
         if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
-            if let RecvState::Assembling { send_id, src, .. } = r {
-                self.recv_streams.remove(&(*src, *send_id));
-            }
             *r = RecvState::Failed(err);
         }
     }
 
-    /// One nonblocking pass of the engine: start sends, drain the endpoint
-    /// (each arrival is matched as it is classified).
+    /// One nonblocking pass of the engine: drain the endpoint (each arrival
+    /// is matched as it is classified).
     fn progress_pass(&mut self) -> Result<()> {
-        self.start_sends();
         loop {
             match self.endpoint.try_recv() {
                 Ok(d) => self.classify(d),
@@ -989,42 +927,56 @@ mod tests {
         range.map(|i| i as u8).collect()
     }
 
+    /// Three ranks, one per node, whose rendezvous streams `CHUNK`-byte
+    /// chunks two at a time.  A test drives one rank's engine by hand; the
+    /// others stay alive in the vector, so what it sends has somewhere to
+    /// go.
+    fn world() -> Vec<Communicator> {
+        let rdv = RdvConfig::new(64).with_chunk_bytes(CHUNK).with_window(2);
+        let cluster = dcgn_netsim::Cluster::new(3, CostModel::zero());
+        MpiWorld::create_on_with(&cluster, &RankPlacement::block(3, 1), rdv).unwrap()
+    }
+
+    /// Hand `comm`'s engine `msg` as a frame from rank `src`.
+    fn feed(comm: &mut Communicator, src: usize, msg: Packet) {
+        let src = comm.ep_of(src);
+        comm.classify(Delivery {
+            src,
+            wire_bytes: 0,
+            at: None,
+            msg,
+        });
+    }
+
     /// Post a receive on rank 1, hand-feed its engine an RTS for a
     /// `TOTAL`-byte transfer from rank 0 and then `chunks` as
     /// `(offset, data)` frames, and wait on the receive.  The receiver comes
     /// back too, so a caller can tell what the engine let go of from what
     /// dropping the communicator would have.
     fn feed_stream(chunks: Vec<(usize, Payload)>) -> (Communicator, Result<Payload>) {
-        let rdv = RdvConfig::new(64).with_chunk_bytes(CHUNK).with_window(4);
-        let cluster = dcgn_netsim::Cluster::new(2, CostModel::zero());
-        let mut world =
-            MpiWorld::create_on_with(&cluster, &RankPlacement::block(2, 1), rdv).unwrap();
-        let mut receiver = world.pop().expect("rank 1");
-        // Rank 0 stays alive in `world`, so the CTS and credits have
-        // somewhere to go.
-        let rank0 = receiver.ep_of(0);
-        let from_rank0 = |msg| Delivery {
-            src: rank0,
-            wire_bytes: 0,
-            at: None,
-            msg,
-        };
+        let mut world = world();
+        let mut receiver = world.remove(1);
         let req = receiver.irecv(Some(0), Some(7)).unwrap();
-        receiver.classify(from_rank0(Packet::Rts {
+        let rts = Packet::Rts {
             tag: 7,
             len: TOTAL,
             send_id: 0,
-        }));
+        };
+        feed(&mut receiver, 0, rts);
         for (offset, data) in chunks {
-            receiver.classify(from_rank0(Packet::RdvChunk {
-                send_id: 0,
+            let chunk = Packet::RdvChunk {
+                recv_id: req.0,
                 offset,
                 data,
-            }));
+            };
+            feed(&mut receiver, 0, chunk);
         }
         assert!(
-            receiver.recv_streams.is_empty(),
-            "a finished or poisoned transfer leaves no stream index entry"
+            !matches!(
+                receiver.ops.get(&req.0),
+                Some(Op::Recv(RecvState::Assembling { .. }))
+            ),
+            "every transfer fed here ends or is poisoned"
         );
         let outcome = receiver.wait_recv(req).map(|(data, status)| {
             let got = (status.source, status.tag, status.len, status.drained);
@@ -1104,6 +1056,112 @@ mod tests {
                  sides have let go of it"
             );
         }
+    }
+
+    /// Send `id`'s stream as `(recv_id, next_offset, credits, sent, acked)`,
+    /// or `None` when it is not streaming.
+    fn stream(comm: &Communicator, id: u64) -> Option<(u64, usize, usize, usize, usize)> {
+        match comm.ops.get(&id) {
+            Some(Op::Send(SendOp {
+                state:
+                    SendState::Streaming {
+                        recv_id,
+                        next_offset,
+                        credits,
+                        sent,
+                        acked,
+                        ..
+                    },
+                ..
+            })) => Some((*recv_id, *next_offset, *credits, *sent, *acked)),
+            _ => None,
+        }
+    }
+
+    /// A send takes a CTS only from its destination and only while it waits
+    /// for one, and a credit only from the rank it streams to.
+    #[test]
+    fn a_send_takes_its_cts_and_credits_only_from_its_destination() {
+        let mut world = world();
+        let mut sender = world.remove(0);
+        let id = sender.isend(1, 7, pattern(0..TOTAL)).unwrap().0;
+        let waiting = |comm: &Communicator| {
+            matches!(
+                comm.ops.get(&id),
+                Some(Op::Send(SendOp {
+                    state: SendState::WaitingCts { .. },
+                    ..
+                }))
+            )
+        };
+        let cts = |recv_id| Packet::Cts {
+            send_id: id,
+            recv_id,
+        };
+        let credit = || Packet::RdvCredit {
+            send_id: id,
+            chunks: 1,
+        };
+
+        feed(&mut sender, 2, cts(5));
+        assert!(waiting(&sender), "a CTS from another rank started the send");
+        feed(&mut sender, 1, cts(5));
+        // Two of the three chunks are in flight and the window is shut.
+        let shut = Some((5, 2 * CHUNK, 0, 2, 0));
+        assert_eq!(stream(&sender, id), shut);
+        feed(&mut sender, 1, cts(6));
+        assert_eq!(stream(&sender, id), shut, "a second CTS");
+        feed(&mut sender, 2, credit());
+        assert_eq!(stream(&sender, id), shut, "a credit from another rank");
+
+        // The destination's credit lets the last chunk go.
+        feed(&mut sender, 1, credit());
+        assert!(matches!(
+            sender.ops.get(&id),
+            Some(Op::Send(SendOp {
+                state: SendState::Complete,
+                ..
+            }))
+        ));
+    }
+
+    /// A receive takes a chunk only from the rank it assembles from — the
+    /// RTS's source, for a wildcard receive — and one that has completed
+    /// drops any chunk that names it.
+    #[test]
+    fn a_receive_takes_chunks_only_from_its_source() {
+        let mut world = world();
+        let mut receiver = world.remove(1);
+        let id = receiver.irecv(None, Some(7)).unwrap().0;
+        let rts = Packet::Rts {
+            tag: 7,
+            len: CHUNK,
+            send_id: 3,
+        };
+        feed(&mut receiver, 0, rts);
+        let chunk = |byte: u8| Packet::RdvChunk {
+            recv_id: id,
+            offset: 0,
+            data: Payload::from_vec(vec![byte; CHUNK]),
+        };
+
+        feed(&mut receiver, 2, chunk(2));
+        assert!(
+            matches!(
+                receiver.ops.get(&id),
+                Some(Op::Recv(RecvState::Assembling { assembled, src: 0, .. }))
+                    if assembled.is_empty()
+            ),
+            "a chunk from another rank"
+        );
+        feed(&mut receiver, 0, chunk(0));
+        feed(&mut receiver, 0, chunk(1));
+        let (data, status) = receiver.take_recv(Request(id)).expect("complete");
+        assert_eq!(data, vec![0; CHUNK], "a chunk after the last one");
+        assert_eq!((status.source, status.len), (0, CHUNK));
+        // Waited on and gone from the table: dropped all the same.
+        feed(&mut receiver, 0, chunk(1));
+        assert!(receiver.ops.is_empty());
     }
 
     /// `Status::drained` is set exactly where the receive-drain stage moved

@@ -21,7 +21,10 @@ pub const HEADER_BYTES: usize = 32;
 /// `Eager` carries the payload immediately.  Large messages rendezvous with
 /// `Rts` → `Cts`; the payload then travels as a credit-windowed stream of
 /// `RdvChunk` frames acknowledged by `RdvCredit` — one chunk and no credit
-/// for a message of at most one chunk (see the `comm` module docs).
+/// for a message of at most one chunk (see the `comm` module docs).  Each
+/// rendezvous frame names the request it advances by its id in the table of
+/// the rank that receives the frame: `send_id` is the sender's, `recv_id`
+/// the receiver's.
 #[derive(Debug)]
 pub enum Packet {
     /// Small message: payload travels with the envelope.
@@ -39,13 +42,15 @@ pub enum Packet {
         tag: u32,
         /// Payload length of the pending message.
         len: usize,
-        /// Sender-side identifier for this transfer.
+        /// The sender's id of the send request.
         send_id: u64,
     },
     /// Clear-to-send from the receiver, releasing the payload transfer.
     Cts {
-        /// Identifier from the matching [`Packet::Rts`].
+        /// The sender's id, from the matching [`Packet::Rts`].
         send_id: u64,
+        /// The receiver's id of the receive request the chunks go to.
+        recv_id: u64,
     },
     /// One chunk of a streamed rendezvous transfer.  The data is a zero-copy
     /// view into the sender's staged payload.  Chunks must arrive in offset
@@ -54,8 +59,8 @@ pub enum Packet {
     /// — a chunk whose offset is not the bytes received so far fails the
     /// transfer.
     RdvChunk {
-        /// Identifier from the matching [`Packet::Rts`].
-        send_id: u64,
+        /// The receiver's id, from the matching [`Packet::Cts`].
+        recv_id: u64,
         /// Byte offset of this chunk within the full message.
         offset: usize,
         /// Chunk bytes (a view of the staged buffer — no per-chunk copy).
@@ -64,7 +69,7 @@ pub enum Packet {
     /// Receiver-side credit returning window slots to the sender of a
     /// streamed transfer: `chunks` more chunks may be put in flight.
     RdvCredit {
-        /// Identifier from the matching [`Packet::Rts`].
+        /// The sender's id, from the matching [`Packet::Rts`].
         send_id: u64,
         /// Number of window slots being returned.
         chunks: usize,
@@ -208,10 +213,13 @@ mod tests {
             send_id: 1,
         };
         assert_eq!(rts.wire_bytes(), HEADER_BYTES);
-        let cts = Packet::Cts { send_id: 1 };
+        let cts = Packet::Cts {
+            send_id: 1,
+            recv_id: 2,
+        };
         assert_eq!(cts.wire_bytes(), HEADER_BYTES);
         let chunk = Packet::RdvChunk {
-            send_id: 1,
+            recv_id: 2,
             offset: 1 << 16,
             data: Payload::copy_from_slice(&vec![0u8; 1 << 16]),
         };

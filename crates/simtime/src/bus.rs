@@ -2,10 +2,10 @@
 //!
 //! Real PCI-e links and NICs serialise transfers: two concurrent 1 MB copies
 //! to the same GPU each see roughly half the bandwidth.  [`VirtualBus`] models
-//! this in one of two modes, one per bus: a blocking [`VirtualBus::transfer`]
-//! holds a mutex through the copy (the paper's synchronous PCI-e copies), and
-//! a NIC that sends while its CPU works books a busy-until stamp instead
-//! ([`VirtualBus::reserve`]), which a `transfer` does not read.
+//! this with a busy-until stamp: a NIC that sends while its CPU works books
+//! its transfer after every earlier one ([`VirtualBus::reserve`]), and a
+//! blocking [`VirtualBus::transfer`] (the paper's synchronous PCI-e copies)
+//! books the same way and then waits until its booking ends.
 
 use parking_lot::Mutex;
 
@@ -18,7 +18,7 @@ use crate::cost::LinkCost;
 pub struct VirtualBus {
     kind: Charge,
     cost: LinkCost,
-    /// Held through a transfer; or the end of the last reservation.
+    /// The end of the last booked transfer; held only while booking.
     engine: Mutex<Option<Stamp>>,
 }
 
@@ -32,14 +32,14 @@ impl VirtualBus {
         }
     }
 
-    /// Perform (block for) a transfer of `bytes` on `clock`, serialising with
-    /// any other in-flight transfer on the same bus.
+    /// Perform (block for) a transfer of `bytes` on `clock`: book it as
+    /// [`VirtualBus::reserve`] does and wait until it ends.
     pub fn transfer(&self, clock: &Clock, bytes: usize) {
         if self.cost.is_free() {
             return;
         }
-        let _guard = self.engine.lock();
-        clock.charge(self.kind, self.cost.transfer_time(bytes));
+        let end = self.reserve(clock, bytes);
+        clock.wait_for(self.kind, end);
     }
 
     /// Book a transfer of `bytes` on `clock` after every earlier one, and
@@ -125,5 +125,17 @@ mod tests {
         };
         assert!(landed(first) >= ms(10));
         assert!(landed(second) >= ms(20));
+    }
+
+    #[test]
+    fn a_transfer_waits_for_the_reservation_before_it() {
+        let clock = clock();
+        let bus = VirtualBus::new(Charge::Network, LinkCost::from_us_and_mbps(10_000, 1e12));
+        let reserved = bus.reserve(&clock, 0);
+        bus.transfer(&clock, 0);
+        assert!(
+            clock.elapsed(reserved) >= Duration::from_millis(10),
+            "the transfer overlapped the reservation"
+        );
     }
 }

@@ -4,10 +4,11 @@
 //! [`Clock::charge`] also adds the modelled nanoseconds it blocked for to the
 //! clock's **cost ledger**, one `model.charged_ns.<kind>` counter per
 //! [`Charge`] kind, exact however noisy the wall clock is.  Beside it,
-//! `model.overshoot_ns.<kind>` counts the real time each charge blocked past
-//! its modelled length: wall-clock time, not model, the "OS sleep jitter"
-//! term of a measured latency; a NIC's frames are booked, not slept, so theirs
-//! is the taker's lateness ([`Clock::late`]).  Every wait names the event it
+//! `model.overshoot_ns.<kind>` counts how late past its booked end each
+//! step was seen to finish ([`Clock::late`]): wall-clock time, not model,
+//! the "OS sleep jitter" term of a measured latency.  A charge is seen by
+//! the thread it blocks; a NIC's frames are booked, not slept, so theirs is
+//! the taker's lateness.  Every wait names the event it
 //! waits for and a [`Deadline`]; the ones that spin share one
 //! budget, and `clock.parks` counts those that outlasted it and blocked: a
 //! channel receive ([`crate::channel::Receiver::recv_until`]) or a device
@@ -20,7 +21,7 @@ use dcgn_metrics::{Counter, MetricsHandle};
 use parking_lot::{Condvar, MutexGuard};
 
 use crate::cost::CostModel;
-use crate::sleep::{sleep_from, PARK_AFTER};
+use crate::sleep::{sleep_until, PARK_AFTER};
 
 /// A wait for a landing spins its last 100 µs: a timed park oversleeps by
 /// the thread's timer slack (a median 55 µs at Linux's default 50 µs).
@@ -145,9 +146,10 @@ impl Clock {
 
     /// Book `d` of `kind` from when an engine busy until `busy_until` is
     /// free, or now: add it to the ledger without blocking; returns its end.
+    /// The ledger's update is part of the `d`, not added to it.
     pub(crate) fn book(&self, kind: Charge, busy_until: Option<Stamp>, d: Duration) -> Stamp {
-        self.0.charged_ns[kind as usize].add(d.as_nanos() as u64);
         let now = Instant::now();
+        self.0.charged_ns[kind as usize].add(d.as_nanos() as u64);
         Stamp(busy_until.map_or(now, |busy| busy.0.max(now)) + d)
     }
 
@@ -157,20 +159,24 @@ impl Clock {
         self.0.overshoot_ns[kind as usize].add(at.0.elapsed().as_nanos() as u64);
     }
 
-    /// Pay the modelled cost `d` of a `kind` of hardware step: block for
-    /// exactly `d` ([`crate::precise_sleep`]) and add it to the ledger.  The
-    /// ledger's update is part of the `d`, not added to it.  The real time
-    /// it blocked beyond `d`, read off the wait's own last clock read, goes
-    /// to `model.overshoot_ns.<kind>`: that ledger is wall time, not model,
-    /// so unlike `model.charged_ns` it varies from run to run.
+    /// Block until `at`, the end of a booked `kind` of step
+    /// ([`crate::precise_sleep`]'s wait), and then count it [`Clock::late`].
+    pub(crate) fn wait_for(&self, kind: Charge, at: Stamp) {
+        sleep_until(at.0);
+        self.late(kind, at);
+    }
+
+    /// Pay the modelled cost `d` of a `kind` of hardware step: book it from
+    /// now and block until it ends (`Clock::wait_for`).  The real time it
+    /// blocked beyond `d` goes to `model.overshoot_ns.<kind>`: that ledger is
+    /// wall time, not model, so unlike `model.charged_ns` it varies from run
+    /// to run.
     pub fn charge(&self, kind: Charge, d: Duration) {
         if d.is_zero() {
             return;
         }
-        let start = Instant::now();
-        self.0.charged_ns[kind as usize].add(d.as_nanos() as u64);
-        let blocked = sleep_from(start, d);
-        self.0.overshoot_ns[kind as usize].add((blocked - d).as_nanos() as u64);
+        let end = self.book(kind, None, d);
+        self.wait_for(kind, end);
     }
 
     /// Wait until `poll` yields, or `deadline` passes (`None`): yield-poll

@@ -62,24 +62,20 @@ fn step(left: Duration) -> Step {
 /// thread has had its turn, which on a shared core ends well past the
 /// deadline.
 pub fn precise_sleep(d: Duration) {
-    sleep_from(Instant::now(), d);
+    sleep_until(Instant::now() + d);
 }
 
-/// [`precise_sleep`] for a delay that began at `start`: returns once `d`
-/// has passed since then, with the elapsed time it read last (at least `d`).
-pub(crate) fn sleep_from(start: Instant, d: Duration) -> Duration {
-    if d >= SPIN_THRESHOLD {
-        let coarse = d.saturating_sub(SLEEP_SLACK);
-        if !coarse.is_zero() {
-            std::thread::sleep(coarse);
-        }
+/// [`precise_sleep`] until `at`: returns once it has passed.
+pub(crate) fn sleep_until(at: Instant) {
+    let left = at.saturating_duration_since(Instant::now());
+    if left >= SPIN_THRESHOLD {
+        std::thread::sleep(left - SLEEP_SLACK);
     }
     loop {
-        let elapsed = start.elapsed();
-        match step(d.saturating_sub(elapsed)) {
+        match step(at.saturating_duration_since(Instant::now())) {
             Step::Yield => std::thread::yield_now(),
             Step::Spin => std::hint::spin_loop(),
-            Step::Done => return elapsed,
+            Step::Done => return,
         }
     }
 }

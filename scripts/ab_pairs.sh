@@ -10,7 +10,10 @@
 # own CARGO_TARGET_DIR, by the command BENCHMARK.json names, and then run
 # with it for BENCHMARK.json's run_seconds: pair i uses seed first-seed+i-1
 # (default 1) on both sides, odd pairs run the parent first, even pairs the
-# change.  Printed: per pair and per end-to-end metric both values, then per
+# change.  Printed: per pair and per end-to-end metric both values, beside
+# them the host's CPU steal ticks during each run (the `steal` column of
+# /proc/stat's `cpu` line, read before and after it: time the hypervisor
+# gave other guests, so a slow run with many is the host's), then per
 # metric both medians with their quartiles, how many pairs the change won
 # (ties count for neither side) and the house rule's verdict: `gain` (the
 # change won >= 9 in 10 pairs and the medians differ by more than the
@@ -24,7 +27,7 @@
 # to choose where the export and the two target directories (~250 MB) go.
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,25s/^# \{0,1\}//p' "$0"; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,28s/^# \{0,1\}//p' "$0"; exit 2; }
 rev=$1 which=$2 pairs=${3:-10} seed0=${4:-1}
 root=$(cd "$(dirname "$0")/.." && pwd)
 spec=$root/BENCHMARK.json
@@ -58,6 +61,9 @@ value() { # value <result object> <metric>
 count() { # count <result object> <attempted|failed>
     printf '%s\n' "$1" | sed -n 's/.*"'"$2"'": \([0-9]*\).*/\1/p'
 }
+steal() { # steal: the host's CPU steal ticks so far
+    awk '$1 == "cpu" { print $9 }' /proc/stat
+}
 
 echo "parent $(git -C "$root" rev-parse --short "$rev"), change $(git -C "$root" describe --always --dirty), $pairs pairs, ${secs}s runs, nproc $(nproc)"
 echo "building both sides"
@@ -71,7 +77,9 @@ for w in $which; do
         seed=$((seed0 + i - 1))
         if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do
+            before=$(steal)
             run "$side" --workload "$w" --seed "$seed" --seconds "$secs" --trace 0 >"$tmp/$side.out"
+            echo $(($(steal) - before)) >"$tmp/$side.steal"
             grep -q '"failed": 0,' "$tmp/$side.out" ||
                 echo "$w pair $i: $side run did not verify: $(cat "$tmp/$side.out")"
         done
@@ -85,6 +93,8 @@ for w in $which; do
                 "$w" "$i" "$seed" "$name" "$p" "$c"
             echo "$w $m $p $c" >>"$tmp/values"
         done
+        printf '%-18s pair %2d seed %3d  %-12s parent %14d  change %14d\n' \
+            "$w" "$i" "$seed" steal_ticks "$(cat "$tmp/parent.steal")" "$(cat "$tmp/change.steal")"
         i=$((i + 1))
     done
 done
