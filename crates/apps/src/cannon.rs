@@ -7,14 +7,13 @@
 //! the `A` blocks left and the `B` blocks up, implemented with
 //! `sendrecv_replace` in both the DCGN and the GAS+MPI variants.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dcgn::{CostModel, DcgnConfig, DcgnError, NodeConfig, Runtime};
 use dcgn_dpm::{Device, DeviceConfig};
 use dcgn_rmpi::{MpiWorld, RankPlacement};
 use dcgn_simtime::Clock;
-use parking_lot::Mutex;
 
 /// Deterministic test matrices: `A[i][j]` and `B[i][j]` as simple functions
 /// of the indices, so every worker can generate its own block and the master
@@ -195,7 +194,7 @@ pub fn run_dcgn_gpu(
                     }
                 }
             }
-            *result_master.lock() = Some(c);
+            *result_master.lock().expect("result") = Some(c);
         },
         // Per-GPU setup: stage the aligned A and B blocks, a zero C block
         // and the two communicator tables for every slot on this device.
@@ -275,6 +274,7 @@ pub fn run_dcgn_gpu(
     let elapsed = report.elapsed;
     let c = result
         .lock()
+        .expect("result")
         .take()
         .ok_or_else(|| DcgnError::Internal("master produced no matrix".into()))?;
     Ok(CannonRun {
@@ -342,7 +342,8 @@ pub fn run_gas(n: usize, p: usize, num_nodes: usize, cost: CostModel) -> CannonR
                     .launch_sync(1, 32, move |block| {
                         let a = block.read_f32_slice(a_ptr, bs * bs);
                         let b = block.read_f32_slice(b_ptr, bs * bs);
-                        block_multiply_accumulate(&mut acc.lock(), &a, &b, bs);
+                        let mut acc = acc.lock().expect("accumulator");
+                        block_multiply_accumulate(&mut acc, &a, &b, bs);
                     })
                     .unwrap();
                 if step + 1 < q {
@@ -357,7 +358,7 @@ pub fn run_gas(n: usize, p: usize, num_nodes: usize, cost: CostModel) -> CannonR
                     device.memcpy_htod(b_ptr, &b_host).unwrap();
                 }
             }
-            let final_c = c_acc.lock().clone();
+            let final_c = c_acc.lock().expect("accumulator").clone();
             comm.send(0, 7, &f32s_to_bytes(&final_c)).unwrap();
             None
         }

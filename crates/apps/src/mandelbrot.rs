@@ -9,14 +9,13 @@
 //!   each worker renders its share in one kernel launch and the host ships
 //!   the result to the master with plain MPI.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dcgn::{CostModel, DcgnConfig, DcgnError, NodeConfig, Runtime};
 use dcgn_dpm::{Device, DeviceConfig};
 use dcgn_rmpi::{MpiWorld, RankPlacement};
 use dcgn_simtime::Clock;
-use parking_lot::Mutex;
 
 /// Shared slot the master rank deposits the rendered image and per-strip
 /// ownership table into.
@@ -210,7 +209,7 @@ pub fn run_dcgn_gpu(
                     workers_released += 1;
                 }
             }
-            *result_for_master.lock() = Some((image, strip_owner));
+            *result_for_master.lock().expect("result") = Some((image, strip_owner));
         },
         // ---------------- per-GPU setup ----------------
         move |setup| {
@@ -268,6 +267,7 @@ pub fn run_dcgn_gpu(
     let elapsed = report.elapsed;
     let (image, strip_owner) = result
         .lock()
+        .expect("result")
         .take()
         .ok_or_else(|| DcgnError::Internal("master produced no image".into()))?;
     let pixels = (params.width * params.height) as f64;

@@ -8,14 +8,13 @@
 //! broadcasts from the device; the GAS variant launches one kernel per step
 //! and lets the host broadcast between launches.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dcgn::{CostModel, DcgnConfig, DcgnError, NodeConfig, Runtime};
 use dcgn_dpm::{Device, DeviceConfig};
 use dcgn_rmpi::{MpiWorld, RankPlacement};
 use dcgn_simtime::Clock;
-use parking_lot::Mutex;
 
 /// State of one body: position, velocity and mass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,7 +209,7 @@ pub fn run_dcgn_gpu(
                     bodies[range].copy_from_slice(&updated);
                 }
             }
-            *result_master.lock() = Some(bodies);
+            *result_master.lock().expect("result") = Some(bodies);
         },
         // Per-GPU setup: stage the full body array per slot.
         move |setup| {
@@ -257,6 +256,7 @@ pub fn run_dcgn_gpu(
     let elapsed = report.elapsed;
     let bodies = result
         .lock()
+        .expect("result")
         .take()
         .ok_or_else(|| DcgnError::Internal("master produced no bodies".into()))?;
     Ok(NbodyRun {

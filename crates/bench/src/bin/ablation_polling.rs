@@ -13,7 +13,7 @@ use dcgn_simtime::Clock;
 fn gpu_pingpong(cost: CostModel, iters: u32) -> (Duration, LaunchReport) {
     let config = DcgnConfig::homogeneous(2, 0, 1, 1).with_cost(cost);
     let runtime = Runtime::new(config).expect("config");
-    let measured = std::sync::Arc::new(parking_lot::Mutex::new(Duration::ZERO));
+    let measured = std::sync::Arc::new(std::sync::Mutex::new(Duration::ZERO));
     let m = std::sync::Arc::clone(&measured);
     let clock = Clock::from(cost);
     let report = runtime
@@ -37,12 +37,12 @@ fn gpu_pingpong(cost: CostModel, iters: u32) -> (Duration, LaunchReport) {
                 }
             }
             if me == 0 {
-                *m.lock() = clock.elapsed(start) / (2 * iters);
+                *m.lock().expect("measured") = clock.elapsed(start) / (2 * iters);
             }
             ctx.barrier(SLOT);
         })
         .expect("launch");
-    let latency = *measured.lock();
+    let latency = *measured.lock().expect("measured");
     (latency, report)
 }
 

@@ -8,13 +8,12 @@
 //! warm-up barrier), so job launch and teardown costs are excluded — the same
 //! methodology as the paper's micro-benchmarks.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dcgn::{CostModel, DcgnConfig, DevicePtr, NodeConfig, Runtime};
 use dcgn_rmpi::{MpiWorld, RankPlacement};
 use dcgn_simtime::Clock;
-use parking_lot::Mutex;
 
 /// Which kind of DCGN rank an endpoint of a micro-benchmark is backed by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +98,7 @@ fn dcgn_pingpong_time(config: DcgnConfig, size: usize, iters: usize) -> Duration
                     }
                 }
                 if me == 0 {
-                    *m_cpu.lock() = c_cpu.elapsed(start);
+                    *m_cpu.lock().expect("measured") = c_cpu.elapsed(start);
                 }
                 ctx.barrier().unwrap();
             },
@@ -124,13 +123,13 @@ fn dcgn_pingpong_time(config: DcgnConfig, size: usize, iters: usize) -> Duration
                     }
                 }
                 if me == 0 {
-                    *m_gpu.lock() = c_gpu.elapsed(start);
+                    *m_gpu.lock().expect("measured") = c_gpu.elapsed(start);
                 }
                 ctx.barrier(SLOT);
             },
         )
         .expect("pingpong launch");
-    let total = *measured.lock();
+    let total = *measured.lock().expect("measured");
     total / (2 * iters as u32)
 }
 
@@ -194,7 +193,7 @@ pub fn dcgn_broadcast_time(
                     ctx.broadcast(0, &mut data).unwrap();
                 });
                 if me == 0 {
-                    *m_cpu.lock() = times;
+                    *m_cpu.lock().expect("measured") = times;
                 }
                 ctx.barrier().unwrap();
             },
@@ -211,13 +210,13 @@ pub fn dcgn_broadcast_time(
                 ctx.barrier(SLOT);
                 let times = each_ns(&c_gpu, iters, || ctx.broadcast(SLOT, 0, buf, size));
                 if me == 0 {
-                    *m_gpu.lock() = times;
+                    *m_gpu.lock().expect("measured") = times;
                 }
                 ctx.barrier(SLOT);
             },
         )
         .expect("broadcast launch");
-    let times = measured.lock();
+    let times = measured.lock().expect("measured");
     median(&times)
 }
 
@@ -288,7 +287,7 @@ pub fn dcgn_barrier_time(
                 ctx.barrier().unwrap();
                 let times = each_ns(&c_cpu, iters, || ctx.barrier().unwrap());
                 if ctx.rank() == 0 {
-                    *m_cpu.lock() = times;
+                    *m_cpu.lock().expect("measured") = times;
                 }
             },
             move |ctx| {
@@ -299,12 +298,12 @@ pub fn dcgn_barrier_time(
                 ctx.barrier(SLOT);
                 let times = each_ns(&c_gpu, iters, || ctx.barrier(SLOT));
                 if !timer_is_cpu && ctx.rank(SLOT) == 0 {
-                    *m_gpu.lock() = times;
+                    *m_gpu.lock().expect("measured") = times;
                 }
             },
         )
         .expect("barrier launch");
-    let times = measured.lock();
+    let times = measured.lock().expect("measured");
     median(&times)
 }
 
@@ -342,6 +341,7 @@ pub fn format_duration(d: Duration) -> String {
 mod tests {
     use super::*;
     use dcgn::MetricsHandle;
+    use std::sync::PoisonError;
 
     /// Average one-way time for a large-message MPI ping-pong of `size` bytes
     /// between two ranks on two nodes, under an **explicit** rendezvous
@@ -449,18 +449,19 @@ mod tests {
                     }
                 }
                 if me == 0 {
-                    *m.lock() = clock.elapsed(start);
+                    *m.lock().unwrap() = clock.elapsed(start);
                 }
                 ctx.barrier().unwrap();
             })
             .expect("overlap launch");
-        let total = *measured.lock();
+        let total = *measured.lock().unwrap();
         total / iters as u32
     }
 
     /// The two wall-clock ratio tests below each compare two timed runs; on
     /// a 2-vCPU host they perturb each other when `cargo test` runs them on
-    /// parallel threads, so each holds this lock for its whole body.
+    /// parallel threads, so each holds this lock for its whole body, and
+    /// takes it back from a test that failed holding it.
     static WALL_CLOCK: Mutex<()> = Mutex::new(());
 
     #[test]
@@ -484,7 +485,7 @@ mod tests {
 
     #[test]
     fn nonblocking_overlap_beats_blocking_under_cost_model() {
-        let _serial = WALL_CLOCK.lock();
+        let _serial = WALL_CLOCK.lock().unwrap_or_else(PoisonError::into_inner);
         // The acceptance property of the nonblocking subsystem: with the
         // default hardware cost model, isend/irecv + compute completes
         // measurably faster than blocking send/recv-then-compute, because
@@ -519,7 +520,7 @@ mod tests {
 
     #[test]
     fn chunked_rendezvous_beats_single_frame_for_large_sends() {
-        let _serial = WALL_CLOCK.lock();
+        let _serial = WALL_CLOCK.lock().unwrap_or_else(PoisonError::into_inner);
         // The acceptance property of the streamed rendezvous pipeline:
         // under the unscaled g92 cost model a 1 MB send finishes faster
         // when streamed as credit-windowed 256 kB chunks (the shipped

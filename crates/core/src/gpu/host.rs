@@ -4,7 +4,6 @@
 //! statistics it hands to applications.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -104,9 +103,9 @@ impl GpuPollStats {
 struct PendingOp {
     /// Replies the comm thread still owes (two for `SENDRECV_REPLACE`, none
     /// for a request that failed to stage, one otherwise) and the replies
-    /// already collected.
+    /// already collected, in arrival order.
     awaiting: usize,
-    replies: Vec<Reply>,
+    replies: [Option<Reply>; 2],
     /// The record's claim generation, echoed in its `DONE` word.
     gen: u32,
     /// The device buffer a result is written back to and its capacity —
@@ -118,9 +117,10 @@ struct PendingOp {
     unit_len: usize,
 }
 
-/// Key of an in-flight request: the slot and the index of its completion
-/// record within that slot's column.
-type PendingKey = (usize, usize);
+/// The in-flight table: one entry per mailbox record, at the record's
+/// position `slot × records_per_slot + record`, holding its request from
+/// harvest to completion.  The record's claim generation guards its reuse.
+type InFlight = [Option<PendingOp>];
 
 /// The host-side driver of one GPU: launches the kernel, polls the mailbox
 /// region on a sleep-based interval, relays requests to the communication
@@ -137,6 +137,9 @@ pub(crate) struct GpuKernelThread {
     /// The record region as the last sweep read it: one buffer for the
     /// loop's lifetime, so a sweep allocates nothing to read it.
     pub region: RefCell<Vec<u8>>,
+    /// The position and generation of each record the last sweep found
+    /// newly published, kept for the same reason.
+    pub found: RefCell<Vec<(usize, u32)>>,
 }
 
 /// The polling loop's counters, registered in the unified metrics registry
@@ -234,7 +237,7 @@ impl GpuKernelThread {
         Ok(buf.freeze())
     }
 
-    /// Relay the request harvested from record `(slot, index)` under
+    /// Relay the request harvested from the record at position `at` under
     /// `gen`, whose bytes are `record`: queue its request(s) into the
     /// sweep's `batch` (shipped to the comm thread as one
     /// [`CommCommand::Batch`]) and return the bookkeeping its completion
@@ -242,16 +245,11 @@ impl GpuKernelThread {
     /// device memory, an unknown opcode or reduce word) yields an op that is
     /// already answered with the error, so it completes into its record on
     /// the next sweep and the kernel faults instead of waiting forever.
-    fn stage(
-        &self,
-        (slot, index): PendingKey,
-        gen: u32,
-        record: &[u8],
-        batch: &mut Vec<Request>,
-    ) -> PendingOp {
+    fn stage(&self, at: usize, gen: u32, record: &[u8], batch: &mut Vec<Request>) -> PendingOp {
+        let (slot, index) = self.slot_and_record(at);
         let mut op = PendingOp {
             awaiting: 0,
-            replies: Vec::new(),
+            replies: [None, None],
             gen,
             buffer: None,
             unit_len: 0,
@@ -267,7 +265,7 @@ impl GpuKernelThread {
                     op.awaiting += 1;
                 }
             }
-            Err(e) => op.replies.push(Reply::Error(e)),
+            Err(e) => op.replies[0] = Some(Reply::Error(e)),
         }
         op
     }
@@ -409,9 +407,9 @@ impl GpuKernelThread {
     /// result fields and `DONE` word in one transfer, word last (the
     /// kernel's `test`/`wait` read that word).  Fails only when the record
     /// itself cannot be written.
-    fn complete(&self, (slot, index): PendingKey, op: &mut PendingOp) -> Result<()> {
+    fn complete(&self, at: usize, op: &mut PendingOp) -> Result<()> {
         let mut record = Record::default();
-        for reply in std::mem::take(&mut op.replies) {
+        for reply in std::mem::take(&mut op.replies).into_iter().flatten() {
             match reply {
                 Reply::SendDone | Reply::CollectiveDone(CollectiveResult::Unit) => {}
                 Reply::RecvDone { data, status } => {
@@ -438,11 +436,24 @@ impl GpuKernelThread {
                 Reply::Error(e) => record.error = error_code(&e),
             }
         }
+        let (slot, index) = self.slot_and_record(at);
         self.device.memcpy_htod(
             self.layout.result_ptr(slot, index),
             &record.encode_done(op.gen),
         )?;
         Ok(())
+    }
+
+    /// The slot and record index of the record at position `at`.
+    fn slot_and_record(&self, at: usize) -> (usize, usize) {
+        let records_per_slot = self.layout.records_per_slot();
+        (at / records_per_slot, at % records_per_slot)
+    }
+
+    /// An empty in-flight table, one entry per record.
+    fn in_flight(&self) -> Vec<Option<PendingOp>> {
+        let records = self.layout.slots * self.layout.records_per_slot();
+        std::iter::repeat_with(|| None).take(records).collect()
     }
 
     /// The one place this thread receives from its inbox: wait up to `wait`
@@ -451,12 +462,15 @@ impl GpuKernelThread {
     /// pending op its token names.  The crossing pays one queue hop if it
     /// left an op with all its replies, so a `SENDRECV_REPLACE` whose two
     /// replies cross apart pays once, like any other op.
-    fn collect(&self, pending: &mut HashMap<PendingKey, PendingOp>, wait: Duration) {
+    fn collect(&self, pending: &mut InFlight, wait: Duration) {
+        let records_per_slot = self.layout.records_per_slot();
         let file = |((slot, record), reply)| {
-            let Some(op) = pending.get_mut(&(slot as usize, record as usize)) else {
+            let at = slot as usize * records_per_slot + record as usize;
+            let Some(op) = pending[at].as_mut() else {
                 return false;
             };
-            op.replies.push(reply);
+            let free = op.replies.iter_mut().find(|r| r.is_none());
+            *free.expect("an op is owed at most two replies") = Some(reply);
             op.awaiting -= 1;
             op.awaiting == 0
         };
@@ -466,7 +480,7 @@ impl GpuKernelThread {
 
     /// One polling sweep: complete finished requests, then harvest newly
     /// published ones.  Returns true when the sweep did any work.
-    fn sweep(&self, pending: &mut HashMap<PendingKey, PendingOp>) -> Result<bool> {
+    fn sweep(&self, pending: &mut InFlight) -> Result<bool> {
         let completed = self.complete_ready(pending)?;
         Ok(self.harvest(pending)? || completed)
     }
@@ -474,31 +488,28 @@ impl GpuKernelThread {
     /// Write back every request whose replies have all arrived from the
     /// comm thread (the crossing that brought them paid the queue hop).
     /// Returns true when there was one.
-    fn complete_ready(&self, pending: &mut HashMap<PendingKey, PendingOp>) -> Result<bool> {
+    fn complete_ready(&self, pending: &mut InFlight) -> Result<bool> {
         self.collect(pending, Duration::ZERO);
-        let done: Vec<PendingKey> = pending
-            .iter()
-            .filter_map(|(&key, op)| (op.awaiting == 0).then_some(key))
-            .collect();
-        for &key in &done {
-            let mut op = pending.remove(&key).expect("selected above");
-            self.complete(key, &mut op)?;
+        let mut completed = false;
+        for (at, entry) in pending.iter_mut().enumerate() {
+            if let Some(mut op) = entry.take_if(|op| op.awaiting == 0) {
+                self.complete(at, &mut op)?;
+                completed = true;
+            }
         }
-        Ok(!done.is_empty())
+        Ok(completed)
     }
 
     /// Harvest every record newly `PENDING` with one read of the record
     /// region and relay the harvest as a single [`CommCommand::Batch`],
     /// writing nothing back.  Returns true when anything was harvested.
-    fn harvest(&self, pending: &mut HashMap<PendingKey, PendingOp>) -> Result<bool> {
+    fn harvest(&self, pending: &mut InFlight) -> Result<bool> {
         // Skipped entirely while every slot has its blocking call in flight
         // (its reserved record pending): the kernel behind each slot is
         // waiting, not publishing.
-        let blocked_slots = pending
-            .keys()
-            .filter(|&&(_, index)| index == RESERVED_RECORD)
-            .count();
-        if blocked_slots == self.layout.slots {
+        let records_per_slot = self.layout.records_per_slot();
+        let mut slots = pending.chunks_exact(records_per_slot);
+        if slots.all(|slot| slot[RESERVED_RECORD].is_some()) {
             return Ok(false);
         }
         let mut region = self.region.borrow_mut();
@@ -506,15 +517,14 @@ impl GpuKernelThread {
         self.device
             .memcpy_dtoh(&mut region, self.layout.mailbox_base)?;
         self.metrics.mailbox_reads.inc();
-        let records_per_slot = self.layout.records_per_slot();
-        let mut found: Vec<(PendingKey, u32, &[u8])> = Vec::new();
-        for (i, record) in region.chunks_exact(MAILBOX_COMPLETION_BYTES).enumerate() {
-            let key = (i / records_per_slot, i % records_per_slot);
+        let mut found = self.found.borrow_mut();
+        found.clear();
+        for (at, record) in region.chunks_exact(MAILBOX_COMPLETION_BYTES).enumerate() {
             let (gen, state) = split_word(record_word(record));
             // A record in `pending` is in flight: the kernel cannot have
             // claimed it again before its completion.
-            if state == req_state::PENDING && !pending.contains_key(&key) {
-                found.push((key, gen, record));
+            if state == req_state::PENDING && pending[at].is_none() {
+                found.push((at, gen));
             }
         }
         if found.is_empty() {
@@ -523,13 +533,15 @@ impl GpuKernelThread {
         // A slot's kernel may reuse its records in any index order, so
         // relay each slot's requests by generation — its publish sequence —
         // which keeps sends to one destination non-overtaking.
-        found.sort_by(|&((a, _), gen_a, _), &((b, _), gen_b, _)| {
-            a.cmp(&b).then(publish_order(gen_a, gen_b))
+        found.sort_by(|&(a, gen_a), &(b, gen_b)| {
+            (a / records_per_slot)
+                .cmp(&(b / records_per_slot))
+                .then(publish_order(gen_a, gen_b))
         });
         let mut batch = Vec::new();
-        for (key, gen, record) in found {
-            let op = self.stage(key, gen, record, &mut batch);
-            pending.insert(key, op);
+        for &(at, gen) in found.iter() {
+            let record = &region[at * MAILBOX_COMPLETION_BYTES..][..MAILBOX_COMPLETION_BYTES];
+            pending[at] = Some(self.stage(at, gen, record, &mut batch));
             self.metrics.requests.inc();
         }
         if !batch.is_empty() {
@@ -548,11 +560,7 @@ impl GpuKernelThread {
     /// for this pass, so the next pass harvests its request instead of the
     /// loop ending with it unread.  Returns `None` while the kernel ran, and
     /// whether the sweep did any work once it had retired.
-    fn pass(
-        &self,
-        retired: impl FnOnce() -> bool,
-        pending: &mut HashMap<PendingKey, PendingOp>,
-    ) -> Result<Option<bool>> {
+    fn pass(&self, retired: impl FnOnce() -> bool, pending: &mut InFlight) -> Result<Option<bool>> {
         let retired = retired();
         let did_work = self.sweep(pending)?;
         Ok(retired.then_some(did_work))
@@ -569,13 +577,13 @@ impl GpuKernelThread {
         let before = self
             .metrics
             .stats(&self.layout, Duration::ZERO, Duration::ZERO);
-        let mut pending: HashMap<PendingKey, PendingOp> = HashMap::new();
+        let mut pending = self.in_flight();
         // Set once the kernel retires with requests still pending, and
         // pushed back by every sweep that makes progress on them.
         let mut give_up: Option<Deadline> = None;
 
         loop {
-            if pending.is_empty() {
+            if pending.iter().all(Option::is_none) {
                 // Sleep-based polling: the CPU deliberately yields between
                 // sweeps, trading request-discovery latency for host CPU
                 // load (§3.2.3).
@@ -595,7 +603,7 @@ impl GpuKernelThread {
             busy += self.clock.elapsed(sweep_start);
 
             if let Some(did_work) = retired {
-                if pending.is_empty() {
+                if pending.iter().all(Option::is_none) {
                     if !did_work {
                         break;
                     }
@@ -616,7 +624,7 @@ impl GpuKernelThread {
                              request(s) that never completed",
                             self.layout.node,
                             self.layout.gpu_index,
-                            pending.len()
+                            pending.iter().flatten().count()
                         )));
                     }
                 }
@@ -716,6 +724,7 @@ mod tests {
                 metrics: GpuThreadMetrics::new(&MetricsHandle::new(), 0, 0),
                 inbox: Inbox::new(),
                 region: RefCell::default(),
+                found: RefCell::default(),
             },
             work_rx,
         )
@@ -735,6 +744,18 @@ mod tests {
         };
         gpu.clock = Clock::new(model, &metrics);
         metrics.counter("model.charged_ns.queue_hop")
+    }
+
+    /// The requests `pending` holds in flight.
+    fn outstanding(pending: &InFlight) -> usize {
+        pending.iter().flatten().count()
+    }
+
+    /// The positions of the records `pending` holds in flight.
+    fn positions(pending: &InFlight) -> Vec<usize> {
+        (0..pending.len())
+            .filter(|&at| pending[at].is_some())
+            .collect()
     }
 
     fn word_of(gpu: &GpuKernelThread, slot: usize, record: usize) -> u32 {
@@ -814,7 +835,7 @@ mod tests {
             publish(&gpu, slot, RESERVED_RECORD, barrier_body(&gpu, slot));
         }
 
-        let mut pending = HashMap::new();
+        let mut pending = gpu.in_flight();
         let before = transfers(&gpu);
         gpu.sweep(&mut pending).unwrap();
 
@@ -827,7 +848,7 @@ mod tests {
         );
         assert_eq!(gpu.metrics.mailbox_reads.get(), 1);
         assert_eq!(gpu.metrics.requests.get(), slots as u64);
-        assert_eq!(pending.len(), slots);
+        assert_eq!(outstanding(&pending), slots);
         // Each record stays PENDING until the completion.
         for slot in 0..slots {
             assert_eq!(
@@ -858,7 +879,7 @@ mod tests {
         }
         let before = transfers(&gpu);
         gpu.sweep(&mut pending).unwrap();
-        assert!(pending.is_empty());
+        assert!(outstanding(&pending) == 0);
         // No slot is blocked any more, so the same sweep goes on to read
         // the records (once; nothing new is pending).
         assert_eq!(since(before, &gpu), (1, slots as u64));
@@ -975,7 +996,7 @@ mod tests {
         ];
         for (kind, record, body, reply, harvest, completion) in table {
             let (gpu, work_rx) = test_gpu_thread(1);
-            let mut pending = HashMap::new();
+            let mut pending = gpu.in_flight();
             let gen = publish(&gpu, 0, record, body);
             let before = transfers(&gpu);
             gpu.sweep(&mut pending).unwrap();
@@ -987,7 +1008,7 @@ mod tests {
             let before = transfers(&gpu);
             gpu.sweep(&mut pending).unwrap();
             assert_eq!(since(before, &gpu), completion, "{kind}: completion");
-            assert!(pending.is_empty(), "{kind}");
+            assert!(outstanding(&pending) == 0, "{kind}");
             assert_eq!(word_of(&gpu, 0, record), req_word(gen, req_state::DONE));
             assert_eq!(record_fields(&gpu, 0, record).error, mailbox_error::OK);
         }
@@ -997,20 +1018,20 @@ mod tests {
     fn region_read_is_skipped_only_while_every_reserved_record_is_pending() {
         let slots = 2;
         let (gpu, _work_rx) = test_gpu_thread(slots);
-        let mut pending = HashMap::new();
+        let mut pending = gpu.in_flight();
         // Slot 0 blocks; slot 1 has only a nonblocking request in flight,
         // so it may publish again: the records are still read.
         publish(&gpu, 0, RESERVED_RECORD, barrier_body(&gpu, 0));
         publish(&gpu, 1, 1, barrier_body(&gpu, 1));
         gpu.sweep(&mut pending).unwrap();
-        assert_eq!(pending.len(), 2);
+        assert_eq!(outstanding(&pending), 2);
         let reads = gpu.device.dtoh_transfer_count();
         gpu.sweep(&mut pending).unwrap();
         assert_eq!(gpu.device.dtoh_transfer_count(), reads + 1);
         // Slot 1 blocks too: nothing can publish, nothing is read.
         publish(&gpu, 1, RESERVED_RECORD, barrier_body(&gpu, 1));
         gpu.sweep(&mut pending).unwrap();
-        assert_eq!(pending.len(), 3);
+        assert_eq!(outstanding(&pending), 3);
         let reads = gpu.device.dtoh_transfer_count();
         assert!(!gpu.sweep(&mut pending).unwrap());
         assert_eq!(gpu.device.dtoh_transfer_count(), reads);
@@ -1033,9 +1054,9 @@ mod tests {
         publish(&gpu, 0, 2, send(8));
         publish(&gpu, 0, RESERVED_RECORD, send(16));
         publish(&gpu, 0, 1, send(24));
-        let mut pending = HashMap::new();
+        let mut pending = gpu.in_flight();
         gpu.sweep(&mut pending).unwrap();
-        assert_eq!(pending.len(), 3);
+        assert_eq!(outstanding(&pending), 3);
         let CommCommand::Batch(reqs) = work_rx.try_recv().unwrap() else {
             panic!("expected one Batch");
         };
@@ -1068,15 +1089,15 @@ mod tests {
         publish(&gpu, 1, 2, Body::new(99, 0, DevicePtr::NULL, 0));
         publish(&gpu, 2, RESERVED_RECORD, reduce);
 
-        let mut pending = HashMap::new();
+        let mut pending = gpu.in_flight();
         gpu.sweep(&mut pending).unwrap();
-        assert_eq!(pending.len(), 3);
+        assert_eq!(outstanding(&pending), 3);
         assert!(
             work_rx.try_recv().is_none(),
             "nothing reached the comm thread"
         );
         gpu.sweep(&mut pending).unwrap();
-        assert!(pending.is_empty());
+        assert!(outstanding(&pending) == 0);
         for (slot, record) in [(0, RESERVED_RECORD), (1, 2), (2, RESERVED_RECORD)] {
             assert_eq!(word_of(&gpu, slot, record), req_word(0, req_state::DONE));
             let fields = record_fields(&gpu, slot, record);
@@ -1089,7 +1110,7 @@ mod tests {
         let (gpu, work_rx) = test_gpu_thread(1);
         let outside = DevicePtr::NULL.add(gpu.device.memory_capacity());
         let gen = publish(&gpu, 0, 1, Body::new(opcode::RECV, 0, outside, 8));
-        let mut pending = HashMap::new();
+        let mut pending = gpu.in_flight();
         gpu.sweep(&mut pending).unwrap();
         let CommCommand::Batch(mut reqs) = work_rx.try_recv().unwrap() else {
             panic!("expected a Batch");
@@ -1115,13 +1136,13 @@ mod tests {
         let (gpu, work_rx) = test_gpu_thread(1);
         let buf = DevicePtr::NULL.add(4096);
         let gen = publish(&gpu, 0, RESERVED_RECORD, Body::new(opcode::RECV, 0, buf, 8));
-        let mut pending = HashMap::new();
+        let mut pending = gpu.in_flight();
         gpu.sweep(&mut pending).unwrap();
-        assert_eq!(pending.len(), 1);
+        assert_eq!(outstanding(&pending), 1);
         // The comm thread goes away with the batch in hand.
         drop(work_rx.try_recv().unwrap());
         gpu.sweep(&mut pending).unwrap();
-        assert!(pending.is_empty());
+        assert!(outstanding(&pending) == 0);
         assert_eq!(
             word_of(&gpu, 0, RESERVED_RECORD),
             req_word(gen, req_state::DONE)
@@ -1134,14 +1155,14 @@ mod tests {
         publish(&gpu, 0, 1, barrier_body(&gpu, 0));
         gpu.sweep(&mut pending).unwrap();
         gpu.sweep(&mut pending).unwrap();
-        assert!(pending.is_empty());
+        assert!(outstanding(&pending) == 0);
         assert_eq!(record_fields(&gpu, 0, 1).error, mailbox_error::SHUTDOWN);
     }
 
     #[test]
     fn the_inbox_wait_wakes_on_whichever_reply_lands_first() {
         let (gpu, work_rx) = test_gpu_thread(1);
-        let mut pending = HashMap::new();
+        let mut pending = gpu.in_flight();
         let mut reqs = Vec::new();
         let mut gens = Vec::new();
         for record in [1, 2] {
@@ -1152,7 +1173,7 @@ mod tests {
             };
             reqs.extend(batch);
         }
-        assert_eq!(pending.len(), 2);
+        assert_eq!(outstanding(&pending), 2);
         // Only the second record's request is answered.
         let second = reqs.pop().unwrap();
         second
@@ -1168,13 +1189,13 @@ mod tests {
         gpu.sweep(&mut pending).unwrap();
         assert_eq!(word_of(&gpu, 0, 2), req_word(gens[1], req_state::DONE));
         assert_eq!(word_of(&gpu, 0, 1), req_word(gens[0], req_state::PENDING));
-        assert_eq!(pending.len(), 1);
+        assert_eq!(outstanding(&pending), 1);
     }
 
     #[test]
     fn empty_sweep_reads_the_records_once_and_sends_nothing() {
         let (gpu, work_rx) = test_gpu_thread(3);
-        let mut pending = HashMap::new();
+        let mut pending = gpu.in_flight();
         let before = transfers(&gpu);
         assert!(!gpu.sweep(&mut pending).unwrap());
         assert_eq!(since(before, &gpu), (1, 0));
@@ -1185,7 +1206,7 @@ mod tests {
         assert!(!gpu.sweep(&mut pending).unwrap());
         post(&gpu, 1, claimed, barrier_body(&gpu, 1));
         assert!(gpu.sweep(&mut pending).unwrap());
-        assert_eq!(pending.len(), 1);
+        assert_eq!(outstanding(&pending), 1);
         let CommCommand::Batch(reqs) = work_rx.try_recv().unwrap() else {
             panic!("expected a Batch");
         };
@@ -1435,7 +1456,7 @@ mod tests {
             queued: RefCell::default(),
             retired: false,
         };
-        let mut pending = HashMap::new();
+        let mut pending = gpu.in_flight();
         let mut held: Vec<Request> = Vec::new();
         let mut relayed: Vec<(&str, Vec<u8>)> = Vec::new();
         let mut answered = false;
@@ -1487,16 +1508,15 @@ mod tests {
                 // completed anything — never one per reply, and none for a
                 // batch it relays.
                 Move::Complete => {
-                    let (before, hopped) = (pending.len(), hops.get());
+                    let (before, hopped) = (outstanding(&pending), hops.get());
                     gpu.complete_ready(&mut pending).unwrap();
-                    let completing = pending.len() < before;
+                    let completing = outstanding(&pending) < before;
                     assert_eq!(hops.get() - hopped, completing as u64);
                     answered = false;
                 }
                 Move::Pass => {
                     let (requests, completes) = (gpu.metrics.requests.get(), answered);
-                    let (held_keys, hopped) =
-                        (pending.keys().copied().collect::<Vec<_>>(), hops.get());
+                    let (held_at, hopped) = (positions(&pending), hops.get());
                     let mut moved = false;
                     // The block may run on while the loop reads whether it
                     // has retired, wherever the pass reads that.
@@ -1517,7 +1537,7 @@ mod tests {
                         )
                         .unwrap();
                     answered = false;
-                    let completing = held_keys.iter().any(|key| !pending.contains_key(key));
+                    let completing = held_at.iter().any(|&at| pending[at].is_none());
                     while let Some(command) = work_rx.try_recv() {
                         let CommCommand::Batch(reqs) = command else {
                             panic!("expected a Batch");
@@ -1535,7 +1555,7 @@ mod tests {
                         }
                     }
                     assert_eq!(hops.get() - hopped, completing as u64);
-                    if retired == Some(false) && pending.is_empty() {
+                    if retired == Some(false) && outstanding(&pending) == 0 {
                         break;
                     }
                     if !moved && !completes && gpu.metrics.requests.get() == requests {

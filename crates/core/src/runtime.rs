@@ -231,6 +231,7 @@ impl Runtime {
                     metrics: GpuThreadMetrics::new(&metrics, node, gpu_index),
                     inbox: Inbox::new(),
                     region: Default::default(),
+                    found: Default::default(),
                 };
                 let setup = Arc::clone(&gpu_setup);
                 let kernel = Arc::clone(&gpu_kernel);

@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use dcgn::{DcgnConfig, DevicePtr, ReduceOp, Runtime};
-use proptest::prelude::*;
+use dcgn_testkit::{check, name};
 
 // ---------------------------------------------------------------------------
 // Deterministic per-rank contributions and their sequential reference.
@@ -258,22 +258,19 @@ fn run_case(
         .expect("mixed-layout collective launch");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    /// Random mixed layouts: every collective agrees with the sequential
-    /// reference regardless of rank kinds, node counts and the root's kind.
-    #[test]
-    fn collectives_match_sequential_reference(
-        nodes in 1usize..3,
-        cpus in 0usize..3,
-        gpus in 0usize..3,
-        slots in 1usize..3,
-        chunk_len in 1usize..17,
-        count in 1usize..9,
-        op_sel in 0u32..3,
-        root_seed in any::<usize>(),
-    ) {
+/// Random mixed layouts: every collective agrees with the sequential
+/// reference regardless of rank kinds, node counts and the root's kind.
+#[test]
+fn collectives_match_sequential_reference() {
+    check(name!(), 6, |rng| {
+        let nodes = rng.range(1..3);
+        let cpus = rng.range(0..3);
+        let gpus = rng.range(0..3);
+        let slots = rng.range(1..3);
+        let chunk_len = rng.range(1..17);
+        let count = rng.range(1..9);
+        let op_sel = rng.range(0..3);
+        let root_seed = rng.next_u64() as usize;
         // A node must contribute at least one rank.
         let cpus = if cpus == 0 && gpus == 0 { 1 } else { cpus };
         let op = match op_sel {
@@ -282,7 +279,7 @@ proptest! {
             _ => ReduceOp::Max,
         };
         run_case(nodes, cpus, gpus, slots, chunk_len, count, op, root_seed);
-    }
+    });
 }
 
 /// Deterministic smoke case pinning a GPU-slot root across two nodes, so the

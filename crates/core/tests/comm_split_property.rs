@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use dcgn::{DcgnConfig, DevicePtr, ReduceDtype, ReduceOp, Runtime};
-use proptest::prelude::*;
+use dcgn_testkit::{check, name};
 
 // ---------------------------------------------------------------------------
 // Deterministic colors, keys and contributions (computable by every rank).
@@ -189,23 +189,20 @@ fn run_case(
         .expect("comm_split property launch");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    /// Random mixed layouts and color/key assignments: split ordering and
-    /// per-subgroup allreduce agree with the sequential reference, no matter
-    /// which kinds of rank land in which color class.
-    #[test]
-    fn comm_split_matches_sequential_reference(
-        nodes in 1usize..3,
-        cpus in 0usize..3,
-        gpus in 0usize..3,
-        slots in 1usize..3,
-        seed in 0usize..1000,
-        colors in 1usize..4,
-        count in 1usize..6,
-        op_sel in 0u32..3,
-    ) {
+/// Random mixed layouts and color/key assignments: split ordering and
+/// per-subgroup allreduce agree with the sequential reference, no matter
+/// which kinds of rank land in which color class.
+#[test]
+fn comm_split_matches_sequential_reference() {
+    check(name!(), 6, |rng| {
+        let nodes = rng.range(1..3);
+        let cpus = rng.range(0..3);
+        let gpus = rng.range(0..3);
+        let slots = rng.range(1..3);
+        let seed = rng.range(0..1000);
+        let colors = rng.range(1..4);
+        let count = rng.range(1..6);
+        let op_sel = rng.range(0..3);
         // A node must contribute at least one rank.
         let cpus = if cpus == 0 && gpus == 0 { 1 } else { cpus };
         let op = match op_sel {
@@ -214,7 +211,7 @@ proptest! {
             _ => ReduceOp::Max,
         };
         run_case(nodes, cpus, gpus, slots, seed, colors, count, op);
-    }
+    });
 }
 
 /// Deterministic mixed CPU/GPU case so the GPU mailbox split path always

@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use dcgn::{DcgnConfig, ExchangePlan, ReduceOp, Runtime};
-use proptest::prelude::*;
+use dcgn_testkit::{check, name};
 
 const PLANS: [ExchangePlan; 4] = [
     ExchangePlan::Star,
@@ -113,22 +113,19 @@ fn run_under_plan(
         .expect("forced-plan launch");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 5, ..ProptestConfig::default() })]
-
-    /// Random node counts, rank layouts, payload sizes and reduce ops: all
-    /// four plans reproduce the sequential reference exactly.  Node counts
-    /// reach past the power-of-two boundary so recursive doubling exercises
-    /// its fold-in/fold-out extras and the tree its uneven subtrees.
-    #[test]
-    fn all_plans_agree_on_random_cases(
-        nodes in 2usize..10,
-        cpus in 1usize..3,
-        count in 1usize..33,
-        chunk_len in 1usize..25,
-        op_sel in 0u32..3,
-        root_seed in any::<usize>(),
-    ) {
+/// Random node counts, rank layouts, payload sizes and reduce ops: all
+/// four plans reproduce the sequential reference exactly.  Node counts
+/// reach past the power-of-two boundary so recursive doubling exercises
+/// its fold-in/fold-out extras and the tree its uneven subtrees.
+#[test]
+fn all_plans_agree_on_random_cases() {
+    check(name!(), 5, |rng| {
+        let nodes = rng.range(2..10);
+        let cpus = rng.range(1..3);
+        let count = rng.range(1..33);
+        let chunk_len = rng.range(1..25);
+        let op_sel = rng.range(0..3);
+        let root_seed = rng.next_u64() as usize;
         let op = match op_sel {
             0 => ReduceOp::Sum,
             1 => ReduceOp::Min,
@@ -137,7 +134,7 @@ proptest! {
         for plan in PLANS {
             run_under_plan(plan, nodes, cpus, count, chunk_len, op, root_seed);
         }
-    }
+    });
 }
 
 /// Deterministic anchor at the benchmark scale: 32 nodes, every plan, both

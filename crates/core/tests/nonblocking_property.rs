@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use dcgn::{DcgnConfig, DevicePtr, Runtime};
-use proptest::prelude::*;
+use dcgn_testkit::{check, name};
 
 /// Deterministic payload of `src`'s `round`-th message under `seed`.
 /// Lengths cross the empty, eager and rendezvous regimes.
@@ -178,25 +178,22 @@ fn run_case(nodes: usize, cpus: usize, gpus: usize, slots: usize, seed: usize, r
         .expect("nonblocking property launch");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    /// Random mixed layouts, publish orders and completion strategies: every
-    /// interleaving of isend/irecv/wait/test reproduces the blocking
-    /// reference exactly (payloads, sources, FIFO pairing).
-    #[test]
-    fn interleaved_nonblocking_matches_blocking_reference(
-        nodes in 1usize..3,
-        cpus in 0usize..3,
-        gpus in 0usize..2,
-        slots in 1usize..3,
-        seed in 0usize..1000,
-        rounds in 1usize..5,
-    ) {
+/// Random mixed layouts, publish orders and completion strategies: every
+/// interleaving of isend/irecv/wait/test reproduces the blocking
+/// reference exactly (payloads, sources, FIFO pairing).
+#[test]
+fn interleaved_nonblocking_matches_blocking_reference() {
+    check(name!(), 6, |rng| {
+        let nodes = rng.range(1..3);
+        let cpus = rng.range(0..3);
+        let gpus = rng.range(0..2);
+        let slots = rng.range(1..3);
+        let seed = rng.range(0..1000);
+        let rounds = rng.range(1..5);
         // A node must contribute at least one rank.
         let cpus = if cpus == 0 && gpus == 0 { 1 } else { cpus };
         run_case(nodes, cpus, gpus, slots, seed, rounds);
-    }
+    });
 }
 
 /// Deterministic mixed case pinned so the GPU split protocol and every CPU

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use dcgn::{DcgnConfig, Payload, Runtime};
 // The point-to-point envelope; every pool class is a power of two plus it.
 use dcgn_netsim::buffer::ENVELOPE_BYTES as ENVELOPE;
-use proptest::prelude::*;
+use dcgn_testkit::{check, name, Rng};
 
 /// The byte every cell of a payload created at step `step` by actor `actor`
 /// is filled with.
@@ -58,15 +58,14 @@ fn class_boundary_buffers_recycle_and_never_alias() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// Pool-level churn: random interleavings of create / clone / slice /
-    /// drop.  Every payload still held must read back exactly the fill it
-    /// was created with, no matter how many buffers were recycled and
-    /// reissued in between.
-    #[test]
-    fn recycling_never_aliases_live_payloads(ops in proptest::collection::vec(any::<u64>(), 1..120)) {
+/// Pool-level churn: random interleavings of create / clone / slice /
+/// drop.  Every payload still held must read back exactly the fill it
+/// was created with, no matter how many buffers were recycled and
+/// reissued in between.
+#[test]
+fn recycling_never_aliases_live_payloads() {
+    check(name!(), 48, |rng| {
+        let ops = rng.vec(1..120, Rng::next_u64);
         // (payload, expected fill, expected length)
         let mut held: Vec<(Payload, u8, usize)> = Vec::new();
         for (step, op) in ops.iter().enumerate() {
@@ -104,28 +103,29 @@ proptest! {
             }
             // Spot-check one held payload per step; all are verified below.
             if let Some((p, fill, len)) = held.get(step % held.len().max(1)) {
-                prop_assert_eq!(p.len(), *len);
-                prop_assert!(p.as_slice().iter().all(|b| b == fill));
+                assert_eq!(p.len(), *len);
+                assert!(p.as_slice().iter().all(|b| b == fill));
             }
         }
         for (p, fill, len) in &held {
-            prop_assert_eq!(p.len(), *len);
-            prop_assert!(
+            assert_eq!(p.len(), *len);
+            assert!(
                 p.as_slice().iter().all(|b| b == fill),
                 "a recycled buffer aliased a live payload"
             );
         }
-    }
+    });
+}
 
-    /// Cut one buffer at random points (repeats give empty pieces) and
-    /// `append` the pieces back in order: the result is the original view —
-    /// same pointer, same bytes — however it was cut, and once the pieces'
-    /// source is dropped it leaves through `into_vec` as the allocation.
-    #[test]
-    fn random_cuts_of_one_buffer_rejoin_by_pointer(
-        len in 1usize..5000,
-        cuts in proptest::collection::vec(any::<usize>(), 0..12),
-    ) {
+/// Cut one buffer at random points (repeats give empty pieces) and
+/// `append` the pieces back in order: the result is the original view —
+/// same pointer, same bytes — however it was cut, and once the pieces'
+/// source is dropped it leaves through `into_vec` as the allocation.
+#[test]
+fn random_cuts_of_one_buffer_rejoin_by_pointer() {
+    check(name!(), 48, |rng| {
+        let len = rng.range(1..5000);
+        let cuts = rng.vec(0..12, |rng| rng.next_u64() as usize);
         let whole = Payload::copy_from_slice(&(0..len).map(|i| i as u8).collect::<Vec<_>>());
         let base = whole.as_slice().as_ptr();
         let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (len + 1)).collect();
@@ -135,22 +135,23 @@ proptest! {
         for pair in bounds.windows(2) {
             joined.append(whole.slice(pair[0]..pair[1]));
         }
-        prop_assert_eq!(joined.as_slice().as_ptr(), base);
-        prop_assert_eq!(&joined, &whole);
+        assert_eq!(joined.as_slice().as_ptr(), base);
+        assert_eq!(&joined, &whole);
         drop(whole);
         let out = joined.into_vec();
-        prop_assert_eq!(out.as_ptr(), base);
-    }
+        assert_eq!(out.as_ptr(), base);
+    });
+}
 
-    /// End-to-end churn: four CPU ranks over two nodes run rounds of ring
-    /// point-to-point traffic interleaved with allgathers and broadcasts,
-    /// with every payload carrying a per-(round, sender) fill pattern.  A
-    /// buffer recycled while still referenced by an in-flight message or an
-    /// undelivered collective result would surface as corrupt bytes here.
-    #[test]
-    fn pooled_payloads_survive_interleaved_traffic(
-        lens in proptest::collection::vec(1usize..3000, 3..7),
-    ) {
+/// End-to-end churn: four CPU ranks over two nodes run rounds of ring
+/// point-to-point traffic interleaved with allgathers and broadcasts,
+/// with every payload carrying a per-(round, sender) fill pattern.  A
+/// buffer recycled while still referenced by an in-flight message or an
+/// undelivered collective result would surface as corrupt bytes here.
+#[test]
+fn pooled_payloads_survive_interleaved_traffic() {
+    check(name!(), 48, |rng| {
+        let lens = rng.vec(3..7, |rng| rng.range(1..3000));
         let runtime = Runtime::new(DcgnConfig::homogeneous(2, 2, 0, 0)).unwrap();
         let lens = Arc::new(lens);
         runtime
@@ -200,5 +201,5 @@ proptest! {
                 }
             })
             .unwrap();
-    }
+    });
 }

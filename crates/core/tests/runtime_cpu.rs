@@ -2,10 +2,9 @@
 //! rank assignment visibility, and multi-node behaviour.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dcgn::{CostModel, DcgnConfig, DcgnError, NodeConfig, Runtime};
-use parking_lot::Mutex;
 
 fn cpu_only(nodes: usize, cpus: usize) -> Runtime {
     Runtime::new(DcgnConfig::homogeneous(nodes, cpus, 0, 0)).unwrap()
@@ -21,15 +20,15 @@ fn two_rank_ping_pong_across_nodes() {
             if ctx.rank() == 0 {
                 ctx.send(1, b"ping").unwrap();
                 let (pong, status) = ctx.recv(1).unwrap();
-                log2.lock().push((ctx.rank(), pong, status.source));
+                log2.lock().unwrap().push((ctx.rank(), pong, status.source));
             } else {
                 let (ping, status) = ctx.recv(0).unwrap();
                 ctx.send(0, b"pong").unwrap();
-                log2.lock().push((ctx.rank(), ping, status.source));
+                log2.lock().unwrap().push((ctx.rank(), ping, status.source));
             }
         })
         .unwrap();
-    let mut entries = log.lock().clone();
+    let mut entries = log.lock().unwrap().clone();
     entries.sort();
     assert_eq!(entries[0], (0, b"pong".to_vec(), 1));
     assert_eq!(entries[1], (1, b"ping".to_vec(), 0));
@@ -87,10 +86,13 @@ fn rank_and_size_visible_to_kernels() {
     let seen2 = Arc::clone(&seen);
     runtime
         .launch_cpu_only(move |ctx| {
-            seen2.lock().push((ctx.rank(), ctx.size(), ctx.node()));
+            seen2
+                .lock()
+                .unwrap()
+                .push((ctx.rank(), ctx.size(), ctx.node()));
         })
         .unwrap();
-    let mut entries = seen.lock().clone();
+    let mut entries = seen.lock().unwrap().clone();
     entries.sort();
     assert_eq!(entries.len(), 6);
     for (i, (rank, size, node)) in entries.iter().enumerate() {
@@ -141,10 +143,10 @@ fn broadcast_from_each_root() {
                     Vec::new()
                 };
                 ctx.broadcast(root, &mut data).unwrap();
-                r2.lock().push(data);
+                r2.lock().unwrap().push(data);
             })
             .unwrap();
-        for data in results.lock().iter() {
+        for data in results.lock().unwrap().iter() {
             assert_eq!(data, &vec![root as u8; 1000]);
         }
     }
@@ -160,13 +162,17 @@ fn gather_collects_in_rank_order_at_root() {
             let mine = vec![ctx.rank() as u8; ctx.rank() + 1];
             let result = ctx.gather(2, &mine).unwrap();
             if ctx.rank() == 2 {
-                *g2.lock() = result;
+                *g2.lock().unwrap() = result;
             } else {
                 assert!(result.is_none());
             }
         })
         .unwrap();
-    let chunks = gathered.lock().clone().expect("root collected data");
+    let chunks = gathered
+        .lock()
+        .unwrap()
+        .clone()
+        .expect("root collected data");
     assert_eq!(chunks.len(), 4);
     for (rank, chunk) in chunks.iter().enumerate() {
         assert_eq!(chunk, &vec![rank as u8; rank + 1]);
@@ -187,10 +193,10 @@ fn sendrecv_replace_symmetric_exchange() {
             let prev = (ctx.rank() + n - 1) % n;
             let mut buf = vec![ctx.rank() as u8; 64];
             ctx.sendrecv_replace(&mut buf, next, prev).unwrap();
-            r2.lock()[ctx.rank()] = buf;
+            r2.lock().unwrap()[ctx.rank()] = buf;
         })
         .unwrap();
-    let results = results.lock();
+    let results = results.lock().unwrap();
     for rank in 0..4 {
         let prev = (rank + 3) % 4;
         assert_eq!(results[rank], vec![prev as u8; 64]);

@@ -3,10 +3,9 @@
 //! virtualisation.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dcgn::{CostModel, DcgnConfig, DeviceConfig, Runtime};
-use parking_lot::Mutex;
 
 /// GPU-only config: `nodes` nodes, each with `gpus` GPUs of `slots` slots.
 fn gpu_only(nodes: usize, gpus: usize, slots: usize) -> Runtime {
@@ -63,7 +62,7 @@ fn cpu_to_gpu_and_gpu_to_cpu_messages() {
                 ctx.send(1, b"to the gpu").unwrap();
                 let (reply, status) = ctx.recv(1).unwrap();
                 assert_eq!(status.source, 1);
-                cpu_saw2.lock().push(reply);
+                cpu_saw2.lock().unwrap().push(reply);
             },
             move |ctx| {
                 let block = ctx.block();
@@ -80,7 +79,10 @@ fn cpu_to_gpu_and_gpu_to_cpu_messages() {
             },
         )
         .unwrap();
-    assert_eq!(cpu_saw.lock().clone(), vec![b"from the gpu".to_vec()]);
+    assert_eq!(
+        cpu_saw.lock().unwrap().clone(),
+        vec![b"from the gpu".to_vec()]
+    );
 }
 
 #[test]
@@ -103,7 +105,7 @@ fn multiple_slots_per_gpu_are_distinct_ranks() {
                 }
                 for _ in 0..3 {
                     let (data, status) = ctx.recv_any().unwrap();
-                    received2.lock().push((status.source, data[0]));
+                    received2.lock().unwrap().push((status.source, data[0]));
                 }
             },
             move |ctx| {
@@ -120,7 +122,7 @@ fn multiple_slots_per_gpu_are_distinct_ranks() {
             },
         )
         .unwrap();
-    let mut results = received.lock().clone();
+    let mut results = received.lock().unwrap().clone();
     results.sort();
     assert_eq!(results, vec![(1, 14), (2, 28), (3, 42)]);
 }
@@ -143,7 +145,7 @@ fn gpu_slots_participate_in_barrier_and_broadcast() {
                     Vec::new()
                 };
                 ctx.broadcast(0, &mut data).unwrap();
-                cpu_results2.lock().push(data);
+                cpu_results2.lock().unwrap().push(data);
                 ctx.barrier().unwrap();
             },
             move |ctx| {
@@ -161,7 +163,7 @@ fn gpu_slots_participate_in_barrier_and_broadcast() {
             },
         )
         .unwrap();
-    let cpu_results = cpu_results.lock();
+    let cpu_results = cpu_results.lock().unwrap();
     assert_eq!(cpu_results.len(), 2);
     for data in cpu_results.iter() {
         assert_eq!(data, &vec![0xAB; 256]);
@@ -181,7 +183,7 @@ fn gpu_broadcast_with_gpu_root() {
             move |ctx| {
                 let mut data = Vec::new();
                 ctx.broadcast(gpu_root, &mut data).unwrap();
-                cpu_results2.lock().push(data);
+                cpu_results2.lock().unwrap().push(data);
             },
             move |ctx| {
                 let block = ctx.block();
@@ -201,7 +203,7 @@ fn gpu_broadcast_with_gpu_root() {
             },
         )
         .unwrap();
-    let cpu_results = cpu_results.lock();
+    let cpu_results = cpu_results.lock().unwrap();
     assert_eq!(cpu_results.len(), 2);
     for data in cpu_results.iter() {
         assert_eq!(data, b"device payload");
@@ -253,12 +255,12 @@ fn gpu_setup_and_finish_hooks_manage_device_memory() {
                 let results = Arc::clone(&results2);
                 move |setup, buf| {
                     let back = setup.device().memcpy_dtoh_vec(*buf, 64).unwrap();
-                    results.lock().push((setup.slot_rank(0), back[0]));
+                    results.lock().unwrap().push((setup.slot_rank(0), back[0]));
                 }
             },
         )
         .unwrap();
-    let mut r = results.lock().clone();
+    let mut r = results.lock().unwrap().clone();
     r.sort();
     // Rank 0's buffer ends up holding rank 1's reply pattern (11); rank 1
     // rebuilt its buffer with the same pattern before sending, so both

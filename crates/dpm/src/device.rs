@@ -2,9 +2,7 @@
 //! memory transfer API.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use dcgn_metrics::Counter;
 use dcgn_simtime::{channel, Charge, Clock, CostModel, Deadline, Receiver, Sender, VirtualBus};
@@ -104,7 +102,7 @@ impl LaunchState {
     }
 
     fn block_finished(&self) {
-        let mut remaining = self.remaining.lock();
+        let mut remaining = self.remaining.lock().expect("blocks remaining");
         *remaining -= 1;
         if *remaining == 0 {
             self.done.notify_all();
@@ -112,7 +110,7 @@ impl LaunchState {
     }
 
     fn record_fault(&self, msg: String) {
-        let mut fault = self.fault.lock();
+        let mut fault = self.fault.lock().expect("launch fault");
         if fault.is_none() {
             *fault = Some(msg);
         }
@@ -129,14 +127,14 @@ impl KernelHandle {
     /// Block until every block of the launch has completed.
     pub fn wait(&self) -> Result<(), KernelError> {
         let state = &self.state;
-        let mut remaining = state.remaining.lock();
+        let mut remaining = state.remaining.lock().expect("blocks remaining");
         while *remaining > 0 {
-            state
+            (remaining, _) = state
                 .clock
-                .wait_until(&state.done, &mut remaining, Deadline::NEVER);
+                .wait_until(&state.done, remaining, Deadline::NEVER);
         }
         drop(remaining);
-        match self.state.fault.lock().clone() {
+        match self.state.fault.lock().expect("launch fault").clone() {
             Some(msg) => Err(KernelError::BlockFault(msg)),
             None => Ok(()),
         }
@@ -144,13 +142,13 @@ impl KernelHandle {
 
     /// True once every block has retired.
     pub fn is_done(&self) -> bool {
-        *self.state.remaining.lock() == 0
+        *self.state.remaining.lock().expect("blocks remaining") == 0
     }
 
     /// True once a block has faulted; [`KernelHandle::wait`] then returns
     /// the first fault.
     pub fn faulted(&self) -> bool {
-        self.state.fault.lock().is_some()
+        self.state.fault.lock().expect("launch fault").is_some()
     }
 }
 
@@ -241,7 +239,7 @@ impl Device {
     /// the configured multiprocessor count).
     fn ensure_sm_workers(&self, needed: usize) {
         let needed = needed.min(self.config.num_multiprocessors);
-        let mut threads = self.sm_threads.lock();
+        let mut threads = self.sm_threads.lock().expect("multiprocessor workers");
         while threads.len() < needed {
             let (rx, clock) = (Arc::clone(&self.sm_rx), self.clock.clone());
             let name = format!("dev{}-sm{}", self.id, threads.len());
@@ -470,7 +468,10 @@ impl Device {
 impl Drop for Device {
     fn drop(&mut self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
-            let mut threads = self.sm_threads.lock();
+            let mut threads = self
+                .sm_threads
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             for _ in 0..threads.len() {
                 let _ = self.sm_tx.send(SmMessage::Shutdown);
             }

@@ -14,9 +14,9 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
 use dcgn_simtime::{Clock, Deadline};
-use parking_lot::{Condvar, Mutex};
 
 /// An address in device global memory.  Device pointers are plain offsets
 /// into the device arena; they are only meaningful for the device that
@@ -229,15 +229,18 @@ impl DeviceMemory {
             poll()
         };
         let park = |deadline| {
-            let mut rings = self.rings.lock();
-            while *rings == seen.get() && !clock.wait_until(&self.ring, &mut rings, deadline) {}
+            let mut rings = self.rings.lock().expect("memory rings");
+            let mut timed_out = false;
+            while *rings == seen.get() && !timed_out {
+                (rings, timed_out) = clock.wait_until(&self.ring, rings, deadline);
+            }
         };
         clock.poll_until(deadline, mark_then_poll, park)
     }
 
     /// Writes rung so far.
     pub(crate) fn rings(&self) -> u64 {
-        *self.rings.lock()
+        *self.rings.lock().expect("memory rings")
     }
 
     /// Apply `f` to the `len` bytes at `ptr`, then ring the waiting blocks,
@@ -249,9 +252,9 @@ impl DeviceMemory {
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R, MemoryError> {
         self.check(ptr.0, len)?;
-        let out = f(&mut self.data.lock()[ptr.0..ptr.0 + len]);
+        let out = f(&mut self.data.lock().expect("device memory")[ptr.0..ptr.0 + len]);
         if self.waiters.load(Ordering::SeqCst) > 0 {
-            *self.rings.lock() += 1;
+            *self.rings.lock().expect("memory rings") += 1;
             self.ring.notify_all();
         }
         Ok(out)
@@ -262,11 +265,12 @@ impl DeviceMemory {
     }
 
     pub(crate) fn malloc(&self, size: usize) -> Result<DevicePtr, MemoryError> {
-        self.alloc.lock().alloc(size).map(DevicePtr)
+        let mut alloc = self.alloc.lock().expect("allocator");
+        alloc.alloc(size).map(DevicePtr)
     }
 
     pub(crate) fn free(&self, ptr: DevicePtr) -> Result<(), MemoryError> {
-        self.alloc.lock().dealloc(ptr.0)
+        self.alloc.lock().expect("allocator").dealloc(ptr.0)
     }
 
     fn check(&self, offset: usize, len: usize) -> Result<(), MemoryError> {
@@ -290,7 +294,7 @@ impl DeviceMemory {
 
     pub(crate) fn read(&self, ptr: DevicePtr, out: &mut [u8]) -> Result<(), MemoryError> {
         self.check(ptr.0, out.len())?;
-        let data = self.data.lock();
+        let data = self.data.lock().expect("device memory");
         out.copy_from_slice(&data[ptr.0..ptr.0 + out.len()]);
         Ok(())
     }

@@ -29,7 +29,7 @@
 //!   property test in `crates/core/tests/payload_pool.rs`).
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use dcgn_metrics::{Counter, Gauge};
 
@@ -135,7 +135,8 @@ impl Pool {
         Vec::with_capacity(capacity)
     }
 
-    /// Return `buf` to its class's slab; true when the slab kept it.
+    /// Return `buf` to its class's slab (from a `Drop`); true when the slab
+    /// kept it.
     fn release(&self, buf: Vec<u8>) -> bool {
         // Only exact class-sized capacities are retained, so acquire() can
         // trust that a pooled buffer fits its class.
@@ -145,7 +146,9 @@ impl Pool {
         if buf.capacity() != class_capacity(class) {
             return false;
         }
-        let mut slab = self.classes[class].lock().expect("pool lock");
+        let mut slab = self.classes[class]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if slab.len() >= max_retained(class) {
             return false;
         }

@@ -7,9 +7,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use dcgn_simtime::{channel, Charge, Clock, Deadline, Receiver, Sender, Stamp, VirtualBus};
 
@@ -183,14 +181,10 @@ impl<T: Send + 'static> Fabric<T> {
         );
         let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst) as usize;
         let (tx, rx) = channel();
-        self.inner.endpoints.write().insert(
-            id,
-            EndpointEntry {
-                node,
-                tx,
-                notify: None,
-            },
-        );
+        let notify = None;
+        let mut endpoints = self.inner.endpoints.write().expect("fabric endpoints");
+        endpoints.insert(id, EndpointEntry { node, tx, notify });
+        drop(endpoints);
         Endpoint {
             id: EndpointId(id),
             node,
@@ -202,7 +196,8 @@ impl<T: Send + 'static> Fabric<T> {
 
     /// The node an endpoint is attached to, if it exists.
     pub fn node_of(&self, endpoint: EndpointId) -> Option<usize> {
-        self.inner.endpoints.read().get(&endpoint.0).map(|e| e.node)
+        let endpoints = self.inner.endpoints.read().expect("fabric endpoints");
+        endpoints.get(&endpoint.0).map(|e| e.node)
     }
 
     fn deliver(
@@ -216,7 +211,7 @@ impl<T: Send + 'static> Fabric<T> {
         // Look up the destination first so that cost is not charged for a
         // send that can never be delivered.
         let (dst_node, tx, notify) = {
-            let endpoints = self.inner.endpoints.read();
+            let endpoints = self.inner.endpoints.read().expect("fabric endpoints");
             let entry = endpoints.get(&dst.0).ok_or(RecvError::Disconnected)?;
             (entry.node, entry.tx.clone(), entry.notify.clone())
         };
@@ -265,16 +260,22 @@ impl<T: Send + 'static> Fabric<T> {
     /// woken instead of polling; it then waits for the frame to land
     /// ([`Endpoint::first_landing`]).
     pub fn set_notifier(&self, endpoint: EndpointId, notify: WakeNotifier) {
-        if let Some(entry) = self.inner.endpoints.write().get_mut(&endpoint.0) {
+        let mut endpoints = self.inner.endpoints.write().expect("fabric endpoints");
+        if let Some(entry) = endpoints.get_mut(&endpoint.0) {
             entry.notify = Some(notify);
         }
     }
 }
 
 impl<T> Fabric<T> {
-    /// Detach an endpoint, closing its inbound queue.
+    /// Detach an endpoint, closing its inbound queue (from its `Drop`).
     fn detach(&self, endpoint: EndpointId) {
-        self.inner.endpoints.write().remove(&endpoint.0);
+        let mut endpoints = self
+            .inner
+            .endpoints
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        endpoints.remove(&endpoint.0);
     }
 }
 

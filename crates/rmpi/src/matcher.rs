@@ -81,7 +81,7 @@ impl<M, R: Accepts<M>> Matcher<M, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use dcgn_testkit::{check, name, Rng};
 
     /// A test message: `(id, src, tag)`.
     type Msg = (usize, usize, u32);
@@ -101,19 +101,16 @@ mod tests {
         (!rng.is_multiple_of(3)).then_some((rng / 3) % values)
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-        /// Random interleavings of arrivals and postings, wildcards on either
-        /// axis included, against the rules the queue order must give: after
-        /// every step no waiting message is accepted by a waiting receive, a
-        /// pair's message is the earliest waiting one its receive accepts,
-        /// and a pair's receive is the earliest waiting one that accepts its
-        /// message.
-        #[test]
-        fn every_match_is_the_oldest_entry_that_fits(
-            steps in proptest::collection::vec(any::<u64>(), 1..80),
-        ) {
+    /// Random interleavings of arrivals and postings, wildcards on either
+    /// axis included, against the rules the queue order must give: after
+    /// every step no waiting message is accepted by a waiting receive, a
+    /// pair's message is the earliest waiting one its receive accepts,
+    /// and a pair's receive is the earliest waiting one that accepts its
+    /// message.
+    #[test]
+    fn every_match_is_the_oldest_entry_that_fits() {
+        check(name!(), 64, |rng| {
+            let steps = rng.vec(1..80, Rng::next_u64);
             let mut m = Matcher::<Msg, Recv>::default();
             // Shadow copies of the two queues, in arrival and posting order.
             let mut msgs: Vec<Msg> = Vec::new();
@@ -126,7 +123,7 @@ mod tests {
                     match &paired {
                         Some((recv, _)) => {
                             let first = recvs.iter().position(|r| r.accepts(&msg));
-                            prop_assert_eq!(first.map(|at| recvs[at].0), Some(recv.0));
+                            assert_eq!(first.map(|at| recvs[at].0), Some(recv.0));
                             recvs.retain(|r| r.0 != recv.0);
                         }
                         None => msgs.push(msg),
@@ -139,7 +136,7 @@ mod tests {
                     match &paired {
                         Some((_, msg)) => {
                             let first = msgs.iter().position(|m| recv.accepts(m));
-                            prop_assert_eq!(first.map(|at| msgs[at].0), Some(msg.0));
+                            assert_eq!(first.map(|at| msgs[at].0), Some(msg.0));
                             msgs.retain(|m| m.0 != msg.0);
                         }
                         None => recvs.push(recv),
@@ -147,12 +144,12 @@ mod tests {
                     paired
                 };
                 if let Some((recv, msg)) = paired {
-                    prop_assert!(recv.accepts(&msg));
+                    assert!(recv.accepts(&msg));
                 }
-                prop_assert!(!recvs.iter().any(|r| msgs.iter().any(|m| r.accepts(m))));
-                prop_assert_eq!(m.queued_msgs(), msgs.len());
-                prop_assert_eq!(m.pending_recvs(), recvs.len());
+                assert!(!recvs.iter().any(|r| msgs.iter().any(|m| r.accepts(m))));
+                assert_eq!(m.queued_msgs(), msgs.len());
+                assert_eq!(m.pending_recvs(), recvs.len());
             }
-        }
+        });
     }
 }

@@ -13,7 +13,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use dcgn_netsim::buffer::ENVELOPE_BYTES;
 use dcgn_rmpi::{MpiWorld, RankPlacement, RdvConfig};
 use dcgn_simtime::CostModel;
-use proptest::prelude::*;
+use dcgn_testkit::{check, name, Rng};
 
 const RANKS: usize = 3;
 
@@ -26,7 +26,7 @@ fn serial() -> MutexGuard<'static, ()> {
 
 /// One point-to-point transfer: who sends, who receives, how many bytes,
 /// and the pattern seed.  Derived deterministically from a single u64 so
-/// the proptest strategy stays a flat `vec(any::<u64>())`.
+/// the property draws a flat vector of `u64`s.
 #[derive(Clone, Copy, Debug)]
 struct Transfer {
     src: usize,
@@ -203,30 +203,26 @@ fn each_streamed_receive_records_one_throughput_sample() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8,
-        .. ProptestConfig::default()
-    })]
-
-    /// N interleaved chunked transfers deliver exactly what one-chunk
-    /// transfers deliver, which matches the expected pattern.
-    #[test]
-    fn interleaved_chunked_transfers_match_sequential_reference(
-        seeds in proptest::collection::vec(any::<u64>(), 2..6),
-        pair_seed in any::<u64>(),
-        chunk in 1024usize..16_384,
-        window in 1usize..5,
-    ) {
+/// N interleaved chunked transfers deliver exactly what one-chunk
+/// transfers deliver, which matches the expected pattern.
+#[test]
+fn interleaved_chunked_transfers_match_sequential_reference() {
+    check(name!(), 8, |rng| {
+        let seeds = rng.vec(2..6, Rng::next_u64);
+        let pair_seed = rng.next_u64();
+        let chunk = rng.range(1024..16_384);
+        let window = rng.range(1..5);
         let _serial = serial();
-        let mut transfers: Vec<Transfer> =
-            seeds.iter().copied().map(Transfer::from_seed).collect();
+        let mut transfers: Vec<Transfer> = seeds.iter().copied().map(Transfer::from_seed).collect();
         // Force at least two transfers onto the same rank pair so their
         // chunk/credit streams interleave on a single wire.
         let dup = Transfer::from_seed(pair_seed);
         transfers.push(dup);
         transfers.push(Transfer::from_seed(pair_seed.wrapping_add(0x9E37_79B9)));
-        transfers.push(Transfer { seed: dup.seed ^ 0xA5A5, ..dup });
+        transfers.push(Transfer {
+            seed: dup.seed ^ 0xA5A5,
+            ..dup
+        });
 
         // Tiny eager threshold: every transfer takes the rendezvous path.
         let streamed_cfg = RdvConfig::new(512)
@@ -237,10 +233,10 @@ proptest! {
         let streamed = run_transfers(&transfers, streamed_cfg);
         let reference = run_transfers(&transfers, legacy_cfg);
 
-        prop_assert_eq!(streamed.len(), transfers.len());
+        assert_eq!(streamed.len(), transfers.len());
         for (idx, t) in transfers.iter().enumerate() {
-            prop_assert_eq!(&streamed[idx], &reference[idx]);
-            prop_assert_eq!(&streamed[idx], &t.pattern());
+            assert_eq!(&streamed[idx], &reference[idx]);
+            assert_eq!(&streamed[idx], &t.pattern());
         }
-    }
+    });
 }

@@ -7,7 +7,7 @@
 //! blocking [`VirtualBus::transfer`] (the paper's synchronous PCI-e copies)
 //! books the same way and then waits until its booking ends.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::clock::{Charge, Clock, Stamp};
 use crate::cost::LinkCost;
@@ -46,7 +46,7 @@ impl VirtualBus {
     /// not before now, without blocking; returns when it ends, which is
     /// when its bytes land.
     pub fn reserve(&self, clock: &Clock, bytes: usize) -> Stamp {
-        let mut busy_until = self.engine.lock();
+        let mut busy_until = self.engine.lock().expect("bus engine");
         let end = clock.book(self.kind, *busy_until, self.cost.transfer_time(bytes));
         *busy_until = Some(end);
         end

@@ -13,9 +13,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::clock::{Charge, Clock, Deadline};
 
@@ -62,7 +60,7 @@ impl<T> Sender<T> {
     /// one (a futex wake is a system call even with nobody waiting).  `Err`
     /// hands `item` back once the receiver is gone.
     pub fn send(&self, item: T) -> Result<(), T> {
-        let mut state = self.0.state.lock();
+        let mut state = self.0.state.lock().expect("channel state");
         if state.closed {
             return Err(item);
         }
@@ -100,7 +98,7 @@ impl<T> Receiver<T> {
     /// Run `look` on the queue under its lock, without waiting (a fabric
     /// endpoint takes the first frame that has landed, not the head).
     pub fn with_queue<R>(&self, look: impl FnOnce(&mut VecDeque<T>) -> R) -> R {
-        look(&mut self.0.state.lock().queue)
+        look(&mut self.0.state.lock().expect("channel state").queue)
     }
 
     /// The next item, waiting on `clock` until `deadline` at most (`None`
@@ -129,7 +127,7 @@ impl<T> Receiver<T> {
         deadline: Deadline,
         mut file: impl FnMut(T) -> bool,
     ) -> Option<Drained> {
-        let mut spare = self.1.lock();
+        let mut spare = self.1.lock().expect("channel spare");
         let mut crossing = self.recv_with(clock, deadline, |queue| {
             (!queue.is_empty()).then(|| std::mem::replace(queue, std::mem::take(&mut *spare)))
         })?;
@@ -155,17 +153,17 @@ impl<T> Receiver<T> {
     ) -> Option<R> {
         let seen = std::cell::Cell::new(0);
         let poll = || {
-            let mut state = self.0.state.lock();
+            let mut state = self.0.state.lock().expect("channel state");
             let got = take(&mut state.queue);
             seen.set(state.queue.len());
             got
         };
         let park = |deadline| {
-            let mut state = self.0.state.lock();
+            let mut state = self.0.state.lock().expect("channel state");
             // A send since the last poll must not be slept on.
             if state.queue.len() == seen.get() {
                 state.waiting += 1;
-                clock.wait_until(&self.0.ready, &mut state, deadline);
+                (state, _) = clock.wait_until(&self.0.ready, state, deadline);
                 state.waiting -= 1;
             }
         };
@@ -175,7 +173,7 @@ impl<T> Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut state = self.0.state.lock();
+        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.closed = true;
         let unread = std::mem::take(&mut state.queue);
         // Dropped outside the lock: an item's own drop may send (a
@@ -244,14 +242,14 @@ mod tests {
             });
             // A waiter counts itself under the mutex its condvar wait
             // releases, so once the count shows, the waiter is parked.
-            while rx.0.state.lock().waiting != 1 {
+            while rx.0.state.lock().unwrap().waiting != 1 {
                 std::thread::yield_now();
             }
             tx.send(5).unwrap();
             let got = done_rx.recv_timeout(Duration::from_secs(60));
             assert_eq!(got, Ok(Some(5)), "{deadline:?}: the send woke nobody");
             t.join().unwrap();
-            assert_eq!(rx.0.state.lock().waiting, 0);
+            assert_eq!(rx.0.state.lock().unwrap().waiting, 0);
         }
     }
 

@@ -14,11 +14,10 @@
 //! channel receive ([`crate::channel::Receiver::recv_until`]) or a device
 //! block waiting on a word, both a [`Clock::poll_until`].
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard};
 use std::time::{Duration, Instant};
 
 use dcgn_metrics::{Counter, MetricsHandle};
-use parking_lot::{Condvar, MutexGuard};
 
 use crate::cost::CostModel;
 use crate::sleep::{sleep_until, PARK_AFTER};
@@ -214,20 +213,19 @@ impl Clock {
     }
 
     /// Wait on `cv`, releasing `guard` meanwhile, until notified or until
-    /// `deadline`; true when the wait ended because the deadline passed.
-    pub fn wait_until<T>(
+    /// `deadline`: the guard back, and true when the deadline ended the wait.
+    pub fn wait_until<'a, T>(
         &self,
         cv: &Condvar,
-        guard: &mut MutexGuard<'_, T>,
+        guard: MutexGuard<'a, T>,
         deadline: Deadline,
-    ) -> bool {
-        match deadline.0 {
-            None => {
-                cv.wait(guard);
-                false
-            }
-            Some(at) => cv.wait_until(guard, at).timed_out(),
-        }
+    ) -> (MutexGuard<'a, T>, bool) {
+        let Some(at) = deadline.0 else {
+            return (cv.wait(guard).expect("condvar wait"), false);
+        };
+        let timeout = at.saturating_duration_since(Instant::now());
+        let (guard, waited) = cv.wait_timeout(guard, timeout).expect("condvar wait");
+        (guard, waited.timed_out())
     }
 }
 
@@ -413,11 +411,11 @@ mod tests {
     #[test]
     fn wait_until_times_out_at_its_deadline() {
         let clock = Clock::from(CostModel::zero());
-        let (lock, cv) = (parking_lot::Mutex::new(()), Condvar::new());
-        let mut guard = lock.lock();
+        let (lock, cv) = (std::sync::Mutex::new(()), Condvar::new());
         let wait = Duration::from_millis(2);
         let start = clock.now();
-        assert!(clock.wait_until(&cv, &mut guard, clock.deadline(wait)));
+        let (_guard, timed_out) = clock.wait_until(&cv, lock.lock().unwrap(), clock.deadline(wait));
+        assert!(timed_out);
         assert!(clock.elapsed(start) >= wait);
     }
 }

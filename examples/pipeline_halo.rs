@@ -16,11 +16,10 @@
 //!
 //! Run with `cargo run --example pipeline_halo --release`.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dcgn::{CostModel, DcgnConfig, Runtime};
-use parking_lot::Mutex;
 
 const NODES: usize = 4;
 const RANKS_PER_NODE: usize = 2;
@@ -155,7 +154,7 @@ fn run_distributed(nonblocking: bool) -> (Vec<f64>, Duration) {
 
             let elapsed = start.elapsed();
             {
-                let mut slowest = s.lock();
+                let mut slowest = s.lock().expect("slowest");
                 if elapsed > *slowest {
                     *slowest = elapsed;
                 }
@@ -167,13 +166,13 @@ fn run_distributed(nonblocking: bool) -> (Vec<f64>, Duration) {
                 for strip in strips {
                     domain.extend(strip.chunks_exact(8).map(decode));
                 }
-                *g.lock() = domain;
+                *g.lock().expect("gathered") = domain;
             }
         })
         .expect("halo launch");
 
-    let domain = gathered.lock().clone();
-    let elapsed = *slowest.lock();
+    let domain = gathered.lock().expect("gathered").clone();
+    let elapsed = *slowest.lock().expect("slowest");
     (domain, elapsed)
 }
 

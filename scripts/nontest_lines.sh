@@ -2,10 +2,9 @@
 # Non-test line count the ROADMAP asks each PR to record: for every Rust
 # source file under crates/*/src, the lines before its first `#[cfg(test)]`
 # (the whole file when it has none), then one total per crate.  With no
-# argument it also counts vendor/*/src the same way (the vendored stubs'
-# gate), then prints the crates total, the vendor total and their sum.
+# argument it also prints the total over every crate.
 #
-#   scripts/nontest_lines.sh            # every crate and every vendor stub
+#   scripts/nontest_lines.sh            # every crate
 #   scripts/nontest_lines.sh core       # crates/core only
 set -eu
 cd "$(dirname "$0")/.."
@@ -27,12 +26,4 @@ for crate in ${*:-$(ls crates)}; do
     crates=$((crates + total))
 done
 [ $# -eq 0 ] || exit 0
-
-vendor=0
-for stub in $(ls vendor); do
-    count "vendor/$stub/src"
-    vendor=$((vendor + total))
-done
 printf '%6d  crates/*/src total\n' "$crates"
-printf '%6d  vendor/*/src total\n' "$vendor"
-printf '%6d  crates/*/src + vendor/*/src total\n' "$((crates + vendor))"

@@ -2,10 +2,9 @@
 //! slots on multiple nodes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dcgn::{DcgnConfig, DevicePtr, ReduceOp, Runtime};
-use parking_lot::Mutex;
 
 #[test]
 fn barrier_over_mixed_ranks_and_nodes() {
@@ -83,7 +82,7 @@ fn incomplete_collective_fails_rather_than_hanging() {
                 .gather(0, &mine)
                 .expect("gather should fail, not succeed");
             if ctx.rank() == 0 {
-                *g.lock() = out;
+                *g.lock().unwrap() = out;
             }
         },
         move |_ctx| {
@@ -91,7 +90,7 @@ fn incomplete_collective_fails_rather_than_hanging() {
         },
     );
     assert!(result.is_err());
-    assert!(gathered.lock().is_none());
+    assert!(gathered.lock().unwrap().is_none());
 }
 
 #[test]
@@ -104,11 +103,11 @@ fn gather_with_cpu_only_ranks_completes() {
             let mine = vec![ctx.rank() as u8 + 1];
             let out = ctx.gather(3, &mine).unwrap();
             if ctx.rank() == 3 {
-                *g.lock() = out;
+                *g.lock().unwrap() = out;
             }
         })
         .unwrap();
-    let chunks = gathered.lock().clone().unwrap();
+    let chunks = gathered.lock().unwrap().clone().unwrap();
     assert_eq!(chunks, vec![vec![1], vec![2], vec![3], vec![4]]);
 }
 
@@ -124,7 +123,7 @@ fn broadcast_gpu_root_feeds_everyone() {
             move |ctx| {
                 let mut data = Vec::new();
                 ctx.broadcast(gpu_root, &mut data).unwrap();
-                cs.lock().push(data.len());
+                cs.lock().unwrap().push(data.len());
             },
             move |ctx| {
                 if ctx.block().block_id() != 0 {
@@ -141,7 +140,7 @@ fn broadcast_gpu_root_feeds_everyone() {
             },
         )
         .unwrap();
-    assert_eq!(cpu_seen.lock().clone(), vec![100, 100]);
+    assert_eq!(cpu_seen.lock().unwrap().clone(), vec![100, 100]);
 }
 
 #[test]
@@ -156,7 +155,7 @@ fn allreduce_spans_cpu_and_gpu_ranks() {
             move |ctx| {
                 let mine = vec![(ctx.rank() + 1) as f64, 2.0 * (ctx.rank() + 1) as f64];
                 let sum = ctx.allreduce(&mine, ReduceOp::Sum).unwrap();
-                r_cpu.lock().push(sum);
+                r_cpu.lock().unwrap().push(sum);
             },
             move |ctx| {
                 if ctx.block().block_id() != 0 {
@@ -174,11 +173,11 @@ fn allreduce_spans_cpu_and_gpu_ranks() {
                     .chunks_exact(8)
                     .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
                     .collect();
-                r_gpu.lock().push(sum);
+                r_gpu.lock().unwrap().push(sum);
             },
         )
         .unwrap();
-    let results = results.lock().clone();
+    let results = results.lock().unwrap().clone();
     assert_eq!(results.len(), 4);
     for sum in results {
         assert_eq!(sum, vec![10.0, 20.0]);
@@ -266,7 +265,7 @@ fn reduce_to_cpu_root_includes_gpu_contributions() {
                 let mine = vec![(ctx.rank() + 1) as f64];
                 let out = ctx.reduce(0, &mine, ReduceOp::Max).unwrap();
                 if ctx.rank() == 0 {
-                    *r.lock() = out;
+                    *r.lock().unwrap() = out;
                 } else {
                     assert!(out.is_none());
                 }
@@ -285,7 +284,7 @@ fn reduce_to_cpu_root_includes_gpu_contributions() {
         .unwrap();
     // Max over ranks 0..total of (rank + 1): the highest rank is a GPU slot,
     // so the result proves GPU contributions flowed into the reduction.
-    assert_eq!(reduced.lock().clone(), Some(vec![total as f64]));
+    assert_eq!(reduced.lock().unwrap().clone(), Some(vec![total as f64]));
 }
 
 #[test]

@@ -677,7 +677,7 @@ fn zero_cost_and_scaled_cost_models_agree_on_results() {
     // The cost model only affects timing, never results.
     let run = |cost: CostModel| {
         let runtime = Runtime::new(DcgnConfig::homogeneous(2, 1, 0, 0).with_cost(cost)).unwrap();
-        let out = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let out = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let o = std::sync::Arc::clone(&out);
         runtime
             .launch_cpu_only(move |ctx| {
@@ -687,10 +687,10 @@ fn zero_cost_and_scaled_cost_models_agree_on_results() {
                     Vec::new()
                 };
                 ctx.broadcast(0, &mut data).unwrap();
-                o.lock().push(data);
+                o.lock().unwrap().push(data);
             })
             .unwrap();
-        let v = out.lock().clone();
+        let v = out.lock().unwrap().clone();
         v
     };
     assert_eq!(run(CostModel::zero()), run(CostModel::g92_scaled(100.0)));

@@ -637,7 +637,7 @@ fn gpu_waitany_harvests_whichever_completes_first() {
     // completes only after the first has been acknowledged back to the
     // peer: waitany must pick them in completion order, not posting order.
     let runtime = Runtime::new(DcgnConfig::homogeneous(2, 1, 1, 1)).unwrap();
-    let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let order = Arc::new(std::sync::Mutex::new(Vec::new()));
     let o = Arc::clone(&order);
     runtime
         .launch(
@@ -664,18 +664,18 @@ fn gpu_waitany_harvests_whichever_completes_first() {
                 // though r6 was posted first.
                 let (idx, status) = ctx.waitany(&[r6, r5]);
                 assert_eq!((idx, status.len), (1, 16));
-                o.lock().push(5u32);
+                o.lock().unwrap().push(5u32);
                 // Release the second leg, then the remaining handle.
                 let ack = DevicePtr::NULL.add(16 << 10);
                 ctx.block().write(ack, &[0xAC; 4]);
                 ctx.send(SLOT, 0, ack, 4);
                 let (idx, status) = ctx.waitany(&[r6]);
                 assert_eq!((idx, status.len), (0, 16));
-                o.lock().push(6u32);
+                o.lock().unwrap().push(6u32);
                 assert_eq!(ctx.block().read_vec(b5, 16), vec![5u8; 16]);
                 assert_eq!(ctx.block().read_vec(b6, 16), vec![6u8; 16]);
             },
         )
         .unwrap();
-    assert_eq!(*order.lock(), vec![5, 6]);
+    assert_eq!(*order.lock().unwrap(), vec![5, 6]);
 }
