@@ -48,3 +48,49 @@ pub use cost::{CostModel, LinkCost};
 pub use stats::percentile;
 
 pub use sleep::precise_sleep;
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Condvar, Mutex};
+    use std::time::Duration;
+
+    use super::*;
+
+    // `Clock::wait_until` is the stack's one condvar wait: it takes the std
+    // guard by value and hands it back with whether the deadline ended it.
+
+    #[test]
+    fn condvar_wakes_waiter() {
+        let clock = Clock::from(CostModel::zero());
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let waiter = {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                let (lock, cv) = &*pair;
+                let (mut ready, mut timed_out) = (lock.lock().unwrap(), false);
+                while !*ready && !timed_out {
+                    (ready, timed_out) = clock.wait_until(cv, ready, Deadline::NEVER);
+                }
+                timed_out
+            })
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        *pair.0.lock().unwrap() = true;
+        pair.1.notify_all();
+        assert!(!waiter.join().unwrap());
+    }
+
+    #[test]
+    fn condvar_wait_until_times_out() {
+        let clock = Clock::from(CostModel::zero());
+        let (lock, cv) = (Mutex::new(vec![1]), Condvar::new());
+        let mut guard = lock.lock().unwrap();
+        guard.push(2);
+        let deadline = clock.deadline(Duration::from_millis(5));
+        let (mut guard, timed_out) = clock.wait_until(&cv, guard, deadline);
+        assert!(timed_out);
+        guard.push(3);
+        drop(guard);
+        assert_eq!(*lock.lock().unwrap(), [1, 2, 3]);
+    }
+}

@@ -111,7 +111,7 @@ mod tests {
     }
 
     #[test]
-    fn the_same_name_gives_the_same_stream_and_another_name_another() {
+    fn sampling_is_deterministic_per_name() {
         let stream = |name| draws(name, 8, Rng::next_u64);
         assert_eq!(stream("seeded"), stream("seeded"));
         assert_ne!(stream("seeded"), stream("seeded2"));
@@ -150,6 +150,15 @@ mod tests {
     }
 
     #[test]
+    fn ranges_stay_in_bounds() {
+        let mut rng = Rng::seeded("bounds");
+        for _ in 0..1000 {
+            assert!((10..20).contains(&rng.range(10..20)));
+            assert!((-2.0..3.0).contains(&(-2.0 + rng.unit() * 5.0)));
+        }
+    }
+
+    #[test]
     fn a_vec_draws_its_length_then_its_elements() {
         let vecs = draws("vec", 3, |r| r.vec(0..5, |r| r.range(0..100)));
         assert_eq!(vecs, [vec![98], vec![63, 25, 15, 81], vec![25]]);
@@ -184,6 +193,21 @@ mod tests {
             ),
         ];
         assert_eq!(cases, expected);
+    }
+
+    #[test]
+    fn macro_samples_all_arguments() {
+        let mut cases = 0;
+        check(name!(), 16, |rng| {
+            let a = rng.range(0..10);
+            let b = rng.one_of(&[100..200, 300..400]);
+            let v = rng.vec(0..8, |r| r.next_u64() as u8);
+            assert!(a < 10);
+            assert!((100..200).contains(&b) || (300..400).contains(&b));
+            assert!(v.len() < 8);
+            cases += 1;
+        });
+        assert_eq!(cases, 16);
     }
 
     #[test]
