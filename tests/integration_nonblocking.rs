@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dcgn::{CostModel, DcgnConfig, DcgnError, DevicePtr, Runtime};
+use dcgn::{CostModel, DcgnConfig, DcgnError, DevicePtr, NodeConfig, Runtime};
 
 // ---------------------------------------------------------------------------
 // CPU request handles
@@ -443,6 +443,52 @@ fn nonblocking_roundtrip_with_realistic_costs() {
             },
         )
         .unwrap();
+}
+
+/// What rank 0 sends, in order, in `isends_to_one_node_arrive_in_send_order`:
+/// `(dst, payload)`, eager messages to ranks 1 and 2 interleaved, with one
+/// 100 KiB (rendezvous) message to rank 1 in the middle.
+fn one_node_traffic() -> Vec<(usize, Vec<u8>)> {
+    let mut sends = Vec::new();
+    for i in 0..12usize {
+        if i == 6 {
+            sends.push((1, (0..100 * 1024).map(|b| (b % 251) as u8).collect()));
+        }
+        sends.push((1, vec![i as u8; (i * 97) % 1100]));
+        if i % 2 == 0 {
+            sends.push((2, vec![100 + i as u8; 300 + i]));
+        }
+    }
+    sends
+}
+
+#[test]
+fn isends_to_one_node_arrive_in_send_order() {
+    const TAG: u32 = 5;
+    for cost in [CostModel::zero(), CostModel::g92_scaled(25.0)] {
+        let nodes = vec![NodeConfig::new(1, 0, 0), NodeConfig::new(2, 0, 0)];
+        let runtime = Runtime::new(DcgnConfig::heterogeneous(nodes).with_cost(cost)).unwrap();
+        runtime
+            .launch_cpu_only(move |ctx| {
+                let sends = one_node_traffic();
+                if ctx.rank() == 0 {
+                    assert_eq!(ctx.rank_map().node_of(1), Some(1));
+                    assert_eq!(ctx.rank_map().node_of(2), Some(1));
+                    let handles: Vec<_> = sends
+                        .iter()
+                        .map(|(dst, data)| ctx.isend_tagged(*dst, TAG, data).unwrap())
+                        .collect();
+                    ctx.waitall(&handles).unwrap();
+                    return;
+                }
+                for (_, want) in sends.iter().filter(|(dst, _)| *dst == ctx.rank()) {
+                    let (data, status) = ctx.recv_tagged(Some(0), TAG).unwrap();
+                    assert_eq!((status.source, status.len), (0, want.len()));
+                    assert_eq!(&data, want);
+                }
+            })
+            .unwrap();
+    }
 }
 
 #[test]
