@@ -359,7 +359,10 @@ impl CommThread {
             self.handle_command(cmd)?;
         }
         self.cmds = cmds;
-        (0..self.net.outbox.len()).try_for_each(|node| self.net.flush_p2p(node))?;
+        // Only a taken command holds records: an idle call walks no outbox.
+        if taken > 0 {
+            (0..self.net.outbox.len()).try_for_each(|node| self.net.flush_p2p(node))?;
+        }
         Ok(taken > 0)
     }
 

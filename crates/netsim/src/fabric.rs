@@ -339,17 +339,19 @@ impl<T: Send + 'static> Endpoint<T> {
     /// Take the first frame in queue order that has landed.  One NIC
     /// serialises a source's frames, so they land in send order, and a
     /// frame from an idle NIC is not held behind a busy NIC's later one.
-    fn take_landed(&self, queue: &mut VecDeque<Delivery<T>>) -> Option<Delivery<T>> {
+    fn take_landed(&self, queue: &mut VecDeque<(Stamp, Delivery<T>)>) -> Option<Delivery<T>> {
         let now = self.clock().now();
-        let at = queue.iter().position(|d| d.at.is_none_or(|at| at <= now))?;
-        queue.remove(at)
+        let at = queue
+            .iter()
+            .position(|(_, d)| d.at.is_none_or(|at| at <= now))?;
+        queue.remove(at).map(|(_, d)| d)
     }
 
     /// The earliest landing in `queue` (an intra-node frame's is now), or
     /// `None` if nothing is queued.
-    fn first_landing_in(&self, queue: &VecDeque<Delivery<T>>) -> Option<Stamp> {
+    fn first_landing_in(&self, queue: &VecDeque<(Stamp, Delivery<T>)>) -> Option<Stamp> {
         let now = self.clock().now();
-        queue.iter().map(|d| d.at.unwrap_or(now)).min()
+        queue.iter().map(|(_, d)| d.at.unwrap_or(now)).min()
     }
 
     /// Block until a message arrives.

@@ -3,7 +3,9 @@
 //! device's multiprocessor queue.  It owns the three rules a crossing
 //! follows: a send notifies only a parked receiver, a receive spins before
 //! it parks ([`Clock::poll_until`]), and a [`Receiver::drain`] pays one
-//! [`Charge::QueueHop`] for everything queued when the consumer looks.
+//! [`Charge::QueueHop`](crate::Charge::QueueHop) for everything queued when
+//! the consumer looks, due one hop after its first work item's send stamp:
+//! a consumer that takes a crossing late waits only for what is left of it.
 //!
 //! The channel is unbounded and a send never blocks.  Senders are not
 //! counted: at every site some handle keeps a sender for the receiver's
@@ -14,11 +16,12 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
-use crate::clock::{Charge, Clock, Deadline};
+use crate::clock::{Clock, Deadline, Stamp};
 
 struct State<T> {
-    queue: VecDeque<T>,
+    queue: VecDeque<(Stamp, T)>,
     /// The receiver is gone.
     closed: bool,
     /// Receivers parked on `ready`.
@@ -37,7 +40,7 @@ pub struct Sender<T>(Arc<Shared<T>>);
 /// one queue share the receiver behind an `Arc`.  Beside the queue it holds
 /// the empty buffer a drain swaps in for the one it takes, so a crossing
 /// allocates nothing: one allocation each showed in a CPU ping-pong's op.
-pub struct Receiver<T>(Arc<Shared<T>>, Mutex<VecDeque<T>>);
+pub struct Receiver<T>(Arc<Shared<T>>, Mutex<VecDeque<(Stamp, T)>>);
 
 /// A new, empty, unbounded channel.
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
@@ -64,7 +67,7 @@ impl<T> Sender<T> {
         if state.closed {
             return Err(item);
         }
-        state.queue.push_back(item);
+        state.queue.push_back((Stamp(Instant::now()), item));
         let wake = state.waiting > 0;
         drop(state);
         if wake {
@@ -92,12 +95,12 @@ pub struct Drained {
 impl<T> Receiver<T> {
     /// Take the next item if one is queued, without waiting.
     pub fn try_recv(&self) -> Option<T> {
-        self.with_queue(VecDeque::pop_front)
+        self.with_queue(|queue| queue.pop_front().map(|(_, item)| item))
     }
 
-    /// Run `look` on the queue under its lock, without waiting (a fabric
-    /// endpoint takes the first frame that has landed, not the head).
-    pub fn with_queue<R>(&self, look: impl FnOnce(&mut VecDeque<T>) -> R) -> R {
+    /// Run `look` on the queue of items and their send stamps under its lock,
+    /// without waiting (a fabric endpoint takes the first landed frame).
+    pub fn with_queue<R>(&self, look: impl FnOnce(&mut VecDeque<(Stamp, T)>) -> R) -> R {
         look(&mut self.0.state.lock().expect("channel state").queue)
     }
 
@@ -105,7 +108,7 @@ impl<T> Receiver<T> {
     /// once it passes; a passed one looks once): a [`Clock::poll_until`]
     /// whose park is a wait on the channel's condvar.
     pub fn recv_until(&self, clock: &Clock, deadline: Deadline) -> Option<T> {
-        self.recv_with(clock, deadline, VecDeque::pop_front)
+        self.recv_with(clock, deadline, |q| q.pop_front().map(|(_, item)| item))
     }
 
     /// One crossing of this queue — the one place that decides what a
@@ -114,12 +117,13 @@ impl<T> Receiver<T> {
     /// behind it under one lock (one that lands during the drain belongs to
     /// the next crossing), handing each to `file`, which says whether it
     /// gave the consumer work.  A crossing that did pays one
-    /// [`Charge::QueueHop`] — everything queued when the consumer drains
-    /// crosses in one hop — after it is filed and before the consumer acts
-    /// on it; one that carried only wake-ups, or replies nobody waits for,
-    /// pays nothing.  This is the only site that charges a hop: each
-    /// crossing is paid once, by the consumer's drain, and a send costs the
-    /// producer nothing modelled.  `None` when nothing arrived by
+    /// [`Charge::QueueHop`](crate::Charge::QueueHop) — everything queued
+    /// when the consumer drains crosses in one hop — due one hop after its
+    /// first work item was sent: the drain returns once it is due, at once
+    /// if it already is.  Wake-ups and replies nobody waits for neither
+    /// start a hop nor shorten one.  This is the only site that charges a
+    /// hop: each crossing is paid once, by the consumer's drain, and a send
+    /// costs the producer nothing modelled.  `None` when nothing arrived by
     /// `deadline`.
     pub fn drain(
         &self,
@@ -132,13 +136,14 @@ impl<T> Receiver<T> {
             (!queue.is_empty()).then(|| std::mem::replace(queue, std::mem::take(&mut *spare)))
         })?;
         let taken = crossing.len();
-        let paid = crossing
-            .drain(..)
-            .fold(false, |paid, item| file(item) | paid);
+        let first_work = crossing.drain(..).fold(None, |first, (sent, item)| {
+            first.or(file(item).then_some(sent))
+        });
         *spare = crossing;
-        if paid {
-            clock.charge(Charge::QueueHop, clock.model().queue_hop);
+        if let Some(sent) = first_work {
+            clock.queue_hop(sent);
         }
+        let paid = first_work.is_some();
         Some(Drained { taken, paid })
     }
 
@@ -149,7 +154,7 @@ impl<T> Receiver<T> {
         &self,
         clock: &Clock,
         deadline: Deadline,
-        mut take: impl FnMut(&mut VecDeque<T>) -> Option<R>,
+        mut take: impl FnMut(&mut VecDeque<(Stamp, T)>) -> Option<R>,
     ) -> Option<R> {
         let seen = std::cell::Cell::new(0);
         let poll = || {
@@ -337,5 +342,78 @@ mod tests {
         assert_eq!(rx.drain(&clock, now(), |item| item == 0), drained(1, false));
         assert_eq!(hops(), 1);
         assert_eq!(rx.drain(&clock, now(), |_| true), None);
+    }
+
+    // The hop rule, timed: a hop of tens of milliseconds, so that a test
+    // thread preempted for a few cannot pass a case by accident.
+    const HOP: Duration = Duration::from_millis(50);
+
+    /// A clock whose queue hop is `HOP`, and its ledger's hops charged and
+    /// hops hidden.
+    fn hop_clock() -> (Clock, impl Fn() -> (u64, u64)) {
+        let metrics = MetricsHandle::new();
+        let model = CostModel {
+            queue_hop: HOP,
+            ..CostModel::zero()
+        };
+        let clock = Clock::new(model, &metrics);
+        let ledger = move || {
+            let snap = metrics.snapshot();
+            let charged = snap.counter("model.charged_ns.queue_hop");
+            (
+                charged / HOP.as_nanos() as u64,
+                snap.counter("clock.hops_hidden"),
+            )
+        };
+        (clock, ledger)
+    }
+
+    #[test]
+    fn a_crossing_taken_at_once_returns_no_sooner_than_one_hop_after_its_send() {
+        let (clock, ledger) = hop_clock();
+        let (tx, rx) = channel();
+        let before_send = clock.now();
+        tx.send(1).unwrap();
+        let crossing = rx.drain(&clock, Deadline::NEVER, |_: u32| true);
+        assert!(crossing.is_some_and(|c| c.paid));
+        assert!(clock.elapsed(before_send) >= HOP, "returned before its hop");
+        assert_eq!(ledger(), (1, 0));
+    }
+
+    #[test]
+    fn a_crossing_taken_a_hop_after_its_send_waits_no_hop_and_still_books_one() {
+        let (clock, ledger) = hop_clock();
+        let (tx, rx) = channel();
+        tx.send(1).unwrap();
+        std::thread::sleep(HOP);
+        let start = clock.now();
+        let crossing = rx.drain(&clock, Deadline::NEVER, |_: u32| true);
+        assert!(crossing.is_some_and(|c| c.paid));
+        let took = clock.elapsed(start);
+        assert!(took < HOP / 2, "a hop already due blocked for {took:?}");
+        assert_eq!(ledger(), (1, 1));
+    }
+
+    #[test]
+    fn a_non_work_item_queued_first_does_not_shorten_the_hop() {
+        let (clock, ledger) = hop_clock();
+        let (tx, rx) = channel();
+        tx.send(0).unwrap();
+        std::thread::sleep(HOP);
+        let before_send = clock.now();
+        tx.send(1).unwrap();
+        let crossing = rx.drain(&clock, Deadline::NEVER, |item: u32| item != 0);
+        assert_eq!(
+            crossing,
+            Some(Drained {
+                taken: 2,
+                paid: true
+            })
+        );
+        assert!(
+            clock.elapsed(before_send) >= HOP,
+            "the wake-up started the hop"
+        );
+        assert_eq!(ledger(), (1, 0));
     }
 }

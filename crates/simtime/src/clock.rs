@@ -7,8 +7,8 @@
 //! `model.overshoot_ns.<kind>` counts how late past its booked end each
 //! step was seen to finish ([`Clock::late`]): wall-clock time, not model,
 //! the "OS sleep jitter" term of a measured latency.  A charge is seen by
-//! the thread it blocks; a NIC's frames are booked, not slept, so theirs is
-//! the taker's lateness.  Every wait names the event it
+//! the thread it blocks; a NIC's frame lands and a queue hop is due at a
+//! stamp, so theirs is the taker's lateness.  Every wait names the event it
 //! waits for and a [`Deadline`]; the ones that spin share one
 //! budget, and `clock.parks` counts those that outlasted it and blocked: a
 //! channel receive ([`crate::channel::Receiver::recv_until`]) or a device
@@ -37,10 +37,10 @@ pub enum Charge {
     IntraNode,
     /// A NIC's receive drain of a rendezvous payload.
     Drain,
-    /// A hand-off across one of DCGN's internal queues: one hop per
-    /// crossing, and a crossing is everything queued when the consumer
-    /// drains.  Paid once, by [`crate::channel::Receiver::drain`]; a send
-    /// costs the producer nothing modelled.
+    /// A hand-off across one of DCGN's internal queues: one hop per crossing
+    /// (everything queued when the consumer drains), due one hop after its
+    /// first work item was sent and paid by [`crate::channel::Receiver::drain`];
+    /// a send costs the producer nothing modelled.
     QueueHop,
     /// A kernel launch.
     Launch,
@@ -61,7 +61,7 @@ const KINDS: [&str; 7] = [
 
 /// A reading of a [`Clock`]; a later reading compares greater.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Stamp(Instant);
+pub struct Stamp(pub(crate) Instant);
 
 /// The point at which a timed wait gives up.  A wait too long to represent
 /// saturates to [`Deadline::NEVER`] instead of overflowing.  The flag marks
@@ -105,6 +105,7 @@ struct Ledger {
     charged_ns: [Counter; 7],
     overshoot_ns: [Counter; 7],
     parks: Counter,
+    hops_hidden: Counter,
 }
 
 impl Clock {
@@ -115,6 +116,7 @@ impl Clock {
             charged_ns: KINDS.map(|kind| metrics.counter(&format!("model.charged_ns.{kind}"))),
             overshoot_ns: KINDS.map(|kind| metrics.counter(&format!("model.overshoot_ns.{kind}"))),
             parks: metrics.counter("clock.parks"),
+            hops_hidden: metrics.counter("clock.hops_hidden"),
         }))
     }
 
@@ -163,6 +165,19 @@ impl Clock {
     pub(crate) fn wait_for(&self, kind: Charge, at: Stamp) {
         sleep_until(at.0);
         self.late(kind, at);
+    }
+
+    /// Book one `queue_hop` due that long after `sent` and block until it is
+    /// due ([`Clock::wait_for`]); one already due blocks nobody and counts in
+    /// `clock.hops_hidden`.
+    pub(crate) fn queue_hop(&self, sent: Stamp) {
+        let hop = self.0.model.queue_hop;
+        if !hop.is_zero() {
+            self.0.charged_ns[Charge::QueueHop as usize].add(hop.as_nanos() as u64);
+            let due = Stamp(sent.0 + hop);
+            self.0.hops_hidden.add(u64::from(due <= self.now()));
+            self.wait_for(Charge::QueueHop, due);
+        }
     }
 
     /// Pay the modelled cost `d` of a `kind` of hardware step: book it from

@@ -84,9 +84,10 @@ pub struct CostModel {
     pub kernel_launch: Duration,
     /// Fixed cost of one crossing of an internal DCGN work queue
     /// (CPU-kernel thread → comm thread, comm thread → GPU thread, …): one
-    /// hop per crossing, everything queued when the consumer drains, paid
-    /// once, by the consumer's [`crate::channel::Receiver::drain`]; a post
-    /// costs the producer nothing modelled.
+    /// hop per crossing, everything queued when the consumer drains, due one
+    /// hop after the crossing's first work item was queued and paid once, by
+    /// the consumer's [`crate::channel::Receiver::drain`]; a post costs the
+    /// producer nothing modelled.
     pub queue_hop: Duration,
     /// Sleep interval of the GPU-kernel thread's polling loop.
     pub poll_interval: Duration,
@@ -116,9 +117,9 @@ impl CostModel {
     /// * Infiniband (DDR, MVAPICH2): 3 µs latency, ~1.4 GB/s.
     /// * Intra-node shared memory: 0.8 µs, ~2.5 GB/s.
     /// * Kernel launch: 12 µs.
-    /// * Work-queue hop: 6 µs (thread-safe queue + wakeup), paid once per
-    ///   crossing (everything queued when the consumer drains), by the
-    ///   consumer's drain; a post costs the producer nothing modelled.
+    /// * Work-queue hop: 6 µs (thread-safe queue + wakeup), one per crossing
+    ///   (everything queued when the consumer drains), due one hop after the
+    ///   crossing's first work item was queued; a post costs nothing.
     /// * Polling interval: 200 µs.
     pub fn g92_cluster() -> Self {
         CostModel {

@@ -17,7 +17,8 @@
 //! crosses.  Its receive, [`Receiver::recv_until`], is a
 //! [`Clock::poll_until`], and its [`Receiver::drain`] is the one site that
 //! charges a [`Charge::QueueHop`]: one per crossing, for everything queued
-//! when the consumer drains.
+//! when the consumer drains, due one hop after its first work item's send
+//! stamp, so a consumer that takes it late waits only for what is left.
 //!
 //! Every lock in the stack is a `std::sync` one, and a poisoned lock
 //! propagates: code takes it with `.lock().expect("<what>")`, tests with

@@ -12,20 +12,24 @@
 # `model.charged_ns.*` counter (the modelled-cost ledger), each
 # `model.overshoot_ns.*` counter (the real time those charges blocked past
 # their modelled length; for `network`, whose frames book the NIC without
-# blocking, the real time from each frame's landing to its take), each
+# blocking, the real time from each frame's landing to its take; for
+# `queue_hop`, due one hop after a crossing's first work item was sent, the
+# taker's lateness past that due stamp), each
 # `comm.requests.*` / `comm.crossings.*` / `comm.missed_landings.*` counter
 # (idle comm-thread waits that ran past a landing; 0 on working code),
 # `fabric.frames` (inter-node frames the fabric carried), `rmpi.eager_sends`
-# (eager messages the substrate sent) and `clock.parks` (waits that
-# outlasted the clock's spin budget and parked) its total and its total
-# divided by `attempted`, and last the overshoot summed over every kind.
+# (eager messages the substrate sent), `clock.parks` (waits that
+# outlasted the clock's spin budget and parked) and `clock.hops_hidden`
+# (crossings whose hop was already due when their drain paid it) its total
+# and its total divided by `attempted`, and last the overshoot summed over
+# every kind.
 # To compare two revisions, run a copy of this script in a checkout of
 # each.  It reads benchmark/ and BENCHMARK.json and changes neither: the
 # build goes to CARGO_TARGET_DIR (default .bench_build/, git-ignored), and
 # benchmark/Cargo.lock is put back as it was found.
 set -eu
 
-[ $# -ge 1 ] || { sed -n '2,26s/^# \{0,1\}//p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,30s/^# \{0,1\}//p' "$0"; exit 2; }
 root=$(cd "$(dirname "$0")/.." && pwd)
 spec=$root/BENCHMARK.json
 cmd=$(sed -n 's/.*"command": *\[\(.*\)\].*/\1/p' "$spec" | tr -d '",')
@@ -51,7 +55,7 @@ echo "$workload seed $seed ${secs}s: attempted $attempted"
 # Counter lines of the dump read `    "name": value,`; the counters section
 # comes first and ends at the gauges header.
 sed -n '/"counters"/,/"gauges"/s/^ *"\([^"]*\)": \([0-9]*\),\{0,1\}$/\1 \2/p' "$tmp/metrics.json" |
-    grep -E '^(model\.(charged|overshoot)_ns\.|comm\.(requests|crossings|missed_landings)\.|(fabric\.frames|rmpi\.eager_sends|clock\.parks)[ .])' |
+    grep -E '^(model\.(charged|overshoot)_ns\.|comm\.(requests|crossings|missed_landings)\.|(fabric\.frames|rmpi\.eager_sends|clock\.(parks|hops_hidden))[ .])' |
     awk -v n="$attempted" '
         { printf "%-40s %16.0f %16.3f per op\n", $1, $2, $2 / n }
         $1 ~ /^model\.overshoot_ns\./ { over += $2 }
