@@ -21,7 +21,10 @@
 //! crossing's end sends each node's records laid end to end
 //! ([`crate::message`]) as one eager MPI message.  The receiver routes them
 //! as views of that one buffer, so a record left unmatched keeps its whole
-//! batch, at most one eager threshold of bytes, alive.
+//! batch, at most one eager threshold of bytes, alive, and copies each one
+//! matched on arrival into its receive on the node's one copy engine from
+//! the frame's landing (or its receive's post, if later), so routing runs
+//! inside the modelled copies.
 //!
 //! It is also the one place that validates a request, whichever kind of
 //! rank posted it: a rank outside the world, a root outside its
@@ -37,7 +40,7 @@ use dcgn_metrics::{Counter, Gauge, MetricsHandle};
 use dcgn_netsim::{Payload, PayloadBuf};
 use dcgn_rmpi::exchange::{CollectiveId, CollectiveKind};
 use dcgn_rmpi::{Communicator, Request as MpiRequest, Status as MpiStatus, TAG_EXCHANGE};
-use dcgn_simtime::{Charge, Clock, Deadline, Receiver, Sender};
+use dcgn_simtime::{Charge, Clock, Deadline, Receiver, Sender, Stamp, VirtualBus};
 
 use crate::config::ExchangePlan;
 use crate::error::{DcgnError, Result};
@@ -60,14 +63,22 @@ use crate::rank::RankMap;
 const IDLE_FALLBACK: Duration = Duration::from_millis(1);
 
 /// The MPI substrate as the comm thread drives it: the node's communicator,
-/// the nonblocking sends it has not yet seen complete, and the crossing's
-/// point-to-point records waiting to leave.
+/// the nonblocking sends it has not yet seen complete, the crossing's
+/// point-to-point records waiting to leave, and the copy engine that moves
+/// what arrives into the ranks' buffers.
 pub(crate) struct Substrate {
     comm: Communicator,
     outstanding_isends: Vec<MpiRequest>,
     /// Per destination node: its held records with their senders, and their
     /// bytes.  Kept across crossings, so a crossing allocates nothing.
     outbox: Vec<(Vec<(Payload, ReplyTo)>, usize)>,
+    /// The node's one copy engine: every receive-side copy into a rank's
+    /// buffer (a match's, and the exchange engine's per-rank results)
+    /// books it, so copies run one after another, each from when it could
+    /// start or the copy before it ended, whichever is later.  A copy from
+    /// a frame's landing may start before this thread gets to it, never
+    /// inside a copy booked from now.
+    pub(crate) copies: VirtualBus,
 }
 
 impl Substrate {
@@ -247,6 +258,7 @@ impl CommThread {
                 outbox: (0..comm.size()).map(|_| Default::default()).collect(),
                 comm,
                 outstanding_isends: Vec::new(),
+                copies: VirtualBus::new(Charge::IntraNode, clock.model().intra_node),
             },
             work_rx,
             cmds: Vec::new(),
@@ -410,6 +422,7 @@ impl CommThread {
                     dst_rank: req.src_rank,
                     src,
                     tag,
+                    posted: self.clock.now(),
                     reply_to: req.reply_to,
                 };
                 if let Some(pair) = self.matcher.post(recv) {
@@ -445,8 +458,10 @@ impl CommThread {
             // Intra-node: no MPI involvement.  The message is held until a
             // local receive matches it; the sender's completion is deferred
             // until then (globally-synchronised intra-node semantics, §6.2).
-            // Nothing drained it, so the match pays the shared-memory copy.
-            self.route_incoming(src, dst, tag, data, false, Some(reply_to));
+            // Nothing drained it, so the match pays the shared-memory copy,
+            // whose bytes are ready now.
+            let ready = Some(self.clock.now());
+            self.route_incoming(src, dst, tag, data, ready, Some(reply_to));
         } else {
             // Inter-node: append the DCGN envelope in the staged buffer's
             // spare capacity (no body copy) and hold the record for the
@@ -461,28 +476,25 @@ impl CommThread {
 
     /// Match a freshly arrived (or locally sourced, `local_sender`) message
     /// at once, or queue it for a later receive.  Its delivery owes one copy
-    /// ([`IncomingMsg::copy`]) unless the substrate reports the payload
-    /// `drained` by the NIC into the buffer the receiver takes whole.
+    /// whose bytes are `ready` then ([`IncomingMsg::ready`]: a frame's
+    /// landing, or now for a local send), unless `ready` is `None`: the
+    /// substrate reported the payload drained by the NIC into the buffer the
+    /// receiver takes whole.
     fn route_incoming(
         &mut self,
         src: usize,
         dst: usize,
         tag: u32,
         data: Payload,
-        drained: bool,
+        ready: Option<Stamp>,
         local_sender: Option<ReplyTo>,
     ) {
-        let copy = if drained {
-            Duration::ZERO
-        } else {
-            self.clock.model().intra_node.transfer_time(data.len())
-        };
         let msg = IncomingMsg {
             src,
             dst,
             tag,
             data,
-            copy,
+            ready,
             local_sender,
         };
         if let Some(pair) = self.matcher.arrive(msg) {
@@ -491,10 +503,19 @@ impl CommThread {
     }
 
     /// Complete a matched pair: the message pays the receive-side copy it
-    /// owes (`IncomingMsg::copy`), the receiver gets the payload (a shared
-    /// reference) and an intra-node sender's deferred completion fires.
+    /// owes on the node's copy engine, from the later of when its bytes
+    /// were ready ([`IncomingMsg::ready`]) and when the receive was posted
+    /// ([`PendingRecv::posted`]), so a late match copies from now and none
+    /// starts before its receive's buffer is known, whichever of the frame
+    /// and the receive this thread took first.  The copy is this thread's
+    /// own work, so it blocks until its booking ends, at once if that has
+    /// passed.  Then the receiver gets the payload (a shared reference) and
+    /// an intra-node sender's deferred completion fires.
     fn deliver_match(&mut self, (recv, msg): (PendingRecv, IncomingMsg)) {
-        self.clock.charge(Charge::IntraNode, msg.copy);
+        if let Some(ready) = msg.ready {
+            let start = ready.max(recv.posted);
+            self.net.copies.transfer(&self.clock, start, msg.data.len());
+        }
         let status = CommStatus {
             source: msg.src,
             tag: msg.tag,
@@ -556,11 +577,16 @@ impl CommThread {
     fn progress_mpi(&mut self) -> Result<bool> {
         let mut did_work = false;
         while let Some((wire, status)) = self.net.poll(&mut self.catchall, None)? {
+            // An eager frame's records are ready at its landing, however
+            // late this thread took it (a receive posted since starts its
+            // copy no sooner); a drained payload owes no copy.
+            let landed = status.landed.unwrap_or_else(|| self.clock.now());
+            let ready = (!status.drained).then_some(landed);
             // Each decoded body is a zero-copy view of the pooled wire frame.
             let mut records = std::mem::take(&mut self.records);
             decode_p2p(wire, &mut records)?;
             for (src, dst, tag, data) in records.drain(..) {
-                self.route_incoming(src, dst, tag, data, status.drained, None);
+                self.route_incoming(src, dst, tag, data, ready, None);
             }
             self.records = records;
             did_work = true;
@@ -667,7 +693,7 @@ mod tests {
     use dcgn_netsim::buffer::ENVELOPE_BYTES;
     use dcgn_netsim::Cluster;
     use dcgn_rmpi::{MpiWorld, RankPlacement, RdvConfig};
-    use dcgn_simtime::CostModel;
+    use dcgn_simtime::{CostModel, LinkCost};
 
     /// Node 0's substrate, whose batches are bounded by an eager threshold
     /// of `bound` bytes, and the communicators of nodes 1 and 2, in a
@@ -684,6 +710,7 @@ mod tests {
             outbox: (0..3).map(|_| Default::default()).collect(),
             comm,
             outstanding_isends: Vec::new(),
+            copies: VirtualBus::new(Charge::IntraNode, LinkCost::free()),
         };
         (net, [one, two])
     }

@@ -359,7 +359,7 @@ impl Engine {
                     let elapsed = self.clock.elapsed(ex.started);
                     self.metrics
                         .record_latency(ex.comm, ex.id.kind, ex.plan, elapsed);
-                    self.deliver(ex.comm, ex.id, ex.joined, payload)?;
+                    self.deliver(net, ex.comm, ex.id, ex.joined, payload)?;
                 }
                 Out::Done(ex, Err(err)) => fail_joined(ex.joined, err.into()),
             }

@@ -13,9 +13,9 @@ use dcgn_rmpi::exchange::{
     CollectiveId, CollectiveKind,
 };
 use dcgn_rmpi::frame_reduce;
-use dcgn_simtime::Charge;
 
 use super::Engine;
+use crate::comm_thread::Substrate;
 use crate::error::{DcgnError, Result};
 use crate::group::{self, child_epoch, CommGroup, CommId};
 use crate::message::{CollectiveResult, Reply, ReplyTo, RequestKind};
@@ -159,10 +159,12 @@ pub(super) fn build_up(
 
 impl Engine {
     /// Turn this node's down-payload into per-member results and reply to
-    /// every local joiner.  The payload is shared, so scattering it to N
-    /// local ranks clones references, not bytes.
+    /// every local joiner, each rank's copy of its result on the node's copy
+    /// engine.  The payload is shared, so scattering it to N local ranks
+    /// clones references, not bytes.
     pub(super) fn deliver(
         &mut self,
+        net: &Substrate,
         comm: CommId,
         id: CollectiveId,
         joined: Vec<(usize, ReplyTo)>,
@@ -226,8 +228,7 @@ impl Engine {
             };
             if !matches!(result, CollectiveResult::Unit) && Some(rank) != source {
                 let len = result_payload_len(&result);
-                let copy = self.clock.model().intra_node.transfer_time(len);
-                self.clock.charge(Charge::IntraNode, copy);
+                net.copies.transfer(&self.clock, self.clock.now(), len);
             }
             reply_to.complete(Reply::CollectiveDone(result));
         }

@@ -2,10 +2,9 @@
 //! twin's [`dcgn_rmpi::Matcher`] and the rule that pairs them, so DCGN and
 //! the MPI it is measured against match by one ordering rule.
 
-use std::time::Duration;
-
 use dcgn_netsim::Payload;
 use dcgn_rmpi::Accepts;
+use dcgn_simtime::Stamp;
 
 use crate::message::ReplyTo;
 
@@ -16,11 +15,12 @@ pub(crate) struct IncomingMsg {
     pub(crate) dst: usize,
     pub(crate) tag: u32,
     pub(crate) data: Payload,
-    /// The receive-side copy this message owes its receiver, decided where
-    /// it arrived: an eager frame's copy out of its landing slot, or an
-    /// intra-node send's shared-memory copy.  Zero for a rendezvous payload
-    /// the NIC's drain already moved into the buffer the receiver takes.
-    pub(crate) copy: Duration,
+    /// When the bytes of the receive-side copy this message owes were
+    /// ready, decided where it arrived: an eager frame's landing, for the
+    /// copy out of its landing slot, or an intra-node send's handling, for
+    /// its shared-memory copy.  `None` for a rendezvous payload the NIC's
+    /// drain already moved into the buffer the receiver takes.
+    pub(crate) ready: Option<Stamp>,
     /// Reply address of the local sender, for intra-node sends whose
     /// completion is tied to the matching receive (paper §6.2: "Local sends
     /// finish upon matching with a local receive").
@@ -33,6 +33,9 @@ pub(crate) struct PendingRecv {
     pub(crate) dst_rank: usize,
     pub(crate) src: Option<usize>,
     pub(crate) tag: Option<u32>,
+    /// When the comm thread posted it: no copy into its buffer starts
+    /// sooner.
+    pub(crate) posted: Stamp,
     pub(crate) reply_to: ReplyTo,
 }
 
@@ -64,6 +67,7 @@ mod tests {
                 dst_rank: dst,
                 src,
                 tag,
+                posted: Clock::from(CostModel::zero()).now(),
                 reply_to: inbox.reply_to((dst as u32, 0)),
             },
             inbox,
@@ -76,7 +80,7 @@ mod tests {
             dst,
             tag,
             data: Payload::copy_from_slice(&[byte]),
-            copy: Duration::ZERO,
+            ready: None,
             local_sender: None,
         }
     }

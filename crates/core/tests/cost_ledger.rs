@@ -383,6 +383,178 @@ fn an_intra_node_send_pays_exactly_one_copy() {
     );
 }
 
+/// A frame's records are copied into their receives one after another on
+/// the node's one copy engine, each from the frame's landing or the end of
+/// the copy before it: the comm thread's routing runs inside the modelled
+/// copies, but no receive completes sooner than the model allows, and the
+/// ledger books every copy whole.
+#[test]
+fn a_frames_copies_run_one_after_another_from_its_landing_and_never_sooner() {
+    use std::sync::{Arc, Mutex};
+    use std::time::Instant;
+    const N: usize = 4;
+    let size = 64;
+    let mut cost = CostModel::g92_cluster();
+    cost.intra_node = dcgn::LinkCost::from_us_and_mbps(20_000, 1e12);
+    let copy = cost.intra_node.transfer_time(size);
+    // When rank 0 began sending (before any frame could land), and when
+    // each of rank 1's receives completed.
+    let stamps = Arc::new(Mutex::new((None, Vec::new())));
+    let seen = Arc::clone(&stamps);
+    let metrics = MetricsHandle::new();
+    let config = DcgnConfig::homogeneous(2, 1, 0, 0)
+        .with_cost(cost)
+        .with_metrics(metrics.clone());
+    let kernel = move |ctx: &dcgn::CpuCtx| {
+        let tags = 0..N as u32;
+        if ctx.rank() == 0 {
+            ctx.barrier().unwrap();
+            seen.lock().unwrap().0 = Some(Instant::now());
+            let reqs: Vec<_> = tags
+                .map(|t| ctx.isend_tagged(1, t, &[t as u8; 64]).unwrap())
+                .collect();
+            ctx.waitall(&reqs).unwrap();
+        } else {
+            // Posted before the barrier, so the records match as they land.
+            let reqs: Vec<_> = tags
+                .map(|t| ctx.irecv_tagged(Some(0), t).unwrap())
+                .collect();
+            ctx.barrier().unwrap();
+            for req in reqs {
+                ctx.wait(req).unwrap();
+                seen.lock().unwrap().1.push(Instant::now());
+            }
+        }
+    };
+    Runtime::new(config)
+        .unwrap()
+        .launch_cpu_only(kernel)
+        .unwrap();
+    let (began, done) = &*stamps.lock().unwrap();
+    let began = began.expect("rank 0 sent");
+    assert_eq!(done.len(), N);
+    for (k, at) in done.iter().enumerate() {
+        let copies = copy * (k as u32 + 1);
+        assert!(
+            at.duration_since(began) >= copies,
+            "receive {k} completed {:?} after the send began, before {copies:?} of copies",
+            at.duration_since(began)
+        );
+    }
+    let charged = metrics.snapshot().counter("model.charged_ns.intra_node");
+    assert_eq!(charged, N as u64 * ns(copy));
+}
+
+/// A receive posted after its frame landed, whose command the comm thread
+/// handles before it takes that frame, copies from when it was posted, not
+/// from the landing: its two queue crossings and its copy all come after
+/// the post, whichever of the frame and the receive the thread took first.
+#[test]
+fn a_receive_posted_after_its_frame_landed_copies_no_sooner_than_its_post() {
+    use std::sync::{Arc, Barrier, Mutex};
+    use std::time::Instant;
+    // Rank 0's send crosses its queue in one hop and lands half a hop
+    // after rank 1 posts; rank 1's receive command is then taken at once
+    // and handled a hop after its post, the frame long landed by then.
+    let (hop, size) = (Duration::from_millis(50), 64);
+    let mut cost = CostModel::g92_cluster();
+    cost.queue_hop = hop;
+    cost.intra_node = dcgn::LinkCost::from_us_and_mbps(10_000, 1e12);
+    let copy = cost.intra_node.transfer_time(size);
+    let sent = Arc::new(Barrier::new(2));
+    let waited = Arc::new(Mutex::new(None));
+    let seen = Arc::clone(&waited);
+    let metrics = MetricsHandle::new();
+    let config = DcgnConfig::homogeneous(2, 1, 0, 0)
+        .with_cost(cost)
+        .with_metrics(metrics.clone());
+    let kernel = move |ctx: &dcgn::CpuCtx| {
+        ctx.barrier().unwrap();
+        if ctx.rank() == 0 {
+            let req = ctx.isend_tagged(1, 0, &[7; 64]).unwrap();
+            sent.wait();
+            ctx.wait(req).unwrap();
+        } else {
+            sent.wait();
+            std::thread::sleep(hop / 2);
+            let posted = Instant::now();
+            let req = ctx.irecv_tagged(Some(0), 0).unwrap();
+            ctx.wait(req).unwrap();
+            *seen.lock().unwrap() = Some(posted.elapsed());
+        }
+    };
+    Runtime::new(config)
+        .unwrap()
+        .launch_cpu_only(kernel)
+        .unwrap();
+    let waited = waited.lock().unwrap().expect("rank 1 received");
+    let floor = 2 * hop + copy;
+    assert!(
+        waited >= floor,
+        "the receive completed {waited:?} after its post, before {floor:?} of hops and copy"
+    );
+    let charged = metrics.snapshot().counter("model.charged_ns.intra_node");
+    assert_eq!(charged, ns(copy));
+}
+
+/// An exchange's per-rank result copies and a frame's record copies share
+/// the node's one copy engine: a record whose frame landed while the comm
+/// thread was copying a collective's results out copies after them, not
+/// alongside them from its landing.
+#[test]
+fn a_record_landing_during_a_collectives_copies_copies_after_them() {
+    use std::sync::{Arc, Mutex};
+    use std::time::Instant;
+    // Rank 0 broadcasts to rank 1 on its node and ranks 2 and 3 on the
+    // other, whose comm thread copies the result out twice.  Rank 1 sends
+    // to rank 2 once its own copy is done, so that record lands a copy
+    // into node 1's two.
+    let size = 64;
+    let mut cost = CostModel::g92_cluster();
+    cost.intra_node = dcgn::LinkCost::from_us_and_mbps(20_000, 1e12);
+    let copy = cost.intra_node.transfer_time(size);
+    let stamps = Arc::new(Mutex::new((None, None)));
+    let seen = Arc::clone(&stamps);
+    let metrics = MetricsHandle::new();
+    let config = DcgnConfig::homogeneous(2, 2, 0, 0)
+        .with_cost(cost)
+        .with_metrics(metrics.clone());
+    let kernel = move |ctx: &dcgn::CpuCtx| {
+        let mut data = vec![1; size];
+        // Posted before the broadcast, so the record matches as it lands.
+        let recv = (ctx.rank() == 2).then(|| ctx.irecv_tagged(Some(1), 5).unwrap());
+        ctx.barrier().unwrap();
+        if ctx.rank() == 0 {
+            seen.lock().unwrap().0 = Some(Instant::now());
+        }
+        ctx.broadcast(0, &mut data).unwrap();
+        if ctx.rank() == 1 {
+            ctx.send_tagged(2, 5, &data).unwrap();
+        }
+        if let Some(req) = recv {
+            ctx.wait(req).unwrap();
+            seen.lock().unwrap().1 = Some(Instant::now());
+        }
+    };
+    Runtime::new(config)
+        .unwrap()
+        .launch_cpu_only(kernel)
+        .unwrap();
+    let (began, done) = *stamps.lock().unwrap();
+    let took = done.expect("rank 2 received") - began.expect("rank 0 broadcast");
+    let floor = 3 * copy;
+    assert!(
+        took >= floor,
+        "the record completed {took:?} after the broadcast began, inside node 1's two result copies"
+    );
+    let charged = metrics.snapshot().counter("model.charged_ns.intra_node");
+    assert_eq!(
+        charged,
+        4 * ns(copy),
+        "three result copies and one record's"
+    );
+}
+
 /// A comm thread's idle wait ends at the next landing, including one that
 /// no wake-up marks: a frame that landed while the thread was busy, or one
 /// that progress absorbed into a persistent receive.  A wait that ran to

@@ -320,7 +320,7 @@ impl Device {
     pub fn memcpy_htod(&self, dst: DevicePtr, src: &[u8]) -> Result<(), MemoryError> {
         self.htod_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.htod.inc();
-        self.pcie.transfer(&self.clock, src.len());
+        self.pcie.transfer(&self.clock, self.clock.now(), src.len());
         self.memory.write(dst, src)
     }
 
@@ -328,7 +328,7 @@ impl Device {
     pub fn memcpy_dtoh(&self, dst: &mut [u8], src: DevicePtr) -> Result<(), MemoryError> {
         self.dtoh_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.dtoh.inc();
-        self.pcie.transfer(&self.clock, dst.len());
+        self.pcie.transfer(&self.clock, self.clock.now(), dst.len());
         self.memory.read(src, dst)
     }
 
@@ -351,7 +351,7 @@ impl Device {
         self.metrics.dtoh.inc();
         self.metrics.scattered.inc();
         let total: usize = ranges.iter().map(|&(_, len)| len).sum();
-        self.pcie.transfer(&self.clock, total);
+        self.pcie.transfer(&self.clock, self.clock.now(), total);
         ranges
             .iter()
             .map(|&(ptr, len)| self.memory.read_vec(ptr, len))
@@ -366,7 +366,8 @@ impl Device {
         self.htod_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.htod.inc();
         self.metrics.scattered.inc();
-        self.pcie.transfer(&self.clock, writes.len() * 4);
+        self.pcie
+            .transfer(&self.clock, self.clock.now(), writes.len() * 4);
         for &(ptr, value) in writes {
             self.memory.write_u32(ptr, value)?;
         }
@@ -378,7 +379,7 @@ impl Device {
     pub fn read_u32s(&self, ptr: DevicePtr, count: usize) -> Result<Vec<u32>, MemoryError> {
         self.dtoh_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.dtoh.inc();
-        self.pcie.transfer(&self.clock, count * 4);
+        self.pcie.transfer(&self.clock, self.clock.now(), count * 4);
         let bytes = self.memory.read_vec(ptr, count * 4)?;
         Ok(bytes
             .chunks_exact(4)
@@ -401,7 +402,7 @@ impl Device {
     pub fn read_u32(&self, ptr: DevicePtr) -> Result<u32, MemoryError> {
         self.dtoh_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.dtoh.inc();
-        self.pcie.transfer(&self.clock, 4);
+        self.pcie.transfer(&self.clock, self.clock.now(), 4);
         self.memory.read_u32(ptr)
     }
 
@@ -409,7 +410,7 @@ impl Device {
     pub fn write_u32(&self, ptr: DevicePtr, value: u32) -> Result<(), MemoryError> {
         self.htod_transfers.fetch_add(1, Ordering::Relaxed);
         self.metrics.htod.inc();
-        self.pcie.transfer(&self.clock, 4);
+        self.pcie.transfer(&self.clock, self.clock.now(), 4);
         self.memory.write_u32(ptr, value)
     }
 

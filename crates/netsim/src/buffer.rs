@@ -364,23 +364,27 @@ impl Payload {
     /// When this is the sole reference to a buffer whose body starts at
     /// offset 0 and leaves an envelope's worth of spare capacity — any
     /// pooled stage of a body up to its class's power of two — the envelope
-    /// is appended in place and the existing allocation is returned: the
-    /// body is **not** copied.  Shared, sliced or brim-full payloads are
-    /// copied into a pooled frame instead.
-    pub fn into_framed(self, envelope: &[u8; ENVELOPE_BYTES]) -> Payload {
+    /// is appended in place and the payload comes back as the frame, with
+    /// its allocation and its `Arc`: the body is **not** copied and nothing
+    /// is allocated.  Shared, sliced or brim-full payloads are copied into a
+    /// pooled frame instead.
+    pub fn into_framed(mut self, envelope: &[u8; ENVELOPE_BYTES]) -> Payload {
         // Sole owner (no clone can appear while `self` is held by value).
-        let in_place = self.off == 0
-            && Arc::strong_count(&self.inner) == 1
-            && self.inner.data.capacity() - self.len >= ENVELOPE_BYTES;
-        let mut data = if in_place {
-            self.into_vec()
-        } else {
-            let mut copy = Pool::global().acquire(self.len + ENVELOPE_BYTES);
-            copy.extend_from_slice(self.as_slice());
-            copy
-        };
-        data.extend_from_slice(envelope);
-        Payload::from_vec(data)
+        let len = self.len;
+        match Arc::get_mut(&mut self.inner) {
+            Some(inner) if self.off == 0 && inner.data.capacity() - len >= ENVELOPE_BYTES => {
+                inner.data.truncate(len);
+                inner.data.extend_from_slice(envelope);
+                self.len += ENVELOPE_BYTES;
+                self
+            }
+            _ => {
+                let mut frame = PayloadBuf::with_capacity(len + ENVELOPE_BYTES);
+                frame.extend_from_slice(self.as_slice());
+                frame.extend_from_slice(envelope);
+                frame.freeze()
+            }
+        }
     }
 
     /// Append `next` to this payload.

@@ -227,7 +227,7 @@ impl<T: Send + 'static> Fabric<T> {
             // Inter-node path: the sending node's NIC sends the whole frame
             // (store-and-forward) while its CPU goes on; the frame lands
             // when its booking ends.
-            Some(self.inner.nics[src_node].reserve(clock, wire_bytes))
+            Some(self.inner.nics[src_node].reserve(clock, clock.now(), wire_bytes))
         };
         tx.send(Delivery {
             src,
@@ -242,16 +242,19 @@ impl<T: Send + 'static> Fabric<T> {
         Ok(())
     }
 
-    /// Charge the receive-drain stage of `node` for `bytes` (bandwidth-only,
-    /// serialised with other drains on the same node).  Higher layers call
-    /// this on the *receiver's* thread when a large inbound frame must be
-    /// moved out of the NIC's landing buffers (the rendezvous payload path);
-    /// small eager frames are consumed in place and never drain.  The drain
-    /// lands the bytes in the buffer the receive completes with, so it is a
-    /// rendezvous payload's only receive-side movement: no copy follows it.
-    pub fn charge_rx_drain(&self, node: usize, bytes: usize) {
+    /// Charge the receive-drain stage of `node` for `bytes` of a frame that
+    /// `landed` then (bandwidth-only, serialised with other drains on the
+    /// same node).  Higher layers call this on the *receiver's* thread when
+    /// a large inbound frame must be moved out of the NIC's landing buffers
+    /// (the rendezvous payload path); small eager frames are consumed in
+    /// place and never drain.  The drain starts at the landing or when the
+    /// stage comes free, whichever is later, not when the receiver gets to
+    /// it, so the receiver waits only for what is left of it.  It lands the
+    /// bytes in the buffer the receive completes with, so it is a rendezvous
+    /// payload's only receive-side movement: no copy follows it.
+    pub fn charge_rx_drain(&self, node: usize, bytes: usize, landed: Stamp) {
         self.inner.rx_drain_bytes.add(bytes as u64);
-        self.inner.rx_drains[node].transfer(&self.inner.clock, bytes);
+        self.inner.rx_drains[node].transfer(&self.inner.clock, landed, bytes);
     }
 
     /// Install (or replace) the delivery notifier of `endpoint`.  The
@@ -399,10 +402,11 @@ impl<T: Send + 'static> Endpoint<T> {
         self.fabric.set_notifier(self.id, notify);
     }
 
-    /// Charge this endpoint's node's receive-drain engine for `bytes` (see
-    /// [`Fabric::charge_rx_drain`]).  Called on the receiving thread.
-    pub fn charge_rx_drain(&self, bytes: usize) {
-        self.fabric.charge_rx_drain(self.node, bytes);
+    /// Charge this endpoint's node's receive-drain engine for `bytes` of a
+    /// frame that `landed` then (see [`Fabric::charge_rx_drain`]).  Called
+    /// on the receiving thread.
+    pub fn charge_rx_drain(&self, bytes: usize, landed: Stamp) {
+        self.fabric.charge_rx_drain(self.node, bytes, landed);
     }
 
     /// The fabric this endpoint is attached to.
@@ -458,7 +462,7 @@ mod tests {
         for &w in &sizes {
             a.send(far.id(), 0, w).unwrap();
             a.send(b.id(), 0, w).unwrap();
-            far.charge_rx_drain(w);
+            far.charge_rx_drain(w, fabric.clock().now());
         }
         let sum = |link: dcgn_simtime::LinkCost| -> u64 {
             sizes

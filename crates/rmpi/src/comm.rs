@@ -164,6 +164,8 @@ struct Unexpected {
     src: usize,
     tag: u32,
     kind: UnexpectedKind,
+    /// The frame's landing, when it came from another node.
+    landed: Option<Stamp>,
 }
 
 /// A receive posted by op `id`, waiting in the [`Matcher`] for a message.
@@ -195,9 +197,6 @@ pub struct Communicator {
     pub(crate) endpoint: Endpoint<Packet>,
     rank_to_ep: Arc<Vec<EndpointId>>,
     ep_to_rank: Arc<HashMap<EndpointId, usize>>,
-    /// Node of each rank, fixed at creation: whether a frame crossed nodes
-    /// does not depend on its sender still being attached when it lands.
-    rank_to_node: Arc<Vec<usize>>,
     rdv: RdvConfig,
     progress_timeout: Duration,
     next_req: u64,
@@ -226,7 +225,6 @@ impl Communicator {
         endpoint: Endpoint<Packet>,
         rank_to_ep: Arc<Vec<EndpointId>>,
         ep_to_rank: Arc<HashMap<EndpointId, usize>>,
-        rank_to_node: Arc<Vec<usize>>,
         rdv: RdvConfig,
     ) -> Self {
         let metrics = dcgn_metrics::global();
@@ -236,7 +234,6 @@ impl Communicator {
             endpoint,
             rank_to_ep,
             ep_to_rank,
-            rank_to_node,
             rdv,
             progress_timeout: Duration::from_secs(30),
             next_req: 0,
@@ -540,6 +537,7 @@ impl Communicator {
                     tag: msg.tag,
                     len: data.len(),
                     drained: false,
+                    landed: msg.landed,
                 };
                 if let Some(Op::Recv(r)) = self.ops.get_mut(&id) {
                     *r = RecvState::Complete { data, status };
@@ -580,7 +578,7 @@ impl Communicator {
     /// payload or an RTS goes to the earliest-posted receive that matches
     /// it, or waits for one.
     fn classify(&mut self, delivery: Delivery<Packet>) {
-        let src = self.rank_of(delivery.src);
+        let (src, landed) = (self.rank_of(delivery.src), delivery.at);
         let (tag, kind) = match delivery.msg {
             Packet::Eager { tag, data } => (tag, UnexpectedKind::Eager(data)),
             Packet::Rts { tag, send_id, len } => (tag, UnexpectedKind::Rts { send_id, len }),
@@ -590,7 +588,7 @@ impl Communicator {
                 offset,
                 data,
             } => {
-                let drained = self.drain_payload(src, data.len());
+                let drained = self.drain_payload(landed, data.len());
                 return self.handle_chunk(src, recv_id, offset, data, drained);
             }
             // Credits for a finished or tombstoned transfer are expected
@@ -599,26 +597,34 @@ impl Communicator {
                 return self.handle_credit(src, send_id, chunks)
             }
         };
-        if let Some((recv, msg)) = self.matcher.arrive(Unexpected { src, tag, kind }) {
+        let msg = Unexpected {
+            src,
+            tag,
+            kind,
+            landed,
+        };
+        if let Some((recv, msg)) = self.matcher.arrive(msg) {
             self.deliver(recv.id, msg);
         }
     }
 
-    /// Charge the receive-drain engine for an inter-node rendezvous payload;
-    /// true when it did.  This is the second stage of the fabric's bandwidth
-    /// pipeline: the sender's NIC booked the wire time, and the chunk was
-    /// taken once it landed; the receiver pays drain time here, so a
-    /// transfer of several chunks overlaps the two while a one-chunk one
-    /// serialises them.  The drain moves the chunk into the buffer the
-    /// receive completes with, so it is the payload's only receive-side
-    /// movement: [`Status::drained`] tells the layer above that it owes no
-    /// copy of its own.
-    fn drain_payload(&self, src: usize, bytes: usize) -> bool {
-        let remote = bytes > 0 && self.rank_to_node[src] != self.endpoint.node();
-        if remote {
-            self.endpoint.charge_rx_drain(bytes);
+    /// Charge the receive-drain engine for a rendezvous chunk that `landed`
+    /// from another node; true when it did.  This is the second stage of the
+    /// fabric's bandwidth pipeline: the sender's NIC booked the wire time,
+    /// and the chunk was taken once it landed; the receiver pays drain time
+    /// here, from the chunk's landing or from the end of the drain before
+    /// it, so a transfer of several chunks overlaps the two while a
+    /// one-chunk one serialises them, and a receiver that takes the chunk
+    /// late waits only for what is left of its drain.  The drain moves the
+    /// chunk into the buffer the receive completes with, so it is the
+    /// payload's only receive-side movement: [`Status::drained`] tells the
+    /// layer above that it owes no copy of its own.
+    fn drain_payload(&self, landed: Option<Stamp>, bytes: usize) -> bool {
+        let landed = landed.filter(|_| bytes > 0);
+        if let Some(at) = landed {
+            self.endpoint.charge_rx_drain(bytes, at);
         }
-        remote
+        landed.is_some()
     }
 
     /// Rank `src`'s receive `recv_id` released send `send_id`: open the
@@ -789,6 +795,7 @@ impl Communicator {
                 tag: *tag,
                 len: total,
                 drained,
+                landed: None,
             };
             let data = std::mem::replace(assembled, Payload::empty());
             *r = RecvState::Complete { data, status };
@@ -937,13 +944,16 @@ mod tests {
         MpiWorld::create_on_with(&cluster, &RankPlacement::block(3, 1), rdv).unwrap()
     }
 
-    /// Hand `comm`'s engine `msg` as a frame from rank `src`.
+    /// Hand `comm`'s engine `msg` as a frame from rank `src`, which lives
+    /// on another node, so the frame carries its landing (now), as the
+    /// fabric stamps one.
     fn feed(comm: &mut Communicator, src: usize, msg: Packet) {
         let src = comm.ep_of(src);
+        let at = Some(comm.endpoint.fabric().clock().now());
         comm.classify(Delivery {
             src,
             wire_bytes: 0,
-            at: None,
+            at,
             msg,
         });
     }
@@ -1196,6 +1206,42 @@ mod tests {
         }
     }
 
+    /// `Status::landed` is the landing of an eager frame from another node,
+    /// and unset for one from a rank of the same node, which is in place
+    /// once queued, and for a stream, whose drain already moved it.
+    #[test]
+    fn status_carries_the_landing_of_an_eager_frame_from_another_node_only() {
+        let rdv = RdvConfig::new(64);
+        for (placement, remote) in [
+            (RankPlacement::block(2, 1), true),
+            (RankPlacement::block(1, 2), false),
+        ] {
+            let cost = CostModel::g92_cluster();
+            let per_rank = MpiWorld::run_with(&placement, cost, rdv, move |mut comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, 0, &[1; 64]).unwrap();
+                    comm.send(1, 1, &[1; 1000]).unwrap();
+                    return Vec::new();
+                }
+                let clock = comm.endpoint.fabric().clock().clone();
+                let mut landed =
+                    |tag| (comm.recv(Some(0), Some(tag)).unwrap().1.landed, clock.now());
+                vec![landed(0), landed(1)]
+            })
+            .unwrap();
+            let [(eager, taken), (stream, _)] = per_rank[1][..] else {
+                panic!("two receives")
+            };
+            assert_eq!(
+                eager.is_some(),
+                remote,
+                "ranks on different nodes: {remote}"
+            );
+            assert!(eager.is_none_or(|at| at <= taken), "taken before it landed");
+            assert_eq!(stream, None, "a stream's payload was drained");
+        }
+    }
+
     #[test]
     #[allow(clippy::assertions_on_constants)] // compile-time tag-space guard
     fn exchange_tag_stays_in_its_reserved_space() {
@@ -1212,6 +1258,7 @@ mod tests {
                 src: 0,
                 tag,
                 kind: UnexpectedKind::Eager(Payload::empty()),
+                landed: None,
             })
         };
         // ANY_TAG wildcard matching never steals an exchange frame, but an

@@ -4,6 +4,7 @@
 use std::fmt;
 
 use dcgn_netsim::Payload;
+use dcgn_simtime::Stamp;
 
 /// Wildcard source rank: match a message from any rank.
 pub const ANY_SOURCE: Option<usize> = None;
@@ -132,6 +133,11 @@ pub struct Status {
     /// landed, and for a stream between ranks of one node, which never
     /// drains.
     pub drained: bool,
+    /// When an eager frame from another node landed: the stamp a copy of
+    /// its payload out of the landing slot can start from, however late the
+    /// receiver takes it.  `None` for an intra-node frame, in place once
+    /// queued, and for a rendezvous payload, whose drain already moved it.
+    pub landed: Option<Stamp>,
 }
 
 /// Errors produced by the message passing layer.

@@ -109,7 +109,6 @@ impl MpiWorld {
             .map(|&node| cluster.attach(node))
             .collect();
         let rank_to_ep = Arc::new(endpoints.iter().map(|e| e.id()).collect::<Vec<_>>());
-        let rank_to_node = Arc::new(placement.node_map().to_vec());
         let ep_to_rank = Arc::new(
             endpoints
                 .iter()
@@ -126,7 +125,6 @@ impl MpiWorld {
                     endpoint,
                     Arc::clone(&rank_to_ep),
                     Arc::clone(&ep_to_rank),
-                    Arc::clone(&rank_to_node),
                     rdv,
                 )
             })

@@ -6,13 +6,13 @@
 //! [`Charge`] kind, exact however noisy the wall clock is.  Beside it,
 //! `model.overshoot_ns.<kind>` counts how late past its booked end each
 //! step was seen to finish ([`Clock::late`]): wall-clock time, not model,
-//! the "OS sleep jitter" term of a measured latency.  A charge is seen by
-//! the thread it blocks; a NIC's frame lands and a queue hop is due at a
-//! stamp, so theirs is the taker's lateness.  Every wait names the event it
-//! waits for and a [`Deadline`]; the ones that spin share one
-//! budget, and `clock.parks` counts those that outlasted it and blocked: a
-//! channel receive ([`crate::channel::Receiver::recv_until`]) or a device
-//! block waiting on a word, both a [`Clock::poll_until`].
+//! the "OS sleep jitter" term of a measured latency.  A frame's landing and
+//! a queue hop's due are booked from a send: theirs is the taker's lateness,
+//! once each; a receive copy or drain counts only a wait for an end ahead.
+//! Every wait names the event it waits for and a [`Deadline`]; the ones that
+//! spin share one budget, and `clock.parks` counts those that outlasted it
+//! and blocked: a channel receive ([`crate::channel::Receiver::recv_until`])
+//! or a device block waiting on a word, both a [`Clock::poll_until`].
 
 use std::sync::{Arc, Condvar, MutexGuard};
 use std::time::{Duration, Instant};
@@ -145,13 +145,11 @@ impl Clock {
         deadline.0.is_some_and(|at| Instant::now() >= at)
     }
 
-    /// Book `d` of `kind` from when an engine busy until `busy_until` is
-    /// free, or now: add it to the ledger without blocking; returns its end.
-    /// The ledger's update is part of the `d`, not added to it.
-    pub(crate) fn book(&self, kind: Charge, busy_until: Option<Stamp>, d: Duration) -> Stamp {
-        let now = Instant::now();
+    /// Book `d` of `kind` from `start` in the ledger without blocking;
+    /// returns its end.  The ledger's update is part of `d`, not added to it.
+    pub(crate) fn book(&self, kind: Charge, start: Stamp, d: Duration) -> Stamp {
         self.0.charged_ns[kind as usize].add(d.as_nanos() as u64);
-        Stamp(busy_until.map_or(now, |busy| busy.0.max(now)) + d)
+        Stamp(start.0 + d)
     }
 
     /// An item of a booked `kind` due at `at` is taken now: its lateness
@@ -173,8 +171,7 @@ impl Clock {
     pub(crate) fn queue_hop(&self, sent: Stamp) {
         let hop = self.0.model.queue_hop;
         if !hop.is_zero() {
-            self.0.charged_ns[Charge::QueueHop as usize].add(hop.as_nanos() as u64);
-            let due = Stamp(sent.0 + hop);
+            let due = self.book(Charge::QueueHop, sent, hop);
             self.0.hops_hidden.add(u64::from(due <= self.now()));
             self.wait_for(Charge::QueueHop, due);
         }
@@ -189,7 +186,7 @@ impl Clock {
         if d.is_zero() {
             return;
         }
-        let end = self.book(kind, None, d);
+        let end = self.book(kind, self.now(), d);
         self.wait_for(kind, end);
     }
 

@@ -48,11 +48,6 @@ impl LinkCost {
         self.latency + Duration::from_secs_f64(secs)
     }
 
-    /// True when the link injects no delay.
-    pub fn is_free(&self) -> bool {
-        self.latency.is_zero() && !self.bandwidth_bytes_per_sec.is_finite()
-    }
-
     /// This link with the fixed per-transfer latency stripped, keeping only
     /// the size-proportional term.  Models a second pipeline stage sharing
     /// the link's sustained bandwidth (e.g. the receive-side drain engine of
@@ -185,7 +180,6 @@ mod tests {
     #[test]
     fn free_link_has_no_cost() {
         let l = LinkCost::free();
-        assert!(l.is_free());
         assert_eq!(l.transfer_time(0), Duration::ZERO);
         assert_eq!(l.transfer_time(1 << 20), Duration::ZERO);
     }
@@ -196,7 +190,7 @@ mod tests {
         assert_eq!(l.latency, Duration::ZERO);
         assert_eq!(l.transfer_time(1_000_000), Duration::from_millis(1));
         // A free link stays free: no bandwidth term appears from nowhere.
-        assert!(LinkCost::free().bandwidth_only().is_free());
+        assert_eq!(LinkCost::free().bandwidth_only(), LinkCost::free());
     }
 
     #[test]
@@ -211,9 +205,9 @@ mod tests {
     #[test]
     fn zero_model_is_free_everywhere() {
         let m = CostModel::zero();
-        assert!(m.pcie.is_free());
-        assert!(m.network.is_free());
-        assert!(m.intra_node.is_free());
+        for link in [m.pcie, m.network, m.intra_node] {
+            assert_eq!(link, LinkCost::free());
+        }
         assert_eq!(m.kernel_launch, Duration::ZERO);
         assert_eq!(m.queue_hop, Duration::ZERO);
     }

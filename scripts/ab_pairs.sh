@@ -13,21 +13,24 @@
 # change.  Printed: per pair and per end-to-end metric both values, beside
 # them the host's CPU steal ticks during each run (the `steal` column of
 # /proc/stat's `cpu` line, read before and after it: time the hypervisor
-# gave other guests, so a slow run with many is the host's), then per
-# metric both medians with their quartiles, how many pairs the change won
-# (ties count for neither side) and the house rule's verdict: `gain` (the
-# change won >= 9 in 10 pairs and the medians differ by more than the
-# parent's IQR), else, when the parent's IQR exceeds the bound, `all runs
-# better` (every change run beats every parent run) or `unresolved`, else
-# `worse than bound` or `within bound`; last, per workload, each side's
-# attempted and failed operations summed over its runs, with the failed
-# share.  It reads benchmark/ and BENCHMARK.json and changes neither:
-# cargo rewrites benchmark/Cargo.lock when it builds the change side, and
-# the script puts the file back as it found it when it exits.  Set TMPDIR
-# to choose where the export and the two target directories (~250 MB) go.
+# gave other guests, so a slow run with many is the host's) and the CPU
+# seconds each run took (user + sys of the benchmark and its cargo wrapper,
+# from the shell's `times` before and after it: a change that buys latency
+# with CPU shows here), then per metric both medians with their
+# quartiles, how many pairs the change won (ties count for neither side)
+# and the house rule's verdict: `gain` (the change won >= 9 in 10 pairs and
+# the medians differ by more than the parent's IQR), else, when the
+# parent's IQR exceeds the bound, `all runs better` (every change run beats
+# every parent run) or `unresolved`, else `worse than bound` or `within
+# bound`; last, per workload, each side's attempted and failed operations
+# summed over its runs, with the failed share.  It reads benchmark/ and
+# BENCHMARK.json and changes neither: cargo rewrites benchmark/Cargo.lock
+# when it builds the change side, and the script puts the file back as it
+# found it when it exits.  Set TMPDIR to choose where the export and the
+# two target directories (~250 MB) go.
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,28s/^# \{0,1\}//p' "$0"; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,32s/^# \{0,1\}//p' "$0"; exit 2; }
 rev=$1 which=$2 pairs=${3:-10} seed0=${4:-1}
 root=$(cd "$(dirname "$0")/.." && pwd)
 spec=$root/BENCHMARK.json
@@ -64,6 +67,12 @@ count() { # count <result object> <attempted|failed>
 steal() { # steal: the host's CPU steal ticks so far
     awk '$1 == "cpu" { print $9 }' /proc/stat
 }
+cpu_s() { # cpu_s <before> <after>: the children's user + sys seconds between
+    # two `times` outputs (its second line), written by this shell itself:
+    # a subshell's `times` counts only the subshell's own children.
+    awk 'FNR == 2 { for (i = 1; i <= 2; i++) { split($i, t, "m"); s[FILENAME] += t[1] * 60 + t[2] } }
+         END { printf "%.3f\n", s[ARGV[2]] - s[ARGV[1]] }' "$1" "$2"
+}
 
 echo "parent $(git -C "$root" rev-parse --short "$rev"), change $(git -C "$root" describe --always --dirty), $pairs pairs, ${secs}s runs, nproc $(nproc)"
 echo "building both sides"
@@ -78,8 +87,11 @@ for w in $which; do
         if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do
             before=$(steal)
+            times >"$tmp/times.before"
             run "$side" --workload "$w" --seed "$seed" --seconds "$secs" --trace 0 >"$tmp/$side.out"
+            times >"$tmp/times.after"
             echo $(($(steal) - before)) >"$tmp/$side.steal"
+            cpu_s "$tmp/times.before" "$tmp/times.after" >"$tmp/$side.cpu"
             grep -q '"failed": 0,' "$tmp/$side.out" ||
                 echo "$w pair $i: $side run did not verify: $(cat "$tmp/$side.out")"
         done
@@ -95,6 +107,8 @@ for w in $which; do
         done
         printf '%-18s pair %2d seed %3d  %-12s parent %14d  change %14d\n' \
             "$w" "$i" "$seed" steal_ticks "$(cat "$tmp/parent.steal")" "$(cat "$tmp/change.steal")"
+        printf '%-18s pair %2d seed %3d  %-12s parent %14.3f  change %14.3f\n' \
+            "$w" "$i" "$seed" cpu_s "$(cat "$tmp/parent.cpu")" "$(cat "$tmp/change.cpu")"
         i=$((i + 1))
     done
 done

@@ -14,7 +14,9 @@
 # their modelled length; for `network`, whose frames book the NIC without
 # blocking, the real time from each frame's landing to its take; for
 # `queue_hop`, due one hop after a crossing's first work item was sent, the
-# taker's lateness past that due stamp), each
+# taker's lateness past that due stamp; for the `intra_node` copies and
+# `drain`, booked from a frame's landing, the lateness past a booked end the
+# thread waited for, and none for one already over when reached), each
 # `comm.requests.*` / `comm.crossings.*` / `comm.missed_landings.*` counter
 # (idle comm-thread waits that ran past a landing; 0 on working code),
 # `fabric.frames` (inter-node frames the fabric carried), `rmpi.eager_sends`
@@ -29,7 +31,7 @@
 # benchmark/Cargo.lock is put back as it was found.
 set -eu
 
-[ $# -ge 1 ] || { sed -n '2,30s/^# \{0,1\}//p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,32s/^# \{0,1\}//p' "$0"; exit 2; }
 root=$(cd "$(dirname "$0")/.." && pwd)
 spec=$root/BENCHMARK.json
 cmd=$(sed -n 's/.*"command": *\[\(.*\)\].*/\1/p' "$spec" | tr -d '",')

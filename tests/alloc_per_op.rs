@@ -171,9 +171,9 @@ type Shape = (&'static str, fn(usize), f64);
 #[test]
 fn a_message_allocates_at_most_a_pinned_count() {
     let shapes: [Shape; 3] = [
-        ("CPU ping-pong, 64 B", cpu_pingpong, 7.0),
-        ("GPU ping-pong, 64 B", gpu_pingpong, 14.0),
-        ("32 x 1 KiB window", window, 119.0),
+        ("CPU ping-pong, 64 B", cpu_pingpong, 5.0),
+        ("GPU ping-pong, 64 B", gpu_pingpong, 12.0),
+        ("32 x 1 KiB window", window, 84.0),
     ];
     let mut over = Vec::new();
     for (name, job, ceiling) in shapes {
