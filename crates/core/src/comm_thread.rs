@@ -16,15 +16,13 @@
 //! [`Engine`] (`exchange/`), which runs **every** cross-node collective — the
 //! world included — under one of its plans and replies to the joined ranks.
 //!
-//! Inter-node point-to-point sends leave one frame per node per crossing:
-//! [`Substrate::post_p2p`] holds a crossing's records per node, and the
-//! crossing's end sends each node's records laid end to end
-//! ([`crate::message`]) as one eager MPI message.  The receiver routes them
-//! as views of that one buffer, so a record left unmatched keeps its whole
-//! batch, at most one eager threshold of bytes, alive, and copies each one
-//! matched on arrival into its receive on the node's one copy engine from
-//! the frame's landing (or its receive's post, if later), so routing runs
-//! inside the modelled copies.
+//! Each inter-node point-to-point send is one MPI `isend` of one framed
+//! record ([`crate::message`]), as in the paper; rmpi carries a crossing's
+//! sends to one node in one frame, sent by the progress call that ends a
+//! crossing with work ([`Substrate::reap`]) before its senders are answered
+//! `SendDone`.  The receiver copies each record matched on arrival into its
+//! receive on the node's one copy engine from the frame's landing (or its
+//! receive's post, if later), so routing runs inside the modelled copies.
 //!
 //! It is also the one place that validates a request, whichever kind of
 //! rank posted it: a rank outside the world, a root outside its
@@ -37,7 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dcgn_metrics::{Counter, Gauge, MetricsHandle};
-use dcgn_netsim::{Payload, PayloadBuf};
+use dcgn_netsim::Payload;
 use dcgn_rmpi::exchange::{CollectiveId, CollectiveKind};
 use dcgn_rmpi::{Communicator, Request as MpiRequest, Status as MpiStatus, TAG_EXCHANGE};
 use dcgn_simtime::{Charge, Clock, Deadline, Receiver, Sender, Stamp, VirtualBus};
@@ -48,8 +46,8 @@ use crate::exchange::{classify_collective, CollectiveAssembly, Contribution, Eng
 use crate::group::{CommGroup, CommId};
 use crate::matcher::{IncomingMsg, Matcher, PendingRecv};
 use crate::message::{
-    decode_p2p, frame_p2p, CollectiveResult, CommCommand, CommStatus, P2pRecord, Reply, ReplyTo,
-    Request, RequestKind,
+    decode_p2p, frame_p2p, CollectiveResult, CommCommand, CommStatus, Reply, ReplyTo, Request,
+    RequestKind,
 };
 use crate::rank::RankMap;
 
@@ -63,15 +61,11 @@ use crate::rank::RankMap;
 const IDLE_FALLBACK: Duration = Duration::from_millis(1);
 
 /// The MPI substrate as the comm thread drives it: the node's communicator,
-/// the nonblocking sends it has not yet seen complete, the crossing's
-/// point-to-point records waiting to leave, and the copy engine that moves
-/// what arrives into the ranks' buffers.
+/// the nonblocking sends it has not yet seen complete, and the copy engine
+/// that moves what arrives into the ranks' buffers.
 pub(crate) struct Substrate {
     comm: Communicator,
     outstanding_isends: Vec<MpiRequest>,
-    /// Per destination node: its held records with their senders, and their
-    /// bytes.  Kept across crossings, so a crossing allocates nothing.
-    outbox: Vec<(Vec<(Payload, ReplyTo)>, usize)>,
     /// The node's one copy engine: every receive-side copy into a rank's
     /// buffer (a match's, and the exchange engine's per-rank results)
     /// books it, so copies run one after another, each from when it could
@@ -87,52 +81,6 @@ impl Substrate {
     pub(crate) fn isend(&mut self, dst: usize, tag: u32, data: impl Into<Payload>) -> Result<()> {
         let req = self.comm.isend(dst, tag, data)?;
         self.outstanding_isends.push(req);
-        Ok(())
-    }
-
-    /// Hold a framed point-to-point record for `node` until the crossing
-    /// ends.  A batch never exceeds rmpi's eager threshold, so it is one
-    /// eager message: a record that would take it past sends what is held
-    /// first, and a larger one (a rendezvous) then leaves alone, so nothing
-    /// overtakes on the node's one NIC.
-    fn post_p2p(&mut self, node: usize, wire: Payload, sender: ReplyTo) -> Result<()> {
-        let (len, bound) = (wire.len(), self.comm.eager_threshold());
-        if self.outbox[node].1 + len > bound {
-            self.flush_p2p(node)?;
-        }
-        let (records, bytes) = &mut self.outbox[node];
-        records.push((wire, sender));
-        *bytes += len;
-        if len > bound {
-            self.flush_p2p(node)?;
-        }
-        Ok(())
-    }
-
-    /// Send `node`'s held records as one frame — a lone one as its own
-    /// staged allocation, more as one pooled copy, after which the staged
-    /// buffers return to the pool — and answer their senders `SendDone`.
-    fn flush_p2p(&mut self, node: usize) -> Result<()> {
-        let (records, bytes) = &mut self.outbox[node];
-        let frame = match &mut records[..] {
-            [] => return Ok(()),
-            [(lone, _)] => std::mem::replace(lone, Payload::empty()),
-            many => {
-                let mut batch = PayloadBuf::with_capacity(*bytes);
-                for (record, _) in many.iter() {
-                    batch.extend_from_slice(record.as_slice());
-                }
-                batch.freeze()
-            }
-        };
-        *bytes = 0;
-        // MPI tag 0: the catch-all takes any user tag, and each record
-        // names its own ranks and tag.
-        let req = self.comm.isend(node, 0, frame)?;
-        self.outstanding_isends.push(req);
-        for (_, sender) in records.drain(..) {
-            sender.complete(Reply::SendDone);
-        }
         Ok(())
     }
 
@@ -161,7 +109,8 @@ impl Substrate {
         Ok(Some((wire, status)))
     }
 
-    /// Retire completed nonblocking sends.
+    /// Retire completed nonblocking sends.  Each `test` is a progress call,
+    /// so this also sends what rmpi holds: every held send is one of these.
     fn reap(&mut self) -> Result<()> {
         let mut i = 0;
         while i < self.outstanding_isends.len() {
@@ -210,10 +159,12 @@ pub(crate) struct CommThread {
     cmds: Vec<CommCommand>,
     clock: Clock,
 
+    /// The crossing's inter-node senders, answered `SendDone` once its
+    /// frames have left; kept like `cmds`.
+    sent: Vec<ReplyTo>,
+
     /// Persistent wildcard receive for inter-node point-to-point frames.
     catchall: Option<MpiRequest>,
-    /// The records of the frame being routed, kept like `cmds`.
-    records: Vec<P2pRecord>,
     /// Persistent receive for exchange frames ([`TAG_EXCHANGE`]); completed
     /// frames are handed to the [`Engine`], which demultiplexes them by the
     /// exact key inside the frame.
@@ -255,16 +206,15 @@ impl CommThread {
             engine: Engine::new(node, Arc::clone(&rank_map), &clock, forced_plan, metrics),
             rank_map,
             net: Substrate {
-                outbox: (0..comm.size()).map(|_| Default::default()).collect(),
                 comm,
                 outstanding_isends: Vec::new(),
                 copies: VirtualBus::new(Charge::IntraNode, clock.model().intra_node),
             },
             work_rx,
             cmds: Vec::new(),
+            sent: Vec::new(),
             clock,
             catchall: None,
-            records: Vec::new(),
             exchange_recv: None,
             matcher: Matcher::default(),
             active: HashMap::new(),
@@ -350,10 +300,11 @@ impl CommThread {
 
     /// Take one crossing of the work queue, waiting until `deadline` for it,
     /// and handle every command it carried; the crossing pays one queue hop
-    /// if it carried a request, a whole GPU-sweep batch included.  The
-    /// number taken is the queue-depth gauge's observation (its high-water
-    /// mark survives in the metrics snapshot).  True when anything was
-    /// taken.
+    /// if it carried a request, a whole GPU-sweep batch included.  A
+    /// crossing that took anything ends with one progress call, which sends
+    /// its frames, and then answers its inter-node senders.  The number
+    /// taken is the queue-depth gauge's observation (its high-water mark
+    /// survives in the metrics snapshot).  True when anything was taken.
     fn drain_work(&mut self, deadline: Deadline) -> Result<bool> {
         let mut cmds = std::mem::take(&mut self.cmds);
         let file = |cmd| {
@@ -371,9 +322,11 @@ impl CommThread {
             self.handle_command(cmd)?;
         }
         self.cmds = cmds;
-        // Only a taken command holds records: an idle call walks no outbox.
         if taken > 0 {
-            (0..self.net.outbox.len()).try_for_each(|node| self.net.flush_p2p(node))?;
+            self.net.reap()?;
+            for sender in self.sent.drain(..) {
+                sender.complete(Reply::SendDone);
+            }
         }
         Ok(taken > 0)
     }
@@ -464,12 +417,12 @@ impl CommThread {
             self.route_incoming(src, dst, tag, data, ready, Some(reply_to));
         } else {
             // Inter-node: append the DCGN envelope in the staged buffer's
-            // spare capacity (no body copy) and hold the record for the
-            // crossing's frame to its node.  Remote sends complete once
-            // that frame is handed to the MPI layer (buffered-send
-            // semantics).
+            // spare capacity (no body copy) and hand that frame to MPI on the
+            // catch-all's tag 0.  Remote sends complete once the crossing's
+            // frames have left (buffered-send semantics).
             let wire = frame_p2p(src, dst, tag, data);
-            self.net.post_p2p(dst_node, wire, reply_to)?;
+            self.net.isend(dst_node, 0, wire)?;
+            self.sent.push(reply_to);
         }
         Ok(())
     }
@@ -577,18 +530,14 @@ impl CommThread {
     fn progress_mpi(&mut self) -> Result<bool> {
         let mut did_work = false;
         while let Some((wire, status)) = self.net.poll(&mut self.catchall, None)? {
-            // An eager frame's records are ready at its landing, however
-            // late this thread took it (a receive posted since starts its
-            // copy no sooner); a drained payload owes no copy.
+            // An eager frame is ready at its landing, however late this
+            // thread took it (a receive posted since starts its copy no
+            // sooner); a drained payload owes no copy.
             let landed = status.landed.unwrap_or_else(|| self.clock.now());
             let ready = (!status.drained).then_some(landed);
-            // Each decoded body is a zero-copy view of the pooled wire frame.
-            let mut records = std::mem::take(&mut self.records);
-            decode_p2p(wire, &mut records)?;
-            for (src, dst, tag, data) in records.drain(..) {
-                self.route_incoming(src, dst, tag, data, ready, None);
-            }
-            self.records = records;
+            // The decoded body is a zero-copy view of the pooled wire frame.
+            let (src, dst, tag, data) = decode_p2p(wire)?;
+            self.route_incoming(src, dst, tag, data, ready, None);
             did_work = true;
         }
         let tag = Some(TAG_EXCHANGE);
@@ -683,133 +632,5 @@ impl CommThread {
             }
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::message::Inbox;
-    use dcgn_netsim::buffer::ENVELOPE_BYTES;
-    use dcgn_netsim::Cluster;
-    use dcgn_rmpi::{MpiWorld, RankPlacement, RdvConfig};
-    use dcgn_simtime::{CostModel, LinkCost};
-
-    /// Node 0's substrate, whose batches are bounded by an eager threshold
-    /// of `bound` bytes, and the communicators of nodes 1 and 2, in a
-    /// three-node world that models no cost.  One thread drives all three.
-    fn world(bound: usize) -> (Substrate, [Communicator; 2]) {
-        let cluster = Cluster::new(3, CostModel::zero());
-        let placement = RankPlacement::block(3, 1);
-        let rdv = RdvConfig::new(bound);
-        let [comm, one, two] = MpiWorld::create_on_with(&cluster, &placement, rdv)
-            .unwrap()
-            .try_into()
-            .unwrap();
-        let net = Substrate {
-            outbox: (0..3).map(|_| Default::default()).collect(),
-            comm,
-            outstanding_isends: Vec::new(),
-            copies: VirtualBus::new(Charge::IntraNode, LinkCost::free()),
-        };
-        (net, [one, two])
-    }
-
-    /// Post record `i` for node `node` with a body of `len` bytes of `i`.
-    fn post(net: &mut Substrate, inbox: &Inbox, i: u32, node: usize, len: usize) {
-        let wire = frame_p2p(0, node, i, Payload::copy_from_slice(&vec![i as u8; len]));
-        net.post_p2p(node, wire, inbox.reply_to((i, 0))).unwrap();
-    }
-
-    /// End the crossing: send every node's held records.
-    fn flush(net: &mut Substrate) {
-        (0..3).try_for_each(|node| net.flush_p2p(node)).unwrap();
-    }
-
-    /// The next frame `peer` takes — driving node 0's sends too, which a
-    /// rendezvous needs — and the tags of its records in send order.
-    fn next_frame(net: &mut Substrate, peer: &mut Communicator) -> (Payload, Vec<u32>) {
-        let req = peer.irecv(None, None).unwrap();
-        while !peer.test(req).unwrap() {
-            net.reap().unwrap();
-        }
-        let (frame, _) = peer.take_recv(req).unwrap();
-        let mut records = Vec::new();
-        decode_p2p(frame.clone(), &mut records).unwrap();
-        (frame, records.iter().map(|&(_, _, tag, _)| tag).collect())
-    }
-
-    /// The tokens of the `SendDone`s `inbox` holds.
-    fn send_dones(inbox: &Inbox) -> Vec<u32> {
-        let clock = Clock::from(CostModel::zero());
-        let mut done = Vec::new();
-        inbox.drain(&clock, clock.deadline(Duration::ZERO), |(token, reply)| {
-            assert!(matches!(reply, Reply::SendDone));
-            done.push(token.0);
-            true
-        });
-        done
-    }
-
-    #[test]
-    fn records_leave_one_frame_per_node_in_command_order() {
-        let (inbox, (mut net, [mut one, mut two])) = (Inbox::new(), world(1 << 16));
-        for (i, node) in [2, 1, 2, 2, 1].into_iter().enumerate() {
-            post(&mut net, &inbox, i as u32, node, 10);
-        }
-        assert!(
-            net.outstanding_isends.is_empty(),
-            "held until the crossing ends"
-        );
-        assert!(send_dones(&inbox).is_empty());
-        flush(&mut net);
-        assert_eq!(net.outstanding_isends.len(), 2);
-        assert_eq!(send_dones(&inbox), [1, 4, 0, 2, 3]);
-        assert_eq!(next_frame(&mut net, &mut one).1, [1, 4]);
-        assert_eq!(next_frame(&mut net, &mut two).1, [0, 2, 3]);
-    }
-
-    #[test]
-    fn a_batch_never_exceeds_its_bound() {
-        let bound = 2 * (100 + ENVELOPE_BYTES);
-        let (inbox, (mut net, [mut one, _])) = (Inbox::new(), world(bound));
-        for i in 0..5 {
-            post(&mut net, &inbox, i, 1, 100);
-        }
-        flush(&mut net);
-        for want in [&[0, 1][..], &[2, 3], &[4]] {
-            let (frame, tags) = next_frame(&mut net, &mut one);
-            assert!(frame.len() <= bound);
-            assert_eq!(tags, want);
-        }
-    }
-
-    #[test]
-    fn a_lone_record_leaves_as_its_own_allocation() {
-        let (inbox, (mut net, [mut one, _])) = (Inbox::new(), world(1 << 16));
-        let wire = frame_p2p(0, 1, 7, Payload::copy_from_slice(&[7; 64]));
-        let staged = wire.as_slice().as_ptr();
-        net.post_p2p(1, wire, inbox.reply_to((7, 0))).unwrap();
-        flush(&mut net);
-        assert_eq!(send_dones(&inbox), [7]);
-        let (frame, tags) = next_frame(&mut net, &mut one);
-        assert_eq!((frame.as_slice().as_ptr(), tags), (staged, vec![7]));
-    }
-
-    #[test]
-    fn a_rendezvous_record_sends_its_nodes_held_records_first() {
-        let (inbox, (mut net, [mut one, mut two])) = (Inbox::new(), world(1024));
-        for (i, node, len) in [(0, 1, 10), (1, 2, 10), (2, 1, 10), (3, 1, 4096), (4, 1, 10)] {
-            post(&mut net, &inbox, i, node, len);
-        }
-        // Node 1's two held records, then the large one on its own; node 2's
-        // record and the one posted after the large send are still held.
-        assert_eq!(net.outstanding_isends.len(), 2);
-        assert_eq!(send_dones(&inbox), [0, 2, 3]);
-        flush(&mut net);
-        for want in [&[0, 2][..], &[3], &[4]] {
-            assert_eq!(next_frame(&mut net, &mut one).1, want);
-        }
-        assert_eq!(next_frame(&mut net, &mut two).1, [1]);
     }
 }

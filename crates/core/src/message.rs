@@ -7,10 +7,6 @@
 //! framing (`frame_p2p`/`decode_p2p`) appends its envelope *behind* the
 //! body, so the body bytes are written once, never move on their way to the
 //! wire, and sit at offset 0 of the allocation the receiver hands out.
-//!
-//! A wire frame is one or more such `[body][envelope]` records laid end to
-//! end (a crossing's eager sends to one node).  The envelope's last word is
-//! its body's length, so the decoder walks the records back to front.
 
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
 
@@ -270,50 +266,40 @@ impl Drop for ReplyTo {
 // Wire format of inter-node DCGN point-to-point messages.
 // ---------------------------------------------------------------------------
 
-// Envelope appended to every inter-node point-to-point body:
-// `[body][src u32][dst u32][tag u32][body length u32]`.  The pool sizes its
+// Envelope appended to every inter-node point-to-point payload:
+// `[body][src u32][dst u32][tag u32][reserved u32]`.  The pool sizes its
 // classes for exactly this trailer, so framing a send appends in place
 // instead of copying the body.
 const _: () = assert!(ENVELOPE_BYTES == 4 * std::mem::size_of::<u32>());
 
-/// One decoded point-to-point record: `(src, dst, tag, body)`.
-pub(crate) type P2pRecord = (usize, usize, u32, Payload);
-
-/// Frame a DCGN point-to-point payload as one record for transport through
-/// the node-level MPI substrate.  Consumes the payload; a pooled stage (the
-/// normal case) is not copied, and the returned frame is the same
-/// allocation with the body still at its start.
+/// Frame a DCGN point-to-point payload for transport through the node-level
+/// MPI substrate.  Consumes the payload; a pooled stage (the normal case)
+/// is not copied, and the returned frame is the same allocation with the
+/// body still at its start.
 pub(crate) fn frame_p2p(src: usize, dst: usize, tag: u32, payload: Payload) -> Payload {
     let mut envelope = [0u8; ENVELOPE_BYTES];
-    let words = [src as u32, dst as u32, tag, payload.len() as u32];
-    for (field, word) in envelope.chunks_exact_mut(4).zip(words) {
-        field.copy_from_slice(&word.to_le_bytes());
-    }
+    envelope[0..4].copy_from_slice(&(src as u32).to_le_bytes());
+    envelope[4..8].copy_from_slice(&(dst as u32).to_le_bytes());
+    envelope[8..12].copy_from_slice(&tag.to_le_bytes());
     payload.into_framed(&envelope)
 }
 
-/// Decode an inter-node DCGN point-to-point frame — records end to end —
-/// back to front, and append its records to `records` in send order.  Each
-/// body is a zero-copy view of the frame; a one-record frame's body is its
-/// first bytes and the only reference to it once `wire` is consumed here —
-/// so a CPU receiver's [`Payload::into_vec`] takes the allocation instead of
-/// copying out of it.
-pub(crate) fn decode_p2p(wire: Payload, records: &mut Vec<P2pRecord>) -> Result<(), DcgnError> {
-    let (first, mut end) = (records.len(), wire.len());
-    let malformed = || DcgnError::Internal(format!("malformed p2p frame of {} bytes", wire.len()));
-    // One record at least, then records until the frame's start.
-    while end > 0 || records.len() == first {
-        let body_end = end.checked_sub(ENVELOPE_BYTES).ok_or_else(malformed)?;
-        let [src, dst, tag, len] = std::array::from_fn(|i| {
-            let at = body_end + 4 * i;
-            u32::from_le_bytes(wire.as_slice()[at..at + 4].try_into().expect("4 bytes"))
-        });
-        let start = body_end.checked_sub(len as usize).ok_or_else(malformed)?;
-        records.push((src as usize, dst as usize, tag, wire.slice(start..body_end)));
-        end = start;
-    }
-    records[first..].reverse();
-    Ok(())
+/// Decode an inter-node DCGN point-to-point frame.  The returned body is a
+/// zero-copy view of the wire buffer's first bytes, and the only reference
+/// to it once `wire` is consumed here — so a CPU receiver's
+/// [`Payload::into_vec`] takes the allocation instead of copying out of it.
+pub(crate) fn decode_p2p(wire: Payload) -> Result<(usize, usize, u32, Payload), DcgnError> {
+    let Some(body_len) = wire.len().checked_sub(ENVELOPE_BYTES) else {
+        return Err(DcgnError::Internal(format!(
+            "short point-to-point frame: {} bytes",
+            wire.len()
+        )));
+    };
+    let envelope = &wire.as_slice()[body_len..];
+    let src = u32::from_le_bytes(envelope[0..4].try_into().expect("4 bytes")) as usize;
+    let dst = u32::from_le_bytes(envelope[4..8].try_into().expect("4 bytes")) as usize;
+    let tag = u32::from_le_bytes(envelope[8..12].try_into().expect("4 bytes"));
+    Ok((src, dst, tag, wire.slice(0..body_len)))
 }
 
 #[cfg(test)]
@@ -371,47 +357,17 @@ mod tests {
         drop(dropped);
     }
 
-    /// Every record of `wire`, in send order.
-    fn decode(wire: Payload) -> Result<Vec<P2pRecord>, DcgnError> {
-        let mut records = Vec::new();
-        decode_p2p(wire, &mut records).map(|()| records)
-    }
-
     #[test]
     fn p2p_roundtrip() {
         let payload: Vec<u8> = (0..100u8).collect();
         let wire = frame_p2p(3, 11, 42, Payload::copy_from_slice(&payload));
         assert_eq!(wire.len(), 100 + ENVELOPE_BYTES);
-        // The envelope trails the body on the wire; its last word is the
-        // body's length.
+        // The envelope trails the body on the wire.
         assert_eq!(&wire.as_slice()[..100], &payload[..]);
         assert_eq!(&wire.as_slice()[100..104], &3u32.to_le_bytes());
-        assert_eq!(&wire.as_slice()[112..], &100u32.to_le_bytes());
-        let [(src, dst, tag, data)] = &decode(wire).unwrap()[..] else {
-            panic!("a one-record frame decodes to one record");
-        };
-        assert_eq!((*src, *dst, *tag), (3, 11, 42));
-        assert_eq!(data, &payload);
-    }
-
-    #[test]
-    fn records_laid_end_to_end_decode_in_send_order() {
-        let bodies: [&[u8]; 4] = [b"first", b"", &[7; 300], b"last"];
-        let mut batch = Vec::new();
-        for (i, body) in bodies.iter().enumerate() {
-            let wire = frame_p2p(i, 10 + i, 20 + i as u32, Payload::copy_from_slice(body));
-            batch.extend_from_slice(wire.as_slice());
-        }
-        let records = decode(Payload::from_vec(batch)).unwrap();
-        assert_eq!(records.len(), bodies.len());
-        for (i, ((src, dst, tag, data), body)) in records.iter().zip(bodies).enumerate() {
-            assert_eq!((*src, *dst, *tag), (i, 10 + i, 20 + i as u32));
-            assert_eq!(data, &body);
-        }
-        // Appending keeps what the vector already held.
-        let mut records = records;
-        decode_p2p(frame_p2p(9, 9, 9, Payload::empty()), &mut records).unwrap();
-        assert_eq!((records.len(), records[0].0, records[4].0), (5, 0, 9));
+        let (src, dst, tag, data) = decode_p2p(wire).unwrap();
+        assert_eq!((src, dst, tag), (3, 11, 42));
+        assert_eq!(data, payload);
     }
 
     #[test]
@@ -423,7 +379,7 @@ mod tests {
         // Decoding hands back a view of the same allocation, and — being
         // its only reference, at offset 0 — the receiver's `Vec` *is* the
         // sender's staged buffer.
-        let (_, _, _, body) = decode(wire).unwrap().pop().unwrap();
+        let (_, _, _, body) = decode_p2p(wire).unwrap();
         assert_eq!(body.as_slice().as_ptr(), staged);
         let delivered = body.into_vec();
         assert_eq!(delivered.as_ptr(), staged);
@@ -433,32 +389,15 @@ mod tests {
     #[test]
     fn empty_payload_roundtrip() {
         let wire = frame_p2p(0, 1, 0, Payload::empty());
-        let [(src, dst, tag, data)] = &decode(wire).unwrap()[..] else {
-            panic!("one record");
-        };
-        assert_eq!((*src, *dst, *tag), (0, 1, 0));
+        let (src, dst, tag, data) = decode_p2p(wire).unwrap();
+        assert_eq!((src, dst, tag), (0, 1, 0));
         assert!(data.is_empty());
     }
 
     #[test]
     fn short_frame_is_rejected() {
-        assert!(decode(Payload::copy_from_slice(&[0u8; 8])).is_err());
-        assert!(decode(Payload::empty()).is_err());
-        // A record ahead of the last one that is too short for an envelope.
-        let mut wire = vec![0u8; 8];
-        wire.extend_from_slice(frame_p2p(0, 1, 2, Payload::empty()).as_slice());
-        assert!(decode(Payload::from_vec(wire)).is_err());
-    }
-
-    #[test]
-    fn a_length_word_past_the_frame_start_is_an_internal_error() {
-        let mut wire = frame_p2p(0, 1, 2, Payload::copy_from_slice(&[1; 10])).to_vec();
-        let last = wire.len() - 4;
-        wire[last..].copy_from_slice(&11u32.to_le_bytes());
-        assert!(matches!(
-            decode(Payload::from_vec(wire)),
-            Err(DcgnError::Internal(_))
-        ));
+        assert!(decode_p2p(Payload::copy_from_slice(&[0u8; 8])).is_err());
+        assert!(decode_p2p(Payload::empty()).is_err());
     }
 
     #[test]

@@ -204,6 +204,9 @@ pub struct Communicator {
     ops: HashMap<u64, Op>,
     /// Unexpected messages and receives awaiting a match.
     matcher: Matcher<Unexpected, PostedRecv>,
+    /// Per destination rank: the eager packets held for the next progress
+    /// call, in send order, and their payload bytes.
+    held: Vec<(Vec<(u32, Payload)>, usize)>,
     /// The world as this crate's collectives lay it out: rank `r` is
     /// participant `r`.
     pub(crate) layout: Arc<Layout>,
@@ -239,6 +242,7 @@ impl Communicator {
             next_req: 0,
             ops: HashMap::new(),
             matcher: Matcher::default(),
+            held: (0..size).map(|_| Default::default()).collect(),
             layout: Arc::new(Layout::new((0..size).collect())),
             exchanges: Driver::new(rank, size),
             eager_sends: metrics.counter("rmpi.eager_sends"),
@@ -257,11 +261,6 @@ impl Communicator {
     /// Number of ranks in the world.
     pub fn size(&self) -> usize {
         self.rank_to_ep.len()
-    }
-
-    /// The eager/rendezvous protocol threshold in bytes.
-    pub fn eager_threshold(&self) -> usize {
-        self.rdv.eager_threshold
     }
 
     /// Node index this rank's endpoint is attached to.
@@ -294,24 +293,35 @@ impl Communicator {
     /// reference (the caller typically framed it in place), and the
     /// receiver gets views of the same allocation.
     ///
-    /// An eager payload leaves at once and the send is complete from the
-    /// sender's point of view (fire-and-forget, like an MPI buffered eager
-    /// send); a larger one announces itself with an RTS and waits, staged,
-    /// for the receiver's CTS.
+    /// An eager payload is complete from the sender's point of view at once
+    /// (fire-and-forget, like an MPI buffered eager send), but leaves only at
+    /// this communicator's next progress call (any `test`, wait or blocking
+    /// call, or its drop), as MPI's progress rule allows: a peer waiting for
+    /// it needs the sender to make that call.  The call sends what each rank
+    /// holds as one frame, a lone packet as [`Packet::Eager`] and more as a
+    /// [`Packet::Batch`], whose receiver matches each packet as its own
+    /// message, still the sender's own buffer.  The bytes held for a rank
+    /// stay within the eager threshold.  A larger payload first sends what
+    /// is held for `dst`, so nothing overtakes, then announces itself with an
+    /// RTS and waits, staged, for the receiver's CTS.
     pub fn isend(&mut self, dst: usize, tag: u32, data: impl Into<Payload>) -> Result<Request> {
         let data = data.into();
         if dst >= self.size() {
             return Err(RmpiError::InvalidRank(dst));
         }
         let id = self.alloc_req();
-        let dst_ep = self.ep_of(dst);
         let state = if data.len() <= self.rdv.eager_threshold {
-            let pkt = Packet::Eager { tag, data };
-            let wire = pkt.wire_bytes();
             self.eager_sends.inc();
-            let _ = self.endpoint.send(dst_ep, pkt, wire);
+            if self.held[dst].1 + data.len() > self.rdv.eager_threshold {
+                self.send_held(dst);
+            }
+            let (packets, bytes) = &mut self.held[dst];
+            *bytes += data.len();
+            packets.push((tag, data));
             SendState::Complete
         } else {
+            self.send_held(dst);
+            let dst_ep = self.ep_of(dst);
             let pkt = Packet::Rts {
                 tag,
                 len: data.len(),
@@ -527,6 +537,25 @@ impl Communicator {
         }
     }
 
+    /// Send what is held for `dst` as one frame: a lone packet as an eager
+    /// one, more as a batch, whose vector leaves with the frame for one of
+    /// the same capacity, so a batch costs one allocation.  Like every eager
+    /// send, fire-and-forget: a peer gone is noticed by whatever waits on it.
+    fn send_held(&mut self, dst: usize) {
+        let (packets, bytes) = &mut self.held[dst];
+        let pkt = match packets.len() {
+            0 => return,
+            1 => {
+                let (tag, data) = packets.pop().expect("one packet");
+                Packet::Eager { tag, data }
+            }
+            n => Packet::Batch(std::mem::replace(packets, Vec::with_capacity(n))),
+        };
+        *bytes = 0;
+        let wire = pkt.wire_bytes();
+        let _ = self.endpoint.send(self.ep_of(dst), pkt, wire);
+    }
+
     /// Hand a matched message to posted receive `id`: an eager payload
     /// completes it, an RTS starts its rendezvous.
     fn deliver(&mut self, id: u64, msg: Unexpected) {
@@ -574,13 +603,21 @@ impl Communicator {
         }
     }
 
-    /// Incorporate one delivered packet into engine state.  An eager
+    /// Incorporate one delivered frame into engine state.  An eager
     /// payload or an RTS goes to the earliest-posted receive that matches
-    /// it, or waits for one.
+    /// it, or waits for one; so does each packet of a batch, in send order,
+    /// with the frame's landing.
     fn classify(&mut self, delivery: Delivery<Packet>) {
         let (src, landed) = (self.rank_of(delivery.src), delivery.at);
         let (tag, kind) = match delivery.msg {
             Packet::Eager { tag, data } => (tag, UnexpectedKind::Eager(data)),
+            Packet::Batch(packets) => {
+                for (tag, data) in packets {
+                    let msg = Packet::Eager { tag, data };
+                    self.classify(Delivery { msg, ..delivery });
+                }
+                return;
+            }
             Packet::Rts { tag, send_id, len } => (tag, UnexpectedKind::Rts { send_id, len }),
             Packet::Cts { send_id, recv_id } => return self.handle_cts(src, send_id, recv_id),
             Packet::RdvChunk {
@@ -834,9 +871,10 @@ impl Communicator {
         }
     }
 
-    /// One nonblocking pass of the engine: drain the endpoint (each arrival
-    /// is matched as it is classified).
+    /// One nonblocking pass of the engine: send what is held, then drain the
+    /// endpoint (each arrival is matched as it is classified).
     fn progress_pass(&mut self) -> Result<()> {
+        (0..self.size()).for_each(|dst| self.send_held(dst));
         loop {
             match self.endpoint.try_recv() {
                 Ok(d) => self.classify(d),
@@ -871,6 +909,14 @@ impl Communicator {
                 Err(_) => return Err(RmpiError::Disconnected),
             }
         }
+    }
+}
+
+/// A dropped communicator still sends what it held: an eager send is
+/// complete once `isend` returns.
+impl Drop for Communicator {
+    fn drop(&mut self) {
+        (0..self.size()).for_each(|dst| self.send_held(dst));
     }
 }
 
@@ -921,6 +967,148 @@ mod tests {
         assert_eq!(data.as_slice(), b"for-selective");
         let (data, _) = receiver.wait_recv(wildcard).unwrap();
         assert_eq!(data.as_slice(), b"for-wildcard");
+    }
+
+    /// Three communicators out of [`world`], sender first.
+    fn three() -> [Communicator; 3] {
+        world().try_into().expect("three ranks")
+    }
+
+    /// `len` bytes of `byte`, as a pooled payload.
+    fn bytes(byte: u8, len: usize) -> Payload {
+        Payload::copy_from_slice(&vec![byte; len])
+    }
+
+    /// The frames waiting at `comm`'s endpoint, in arrival order, taken
+    /// without classifying them.
+    fn frames(comm: &mut Communicator) -> Vec<Packet> {
+        std::iter::from_fn(|| comm.endpoint.try_recv().ok().map(|d| d.msg)).collect()
+    }
+
+    /// The tags of the messages a frame carries, in send order.
+    fn tags(frame: &Packet) -> Vec<u32> {
+        match frame {
+            Packet::Eager { tag, .. } | Packet::Rts { tag, .. } => vec![*tag],
+            Packet::Batch(packets) => packets.iter().map(|(tag, _)| *tag).collect(),
+            other => panic!("not a message frame: {other:?}"),
+        }
+    }
+
+    /// The tags of each frame waiting at `comm`'s endpoint.
+    fn frame_tags(comm: &mut Communicator) -> Vec<Vec<u32>> {
+        frames(comm).iter().map(tags).collect()
+    }
+
+    #[test]
+    fn held_sends_leave_one_frame_per_destination_in_send_order() {
+        let [mut sender, mut one, mut two] = three();
+        for (tag, dst) in [2, 1, 2, 2, 1].into_iter().enumerate() {
+            sender.isend(dst, tag as u32, bytes(tag as u8, 10)).unwrap();
+        }
+        assert!(frames(&mut one).is_empty() && frames(&mut two).is_empty());
+        sender.progress_pass().unwrap();
+        assert_eq!(frame_tags(&mut one), [[1, 4]]);
+        assert_eq!(frame_tags(&mut two), [[0, 2, 3]]);
+    }
+
+    #[test]
+    fn a_batch_stays_within_the_eager_threshold() {
+        let [mut sender, mut one, _] = three();
+        let bound = sender.rdv.eager_threshold;
+        let len = bound / 2 - 1;
+        for tag in 0..5 {
+            sender.isend(1, tag, bytes(tag as u8, len)).unwrap();
+        }
+        sender.progress_pass().unwrap();
+        let frames = frames(&mut one);
+        assert_eq!(
+            frames.iter().map(tags).collect::<Vec<_>>(),
+            [&[0, 1][..], &[2, 3], &[4]]
+        );
+        for frame in &frames {
+            let Packet::Batch(packets) = frame else {
+                continue;
+            };
+            assert!(packets.iter().map(|(_, data)| data.len()).sum::<usize>() <= bound);
+        }
+    }
+
+    #[test]
+    fn a_lone_send_leaves_as_its_own_allocation() {
+        let [mut sender, mut one, _] = three();
+        let staged = bytes(7, 32);
+        let at = staged.as_slice().as_ptr();
+        sender.isend(1, 7, staged).unwrap();
+        sender.progress_pass().unwrap();
+        let [Packet::Eager { tag: 7, data }] = &frames(&mut one)[..] else {
+            panic!("one eager frame");
+        };
+        assert_eq!(data.as_slice().as_ptr(), at);
+    }
+
+    #[test]
+    fn a_rendezvous_sends_what_is_held_for_its_rank_first() {
+        let [mut sender, mut one, mut two] = three();
+        let large = sender.rdv.eager_threshold + 1;
+        for (tag, dst, len) in [
+            (0, 1, 10),
+            (1, 2, 10),
+            (2, 1, 10),
+            (3, 1, large),
+            (4, 1, 10),
+        ] {
+            sender.isend(dst, tag, bytes(tag as u8, len)).unwrap();
+        }
+        // Rank 1's two held sends, then the RTS; rank 2's send and the one
+        // after the rendezvous are still held.
+        let frames_one = frames(&mut one);
+        assert!(matches!(
+            frames_one[..],
+            [Packet::Batch(_), Packet::Rts { .. }]
+        ));
+        assert_eq!(
+            frames_one.iter().map(tags).collect::<Vec<_>>(),
+            [&[0, 2][..], &[3]]
+        );
+        assert!(frames(&mut two).is_empty());
+        sender.progress_pass().unwrap();
+        assert_eq!(frame_tags(&mut one), [[4]]);
+        assert_eq!(frame_tags(&mut two), [[1]]);
+    }
+
+    /// A batch is one frame, not one buffer: each packet arrives as the
+    /// sender's own allocation, so one taken while another waits unmatched
+    /// is the only reference to its bytes, and the waiting one keeps no
+    /// other packet's bytes alive.
+    #[test]
+    fn each_packet_of_a_batch_arrives_as_the_senders_own_allocation() {
+        let [mut sender, mut one, _] = three();
+        let staged = [bytes(0, 16), bytes(1, 16)];
+        let at = staged.each_ref().map(|data| data.as_slice().as_ptr());
+        for (tag, data) in staged.into_iter().enumerate() {
+            sender.isend(1, tag as u32, data).unwrap();
+        }
+        sender.progress_pass().unwrap();
+        one.progress_pass().unwrap();
+        assert_eq!(one.matcher.queued_msgs(), 2, "both wait unmatched");
+        for tag in [1, 0] {
+            let data = one.recv(Some(0), Some(tag)).unwrap().0.into_vec();
+            assert_eq!(data.as_ptr(), at[tag as usize]);
+        }
+    }
+
+    /// An eager send is complete once `isend` returns, so the sender may
+    /// drop its communicator without another call.
+    #[test]
+    fn a_dropped_communicator_still_sends_what_it_held() {
+        let [mut sender, mut one, _] = three();
+        sender.isend(1, 5, bytes(5, 10)).unwrap();
+        sender.isend(1, 6, bytes(6, 10)).unwrap();
+        drop(sender);
+        for tag in [5, 6] {
+            let (data, _) = one.recv(Some(0), Some(tag)).unwrap();
+            assert_eq!(data, vec![tag as u8; 10]);
+        }
     }
 
     /// Chunk size of the hand-fed streams below; three chunks make a message

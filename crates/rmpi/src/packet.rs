@@ -19,7 +19,8 @@ pub const HEADER_BYTES: usize = 32;
 
 /// The packets exchanged between communicator endpoints.
 ///
-/// `Eager` carries the payload immediately.  Large messages rendezvous with
+/// `Eager` carries the payload immediately, and `Batch` carries several
+/// eager packets to one rank in one frame.  Large messages rendezvous with
 /// `Rts` → `Cts`; the payload then travels as a credit-windowed stream of
 /// `RdvChunk` frames acknowledged by `RdvCredit` — one chunk and no credit
 /// for a message of at most one chunk (see the `comm` module docs).  Each
@@ -37,6 +38,10 @@ pub enum Packet {
         /// allocation instead of copying out a fresh `Vec`).
         data: Payload,
     },
+    /// Eager packets to one rank, in send order, sent as one frame by one
+    /// progress call.  The receiver matches each as its own message, the
+    /// sender's own pooled buffer, so one left unmatched holds no other's.
+    Batch(Vec<(u32, Payload)>),
     /// Rendezvous request-to-send announcing a large message.
     Rts {
         /// Message tag.
@@ -78,10 +83,17 @@ pub enum Packet {
 }
 
 impl Packet {
-    /// Number of bytes this packet occupies on the wire.
+    /// Number of bytes this packet occupies on the wire: [`HEADER_BYTES`]
+    /// per packet plus its payload.  A batch's packets keep their own
+    /// headers, so a batch costs on the wire what its packets would alone:
+    /// it saves frames, not bytes.
     pub fn wire_bytes(&self) -> usize {
         match self {
             Packet::Eager { data, .. } => HEADER_BYTES + data.len(),
+            Packet::Batch(packets) => packets
+                .iter()
+                .map(|(_, data)| HEADER_BYTES + data.len())
+                .sum(),
             Packet::Rts { .. } => HEADER_BYTES,
             Packet::Cts { .. } => HEADER_BYTES,
             Packet::RdvChunk { data, .. } => HEADER_BYTES + data.len(),
@@ -213,6 +225,11 @@ mod tests {
             data: Payload::copy_from_slice(&[0u8; 100]),
         };
         assert_eq!(eager.wire_bytes(), HEADER_BYTES + 100);
+        let batch = Packet::Batch(vec![
+            (0, Payload::copy_from_slice(&[0u8; 100])),
+            (1, Payload::empty()),
+        ]);
+        assert_eq!(batch.wire_bytes(), 2 * HEADER_BYTES + 100);
         let rts = Packet::Rts {
             tag: 0,
             len: 1 << 20,

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use dcgn_rmpi::{MpiWorld, RankPlacement, RmpiError, ANY_SOURCE, ANY_TAG};
+use dcgn_rmpi::{MpiWorld, RankPlacement, RdvConfig, RmpiError, ANY_SOURCE, ANY_TAG};
 use dcgn_simtime::CostModel;
 
 fn two_ranks() -> Vec<dcgn_rmpi::Communicator> {
@@ -310,8 +310,9 @@ fn eager_delivery_is_zero_copy_end_to_end() {
     let sent = dcgn_netsim::Payload::copy_from_slice(&[0xEE; 512]);
     let sent_ptr = sent.as_slice().as_ptr() as usize;
     let req = r0.isend(1, 4, sent).unwrap();
-    let (got, status) = r1.recv(Some(0), Some(4)).unwrap();
+    // The eager send leaves at the sender's next progress call.
     r0.wait_send(req).unwrap();
+    let (got, status) = r1.recv(Some(0), Some(4)).unwrap();
     assert_eq!(status.len, 512);
     assert_eq!(got, vec![0xEE; 512]);
     assert_eq!(
@@ -328,7 +329,10 @@ fn rendezvous_delivery_is_zero_copy_end_to_end() {
     let mut comms = two_ranks();
     let mut r1 = comms.remove(1);
     let mut r0 = comms.remove(0);
-    let size = r0.eager_threshold() + 1;
+    let size = RdvConfig::from_env(CostModel::zero().eager_threshold)
+        .unwrap()
+        .eager_threshold
+        + 1;
     let sent = dcgn_netsim::Payload::copy_from_slice(&vec![0xDD; size]);
     let sent_ptr = sent.as_slice().as_ptr() as usize;
     let send_req = r0.isend(1, 4, sent).unwrap();

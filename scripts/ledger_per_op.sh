@@ -20,8 +20,8 @@
 # `comm.requests.*` / `comm.crossings.*` / `comm.missed_landings.*` counter
 # (idle comm-thread waits that ran past a landing; 0 on working code),
 # `fabric.frames` (inter-node frames the fabric carried), `rmpi.eager_sends`
-# (eager messages the substrate sent), `clock.parks` (waits that
-# outlasted the clock's spin budget and parked) and `clock.hops_hidden`
+# (eager isends, one per message: a batch frame carries several),
+# `clock.parks` (waits that outlasted the spin budget and parked) and `clock.hops_hidden`
 # (crossings whose hop was already due when their drain paid it) its total
 # and its total divided by `attempted`, and last the overshoot summed over
 # every kind.
