@@ -17,12 +17,13 @@
 //! world included — under one of its plans and replies to the joined ranks.
 //!
 //! Each inter-node point-to-point send is one MPI `isend` of one framed
-//! record ([`crate::message`]), as in the paper; rmpi carries a crossing's
-//! sends to one node in one frame, sent by the progress call that ends a
-//! crossing with work ([`Substrate::reap`]) before its senders are answered
-//! `SendDone`.  The receiver copies each record matched on arrival into its
-//! receive on the node's one copy engine from the frame's landing (or its
-//! receive's post, if later), so routing runs inside the modelled copies.
+//! record ([`crate::message`]), as in the paper, its request freed at once
+//! ([`Substrate::isend`]).  rmpi carries a crossing's sends to one node in
+//! one frame, sent by the progress call that ends a crossing with work
+//! ([`Substrate::progress`]) before its senders are answered `SendDone`.
+//! The receiver copies each record matched on arrival into its receive on
+//! the node's one copy engine from the frame's landing (or its receive's
+//! post, if later), so routing runs inside the modelled copies.
 //!
 //! It is also the one place that validates a request, whichever kind of
 //! rank posted it: a rank outside the world, a root outside its
@@ -61,11 +62,16 @@ use crate::rank::RankMap;
 const IDLE_FALLBACK: Duration = Duration::from_millis(1);
 
 /// The MPI substrate as the comm thread drives it: the node's communicator,
-/// the nonblocking sends it has not yet seen complete, and the copy engine
-/// that moves what arrives into the ranks' buffers.
+/// its two persistent receives, and the copy engine that moves what arrives
+/// into the ranks' buffers.
 pub(crate) struct Substrate {
     comm: Communicator,
-    outstanding_isends: Vec<MpiRequest>,
+    /// Persistent wildcard receive for inter-node point-to-point frames.
+    catchall: MpiRequest,
+    /// Persistent receive for exchange frames ([`TAG_EXCHANGE`]); completed
+    /// frames are handed to the [`Engine`], which demultiplexes them by the
+    /// exact key inside the frame.
+    exchange_recv: MpiRequest,
     /// The node's one copy engine: every receive-side copy into a rank's
     /// buffer (a match's, and the exchange engine's per-rank results)
     /// books it, so copies run one after another, each from when it could
@@ -76,53 +82,34 @@ pub(crate) struct Substrate {
 }
 
 impl Substrate {
-    /// Start a nonblocking send and track it until [`Substrate::reap`]
-    /// retires it.
+    /// Start a nonblocking send and free its request at once: rmpi keeps
+    /// the send until it has left, and one that fails returns its error
+    /// from the next progress call.
     pub(crate) fn isend(&mut self, dst: usize, tag: u32, data: impl Into<Payload>) -> Result<()> {
         let req = self.comm.isend(dst, tag, data)?;
-        self.outstanding_isends.push(req);
-        Ok(())
+        Ok(self.comm.request_free(req)?)
     }
 
-    /// Keep one persistent receive for `tag` (`None`: the point-to-point
-    /// catch-all) posted in `slot`; if a frame has landed on it, take the
-    /// frame and its status.  One MPI rank per node, so the status's source
-    /// *is* the sending node, and its `drained` says whether the frame was
-    /// a rendezvous payload the NIC's drain already moved into place.
-    fn poll(
-        &mut self,
-        slot: &mut Option<MpiRequest>,
-        tag: Option<u32>,
-    ) -> Result<Option<(Payload, MpiStatus)>> {
-        let req = match *slot {
-            Some(req) => req,
-            None => *slot.insert(self.comm.irecv(None, tag)?),
+    /// The one MPI progress call, a `test` on the catch-all: true when it
+    /// is done, completed or (if [`Substrate::take`] finds nothing) failed.
+    fn progress(&mut self) -> Result<bool> {
+        Ok(self.comm.test(self.catchall)?)
+    }
+
+    /// Take the frame the catch-all (the exchange receive if `exchange`)
+    /// completed with, if any, and post the receive again.  One MPI rank per
+    /// node, so the status's source *is* the sending node, and its `drained`
+    /// says whether the NIC's drain already moved the payload into place.
+    fn take(&mut self, exchange: bool) -> Result<Option<(Payload, MpiStatus)>> {
+        let (slot, tag) = match exchange {
+            true => (&mut self.exchange_recv, Some(TAG_EXCHANGE)),
+            false => (&mut self.catchall, None),
         };
-        if !self.comm.test(req)? {
+        let Some(frame) = self.comm.take_recv(*slot) else {
             return Ok(None);
-        }
-        *slot = None;
-        let (wire, status) = self
-            .comm
-            .take_recv(req)
-            .ok_or_else(|| DcgnError::Internal("completed receive vanished".into()))?;
-        Ok(Some((wire, status)))
-    }
-
-    /// Retire completed nonblocking sends.  Each `test` is a progress call,
-    /// so this also sends what rmpi holds: every held send is one of these.
-    fn reap(&mut self) -> Result<()> {
-        let mut i = 0;
-        while i < self.outstanding_isends.len() {
-            let req = self.outstanding_isends[i];
-            if self.comm.test(req)? {
-                self.comm.wait_send(req)?;
-                self.outstanding_isends.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        Ok(())
+        };
+        *slot = self.comm.irecv(None, tag)?;
+        Ok(Some(frame))
     }
 }
 
@@ -163,12 +150,6 @@ pub(crate) struct CommThread {
     /// frames have left; kept like `cmds`.
     sent: Vec<ReplyTo>,
 
-    /// Persistent wildcard receive for inter-node point-to-point frames.
-    catchall: Option<MpiRequest>,
-    /// Persistent receive for exchange frames ([`TAG_EXCHANGE`]); completed
-    /// frames are handed to the [`Engine`], which demultiplexes them by the
-    /// exact key inside the frame.
-    exchange_recv: Option<MpiRequest>,
     /// Unmatched point-to-point messages and receives, each matched the
     /// moment it comes.
     matcher: Matcher,
@@ -186,13 +167,13 @@ impl CommThread {
     pub(crate) fn new(
         node: usize,
         rank_map: Arc<RankMap>,
-        comm: Communicator,
+        mut comm: Communicator,
         work_rx: Receiver<CommCommand>,
         work_tx: Sender<CommCommand>,
         clock: Clock,
         forced_plan: Option<ExchangePlan>,
         metrics: &MetricsHandle,
-    ) -> Self {
+    ) -> Result<Self> {
         // Ring our own work queue whenever the fabric queues a delivery for
         // this node, so the idle wait below is woken by event for substrate
         // traffic exactly like it is for local kernel requests.
@@ -201,21 +182,20 @@ impl CommThread {
         }));
         let counter = |name: &str| metrics.counter(&format!("{name}.node{node}"));
         let gauge = |name: &str| metrics.gauge(&format!("{name}.node{node}"));
-        CommThread {
+        Ok(CommThread {
             node,
             engine: Engine::new(node, Arc::clone(&rank_map), &clock, forced_plan, metrics),
             rank_map,
             net: Substrate {
-                comm,
-                outstanding_isends: Vec::new(),
+                catchall: comm.irecv(None, None)?,
+                exchange_recv: comm.irecv(None, Some(TAG_EXCHANGE))?,
                 copies: VirtualBus::new(Charge::IntraNode, clock.model().intra_node),
+                comm,
             },
             work_rx,
             cmds: Vec::new(),
             sent: Vec::new(),
             clock,
-            catchall: None,
-            exchange_recv: None,
             matcher: Matcher::default(),
             active: HashMap::new(),
             local_done: false,
@@ -227,7 +207,7 @@ impl CommThread {
                 pending_recvs: gauge("comm.matcher.pending_recvs"),
                 unexpected_msgs: gauge("comm.matcher.unexpected_msgs"),
             },
-        }
+        })
     }
 
     /// Main service loop.  Returns when all local kernels are done and no
@@ -238,26 +218,22 @@ impl CommThread {
             //    at the join that completes its assembly).
             let mut did_work = self.drain_work(self.clock.deadline(Duration::ZERO))?;
 
-            // 2. Progress the MPI substrate: harvest inter-node
-            //    point-to-point messages and exchange frames (each is
-            //    matched / demultiplexed on arrival, so there is no separate
-            //    matching pass).
+            // 2. Progress the MPI substrate: send what rmpi holds and take
+            //    every landed frame, each matched or demultiplexed on
+            //    arrival (there is no separate matching pass).
             did_work |= self.progress_mpi()?;
-
-            // 3. Retire completed nonblocking sends.
-            self.net.reap()?;
 
             let (recvs, msgs) = (self.matcher.pending_recvs(), self.matcher.queued_msgs());
             self.metrics.pending_recvs.set(recvs as u64);
             self.metrics.unexpected_msgs.set(msgs as u64);
             self.engine.sample_gauges();
 
-            // 4. Shut down when the process is quiescent.
+            // 3. Shut down when the process is quiescent.
             if self.local_done
                 && recvs == 0
                 && self.active.is_empty()
                 && self.engine.is_idle()
-                && self.net.outstanding_isends.is_empty()
+                && !self.net.comm.sends_in_flight()
             {
                 // Synchronise teardown across nodes so no peer is left
                 // mid-transfer when this communicator goes away.  Every node
@@ -267,7 +243,7 @@ impl CommThread {
                 return Ok(());
             }
 
-            // 5. Idle: block on the work queue until the next frame lands
+            // 4. Idle: block on the work queue until the next frame lands
             //    here.  Local kernel requests land on the queue directly and
             //    fabric sends ring it via the wake notifier, so this is an
             //    event wait; the fallback is only a safety net.
@@ -278,19 +254,19 @@ impl CommThread {
     }
 
     /// Wait for work: a command, or the substrate's next landing
-    /// ([`Communicator::pending_landing`], due at once if a frame has
-    /// landed, or progress absorbed one into a persistent receive, since the
-    /// last look: no wake marks either), or the fallback.
+    /// ([`Communicator::pending_landing`], due at once if a frame has landed
+    /// since the last look: no wake marks that; none waits in a persistent
+    /// receive, as every progress call empties them), or the fallback.
     fn idle(&mut self) -> Result<()> {
         let began = self.clock.now();
         let fallback = self.clock.deadline(IDLE_FALLBACK);
-        let deadline = match self.net.comm.pending_landing(began) {
+        let deadline = match self.net.comm.pending_landing() {
             Some(at) => Deadline::landing(at).min(fallback),
             None => fallback,
         };
         if !self.drain_work(deadline)? && deadline == fallback {
             // The same query, re-read: a landing due when the wait began.
-            let due = self.net.comm.pending_landing(began);
+            let due = self.net.comm.pending_landing();
             if due.is_some_and(|at| at <= began) {
                 self.metrics.missed_landings.inc();
             }
@@ -323,7 +299,7 @@ impl CommThread {
         }
         self.cmds = cmds;
         if taken > 0 {
-            self.net.reap()?;
+            self.progress()?;
             for sender in self.sent.drain(..) {
                 sender.complete(Reply::SendDone);
             }
@@ -523,13 +499,23 @@ impl CommThread {
         Ok(())
     }
 
-    /// Keep exactly one catch-all point-to-point receive and one exchange
-    /// receive posted.  Point-to-point completions are matched against
-    /// queued receives on arrival; exchange completions go to the engine,
-    /// which demultiplexes them onto the exchange named *inside* the frame.
+    /// Progress until a call takes no frame: the frames a call took may
+    /// have been answered with sends, which the next call sends.
     fn progress_mpi(&mut self) -> Result<bool> {
         let mut did_work = false;
-        while let Some((wire, status)) = self.net.poll(&mut self.catchall, None)? {
+        while self.progress()? {
+            did_work = true;
+        }
+        Ok(did_work)
+    }
+
+    /// Make the one progress call and empty both persistent receives:
+    /// point-to-point frames are matched on arrival, exchange frames go to
+    /// the engine (keyed inside the frame).  True when a frame was taken.
+    fn progress(&mut self) -> Result<bool> {
+        let catchall_done = self.net.progress()?;
+        let mut took = false;
+        while let Some((wire, status)) = self.net.take(false)? {
             // An eager frame is ready at its landing, however late this
             // thread took it (a receive posted since starts its copy no
             // sooner); a drained payload owes no copy.
@@ -538,15 +524,17 @@ impl CommThread {
             // The decoded body is a zero-copy view of the pooled wire frame.
             let (src, dst, tag, data) = decode_p2p(wire)?;
             self.route_incoming(src, dst, tag, data, ready, None);
-            did_work = true;
+            took = true;
         }
-        let tag = Some(TAG_EXCHANGE);
-        while let Some((wire, status)) = self.net.poll(&mut self.exchange_recv, tag)? {
+        if catchall_done && !took {
+            return Err(DcgnError::Internal("the catch-all receive failed".into()));
+        }
+        while let Some((wire, status)) = self.net.take(true)? {
             self.engine
                 .on_wire_frame(&mut self.net, status.source, wire)?;
-            did_work = true;
+            took = true;
         }
-        Ok(did_work)
+        Ok(took)
     }
 
     // ------------------------------------------------------------------

@@ -282,7 +282,7 @@ impl Runtime {
                 let (rank_map, metrics, clock) =
                     (Arc::clone(&rank_map), metrics.clone(), clock.clone());
                 comm_threads.push(spawn(format!("dcgn-comm-node{node}"), move || {
-                    CommThread::new(node, rank_map, comm, rx, tx, clock, forced_plan, &metrics)
+                    CommThread::new(node, rank_map, comm, rx, tx, clock, forced_plan, &metrics)?
                         .run()
                 })?);
             }

@@ -94,7 +94,8 @@ struct GaugeInner {
 }
 
 /// A current-value instrument (queue depth, pool occupancy) that also
-/// tracks its lifetime maximum lock-free via `fetch_max`.
+/// tracks its lifetime maximum lock-free via `fetch_max`; a snapshot's
+/// [`GaugeStats`] reads it.
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Option<Arc<GaugeInner>>);
 
@@ -134,11 +135,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.as_ref().map_or(0, |g| g.value.load(Relaxed))
-    }
-
-    /// Lifetime maximum observed by `set`/`add`.
-    pub fn high_water(&self) -> u64 {
-        self.0.as_ref().map_or(0, |g| g.high_water.load(Relaxed))
     }
 }
 
@@ -734,7 +730,7 @@ mod tests {
         assert_eq!(c.get(), 0);
         let g = metrics.gauge("y");
         g.set(9);
-        assert_eq!(g.high_water(), 0);
+        assert_eq!(g.get(), 0);
         let h = metrics.histogram("z");
         h.record(1);
         assert_eq!(h.stats().count, 0);

@@ -1,29 +1,8 @@
 //! Cluster description: a set of nodes sharing one fabric.
 
-use std::sync::Arc;
-
 use dcgn_simtime::Clock;
 
 use crate::fabric::{Endpoint, Fabric};
-
-/// A handle describing one node of the cluster.
-#[derive(Debug, Clone)]
-pub struct NodeHandle {
-    index: usize,
-    name: String,
-}
-
-impl NodeHandle {
-    /// Zero-based index of the node in the cluster.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Human-readable node name (`node0`, `node1`, …).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
 
 /// A simulated cluster: `N` nodes connected by a single [`Fabric`].
 ///
@@ -31,14 +10,12 @@ impl NodeHandle {
 /// the MPI substrate instantiates it with its own envelope type.
 pub struct Cluster<T> {
     fabric: Fabric<T>,
-    nodes: Arc<Vec<NodeHandle>>,
 }
 
 impl<T> Clone for Cluster<T> {
     fn clone(&self) -> Self {
         Cluster {
             fabric: self.fabric.clone(),
-            nodes: Arc::clone(&self.nodes),
         }
     }
 }
@@ -48,26 +25,14 @@ impl<T: Send + 'static> Cluster<T> {
     /// on `clock`.
     pub fn new(num_nodes: usize, clock: impl Into<Clock>) -> Self {
         assert!(num_nodes > 0, "a cluster needs at least one node");
-        let nodes = (0..num_nodes)
-            .map(|index| NodeHandle {
-                index,
-                name: format!("node{index}"),
-            })
-            .collect();
         Cluster {
             fabric: Fabric::new(num_nodes, clock),
-            nodes: Arc::new(nodes),
         }
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The node handles.
-    pub fn nodes(&self) -> &[NodeHandle] {
-        &self.nodes
+        self.fabric.num_nodes()
     }
 
     /// The underlying fabric.
@@ -87,11 +52,9 @@ mod tests {
     use dcgn_simtime::CostModel;
 
     #[test]
-    fn cluster_builds_named_nodes() {
+    fn cluster_counts_its_nodes() {
         let cluster: Cluster<u32> = Cluster::new(4, CostModel::zero());
         assert_eq!(cluster.num_nodes(), 4);
-        assert_eq!(cluster.nodes()[2].name(), "node2");
-        assert_eq!(cluster.nodes()[2].index(), 2);
     }
 
     #[test]

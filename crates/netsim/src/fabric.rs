@@ -59,31 +59,6 @@ impl std::fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// Per-endpoint traffic counters (messages/bytes in each direction).
-#[derive(Debug, Default)]
-pub struct TrafficStats {
-    /// Messages sent from this endpoint.
-    pub msgs_sent: AtomicU64,
-    /// Wire bytes sent from this endpoint.
-    pub bytes_sent: AtomicU64,
-    /// Messages received by this endpoint.
-    pub msgs_received: AtomicU64,
-    /// Wire bytes received by this endpoint.
-    pub bytes_received: AtomicU64,
-}
-
-impl TrafficStats {
-    /// Snapshot of (msgs_sent, bytes_sent, msgs_received, bytes_received).
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.msgs_sent.load(Ordering::Relaxed),
-            self.bytes_sent.load(Ordering::Relaxed),
-            self.msgs_received.load(Ordering::Relaxed),
-            self.bytes_received.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// Callback invoked (on the sender's thread) right after a message is queued
 /// on an endpoint, before an inter-node frame has landed: a receiver woken
 /// by it waits for [`Endpoint::first_landing`].
@@ -190,7 +165,6 @@ impl<T: Send + 'static> Fabric<T> {
             node,
             fabric: self.clone(),
             rx,
-            stats: Arc::new(TrafficStats::default()),
         }
     }
 
@@ -289,7 +263,6 @@ pub struct Endpoint<T> {
     node: usize,
     fabric: Fabric<T>,
     rx: Receiver<Delivery<T>>,
-    stats: Arc<TrafficStats>,
 }
 
 impl<T: Send + 'static> Endpoint<T> {
@@ -303,36 +276,22 @@ impl<T: Send + 'static> Endpoint<T> {
         self.node
     }
 
-    /// Traffic counters for this endpoint.
-    pub fn stats(&self) -> &TrafficStats {
-        &self.stats
-    }
-
     /// Send `msg` to `dst`, charging the cost of a `wire_bytes`-byte message
     /// (intra-node or inter-node, depending on where `dst` lives).  An
     /// intra-node send blocks for its copy; an inter-node one books the
     /// node's NIC and returns, and the frame lands when the booking ends.
     pub fn send(&self, dst: EndpointId, msg: T, wire_bytes: usize) -> Result<(), RecvError> {
         self.fabric
-            .deliver(self.id, self.node, dst, msg, wire_bytes)?;
-        self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_sent
-            .fetch_add(wire_bytes as u64, Ordering::Relaxed);
-        Ok(())
+            .deliver(self.id, self.node, dst, msg, wire_bytes)
     }
 
     fn clock(&self) -> &Clock {
         &self.fabric.inner.clock
     }
 
-    /// Account a taken frame: its traffic, and its lateness past its
-    /// landing in `model.overshoot_ns.network`.
+    /// Account a taken frame's lateness past its landing in
+    /// `model.overshoot_ns.network`.
     fn note_recv(&self, d: Delivery<T>) -> Delivery<T> {
-        self.stats.msgs_received.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_received
-            .fetch_add(d.wire_bytes as u64, Ordering::Relaxed);
         if let Some(at) = d.at {
             self.clock().late(Charge::Network, at);
         }
@@ -572,19 +531,6 @@ mod tests {
         // The NIC's 10 ms, with room for a loaded test host: a wait that
         // scans the whole queue on every poll takes seconds.
         assert!(clock.elapsed(start) < Duration::from_millis(500));
-    }
-
-    #[test]
-    fn stats_track_traffic() {
-        let fabric: Fabric<u32> = Fabric::new(1, CostModel::zero());
-        let a = fabric.attach(0);
-        let b = fabric.attach(0);
-        a.send(b.id(), 1, 10).unwrap();
-        a.send(b.id(), 2, 20).unwrap();
-        b.recv().unwrap();
-        b.recv().unwrap();
-        assert_eq!(a.stats().snapshot(), (2, 30, 0, 0));
-        assert_eq!(b.stats().snapshot(), (0, 0, 2, 30));
     }
 
     #[test]

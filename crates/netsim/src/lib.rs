@@ -20,5 +20,5 @@ pub mod cluster;
 pub mod fabric;
 
 pub use buffer::{pool_capacity, pool_stats, Payload, PayloadBuf, PoolStats};
-pub use cluster::{Cluster, NodeHandle};
-pub use fabric::{Delivery, Endpoint, EndpointId, Fabric, RecvError, TrafficStats, WakeNotifier};
+pub use cluster::Cluster;
+pub use fabric::{Delivery, Endpoint, EndpointId, Fabric, RecvError, WakeNotifier};

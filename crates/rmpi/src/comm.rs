@@ -47,8 +47,8 @@
 //! finished transfer, a chunk for a tombstoned receive) is dropped.  A
 //! failed mid-stream send tombstones the operation
 //! (`SendState::Failed`/`RecvState::Failed`): the error surfaces from
-//! the wait call, in-flight accounting is released, and no window slots or
-//! pooled frames leak.
+//! the wait call (a freed send's from the next progress call), in-flight
+//! accounting is released, and no window slots or pooled frames leak.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -120,6 +120,9 @@ enum SendState {
 struct SendOp {
     dst: usize,
     state: SendState,
+    /// Freed ([`Communicator::request_free`]): the op leaves the table when
+    /// the send completes or fails.
+    freed: bool,
 }
 
 enum RecvState {
@@ -207,6 +210,8 @@ pub struct Communicator {
     /// Per destination rank: the eager packets held for the next progress
     /// call, in send order, and their payload bytes.
     held: Vec<(Vec<(u32, Payload)>, usize)>,
+    /// A freed send's first failure, for the next progress call.
+    freed_failure: Option<RmpiError>,
     /// The world as this crate's collectives lay it out: rank `r` is
     /// participant `r`.
     pub(crate) layout: Arc<Layout>,
@@ -214,12 +219,13 @@ pub struct Communicator {
     pub(crate) exchanges: Driver<()>,
     // Global `rmpi.*` instruments ([`dcgn_metrics::global`]), shared across
     // every communicator: protocol split, chunk traffic, window occupancy
-    // high-water, and per-transfer throughput.
+    // high-water, per-transfer throughput and progress passes.
     eager_sends: dcgn_metrics::Counter,
     rdv_sends: dcgn_metrics::Counter,
     rdv_chunks: dcgn_metrics::Counter,
     rdv_inflight: dcgn_metrics::Gauge,
     rdv_rate: dcgn_metrics::Histogram,
+    progress_passes: dcgn_metrics::Counter,
 }
 
 impl Communicator {
@@ -243,6 +249,7 @@ impl Communicator {
             ops: HashMap::new(),
             matcher: Matcher::default(),
             held: (0..size).map(|_| Default::default()).collect(),
+            freed_failure: None,
             layout: Arc::new(Layout::new((0..size).collect())),
             exchanges: Driver::new(rank, size),
             eager_sends: metrics.counter("rmpi.eager_sends"),
@@ -250,6 +257,7 @@ impl Communicator {
             rdv_chunks: metrics.counter("rmpi.rdv.chunks"),
             rdv_inflight: metrics.gauge("rmpi.rdv.inflight"),
             rdv_rate: metrics.histogram("rmpi.rdv.transfer_bytes_per_sec"),
+            progress_passes: metrics.counter("rmpi.progress_passes"),
         }
     }
 
@@ -304,6 +312,7 @@ impl Communicator {
     /// stay within the eager threshold.  A larger payload first sends what
     /// is held for `dst`, so nothing overtakes, then announces itself with an
     /// RTS and waits, staged, for the receiver's CTS.
+    /// A request no wait will take is freed ([`Communicator::request_free`]).
     pub fn isend(&mut self, dst: usize, tag: u32, data: impl Into<Payload>) -> Result<Request> {
         let data = data.into();
         if dst >= self.size() {
@@ -334,7 +343,14 @@ impl Communicator {
                 Err(_) => SendState::Failed(RmpiError::Disconnected),
             }
         };
-        self.ops.insert(id, Op::Send(SendOp { dst, state }));
+        self.ops.insert(
+            id,
+            Op::Send(SendOp {
+                dst,
+                state,
+                freed: false,
+            }),
+        );
         Ok(Request(id))
     }
 
@@ -355,23 +371,46 @@ impl Communicator {
         Ok(Request(id))
     }
 
-    /// When this rank next has a frame to hand out, as of `by`: `by` while
-    /// a receive holds one it completed with (progress absorbs a landed
-    /// frame into a matching posted receive, and no wake marks that), else
-    /// the first landing of a frame queued for it ([`Endpoint::first_landing`]),
-    /// or `None`.  A caller that waits on other events too (DCGN's comm
-    /// thread) waits no later than this.
-    pub fn pending_landing(&self, by: Stamp) -> Option<Stamp> {
-        let completed = |op: &Op| {
-            matches!(
-                op,
-                Op::Recv(RecvState::Complete { .. } | RecvState::Failed(_))
-            )
-        };
-        if self.ops.values().any(completed) {
-            return Some(by);
-        }
+    /// When the first frame queued for this rank lands
+    /// ([`Endpoint::first_landing`]), or `None`.  A caller that waits on
+    /// other events too (DCGN's comm thread) waits no later than this once
+    /// it has taken what its receives completed with: no wake marks a frame
+    /// a progress call absorbed into a posted receive.
+    pub fn pending_landing(&self) -> Option<Stamp> {
         self.endpoint.first_landing()
+    }
+
+    /// Whether a send, freed or not, has not left yet: an eager packet held
+    /// for the next progress call, or a rendezvous before its last chunk.
+    pub fn sends_in_flight(&self) -> bool {
+        let in_flight = |op: &Op| match op {
+            Op::Send(s) => matches!(
+                s.state,
+                SendState::WaitingCts { .. } | SendState::Streaming { .. }
+            ),
+            Op::Recv(_) => false,
+        };
+        self.held.iter().any(|(packets, _)| !packets.is_empty()) || self.ops.values().any(in_flight)
+    }
+
+    /// Release a send request without waiting for it (`MPI_Request_free`).
+    /// The send still goes: a complete one (every eager send) leaves the
+    /// table at once, a rendezvous with its last chunk.  A freed send's
+    /// failure, the first one, is returned by the next progress call (any
+    /// `test`, wait or blocking call).  Freeing a receive, or a request not
+    /// in the table, is [`RmpiError::UnknownRequest`].
+    pub fn request_free(&mut self, req: Request) -> Result<()> {
+        let Some(Op::Send(send)) = self.ops.get_mut(&req.0) else {
+            return Err(RmpiError::UnknownRequest);
+        };
+        send.freed = true;
+        if let SendState::Failed(e) = &send.state {
+            self.freed_failure.get_or_insert(e.clone());
+        }
+        if matches!(send.state, SendState::Complete | SendState::Failed(_)) {
+            self.ops.remove(&req.0);
+        }
+        Ok(())
     }
 
     /// Make one nonblocking progress pass and report whether `req` has
@@ -749,13 +788,17 @@ impl Communicator {
     }
 
     /// Transition a finished chunk stream to `Complete`, releasing its
-    /// remaining in-flight accounting and its staged payload.
+    /// remaining in-flight accounting and its staged payload; a freed one
+    /// leaves the table.
     fn complete_stream(&mut self, id: u64) {
         if let Some(Op::Send(s)) = self.ops.get_mut(&id) {
             if let SendState::Streaming { sent, acked, .. } = s.state {
                 self.rdv_inflight.sub((sent - acked) as u64);
             }
             s.state = SendState::Complete;
+            if s.freed {
+                self.ops.remove(&id);
+            }
         }
     }
 
@@ -766,6 +809,7 @@ impl Communicator {
             Some(Op::Send(SendOp {
                 dst,
                 state: SendState::Streaming { credits, acked, .. },
+                ..
             })) if *dst == src => {
                 *credits += chunks;
                 *acked += chunks;
@@ -854,13 +898,19 @@ impl Communicator {
     }
 
     /// Tombstone a send: release its window accounting so nothing leaks,
-    /// and park the error for the wait call.
+    /// and park the error for the wait call, or for the next progress call
+    /// if the send was freed.
     fn fail_send(&mut self, id: u64, err: RmpiError) {
         if let Some(Op::Send(s)) = self.ops.get_mut(&id) {
             if let SendState::Streaming { sent, acked, .. } = s.state {
                 self.rdv_inflight.sub((sent - acked) as u64);
             }
-            s.state = SendState::Failed(err);
+            if s.freed {
+                self.freed_failure.get_or_insert(err);
+                self.ops.remove(&id);
+            } else {
+                s.state = SendState::Failed(err);
+            }
         }
     }
 
@@ -872,8 +922,10 @@ impl Communicator {
     }
 
     /// One nonblocking pass of the engine: send what is held, then drain the
-    /// endpoint (each arrival is matched as it is classified).
+    /// endpoint (each arrival is matched as it is classified), then return
+    /// a freed send's failure, if one is parked.
     fn progress_pass(&mut self) -> Result<()> {
+        self.progress_passes.inc();
         (0..self.size()).for_each(|dst| self.send_held(dst));
         loop {
             match self.endpoint.try_recv() {
@@ -882,7 +934,7 @@ impl Communicator {
                 Err(_) => return Err(RmpiError::Disconnected),
             }
         }
-        Ok(())
+        self.freed_failure.take().map_or(Ok(()), Err)
     }
 
     /// Drive the engine until every id in `targets` is complete.
@@ -1109,6 +1161,104 @@ mod tests {
             let (data, _) = one.recv(Some(0), Some(tag)).unwrap();
             assert_eq!(data, vec![tag as u8; 10]);
         }
+    }
+
+    /// A freed eager send is complete, so it leaves the table at once; its
+    /// packet still leaves at the next progress call.
+    #[test]
+    fn a_freed_eager_send_leaves_the_table_at_once_and_goes_at_the_next_call() {
+        let [mut sender, mut one, _] = three();
+        let req = sender.isend(1, 3, bytes(3, 10)).unwrap();
+        sender.request_free(req).unwrap();
+        assert!(sender.ops.is_empty());
+        assert!(sender.sends_in_flight(), "held for the next progress call");
+        assert!(frames(&mut one).is_empty());
+        sender.progress_pass().unwrap();
+        assert!(!sender.sends_in_flight());
+        assert_eq!(frame_tags(&mut one), [[3]]);
+    }
+
+    /// A freed rendezvous keeps its entry while it waits for its CTS and
+    /// streams, and leaves the table with its last chunk.
+    #[test]
+    fn a_freed_rendezvous_stays_in_flight_until_its_last_chunk_leaves() {
+        let rdv = RdvConfig::new(64).with_chunk_bytes(32).with_window(2);
+        let cluster = dcgn_netsim::Cluster::new(2, CostModel::zero());
+        let placement = RankPlacement::block(2, 1);
+        let world = MpiWorld::create_on_with(&cluster, &placement, rdv).unwrap();
+        let [mut sender, mut receiver]: [Communicator; 2] = world.try_into().expect("two");
+        receiver.set_progress_timeout(Duration::from_secs(1));
+        let req = sender.isend(1, 7, pattern(0..300)).unwrap();
+        sender.request_free(req).unwrap();
+        let recv = receiver.irecv(Some(0), Some(7)).unwrap();
+        let mut rounds = 0;
+        while sender.sends_in_flight() {
+            assert!(
+                sender.ops.contains_key(&req.0),
+                "in flight, out of the table"
+            );
+            receiver.progress_pass().unwrap();
+            sender.progress_pass().unwrap();
+            rounds += 1;
+            assert!(rounds < 100, "the stream never finished");
+        }
+        assert!(
+            rounds > 2,
+            "ten chunks through a window of two took {rounds} rounds"
+        );
+        assert!(sender.ops.is_empty(), "sent, yet still in the table");
+        assert_eq!(receiver.wait_recv(recv).unwrap().0, pattern(0..300));
+    }
+
+    /// A freed send that fails — its RTS to a peer already gone, or a chunk
+    /// to a peer gone mid-stream — returns its error from the next progress
+    /// call, once, and leaves nothing behind.
+    #[test]
+    fn a_freed_send_to_a_dropped_peer_fails_the_next_progress_call() {
+        let mut world = world();
+        let mut sender = world.remove(0);
+        let recv = sender.irecv(None, None).unwrap();
+        // Rank 2 (index 1 now) is gone before the RTS.
+        drop(world.remove(1));
+        let req = sender.isend(2, 7, pattern(0..TOTAL)).unwrap();
+        sender.request_free(req).unwrap();
+        assert!(sender.ops.len() == 1, "only the receive is left");
+        assert_eq!(sender.test(recv), Err(RmpiError::Disconnected));
+        assert_eq!(sender.test(recv), Ok(false), "returned once");
+
+        // Rank 1 streams two chunks, then goes before its credit comes.
+        let req = sender.isend(1, 7, pattern(0..TOTAL)).unwrap();
+        sender.request_free(req).unwrap();
+        let cts = Packet::Cts {
+            send_id: req.0,
+            recv_id: 5,
+        };
+        feed(&mut sender, 1, cts);
+        assert!(stream(&sender, req.0).is_some());
+        drop(world);
+        let credit = Packet::RdvCredit {
+            send_id: req.0,
+            chunks: 1,
+        };
+        feed(&mut sender, 1, credit);
+        assert!(sender.ops.len() == 1, "only the receive is left");
+        assert_eq!(sender.test(recv), Err(RmpiError::Disconnected));
+        assert_eq!(sender.test(recv), Ok(false), "returned once");
+    }
+
+    #[test]
+    fn freeing_a_receive_or_an_unknown_request_is_an_error() {
+        let [mut comm, _, _] = three();
+        let recv = comm.irecv(None, None).unwrap();
+        assert_eq!(comm.request_free(recv), Err(RmpiError::UnknownRequest));
+        assert!(comm.ops.contains_key(&recv.0), "the receive stays posted");
+        assert_eq!(
+            comm.request_free(Request(99)),
+            Err(RmpiError::UnknownRequest)
+        );
+        let send = comm.isend(1, 0, bytes(0, 1)).unwrap();
+        comm.request_free(send).unwrap();
+        assert_eq!(comm.request_free(send), Err(RmpiError::UnknownRequest));
     }
 
     /// Chunk size of the hand-fed streams below; three chunks make a message

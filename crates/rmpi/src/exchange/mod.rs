@@ -546,10 +546,11 @@ mod sim {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::Ordering;
+    use std::time::Duration;
 
+    use dcgn_metrics::MetricsHandle;
     use dcgn_netsim::Cluster;
-    use dcgn_simtime::CostModel;
+    use dcgn_simtime::{Clock, CostModel, LinkCost};
 
     use super::*;
     use crate::collectives::{frame_reduce, ReduceDtype, ReduceOp};
@@ -809,7 +810,9 @@ mod tests {
     /// Same plan, same frames: an MPI twin's collective puts exactly the
     /// frames on the fabric that the sim kit's run of the plan
     /// [`select_plan`] picks sends, plus an RTS and a CTS for each one above
-    /// the eager threshold (which then ships as one rendezvous chunk).
+    /// the eager threshold (which then ships as one rendezvous chunk).  The
+    /// frames are counted from the run's own ledger: on a network of 1 µs
+    /// latency and unbounded bandwidth, every frame books exactly 1 µs.
     #[test]
     fn the_twin_puts_the_picked_plans_frames_on_the_fabric() {
         const EAGER: usize = 1024;
@@ -829,27 +832,23 @@ mod tests {
                 let sim = sim::Sim::start(n, start).run(false);
                 let frames = |wire: &Payload| if wire.len() > EAGER { 3 } else { 1 };
                 let expected: u64 = sim.sent.iter().map(frames).sum();
-                let cluster = Cluster::new(n, CostModel::zero());
+                let mut model = CostModel::zero();
+                model.network = LinkCost::free();
+                model.network.latency = Duration::from_micros(1);
+                let metrics = MetricsHandle::new();
+                let cluster = Cluster::new(n, Clock::new(model, &metrics));
                 let placement = RankPlacement::block(n, 1);
                 let comms = MpiWorld::create_on_with(&cluster, &placement, RdvConfig::new(EAGER))
                     .expect("valid rendezvous config");
-                let sent: u64 = std::thread::scope(|scope| {
-                    let ranks: Vec<_> = comms
-                        .into_iter()
-                        .enumerate()
-                        .map(|(pos, mut comm)| {
-                            let up = up(pos);
-                            scope.spawn(move || {
-                                comm.run_collective(id, up).expect("collective");
-                                comm.endpoint.stats().msgs_sent.load(Ordering::Relaxed)
-                            })
-                        })
-                        .collect();
-                    ranks
-                        .into_iter()
-                        .map(|rank| rank.join().expect("rank"))
-                        .sum()
+                std::thread::scope(|scope| {
+                    for (pos, mut comm) in comms.into_iter().enumerate() {
+                        let up = up(pos);
+                        scope.spawn(move || comm.run_collective(id, up).expect("collective"));
+                    }
                 });
+                let network = metrics.snapshot().counter("model.charged_ns.network");
+                let sent = network / 1_000;
+                assert_eq!(network % 1_000, 0, "{network} ns is not whole frames");
                 assert_eq!(
                     sent, expected,
                     "{kind:?} of {bytes} B over {n} ranks, {plan:?}"

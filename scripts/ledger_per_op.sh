@@ -21,6 +21,7 @@
 # (idle comm-thread waits that ran past a landing; 0 on working code),
 # `fabric.frames` (inter-node frames the fabric carried), `rmpi.eager_sends`
 # (eager isends, one per message: a batch frame carries several),
+# `rmpi.progress_passes` (passes of every communicator's progress engine),
 # `clock.parks` (waits that outlasted the spin budget and parked) and `clock.hops_hidden`
 # (crossings whose hop was already due when their drain paid it) its total
 # and its total divided by `attempted`, and last the overshoot summed over
@@ -31,7 +32,7 @@
 # benchmark/Cargo.lock is put back as it was found.
 set -eu
 
-[ $# -ge 1 ] || { sed -n '2,32s/^# \{0,1\}//p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,33s/^# \{0,1\}//p' "$0"; exit 2; }
 root=$(cd "$(dirname "$0")/.." && pwd)
 spec=$root/BENCHMARK.json
 cmd=$(sed -n 's/.*"command": *\[\(.*\)\].*/\1/p' "$spec" | tr -d '",')
@@ -57,7 +58,7 @@ echo "$workload seed $seed ${secs}s: attempted $attempted"
 # Counter lines of the dump read `    "name": value,`; the counters section
 # comes first and ends at the gauges header.
 sed -n '/"counters"/,/"gauges"/s/^ *"\([^"]*\)": \([0-9]*\),\{0,1\}$/\1 \2/p' "$tmp/metrics.json" |
-    grep -E '^(model\.(charged|overshoot)_ns\.|comm\.(requests|crossings|missed_landings)\.|(fabric\.frames|rmpi\.eager_sends|clock\.(parks|hops_hidden))[ .])' |
+    grep -E '^(model\.(charged|overshoot)_ns\.|comm\.(requests|crossings|missed_landings)\.|(fabric\.frames|rmpi\.(eager_sends|progress_passes)|clock\.(parks|hops_hidden))[ .])' |
     awk -v n="$attempted" '
         { printf "%-40s %16.0f %16.3f per op\n", $1, $2, $2 / n }
         $1 ~ /^model\.overshoot_ns\./ { over += $2 }
